@@ -13,7 +13,8 @@ length.
 
 A function value close to zero on the contour aborts the computation,
 since the winding number is then ill-defined; callers jitter their contour
-and retry.
+and retry. A value that is not finite aborts it too, with
+:class:`DeterminantOverflow`, which a retry cannot cure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryZero
+import numpy as np
+
+from .errors import BoundaryZero, DeterminantOverflow
 
 # |f| at or below this is treated as "the contour hit a zero".
 ZERO_TOL = 1e-12
@@ -90,43 +93,52 @@ class Rect:
         )
 
 
-def _checked_value(f, z, zero_tol):
-    v = complex(f(z))
-    if abs(v) <= zero_tol:
-        raise BoundaryZero(f"|f({z})| = {abs(v):.3e} on the contour")
+def _checked_values(f, zs, zero_tol):
+    v = np.asarray(f(zs), dtype=complex)
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DeterminantOverflow(f"f({complex(zs[i])}) = {complex(v[i])} is not finite")
+    small = np.abs(v) <= zero_tol
+    if small.any():
+        i = int(np.argmax(small))
+        raise BoundaryZero(f"|f({complex(zs[i])})| = {abs(v[i]):.3e} on the contour")
     return v
-
-
-def _segment_phase(f, z0, v0, z1, v1, zero_tol, depth):
-    """Phase advance along one segment, validated by a midpoint probe."""
-    if depth >= _MAX_DEPTH:
-        raise BoundaryZero(f"phase step cannot be resolved near {z0} (|f| ~ {abs(v0):.3e})")
-    zm = (z0 + z1) / 2
-    vm = _checked_value(f, zm, zero_tol)
-    s1 = cmath.phase(vm / v0)
-    s2 = cmath.phase(v1 / vm)
-    if abs(s1) < 0.5 * cmath.pi and abs(s2) < 0.5 * cmath.pi:
-        return s1 + s2
-    return _segment_phase(f, z0, v0, zm, vm, zero_tol, depth + 1) + _segment_phase(
-        f, zm, vm, z1, v1, zero_tol, depth + 1
-    )
 
 
 def phase_change(f, points, *, zero_tol=ZERO_TOL):
     """Total continuous phase change of f along the closed polyline.
 
     ``points`` are the vertices in order; the path closes from the last
-    point back to the first.
+    point back to the first. ``f`` maps a 1-D complex array to the array
+    of its values. The segments are resolved breadth first: all vertices
+    are evaluated in one call, then on each level the midpoints of every
+    segment not yet accepted.
     """
-    pts = list(points)
-    if len(pts) < 3:
+    z0 = np.array(points, dtype=complex)
+    if len(z0) < 3:
         raise ValueError("need at least 3 points for a closed contour")
-    vals = [_checked_value(f, z, zero_tol) for z in pts]
+    v0 = _checked_values(f, z0, zero_tol)
+    z1, v1 = np.roll(z0, -1), np.roll(v0, -1)
     total = 0.0
-    n = len(pts)
-    for i in range(n):
-        total += _segment_phase(f, pts[i], vals[i], pts[(i + 1) % n], vals[(i + 1) % n],
-                                zero_tol, 0)
+    depth = 0
+    while len(z0):
+        if depth >= _MAX_DEPTH:
+            raise BoundaryZero(
+                f"phase step cannot be resolved near {complex(z0[0])} (|f| ~ {abs(v0[0]):.3e})")
+        zm = (z0 + z1) / 2
+        vm = _checked_values(f, zm, zero_tol)
+        s1 = np.angle(vm / v0)
+        s2 = np.angle(v1 / vm)
+        # accept a segment once both half-steps are below pi/2; bisect the rest
+        ok = (np.abs(s1) < 0.5 * np.pi) & (np.abs(s2) < 0.5 * np.pi)
+        total += float(np.sum(s1[ok] + s2[ok]))
+        split = ~ok
+        z0, v0, z1, v1 = (np.concatenate([z0[split], zm[split]]),
+                          np.concatenate([v0[split], vm[split]]),
+                          np.concatenate([zm[split], z1[split]]),
+                          np.concatenate([vm[split], v1[split]]))
+        depth += 1
     return total
 
 
@@ -147,7 +159,10 @@ def _samples_for(length: float, base: int, rate_hint) -> int:
 
 def rect_winding(f, rect: Rect, samples: int = 64, *, zero_tol=ZERO_TOL,
                  rate_hint=None) -> int:
-    """Winding number of f around the rectangle boundary (counterclockwise)."""
+    """Winding number of f around the rectangle boundary (counterclockwise).
+
+    ``f`` maps a 1-D complex array to the array of its values.
+    """
     base = max(2, samples // 4)
     pts = []
     c = rect.corners()
@@ -161,7 +176,7 @@ def rect_winding(f, rect: Rect, samples: int = 64, *, zero_tol=ZERO_TOL,
 
 def circle_winding(f, center, radius, samples: int = 32, *, zero_tol=ZERO_TOL,
                    rate_hint=None) -> int:
-    """Winding number of f around a circle."""
+    """Winding number of f around a circle; ``f`` as for :func:`rect_winding`."""
     n = _samples_for(2 * math.pi * radius, samples, rate_hint)
     pts = [center + radius * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
     return _winding_from_phase(phase_change(f, pts, zero_tol=zero_tol))

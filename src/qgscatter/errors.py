@@ -91,6 +91,15 @@ class WindowTooWide(QGError):
     pass
 
 
+class DeterminantOverflow(QGError):
+    """D(k) or a contour integrand is not finite.
+
+    |D(k)| grows like exp(|Im k| * total bond length), so deep in the
+    complex plane it overflows double precision. This is not a zero on the
+    contour, and jittering the contour cannot cure it.
+    """
+
+
 # ---------------------------------------------------------------------------
 # symmetry / representations
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 from . import contours
 from .errors import (
     BoundaryZero,
+    DeterminantOverflow,
     SingularInterior,
     ValidationError,
     WindowTooWide,
@@ -38,6 +39,9 @@ from .linalg import lu_det
 from .vertex_scattering import condition_sigma
 
 _SINGULAR_TOL = 1e-13
+# Matrix entries per LAPACK call of Assembly.interior_det_many: about 512 kB,
+# so long batches keep memory flat.
+_DET_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,6 @@ class ScatteringEvaluation:
     s: np.ndarray
     interior_det: complex
     interior_dim: int
-    interior_rank: int
 
     @property
     def unitarity_defect(self) -> float:
@@ -130,14 +133,44 @@ class Assembly:
     def propagator(self, k) -> np.ndarray:
         return np.exp(1j * complex(k) * self.table.bond_lengths)
 
-    def interior_matrix(self, k) -> np.ndarray:
-        _, _, _, s_bb = self.blocks(k)
-        return np.eye(self.table.n_bonds) - s_bb * self.propagator(k)[None, :]
+    def interior_det_many(self, ks) -> np.ndarray:
+        """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array.
+
+        The matrices are stacked and handed to LAPACK in chunks of about
+        ``_DET_CHUNK_ENTRIES`` entries; each determinant is bit-identical to
+        that of the single matrix. Raises :class:`DeterminantOverflow` when
+        some D(k) is not finite.
+        """
+        ks = np.asarray(ks, dtype=complex)
+        nb = self.table.n_bonds
+        if nb == 0:
+            return np.ones(len(ks), dtype=complex)
+        out = np.empty(len(ks), dtype=complex)
+        per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(ks), per_chunk):
+                kc = ks[start:start + per_chunk]
+                tk = np.exp((1j * kc)[:, None] * self.table.bond_lengths)
+                if self.k_independent:
+                    s_bb = self._cached_blocks[3]
+                else:
+                    s_bb = np.stack([self._build_blocks(complex(k))[3] for k in kc])
+                # I - Sigma_BB T(k), built in one allocation
+                m = s_bb * tk[:, None, :]
+                np.negative(m, out=m)
+                m.reshape(len(kc), -1)[:, ::nb + 1] += 1.0
+                out[start:start + per_chunk] = np.linalg.det(m)
+        if not np.isfinite(out).all():
+            i = int(np.argmin(np.isfinite(out)))
+            raise DeterminantOverflow(
+                f"determinant overflow at k = {complex(ks[i])}: |D| grows like "
+                f"exp(|Im k| * total bond length) = "
+                f"exp({abs(ks[i].imag) * float(np.sum(self.table.bond_lengths)):.4g})"
+            )
+        return out
 
     def interior_det(self, k) -> complex:
-        if self.table.n_bonds == 0:
-            return 1.0 + 0.0j
-        return lu_det(self.interior_matrix(k))
+        return complex(self.interior_det_many(np.array([k], dtype=complex))[0])
 
     def interior_log_derivative(self, k) -> complex:
         """d/dk log D(k) via tr(M^-1 M'); valid for k-independent conditions."""
@@ -169,12 +202,10 @@ class Assembly:
         nb = self.table.n_bonds
         if nb == 0:
             return ScatteringEvaluation(k=k, s=s_ll.copy(), interior_det=1.0 + 0.0j,
-                                        interior_dim=0, interior_rank=0)
+                                        interior_dim=0)
         tk = self.propagator(k)
         m = np.eye(nb) - s_bb * tk[None, :]
         det = lu_det(m)
-        sv = np.linalg.svd(m, compute_uv=False)
-        rank = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
         if abs(det) < _SINGULAR_TOL and k.imag == 0:
             raise SingularInterior(
                 f"interior system singular at k = {k} (|D| = {abs(det):.3e}); "
@@ -188,8 +219,7 @@ class Assembly:
             raise SingularInterior(f"interior system exactly singular at k = {k}",
                                    k=k, determinant=det) from exc
         s = s_ll + (s_lb * tk[None, :]) @ x
-        return ScatteringEvaluation(k=k, s=s, interior_det=det, interior_dim=nb,
-                                    interior_rank=rank)
+        return ScatteringEvaluation(k=k, s=s, interior_det=det, interior_dim=nb)
 
 
 def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
@@ -243,18 +273,21 @@ class _RealSecular:
         self.n = asm.table.n_bonds
         self._phase0 = asm.det_sigma_phase(1.0) if asm.k_independent else None
 
-    def complex_value(self, k):
-        return self.asm.interior_det(k)
-
     def theta(self, k):
         if self._phase0 is not None:
             return self._phase0 + k * self.total_bond_length
         return self.asm.det_sigma_phase(k) + k * self.total_bond_length
 
+    def _regularized(self, f, k):
+        return (f * cmath.exp(-0.5j * self.theta(k)) * (1j ** self.n)).real
+
     def value(self, k):
-        f = self.complex_value(k)
-        reg = f * cmath.exp(-0.5j * self.theta(k)) * (1j ** self.n)
-        return reg.real
+        return self._regularized(self.asm.interior_det(k), k)
+
+    def values(self, ks):
+        """``value`` at every k of an array, with one batched determinant call."""
+        fs = self.asm.interior_det_many(ks)
+        return np.array([self._regularized(complex(f), k) for f, k in zip(fs, ks)])
 
 
 def _newton_polish(asm: Assembly, k0, *, max_iter=150, tol=1e-13, trust=0.5):
@@ -318,7 +351,7 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
 
     sec = _RealSecular(asm)
     ks = np.linspace(k_min, k_max, n_samples)
-    rs = np.array([sec.value(k) for k in ks])
+    rs = sec.values(ks)
 
     candidates = []
 
@@ -380,7 +413,7 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
         radius = 1e-4
         while True:
             try:
-                mult = contours.circle_winding(asm.interior_det, complex(kr), radius,
+                mult = contours.circle_winding(asm.interior_det_many, complex(kr), radius,
                                                samples=48, rate_hint=rate)
                 break
             except BoundaryZero:

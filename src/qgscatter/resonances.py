@@ -3,7 +3,9 @@
 The search subdivides the window recursively, counting zeros per cell with
 the argument principle, until each cell with zeros is small; candidates are
 then polished by Newton iteration and their multiplicities confirmed by a
-small winding circle. Contours that pass too close to a zero are inflated
+small winding circle. A small cell that winds w >= 2 times is subdivided
+further when the zero Newton finds in it has multiplicity below w, since it
+then holds distinct zeros. Contours that pass too close to a zero are inflated
 slightly and retried, so zeros sitting exactly on the requested window edge
 (commonly on the real axis) are still captured by the cells they border.
 
@@ -13,25 +15,15 @@ states decoupled from the leads and are reported separately.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .contours import Rect, circle_winding_jittered, rect_winding
-from .errors import BoundaryZero, Diverged, NonHolomorphic, ZeroK
+from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import Assembly
 from .graph_core import LinearAB, OpenGraph
-
-
-def worker_count() -> int:
-    """Worker cap from QGS_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("QGS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -81,10 +73,12 @@ class PoleSet:
 def winding_number(f: Callable[[complex], complex], rect: Rect, samples: int = 64) -> int:
     """Zeros-minus-poles count of f inside the rectangle (argument principle).
 
-    Boundary sampling refines adaptively until consecutive phase steps stay
-    below pi/2; raises :class:`BoundaryZero` if f vanishes on the contour.
+    ``f`` takes and returns one complex number. Boundary sampling refines
+    adaptively until consecutive phase steps stay below pi/2; raises
+    :class:`BoundaryZero` if f vanishes on the contour.
     """
-    return rect_winding(f, rect, samples)
+    return rect_winding(lambda zs: np.array([f(complex(z)) for z in zs], dtype=complex),
+                        rect, samples)
 
 
 def _winding_with_jitter(f, rect: Rect, opts: PoleSearchOptions, rate_hint=None):
@@ -106,16 +100,6 @@ def _winding_with_jitter(f, rect: Rect, opts: PoleSearchOptions, rate_hint=None)
     raise BoundaryZero(
         f"contour through {rect} still hits zeros after {opts.max_retries} retries: {last}"
     )
-
-
-def _safe_det(asm: Assembly):
-    def d(k):
-        try:
-            return asm.interior_det(k)
-        except ZeroK:
-            # k = 0 on a contour is as fatal as a zero of D itself.
-            raise BoundaryZero("contour passes through k = 0")
-    return d
 
 
 def refine_pole(og: OpenGraph, k0, *, max_iter: int = 50, step_tol: float = 1e-12,
@@ -166,7 +150,11 @@ def _require_holomorphic(og: OpenGraph):
 
 
 def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = None) -> PoleSet:
-    """Locate all zeros of the interior determinant inside the window."""
+    """Locate all zeros of the interior determinant inside the window.
+
+    Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
+    finite on a contour (windows reaching far below the real axis).
+    """
     if opts is None:
         opts = PoleSearchOptions()
     _require_holomorphic(og)
@@ -176,23 +164,25 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     if asm.table.n_bonds == 0:
         return PoleSet(poles=(), window=window, options=opts, warnings=())
 
-    det = _safe_det(asm)
+    det = asm.interior_det_many
     # Bulk rotation rate of the determinant: the total directed-bond length.
     rate = float(np.sum(asm.table.bond_lengths)) + 1.0
-    threads = worker_count()
+
+    def multiplicity(k):
+        """Winding of D on a small circle around k; None if it keeps hitting zeros."""
+        try:
+            return circle_winding_jittered(det, k, max(10 * opts.dedupe_radius, 1e-6),
+                                           samples=48, retries=opts.max_retries,
+                                           rate_hint=rate)
+        except BoundaryZero:
+            return None
 
     polished = []
     queue = [window]
     while queue:
-        if threads > 1 and len(queue) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(
-                    lambda r: _winding_with_jitter(det, r, opts, rate), queue))
-        else:
-            results = [_winding_with_jitter(det, r, opts, rate) for r in queue]
-
         next_queue = []
-        for (w, cell), original in zip(results, queue):
+        for original in queue:
+            w, cell = _winding_with_jitter(det, original, opts, rate)
             if w == 0:
                 continue
             if w < 0:
@@ -215,6 +205,11 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
                 and residual <= opts.residual_tol
                 and cell.inflated(original.diameter).contains(k_star)
             )
+            if ok and w > 1 and not at_floor:
+                # Newton finds one zero; if it is not of multiplicity w, the
+                # cell holds distinct zeros that subdivision must separate.
+                mult = multiplicity(k_star)
+                ok = mult is None or mult >= w
             if ok:
                 polished.append((k_star, residual, iterations))
             elif not at_floor:
@@ -242,11 +237,8 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     real_axis = []
     upper = []
     for k_star, residual, iterations in merged:
-        radius = max(10 * opts.dedupe_radius, 1e-6)
-        try:
-            mult = circle_winding_jittered(det, k_star, radius, samples=48,
-                                           retries=opts.max_retries, rate_hint=rate)
-        except BoundaryZero:
+        mult = multiplicity(k_star)
+        if mult is None:
             mult = 1
             warnings.append(f"multiplicity circle at {k_star} kept hitting zeros; assumed 1")
         if mult < 1:

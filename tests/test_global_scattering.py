@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qgscatter.cli import parse_graph_file
 from qgscatter.errors import SingularInterior, ValidationError, WindowTooWide, ZeroK
 from qgscatter.global_scattering import (
     Assembly,
@@ -12,15 +13,23 @@ from qgscatter.global_scattering import (
     secular_value,
 )
 from qgscatter.graph_core import (
+    DFT,
     Dirichlet,
     Edge,
+    FixedUnitary,
     Neumann,
     Vertex,
     attach_leads,
     build_graph,
 )
 
-from conftest import random_open_graph, star_open_graph, two_pendant_resonator
+from conftest import (
+    DATA_DIR,
+    random_open_graph,
+    random_unitary,
+    star_open_graph,
+    two_pendant_resonator,
+)
 
 
 def lead_edge_dirichlet(length=1.0):
@@ -84,6 +93,37 @@ def test_secular_zeros_of_lead_extended_interval():
 def test_interior_determinant_no_edges():
     og = star_open_graph(4)
     assert interior_determinant(og, 1.3) == 1.0 + 0.0j
+
+
+def _dft_unitary_graph():
+    rng = np.random.default_rng(5)
+    g = build_graph(
+        [Vertex("a", DFT()), Vertex("b", FixedUnitary(random_unitary(rng, 3))),
+         Vertex("c", Dirichlet())],
+        [Edge("e1", "a", "b", 0.7), Edge("e2", "a", "b", 1.3), Edge("e3", "b", "c", 0.9)],
+        pending_leads={"a": 1},
+    )
+    return attach_leads(g, ["a"])
+
+
+def test_interior_det_many_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # real k, deep and upper-half-plane k; enough of them for several chunks
+    ks = np.concatenate([rng.uniform(0.1, 30.0, 400),
+                         rng.uniform(0.1, 10.0, 400) - 1j * rng.uniform(0.0, 3.0, 400),
+                         rng.uniform(0.1, 10.0, 100) + 1j * rng.uniform(0.0, 1.0, 100)])
+    graphs = [parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"), _dft_unitary_graph()]
+    graphs += [random_open_graph(np.random.default_rng(s)) for s in range(4)]
+    for og in graphs:
+        asm = Assembly(og)
+        many = asm.interior_det_many(ks)
+        assert np.array_equal(many, [asm.interior_det(k) for k in ks])
+        # the textbook construction, one matrix at a time
+        nb = asm.table.n_bonds
+        loop = [np.linalg.det(np.eye(nb) - asm.blocks(k)[3]
+                              * np.exp(1j * complex(k) * asm.table.bond_lengths)[None, :])
+                for k in ks]
+        assert np.array_equal(many, loop)
 
 
 def test_interior_determinant_resonator_formula():

@@ -1,13 +1,20 @@
 """Winding numbers and resonance pole location."""
 
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 
-from qgscatter.contours import Rect
-from qgscatter.errors import BoundaryZero, Diverged, NonHolomorphic
+from qgscatter import global_scattering
+from qgscatter.cli import parse_graph_file
+from qgscatter.contours import Rect, rect_winding
+from qgscatter.errors import BoundaryZero, DeterminantOverflow, Diverged, NonHolomorphic
+from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import (
     Dirichlet,
     Edge,
+    FixedUnitary,
     LinearAB,
     Neumann,
     Vertex,
@@ -16,7 +23,7 @@ from qgscatter.graph_core import (
 )
 from qgscatter.resonances import find_poles, refine_pole, winding_number
 
-from conftest import star_open_graph, two_pendant_resonator
+from conftest import DATA_DIR, star_open_graph, two_pendant_resonator
 
 RESONATOR_POLES = [(2 * m + 1) * np.pi / 2 - 0.5j * np.log(3.0) for m in range(3)]
 
@@ -35,6 +42,21 @@ def test_winding_double_zero():
 def test_winding_boundary_zero_detected():
     with pytest.raises(BoundaryZero):
         winding_number(lambda z: z - 1.0, Rect(0, 1, -1, 1))
+
+
+def test_winding_scalar_and_array_callables_agree():
+    # exp(z) - 2 vanishes at log 2 + 2 pi i n; n = 0 and n = 1 lie inside
+    rect = Rect(0.0, 1.0, -1.0, 7.0)
+    assert winding_number(lambda z: cmath.exp(z) - 2, rect) == 2
+    assert rect_winding(lambda zs: np.exp(zs) - 2, rect) == 2
+    asm = Assembly(two_pendant_resonator())
+    cell = Rect(0.3, 6.0, -1.5, -0.01)
+    assert winding_number(asm.interior_det, cell) == rect_winding(asm.interior_det_many, cell) == 2
+
+
+def test_winding_non_finite_values_fail_fast():
+    with pytest.raises(DeterminantOverflow):
+        rect_winding(lambda zs: np.where(zs.real > 0.5, np.nan, 1.0), Rect(0, 1, -1, 1))
 
 
 def test_winding_additivity():
@@ -168,15 +190,46 @@ def test_double_poles_from_twin_resonators():
         assert abs(p.k - e) <= 1e-7
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_chunk_size_does_not_change_results(monkeypatch):
     og = two_pendant_resonator()
     window = Rect(0.0, 10.0, -2.0, 0.0)
     base = find_poles(og, window)
-    monkeypatch.setenv("QGS_THREADS", "4")
-    threaded = find_poles(og, window)
-    assert len(base.poles) == len(threaded.poles)
-    for a, b in zip(base.poles, threaded.poles):
-        assert a.k == b.k and a.multiplicity == b.multiplicity
+    # one matrix per LAPACK call
+    monkeypatch.setattr(global_scattering, "_DET_CHUNK_ENTRIES", 1)
+    single = find_poles(og, window)
+    assert base.poles == single.poles
+    assert base.real_axis_zeros == single.real_axis_zeros
+
+
+def test_deep_window_reports_determinant_overflow():
+    # |D| ~ exp(|Im k| * 21) overflows near Im k = -34; that is not a zero on
+    # the contour, so it must not be retried as one
+    og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DeterminantOverflow, match="determinant overflow"):
+            find_poles(og, Rect(0.0, 4.0, -40.0, 0.0))
+
+
+def test_close_pair_in_one_small_cell_is_separated():
+    # a lead coupled by exp(iH) to two Dirichlet-ended edges of nearly equal
+    # length: two resonances about 0.012 apart, closer than the refinement cell
+    h = np.zeros((3, 3))
+    h[0, 1:] = h[1:, 0] = 0.2
+    w, v = np.linalg.eigh(h)
+    g = build_graph(
+        [Vertex("c", FixedUnitary((v * np.exp(1j * w)) @ v.conj().T)),
+         Vertex("d1", Dirichlet()), Vertex("d2", Dirichlet())],
+        [Edge("e1", "c", "d1", 1.0), Edge("e2", "c", "d2", 1.005)],
+        pending_leads={"c": 1},
+    )
+    og = attach_leads(g, ["c"])
+    ps = find_poles(og, Rect(4.0, 7.0, -0.6, 0.0))
+    assert [p.multiplicity for p in ps.poles] == [1, 1]
+    a, b = ps.ks()
+    assert 1e-3 < abs(a - b) < 0.05
+    assert all(p.residual <= 1e-8 for p in ps.poles)
+    assert ps.warnings == ()
 
 
 def test_winding_additivity_on_interior_determinant():
