@@ -45,6 +45,7 @@ from .symmetry_rep import (
     SubgroupEmbedding,
     characters_equal,
     induced_character,
+    quotient_scattering,
     quotient_scattering_sum,
     subgroup,
 )
@@ -538,11 +539,9 @@ def _cmd_quotient(args) -> RunReport:
 
     if len(names) == 1:
         action, rho = spec.resolve(names[0])
-        from .symmetry_rep import quotient_scattering
         matrix = quotient_scattering(og, action, rho, carrier(rho), k=k)
     else:
         resolved = [spec.resolve(n) for n in names]
-        actions = {id(a.group): a for a, _ in resolved}
         if len({tuple(a.group.elements) for a, _ in resolved}) != 1:
             raise ParseError("direct sums must combine representations of one group")
         action = resolved[0][0]

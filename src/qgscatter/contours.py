@@ -13,8 +13,8 @@ length.
 
 A function value close to zero on the contour aborts the computation,
 since the winding number is then ill-defined; callers jitter their contour
-and retry. A value that is not finite aborts it too, with
-:class:`DeterminantOverflow`, which a retry cannot cure.
+and retry through :func:`first_winding`. A value that is not finite aborts
+it too, with :class:`DeterminantOverflow`, which a retry cannot cure.
 """
 
 from __future__ import annotations
@@ -182,15 +182,22 @@ def circle_winding(f, center, radius, samples: int = 32, *, zero_tol=ZERO_TOL,
     return _winding_from_phase(phase_change(f, pts, zero_tol=zero_tol))
 
 
-def circle_winding_jittered(f, center, radius, *, samples=32, retries=5, growth=1.4,
-                            rate_hint=None):
-    """Circle winding with radius growth when the contour hits a zero."""
-    r = radius
-    last = None
-    for _ in range(retries):
+def first_winding(wind, contours):
+    """Winding of the first contour in ``contours`` that does not hit a zero.
+
+    ``wind`` maps one contour to its winding number and raises
+    :class:`BoundaryZero` when the contour hits a zero. Returns
+    (winding, contour); raises :class:`BoundaryZero` naming the first contour
+    when every one hits a zero.
+    """
+    tried, last = [], ""
+    for contour in contours:
         try:
-            return circle_winding(f, center, r, samples=samples, rate_hint=rate_hint)
+            return wind(contour), contour
         except BoundaryZero as exc:
-            last = exc
-            r *= growth
-    raise last
+            # keep the message only: the exception's traceback holds the
+            # contour's sample arrays
+            tried.append(contour)
+            last = str(exc)
+    raise BoundaryZero(f"contour through {tried[0]} still hits zeros after {len(tried)} "
+                       f"retries: {last}")

@@ -19,6 +19,7 @@ eigenvalues.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -35,7 +36,7 @@ from .errors import (
     ZeroK,
 )
 from .graph_core import BondTable, MetricGraph, OpenGraph, bond_table
-from .linalg import lu_det
+from .linalg import lu_det, unitarity_defect
 from .vertex_scattering import condition_sigma
 
 _SINGULAR_TOL = 1e-13
@@ -55,8 +56,7 @@ class ScatteringEvaluation:
 
     @property
     def unitarity_defect(self) -> float:
-        n = self.s.shape[0]
-        return float(np.linalg.norm(self.s @ self.s.conj().T - np.eye(n)))
+        return unitarity_defect(self.s)
 
 
 @dataclass(frozen=True)
@@ -173,16 +173,53 @@ class Assembly:
         return complex(self.interior_det_many(np.array([k], dtype=complex))[0])
 
     def interior_log_derivative(self, k) -> complex:
-        """d/dk log D(k) via tr(M^-1 M'); valid for k-independent conditions."""
+        """d/dk log D(k): tr(M^-1 M') for k-independent conditions, a central
+        difference of D otherwise. Raises ``np.linalg.LinAlgError`` when k is
+        an exact zero of D."""
         t = self.table
         if t.n_bonds == 0:
             return 0.0 + 0.0j
+        if not self.k_independent:
+            h = 1e-7 * max(1.0, abs(k))
+            dplus, dminus, d0 = map(complex, self.interior_det_many([k + h, k - h, k]))
+            if d0 == 0:
+                raise np.linalg.LinAlgError(f"k = {k} is a zero of D")
+            return (dplus - dminus) / (2 * h) / d0
         _, _, _, s_bb = self.blocks(k)
         tk = self.propagator(k)
         m = np.eye(t.n_bonds) - s_bb * tk[None, :]
         mprime = -s_bb * (1j * t.bond_lengths * tk)[None, :]
         x = np.linalg.solve(m, mprime)
         return complex(np.trace(x))
+
+    def newton(self, k0, *, max_iter, tol, trust):
+        """Newton on D(k) from k0, stepping by 1 / (d/dk log D).
+
+        Returns (k, iterations, inside). It stops when a step falls below
+        ``tol * max(1, |k|)``, when k is an exact zero of D or the log
+        derivative vanishes, or after ``max_iter`` steps. ``inside`` is False
+        when an iterate lands more than ``trust`` from k0 (false candidates
+        launched far from any zero would otherwise run away); that iterate is
+        returned.
+        """
+        k0 = complex(k0)
+        k = k0
+        for it in range(1, max_iter + 1):
+            try:
+                dlog = self.interior_log_derivative(k)
+            except np.linalg.LinAlgError:
+                # the iterate sits exactly on a zero
+                return k, it, True
+            if dlog == 0:
+                return k, it, True
+            k_next = k - 1.0 / dlog
+            if abs(k_next - k0) > trust:
+                return k_next, it, False
+            step = abs(k_next - k)
+            k = k_next
+            if step <= tol * max(1.0, abs(k)):
+                return k, it, True
+        return k, max_iter, True
 
     def det_sigma_phase(self, k) -> float:
         """Principal argument of det Sigma(k) over all channels."""
@@ -290,38 +327,6 @@ class _RealSecular:
         return np.array([self._regularized(complex(f), k) for f, k in zip(fs, ks)])
 
 
-def _newton_polish(asm: Assembly, k0, *, max_iter=150, tol=1e-13, trust=0.5):
-    """Newton on D with the exact logarithmic derivative; falls back to a
-    central difference when conditions are k-dependent. Stops early if the
-    iterates drift more than ``trust`` from the start (false candidates
-    launched far from any zero would otherwise run away)."""
-    k = complex(k0)
-    for it in range(max_iter):
-        if abs(k - k0) > trust:
-            return k, it
-        if asm.k_independent:
-            try:
-                dlog = asm.interior_log_derivative(k)
-            except np.linalg.LinAlgError:
-                # the iterate sits exactly on a zero
-                return k, it
-        else:
-            h = 1e-7 * max(1.0, abs(k))
-            dplus, dminus = asm.interior_det(k + h), asm.interior_det(k - h)
-            d0 = asm.interior_det(k)
-            deriv = (dplus - dminus) / (2 * h)
-            if deriv == 0:
-                return k, it
-            dlog = deriv / d0 if d0 != 0 else 0.0
-        if dlog == 0:
-            return k, it
-        step = 1.0 / dlog
-        k = k - step
-        if abs(step) <= tol * max(1.0, abs(k)):
-            return k, it + 1
-    return k, max_iter
-
-
 def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_000) -> SpectrumWindow:
     """Locate the Laplacian eigenvalues (as k values) in a real window.
 
@@ -390,7 +395,7 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
     # Polish, verify, deduplicate.
     found = []
     for k0 in candidates:
-        k_star, _ = _newton_polish(asm, k0)
+        k_star, _, _ = asm.newton(k0, max_iter=150, tol=1e-13, trust=0.5)
         if abs(k_star.imag) > 1e-9:
             continue
         kr = float(k_star.real)
@@ -409,17 +414,15 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
         # clear of neighboring zeros.
         gaps = [abs(kr - other) for j, other in enumerate(found_sorted) if j != i]
         cap = min([0.05] + [0.4 * g for g in gaps])
-        mult = 1
-        radius = 1e-4
-        while True:
-            try:
-                mult = contours.circle_winding(asm.interior_det_many, complex(kr), radius,
-                                               samples=48, rate_hint=rate)
-                break
-            except BoundaryZero:
-                radius *= 2.0
-                if radius > cap:
-                    break
+        radii = itertools.takewhile(lambda r: r <= max(cap, 1e-4),
+                                    (1e-4 * 2.0 ** i for i in itertools.count()))
+        try:
+            mult, _ = contours.first_winding(
+                lambda r: contours.circle_winding(asm.interior_det_many, complex(kr), r,
+                                                  samples=48, rate_hint=rate),
+                radii)
+        except BoundaryZero:
+            mult = 1
         if mult < 1:
             continue
         results.append(Eigenvalue(k=kr, multiplicity=mult, residual=abs(asm.interior_det(kr))))

@@ -85,7 +85,11 @@ def _evaluate_safely(s_fun, k, *, user_supplied: bool):
 
 
 def _collect_samples(s1, s2, ks: Optional[Sequence[float]], count: int, skip: int):
-    """Evaluate both matrix functions, skipping auto-generated singular points."""
+    """Evaluate both matrix functions at ``ks``, or else at the first ``count``
+    points of ``default_samples`` from index ``skip`` on that are not singular.
+
+    Returns (pairs, used k values, index of the next unused default sample).
+    """
     pairs = []
     used = []
     if ks is not None:
@@ -94,11 +98,10 @@ def _collect_samples(s1, s2, ks: Optional[Sequence[float]], count: int, skip: in
             b = _evaluate_safely(s2, k, user_supplied=True)
             pairs.append((a, b))
             used.append(float(k))
-        return pairs, used
+        return pairs, used, skip
     j = skip
     while len(pairs) < count:
-        frac = ((j + 1) * _GOLDEN) % 1.0
-        k = _SAMPLE_LO + (_SAMPLE_HI - _SAMPLE_LO) * frac
+        k = default_samples(1, j)[0]
         j += 1
         a = _evaluate_safely(s1, k, user_supplied=False)
         b = _evaluate_safely(s2, k, user_supplied=False) if a is not None else None
@@ -127,7 +130,7 @@ def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.
     if k_samples is not None:
         if len(k_samples) < 3:
             raise ValueError("need at least 3 training samples")
-        pairs, used = _collect_samples(s1, s2, k_samples, 0, 0)
+        pairs, used, _ = _collect_samples(s1, s2, k_samples, 0, 0)
         hold_pairs, hold_used, _ = _collect_samples(s1, s2, None, n_holdout, 1000)
     else:
         pairs, used, consumed = _collect_samples(s1, s2, None, n_training, 0)

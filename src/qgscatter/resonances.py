@@ -15,12 +15,14 @@ states decoupled from the leads and are reported separately.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contours import Rect, circle_winding_jittered, rect_winding
+from .contours import Rect, circle_winding, first_winding, rect_winding
 from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import Assembly
 from .graph_core import LinearAB, OpenGraph
@@ -81,27 +83,6 @@ def winding_number(f: Callable[[complex], complex], rect: Rect, samples: int = 6
                         rect, samples)
 
 
-def _winding_with_jitter(f, rect: Rect, opts: PoleSearchOptions, rate_hint=None):
-    """Winding with inflate-and-retry.
-
-    Inflation only grows cells, so a zero near a shared edge may be counted
-    by two sibling cells but never lost; deduplication collapses doubles.
-    Returns (winding, possibly inflated rect).
-    """
-    r = rect
-    last = None
-    for attempt in range(opts.max_retries):
-        try:
-            return rect_winding(f, r, opts.boundary_samples, rate_hint=rate_hint), r
-        except BoundaryZero as exc:
-            last = exc
-            scale = max(r.diameter, 1.0)
-            r = r.inflated(opts.jitter * scale * (attempt + 1))
-    raise BoundaryZero(
-        f"contour through {rect} still hits zeros after {opts.max_retries} retries: {last}"
-    )
-
-
 def refine_pole(og: OpenGraph, k0, *, max_iter: int = 50, step_tol: float = 1e-12,
                 trust_radius: Optional[float] = None) -> Tuple[complex, float, int]:
     """Newton-refine a pole candidate; returns (k*, |D(k*)|, iterations).
@@ -111,33 +92,13 @@ def refine_pole(og: OpenGraph, k0, *, max_iter: int = 50, step_tol: float = 1e-1
     """
     _require_holomorphic(og)
     asm = Assembly(og)
-    return _refine(asm, complex(k0), max_iter=max_iter, step_tol=step_tol,
-                   trust_radius=trust_radius if trust_radius is not None else 1.0)
-
-
-def _refine(asm: Assembly, k0: complex, *, max_iter=50, step_tol=1e-12, trust_radius=1.0):
-    k = complex(k0)
-    limit = 10.0 * trust_radius
-    if abs(asm.interior_det(k)) == 0.0:
-        return k, 0.0, 0
-    for it in range(1, max_iter + 1):
-        try:
-            dlog = asm.interior_log_derivative(k)
-        except np.linalg.LinAlgError:
-            # the iterate sits exactly on a zero
-            return k, abs(asm.interior_det(k)), it
-        if dlog == 0:
-            return k, abs(asm.interior_det(k)), it
-        k_next = k - 1.0 / dlog
-        if abs(k_next - k0) > limit:
-            raise Diverged(
-                f"Newton left the trust region (|k - k0| = {abs(k_next - k0):.3e} > {limit:.3e})"
-            )
-        step = abs(k_next - k)
-        k = k_next
-        if step <= step_tol * max(1.0, abs(k)):
-            return k, abs(asm.interior_det(k)), it
-    return k, abs(asm.interior_det(k)), max_iter
+    limit = 10.0 * (trust_radius if trust_radius is not None else 1.0)
+    k, iterations, inside = asm.newton(k0, max_iter=max_iter, tol=step_tol, trust=limit)
+    if not inside:
+        raise Diverged(
+            f"Newton left the trust region (|k - k0| = {abs(k - k0):.3e} > {limit:.3e})"
+        )
+    return k, abs(asm.interior_det(k)), iterations
 
 
 def _require_holomorphic(og: OpenGraph):
@@ -169,20 +130,33 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     rate = float(np.sum(asm.table.bond_lengths)) + 1.0
 
     def multiplicity(k):
-        """Winding of D on a small circle around k; None if it keeps hitting zeros."""
+        """Winding of D on a small circle around k, grown by 1.4 on each retry;
+        None if it keeps hitting zeros."""
+        radii = itertools.accumulate(itertools.repeat(1.4, opts.max_retries - 1), operator.mul,
+                                     initial=max(10 * opts.dedupe_radius, 1e-6))
         try:
-            return circle_winding_jittered(det, k, max(10 * opts.dedupe_radius, 1e-6),
-                                           samples=48, retries=opts.max_retries,
-                                           rate_hint=rate)
+            return first_winding(
+                lambda r: circle_winding(det, k, r, samples=48, rate_hint=rate), radii)[0]
         except BoundaryZero:
             return None
+
+    def inflations(rect):
+        """The cell, then inflated by jitter x attempt x max(diameter, 1) per
+        retry. Inflation only grows cells, so a zero near a shared edge may be
+        counted by two sibling cells but never lost; deduplication collapses
+        doubles."""
+        for attempt in range(1, opts.max_retries + 1):
+            yield rect
+            rect = rect.inflated(opts.jitter * max(rect.diameter, 1.0) * attempt)
 
     polished = []
     queue = [window]
     while queue:
         next_queue = []
         for original in queue:
-            w, cell = _winding_with_jitter(det, original, opts, rate)
+            w, cell = first_winding(
+                lambda r: rect_winding(det, r, opts.boundary_samples, rate_hint=rate),
+                inflations(original))
             if w == 0:
                 continue
             if w < 0:
@@ -193,15 +167,13 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
             if not (small or at_floor):
                 next_queue.extend(original.quadrants())
                 continue
-            try:
-                k_star, residual, iterations = _refine(
-                    asm, cell.center, max_iter=80,
-                    trust_radius=max(original.diameter, 10 * opts.min_cell),
-                )
-            except Diverged:
-                k_star, residual, iterations = None, np.inf, 0
+            k_star, iterations, inside = asm.newton(
+                cell.center, max_iter=80, tol=1e-12,
+                trust=10.0 * max(original.diameter, 10 * opts.min_cell),
+            )
+            residual = abs(asm.interior_det(k_star)) if inside else np.inf
             ok = (
-                k_star is not None
+                inside
                 and residual <= opts.residual_tol
                 and cell.inflated(original.diameter).contains(k_star)
             )

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .global_scattering import Assembly
 from .graph_core import OpenGraph
-from .linalg import null_space, orthonormalize_rows, rref
+from .linalg import block_diag, null_space, orthonormalize_rows, rref
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +74,9 @@ class FiniteGroup:
         for i in range(n):
             if set(table[i]) != set(range(n)) or set(table[:, i]) != set(range(n)):
                 raise ValidationError(f"row/column {i} is not a permutation (not a group)")
-        # Associativity spot check; full verification is O(n^3).
-        rng = np.random.default_rng(0)
-        m = min(n, 8)
-        for _ in range(200):
-            i, j, k = rng.integers(0, n, size=3)
-            if table[table[i, j], k] != table[i, table[j, k]]:
-                raise ValidationError("multiplication table is not associative")
-        del m
+        # (ij)k == i(jk) for every triple: O(n^3) integers, cheap up to order ~100.
+        if not np.array_equal(table[table, :], table[:, table]):
+            raise ValidationError("multiplication table is not associative")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -712,16 +707,7 @@ def quotient_scattering_sum(og: OpenGraph, act: GraphAction, reps, *, k,
     for rho_i, n_i, v_i in reps:
         block = quotient_scattering(og, act, rho_i, v_i, k=k, tol=tol)
         blocks.extend([block] * int(n_i))
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex)
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    i = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[i:i + d, i:i + d] = b
-        i += d
-    return out
+    return block_diag(blocks)
 
 
 def permutation_character(act: GraphAction) -> ClassFunction:

@@ -17,7 +17,9 @@ from qgscatter.graph_core import (
     Dirichlet,
     Edge,
     FixedUnitary,
+    LinearAB,
     Neumann,
+    OpenGraph,
     Vertex,
     attach_leads,
     build_graph,
@@ -224,18 +226,21 @@ def test_scale_covariance_of_eigenvalues():
         np.testing.assert_allclose(scaled, base / c, atol=1e-8)
 
 
-def test_robin_interval_eigenvalues():
-    # f' = f at one end, Neumann at the other: eigenvalues solve tan k = 1/k;
-    # exercises the k-dependent condition path of the secular scan
-    import math
-
-    from qgscatter.graph_core import LinearAB
-
-    g = build_graph(
+def robin_interval():
+    """Unit interval with f' = f at one end (k-dependent A/B) and Neumann at
+    the other; its eigenvalues solve tan k = 1/k."""
+    return build_graph(
         [Vertex("a", LinearAB(np.array([[1.0]]), np.array([[-1.0]]))),
          Vertex("b", Neumann())],
         [Edge("e", "a", "b", 1.0)],
     )
+
+
+def test_robin_interval_eigenvalues():
+    # exercises the k-dependent condition path of the secular scan
+    import math
+
+    g = robin_interval()
     got = eigenvalues_compact(g, (0.3, 10.0)).ks()
 
     def f(k):
@@ -254,6 +259,18 @@ def test_robin_interval_eigenvalues():
                 lo, flo = mid, fm
         oracle.append((lo + hi) / 2)
     np.testing.assert_allclose(got, oracle, atol=1e-9)
+
+
+def test_log_derivative_of_k_dependent_conditions():
+    # d/dk log D must carry dSigma/dk of the Robin vertex: compare with a
+    # central difference of D at a step unlike the method's own
+    asm = Assembly(OpenGraph(robin_interval(), ()))
+    assert not asm.k_independent
+    h = 1e-5
+    for k in (2.0, 2.0 - 0.3j, 5.5 + 0.1j):
+        d = asm.interior_det
+        expected = (d(k + h) - d(k - h)) / (2 * h) / d(k)
+        assert abs(asm.interior_log_derivative(k) - expected) <= 1e-6 * abs(expected)
 
 
 def test_window_too_wide():

@@ -1,6 +1,7 @@
 """Winding numbers and resonance pole location."""
 
 import cmath
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from qgscatter import global_scattering
 from qgscatter.cli import parse_graph_file
-from qgscatter.contours import Rect, rect_winding
+from qgscatter.contours import Rect, first_winding, rect_winding
 from qgscatter.errors import BoundaryZero, DeterminantOverflow, Diverged, NonHolomorphic
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import (
@@ -42,6 +43,22 @@ def test_winding_double_zero():
 def test_winding_boundary_zero_detected():
     with pytest.raises(BoundaryZero):
         winding_number(lambda z: z - 1.0, Rect(0, 1, -1, 1))
+
+
+def test_first_winding_inflates_past_a_corner_zero():
+    c = 1.0 + 1.0j  # the upper right corner of the first rectangle
+    first = Rect(0.0, 1.0, 0.0, 1.0)
+    rects = [first, first.inflated(0.1), first.inflated(0.1).inflated(0.2)]
+    w, rect = first_winding(lambda r: rect_winding(lambda zs: zs - c, r), rects)
+    assert (w, rect) == (1, rects[1])
+
+
+def test_first_winding_names_the_first_contour_when_all_hit_zeros():
+    # every rectangle has its lower left corner on the zero at 0
+    rects = [Rect(0.0, 1.0, 0.0, 1.0), Rect(0.0, 2.0, 0.0, 2.0)]
+    with pytest.raises(BoundaryZero, match=re.escape(f"contour through {rects[0]} still hits "
+                                                     "zeros after 2 retries")):
+        first_winding(lambda r: rect_winding(lambda zs: zs, r), rects)
 
 
 def test_winding_scalar_and_array_callables_agree():

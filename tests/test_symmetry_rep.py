@@ -59,6 +59,14 @@ def test_group_table_validation():
         FiniteGroup(("e", "a"), np.array([[0, 1], [1, 1]]))
     with pytest.raises(ValidationError):
         FiniteGroup(("a", "e"), np.array([[1, 0], [0, 1]]))
+    # a Latin square with identity (a loop) of order 5 that is not associative
+    loop = np.array([[0, 1, 2, 3, 4],
+                     [1, 0, 3, 4, 2],
+                     [2, 4, 0, 1, 3],
+                     [3, 2, 4, 0, 1],
+                     [4, 3, 1, 2, 0]])
+    with pytest.raises(ValidationError, match="not associative"):
+        FiniteGroup(("e", "a", "b", "c", "d"), loop)
 
 
 def test_dihedral_group_structure():
