@@ -36,7 +36,7 @@ from .graph_core import (
     build_graph,
     open_graph,
 )
-from .isoscattering import default_samples, transplantability_verdict
+from .isoscattering import transplantability_verdict
 from .resonances import find_poles
 from .symmetry_rep import (
     FiniteGroup,
@@ -533,6 +533,9 @@ def _cmd_quotient(args) -> RunReport:
     def carrier(rho):
         if args.v is None:
             return None
+        if not 0 <= args.v < rho.dim:
+            raise ParseError(f"--v {args.v} is out of range: the representation has "
+                             f"dimension {rho.dim}, so v runs from 0 to {rho.dim - 1}")
         v = np.zeros(rho.dim, dtype=complex)
         v[args.v] = 1.0
         return v
@@ -560,8 +563,7 @@ def _cmd_check_isoscattering(args) -> RunReport:
     g1 = _as_open(parse_graph_file(args.graph1), args.graph1)
     g2 = _as_open(parse_graph_file(args.graph2), args.graph2)
     window = Rect(*args.window)
-    samples = None if args.samples == 6 else default_samples(args.samples)
-    report = transplantability_verdict(g1, g2, window, k_samples=samples)
+    report = transplantability_verdict(g1, g2, window, n_training=args.samples)
     results = {
         "verdict": report.verdict,
         "conjugacy_status": report.conjugacy.status,

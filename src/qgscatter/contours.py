@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryZero, DeterminantOverflow
+from .errors import BoundaryZero, DeterminantOverflow, ValidationError
 
 # |f| at or below this is treated as "the contour hit a zero".
 ZERO_TOL = 1e-12
@@ -43,7 +43,7 @@ class Rect:
 
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError(f"degenerate rectangle {self}")
+            raise ValidationError(f"degenerate rectangle {self}")
 
     @property
     def width(self):

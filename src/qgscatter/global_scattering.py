@@ -52,7 +52,6 @@ class ScatteringEvaluation:
     k: complex
     s: np.ndarray
     interior_det: complex
-    interior_dim: int
 
     @property
     def unitarity_defect(self) -> float:
@@ -79,59 +78,58 @@ class SpectrumWindow:
 class Assembly:
     """Cached channel matrices for one open (or closed) graph.
 
-    For graphs whose conditions are all k-independent the Sigma blocks are
-    built once; only the propagator T(k) varies with k.
+    Sigma(k) over all channels is one scatter of the stacked vertex
+    matrices sigma_v(k) into place, at indices fixed at construction; for
+    graphs whose conditions are all k-independent it is built once, and
+    only the propagator T(k) varies with k.
     """
 
     def __init__(self, og: OpenGraph):
         self.og = og
         self.table: BondTable = bond_table(og)
-        self._rules = {}
+        n = self.table.n_channels
+        self._rules = []
+        flat = []
         for v in og.graph.vertices:
-            d = len(self.table.vertex_channels[v.id])
-            if d == 0:
+            io = self.table.vertex_io[v.id]
+            if not io:
                 continue
-            self._rules[v.id] = condition_sigma(v.condition, d)
-        self.k_independent = all(r.is_constant for r in self._rules.values())
-        self._cached_blocks = self._build_blocks(1.0) if self.k_independent else None
+            self._rules.append(condition_sigma(v.condition, len(io)))
+            # sigma_v[i, j] sends local in-channel j to local out-channel i
+            ins = [c_in for _, c_in in io]
+            for c_out, _ in io:
+                flat += [c_out * n + c_in for c_in in ins]
+        self._flat = np.array(flat, dtype=np.intp)
+        self.k_independent = all(r.is_constant for r in self._rules)
+        self._sigma = self._assemble(1.0) if self.k_independent else None
 
-    # -- channel wiring ----------------------------------------------------
+    def _assemble(self, k) -> np.ndarray:
+        n = self.table.n_channels
+        sigma = np.zeros(n * n, dtype=complex)
+        if self._rules:
+            sigma[self._flat] = np.concatenate([rule(k).ravel() for rule in self._rules])
+        return sigma.reshape(n, n)
 
-    def _channel_io(self, ch):
-        # Returns ((block, in_index), (block, out_index)) for a local channel.
-        if ch[0] == "lead":
-            return ("L", ch[1]), ("L", ch[1])
-        _, e, end = ch
-        return ("B", int(self.table.bond_in_index[e, end])), (
-            "B",
-            int(self.table.bond_out_index[e, end]),
-        )
+    def sigma(self, k) -> np.ndarray:
+        """Sigma(k) over all channels, leads first, as in the bond table."""
+        return self._sigma if self._sigma is not None else self._assemble(k)
 
-    def _build_blocks(self, k):
-        t = self.table
-        nl, nb = t.n_leads, t.n_bonds
-        s_ll = np.zeros((nl, nl), dtype=complex)
-        s_lb = np.zeros((nl, nb), dtype=complex)
-        s_bl = np.zeros((nb, nl), dtype=complex)
-        s_bb = np.zeros((nb, nb), dtype=complex)
-        targets = {("L", "L"): s_ll, ("L", "B"): s_lb, ("B", "L"): s_bl, ("B", "B"): s_bb}
-        for vid, channels in t.vertex_channels.items():
-            if not channels:
-                continue
-            sig = self._rules[vid](k)
-            ios = [self._channel_io(ch) for ch in channels]
-            for i, (_, (ob, oi)) in enumerate(ios):
-                for j, ((ib, ii), _) in enumerate(ios):
-                    targets[(ob, ib)][oi, ii] = sig[i, j]
-        return s_ll, s_lb, s_bl, s_bb
+    def _interior_system(self, ks, sigma=None):
+        """I - Sigma_BB T(k) stacked over a 1-D array of k, and T(k).
 
-    def blocks(self, k):
-        if self._cached_blocks is not None:
-            return self._cached_blocks
-        return self._build_blocks(k)
-
-    def propagator(self, k) -> np.ndarray:
-        return np.exp(1j * complex(k) * self.table.bond_lengths)
+        ``sigma`` is Sigma(k) when the caller has built it already (one k).
+        """
+        nl, nb = self.table.n_leads, self.table.n_bonds
+        tk = np.exp((1j * ks)[:, None] * self.table.bond_lengths)
+        if sigma is None:
+            sigma = self._sigma
+        if sigma is not None:
+            s_bb = sigma[nl:, nl:]
+        else:
+            s_bb = np.stack([self._assemble(complex(k))[nl:, nl:] for k in ks])
+        m = s_bb * tk[:, None, :]
+        np.subtract(np.eye(nb), m, out=m)
+        return m, tk
 
     def interior_det_many(self, ks) -> np.ndarray:
         """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array.
@@ -149,16 +147,7 @@ class Assembly:
         per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(ks), per_chunk):
-                kc = ks[start:start + per_chunk]
-                tk = np.exp((1j * kc)[:, None] * self.table.bond_lengths)
-                if self.k_independent:
-                    s_bb = self._cached_blocks[3]
-                else:
-                    s_bb = np.stack([self._build_blocks(complex(k))[3] for k in kc])
-                # I - Sigma_BB T(k), built in one allocation
-                m = s_bb * tk[:, None, :]
-                np.negative(m, out=m)
-                m.reshape(len(kc), -1)[:, ::nb + 1] += 1.0
+                m, _ = self._interior_system(ks[start:start + per_chunk])
                 out[start:start + per_chunk] = np.linalg.det(m)
         if not np.isfinite(out).all():
             i = int(np.argmin(np.isfinite(out)))
@@ -185,11 +174,10 @@ class Assembly:
             if d0 == 0:
                 raise np.linalg.LinAlgError(f"k = {k} is a zero of D")
             return (dplus - dminus) / (2 * h) / d0
-        _, _, _, s_bb = self.blocks(k)
-        tk = self.propagator(k)
-        m = np.eye(t.n_bonds) - s_bb * tk[None, :]
-        mprime = -s_bb * (1j * t.bond_lengths * tk)[None, :]
-        x = np.linalg.solve(m, mprime)
+        m, tk = self._interior_system(np.array([k], dtype=complex))
+        s_bb = self._sigma[t.n_leads:, t.n_leads:]
+        mprime = -s_bb * (1j * t.bond_lengths * tk[0])[None, :]
+        x = np.linalg.solve(m[0], mprime)
         return complex(np.trace(x))
 
     def newton(self, k0, *, max_iter, tol, trust):
@@ -224,10 +212,8 @@ class Assembly:
     def det_sigma_phase(self, k) -> float:
         """Principal argument of det Sigma(k) over all channels."""
         acc = 1.0 + 0.0j
-        for vid, channels in self.table.vertex_channels.items():
-            if not channels:
-                continue
-            d = lu_det(self._rules[vid](k))
+        for rule in self._rules:
+            d = lu_det(rule(k))
             acc *= d / abs(d)
         return cmath.phase(acc)
 
@@ -235,13 +221,13 @@ class Assembly:
         k = complex(k)
         if k == 0:
             raise ZeroK("k must be nonzero")
-        s_ll, s_lb, s_bl, s_bb = self.blocks(k)
-        nb = self.table.n_bonds
-        if nb == 0:
-            return ScatteringEvaluation(k=k, s=s_ll.copy(), interior_det=1.0 + 0.0j,
-                                        interior_dim=0)
-        tk = self.propagator(k)
-        m = np.eye(nb) - s_bb * tk[None, :]
+        sigma = self.sigma(k)
+        nl = self.table.n_leads
+        s_ll, s_lb, s_bl = sigma[:nl, :nl], sigma[:nl, nl:], sigma[nl:, :nl]
+        if self.table.n_bonds == 0:
+            return ScatteringEvaluation(k=k, s=s_ll.copy(), interior_det=1.0 + 0.0j)
+        m, tk = self._interior_system(np.array([k]), sigma)
+        m, tk = m[0], tk[0]
         det = lu_det(m)
         if abs(det) < _SINGULAR_TOL and k.imag == 0:
             raise SingularInterior(
@@ -256,7 +242,7 @@ class Assembly:
             raise SingularInterior(f"interior system exactly singular at k = {k}",
                                    k=k, determinant=det) from exc
         s = s_ll + (s_lb * tk[None, :]) @ x
-        return ScatteringEvaluation(k=k, s=s, interior_det=det, interior_dim=nb)
+        return ScatteringEvaluation(k=k, s=s, interior_det=det)
 
 
 def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:

@@ -339,22 +339,27 @@ def open_graph(vertices, edges, leads) -> OpenGraph:
 class BondTable:
     """Deterministic channel indexing for an open graph.
 
-    Channels are: leads first (in lead order), then two directed bonds per
-    internal edge, edges sorted by id, forward direction (from -> to) before
-    reverse. ``vertex_channels`` lists, per vertex, the local channel layout
-    feeding the vertex scattering matrices: each entry is either
-    ``("lead", global_lead_index)`` or ``("end", edge_index, end)`` with end
-    0 at the edge's ``from`` vertex and end 1 at ``to``. Locally, leads sort
-    by lead id and edge ends by (edge id, end), so matrix-valued vertex
-    conditions keep their channel wiring if the global lead order changes.
+    Global channels: leads first, in lead order, so lead j is channel j;
+    then two directed bonds per internal edge, edges sorted by id. Bond
+    2 i runs along edge i from its ``from`` vertex to its ``to`` vertex,
+    bond 2 i + 1 back, and bond b is channel ``n_leads + b``.
+
+    ``vertex_channels`` lists, per vertex, the local channel layout feeding
+    the vertex scattering matrices: each entry is either ``("lead", j)``
+    for global lead j or ``("end", edge_index, end)`` with end 0 at the
+    edge's ``from`` vertex and end 1 at ``to``. Locally, leads sort by lead
+    id and edge ends by (edge id, end), so matrix-valued vertex conditions
+    keep their channel wiring if the global lead order changes.
+    ``vertex_io`` gives, in the same order, the global (out, in) channel
+    pair of each local channel: a lead is its own out and in channel; at an
+    edge end the wave leaves along one bond and arrives along its reverse.
     """
 
     n_leads: int
     edge_order: Tuple[str, ...]
-    bond_lengths: np.ndarray            # length per directed bond channel
+    bond_lengths: np.ndarray            # length per directed bond
     vertex_channels: Mapping[str, tuple]
-    bond_in_index: np.ndarray           # (n_edges, 2): incoming bond channel per end
-    bond_out_index: np.ndarray          # (n_edges, 2): outgoing bond channel per end
+    vertex_io: Mapping[str, Tuple[Tuple[int, int], ...]]
 
     @property
     def n_bonds(self) -> int:
@@ -364,48 +369,27 @@ class BondTable:
     def n_channels(self) -> int:
         return self.n_leads + self.n_bonds
 
-    def reverse(self, bond: int) -> int:
-        return bond ^ 1
-
-    def bond_length(self, bond: int) -> float:
-        return float(self.bond_lengths[bond])
-
 
 def bond_table(og: OpenGraph) -> BondTable:
     """Build the channel tables. Identical inputs give identical indexing."""
     edges = sorted(og.graph.edges, key=lambda e: e.id)
-    edge_index = {e.id: i for i, e in enumerate(edges)}
-
-    # Directed bond channel 2*i is edge i forward (from -> to), 2*i + 1 reverse.
-    bond_lengths = np.repeat([e.length for e in edges], 2).astype(float)
-
-    # End 0 sits at from_vertex: its outgoing bond is the forward one, and the
-    # wave arriving there travels the reverse bond. End 1 mirrors this.
-    n_edges = len(edges)
-    bond_out = np.empty((n_edges, 2), dtype=int)
-    bond_in = np.empty((n_edges, 2), dtype=int)
-    for i in range(n_edges):
-        bond_out[i, 0] = 2 * i
-        bond_in[i, 0] = 2 * i + 1
-        bond_out[i, 1] = 2 * i + 1
-        bond_in[i, 1] = 2 * i
-
-    # Local channel order at a vertex: leads sorted by lead id (stable under
-    # reordering of the global amplitude coordinates, so matrix-valued vertex
-    # conditions keep their channel wiring), then edge ends by (edge id, end).
+    nl = og.n_leads
     channels = {v.id: [] for v in og.graph.vertices}
+    io = {v.id: [] for v in og.graph.vertices}
     for j, lead in sorted(enumerate(og.leads), key=lambda t: t[1].id):
         channels[lead.at].append(("lead", j))
+        io[lead.at].append((j, j))
     for i, e in enumerate(edges):
+        forward, backward = nl + 2 * i, nl + 2 * i + 1
         channels[e.from_vertex].append(("end", i, 0))
+        io[e.from_vertex].append((forward, backward))
         channels[e.to_vertex].append(("end", i, 1))
-    frozen = {vid: tuple(chs) for vid, chs in channels.items()}
+        io[e.to_vertex].append((backward, forward))
 
     return BondTable(
-        n_leads=og.n_leads,
+        n_leads=nl,
         edge_order=tuple(e.id for e in edges),
-        bond_lengths=bond_lengths,
-        vertex_channels=frozen,
-        bond_in_index=bond_in,
-        bond_out_index=bond_out,
+        bond_lengths=np.repeat([e.length for e in edges], 2).astype(float),
+        vertex_channels={vid: tuple(chs) for vid, chs in channels.items()},
+        vertex_io={vid: tuple(pairs) for vid, pairs in io.items()},
     )

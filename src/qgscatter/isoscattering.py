@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     SampleAtSingularity,
     SingularInterior,
+    ValidationError,
     WindowMismatch,
 )
 from .contours import Rect
@@ -73,39 +74,22 @@ class ConjugacyResult:
         return self.status == "found"
 
 
-def _evaluate_safely(s_fun, k, *, user_supplied: bool):
-    try:
-        return np.asarray(s_fun(k), dtype=complex)
-    except SingularInterior as exc:
-        if user_supplied:
-            raise SampleAtSingularity(
-                f"sample k = {k} hits a singular interior point"
-            ) from exc
-        return None
-
-
-def _collect_samples(s1, s2, ks: Optional[Sequence[float]], count: int, skip: int):
-    """Evaluate both matrix functions at ``ks``, or else at the first ``count``
-    points of ``default_samples`` from index ``skip`` on that are not singular.
+def _collect_samples(s1, s2, count: int, skip: int):
+    """Evaluate both matrix functions at the first ``count`` points of
+    ``default_samples`` from index ``skip`` on that are not singular.
 
     Returns (pairs, used k values, index of the next unused default sample).
     """
     pairs = []
     used = []
-    if ks is not None:
-        for k in ks:
-            a = _evaluate_safely(s1, k, user_supplied=True)
-            b = _evaluate_safely(s2, k, user_supplied=True)
-            pairs.append((a, b))
-            used.append(float(k))
-        return pairs, used, skip
     j = skip
     while len(pairs) < count:
         k = default_samples(1, j)[0]
         j += 1
-        a = _evaluate_safely(s1, k, user_supplied=False)
-        b = _evaluate_safely(s2, k, user_supplied=False) if a is not None else None
-        if a is None or b is None:
+        try:
+            a = np.asarray(s1(k), dtype=complex)
+            b = np.asarray(s2(k), dtype=complex)
+        except SingularInterior:
             continue
         pairs.append((a, b))
         used.append(k)
@@ -113,13 +97,14 @@ def _collect_samples(s1, s2, ks: Optional[Sequence[float]], count: int, skip: in
 
 
 def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.ndarray],
-                    k_samples: Optional[Sequence[float]] = None, *,
-                    n_training: int = 6, n_holdout: int = 5,
+                    *, n_training: int = 6, n_holdout: int = 5,
                     residual_tol: float = 1e-8, null_rtol: float = 1e-10,
                     ) -> ConjugacyResult:
     """Search for one invertible k-independent Pi with Pi S1(k) = S2(k) Pi.
 
-    The joint homogeneous system over the training samples is solved by a
+    Training uses the first ``n_training`` (at least 3) non-singular points
+    of ``default_samples``, holdout the next ``n_holdout``. The joint
+    homogeneous system over the training samples is solved by a
     singular-value cut at ``null_rtol`` relative to the largest value; the
     null space is then probed for an invertible element (each basis vector,
     then 20 seeded random unit combinations) and the first hit is validated
@@ -127,14 +112,10 @@ def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.
     when training succeeds but holdout does not, "not_found" when the null
     space is trivial or contains no invertible element.
     """
-    if k_samples is not None:
-        if len(k_samples) < 3:
-            raise ValueError("need at least 3 training samples")
-        pairs, used, _ = _collect_samples(s1, s2, k_samples, 0, 0)
-        hold_pairs, hold_used, _ = _collect_samples(s1, s2, None, n_holdout, 1000)
-    else:
-        pairs, used, consumed = _collect_samples(s1, s2, None, n_training, 0)
-        hold_pairs, hold_used, _ = _collect_samples(s1, s2, None, n_holdout, consumed)
+    if n_training < 3:
+        raise ValidationError(f"need at least 3 training samples, got {n_training}")
+    pairs, used, consumed = _collect_samples(s1, s2, n_training, 0)
+    hold_pairs, hold_used, _ = _collect_samples(s1, s2, n_holdout, consumed)
 
     n = pairs[0][0].shape[0]
     for a, b in pairs:
@@ -269,14 +250,15 @@ class TransplantabilityReport:
 
 
 def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
-                              k_samples: Optional[Sequence[float]] = None, *,
+                              n_training: int = 6, *,
                               pole_options: Optional[PoleSearchOptions] = None,
                               ) -> TransplantabilityReport:
     """Full pipeline: conjugator search, phase comparison, pole comparison.
 
     The verdict is "transplantable (numerical evidence)" when a conjugator
     is found, and "no transplantation on these lead sets" when the search
-    fails or the pole sets differ.
+    fails or the pole sets differ. ``n_training`` is the number of
+    training samples of the conjugator search.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -287,7 +269,7 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     s1 = lambda k: asm1.scattering(k).s
     s2 = lambda k: asm2.scattering(k).s
 
-    conj = find_conjugator(s1, s2, k_samples)
+    conj = find_conjugator(s1, s2, n_training=n_training)
     phases_ok, dev = isophasal_check(s1, s2)
     opts = pole_options if pole_options is not None else PoleSearchOptions()
     poles1 = find_poles(og1, window, opts)

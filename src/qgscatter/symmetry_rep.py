@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .global_scattering import Assembly
-from .graph_core import OpenGraph
+from .graph_core import BondTable, OpenGraph, bond_table
 from .linalg import block_diag, null_space, orthonormalize_rows, rref
 
 
@@ -407,18 +407,6 @@ class ActionReport:
     vertex_maps: Tuple[Tuple[str, ...], ...] = ()
 
 
-def _local_channel_keys(og: OpenGraph, vid):
-    """Channel identity keys at a vertex, in local channel order (leads
-    sorted by id, then edge ends by (edge id, end))."""
-    keys = [("lead", l.id) for l in sorted(og.leads, key=lambda l: l.id) if l.at == vid]
-    for e in sorted(og.graph.edges, key=lambda e: e.id):
-        if e.from_vertex == vid:
-            keys.append(("end", e.id, 0))
-        if e.to_vertex == vid:
-            keys.append(("end", e.id, 1))
-    return keys
-
-
 def _matrix_condition_payload(cond):
     if hasattr(cond, "matrix"):
         return (cond.matrix,)
@@ -427,34 +415,27 @@ def _matrix_condition_payload(cond):
     return None
 
 
-def _induced_channel_permutation(og: OpenGraph, act: GraphAction, g: int,
+def _induced_channel_permutation(table: BondTable, act: GraphAction, g: int,
                                  v_from, v_to):
     """Map local channel indices at v_from to those at v_to under element g,
     or None when edges are involved but no edge map was declared."""
-    keys_from = _local_channel_keys(og, v_from)
-    keys_to = _local_channel_keys(og, v_to)
-    if any(k[0] == "end" for k in keys_from) and act.edge_perm is None:
+    channels_from = table.vertex_channels[v_from]
+    channels_to = table.vertex_channels[v_to]
+    if any(ch[0] == "end" for ch in channels_from) and act.edge_perm is None:
         return None
-    lead_index = {l.id: i for i, l in enumerate(og.leads)}
-    edges = sorted(og.graph.edges, key=lambda e: e.id)
-    edge_pos = {e.id: i for i, e in enumerate(edges)}
     perm = []
-    for key in keys_from:
-        if key[0] == "lead":
-            img_global = int(act.lead_perm[g, lead_index[key[1]]])
-            img_key = ("lead", og.leads[img_global].id)
+    for ch in channels_from:
+        if ch[0] == "lead":
+            img = ("lead", int(act.lead_perm[g, ch[1]]))
         else:
-            _, eid, end = key
-            ei = edge_pos[eid]
-            img_e = edges[int(act.edge_perm[g, ei])]
-            img_end = 1 - end if act.edge_flip[g, ei] else end
-            img_key = ("end", img_e.id, img_end)
-        if img_key not in keys_to:
+            _, ei, end = ch
+            img = ("end", int(act.edge_perm[g, ei]), 1 - end if act.edge_flip[g, ei] else end)
+        if img not in channels_to:
             raise NotHomomorphism(
                 f"element {act.group.elements[g]} does not carry the channels of "
                 f"{v_from!r} onto those of {v_to!r}"
             )
-        perm.append(keys_to.index(img_key))
+        perm.append(channels_to.index(img))
     return perm
 
 
@@ -490,6 +471,7 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
                 )
 
     edges = sorted(og.graph.edges, key=lambda e: e.id)
+    table = None  # built when a matrix-valued condition needs its channels
     vertex_maps = []
     for g in range(group.order):
         vmap = {}
@@ -538,7 +520,9 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
                     )
                 continue
             pay_to = _matrix_condition_payload(c_to)
-            perm = _induced_channel_permutation(og, act, g, v_from, v_to)
+            if table is None:
+                table = bond_table(og)
+            perm = _induced_channel_permutation(table, act, g, v_from, v_to)
             for m_from, m_to in zip(pay_from, pay_to):
                 if m_from.shape != m_to.shape:
                     raise ConditionViolation(

@@ -12,8 +12,10 @@ from qgscatter.cli import (
     run_command,
     serialize_graph,
 )
+from qgscatter.contours import Rect
 from qgscatter.errors import ParseError
 from qgscatter.graph_core import MetricGraph, OpenGraph
+from qgscatter.isoscattering import transplantability_verdict
 
 from conftest import DATA_DIR
 
@@ -195,22 +197,25 @@ def test_check_isoscattering_cli(capsys):
     assert "pole_pairing" in doc["results"]
 
 
+STAR3_DOC = {
+    "vertices": [{"id": "c", "condition": {"type": "neumann"}}],
+    "leads": [{"id": f"l{i}", "at": "c"} for i in range(3)],
+}
+
+SPLIT_DOC = {
+    "vertices": [
+        {"id": "n", "condition": {"type": "neumann"}},
+        {"id": "d1", "condition": {"type": "dirichlet"}},
+        {"id": "d2", "condition": {"type": "dirichlet"}},
+    ],
+    "leads": [{"id": "l0", "at": "n"}, {"id": "l1", "at": "d1"},
+              {"id": "l2", "at": "d2"}],
+}
+
+
 def test_check_isoscattering_cli_positive(capsys, tmp_path):
-    star3 = {
-        "vertices": [{"id": "c", "condition": {"type": "neumann"}}],
-        "leads": [{"id": f"l{i}", "at": "c"} for i in range(3)],
-    }
-    split = {
-        "vertices": [
-            {"id": "n", "condition": {"type": "neumann"}},
-            {"id": "d1", "condition": {"type": "dirichlet"}},
-            {"id": "d2", "condition": {"type": "dirichlet"}},
-        ],
-        "leads": [{"id": "l0", "at": "n"}, {"id": "l1", "at": "d1"},
-                  {"id": "l2", "at": "d2"}],
-    }
-    p1 = write(tmp_path, "a.json", star3)
-    p2 = write(tmp_path, "b.json", split)
+    p1 = write(tmp_path, "a.json", STAR3_DOC)
+    p2 = write(tmp_path, "b.json", SPLIT_DOC)
     doc, _ = run_json(capsys, [
         "check-isoscattering", "--graph1", p1, "--graph2", p2,
         "--window", "0", "4", "-2", "0",
@@ -218,6 +223,44 @@ def test_check_isoscattering_cli_positive(capsys, tmp_path):
     assert doc["results"]["verdict"] == "transplantable (numerical evidence)"
     assert doc["results"]["isophasal"] is True
     assert "pi" in doc["results"]
+
+
+def test_check_isoscattering_samples_is_training_count(capsys, tmp_path):
+    p1 = write(tmp_path, "a.json", STAR3_DOC)
+    p2 = write(tmp_path, "b.json", SPLIT_DOC)
+    doc, _ = run_json(capsys, [
+        "check-isoscattering", "--graph1", p1, "--graph2", p2,
+        "--window", "0", "4", "-2", "0", "--samples", "8",
+    ])
+    report = transplantability_verdict(parse_graph_file(p1), parse_graph_file(p2),
+                                       Rect(0.0, 4.0, -2.0, 0.0), n_training=8)
+    conj = report.conjugacy
+    assert len(conj.training_ks) == 8
+    results = doc["results"]
+    assert results["conjugacy_status"] == conj.status == "found"
+    assert results["solution_dimension"] == conj.solution_dim
+    assert results["conjugacy_residual"] == conj.residual
+    assert np.array_equal(matrix_from_payload(results["pi"]), conj.pi)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-isoscattering", "--graph1", str(DATA_DIR / "mcdonald_meyers_1.json"),
+      "--graph2", str(DATA_DIR / "mcdonald_meyers_2.json"), "--samples", "2"],
+     "at least 3 training samples"),
+    (["poles", "--graph", str(DATA_DIR / "mcdonald_meyers_1.json"), "--re-min", "1",
+      "--re-max", "0", "--im-min", "-3", "--im-max", "0"],
+     "degenerate rectangle"),
+    (["quotient", "--graph", str(DATA_DIR / "s3_star.json"),
+      "--symmetry", str(DATA_DIR / "s3_sym.json"), "--rep", "R_2d", "--v", "5",
+      "--k", "1.0"],
+     "v runs from 0 to 1"),
+])
+def test_bad_parameters_exit_1_with_error_line(capsys, argv, message):
+    report, code = run_command(argv)
+    captured = capsys.readouterr()
+    assert report is None and code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 def test_usage_errors():

@@ -22,8 +22,10 @@ from qgscatter.graph_core import (
     OpenGraph,
     Vertex,
     attach_leads,
+    bond_table,
     build_graph,
 )
+from qgscatter.vertex_scattering import condition_sigma
 
 from conftest import (
     DATA_DIR,
@@ -121,11 +123,65 @@ def test_interior_det_many_matches_scalar_bit_for_bit():
         many = asm.interior_det_many(ks)
         assert np.array_equal(many, [asm.interior_det(k) for k in ks])
         # the textbook construction, one matrix at a time
-        nb = asm.table.n_bonds
-        loop = [np.linalg.det(np.eye(nb) - asm.blocks(k)[3]
+        nl, nb = asm.table.n_leads, asm.table.n_bonds
+        loop = [np.linalg.det(np.eye(nb) - asm.sigma(k)[nl:, nl:]
                               * np.exp(1j * complex(k) * asm.table.bond_lengths)[None, :])
                 for k in ks]
         assert np.array_equal(many, loop)
+
+
+def _textbook_sigma(og, k):
+    """Sigma(k) placed entry by entry from the local channel layout: a lead j
+    is global channel j both ways; edge end 0 of edge i sends along bond 2i
+    and receives bond 2i + 1, end 1 the other way round; bond b is channel
+    n_leads + b."""
+    table = bond_table(og)
+    nl = table.n_leads
+    sigma = np.zeros((table.n_channels, table.n_channels), dtype=complex)
+    for v in og.graph.vertices:
+        channels = table.vertex_channels[v.id]
+        if not channels:
+            continue
+        local = condition_sigma(v.condition, len(channels))(k)
+        ports = []
+        for ch in channels:
+            if ch[0] == "lead":
+                ports.append((ch[1], ch[1]))
+            else:
+                _, i, end = ch
+                ports.append((nl + 2 * i + end, nl + 2 * i + 1 - end))
+        for a, (out, _) in enumerate(ports):
+            for b, (_, inc) in enumerate(ports):
+                sigma[out, inc] = local[a, b]
+    return sigma
+
+
+def test_sigma_matches_textbook_placement():
+    # a FixedUnitary vertex with two leads (ids out of global order), a
+    # self-loop and one edge end; a k-dependent delta vertex; a hard wall
+    rng = np.random.default_rng(3)
+    alpha = 0.7
+    delta = LinearAB(np.array([[1, -1, 0], [0, 1, -1], [-alpha, 0, 0]]),
+                     np.array([[0, 0, 0], [0, 0, 0], [1, 1, 1]]))
+    g = build_graph(
+        [Vertex("a", FixedUnitary(random_unitary(rng, 5))), Vertex("b", delta),
+         Vertex("c", Dirichlet())],
+        [Edge("loop", "a", "a", 0.8), Edge("e1", "a", "b", 1.1), Edge("e2", "b", "c", 0.6)],
+        pending_leads={"a": 2, "b": 1},
+    )
+    og = attach_leads(g, ["a", "a", "b"], lead_ids=["y", "x", "m"])
+    asm = Assembly(og)
+    assert not asm.k_independent
+    nl = og.n_leads
+    for k in (1.7, 2.3 - 0.4j):
+        expected = _textbook_sigma(og, k)
+        sigma = asm.sigma(k)
+        assert np.array_equal(sigma, expected)
+        s_ll, s_lb = expected[:nl, :nl], expected[:nl, nl:]
+        s_bl, s_bb = expected[nl:, :nl], expected[nl:, nl:]
+        tk = np.exp(1j * k * asm.table.bond_lengths)
+        s = s_ll + (s_lb * tk) @ np.linalg.solve(np.eye(len(tk)) - s_bb * tk, s_bl)
+        np.testing.assert_allclose(asm.scattering(k).s, s, atol=1e-12)
 
 
 def test_interior_determinant_resonator_formula():

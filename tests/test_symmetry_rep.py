@@ -167,6 +167,15 @@ def test_validate_action_matrix_condition_up_to_channel_relabeling():
     with pytest.raises(ConditionViolation):
         validate_action(make(np.diag([1.0, -1.0])), act)
 
+    # the same graphs with the global lead order shuffled and the action
+    # relabeled to match; the local channel order (by lead id) is unchanged
+    order = [2, 0, 3, 1]
+    position = np.argsort(order)
+    shuffled = GraphAction(group, np.array([position[row[order]] for row in act.lead_perm]))
+    assert validate_action(ok.with_lead_order(order), shuffled).ok
+    with pytest.raises(ConditionViolation):
+        validate_action(make(np.diag([1.0, -1.0])).with_lead_order(order), shuffled)
+
 
 def test_validate_action_length_violation():
     g = build_graph(
