@@ -101,43 +101,50 @@ class Assembly:
                 flat += [c_out * n + c_in for c_in in ins]
         self._flat = np.array(flat, dtype=np.intp)
         self.k_independent = all(r.is_constant for r in self._rules)
-        self._sigma = self._assemble(1.0) if self.k_independent else None
+        self._sigma = self._assemble(self._blocks(1.0)) if self.k_independent else None
 
-    def _assemble(self, k) -> np.ndarray:
+    def _blocks(self, k):
+        """The vertex matrices sigma_v(k), in vertex order."""
+        return [rule(k) for rule in self._rules]
+
+    def _assemble(self, blocks) -> np.ndarray:
         n = self.table.n_channels
         sigma = np.zeros(n * n, dtype=complex)
-        if self._rules:
-            sigma[self._flat] = np.concatenate([rule(k).ravel() for rule in self._rules])
+        if blocks:
+            sigma[self._flat] = np.concatenate([b.ravel() for b in blocks])
         return sigma.reshape(n, n)
 
     def sigma(self, k) -> np.ndarray:
         """Sigma(k) over all channels, leads first, as in the bond table."""
-        return self._sigma if self._sigma is not None else self._assemble(k)
+        return self._sigma if self._sigma is not None else self._assemble(self._blocks(k))
 
     def _interior_system(self, ks, sigma=None):
         """I - Sigma_BB T(k) stacked over a 1-D array of k, and T(k).
 
-        ``sigma`` is Sigma(k) when the caller has built it already (one k).
+        ``sigma`` is Sigma(k) when the caller has built it already: one
+        matrix for every k, or a stack of one per k.
         """
         nl, nb = self.table.n_leads, self.table.n_bonds
         tk = np.exp((1j * ks)[:, None] * self.table.bond_lengths)
         if sigma is None:
             sigma = self._sigma
         if sigma is not None:
-            s_bb = sigma[nl:, nl:]
+            s_bb = sigma[..., nl:, nl:]
         else:
-            s_bb = np.stack([self._assemble(complex(k))[nl:, nl:] for k in ks])
+            s_bb = np.stack([self._assemble(self._blocks(complex(k)))[nl:, nl:] for k in ks])
         m = s_bb * tk[:, None, :]
         np.subtract(np.eye(nb), m, out=m)
         return m, tk
 
-    def interior_det_many(self, ks) -> np.ndarray:
+    def interior_det_many(self, ks, blocks=None) -> np.ndarray:
         """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array.
 
         The matrices are stacked and handed to LAPACK in chunks of about
         ``_DET_CHUNK_ENTRIES`` entries; each determinant is bit-identical to
-        that of the single matrix. Raises :class:`DeterminantOverflow` when
-        some D(k) is not finite.
+        that of the single matrix. ``blocks`` are the vertex matrices
+        sigma_v(k) of every k (see :meth:`_blocks`) when the caller has built
+        them already. Raises :class:`DeterminantOverflow` when some D(k) is
+        not finite.
         """
         ks = np.asarray(ks, dtype=complex)
         nb = self.table.n_bonds
@@ -147,8 +154,11 @@ class Assembly:
         per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(ks), per_chunk):
-                m, _ = self._interior_system(ks[start:start + per_chunk])
-                out[start:start + per_chunk] = np.linalg.det(m)
+                part = slice(start, start + per_chunk)
+                sigma = None if blocks is None else np.stack(
+                    [self._assemble(b) for b in blocks[part]])
+                m, _ = self._interior_system(ks[part], sigma)
+                out[part] = np.linalg.det(m)
         if not np.isfinite(out).all():
             i = int(np.argmin(np.isfinite(out)))
             raise DeterminantOverflow(
@@ -208,14 +218,6 @@ class Assembly:
             if step <= tol * max(1.0, abs(k)):
                 return k, it, True
         return k, max_iter, True
-
-    def det_sigma_phase(self, k) -> float:
-        """Principal argument of det Sigma(k) over all channels."""
-        acc = 1.0 + 0.0j
-        for rule in self._rules:
-            d = lu_det(rule(k))
-            acc *= d / abs(d)
-        return cmath.phase(acc)
 
     def scattering(self, k) -> ScatteringEvaluation:
         k = complex(k)
@@ -280,6 +282,15 @@ def _closed(graph: MetricGraph) -> OpenGraph:
     return OpenGraph(graph, ())
 
 
+def _det_phase(blocks) -> float:
+    """Principal argument of the determinant of the block-diagonal matrix."""
+    acc = 1.0 + 0.0j
+    for b in blocks:
+        d = lu_det(b)
+        acc *= d / abs(d)
+    return cmath.phase(acc)
+
+
 class _RealSecular:
     """Phase-regularized secular function of a closed graph.
 
@@ -287,30 +298,58 @@ class _RealSecular:
     r(k) = det(I - U) * exp(-i arg det U / 2) * i^n is real for real k and
     changes sign at simple eigenvalues, which makes bracketing reliable.
     The phase of det U is exp(i k sum L_b) det Sigma, exactly linear in k
-    when Sigma is constant.
+    when Sigma is constant; otherwise det Sigma(k) is taken from the same
+    vertex matrices sigma_v(k) as D(k), built once per k.
     """
 
     def __init__(self, asm: Assembly):
         self.asm = asm
         self.total_bond_length = float(np.sum(asm.table.bond_lengths))
         self.n = asm.table.n_bonds
-        self._phase0 = asm.det_sigma_phase(1.0) if asm.k_independent else None
-
-    def theta(self, k):
-        if self._phase0 is not None:
-            return self._phase0 + k * self.total_bond_length
-        return self.asm.det_sigma_phase(k) + k * self.total_bond_length
-
-    def _regularized(self, f, k):
-        return (f * cmath.exp(-0.5j * self.theta(k)) * (1j ** self.n)).real
+        self._phase0 = _det_phase(asm._blocks(1.0)) if asm.k_independent else None
 
     def value(self, k):
-        return self._regularized(self.asm.interior_det(k), k)
+        return self.values(np.array([k], dtype=float))[0]
 
     def values(self, ks):
         """``value`` at every k of an array, with one batched determinant call."""
-        fs = self.asm.interior_det_many(ks)
-        return np.array([self._regularized(complex(f), k) for f, k in zip(fs, ks)])
+        asm = self.asm
+        if self._phase0 is not None:
+            fs = asm.interior_det_many(ks)
+            phases = [self._phase0] * len(ks)
+        else:
+            blocks = [asm._blocks(k) for k in ks]
+            fs = asm.interior_det_many(ks, blocks)
+            phases = [_det_phase(b) for b in blocks]
+        turn = 1j ** self.n
+        return np.array([
+            (complex(f) * cmath.exp(-0.5j * (p + k * self.total_bond_length)) * turn).real
+            for f, p, k in zip(fs, phases, ks)])
+
+
+def _bisect(sec, lo, hi, flo):
+    """Midpoints of the brackets [lo, hi] of sign changes of ``sec.value``
+    (``flo`` its values at ``lo``) after bisection. Every open bracket is
+    halved at each step, all with one batched evaluation, and each stops by
+    its own rules: an exact zero, a width below 1e-13 max(1, mid), or 80
+    steps.
+    """
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    open_ = np.arange(len(lo))
+    for _ in range(80):
+        if not len(open_):
+            break
+        mid = 0.5 * (lo[open_] + hi[open_])
+        fm = sec.values(mid)
+        zero = fm == 0.0
+        left = ~zero & (flo[open_] * fm < 0)
+        right = ~zero & ~left
+        lo[open_[zero | right]] = mid[zero | right]
+        flo[open_[right]] = fm[right]
+        hi[open_[zero | left]] = mid[zero | left]
+        width = hi[open_] - lo[open_]
+        open_ = open_[~zero & ~(width < 1e-13 * np.maximum(1.0, mid))]
+    return 0.5 * (lo + hi)
 
 
 def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_000) -> SpectrumWindow:
@@ -344,28 +383,16 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
     ks = np.linspace(k_min, k_max, n_samples)
     rs = sec.values(ks)
 
-    candidates = []
-
     # Sign changes bracket odd-multiplicity zeros.
+    at = np.flatnonzero((rs[:-1] != 0.0) & (rs[:-1] * rs[1:] < 0))
+    bisected = dict(zip(at.tolist(), _bisect(sec, ks[at], ks[at + 1], rs[at])))
+
+    candidates = []
     for i in range(n_samples - 1):
         if rs[i] == 0.0:
             candidates.append(ks[i])
-        elif rs[i] * rs[i + 1] < 0:
-            lo, hi = ks[i], ks[i + 1]
-            flo = rs[i]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = sec.value(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if hi - lo < 1e-13 * max(1.0, mid):
-                    break
-            candidates.append(0.5 * (lo + hi))
+        elif i in bisected:
+            candidates.append(bisected[i])
     if rs[-1] == 0.0:
         candidates.append(ks[-1])
 

@@ -1,13 +1,22 @@
 """Resonance poles: zeros of the interior determinant in a complex window.
 
-The search subdivides the window recursively, counting zeros per cell with
-the argument principle, until each cell with zeros is small; candidates are
-then polished by Newton iteration and their multiplicities confirmed by a
-small winding circle. A small cell that winds w >= 2 times is subdivided
-further when the zero Newton finds in it has multiplicity below w, since it
-then holds distinct zeros. Contours that pass too close to a zero are inflated
-slightly and retried, so zeros sitting exactly on the requested window edge
-(commonly on the real axis) are still captured by the cells they border.
+The search subdivides the window into quadrants, level by level, counting
+zeros per cell with the argument principle, until each cell with zeros is
+small; candidates are then polished by Newton iteration and their
+multiplicities confirmed by a small winding circle. A small cell that winds
+w >= 2 times is subdivided further when the zero Newton finds in it has
+multiplicity below w, since it then holds distinct zeros.
+
+The cells of a level are wound together (:class:`~qgscatter.contours.QuadLevel`):
+a child cell inherits the two resolved half-sides of its parent that it
+lies on, and the four siblings share the four new half-edges from the
+parent's centre to its side midpoints, so a split resolves 4 new half-edges
+instead of 16 sides, and the new half-edges of a whole level cost one batch
+of determinants per bisection depth. A half-edge that passes too close to a
+zero fails only the cells that share it; each such cell is inflated
+slightly and wound again on its own, so zeros sitting exactly on the
+requested window edge (commonly on the real axis) are still captured by the
+cells they border. The other cells of the level are not held back.
 
 Real-axis zeros of the determinant are not scattering poles; they mark
 states decoupled from the leads and are reported separately.
@@ -17,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contours import Rect, circle_winding, first_winding, rect_winding
+from .contours import QuadLevel, Rect, circle_winding, first_winding, rect_winding
 from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import Assembly
 from .graph_core import LinearAB, OpenGraph
@@ -55,7 +64,9 @@ class PoleSet:
     ``real_axis_zeros`` lists determinant zeros on the real axis (decoupled
     bound states), which are excluded from ``poles``. Zeros refined into the
     upper half plane are kept but flagged, since for k-independent vertex
-    conditions physical resonances lie in Im k < 0.
+    conditions physical resonances lie in Im k < 0. ``evaluations`` counts
+    the determinants D(k) the search computed: contour samples, multiplicity
+    circles and residuals (Newton's steps solve with the matrix instead).
     """
 
     poles: Tuple[Pole, ...]
@@ -64,6 +75,7 @@ class PoleSet:
     real_axis_zeros: Tuple[Pole, ...] = ()
     upper_half_flagged: Tuple[complex, ...] = ()
     warnings: Tuple[str, ...] = ()
+    evaluations: int = field(default=0, compare=False)
 
     def ks(self) -> np.ndarray:
         return np.array([p.k for p in self.poles])
@@ -125,7 +137,13 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     if asm.table.n_bonds == 0:
         return PoleSet(poles=(), window=window, options=opts, warnings=())
 
-    det = asm.interior_det_many
+    evaluations = 0
+
+    def det(ks):
+        nonlocal evaluations
+        evaluations += len(ks)
+        return asm.interior_det_many(ks)
+
     # Bulk rotation rate of the determinant: the total directed-bond length.
     rate = float(np.sum(asm.table.bond_lengths)) + 1.0
 
@@ -149,14 +167,25 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
             yield rect
             rect = rect.inflated(opts.jitter * max(rect.diameter, 1.0) * attempt)
 
+    def retry(original, failure):
+        """(winding, contour) of a cell whose own contour met a zero: the
+        first of its inflations that does not, each wound on its own (an
+        inflated contour shares no side with another cell)."""
+        def wind(rect):
+            if rect is original:
+                raise BoundaryZero(failure)
+            return rect_winding(det, rect, opts.boundary_samples, rate_hint=rate)
+        return first_winding(wind, inflations(original))
+
     polished = []
-    queue = [window]
-    while queue:
-        next_queue = []
-        for original in queue:
-            w, cell = first_winding(
-                lambda r: rect_winding(det, r, opts.boundary_samples, rate_hint=rate),
-                inflations(original))
+    level = QuadLevel(window)
+    while level.cells:
+        windings = level.wind(det, opts.boundary_samples, rate_hint=rate)
+        split = []
+        for i, (original, w) in enumerate(zip(level.cells, windings)):
+            cell = original
+            if isinstance(w, str):
+                w, cell = retry(original, w)
             if w == 0:
                 continue
             if w < 0:
@@ -165,13 +194,16 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
             small = original.diameter <= opts.refine_cell
             at_floor = original.diameter <= opts.min_cell
             if not (small or at_floor):
-                next_queue.extend(original.quadrants())
+                split.append(i)
                 continue
             k_star, iterations, inside = asm.newton(
                 cell.center, max_iter=80, tol=1e-12,
                 trust=10.0 * max(original.diameter, 10 * opts.min_cell),
             )
-            residual = abs(asm.interior_det(k_star)) if inside else np.inf
+            residual = np.inf
+            if inside:
+                residual = abs(asm.interior_det(k_star))
+                evaluations += 1
             ok = (
                 inside
                 and residual <= opts.residual_tol
@@ -186,13 +218,13 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
                 polished.append((k_star, residual, iterations))
             elif not at_floor:
                 # Newton missed or left the cell; localize harder.
-                next_queue.extend(original.quadrants())
+                split.append(i)
             else:
                 warnings.append(
                     f"cell at {original.center} (winding {w}) could not be refined; "
                     f"residual {residual:.3e}"
                 )
-        queue = next_queue
+        level = level.split(split)
 
     # Deduplicate within the configured radius.
     merged = []
@@ -236,4 +268,5 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
         real_axis_zeros=tuple(real_axis),
         upper_half_flagged=tuple(upper),
         warnings=tuple(warnings),
+        evaluations=evaluations,
     )

@@ -317,6 +317,61 @@ def test_robin_interval_eigenvalues():
     np.testing.assert_allclose(got, oracle, atol=1e-9)
 
 
+def test_secular_function_builds_each_vertex_matrix_once_per_k(monkeypatch):
+    # D(k) and the phase of det Sigma(k) come from the same sigma_v(k): one
+    # A/B solve per k-dependent vertex per k
+    from qgscatter import vertex_scattering
+    from qgscatter.global_scattering import _RealSecular
+
+    sec = _RealSecular(Assembly(OpenGraph(robin_interval(), ())))
+    calls = []
+    ab_to_sigma = vertex_scattering.ab_to_sigma
+
+    def counting(a, b, k, **kwargs):
+        calls.append(k)
+        return ab_to_sigma(a, b, k, **kwargs)
+
+    monkeypatch.setattr(vertex_scattering, "ab_to_sigma", counting)
+    r = sec.value(2.0)
+    assert calls == [2.0]
+    ks = np.linspace(0.5, 9.5, 10)
+    calls.clear()
+    rs = sec.values(ks)
+    assert calls == list(ks)
+    assert rs[3] == sec.value(ks[3]) and r == sec.values(np.array([2.0]))[0]
+
+
+def test_lockstep_bisection_matches_the_scalar_loop():
+    # the bisection that eigenvalues_compact ran one bracket at a time, as
+    # the reference: the batched one must give the same midpoints bit for bit
+    from qgscatter.global_scattering import _bisect, _RealSecular
+
+    def scalar(sec, lo, hi, flo):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = sec.value(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+            if hi - lo < 1e-13 * max(1.0, mid):
+                break
+        return 0.5 * (lo + hi)
+
+    mm1 = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph
+    for graph, ks in ((mm1, np.linspace(0.5, 12.0, 400)),
+                      (robin_interval(), np.linspace(0.3, 10.0, 60))):
+        sec = _RealSecular(Assembly(OpenGraph(graph, ())))
+        rs = sec.values(ks)
+        at = np.flatnonzero(rs[:-1] * rs[1:] < 0)
+        assert len(at) >= 4
+        want = [scalar(sec, ks[i], ks[i + 1], rs[i]) for i in at]
+        assert np.array_equal(_bisect(sec, ks[at], ks[at + 1], rs[at]), want)
+
+
 def test_log_derivative_of_k_dependent_conditions():
     # d/dk log D must carry dSigma/dk of the Robin vertex: compare with a
     # central difference of D at a step unlike the method's own

@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qgscatter import global_scattering
+from qgscatter import global_scattering, resonances
 from qgscatter.cli import parse_graph_file
-from qgscatter.contours import Rect, first_winding, rect_winding
+from qgscatter.contours import ZERO_TOL, QuadLevel, Rect, first_winding, rect_winding
 from qgscatter.errors import BoundaryZero, DeterminantOverflow, Diverged, NonHolomorphic
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import (
@@ -24,7 +24,7 @@ from qgscatter.graph_core import (
 )
 from qgscatter.resonances import find_poles, refine_pole, winding_number
 
-from conftest import DATA_DIR, star_open_graph, two_pendant_resonator
+from conftest import DATA_DIR, random_open_graph, star_open_graph, two_pendant_resonator
 
 RESONATOR_POLES = [(2 * m + 1) * np.pi / 2 - 0.5j * np.log(3.0) for m in range(3)]
 
@@ -258,3 +258,119 @@ def test_winding_additivity_on_interior_determinant():
     parts = sum(winding_number(asm.interior_det, q, samples=256)
                 for q in rect.quadrants())
     assert total == parts == 2
+
+
+def _record_level_windings(monkeypatch):
+    """Every (cells, windings) pair that QuadLevel.wind returns."""
+    seen = []
+    wind = QuadLevel.wind
+
+    def recording(self, *args, **kwargs):
+        out = wind(self, *args, **kwargs)
+        seen.append((list(self.cells), out))
+        return out
+
+    monkeypatch.setattr(QuadLevel, "wind", recording)
+    return seen
+
+
+def test_inherited_cell_windings_match_fresh_windings(monkeypatch):
+    # every cell wound from inherited and shared sides gets the winding that
+    # a fresh contour around it gives
+    rng = np.random.default_rng(61)
+    cases = [(two_pendant_resonator(), Rect(0.0, 10.0, -2.0, 0.0))]
+    while len(cases) < 5:
+        og = random_open_graph(rng, max_edges=5, max_leads=3)
+        if Assembly(og).k_independent and og.graph.edges:
+            cases.append((og, Rect(0.3, 4.0, -1.0, -0.05)))
+    seen = _record_level_windings(monkeypatch)
+    wound = failed = 0
+    for og, window in cases:
+        seen.clear()
+        find_poles(og, window)
+        asm = Assembly(og)
+        rate = float(np.sum(asm.table.bond_lengths)) + 1.0
+        for cells, windings in seen:
+            for cell, w in zip(cells, windings):
+                if isinstance(w, str):
+                    failed += 1
+                    continue
+                wound += 1
+                assert w == rect_winding(asm.interior_det_many, cell, rate_hint=rate), cell
+    assert wound > 100 and failed > 0
+
+
+def test_quad_level_windings_match_fresh_windings():
+    # a polynomial rotates along vertical sides as much as along horizontal
+    # ones; one root sits on a split line of the first two levels, so the
+    # cells around it fail and every other cell must still be wound right
+    rng = np.random.default_rng(5)
+    roots = np.concatenate([rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7), [0.5]])
+
+    def f(zs):
+        return np.prod(zs[:, None] - roots[None, :], axis=1)
+
+    level = QuadLevel(Rect(-1.0, 1.0, -1.0, 1.0))
+    for depth in range(6):
+        windings = level.wind(f)
+        for cell, w in zip(level.cells, windings):
+            on_edge = cell.inflated(1e-15).contains(0.5) and not cell.contains(0.5, 1e-15)
+            if isinstance(w, str):
+                assert on_edge, cell
+            else:
+                assert w == rect_winding(f, cell), cell
+        if depth == 0:
+            assert windings == [8]
+        # every cell for three levels, so that neighbours share sides too
+        level = level.split([i for i, w in enumerate(windings) if depth < 3 or w != 0])
+    assert sum(isinstance(w, str) for w in windings) == 4
+
+
+def test_pole_search_evaluation_count():
+    # the parent search, which wound every cell afresh, evaluated 63,938
+    # determinants here
+    og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    counted = []
+    det_many = Assembly.interior_det_many
+
+    def counting(self, ks, *args):
+        counted.append(len(ks))
+        return det_many(self, ks, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Assembly, "interior_det_many", counting)
+        ps = find_poles(og, Rect(0.0, 8.0, -3.0, 0.0))
+    assert (len(ps.poles), len(ps.real_axis_zeros)) == (19, 9)
+    assert ps.evaluations == sum(counted)
+    assert ps.evaluations <= 32_000
+
+
+def test_window_centred_on_a_pole(monkeypatch):
+    # the centre of the window is the pole (exactly, in floating point), so
+    # all four cross half-edges of the first split meet the zero and each
+    # quadrant is wound again inflated, on its own
+    pole = RESONATOR_POLES[0]
+    h = 0.0625
+    window = Rect(pole.real - h, pole.real + h, pole.imag - h, pole.imag + h)
+    assert window.center == pole
+    og = two_pendant_resonator()
+    assert abs(Assembly(og).interior_det(pole)) <= ZERO_TOL
+    seen = _record_level_windings(monkeypatch)
+    retried = []
+    fresh = resonances.rect_winding
+
+    def recording(f, rect, *args, **kwargs):
+        retried.append(rect)
+        return fresh(f, rect, *args, **kwargs)
+
+    monkeypatch.setattr(resonances, "rect_winding", recording)
+    ps = find_poles(og, window)
+    assert len(seen) == 2 and seen[0][1] == [1]
+    assert len(seen[1][1]) == 4 and all(isinstance(w, str) for w in seen[1][1])
+    quadrants = window.quadrants()
+    assert len(retried) == 4
+    for q, r in zip(quadrants, retried):
+        assert r.re_min < q.re_min and r.re_max > q.re_max and r.contains(pole)
+    assert [p.multiplicity for p in ps.poles] == [1]
+    assert abs(ps.poles[0].k - pole) <= 1e-10
+    assert ps.warnings == ()
