@@ -479,6 +479,7 @@ def _cmd_eigenvalues(args) -> RunReport:
                 for ev in window.eigenvalues
             ]
         },
+        warnings=list(window.warnings),
     )
 
 

@@ -8,9 +8,15 @@ works breadth first over any number of segments at once: each level probes
 the midpoints of every pending segment in one call of the function. What
 it leaves of a segment is its samples (the two ends and every probe), and
 the phase change along it is the sum of the steps between consecutive
-samples, each below pi/2. :func:`phase_change` is that sum over the
-segments of a closed polyline, and :func:`rect_winding` and
-:func:`circle_winding` build such polylines.
+samples, each below pi/2. :func:`phase_changes` is that sum over the
+segments of each of any number of closed polylines, all resolved in one
+pass in which every polyline is one side, so a polyline that meets a zero
+fails alone. :func:`windings` and :func:`circle_windings` give their
+winding numbers; :func:`phase_change`, :func:`rect_winding` and
+:func:`circle_winding` are the one-contour cases, which raise on failure.
+A circle starts from 8 points: a zero of multiplicity m at its centre
+advances the phase by m pi/4 per segment, so m < 4 costs 16 values and a
+higher m splits the segments until each half-step is below pi/2.
 
 Phase tracking by sampling cannot see rotations faster than the sampling
 resolves (a whole turn between samples aliases to zero), so callers that
@@ -35,8 +41,12 @@ that zero fails at once and the other half is resolved afresh.
 A function value close to zero on the contour makes the winding number
 ill-defined. It fails the contour (in :class:`QuadLevel`, only the cells
 whose sides pass through it), and callers jitter their contour and retry
-through :func:`first_winding`. A value that is not finite aborts the
-computation with :class:`DeterminantOverflow`, which a retry cannot cure.
+through :func:`first_winding`, or through :func:`first_windings` for many
+contours at once, round by round: round i winds the i-th contour of every
+schedule still unresolved, in one pass (:func:`first_circle_windings` for
+circles). A value that is not finite aborts
+the computation with :class:`DeterminantOverflow`, which a retry cannot
+cure.
 """
 
 from __future__ import annotations
@@ -180,38 +190,71 @@ def _resolve(f, side, t0, t1, z0, z1, v0, v1, failed, zero_tol):
     return tuple(map(np.concatenate, zip(*probes))), tuple(map(np.concatenate, zip(*steps)))
 
 
-def phase_change(f, points, *, zero_tol=ZERO_TOL):
-    """Total continuous phase change of f along the closed polyline.
+def phase_changes(f, polylines, *, zero_tol=ZERO_TOL):
+    """Total continuous phase change of f along each closed polyline, all in
+    one breadth-first pass; for a polyline that met a zero, the message of
+    its failure (a str).
 
-    ``points`` are the vertices in order; the path closes from the last
-    point back to the first. ``f`` maps a 1-D complex array to the array
-    of its values. All vertices are evaluated in one call; then every
-    segment goes through the resolver at once, as one side, so the first
-    zero met fails the whole contour.
+    Each polyline is its vertices in order; the path closes from the last
+    point back to the first. ``f`` maps a 1-D complex array to the array of
+    its values. The vertices of every polyline are evaluated in one call,
+    then all their segments go through the resolver at once, each polyline
+    as one side, so a polyline that meets a zero fails alone and the others
+    are still resolved.
     """
-    z0 = np.array(points, dtype=complex)
-    n = len(z0)
-    if n < 3:
+    zs = [np.asarray(p, dtype=complex) for p in polylines]
+    if not zs:
+        return []
+    if any(len(z) < 3 for z in zs):
         raise ValueError("need at least 3 points for a closed contour")
+    sizes = np.array([len(z) for z in zs])
+    side = np.repeat(np.arange(len(zs)), sizes)
+    z0 = np.concatenate(zs)
+    # the index of each vertex's successor, wrapping within its polyline
+    nxt = np.arange(1, len(z0) + 1)
+    nxt[np.cumsum(sizes) - 1] = np.cumsum(sizes) - sizes
     v0 = _finite_values(f, z0)
-    small = np.abs(v0) <= zero_tol
-    if small.any():
-        i = int(np.argmax(small))
-        raise BoundaryZero(_zero_message(z0[i], v0[i]))
     failed = {}
-    _, (_, steps) = _resolve(f, np.zeros(n, dtype=np.intp), np.zeros(n), np.ones(n), z0,
-                             np.roll(z0, -1), v0, np.roll(v0, -1), failed, zero_tol)
-    if failed:
-        raise BoundaryZero(failed[0][0])
-    return float(np.sum(steps))
+    for i in np.flatnonzero(np.abs(v0) <= zero_tol):
+        failed.setdefault(int(side[i]), (_zero_message(z0[i], v0[i]), None))
+    live = ~np.isin(side, list(failed))
+    n = int(live.sum())
+    _, (s, steps) = _resolve(f, side[live], np.zeros(n), np.ones(n), z0[live], z0[nxt[live]],
+                             v0[live], v0[nxt[live]], failed, zero_tol)
+    total = np.bincount(s, weights=steps, minlength=len(zs))
+    return [failed[j][0] if j in failed else float(total[j]) for j in range(len(zs))]
 
 
-def _winding_from_phase(total):
+def _winding(total):
+    """The winding number of a total phase change, or the message (a str)
+    when it is not close to an integer."""
     w = total / (2 * cmath.pi)
     n = round(w)
     if abs(w - n) > 0.2:
-        raise BoundaryZero(f"winding {w:.4f} is not close to an integer")
+        return f"winding {w:.4f} is not close to an integer"
     return int(n)
+
+
+def windings(f, polylines, *, zero_tol=ZERO_TOL):
+    """Winding number of f around each closed polyline, as
+    :func:`phase_changes` resolves them: in one pass, each failing alone
+    (for a polyline that met a zero, the message, a str)."""
+    return [p if isinstance(p, str) else _winding(p)
+            for p in phase_changes(f, polylines, zero_tol=zero_tol)]
+
+
+def _one(result):
+    """The result for a single contour; a failure raises :class:`BoundaryZero`."""
+    if isinstance(result, str):
+        raise BoundaryZero(result)
+    return result
+
+
+def phase_change(f, points, *, zero_tol=ZERO_TOL):
+    """Total continuous phase change of f along one closed polyline, as
+    :func:`phase_changes` gives it; raises :class:`BoundaryZero` when the
+    polyline meets a zero."""
+    return _one(phase_changes(f, [points], zero_tol=zero_tol)[0])
 
 
 def _samples_for(length: float, base: int, rate_hint) -> int:
@@ -233,7 +276,8 @@ def rect_winding(f, rect: Rect, samples: int = 64, *, zero_tol=ZERO_TOL,
                  rate_hint=None) -> int:
     """Winding number of f around the rectangle boundary (counterclockwise).
 
-    ``f`` maps a 1-D complex array to the array of its values.
+    ``f`` maps a 1-D complex array to the array of its values. Raises
+    :class:`BoundaryZero` when the boundary meets a zero.
     """
     base = max(2, samples // 4)
     pts = []
@@ -243,15 +287,33 @@ def rect_winding(f, rect: Rect, samples: int = 64, *, zero_tol=ZERO_TOL,
         n = _samples_for(abs(z1 - z0), base, rate_hint)
         for j in range(n):
             pts.append(z0 + (z1 - z0) * j / n)
-    return _winding_from_phase(phase_change(f, pts, zero_tol=zero_tol))
+    return _one(windings(f, [pts], zero_tol=zero_tol)[0])
 
 
-def circle_winding(f, center, radius, samples: int = 32, *, zero_tol=ZERO_TOL,
+def circle_windings(f, centers, radii, samples: int = 8, *, zero_tol=ZERO_TOL,
+                    rate_hint=None):
+    """Winding number of f around each circle (centers[i], radii[i]), all in
+    one pass of :func:`windings`; for a circle that met a zero, the message
+    (a str).
+
+    A circle starts from ``samples`` equally spaced points, more where
+    ``rate_hint`` asks for them. Eight suffice: the resolver bisects every
+    segment whose half-steps of phase are not both below pi/2, so a zero of
+    multiplicity m costs 16 values when m < 4 and splits further otherwise.
+    """
+    polylines = []
+    for center, radius in zip(centers, radii):
+        n = _samples_for(2 * math.pi * radius, samples, rate_hint)
+        polylines.append(center + radius * np.exp(2j * np.pi * np.arange(n) / n))
+    return windings(f, polylines, zero_tol=zero_tol)
+
+
+def circle_winding(f, center, radius, samples: int = 8, *, zero_tol=ZERO_TOL,
                    rate_hint=None) -> int:
-    """Winding number of f around a circle; ``f`` as for :func:`rect_winding`."""
-    n = _samples_for(2 * math.pi * radius, samples, rate_hint)
-    pts = [center + radius * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
-    return _winding_from_phase(phase_change(f, pts, zero_tol=zero_tol))
+    """Winding number of f around one circle, as :func:`circle_windings`
+    gives it; raises :class:`BoundaryZero` when the circle meets a zero."""
+    return _one(circle_windings(f, [center], [radius], samples, zero_tol=zero_tol,
+                                rate_hint=rate_hint)[0])
 
 
 class _Side:
@@ -318,13 +380,7 @@ class QuadLevel:
         for refs in self._refs:
             b, r, t, l = (self._sides[i] for i in refs)
             failure = next((s.failure for s in (b, r, t, l) if s.failure), None)
-            if failure is None:
-                try:
-                    out.append(_winding_from_phase(b.phase + r.phase - t.phase - l.phase))
-                    continue
-                except BoundaryZero as exc:
-                    failure = str(exc)
-            out.append(failure)
+            out.append(failure or _winding(b.phase + r.phase - t.phase - l.phase))
         return out
 
     def _resolve_pending(self, f, samples, zero_tol, rate_hint):
@@ -408,6 +464,53 @@ class QuadLevel:
         return nxt
 
 
+def first_windings(wind_many, schedules):
+    """For each schedule of contours, the winding of its first contour that
+    does not hit a zero, as (winding, contour).
+
+    The schedules are tried round by round: round i winds the i-th contour of
+    every schedule still unresolved, all in one call of ``wind_many``, which
+    maps a list of contours to their windings (for a contour that hit a zero,
+    the message, a str). A schedule whose every contour hits a zero gives a
+    message (a str) naming its first contour.
+    """
+    schedules = [iter(s) for s in schedules]
+    out = [None] * len(schedules)
+    tried = [[] for _ in schedules]
+    pending = range(len(schedules))
+    while pending:
+        batch = []
+        for i in pending:
+            contour = next(schedules[i], None)
+            if contour is not None:
+                batch.append((i, contour))
+            else:
+                out[i] = (f"contour through {tried[i][0]} still hits zeros after "
+                          f"{len(tried[i])} retries: {out[i]}")
+        pending = []
+        for (i, contour), w in zip(batch, wind_many([c for _, c in batch]) if batch else ()):
+            if isinstance(w, str):
+                tried[i].append(contour)
+                out[i] = w
+                pending.append(i)
+            else:
+                out[i] = (w, contour)
+    return out
+
+
+def first_circle_windings(f, centers, radii, *, zero_tol=ZERO_TOL, rate_hint=None):
+    """For each centre, the winding number of f around the first circle of
+    its radii (one sequence per centre) that does not meet a zero, the
+    circles tried round by round as in :func:`first_windings` and wound as
+    in :func:`circle_windings`; where every circle meets a zero, the message
+    (a str)."""
+    out = first_windings(
+        lambda circles: circle_windings(f, [c for c, _ in circles], [r for _, r in circles],
+                                        zero_tol=zero_tol, rate_hint=rate_hint),
+        [[(c, r) for r in rs] for c, rs in zip(centers, radii)])
+    return [w if isinstance(w, str) else w[0] for w in out]
+
+
 def first_winding(wind, contours):
     """Winding of the first contour in ``contours`` that does not hit a zero.
 
@@ -416,14 +519,12 @@ def first_winding(wind, contours):
     (winding, contour); raises :class:`BoundaryZero` naming the first contour
     when every one hits a zero.
     """
-    tried, last = [], ""
-    for contour in contours:
+    def wind_one(batch):
         try:
-            return wind(contour), contour
+            return [wind(batch[0])]
         except BoundaryZero as exc:
             # keep the message only: the exception's traceback holds the
             # contour's sample arrays
-            tried.append(contour)
-            last = str(exc)
-    raise BoundaryZero(f"contour through {tried[0]} still hits zeros after {len(tried)} "
-                       f"retries: {last}")
+            return [str(exc)]
+
+    return _one(first_windings(wind_one, [contours])[0])

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import contours
 from .errors import (
-    BoundaryZero,
     DeterminantOverflow,
     SingularInterior,
     ValidationError,
@@ -67,9 +66,13 @@ class Eigenvalue:
 
 @dataclass(frozen=True)
 class SpectrumWindow:
+    """Eigenvalues (as k values) found in a window; ``warnings`` names each
+    eigenvalue whose multiplicity could not be wound and was assumed 1."""
+
     k_min: float
     k_max: float
     eigenvalues: Tuple[Eigenvalue, ...] = ()
+    warnings: Tuple[str, ...] = ()
 
     def ks(self) -> np.ndarray:
         return np.array([ev.k for ev in self.eigenvalues])
@@ -358,7 +361,14 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
     The secular function is scanned with step min(0.01, pi / (4 L_total)),
     sign changes are bisected, near-zero dips are polished by Newton, and
     each candidate's multiplicity comes from the winding number of the
-    secular function on a small circle around it.
+    interior determinant on a small circle around it. The circles of all
+    candidates are wound together (:func:`~qgscatter.contours.first_circle_windings`),
+    and a circle that meets a zero is retried with twice the radius, up to
+    0.4 of the gap to the nearest other candidate (at most 0.05): round i
+    winds the i-th radius of every candidate still unresolved, in one pass.
+    A candidate whose every circle meets a zero is kept with multiplicity 1
+    and a message in ``warnings``. The residuals |D(k)| of all candidates
+    come from one batched determinant call.
     """
     if isinstance(window, SpectrumWindow):
         k_min, k_max = window.k_min, window.k_max
@@ -418,26 +428,30 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
             continue
         found.append(kr)
 
-    results = []
-    rate = float(np.sum(asm.table.bond_lengths)) + 1.0
     found_sorted = sorted(found)
-    for i, kr in enumerate(found_sorted):
+    rate = float(np.sum(asm.table.bond_lengths)) + 1.0
+
+    def radii(i, kr):
         # A zero of multiplicity m has |D| ~ r^m on a radius-r circle, which
         # can undercut the contour zero tolerance; grow the circle, but stay
         # clear of neighboring zeros.
-        gaps = [abs(kr - other) for j, other in enumerate(found_sorted) if j != i]
-        cap = min([0.05] + [0.4 * g for g in gaps])
-        radii = itertools.takewhile(lambda r: r <= max(cap, 1e-4),
-                                    (1e-4 * 2.0 ** i for i in itertools.count()))
-        try:
-            mult, _ = contours.first_winding(
-                lambda r: contours.circle_winding(asm.interior_det_many, complex(kr), r,
-                                                  samples=48, rate_hint=rate),
-                radii)
-        except BoundaryZero:
+        cap = min([0.05] + [0.4 * abs(kr - other)
+                            for j, other in enumerate(found_sorted) if j != i])
+        return itertools.takewhile(lambda r: r <= max(cap, 1e-4),
+                                   (1e-4 * 2.0 ** n for n in itertools.count()))
+
+    windings = contours.first_circle_windings(
+        asm.interior_det_many, found_sorted,
+        [list(radii(i, kr)) for i, kr in enumerate(found_sorted)], rate_hint=rate)
+    residuals = asm.interior_det_many(found_sorted)
+    results, warnings = [], []
+    for kr, mult, residual in zip(found_sorted, windings, residuals):
+        if isinstance(mult, str):
+            warnings.append(f"multiplicity circles around k = {kr} kept hitting zeros; "
+                            "assumed 1")
             mult = 1
         if mult < 1:
             continue
-        results.append(Eigenvalue(k=kr, multiplicity=mult, residual=abs(asm.interior_det(kr))))
+        results.append(Eigenvalue(k=kr, multiplicity=mult, residual=abs(complex(residual))))
 
-    return SpectrumWindow(k_min, k_max, tuple(results))
+    return SpectrumWindow(k_min, k_max, tuple(results), tuple(warnings))

@@ -5,7 +5,12 @@ zeros per cell with the argument principle, until each cell with zeros is
 small; candidates are then polished by Newton iteration and their
 multiplicities confirmed by a small winding circle. A small cell that winds
 w >= 2 times is subdivided further when the zero Newton finds in it has
-multiplicity below w, since it then holds distinct zeros.
+multiplicity below w, since it then holds distinct zeros. The circles of
+all polished zeros are wound together
+(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
+circle that meets a zero is retried with a radius 1.4 times larger, and
+round i winds the i-th radius of every zero still unresolved, in one pass.
+The check inside a cell of winding w >= 2 is the same pass with one centre.
 
 The cells of a level are wound together (:class:`~qgscatter.contours.QuadLevel`):
 a child cell inherits the two resolved half-sides of its parent that it
@@ -31,7 +36,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contours import QuadLevel, Rect, circle_winding, first_winding, rect_winding
+from .contours import QuadLevel, Rect, first_circle_windings, first_winding, rect_winding
 from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import Assembly
 from .graph_core import LinearAB, OpenGraph
@@ -67,6 +72,7 @@ class PoleSet:
     conditions physical resonances lie in Im k < 0. ``evaluations`` counts
     the determinants D(k) the search computed: contour samples, multiplicity
     circles and residuals (Newton's steps solve with the matrix instead).
+    A multiplicity circle around a simple zero costs 16 of them.
     """
 
     poles: Tuple[Pole, ...]
@@ -147,16 +153,16 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     # Bulk rotation rate of the determinant: the total directed-bond length.
     rate = float(np.sum(asm.table.bond_lengths)) + 1.0
 
-    def multiplicity(k):
-        """Winding of D on a small circle around k, grown by 1.4 on each retry;
-        None if it keeps hitting zeros."""
-        radii = itertools.accumulate(itertools.repeat(1.4, opts.max_retries - 1), operator.mul,
-                                     initial=max(10 * opts.dedupe_radius, 1e-6))
-        try:
-            return first_winding(
-                lambda r: circle_winding(det, k, r, samples=48, rate_hint=rate), radii)[0]
-        except BoundaryZero:
-            return None
+    radii = list(itertools.accumulate(itertools.repeat(1.4, opts.max_retries - 1),
+                                      operator.mul, initial=max(10 * opts.dedupe_radius, 1e-6)))
+
+    def multiplicities(ks):
+        """Winding of D on a small circle around each k, all wound together;
+        a circle that meets a zero is grown by 1.4 on each retry (round i winds
+        the i-th radius of every k still unresolved, in one pass). None where
+        every circle meets a zero."""
+        return [None if isinstance(w, str) else w
+                for w in first_circle_windings(det, ks, [radii] * len(ks), rate_hint=rate)]
 
     def inflations(rect):
         """The cell, then inflated by jitter x attempt x max(diameter, 1) per
@@ -212,7 +218,7 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
             if ok and w > 1 and not at_floor:
                 # Newton finds one zero; if it is not of multiplicity w, the
                 # cell holds distinct zeros that subdivision must separate.
-                mult = multiplicity(k_star)
+                (mult,) = multiplicities([k_star])
                 ok = mult is None or mult >= w
             if ok:
                 polished.append((k_star, residual, iterations))
@@ -240,8 +246,8 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     poles = []
     real_axis = []
     upper = []
-    for k_star, residual, iterations in merged:
-        mult = multiplicity(k_star)
+    for (k_star, residual, iterations), mult in zip(
+            merged, multiplicities([k for k, _, _ in merged])):
         if mult is None:
             mult = 1
             warnings.append(f"multiplicity circle at {k_star} kept hitting zeros; assumed 1")

@@ -1,5 +1,7 @@
 """Global scattering matrix, secular function, and compact spectra."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,79 @@ def test_equilateral_star_spectrum_and_multiplicities():
     for ev in win.eigenvalues:
         s = asm.scattering(ev.k).s
         assert abs(np.linalg.det(np.eye(6) - s)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dirichlet_leaf_star_multiplicities(n):
+    # n unit edges from a Neumann centre to Dirichlet leaves: sin(k x) from
+    # every leaf, so k = m pi carries the n - 1 modes whose slopes at the
+    # centre cancel and k = (m + 1/2) pi the one mode equal on every edge;
+    # circles start from 8 points, so multiplicities of 4 or more must split
+    verts = [Vertex("c", Neumann())] + [Vertex(f"t{i}", Dirichlet()) for i in range(n)]
+    edges = [Edge(f"e{i}", "c", f"t{i}", 1.0) for i in range(n)]
+    win = eigenvalues_compact(build_graph(verts, edges), (0.5, 10.0))
+    np.testing.assert_allclose(win.ks(), np.pi * np.arange(1, 7) / 2, atol=1e-9)
+    assert [ev.multiplicity for ev in win.eigenvalues] == [1, n - 1] * 3
+    assert win.warnings == ()
+
+
+def test_spectrum_evaluation_count():
+    # one batched pass for the multiplicity circles and one for the
+    # residuals: the parent, which wound each circle on its own from 48
+    # points and took each residual alone, computed 14,235 determinants here
+    # in 299 calls of the kernel
+    graph = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph
+    counted = []
+    det_many = Assembly.interior_det_many
+
+    def counting(self, ks, *args):
+        counted.append(len(ks))
+        return det_many(self, ks, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Assembly, "interior_det_many", counting)
+        win = eigenvalues_compact(graph, (0.5, 30.0))
+    assert len(win.eigenvalues) == 87
+    assert sum(ev.multiplicity for ev in win.eigenvalues) == 89
+    assert sum(counted) <= 7_500
+    assert len(counted) <= 50
+
+
+def test_multiplicity_fallback_is_reported(monkeypatch, capsys, tmp_path):
+    # every circle meets a zero: each eigenvalue is kept with multiplicity 1
+    # and a warning, in the library result and in the CLI report
+    from qgscatter import contours
+    from qgscatter.cli import run_command
+
+    calls = []
+
+    def failing(f, centers, radii, *args, **kwargs):
+        calls.append(len(centers))
+        return ["forced failure"] * len(centers)
+
+    monkeypatch.setattr(contours, "circle_windings", failing)
+    verts = [Vertex("c", Neumann())] + [Vertex(f"t{i}", Dirichlet()) for i in range(3)]
+    edges = [Edge(f"e{i}", "c", f"t{i}", 1.0) for i in range(3)]
+    win = eigenvalues_compact(build_graph(verts, edges), (0.5, 4.0))
+    assert [ev.multiplicity for ev in win.eigenvalues] == [1, 1]
+    assert len(win.warnings) == 2
+    assert all("kept hitting zeros; assumed 1" in w for w in win.warnings)
+    # the radius doubles from 1e-4 up to the cap 0.05: nine rounds, both
+    # eigenvalues in each
+    assert calls == [2] * 9
+
+    path = tmp_path / "interval.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "a", "condition": {"type": "neumann"}},
+                     {"id": "b", "condition": {"type": "neumann"}}],
+        "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0}],
+    }))
+    report, code = run_command(["eigenvalues", "--graph", str(path),
+                                "--kmin", "0.5", "--kmax", "4.0"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(out["results"]["eigenvalues"]) == 1
+    assert len(out["warnings"]) == 1
+    assert out["warnings"][0].startswith("multiplicity circles around k = 3.14159")
 
 
 def test_unitarity_random_graphs():
