@@ -1,22 +1,25 @@
 """Argument-principle plumbing: winding numbers along closed contours.
 
-The phase change of a holomorphic function along a contour is the sum of
-its phase changes along straight segments, and one resolver computes them
-all. A segment is accepted once a probe at its midpoint confirms that both
-halves advance by less than pi/2; otherwise it is bisected. The resolver
-works breadth first over any number of segments at once: each level probes
-the midpoints of every pending segment in one call of the function. What
-it leaves of a segment is its samples (the two ends and every probe), and
-the phase change along it is the sum of the steps between consecutive
-samples, each below pi/2. :func:`phase_changes` is that sum over the
-segments of each of any number of closed polylines, all resolved in one
-pass in which every polyline is one side, so a polyline that meets a zero
-fails alone. :func:`windings` and :func:`circle_windings` give their
-winding numbers; :func:`phase_change`, :func:`rect_winding` and
-:func:`circle_winding` are the one-contour cases, which raise on failure.
-A circle starts from 8 points: a zero of multiplicity m at its centre
-advances the phase by m pi/4 per segment, so m < 4 costs 16 values and a
-higher m splits the segments until each half-step is below pi/2.
+The phase change of a holomorphic function along a path is the sum of the
+steps of its phase between consecutive samples, each kept below pi/2. One
+front end, :func:`_settle`, gives those samples for any number of paths at
+once. A path is given by its initial samples. f is computed in one call at
+every end whose value is not known already and at every inner sample; a
+path with a sample at a zero fails, and the segments between consecutive
+samples of all the others go to one breadth-first resolver. A segment is
+accepted once a probe at its midpoint confirms that both halves advance by
+less than pi/2, and is bisected otherwise; each level probes the midpoints
+of every pending segment in one call of f. A path that meets a zero fails
+alone, and the others are still resolved.
+
+:func:`windings` settles closed polylines, each one path closed by
+repeating its first point. :func:`rect_windings` and
+:func:`circle_windings` wind rectangles and circles through it;
+:func:`rect_winding` and :func:`circle_winding` are their one-contour
+cases, which raise on failure. A circle starts from 8 points: a zero of
+multiplicity m at its centre advances the phase by m pi/4 per segment, so
+m < 4 costs 16 values and a higher m splits the segments until each
+half-step is below pi/2.
 
 Phase tracking by sampling cannot see rotations faster than the sampling
 resolves (a whole turn between samples aliases to zero), so callers that
@@ -27,26 +30,26 @@ built in this package the bulk rate is exactly the total directed-bond
 length.
 
 :class:`QuadLevel` winds the cells of one level of the quadrant
-subdivision of a rectangle. A side there starts from a power of two of
-equal segments, so its midpoint is one of its samples. A child cell
-inherits the two resolved half-sides of its parent that it lies on, and
-the four siblings share the four new half-edges from the parent's centre
-to its side midpoints, so a split resolves 4 new half-edges where winding
-each child afresh would resolve 16 sides. The new half-edges of a whole
-level are resolved in one breadth-first pass. A half-side whose split
-point is not a sample of its parent side is resolved afresh: a phase is
-never interpolated. Of a parent side that met a zero, the half holding
-that zero fails at once and the other half is resolved afresh.
+subdivision of a rectangle. Its pending sides are the paths of one
+:func:`_settle` pass, with f known at the ends that the parent level
+sampled. A side starts from a power of two of equal segments, so its
+midpoint is one of its samples. A child cell inherits the two resolved
+half-sides of its parent that it lies on, and the four siblings share the
+four new half-edges from the parent's centre to its side midpoints, so a
+split resolves 4 new half-edges where winding each child afresh would
+resolve 16 sides. A half-side whose split point is not a sample of its
+parent side is resolved afresh: a phase is never interpolated. Of a parent
+side that met a zero, the half holding that zero fails at once and the
+other half is resolved afresh.
 
 A function value close to zero on the contour makes the winding number
 ill-defined. It fails the contour (in :class:`QuadLevel`, only the cells
-whose sides pass through it), and callers jitter their contour and retry
-through :func:`first_winding`, or through :func:`first_windings` for many
-contours at once, round by round: round i winds the i-th contour of every
-schedule still unresolved, in one pass (:func:`first_circle_windings` for
-circles). A value that is not finite aborts
-the computation with :class:`DeterminantOverflow`, which a retry cannot
-cure.
+whose sides pass through it), and callers jitter their contours and retry
+through :func:`first_windings`, round by round: round i winds the i-th
+contour of every schedule still unresolved, in one pass
+(:func:`first_circle_windings` for circles). A value that is not finite
+aborts the computation with :class:`DeterminantOverflow`, which a retry
+cannot cure.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ class Rect:
 
 
 _HALF_PI = 0.5 * np.pi
+_CIRCLE_POINTS = 8
 
 
 def _finite_values(f, zs):
@@ -141,27 +145,30 @@ def _zero_message(z, v):
     return f"|f({complex(z)})| = {abs(v):.3e} on the contour"
 
 
-def _resolve(f, side, t0, t1, z0, z1, v0, v1, failed, zero_tol):
-    """Resolve straight segments breadth first: the one contour driver.
+def _phase(v):
+    """Phase change along the samples v: the sum of the steps between
+    consecutive ones."""
+    return float(np.sum(np.angle(v[1:] / v[:-1])))
+
+
+def _resolve(f, side, t0, t1, z0, z1, v0, v1, failed):
+    """Resolve straight segments breadth first.
 
     Segment i runs from z0[i] to z1[i], over the parameters t0[i] to t1[i]
     of side ``side[i]``, and f is known (finite, nonzero) at both ends.
     Each level probes the midpoints of all pending segments in one call of
     f. A segment is accepted once both half-steps of the phase are below
     pi/2, and bisected otherwise. A side fails as a whole, and its pending
-    segments are dropped, when a probe on it has |f| <= zero_tol or it is
+    segments are dropped, when a probe on it has |f| <= ZERO_TOL or it is
     not resolved after ``_MAX_DEPTH`` levels: ``failed`` maps each failed
     side to its message and the parameter of the zero it met (None when
     the bisection ran out of levels).
 
-    Returns the probes as (side, t, v) and the accepted segments as (side,
-    phase change), each a tuple of arrays.
+    Returns the probes as (side, t, v), a tuple of arrays.
     """
-    seg = (side, t0, t1, z0, z1, v0, v1)
-    probes, steps = [(side[:0], t0[:0], v0[:0])], [(side[:0], t0[:0])]
+    probes = [(side[:0], t0[:0], v0[:0])]
     depth = 0
-    while len(seg[0]):
-        side, t0, t1, z0, z1, v0, v1 = seg
+    while len(side):
         if depth >= _MAX_DEPTH:
             for s, z, v in zip(side.tolist(), z0, v0):
                 failed.setdefault(s, (f"phase step cannot be resolved near {complex(z)} "
@@ -169,60 +176,77 @@ def _resolve(f, side, t0, t1, z0, z1, v0, v1, failed, zero_tol):
             break
         tm, zm = 0.5 * (t0 + t1), (z0 + z1) / 2
         vm = _finite_values(f, zm)
-        small = np.abs(vm) <= zero_tol
+        small = np.abs(vm) <= ZERO_TOL
         if small.any():
             for i in np.flatnonzero(small):
                 failed.setdefault(int(side[i]), (_zero_message(zm[i], vm[i]), tm[i]))
             live = ~np.isin(side, list(failed))
             side, t0, t1, tm, z0, z1, zm, v0, v1, vm = (
                 a[live] for a in (side, t0, t1, tm, z0, z1, zm, v0, v1, vm))
-        s1 = np.angle(vm / v0)
-        s2 = np.angle(v1 / vm)
-        ok = (np.abs(s1) < _HALF_PI) & (np.abs(s2) < _HALF_PI)
+        ok = (np.abs(np.angle(vm / v0)) < _HALF_PI) & (np.abs(np.angle(v1 / vm)) < _HALF_PI)
         probes.append((side, tm, vm))
-        steps.append((side[ok], s1[ok] + s2[ok]))
         split = ~ok
-        seg = (np.concatenate([side[split], side[split]]),
-               np.concatenate([t0[split], tm[split]]), np.concatenate([tm[split], t1[split]]),
-               np.concatenate([z0[split], zm[split]]), np.concatenate([zm[split], z1[split]]),
-               np.concatenate([v0[split], vm[split]]), np.concatenate([vm[split], v1[split]]))
+        lower = (side, t0, tm, z0, zm, v0, vm)
+        upper = (side, tm, t1, zm, z1, vm, v1)
+        side, t0, t1, z0, z1, v0, v1 = (
+            np.concatenate([lo[split], hi[split]]) for lo, hi in zip(lower, upper))
         depth += 1
-    return tuple(map(np.concatenate, zip(*probes))), tuple(map(np.concatenate, zip(*steps)))
+    return tuple(map(np.concatenate, zip(*probes)))
 
 
-def phase_changes(f, polylines, *, zero_tol=ZERO_TOL):
-    """Total continuous phase change of f along each closed polyline, all in
-    one breadth-first pass; for a polyline that met a zero, the message of
-    its failure (a str).
+def _settle(f, paths, known):
+    """The samples of every path, all resolved in one pass.
 
-    Each polyline is its vertices in order; the path closes from the last
-    point back to the first. ``f`` maps a 1-D complex array to the array of
-    its values. The vertices of every polyline are evaluated in one call,
-    then all their segments go through the resolver at once, each polyline
-    as one side, so a polyline that meets a zero fails alone and the others
-    are still resolved.
+    A path is its initial samples (t, z): increasing parameters and the
+    points there, from its first end z[0] to its last end z[-1]. ``known``
+    maps ends where f is known already to its value there. f is computed in
+    one call at every other end and at every inner sample; then the
+    segments between consecutive samples of every path that has no sample
+    at a zero go through :func:`_resolve` at once.
+
+    Returns, for each path, its sorted samples (t, v), v being f there, or
+    its failure (message, zero_at): the parameter of the zero it met, None
+    when its bisection ran out of levels.
     """
-    zs = [np.asarray(p, dtype=complex) for p in polylines]
-    if not zs:
+    if not paths:
         return []
-    if any(len(z) < 3 for z in zs):
-        raise ValueError("need at least 3 points for a closed contour")
-    sizes = np.array([len(z) for z in zs])
-    side = np.repeat(np.arange(len(zs)), sizes)
-    z0 = np.concatenate(zs)
-    # the index of each vertex's successor, wrapping within its polyline
-    nxt = np.arange(1, len(z0) + 1)
-    nxt[np.cumsum(sizes) - 1] = np.cumsum(sizes) - sizes
-    v0 = _finite_values(f, z0)
-    failed = {}
-    for i in np.flatnonzero(np.abs(v0) <= zero_tol):
-        failed.setdefault(int(side[i]), (_zero_message(z0[i], v0[i]), None))
-    live = ~np.isin(side, list(failed))
-    n = int(live.sum())
-    _, (s, steps) = _resolve(f, side[live], np.zeros(n), np.ones(n), z0[live], z0[nxt[live]],
-                             v0[live], v0[nxt[live]], failed, zero_tol)
-    total = np.bincount(s, weights=steps, minlength=len(zs))
-    return [failed[j][0] if j in failed else float(total[j]) for j in range(len(zs))]
+    ends = {}
+    for _, z in paths:
+        for end in (complex(z[0]), complex(z[-1])):
+            if end not in known:
+                ends.setdefault(end, len(ends))
+    vs = _finite_values(f, np.concatenate([np.array(list(ends), dtype=complex)]
+                                          + [z[1:-1] for _, z in paths]))
+    known = {**known, **dict(zip(ends, vs))}
+    failed, values = {}, []
+    start = len(ends)
+    for j, (t, z) in enumerate(paths):
+        inner = len(z) - 2
+        v = np.concatenate([[known[complex(z[0])]], vs[start:start + inner],
+                            [known[complex(z[-1])]]])
+        start += inner
+        small = np.flatnonzero(np.abs(v) <= ZERO_TOL)
+        if len(small):
+            failed[j] = (_zero_message(z[small[0]], v[small[0]]), t[small[0]])
+        values.append(v)
+    side = np.repeat(np.arange(len(paths)), [len(z) for _, z in paths])
+    t = np.concatenate([t for t, _ in paths])
+    z = np.concatenate([z for _, z in paths])
+    v = np.concatenate(values)
+    # consecutive samples of one path that has not failed: its segments
+    a = np.flatnonzero((side[1:] == side[:-1]) & ~np.isin(side[1:], list(failed)))
+    probes = _resolve(f, side[a], t[a], t[a + 1], z[a], z[a + 1], v[a], v[a + 1], failed)
+    side, t, v = (np.concatenate(pair) for pair in zip((side, t, v), probes))
+    order = np.lexsort((t, side))
+    side, t, v = side[order], t[order], v[order]
+    bounds = np.searchsorted(side, np.arange(len(paths) + 1))
+    return [failed.get(j) or (t[bounds[j]:bounds[j + 1]], v[bounds[j]:bounds[j + 1]])
+            for j in range(len(paths))]
+
+
+def _failed(result):
+    """Whether a result of :func:`_settle` is a failure."""
+    return isinstance(result[0], str)
 
 
 def _winding(total):
@@ -235,12 +259,21 @@ def _winding(total):
     return int(n)
 
 
-def windings(f, polylines, *, zero_tol=ZERO_TOL):
-    """Winding number of f around each closed polyline, as
-    :func:`phase_changes` resolves them: in one pass, each failing alone
-    (for a polyline that met a zero, the message, a str)."""
-    return [p if isinstance(p, str) else _winding(p)
-            for p in phase_changes(f, polylines, zero_tol=zero_tol)]
+def windings(f, polylines):
+    """Winding number of f around each closed polyline, all settled in one
+    pass; for a polyline that met a zero, the message (a str).
+
+    Each polyline is its vertices in order; the path closes from the last
+    point back to the first. ``f`` maps a 1-D complex array to the array of
+    its values.
+    """
+    paths = []
+    for p in polylines:
+        z = np.asarray(p, dtype=complex)
+        if len(z) < 3:
+            raise ValueError("need at least 3 points for a closed contour")
+        paths.append((np.arange(len(z) + 1.0), np.append(z, z[0])))
+    return [r[0] if _failed(r) else _winding(_phase(r[1])) for r in _settle(f, paths, {})]
 
 
 def _one(result):
@@ -248,13 +281,6 @@ def _one(result):
     if isinstance(result, str):
         raise BoundaryZero(result)
     return result
-
-
-def phase_change(f, points, *, zero_tol=ZERO_TOL):
-    """Total continuous phase change of f along one closed polyline, as
-    :func:`phase_changes` gives it; raises :class:`BoundaryZero` when the
-    polyline meets a zero."""
-    return _one(phase_changes(f, [points], zero_tol=zero_tol)[0])
 
 
 def _samples_for(length: float, base: int, rate_hint) -> int:
@@ -266,54 +292,61 @@ def _samples_for(length: float, base: int, rate_hint) -> int:
 
 def _side_segments(length: float, samples: int, rate_hint) -> int:
     """Initial segments of a side of a :class:`QuadLevel` cell: as many as
-    :func:`rect_winding` takes, rounded up to a power of two, so that the
+    :func:`rect_windings` takes, rounded up to a power of two, so that the
     side's midpoint is a sample."""
     n = _samples_for(length, max(2, samples // 4), rate_hint)
     return 1 << (n - 1).bit_length()
 
 
-def rect_winding(f, rect: Rect, samples: int = 64, *, zero_tol=ZERO_TOL,
-                 rate_hint=None) -> int:
-    """Winding number of f around the rectangle boundary (counterclockwise).
+def rect_windings(f, rects, samples: int = 64, *, rate_hint=None):
+    """Winding number of f around each rectangle boundary (counterclockwise),
+    all in one pass of :func:`windings`; for a rectangle whose boundary met
+    a zero, the message (a str).
 
-    ``f`` maps a 1-D complex array to the array of its values. Raises
-    :class:`BoundaryZero` when the boundary meets a zero.
+    A side starts from ``samples // 4`` equal segments, more where
+    ``rate_hint`` asks for them.
     """
     base = max(2, samples // 4)
-    pts = []
-    c = rect.corners()
-    for i in range(4):
-        z0, z1 = c[i], c[(i + 1) % 4]
-        n = _samples_for(abs(z1 - z0), base, rate_hint)
-        for j in range(n):
-            pts.append(z0 + (z1 - z0) * j / n)
-    return _one(windings(f, [pts], zero_tol=zero_tol)[0])
+    polylines = []
+    for rect in rects:
+        pts = []
+        c = rect.corners()
+        for i in range(4):
+            z0, z1 = c[i], c[(i + 1) % 4]
+            n = _samples_for(abs(z1 - z0), base, rate_hint)
+            pts += [z0 + (z1 - z0) * j / n for j in range(n)]
+        polylines.append(pts)
+    return windings(f, polylines)
 
 
-def circle_windings(f, centers, radii, samples: int = 8, *, zero_tol=ZERO_TOL,
-                    rate_hint=None):
+def rect_winding(f, rect: Rect, samples: int = 64, *, rate_hint=None) -> int:
+    """Winding number of f around one rectangle boundary, as
+    :func:`rect_windings` gives it; raises :class:`BoundaryZero` when the
+    boundary meets a zero."""
+    return _one(rect_windings(f, [rect], samples, rate_hint=rate_hint)[0])
+
+
+def circle_windings(f, centers, radii, *, rate_hint=None):
     """Winding number of f around each circle (centers[i], radii[i]), all in
     one pass of :func:`windings`; for a circle that met a zero, the message
     (a str).
 
-    A circle starts from ``samples`` equally spaced points, more where
-    ``rate_hint`` asks for them. Eight suffice: the resolver bisects every
-    segment whose half-steps of phase are not both below pi/2, so a zero of
-    multiplicity m costs 16 values when m < 4 and splits further otherwise.
+    A circle starts from 8 equally spaced points, more where ``rate_hint``
+    asks for them. Eight suffice: the resolver bisects every segment whose
+    half-steps of phase are not both below pi/2, so a zero of multiplicity m
+    costs 16 values when m < 4 and splits further otherwise.
     """
     polylines = []
     for center, radius in zip(centers, radii):
-        n = _samples_for(2 * math.pi * radius, samples, rate_hint)
+        n = _samples_for(2 * math.pi * radius, _CIRCLE_POINTS, rate_hint)
         polylines.append(center + radius * np.exp(2j * np.pi * np.arange(n) / n))
-    return windings(f, polylines, zero_tol=zero_tol)
+    return windings(f, polylines)
 
 
-def circle_winding(f, center, radius, samples: int = 8, *, zero_tol=ZERO_TOL,
-                   rate_hint=None) -> int:
+def circle_winding(f, center, radius, *, rate_hint=None) -> int:
     """Winding number of f around one circle, as :func:`circle_windings`
     gives it; raises :class:`BoundaryZero` when the circle meets a zero."""
-    return _one(circle_windings(f, [center], [radius], samples, zero_tol=zero_tol,
-                                rate_hint=rate_hint)[0])
+    return _one(circle_windings(f, [center], [radius], rate_hint=rate_hint)[0])
 
 
 class _Side:
@@ -331,7 +364,7 @@ class _Side:
 
     def settle(self, t, v):
         self.t, self.v = t, v
-        self.phase = float(np.sum(np.angle(v[1:] / v[:-1])))
+        self.phase = _phase(v)
 
     def half(self, k):
         """The lower (k = 0) or upper (k = 1) half: resolved when this side
@@ -355,9 +388,9 @@ class QuadLevel:
     Every side is held once, however many cells share it, and runs left to
     right or bottom to top; a cell lists its bottom, right, top and left
     side and winds counterclockwise by bottom + right - top - left.
-    :meth:`wind` resolves the sides that are still pending, all in one
-    breadth-first pass, and :meth:`split` makes the next level, whose cells
-    inherit the resolved half-sides of their parents.
+    :meth:`wind` settles the sides that are still pending, all in one
+    :func:`_settle` pass, and :meth:`split` makes the next level, whose
+    cells inherit the resolved half-sides of their parents.
     """
 
     def __init__(self, window: Rect):
@@ -368,64 +401,32 @@ class QuadLevel:
         # f at vertices of the pending sides, where the parent level has it
         self._known = {}
 
-    def wind(self, f, samples: int = 64, *, zero_tol=ZERO_TOL, rate_hint=None):
+    def wind(self, f, samples: int = 64, *, rate_hint=None):
         """Winding number of every cell, in order; for a cell whose contour
         failed (it met a zero), the message of the failure (a str).
 
         ``samples`` and ``rate_hint`` set the initial sampling of a pending
-        side as in :func:`rect_winding`.
+        side as in :func:`rect_windings`.
         """
-        self._resolve_pending(f, samples, zero_tol, rate_hint)
+        pending = [s for s in self._sides if s.v is None and s.failure is None]
+        paths = []
+        for s in pending:
+            n = _side_segments(abs(s.b - s.a), samples, rate_hint)
+            t = np.arange(n + 1) / n
+            z = s.a + (s.b - s.a) * t
+            z[0], z[-1] = s.a, s.b
+            paths.append((t, z))
+        for s, result in zip(pending, _settle(f, paths, self._known)):
+            if _failed(result):
+                s.failure, s.zero_at = result
+            else:
+                s.settle(*result)
         out = []
         for refs in self._refs:
             b, r, t, l = (self._sides[i] for i in refs)
             failure = next((s.failure for s in (b, r, t, l) if s.failure), None)
             out.append(failure or _winding(b.phase + r.phase - t.phase - l.phase))
         return out
-
-    def _resolve_pending(self, f, samples, zero_tol, rate_hint):
-        """f at the new ends and initial samples of every pending side in one
-        call, then all their segments in one breadth-first pass."""
-        pending = [s for s in self._sides if s.v is None and s.failure is None]
-        if not pending:
-            return
-        ends = {}  # ends not known from the parent level
-        for s in pending:
-            for z in (s.a, s.b):
-                if z not in self._known:
-                    ends.setdefault(z, len(ends))
-        ts = [np.arange(n + 1) / n
-              for n in (_side_segments(abs(s.b - s.a), samples, rate_hint) for s in pending)]
-        zs = [s.a + (s.b - s.a) * t for s, t in zip(pending, ts)]
-        for s, z in zip(pending, zs):
-            z[0], z[-1] = s.a, s.b
-        vs = _finite_values(f, np.concatenate([list(ends)] + [z[1:-1] for z in zs]))
-        known = dict(self._known)
-        known.update(zip(ends, vs))
-        failed, sides, values = {}, [], []
-        start = len(ends)
-        for j, (s, z) in enumerate(zip(pending, zs)):
-            v = np.concatenate([[known[s.a]], vs[start:start + len(z) - 2], [known[s.b]]])
-            start += len(z) - 2
-            small = np.flatnonzero(np.abs(v) <= zero_tol)
-            if len(small):
-                failed[j] = (_zero_message(z[small[0]], v[small[0]]), ts[j][small[0]])
-            sides.append(np.full(len(z), j))
-            values.append(v)
-        side, t, z, v = map(np.concatenate, (sides, ts, zs, values))
-        # consecutive samples of one side that has not failed: its segments
-        a = np.flatnonzero((side[1:] == side[:-1]) & ~np.isin(side[1:], list(failed)))
-        probes, _ = _resolve(f, side[a], t[a], t[a + 1], z[a], z[a + 1], v[a], v[a + 1],
-                             failed, zero_tol)
-        side, t, v = (np.concatenate(pair) for pair in zip((side, t, v), probes))
-        order = np.lexsort((t, side))
-        side, t, v = side[order], t[order], v[order]
-        bounds = np.searchsorted(side, np.arange(len(pending) + 1))
-        for j, s in enumerate(pending):
-            if j in failed:
-                s.failure, s.zero_at = failed[j]
-            else:
-                s.settle(t[bounds[j]:bounds[j + 1]], v[bounds[j]:bounds[j + 1]])
 
     def split(self, indices) -> "QuadLevel":
         """The next level: the quadrants (as :meth:`Rect.quadrants` orders
@@ -464,19 +465,22 @@ class QuadLevel:
         return nxt
 
 
-def first_windings(wind_many, schedules):
+def first_windings(wind_many, schedules, failures=None):
     """For each schedule of contours, the winding of its first contour that
     does not hit a zero, as (winding, contour).
 
     The schedules are tried round by round: round i winds the i-th contour of
     every schedule still unresolved, all in one call of ``wind_many``, which
     maps a list of contours to their windings (for a contour that hit a zero,
-    the message, a str). A schedule whose every contour hits a zero gives a
-    message (a str) naming its first contour.
+    the message, a str). With ``failures`` (one message per schedule), the
+    first contour of every schedule has been wound already and hit a zero
+    with that message, and the rounds start at the second. A schedule whose
+    every contour hits a zero gives a message (a str) naming its first
+    contour.
     """
     schedules = [iter(s) for s in schedules]
-    out = [None] * len(schedules)
-    tried = [[] for _ in schedules]
+    out = [None] * len(schedules) if failures is None else list(failures)
+    tried = [[] if failures is None else [next(s)] for s in schedules]
     pending = range(len(schedules))
     while pending:
         batch = []
@@ -498,7 +502,7 @@ def first_windings(wind_many, schedules):
     return out
 
 
-def first_circle_windings(f, centers, radii, *, zero_tol=ZERO_TOL, rate_hint=None):
+def first_circle_windings(f, centers, radii, *, rate_hint=None):
     """For each centre, the winding number of f around the first circle of
     its radii (one sequence per centre) that does not meet a zero, the
     circles tried round by round as in :func:`first_windings` and wound as
@@ -506,25 +510,6 @@ def first_circle_windings(f, centers, radii, *, zero_tol=ZERO_TOL, rate_hint=Non
     (a str)."""
     out = first_windings(
         lambda circles: circle_windings(f, [c for c, _ in circles], [r for _, r in circles],
-                                        zero_tol=zero_tol, rate_hint=rate_hint),
+                                        rate_hint=rate_hint),
         [[(c, r) for r in rs] for c, rs in zip(centers, radii)])
     return [w if isinstance(w, str) else w[0] for w in out]
-
-
-def first_winding(wind, contours):
-    """Winding of the first contour in ``contours`` that does not hit a zero.
-
-    ``wind`` maps one contour to its winding number and raises
-    :class:`BoundaryZero` when the contour hits a zero. Returns
-    (winding, contour); raises :class:`BoundaryZero` naming the first contour
-    when every one hits a zero.
-    """
-    def wind_one(batch):
-        try:
-            return [wind(batch[0])]
-        except BoundaryZero as exc:
-            # keep the message only: the exception's traceback holds the
-            # contour's sample arrays
-            return [str(exc)]
-
-    return _one(first_windings(wind_one, [contours])[0])

@@ -90,6 +90,8 @@ class Assembly:
     def __init__(self, og: OpenGraph):
         self.og = og
         self.table: BondTable = bond_table(og)
+        # sum L_b over directed bonds: |D(k)| grows like exp(|Im k| sum L_b)
+        self.total_bond_length = float(np.sum(self.table.bond_lengths))
         n = self.table.n_channels
         self._rules = []
         flat = []
@@ -167,7 +169,7 @@ class Assembly:
             raise DeterminantOverflow(
                 f"determinant overflow at k = {complex(ks[i])}: |D| grows like "
                 f"exp(|Im k| * total bond length) = "
-                f"exp({abs(ks[i].imag) * float(np.sum(self.table.bond_lengths)):.4g})"
+                f"exp({abs(ks[i].imag) * self.total_bond_length:.4g})"
             )
         return out
 
@@ -307,7 +309,6 @@ class _RealSecular:
 
     def __init__(self, asm: Assembly):
         self.asm = asm
-        self.total_bond_length = float(np.sum(asm.table.bond_lengths))
         self.n = asm.table.n_bonds
         self._phase0 = _det_phase(asm._blocks(1.0)) if asm.k_independent else None
 
@@ -326,7 +327,7 @@ class _RealSecular:
             phases = [_det_phase(b) for b in blocks]
         turn = 1j ** self.n
         return np.array([
-            (complex(f) * cmath.exp(-0.5j * (p + k * self.total_bond_length)) * turn).real
+            (complex(f) * cmath.exp(-0.5j * (p + k * asm.total_bond_length)) * turn).real
             for f, p, k in zip(fs, phases, ks)])
 
 
@@ -429,7 +430,7 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
         found.append(kr)
 
     found_sorted = sorted(found)
-    rate = float(np.sum(asm.table.bond_lengths)) + 1.0
+    rate = asm.total_bond_length + 1.0
 
     def radii(i, kr):
         # A zero of multiplicity m has |D| ~ r^m on a radius-r circle, which

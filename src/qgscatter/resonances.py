@@ -5,12 +5,7 @@ zeros per cell with the argument principle, until each cell with zeros is
 small; candidates are then polished by Newton iteration and their
 multiplicities confirmed by a small winding circle. A small cell that winds
 w >= 2 times is subdivided further when the zero Newton finds in it has
-multiplicity below w, since it then holds distinct zeros. The circles of
-all polished zeros are wound together
-(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
-circle that meets a zero is retried with a radius 1.4 times larger, and
-round i winds the i-th radius of every zero still unresolved, in one pass.
-The check inside a cell of winding w >= 2 is the same pass with one centre.
+multiplicity below w, since it then holds distinct zeros.
 
 The cells of a level are wound together (:class:`~qgscatter.contours.QuadLevel`):
 a child cell inherits the two resolved half-sides of its parent that it
@@ -18,10 +13,18 @@ lies on, and the four siblings share the four new half-edges from the
 parent's centre to its side midpoints, so a split resolves 4 new half-edges
 instead of 16 sides, and the new half-edges of a whole level cost one batch
 of determinants per bisection depth. A half-edge that passes too close to a
-zero fails only the cells that share it; each such cell is inflated
-slightly and wound again on its own, so zeros sitting exactly on the
+zero fails only the cells that share it. Every failed cell of the level is
+then inflated slightly and wound again, all of them in one retry round per
+inflation (:func:`~qgscatter.contours.first_windings` over
+:func:`~qgscatter.contours.rect_windings`), so zeros sitting exactly on the
 requested window edge (commonly on the real axis) are still captured by the
-cells they border. The other cells of the level are not held back.
+cells they border.
+
+The circles of all polished zeros are wound together in the same way
+(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
+circle that meets a zero is retried with a radius 1.4 times larger, and
+round i winds the i-th radius of every zero still unresolved, in one pass.
+The check inside a cell of winding w >= 2 is the same pass with one centre.
 
 Real-axis zeros of the determinant are not scattering poles; they mark
 states decoupled from the leads and are reported separately.
@@ -36,7 +39,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contours import QuadLevel, Rect, first_circle_windings, first_winding, rect_winding
+from .contours import (QuadLevel, Rect, first_circle_windings, first_windings, rect_winding,
+                       rect_windings)
 from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import Assembly
 from .graph_core import LinearAB, OpenGraph
@@ -85,9 +89,6 @@ class PoleSet:
 
     def ks(self) -> np.ndarray:
         return np.array([p.k for p in self.poles])
-
-    def total_count(self) -> int:
-        return sum(p.multiplicity for p in self.poles)
 
 
 def winding_number(f: Callable[[complex], complex], rect: Rect, samples: int = 64) -> int:
@@ -151,7 +152,7 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
         return asm.interior_det_many(ks)
 
     # Bulk rotation rate of the determinant: the total directed-bond length.
-    rate = float(np.sum(asm.table.bond_lengths)) + 1.0
+    rate = asm.total_bond_length + 1.0
 
     radii = list(itertools.accumulate(itertools.repeat(1.4, opts.max_retries - 1),
                                       operator.mul, initial=max(10 * opts.dedupe_radius, 1e-6)))
@@ -173,25 +174,25 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
             yield rect
             rect = rect.inflated(opts.jitter * max(rect.diameter, 1.0) * attempt)
 
-    def retry(original, failure):
-        """(winding, contour) of a cell whose own contour met a zero: the
-        first of its inflations that does not, each wound on its own (an
-        inflated contour shares no side with another cell)."""
-        def wind(rect):
-            if rect is original:
-                raise BoundaryZero(failure)
-            return rect_winding(det, rect, opts.boundary_samples, rate_hint=rate)
-        return first_winding(wind, inflations(original))
-
     polished = []
     level = QuadLevel(window)
     while level.cells:
         windings = level.wind(det, opts.boundary_samples, rate_hint=rate)
+        # A cell whose contour met a zero takes the first of its inflations
+        # that does not; the failed cells of the level retry together, one
+        # call of rect_windings per round (an inflated contour shares no side
+        # with another cell).
+        failed = [i for i, w in enumerate(windings) if isinstance(w, str)]
+        retried = dict(zip(failed, first_windings(
+            lambda rects: rect_windings(det, rects, opts.boundary_samples, rate_hint=rate),
+            [inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
         split = []
         for i, (original, w) in enumerate(zip(level.cells, windings)):
             cell = original
-            if isinstance(w, str):
-                w, cell = retry(original, w)
+            if i in retried:
+                if isinstance(retried[i], str):
+                    raise BoundaryZero(retried[i])
+                w, cell = retried[i]
             if w == 0:
                 continue
             if w < 0:

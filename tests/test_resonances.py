@@ -15,9 +15,9 @@ from qgscatter.contours import (
     Rect,
     circle_winding,
     circle_windings,
-    first_winding,
     first_windings,
     rect_winding,
+    rect_windings,
 )
 from qgscatter.errors import BoundaryZero, DeterminantOverflow, Diverged, NonHolomorphic
 from qgscatter.global_scattering import Assembly
@@ -54,20 +54,31 @@ def test_winding_boundary_zero_detected():
         winding_number(lambda z: z - 1.0, Rect(0, 1, -1, 1))
 
 
-def test_first_winding_inflates_past_a_corner_zero():
+def test_first_windings_inflates_past_a_corner_zero():
     c = 1.0 + 1.0j  # the upper right corner of the first rectangle
     first = Rect(0.0, 1.0, 0.0, 1.0)
     rects = [first, first.inflated(0.1), first.inflated(0.1).inflated(0.2)]
-    w, rect = first_winding(lambda r: rect_winding(lambda zs: zs - c, r), rects)
-    assert (w, rect) == (1, rects[1])
+    out = first_windings(lambda batch: rect_windings(lambda zs: zs - c, batch), [rects])
+    assert out == [(1, rects[1])]
 
 
-def test_first_winding_names_the_first_contour_when_all_hit_zeros():
-    # every rectangle has its lower left corner on the zero at 0
+def test_first_windings_names_the_first_contour_when_all_hit_zeros():
+    # every rectangle has its lower left corner on the zero at 0; given a
+    # failure, the first contour counts as wound already and is not wound
     rects = [Rect(0.0, 1.0, 0.0, 1.0), Rect(0.0, 2.0, 0.0, 2.0)]
-    with pytest.raises(BoundaryZero, match=re.escape(f"contour through {rects[0]} still hits "
-                                                     "zeros after 2 retries")):
-        first_winding(lambda r: rect_winding(lambda zs: zs, r), rects)
+    wound = []
+
+    def wind_many(batch):
+        wound.append(batch)
+        return rect_windings(lambda zs: zs, batch)
+
+    (out,) = first_windings(wind_many, [rects])
+    assert out.startswith(f"contour through {rects[0]} still hits zeros after 2 retries: ")
+    assert wound == [rects[:1], rects[1:]]
+    wound.clear()
+    (out,) = first_windings(wind_many, [rects], ["seen"])
+    assert out.startswith(f"contour through {rects[0]} still hits zeros after 2 retries: ")
+    assert wound == [rects[1:]]
 
 
 def _counting(f):
@@ -421,7 +432,8 @@ def test_quad_level_windings_match_fresh_windings():
 def test_pole_search_evaluation_count():
     # the search that wound every cell afresh evaluated 63,938 determinants
     # here, and 30,687 with cells wound by level but each multiplicity circle
-    # alone from 48 points
+    # alone from 48 points; retrying each failed cell on its own took 925
+    # calls of the kernel, where one retry round per level takes about 300
     og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
     counted = []
     det_many = Assembly.interior_det_many
@@ -436,12 +448,13 @@ def test_pole_search_evaluation_count():
     assert (len(ps.poles), len(ps.real_axis_zeros)) == (19, 9)
     assert ps.evaluations == sum(counted)
     assert ps.evaluations <= 29_000
+    assert len(counted) <= 400
 
 
 def test_window_centred_on_a_pole(monkeypatch):
     # the centre of the window is the pole (exactly, in floating point), so
-    # all four cross half-edges of the first split meet the zero and each
-    # quadrant is wound again inflated, on its own
+    # all four cross half-edges of the first split meet the zero and the
+    # four quadrants are wound again inflated, together in one call
     pole = RESONATOR_POLES[0]
     h = 0.0625
     window = Rect(pole.real - h, pole.real + h, pole.imag - h, pole.imag + h)
@@ -449,21 +462,33 @@ def test_window_centred_on_a_pole(monkeypatch):
     og = two_pendant_resonator()
     assert abs(Assembly(og).interior_det(pole)) <= ZERO_TOL
     seen = _record_level_windings(monkeypatch)
-    retried = []
-    fresh = resonances.rect_winding
+    batches = []
+    fresh = resonances.rect_windings
 
-    def recording(f, rect, *args, **kwargs):
-        retried.append(rect)
-        return fresh(f, rect, *args, **kwargs)
+    def recording(f, rects, *args, **kwargs):
+        batches.append(list(rects))
+        return fresh(f, rects, *args, **kwargs)
 
-    monkeypatch.setattr(resonances, "rect_winding", recording)
+    monkeypatch.setattr(resonances, "rect_windings", recording)
     ps = find_poles(og, window)
     assert len(seen) == 2 and seen[0][1] == [1]
     assert len(seen[1][1]) == 4 and all(isinstance(w, str) for w in seen[1][1])
     quadrants = window.quadrants()
-    assert len(retried) == 4
-    for q, r in zip(quadrants, retried):
+    assert len(batches) == 1 and len(batches[0]) == 4
+    for q, r in zip(quadrants, batches[0]):
         assert r.re_min < q.re_min and r.re_max > q.re_max and r.contains(pole)
     assert [p.multiplicity for p in ps.poles] == [1]
     assert abs(ps.poles[0].k - pole) <= 1e-10
     assert ps.warnings == ()
+
+
+def test_cell_whose_every_inflation_meets_a_zero_raises():
+    # with no jitter every inflation of a quadrant is the quadrant itself,
+    # so all max_retries contours through the pole fail
+    pole = RESONATOR_POLES[0]
+    h = 0.0625
+    window = Rect(pole.real - h, pole.real + h, pole.imag - h, pole.imag + h)
+    opts = resonances.PoleSearchOptions(jitter=0.0, max_retries=3)
+    with pytest.raises(BoundaryZero, match=re.escape(
+            f"contour through {window.quadrants()[0]} still hits zeros after 3 retries: ")):
+        find_poles(two_pendant_resonator(), window, opts)
