@@ -45,7 +45,6 @@ from .isoscattering import (
 )
 from .resonances import (
     Pole,
-    PoleSearchOptions,
     PoleSet,
     find_poles,
     refine_pole,

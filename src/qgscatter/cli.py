@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .contours import Rect
-from .errors import ParseError, QGError
+from .errors import DeterminantOverflow, ParseError, QGError
 from .global_scattering import eigenvalues_compact, scattering_matrix
 from .graph_core import (
     DFT,
@@ -208,19 +208,23 @@ def parse_graph_document(doc) -> Union[MetricGraph, OpenGraph]:
     return build_graph(vertices, edges)
 
 
+def _load_json(path):
+    """The JSON document in a file; a syntax error raises ParseError at path:line:col."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(exc), f"{path}:{exc.lineno}:{exc.colno}") from exc
+
+
 def parse_graph_file(path) -> Union[MetricGraph, OpenGraph]:
     """Parse and validate a graph description file.
 
     Syntax errors carry line/column positions; semantic errors carry a JSON
     path. Validation errors from the graph model propagate unchanged.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc), f"{path}:{exc.lineno}:{exc.colno}") from exc
-    return parse_graph_document(doc)
+    return parse_graph_document(_load_json(path))
 
 
 def serialize_condition(c) -> dict:
@@ -335,13 +339,7 @@ def parse_symmetry_document(doc) -> SymmetrySpec:
 
 
 def parse_symmetry_file(path) -> SymmetrySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc), f"{path}:{exc.lineno}:{exc.colno}") from exc
-    return parse_symmetry_document(doc)
+    return parse_symmetry_document(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +374,15 @@ def _digest(path) -> str:
 
 
 def _parse_k(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise ParseError(f"cannot parse k value {text!r}; use RE or RE,IM")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise ParseError(f"cannot parse k value {text!r}; use RE or RE,IM")
+    if not np.isfinite(parts).all():
+        raise ParseError(f"k value {text!r} is not finite")
+    return complex(*parts)
 
 
 def _as_open(g, path) -> OpenGraph:
@@ -449,7 +447,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute_s(args) -> RunReport:
     og = _as_open(parse_graph_file(args.graph), args.graph)
     k = _parse_k(args.k)
-    ev = scattering_matrix(og, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = scattering_matrix(og, k)
+    if not np.isfinite(ev.interior_det):  # S can stay finite where D(k) overflows
+        raise DeterminantOverflow(f"interior determinant D(k) = {ev.interior_det} "
+                                  f"is not finite at k = {k}")
     return RunReport(
         command="compute-s",
         inputs={"graph": _digest(args.graph)},

@@ -42,6 +42,7 @@ _SINGULAR_TOL = 1e-13
 # Matrix entries per LAPACK call of Assembly.interior_det_many: about 512 kB,
 # so long batches keep memory flat.
 _DET_CHUNK_ENTRIES = 1 << 15
+_NODE_BUDGET = 2_000_000  # most scan nodes eigenvalues_compact lays over a window
 
 
 @dataclass(frozen=True)
@@ -356,13 +357,14 @@ def _bisect(sec, lo, hi, flo):
     return 0.5 * (lo + hi)
 
 
-def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_000) -> SpectrumWindow:
+def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     """Locate the Laplacian eigenvalues (as k values) in a real window.
 
-    The secular function is scanned with step min(0.01, pi / (4 L_total)),
-    sign changes are bisected, near-zero dips are polished by Newton, and
-    each candidate's multiplicity comes from the winding number of the
-    interior determinant on a small circle around it. The circles of all
+    The secular function is scanned with step min(0.01, pi / (4 L_total)) on
+    at most ``_NODE_BUDGET`` nodes (else :class:`WindowTooWide`), sign
+    changes are bisected, near-zero dips are polished by Newton, and each
+    candidate's multiplicity comes from the winding number of the interior
+    determinant on a small circle around it. The circles of all
     candidates are wound together (:func:`~qgscatter.contours.first_circle_windings`),
     and a circle that meets a zero is retried with twice the radius, up to
     0.4 of the gap to the nearest other candidate (at most 0.05): round i
@@ -381,15 +383,14 @@ def eigenvalues_compact(graph: MetricGraph, window, *, node_budget: int = 2_000_
     if not graph.edges:
         return SpectrumWindow(k_min, k_max, ())
 
-    asm = Assembly(_closed(graph))
-    total = graph.total_length
-    step = min(0.01, math.pi / (4.0 * total))
+    step = min(0.01, math.pi / (4.0 * graph.total_length))
     n_samples = int(math.ceil((k_max - k_min) / step)) + 1
-    if n_samples > node_budget:
+    if n_samples > _NODE_BUDGET:
         raise WindowTooWide(
-            f"scan would need {n_samples} nodes (budget {node_budget}); shrink the window"
+            f"scan would need {n_samples} nodes (budget {_NODE_BUDGET}); shrink the window"
         )
 
+    asm = Assembly(_closed(graph))
     sec = _RealSecular(asm)
     ks = np.linspace(k_min, k_max, n_samples)
     rs = sec.values(ks)

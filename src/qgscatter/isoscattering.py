@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .errors import (
 from .contours import Rect
 from .global_scattering import Assembly
 from .graph_core import OpenGraph
-from .resonances import PoleSet, PoleSearchOptions, find_poles
+from .linalg import null_space
+from .resonances import PoleSet, find_poles
 
 EVIDENCE_LABEL = "numerical evidence"
 
@@ -39,6 +40,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _COMBINATION_SEED = 20101007
 _N_RANDOM_COMBINATIONS = 20
+_N_HOLDOUT = 5
+_RESIDUAL_TOL = 1e-8  # largest holdout residual of a found conjugator
+_NULL_RTOL = 1e-10  # singular-value cut of the conjugator system, relative
+_PHASE_KS = tuple(0.1 + (20.0 - 0.1) * (j + 1) / 64 for j in range(64))
+_PHASE_TOL = 1e-9  # largest |det S1 - det S2| of isophasal systems
+_MATCH_TOL = 1e-6  # largest distance of two paired poles
 
 
 def default_samples(count: int, skip: int = 0) -> List[float]:
@@ -97,25 +104,24 @@ def _collect_samples(s1, s2, count: int, skip: int):
 
 
 def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.ndarray],
-                    *, n_training: int = 6, n_holdout: int = 5,
-                    residual_tol: float = 1e-8, null_rtol: float = 1e-10,
-                    ) -> ConjugacyResult:
+                    *, n_training: int = 6) -> ConjugacyResult:
     """Search for one invertible k-independent Pi with Pi S1(k) = S2(k) Pi.
 
     Training uses the first ``n_training`` (at least 3) non-singular points
-    of ``default_samples``, holdout the next ``n_holdout``. The joint
+    of ``default_samples``, holdout the next ``_N_HOLDOUT``. The joint
     homogeneous system over the training samples is solved by a
-    singular-value cut at ``null_rtol`` relative to the largest value; the
+    singular-value cut at ``_NULL_RTOL`` relative to the largest value; the
     null space is then probed for an invertible element (each basis vector,
     then 20 seeded random unit combinations) and the first hit is validated
-    on holdout samples. Verdicts: "found" on holdout success, "inconclusive"
-    when training succeeds but holdout does not, "not_found" when the null
-    space is trivial or contains no invertible element.
+    on holdout samples. Verdicts: "found" when the holdout residual is at
+    most ``_RESIDUAL_TOL``, "inconclusive" when training succeeds but
+    holdout does not, "not_found" when the null space is trivial or contains
+    no invertible element.
     """
     if n_training < 3:
         raise ValidationError(f"need at least 3 training samples, got {n_training}")
     pairs, used, consumed = _collect_samples(s1, s2, n_training, 0)
-    hold_pairs, hold_used, _ = _collect_samples(s1, s2, n_holdout, consumed)
+    hold_pairs, hold_used, _ = _collect_samples(s1, s2, _N_HOLDOUT, consumed)
 
     n = pairs[0][0].shape[0]
     for a, b in pairs:
@@ -129,16 +135,11 @@ def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.
     for a, b in pairs:
         # vec(Pi A - B Pi) = (kron(I, A^T) - kron(B, I)) vec(Pi), row-major vec.
         rows.append(np.kron(eye, a.T) - np.kron(b, eye))
-    stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked)
-    smax = svals[0] if svals.size else 0.0
-    cutoff = null_rtol * max(1.0, smax)
-    rank = int(np.sum(svals > cutoff))
-    null_dim = n * n - rank
+    basis = null_space(np.vstack(rows), rtol=_NULL_RTOL).T
+    null_dim = len(basis)
     if null_dim == 0:
         return ConjugacyResult("not_found", None, None, 0,
                                tuple(used), tuple(hold_used))
-    basis = vh[rank:].conj()
 
     candidates = [basis[i] for i in range(null_dim)]
     rng = np.random.default_rng(_COMBINATION_SEED)
@@ -162,7 +163,7 @@ def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.
     residual = 0.0
     for (a, b), k in zip(hold_pairs, hold_used):
         residual = max(residual, float(np.linalg.norm(pi @ a - b @ pi)))
-    status = "found" if residual <= residual_tol else "inconclusive"
+    status = "found" if residual <= _RESIDUAL_TOL else "inconclusive"
     return ConjugacyResult(status, pi, residual, null_dim, tuple(used), tuple(hold_used))
 
 
@@ -177,25 +178,23 @@ def conjugation_residual(pi, s1, s2, ks) -> float:
     return out
 
 
-def isophasal_check(s1, s2, k_samples: Optional[Sequence[float]] = None,
-                    tol: float = 1e-9) -> Tuple[bool, float]:
-    """Equality of det S1(k) and det S2(k) on real samples.
+def isophasal_check(s1, s2) -> Tuple[bool, float]:
+    """Equality of det S1(k) and det S2(k), to ``_PHASE_TOL``, at the 64
+    evenly spaced real points ``_PHASE_KS`` in (0.1, 20].
 
     Both determinants lie on the unit circle for unitary S, so comparing the
     values directly is equivalent to comparing total phases modulo 2 pi and
-    avoids branch tracking. Defaults to 64 points in (0.1, 20].
+    avoids branch tracking.
     """
-    if k_samples is None:
-        k_samples = [0.1 + (20.0 - 0.1) * (j + 1) / 64 for j in range(64)]
     dev = 0.0
-    for k in k_samples:
+    for k in _PHASE_KS:
         try:
             d1 = complex(np.linalg.det(np.asarray(s1(k), dtype=complex)))
             d2 = complex(np.linalg.det(np.asarray(s2(k), dtype=complex)))
         except SingularInterior as exc:
             raise SampleAtSingularity(f"sample k = {k} hits a singular point") from exc
         dev = max(dev, abs(d1 - d2))
-    return dev <= tol, dev
+    return dev <= _PHASE_TOL, dev
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,10 @@ class PolePairing:
     max_distance: float
 
 
-def isopolar_check(p1: PoleSet, p2: PoleSet, match_tol: float = 1e-6,
-                   ) -> Tuple[bool, PolePairing]:
-    """Greedy nearest pairing of two pole sets from identical searches."""
-    if p1.window != p2.window or p1.options != p2.options:
-        raise WindowMismatch("pole sets come from different windows or scan parameters")
+def isopolar_check(p1: PoleSet, p2: PoleSet) -> Tuple[bool, PolePairing]:
+    """Greedy nearest pairing, within ``_MATCH_TOL``, of two pole sets over one window."""
+    if p1.window != p2.window:
+        raise WindowMismatch("pole sets come from different windows")
 
     ks1 = [p.k for p in p1.poles for _ in range(p.multiplicity)]
     ks2 = [p.k for p in p2.poles for _ in range(p.multiplicity)]
@@ -225,7 +223,7 @@ def isopolar_check(p1: PoleSet, p2: PoleSet, match_tol: float = 1e-6,
                 if best is None or d < best[0]:
                     best = (d, i, j)
         d, i, j = best
-        if d > match_tol:
+        if d > _MATCH_TOL:
             break
         matched.append((remaining1[i], remaining2[j], d))
         max_d = max(max_d, d)
@@ -250,15 +248,15 @@ class TransplantabilityReport:
 
 
 def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
-                              n_training: int = 6, *,
-                              pole_options: Optional[PoleSearchOptions] = None,
-                              ) -> TransplantabilityReport:
+                              n_training: int = 6) -> TransplantabilityReport:
     """Full pipeline: conjugator search, phase comparison, pole comparison.
 
     The verdict is "transplantable (numerical evidence)" when a conjugator
     is found, and "no transplantation on these lead sets" when the search
     fails or the pole sets differ. ``n_training`` is the number of
-    training samples of the conjugator search.
+    training samples of the conjugator search. The rest is fixed: the
+    constants ``_N_HOLDOUT``, ``_NULL_RTOL``, ``_RESIDUAL_TOL``, ``_PHASE_KS``,
+    ``_PHASE_TOL`` and ``_MATCH_TOL`` here, those of ``resonances`` for poles.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -271,9 +269,8 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
 
     conj = find_conjugator(s1, s2, n_training=n_training)
     phases_ok, dev = isophasal_check(s1, s2)
-    opts = pole_options if pole_options is not None else PoleSearchOptions()
-    poles1 = find_poles(og1, window, opts)
-    poles2 = find_poles(og2, window, opts)
+    poles1 = find_poles(og1, window)
+    poles2 = find_poles(og2, window)
     polar_ok, pairing = isopolar_check(poles1, poles2)
 
     warnings = []

@@ -45,6 +45,15 @@ from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import Assembly
 from .graph_core import LinearAB, OpenGraph
 
+_MIN_CELL = 1e-6  # cells this small are not split further
+_REFINE_CELL = 0.1  # cells this small go to Newton
+_DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
+_RESIDUAL_TOL = 1e-8  # largest |D| at an accepted Newton point
+_BOUNDARY_SAMPLES = 64  # initial samples of a cell side
+_MAX_RETRIES = 5  # contours tried per cell that meets a zero, see inflations()
+_JITTER = 1e-6  # relative inflation per retry
+_REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero reported on the real axis
+
 
 @dataclass(frozen=True)
 class Pole:
@@ -52,18 +61,6 @@ class Pole:
     multiplicity: int
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class PoleSearchOptions:
-    min_cell: float = 1e-6
-    refine_cell: float = 0.1
-    dedupe_radius: float = 1e-7
-    residual_tol: float = 1e-8
-    boundary_samples: int = 64
-    max_retries: int = 5
-    jitter: float = 1e-6
-    real_axis_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class PoleSet:
 
     poles: Tuple[Pole, ...]
     window: Rect
-    options: PoleSearchOptions
     real_axis_zeros: Tuple[Pole, ...] = ()
     upper_half_flagged: Tuple[complex, ...] = ()
     warnings: Tuple[str, ...] = ()
@@ -129,20 +125,22 @@ def _require_holomorphic(og: OpenGraph):
             )
 
 
-def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = None) -> PoleSet:
+def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     """Locate all zeros of the interior determinant inside the window.
+
+    The search is fixed by the module constants ``_MIN_CELL``,
+    ``_REFINE_CELL``, ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``,
+    ``_BOUNDARY_SAMPLES``, ``_MAX_RETRIES``, ``_JITTER`` and ``_REAL_AXIS_TOL``.
 
     Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
     finite on a contour (windows reaching far below the real axis).
     """
-    if opts is None:
-        opts = PoleSearchOptions()
     _require_holomorphic(og)
     asm = Assembly(og)
     warnings: list = []
 
     if asm.table.n_bonds == 0:
-        return PoleSet(poles=(), window=window, options=opts, warnings=())
+        return PoleSet(poles=(), window=window, warnings=())
 
     evaluations = 0
 
@@ -154,8 +152,8 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     # Bulk rotation rate of the determinant: the total directed-bond length.
     rate = asm.total_bond_length + 1.0
 
-    radii = list(itertools.accumulate(itertools.repeat(1.4, opts.max_retries - 1),
-                                      operator.mul, initial=max(10 * opts.dedupe_radius, 1e-6)))
+    radii = list(itertools.accumulate(itertools.repeat(1.4, _MAX_RETRIES - 1),
+                                      operator.mul, initial=max(10 * _DEDUPE_RADIUS, 1e-6)))
 
     def multiplicities(ks):
         """Winding of D on a small circle around each k, all wound together;
@@ -166,25 +164,25 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
                 for w in first_circle_windings(det, ks, [radii] * len(ks), rate_hint=rate)]
 
     def inflations(rect):
-        """The cell, then inflated by jitter x attempt x max(diameter, 1) per
+        """The cell, then inflated by _JITTER x attempt x max(diameter, 1) per
         retry. Inflation only grows cells, so a zero near a shared edge may be
         counted by two sibling cells but never lost; deduplication collapses
         doubles."""
-        for attempt in range(1, opts.max_retries + 1):
+        for attempt in range(1, _MAX_RETRIES + 1):
             yield rect
-            rect = rect.inflated(opts.jitter * max(rect.diameter, 1.0) * attempt)
+            rect = rect.inflated(_JITTER * max(rect.diameter, 1.0) * attempt)
 
     polished = []
     level = QuadLevel(window)
     while level.cells:
-        windings = level.wind(det, opts.boundary_samples, rate_hint=rate)
+        windings = level.wind(det, _BOUNDARY_SAMPLES, rate_hint=rate)
         # A cell whose contour met a zero takes the first of its inflations
         # that does not; the failed cells of the level retry together, one
         # call of rect_windings per round (an inflated contour shares no side
         # with another cell).
         failed = [i for i, w in enumerate(windings) if isinstance(w, str)]
         retried = dict(zip(failed, first_windings(
-            lambda rects: rect_windings(det, rects, opts.boundary_samples, rate_hint=rate),
+            lambda rects: rect_windings(det, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
             [inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
         split = []
         for i, (original, w) in enumerate(zip(level.cells, windings)):
@@ -198,14 +196,14 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
             if w < 0:
                 warnings.append(f"negative winding {w} over {original}; non-holomorphic input?")
                 continue
-            small = original.diameter <= opts.refine_cell
-            at_floor = original.diameter <= opts.min_cell
+            small = original.diameter <= _REFINE_CELL
+            at_floor = original.diameter <= _MIN_CELL
             if not (small or at_floor):
                 split.append(i)
                 continue
             k_star, iterations, inside = asm.newton(
                 cell.center, max_iter=80, tol=1e-12,
-                trust=10.0 * max(original.diameter, 10 * opts.min_cell),
+                trust=10.0 * max(original.diameter, 10 * _MIN_CELL),
             )
             residual = np.inf
             if inside:
@@ -213,7 +211,7 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
                 evaluations += 1
             ok = (
                 inside
-                and residual <= opts.residual_tol
+                and residual <= _RESIDUAL_TOL
                 and cell.inflated(original.diameter).contains(k_star)
             )
             if ok and w > 1 and not at_floor:
@@ -233,11 +231,11 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
                 )
         level = level.split(split)
 
-    # Deduplicate within the configured radius.
+    # Deduplicate within _DEDUPE_RADIUS.
     merged = []
     for k_star, residual, iterations in sorted(polished, key=lambda t: (t[0].real, t[0].imag)):
         for i, (km, rm, im_) in enumerate(merged):
-            if abs(k_star - km) <= opts.dedupe_radius:
+            if abs(k_star - km) <= _DEDUPE_RADIUS:
                 if residual < rm:
                     merged[i] = (k_star, residual, iterations)
                 break
@@ -256,7 +254,7 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
             warnings.append(f"refined point {k_star} shows no enclosed zero; dropped")
             continue
         record = Pole(k=k_star, multiplicity=mult, residual=residual, iterations=iterations)
-        if abs(k_star.imag) <= opts.real_axis_tol:
+        if abs(k_star.imag) <= _REAL_AXIS_TOL:
             real_axis.append(replace(record, k=complex(k_star.real, 0.0)))
             continue
         if not window.contains(k_star):
@@ -271,7 +269,6 @@ def find_poles(og: OpenGraph, window: Rect, opts: Optional[PoleSearchOptions] = 
     return PoleSet(
         poles=tuple(poles),
         window=window,
-        options=opts,
         real_axis_zeros=tuple(real_axis),
         upper_half_flagged=tuple(upper),
         warnings=tuple(warnings),

@@ -58,7 +58,6 @@ class FiniteGroup:
 
     elements: Tuple[str, ...]
     table: np.ndarray
-    generators: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         n = len(self.elements)
@@ -573,7 +572,7 @@ def _normalize_perm_mats(perm_mats, group: FiniteGroup):
     return mats
 
 
-def intertwiner_basis(perm_mats, rho: MatrixRep, *, rtol: float = 1e-10):
+def intertwiner_basis(perm_mats, rho: MatrixRep):
     """Basis of matrices Phi solving P(g) Phi = Phi rho(g^-1)^T for all g.
 
     The basis is canonicalized by reduced row echelon form of the solution
@@ -595,7 +594,7 @@ def intertwiner_basis(perm_mats, rho: MatrixRep, *, rtol: float = 1e-10):
     if not blocks:
         basis = np.eye(n_leads * n, dtype=complex)
     else:
-        basis = null_space(np.vstack(blocks), rtol=rtol)
+        basis = null_space(np.vstack(blocks))
     if basis.shape[1] == 0:
         return []
     canon = rref(basis.T, tol=1e-9)
@@ -638,6 +637,9 @@ def encoding_map(phis: Sequence[np.ndarray], v) -> EncodingMap:
     return EncodingMap(upsilon=upsilon, pseudo_inverse=pinv)
 
 
+_EQUIVARIANCE_TOL = 1e-10  # largest commutator defect or leak, Frobenius norm
+
+
 def _default_carrier(rho: MatrixRep, v):
     if v is None:
         v = np.zeros(rho.dim, dtype=complex)
@@ -646,11 +648,12 @@ def _default_carrier(rho: MatrixRep, v):
 
 
 def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None, *,
-                        k, tol: float = 1e-10) -> np.ndarray:
+                        k) -> np.ndarray:
     """Scattering matrix of the quotient system for an irreducible rho.
 
     Checks that the action matrices commute with S(k) and that the encoded
-    subspace is S-invariant before conjugating: Upsilon^+ S(k) Upsilon.
+    subspace is S-invariant, both to ``_EQUIVARIANCE_TOL`` in the Frobenius
+    norm, before conjugating: Upsilon^+ S(k) Upsilon.
     ``v`` defaults to the first carrier basis vector.
     """
     validate_action(og, act)
@@ -663,7 +666,7 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
     perm_mats = lead_permutation_matrices(act)
     for g, p in enumerate(perm_mats):
         defect = float(np.linalg.norm(p @ s - s @ p))
-        if defect > tol:
+        if defect > _EQUIVARIANCE_TOL:
             raise NotEquivariant(
                 f"S(k) does not commute with {act.group.elements[g]} "
                 f"(defect {defect:.3e}); the graph does not have this symmetry"
@@ -675,13 +678,12 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
     leak = float(np.linalg.norm(
         (np.eye(s.shape[0]) - enc.upsilon @ enc.pseudo_inverse) @ s @ enc.upsilon
     ))
-    if leak > tol:
+    if leak > _EQUIVARIANCE_TOL:
         raise NotEquivariant(f"S(k) leaks out of the encoded subspace (residual {leak:.3e})")
     return enc.pseudo_inverse @ s @ enc.upsilon
 
 
-def quotient_scattering_sum(og: OpenGraph, act: GraphAction, reps, *, k,
-                            tol: float = 1e-10) -> np.ndarray:
+def quotient_scattering_sum(og: OpenGraph, act: GraphAction, reps, *, k) -> np.ndarray:
     """Block-diagonal quotient for rho = direct sum of n_i copies of rho_i.
 
     ``reps`` lists (rho_i, n_i, v_i) with v_i = None for the default carrier
@@ -689,7 +691,7 @@ def quotient_scattering_sum(og: OpenGraph, act: GraphAction, reps, *, k,
     """
     blocks = []
     for rho_i, n_i, v_i in reps:
-        block = quotient_scattering(og, act, rho_i, v_i, k=k, tol=tol)
+        block = quotient_scattering(og, act, rho_i, v_i, k=k)
         blocks.extend([block] * int(n_i))
     return block_diag(blocks)
 

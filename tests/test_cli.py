@@ -254,6 +254,14 @@ def test_check_isoscattering_samples_is_training_count(capsys, tmp_path):
       "--symmetry", str(DATA_DIR / "s3_sym.json"), "--rep", "R_2d", "--v", "5",
       "--k", "1.0"],
      "v runs from 0 to 1"),
+    (["compute-s", "--graph", str(DATA_DIR / "s3_star.json"), "--k", "inf"],
+     "is not finite"),
+    (["quotient", "--graph", str(DATA_DIR / "s3_star.json"),
+      "--symmetry", str(DATA_DIR / "s3_sym.json"), "--rep", "R_2d", "--k", "nan"],
+     "is not finite"),
+    # S is finite here (max |S| = 2) but D(k) overflows to -inf + inf j
+    (["compute-s", "--graph", str(DATA_DIR / "mcdonald_meyers_1.json"), "--k", "1,-40"],
+     "D(k) = (-inf+infj) is not finite"),
 ])
 def test_bad_parameters_exit_1_with_error_line(capsys, argv, message):
     report, code = run_command(argv)

@@ -462,8 +462,9 @@ def test_log_derivative_of_k_dependent_conditions():
 def test_window_too_wide():
     g = build_graph([Vertex("a", Neumann()), Vertex("b", Neumann())],
                     [Edge("e", "a", "b", 1.0)])
-    with pytest.raises(WindowTooWide):
-        eigenvalues_compact(g, (0.1, 10.0), node_budget=10)
+    # the unit interval is scanned in steps of 0.01: 3.0M nodes, over the 2M budget
+    with pytest.raises(WindowTooWide, match="2999991 nodes"):
+        eigenvalues_compact(g, (0.1, 30000.0))
 
 
 def test_window_validation():

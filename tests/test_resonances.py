@@ -482,13 +482,14 @@ def test_window_centred_on_a_pole(monkeypatch):
     assert ps.warnings == ()
 
 
-def test_cell_whose_every_inflation_meets_a_zero_raises():
+def test_cell_whose_every_inflation_meets_a_zero_raises(monkeypatch):
     # with no jitter every inflation of a quadrant is the quadrant itself,
-    # so all max_retries contours through the pole fail
+    # so all _MAX_RETRIES contours through the pole fail
     pole = RESONATOR_POLES[0]
     h = 0.0625
     window = Rect(pole.real - h, pole.real + h, pole.imag - h, pole.imag + h)
-    opts = resonances.PoleSearchOptions(jitter=0.0, max_retries=3)
+    monkeypatch.setattr(resonances, "_JITTER", 0.0)
+    monkeypatch.setattr(resonances, "_MAX_RETRIES", 3)
     with pytest.raises(BoundaryZero, match=re.escape(
             f"contour through {window.quadrants()[0]} still hits zeros after 3 retries: ")):
-        find_poles(two_pendant_resonator(), window, opts)
+        find_poles(two_pendant_resonator(), window)
