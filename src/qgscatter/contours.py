@@ -77,6 +77,8 @@ class Rect:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValidationError(f"rectangle {self} has a bound that is not finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValidationError(f"degenerate rectangle {self}")
 

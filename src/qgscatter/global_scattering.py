@@ -253,14 +253,37 @@ class Assembly:
         return ScatteringEvaluation(k=k, s=s, interior_det=det)
 
 
+# The Assembly of the graph passed last to scattering_matrix, secular_value
+# or interior_determinant. One entry, so it holds at most one graph alive.
+_last_assembly = None
+
+
+def _assembly(og: OpenGraph) -> Assembly:
+    """The Assembly of ``og``: the previous call's when ``og`` is the same
+    object (compared with ``is``), else a new one that replaces it."""
+    global _last_assembly
+    asm = _last_assembly
+    if asm is None or asm.og is not og:
+        asm = Assembly(og)
+        _last_assembly = asm
+    return asm
+
+
 def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
     """Evaluate S(k) for an open graph.
 
     Raises :class:`SingularInterior` at real k where the interior system is
     singular (an exceptional point, e.g. a bound state decoupled from the
     leads); no regularized S is returned there.
+
+    A sweep over k of one graph object builds its :class:`Assembly` (bond
+    table, vertex rules, Sigma when constant) once: the Assembly of the
+    graph of the last call is kept and reused while the same object is
+    passed again. Only that one graph is held. T(k), Sigma(k) for
+    k-dependent conditions, the solve and the singularity test run on every
+    call, and S is a new array each time.
     """
-    return Assembly(og).scattering(k)
+    return _assembly(og).scattering(k)
 
 
 def secular_value(og: OpenGraph, k) -> complex:
@@ -272,11 +295,15 @@ def secular_value(og: OpenGraph, k) -> complex:
 
 def interior_determinant(og: OpenGraph, k) -> complex:
     """D(k) = det(I - Sigma_BB T(k)); holomorphic in k for k-independent
-    conditions, with resonance poles of S(k) at its zeros."""
+    conditions, with resonance poles of S(k) at its zeros.
+
+    Shares the one-graph Assembly memo of :func:`scattering_matrix`; the
+    determinant and its overflow check run on every call.
+    """
     k = complex(k)
     if k == 0:
         raise ZeroK("k must be nonzero")
-    return Assembly(og).interior_det(k)
+    return _assembly(og).interior_det(k)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +406,8 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
         k_min, k_max = window
     if not (0 < k_min < k_max):
         raise ValidationError(f"window must satisfy 0 < k_min < k_max, got ({k_min}, {k_max})")
+    if not math.isfinite(k_max):
+        raise ValidationError(f"window bound k_max = {k_max} is not finite")
 
     if not graph.edges:
         return SpectrumWindow(k_min, k_max, ())

@@ -39,7 +39,7 @@ from .errors import (
     NotSubgroup,
     ValidationError,
 )
-from .global_scattering import Assembly
+from .global_scattering import scattering_matrix
 from .graph_core import BondTable, OpenGraph, bond_table
 from .linalg import block_diag, null_space, orthonormalize_rows, rref
 
@@ -647,6 +647,26 @@ def _default_carrier(rho: MatrixRep, v):
     return np.asarray(v, dtype=complex).reshape(-1)
 
 
+# The set-up of the (graph, action) pair passed last to quotient_scattering:
+# (og, act, P(g) matrices, {(rho bytes, carrier bytes): EncodingMap or None}).
+# One entry, replaced whole, so it holds one graph alive. The encodings are
+# keyed by value, so an equal rho built afresh hits and no rho is kept; the
+# dict is emptied when it reaches _MAX_ENCODINGS (a sweep over carriers v).
+_last_quotient = (None, None, (), {})
+_MAX_ENCODINGS = 32
+
+
+def _quotient_setup(og: OpenGraph, act: GraphAction):
+    """P(g) and the encodings cache of the pair, validated once per pair."""
+    global _last_quotient
+    last_og, last_act, perm_mats, encodings = _last_quotient
+    if last_og is not og or last_act is not act:
+        validate_action(og, act)
+        perm_mats, encodings = lead_permutation_matrices(act), {}
+        _last_quotient = (og, act, perm_mats, encodings)
+    return perm_mats, encodings
+
+
 def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None, *,
                         k) -> np.ndarray:
     """Scattering matrix of the quotient system for an irreducible rho.
@@ -655,15 +675,26 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
     subspace is S-invariant, both to ``_EQUIVARIANCE_TOL`` in the Frobenius
     norm, before conjugating: Upsilon^+ S(k) Upsilon.
     ``v`` defaults to the first carrier basis vector.
+
+    A sweep over k builds its set-up once. The validated action and its
+    P(g) are kept for the (og, act) pair of the last call (both compared
+    with ``is``), and with them the Phi basis and encoding of each (rho, v)
+    used with that pair, keyed by the values of rho's matrices and v (up to
+    ``_MAX_ENCODINGS`` of them); a new pair replaces them, so this memo holds
+    one graph. S(k) comes from :func:`scattering_matrix`, whose own memo
+    keeps the Assembly of its last graph, so at most two graphs are held. Nothing that raised is kept: an invalid
+    action, a reducible rho or dependent columns raise on every call. The
+    commutator and leak checks run on every call.
     """
-    validate_action(og, act)
-    if not rho.is_irreducible():
+    perm_mats, encodings = _quotient_setup(og, act)
+    carrier = _default_carrier(rho, v)
+    key = (b"".join(m.tobytes() for m in rho.matrices), carrier.tobytes())
+    if key not in encodings and not rho.is_irreducible():
         raise NotIrreducible(
             "quotient_scattering needs an irreducible representation; "
             "decompose and use quotient_scattering_sum"
         )
-    s = Assembly(og).scattering(k).s
-    perm_mats = lead_permutation_matrices(act)
+    s = scattering_matrix(og, k).s
     for g, p in enumerate(perm_mats):
         defect = float(np.linalg.norm(p @ s - s @ p))
         if defect > _EQUIVARIANCE_TOL:
@@ -671,10 +702,14 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
                 f"S(k) does not commute with {act.group.elements[g]} "
                 f"(defect {defect:.3e}); the graph does not have this symmetry"
             )
-    phis = intertwiner_basis(perm_mats, rho)
-    if not phis:
+    if key not in encodings:
+        if len(encodings) >= _MAX_ENCODINGS:
+            encodings.clear()
+        phis = intertwiner_basis(perm_mats, rho)
+        encodings[key] = encoding_map(phis, carrier) if phis else None
+    enc = encodings[key]
+    if enc is None:
         return np.zeros((0, 0), dtype=complex)
-    enc = encoding_map(phis, _default_carrier(rho, v))
     leak = float(np.linalg.norm(
         (np.eye(s.shape[0]) - enc.upsilon @ enc.pseudo_inverse) @ s @ enc.upsilon
     ))
@@ -688,6 +723,9 @@ def quotient_scattering_sum(og: OpenGraph, act: GraphAction, reps, *, k) -> np.n
 
     ``reps`` lists (rho_i, n_i, v_i) with v_i = None for the default carrier
     vector; block order follows the input, each block repeated n_i times.
+    Each block is one :func:`quotient_scattering` call, so a sweep over k
+    reuses the validated action and every rho_i's encoding, and runs the
+    commutator and leak checks per block and k.
     """
     blocks = []
     for rho_i, n_i, v_i in reps:

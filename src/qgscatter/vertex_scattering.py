@@ -42,7 +42,7 @@ class VertexSigma:
         if self.constant is not None:
             return self.constant
         a, b = self.ab
-        return ab_to_sigma(a, b, k)
+        return _ab_solve(a, b, k)
 
     @property
     def is_constant(self) -> bool:
@@ -101,6 +101,12 @@ def ab_to_sigma(a, b, k, *, check_self_adjoint: bool = False) -> np.ndarray:
         defect = hermitian_defect(a @ b.conj().T)
         if defect > 1e-10 * max(1.0, float(np.abs(a).max() * np.abs(b).max())):
             raise NotSelfAdjoint(f"A B^dagger deviates from Hermitian by {defect:.3e}")
+    return _ab_solve(a, b, k)
+
+
+def _ab_solve(a, b, k) -> np.ndarray:
+    """The per-k part of :func:`ab_to_sigma`, for complex A and B whose
+    [A|B] is already known to have full row rank."""
     k = complex(k)
     m = a + 1j * k * b
     scale = max(1.0, float(np.abs(m).max()))

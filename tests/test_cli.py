@@ -262,6 +262,12 @@ def test_check_isoscattering_samples_is_training_count(capsys, tmp_path):
     # S is finite here (max |S| = 2) but D(k) overflows to -inf + inf j
     (["compute-s", "--graph", str(DATA_DIR / "mcdonald_meyers_1.json"), "--k", "1,-40"],
      "D(k) = (-inf+infj) is not finite"),
+    (["eigenvalues", "--graph", str(DATA_DIR / "s3_star.json"), "--kmin", "1",
+      "--kmax", "inf"],
+     "k_max = inf is not finite"),
+    (["poles", "--graph", str(DATA_DIR / "mcdonald_meyers_1.json"), "--re-min", "0",
+      "--re-max", "inf", "--im-min", "-1", "--im-max", "0"],
+     "has a bound that is not finite"),
 ])
 def test_bad_parameters_exit_1_with_error_line(capsys, argv, message):
     report, code = run_command(argv)
@@ -269,6 +275,20 @@ def test_bad_parameters_exit_1_with_error_line(capsys, argv, message):
     assert report is None and code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    import os
+    import subprocess
+    import sys
+
+    argv = ["compute-s", "--graph", str(DATA_DIR / "s3_star.json"), "--k", "1.0"]
+    env = dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "qgscatter", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    _, out = run_json(capsys, argv)
+    assert done.stdout == out
 
 
 def test_usage_errors():

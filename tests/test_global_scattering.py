@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from qgscatter.cli import parse_graph_file
-from qgscatter.errors import SingularInterior, ValidationError, WindowTooWide, ZeroK
+from qgscatter.errors import (
+    InvalidDegree,
+    SingularInterior,
+    ValidationError,
+    WindowTooWide,
+    ZeroK,
+)
 from qgscatter.global_scattering import (
     Assembly,
     eigenvalues_compact,
@@ -400,13 +406,13 @@ def test_secular_function_builds_each_vertex_matrix_once_per_k(monkeypatch):
 
     sec = _RealSecular(Assembly(OpenGraph(robin_interval(), ())))
     calls = []
-    ab_to_sigma = vertex_scattering.ab_to_sigma
+    ab_solve = vertex_scattering._ab_solve
 
-    def counting(a, b, k, **kwargs):
+    def counting(a, b, k):
         calls.append(k)
-        return ab_to_sigma(a, b, k, **kwargs)
+        return ab_solve(a, b, k)
 
-    monkeypatch.setattr(vertex_scattering, "ab_to_sigma", counting)
+    monkeypatch.setattr(vertex_scattering, "_ab_solve", counting)
     r = sec.value(2.0)
     assert calls == [2.0]
     ks = np.linspace(0.5, 9.5, 10)
@@ -474,9 +480,84 @@ def test_window_validation():
         eigenvalues_compact(g, (5.0, 1.0))
     with pytest.raises(ValidationError):
         eigenvalues_compact(g, (-1.0, 1.0))
+    with pytest.raises(ValidationError, match="not finite"):
+        eigenvalues_compact(g, (1.0, float("inf")))
 
 
 def test_edgeless_graph_has_empty_spectrum():
     g = build_graph([Vertex("a", Neumann())], [], pending_leads={"a": 1})
     win = eigenvalues_compact(g, (0.5, 5.0))
     assert win.eigenvalues == ()
+
+
+# ---------------------------------------------------------------------------
+# the one-graph Assembly memo of the per-k entry points
+# ---------------------------------------------------------------------------
+
+def counted_assembly(monkeypatch):
+    """Count the Assembly constructions of the per-k entry points."""
+    from qgscatter import global_scattering
+
+    built = []
+
+    class Counting(Assembly):
+        def __init__(self, og):
+            built.append(og)
+            super().__init__(og)
+
+    monkeypatch.setattr(global_scattering, "Assembly", Counting)
+    return built
+
+
+def test_k_sweep_builds_one_assembly(monkeypatch):
+    rng = np.random.default_rng(77)
+    og = random_open_graph(rng, max_edges=8, max_leads=3)
+    ks = list(np.linspace(0.4, 11.0, 30)) + [complex(x, -0.2) for x in np.linspace(1, 9, 10)]
+    fresh = [Assembly(og).scattering(k).s for k in ks]
+    built = counted_assembly(monkeypatch)
+    got = [scattering_matrix(og, k).s for k in ks]
+    assert len(built) == 1 and built[0] is og
+    assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+    # the other per-k entry points share the entry
+    assert interior_determinant(og, 2.5) == Assembly(og).interior_det(2.5)
+    secular_value(og, 2.5)
+    assert len(built) == 1
+
+
+def test_alternating_graphs_each_get_their_own_s():
+    og = star_open_graph(3, DFT())
+    perm = [2, 0, 1]
+    other = og.with_lead_order(perm)
+    p = np.eye(3)[perm]
+    for k in (0.7, 1.9, 2.5 - 0.1j, 4.0):
+        s = scattering_matrix(og, k).s
+        s_other = scattering_matrix(other, k).s
+        assert np.array_equal(s, Assembly(og).scattering(k).s)
+        assert np.array_equal(s_other, Assembly(other).scattering(k).s)
+        assert not np.array_equal(s, s_other)
+        np.testing.assert_allclose(s_other, p @ s @ p.T, atol=1e-12)
+
+
+def test_memo_holds_only_the_last_graph():
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(5)
+    first = random_open_graph(rng, max_edges=5, max_leads=2)
+    scattering_matrix(first, 1.3)
+    ref = weakref.ref(first)
+    scattering_matrix(random_open_graph(rng, max_edges=5, max_leads=2), 1.3)
+    del first
+    gc.collect()
+    assert ref() is None
+
+
+def test_failed_assembly_is_not_kept(monkeypatch):
+    # built around the graph validation: a degree-3 DFT vertex with two leads
+    g = build_graph([Vertex("c", DFT(degree=3))], [], pending_leads={"c": 3})
+    bad = OpenGraph(g, attach_leads(g, ["c"] * 3).leads[:2])
+    built = counted_assembly(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InvalidDegree):
+            scattering_matrix(bad, 1.0)
+    assert len(built) == 2

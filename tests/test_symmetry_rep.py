@@ -409,3 +409,113 @@ def test_secular_consistency_of_isospectral_quotients():
         d1 = np.linalg.det(np.eye(3) - q1)
         d2 = np.linalg.det(np.eye(3) - q2)
         assert abs(d1) <= 1e-12 and abs(d2) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one-pair set-up memo of quotient_scattering
+# ---------------------------------------------------------------------------
+
+def test_quotient_sum_sweep_validates_once_and_matches_fresh_blocks(monkeypatch):
+    from qgscatter import symmetry_rep
+    from qgscatter.global_scattering import Assembly
+
+    rng = np.random.default_rng(11)
+    og, act = pinwheel(rng, 4, True)
+    reps = [trivial_rep(act.group),
+            MatrixRep(act.group, tuple(np.array([[1j ** j]]) for j in range(4)))]
+    validated = []
+    validate = symmetry_rep.validate_action
+
+    def counting(og, act):
+        validated.append(act)
+        return validate(og, act)
+
+    monkeypatch.setattr(symmetry_rep, "validate_action", counting)
+    encodings = [encoding_map(intertwiner_basis(lead_permutation_matrices(act), rho), [1.0])
+                 for rho in reps]
+    for k in (0.9, 2.3, 4.1, 6.6 - 0.2j, 7.5):
+        q = quotient_scattering_sum(og, act, [(rho, 1, None) for rho in reps], k=k)
+        s = Assembly(og).scattering(k).s
+        fresh = [enc.pseudo_inverse @ s @ enc.upsilon for enc in encodings]
+        assert np.array_equal(q, np.diag([b[0, 0] for b in fresh]))
+        for rho, block in zip(reps, fresh):
+            assert np.array_equal(quotient_scattering(og, act, rho, None, k=k), block)
+    assert validated == [act]
+
+
+def test_quotient_failures_are_not_kept():
+    og, act, rho = s3_star_action()
+    bad = np.array(act.lead_perm, copy=True)
+    bad[1] = [0, 0, 5, 4, 3, 2]
+    invalid = GraphAction(act.group, bad)
+    reducible = MatrixRep(act.group, lead_permutation_matrices(act))
+    for _ in range(2):
+        with pytest.raises(NotHomomorphism):
+            quotient_scattering(og, invalid, rho, None, k=1.0)
+    quotient_scattering(og, act, rho, None, k=1.0)
+    for _ in range(2):
+        with pytest.raises(NotIrreducible):
+            quotient_scattering(og, act, reducible, None, k=1.0)
+        with pytest.raises(DependentColumns):
+            quotient_scattering(og, act, rho, [0.0, 0.0], k=1.0)
+        with pytest.raises(NotHomomorphism):
+            quotient_scattering(og, invalid, rho, None, k=1.0)
+
+
+def test_quotient_memo_follows_the_graph():
+    # a second graph with the same action gets its own S, then the first again
+    og, act, rho = s3_star_action()
+    other = star_open_graph(6, condition=DFT())
+    expected = quotient_scattering(og, act, rho, None, k=1.0)
+    with pytest.raises(NotEquivariant):
+        quotient_scattering(other, act, rho, None, k=1.0)
+    assert np.array_equal(quotient_scattering(og, act, rho, None, k=1.0), expected)
+
+
+def test_equal_reps_built_afresh_share_one_encoding():
+    import gc
+    import weakref
+
+    from qgscatter import symmetry_rep
+
+    og, act, rho = s3_star_action()
+    expected = [quotient_scattering(og, act, trivial_rep(act.group), None, k=k)
+                for k in (0.7, 1.9)]
+    for k in np.linspace(0.5, 6.0, 40):
+        fresh = trivial_rep(act.group)
+        quotient_scattering(og, act, fresh, None, k=k)
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
+    assert len(symmetry_rep._last_quotient[3]) == 1
+    for k, q in zip((0.7, 1.9), expected):
+        assert np.array_equal(quotient_scattering(og, act, trivial_rep(act.group), None, k=k), q)
+
+
+def test_carrier_sweep_keeps_a_bounded_encodings_dict():
+    from qgscatter import symmetry_rep
+
+    og, act, rho = s3_star_action()
+    limit = symmetry_rep._MAX_ENCODINGS
+    for t in np.linspace(0.1, 3.0, 2 * limit + 5):
+        v = [1.0, t]
+        q = quotient_scattering(og, act, rho, v, k=1.3)
+        enc = encoding_map(intertwiner_basis(lead_permutation_matrices(act), rho), v)
+        fresh = enc.pseudo_inverse @ scattering_matrix(og, 1.3).s @ enc.upsilon
+        assert np.array_equal(q, fresh)
+        assert len(symmetry_rep._last_quotient[3]) <= limit
+
+
+def test_quotient_memo_holds_only_the_last_pair():
+    import gc
+    import weakref
+
+    og, act, rho = s3_star_action()
+    quotient_scattering(og, act, rho, None, k=1.0)
+    ref = weakref.ref(og)
+    other, other_act, other_rho = s3_star_action()
+    quotient_scattering(other, other_act, other_rho, None, k=1.0)
+    del og, act
+    gc.collect()
+    assert ref() is None
