@@ -45,7 +45,6 @@ from .symmetry_rep import (
     SubgroupEmbedding,
     characters_equal,
     induced_character,
-    quotient_scattering,
     quotient_scattering_sum,
     subgroup,
 )
@@ -543,17 +542,12 @@ def _cmd_quotient(args) -> RunReport:
         v[args.v] = 1.0
         return v
 
-    if len(names) == 1:
-        action, rho = spec.resolve(names[0])
-        matrix = quotient_scattering(og, action, rho, carrier(rho), k=k)
-    else:
-        resolved = [spec.resolve(n) for n in names]
-        if len({tuple(a.group.elements) for a, _ in resolved}) != 1:
-            raise ParseError("direct sums must combine representations of one group")
-        action = resolved[0][0]
-        matrix = quotient_scattering_sum(
-            og, action, [(rho, 1, carrier(rho)) for _, rho in resolved], k=k
-        )
+    resolved = [spec.resolve(n) for n in names]
+    if len({tuple(a.group.elements) for a, _ in resolved}) != 1:
+        raise ParseError("direct sums must combine representations of one group")
+    matrix = quotient_scattering_sum(
+        og, resolved[0][0], [(rho, 1, carrier(rho)) for _, rho in resolved], k=k
+    )
     return RunReport(
         command="quotient",
         inputs={"graph": _digest(args.graph), "symmetry": _digest(args.symmetry)},

@@ -23,6 +23,7 @@ element "apply j, then i".
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -403,7 +404,6 @@ class GraphAction:
 @dataclass(frozen=True)
 class ActionReport:
     ok: bool
-    vertex_maps: Tuple[Tuple[str, ...], ...] = ()
 
 
 def _matrix_condition_payload(cond):
@@ -471,7 +471,6 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
 
     edges = sorted(og.graph.edges, key=lambda e: e.id)
     table = None  # built when a matrix-valued condition needs its channels
-    vertex_maps = []
     for g in range(group.order):
         vmap = {}
 
@@ -537,9 +536,8 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
                         f"element {group.elements[g]}: condition matrix at {v_to!r} "
                         f"is not the relabeled matrix of {v_from!r}"
                     )
-        vertex_maps.append(tuple(f"{a}->{b}" for a, b in sorted(vmap.items())))
 
-    return ActionReport(ok=True, vertex_maps=tuple(vertex_maps))
+    return ActionReport(ok=True)
 
 
 def lead_permutation_matrices(act: GraphAction) -> Tuple[np.ndarray, ...]:
@@ -563,17 +561,9 @@ def lead_permutation_matrices(act: GraphAction) -> Tuple[np.ndarray, ...]:
 # intertwiners, encodings, quotients
 # ---------------------------------------------------------------------------
 
-def _normalize_perm_mats(perm_mats, group: FiniteGroup):
-    if isinstance(perm_mats, Mapping):
-        return [np.asarray(perm_mats[e], dtype=complex) for e in group.elements]
-    mats = [np.asarray(m, dtype=complex) for m in perm_mats]
-    if len(mats) != group.order:
-        raise ValidationError("need one permutation matrix per group element")
-    return mats
-
-
-def intertwiner_basis(perm_mats, rho: MatrixRep):
-    """Basis of matrices Phi solving P(g) Phi = Phi rho(g^-1)^T for all g.
+def intertwiner_basis(perm_mats: Sequence[np.ndarray], rho: MatrixRep):
+    """Basis of matrices Phi solving P(g) Phi = Phi rho(g^-1)^T for all g,
+    given P(g) as returned by :func:`lead_permutation_matrices`.
 
     The basis is canonicalized by reduced row echelon form of the solution
     space (so identical inputs give identical bases) and then orthonormalized
@@ -581,8 +571,9 @@ def intertwiner_basis(perm_mats, rho: MatrixRep):
     valid result when the representation does not occur.
     """
     group = rho.group
-    mats = _normalize_perm_mats(perm_mats, group)
-    n_leads = mats[0].shape[0]
+    if len(perm_mats) != group.order:
+        raise ValidationError("need one permutation matrix per group element")
+    n_leads = perm_mats[0].shape[0]
     n = rho.dim
 
     blocks = []
@@ -590,7 +581,7 @@ def intertwiner_basis(perm_mats, rho: MatrixRep):
     eye_l = np.eye(n_leads)
     for g in range(1, group.order):
         m_t = rho.matrix(group.inverse(g))  # equals M(g)^T for M(g) = rho(g^-1)^T
-        blocks.append(np.kron(mats[g], eye_n) - np.kron(eye_l, m_t))
+        blocks.append(np.kron(perm_mats[g], eye_n) - np.kron(eye_l, m_t))
     if not blocks:
         basis = np.eye(n_leads * n, dtype=complex)
     else:
@@ -640,14 +631,7 @@ def encoding_map(phis: Sequence[np.ndarray], v) -> EncodingMap:
 _EQUIVARIANCE_TOL = 1e-10  # largest commutator defect or leak, Frobenius norm
 
 
-def _default_carrier(rho: MatrixRep, v):
-    if v is None:
-        v = np.zeros(rho.dim, dtype=complex)
-        v[0] = 1.0
-    return np.asarray(v, dtype=complex).reshape(-1)
-
-
-# The set-up of the (graph, action) pair passed last to quotient_scattering:
+# The set-up of the (graph, action) pair passed last to a quotient:
 # (og, act, P(g) matrices, {(rho bytes, carrier bytes): EncodingMap or None}).
 # One entry, replaced whole, so it holds one graph alive. The encodings are
 # keyed by value, so an equal rho built afresh hits and no rho is kept; the
@@ -667,33 +651,24 @@ def _quotient_setup(og: OpenGraph, act: GraphAction):
     return perm_mats, encodings
 
 
-def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None, *,
-                        k) -> np.ndarray:
-    """Scattering matrix of the quotient system for an irreducible rho.
-
-    Checks that the action matrices commute with S(k) and that the encoded
-    subspace is S-invariant, both to ``_EQUIVARIANCE_TOL`` in the Frobenius
-    norm, before conjugating: Upsilon^+ S(k) Upsilon.
-    ``v`` defaults to the first carrier basis vector.
-
-    A sweep over k builds its set-up once. The validated action and its
-    P(g) are kept for the (og, act) pair of the last call (both compared
-    with ``is``), and with them the Phi basis and encoding of each (rho, v)
-    used with that pair, keyed by the values of rho's matrices and v (up to
-    ``_MAX_ENCODINGS`` of them); a new pair replaces them, so this memo holds
-    one graph. S(k) comes from :func:`scattering_matrix`, whose own memo
-    keeps the Assembly of its last graph, so at most two graphs are held. Nothing that raised is kept: an invalid
-    action, a reducible rho or dependent columns raise on every call. The
-    commutator and leak checks run on every call.
-    """
+def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
+    """Upsilon_i^+ S(k) Upsilon_i for each (rho_i, v_i) of ``terms``, in order,
+    all from one S(k) and one commutator check."""
     perm_mats, encodings = _quotient_setup(og, act)
-    carrier = _default_carrier(rho, v)
-    key = (b"".join(m.tobytes() for m in rho.matrices), carrier.tobytes())
-    if key not in encodings and not rho.is_irreducible():
-        raise NotIrreducible(
-            "quotient_scattering needs an irreducible representation; "
-            "decompose and use quotient_scattering_sum"
-        )
+    keyed = []
+    for rho, v in terms:
+        carrier = (np.eye(rho.dim, dtype=complex)[0] if v is None
+                   else np.asarray(v, dtype=complex).reshape(-1))
+        if carrier.size != rho.dim:
+            raise ValidationError(f"carrier v has length {carrier.size}, but the "
+                                  f"representation has dimension {rho.dim}")
+        key = (b"".join(m.tobytes() for m in rho.matrices), carrier.tobytes())
+        if key not in encodings and not rho.is_irreducible():
+            raise NotIrreducible(
+                "a quotient needs irreducible representations; "
+                "decompose and use quotient_scattering_sum"
+            )
+        keyed.append((rho, carrier, key))
     s = scattering_matrix(og, k).s
     for g, p in enumerate(perm_mats):
         defect = float(np.linalg.norm(p @ s - s @ p))
@@ -702,36 +677,63 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
                 f"S(k) does not commute with {act.group.elements[g]} "
                 f"(defect {defect:.3e}); the graph does not have this symmetry"
             )
-    if key not in encodings:
-        if len(encodings) >= _MAX_ENCODINGS:
-            encodings.clear()
-        phis = intertwiner_basis(perm_mats, rho)
-        encodings[key] = encoding_map(phis, carrier) if phis else None
-    enc = encodings[key]
-    if enc is None:
-        return np.zeros((0, 0), dtype=complex)
-    leak = float(np.linalg.norm(
-        (np.eye(s.shape[0]) - enc.upsilon @ enc.pseudo_inverse) @ s @ enc.upsilon
-    ))
-    if leak > _EQUIVARIANCE_TOL:
-        raise NotEquivariant(f"S(k) leaks out of the encoded subspace (residual {leak:.3e})")
-    return enc.pseudo_inverse @ s @ enc.upsilon
+    blocks = []
+    for rho, carrier, key in keyed:
+        if key in encodings:
+            enc = encodings[key]
+        else:
+            if len(encodings) >= _MAX_ENCODINGS:
+                encodings.clear()
+            phis = intertwiner_basis(perm_mats, rho)
+            enc = encodings[key] = encoding_map(phis, carrier) if phis else None
+        if enc is None:
+            blocks.append(np.zeros((0, 0), dtype=complex))
+            continue
+        leak = float(np.linalg.norm(
+            (np.eye(s.shape[0]) - enc.upsilon @ enc.pseudo_inverse) @ s @ enc.upsilon
+        ))
+        if leak > _EQUIVARIANCE_TOL:
+            raise NotEquivariant(f"S(k) leaks out of the encoded subspace (residual {leak:.3e})")
+        blocks.append(enc.pseudo_inverse @ s @ enc.upsilon)
+    return blocks
+
+
+def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None, *,
+                        k) -> np.ndarray:
+    """Scattering matrix of the quotient system for an irreducible rho.
+
+    Checks that the action matrices commute with S(k) and that the encoded
+    subspace is S-invariant, both to ``_EQUIVARIANCE_TOL`` in the Frobenius
+    norm, before conjugating: Upsilon^+ S(k) Upsilon.
+    ``v`` defaults to the first carrier basis vector and must have length
+    dim rho. This is the one-term :func:`quotient_scattering_sum`.
+
+    A sweep over k builds its set-up once: the validated action, its P(g)
+    and the encoding of each (rho, v) are kept for the last (og, act) pair
+    (compared with ``is``), keyed by the values of rho's matrices and v (up
+    to ``_MAX_ENCODINGS`` of them). S(k) comes from :func:`scattering_matrix`,
+    whose memo keeps the Assembly of its last graph, so at most two graphs
+    are held. Nothing that raised is kept, and the commutator and leak
+    checks run on every call.
+    """
+    return _quotient_blocks(og, act, [(rho, v)], k)[0]
 
 
 def quotient_scattering_sum(og: OpenGraph, act: GraphAction, reps, *, k) -> np.ndarray:
     """Block-diagonal quotient for rho = direct sum of n_i copies of rho_i.
 
-    ``reps`` lists (rho_i, n_i, v_i) with v_i = None for the default carrier
-    vector; block order follows the input, each block repeated n_i times.
-    Each block is one :func:`quotient_scattering` call, so a sweep over k
-    reuses the validated action and every rho_i's encoding, and runs the
-    commutator and leak checks per block and k.
+    ``reps`` lists (rho_i, n_i, v_i), with n_i an integer >= 1 and v_i = None
+    for the default carrier vector; block order follows the input, each
+    block repeated n_i times. All blocks come from one S(k) and one
+    commutator check, so a sweep over k solves S(k) once per k. The set-up
+    memo is that of :func:`quotient_scattering`.
     """
-    blocks = []
-    for rho_i, n_i, v_i in reps:
-        block = quotient_scattering(og, act, rho_i, v_i, k=k)
-        blocks.extend([block] * int(n_i))
-    return block_diag(blocks)
+    reps = list(reps)
+    for _, n_i, _ in reps:
+        if not isinstance(n_i, numbers.Integral) or n_i < 1:
+            raise ValidationError(f"multiplicity n_i = {n_i!r} is not an integer >= 1")
+    blocks = _quotient_blocks(og, act, [(rho_i, v_i) for rho_i, _, v_i in reps], k)
+    return block_diag([b for b, (_, n_i, _) in zip(blocks, reps) for _ in range(n_i)])
 
 
 def permutation_character(act: GraphAction) -> ClassFunction:

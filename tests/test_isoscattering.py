@@ -1,13 +1,18 @@
 """Conjugacy search, phase and pole comparisons, transplantability verdicts."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from qgscatter.cli import parse_graph_file, run_command
 from qgscatter.contours import Rect
-from qgscatter.errors import DimensionMismatch, WindowMismatch
+from qgscatter.errors import DimensionMismatch, SampleAtSingularity, WindowMismatch
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import Dirichlet, Neumann, Vertex, attach_leads, build_graph
 from qgscatter.isoscattering import (
+    _PHASE_KS,
     conjugation_residual,
     find_conjugator,
     isophasal_check,
@@ -199,3 +204,29 @@ def test_found_stable_under_more_samples():
     double = find_conjugator(s1, s2, n_training=12)
     assert base.found and double.found
     assert double.solution_dim <= base.solution_dim
+
+
+def test_phase_sample_at_a_bound_state_raises(tmp_path, capsys):
+    # a Dirichlet interval apart from the lead has a bound state at the first
+    # phase sample, where the interior system is singular
+    doc = {
+        "vertices": [{"id": "c", "condition": {"type": "neumann"}},
+                     {"id": "a", "condition": {"type": "dirichlet"}},
+                     {"id": "b", "condition": {"type": "dirichlet"}}],
+        "edges": [{"id": "e", "from": "a", "to": "b", "length": math.pi / _PHASE_KS[0]}],
+        "leads": [{"id": "l", "at": "c"}],
+    }
+    path = tmp_path / "bound_state.json"
+    path.write_text(json.dumps(doc))
+    og = parse_graph_file(path)
+    asm = Assembly(og)
+    s = lambda k: asm.scattering(k).s
+    with pytest.raises(SampleAtSingularity):
+        isophasal_check(s, s)
+    with pytest.raises(SampleAtSingularity):
+        transplantability_verdict(og, og, Rect(0.5, 1.0, -1.0, 0.0))
+    report, code = run_command(["check-isoscattering", "--graph1", str(path),
+                                "--graph2", str(path)])
+    captured = capsys.readouterr()
+    assert report is None and code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "hits a singular point" in captured.err

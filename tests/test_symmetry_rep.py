@@ -422,22 +422,32 @@ def test_quotient_sum_sweep_validates_once_and_matches_fresh_blocks(monkeypatch)
     rng = np.random.default_rng(11)
     og, act = pinwheel(rng, 4, True)
     reps = [trivial_rep(act.group),
-            MatrixRep(act.group, tuple(np.array([[1j ** j]]) for j in range(4)))]
-    validated = []
-    validate = symmetry_rep.validate_action
+            MatrixRep(act.group, tuple(np.array([[1j ** j]]) for j in range(4))),
+            MatrixRep(act.group, tuple(np.array([[(-1) ** j]]) for j in range(4)))]
+    counts = [1, 1, 2]
+    validated, solved = [], []
+    validate, scattering = symmetry_rep.validate_action, Assembly.scattering
 
     def counting(og, act):
         validated.append(act)
         return validate(og, act)
 
+    def counting_scattering(self, *args, **kwargs):
+        solved.append(args)
+        return scattering(self, *args, **kwargs)
+
     monkeypatch.setattr(symmetry_rep, "validate_action", counting)
+    monkeypatch.setattr(Assembly, "scattering", counting_scattering)
     encodings = [encoding_map(intertwiner_basis(lead_permutation_matrices(act), rho), [1.0])
                  for rho in reps]
     for k in (0.9, 2.3, 4.1, 6.6 - 0.2j, 7.5):
-        q = quotient_scattering_sum(og, act, [(rho, 1, None) for rho in reps], k=k)
+        before = len(solved)
+        q = quotient_scattering_sum(og, act, list(zip(reps, counts, [None] * 3)), k=k)
+        assert len(solved) == before + 1  # one S(k) for all terms
         s = Assembly(og).scattering(k).s
         fresh = [enc.pseudo_inverse @ s @ enc.upsilon for enc in encodings]
-        assert np.array_equal(q, np.diag([b[0, 0] for b in fresh]))
+        assert np.array_equal(q, np.diag([b[0, 0] for b, n in zip(fresh, counts)
+                                          for _ in range(n)]))
         for rho, block in zip(reps, fresh):
             assert np.array_equal(quotient_scattering(og, act, rho, None, k=k), block)
     assert validated == [act]
@@ -458,6 +468,11 @@ def test_quotient_failures_are_not_kept():
             quotient_scattering(og, act, reducible, None, k=1.0)
         with pytest.raises(DependentColumns):
             quotient_scattering(og, act, rho, [0.0, 0.0], k=1.0)
+        with pytest.raises(ValidationError, match="length 3.*dimension 2"):
+            quotient_scattering(og, act, rho, [1.0, 0.0, 0.0], k=1.0)
+        for n_i in (-1, 0, 1.7):
+            with pytest.raises(ValidationError, match="not an integer >= 1"):
+                quotient_scattering_sum(og, act, [(rho, n_i, None)], k=1.0)
         with pytest.raises(NotHomomorphism):
             quotient_scattering(og, invalid, rho, None, k=1.0)
 
