@@ -18,7 +18,6 @@ eigenvalues.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,50 +106,45 @@ class Assembly:
                 flat += [c_out * n + c_in for c_in in ins]
         self._flat = np.array(flat, dtype=np.intp)
         self.k_independent = all(r.is_constant for r in self._rules)
-        self._sigma = self._assemble(self._blocks(1.0)) if self.k_independent else None
+        self._sigma = self._assemble(1.0) if self.k_independent else None
 
-    def _blocks(self, k):
-        """The vertex matrices sigma_v(k), in vertex order."""
-        return [rule(k) for rule in self._rules]
-
-    def _assemble(self, blocks) -> np.ndarray:
+    def _assemble(self, k) -> np.ndarray:
+        """Sigma(k) from the vertex matrices sigma_v(k)."""
         n = self.table.n_channels
         sigma = np.zeros(n * n, dtype=complex)
-        if blocks:
-            sigma[self._flat] = np.concatenate([b.ravel() for b in blocks])
+        if self._rules:
+            sigma[self._flat] = np.concatenate([rule(k).ravel() for rule in self._rules])
         return sigma.reshape(n, n)
 
     def sigma(self, k) -> np.ndarray:
         """Sigma(k) over all channels, leads first, as in the bond table."""
-        return self._sigma if self._sigma is not None else self._assemble(self._blocks(k))
+        return self._sigma if self._sigma is not None else self._assemble(k)
 
     def _interior_system(self, ks, sigma=None):
         """I - Sigma_BB T(k) stacked over a 1-D array of k, and T(k).
 
-        ``sigma`` is Sigma(k) when the caller has built it already: one
-        matrix for every k, or a stack of one per k.
+        ``sigma`` is Sigma(k) when the caller has built it already, one
+        matrix for every k.
         """
         nl, nb = self.table.n_leads, self.table.n_bonds
         tk = np.exp((1j * ks)[:, None] * self.table.bond_lengths)
         if sigma is None:
             sigma = self._sigma
         if sigma is not None:
-            s_bb = sigma[..., nl:, nl:]
+            s_bb = sigma[nl:, nl:]
         else:
-            s_bb = np.stack([self._assemble(self._blocks(complex(k)))[nl:, nl:] for k in ks])
+            s_bb = np.stack([self._assemble(complex(k))[nl:, nl:] for k in ks])
         m = s_bb * tk[:, None, :]
         np.subtract(np.eye(nb), m, out=m)
         return m, tk
 
-    def interior_det_many(self, ks, blocks=None) -> np.ndarray:
+    def interior_det_many(self, ks) -> np.ndarray:
         """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array.
 
         The matrices are stacked and handed to LAPACK in chunks of about
         ``_DET_CHUNK_ENTRIES`` entries; each determinant is bit-identical to
-        that of the single matrix. ``blocks`` are the vertex matrices
-        sigma_v(k) of every k (see :meth:`_blocks`) when the caller has built
-        them already. Raises :class:`DeterminantOverflow` when some D(k) is
-        not finite.
+        that of the single matrix. Raises :class:`DeterminantOverflow` when
+        some D(k) is not finite.
         """
         ks = np.asarray(ks, dtype=complex)
         nb = self.table.n_bonds
@@ -161,9 +155,7 @@ class Assembly:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(ks), per_chunk):
                 part = slice(start, start + per_chunk)
-                sigma = None if blocks is None else np.stack(
-                    [self._assemble(b) for b in blocks[part]])
-                m, _ = self._interior_system(ks[part], sigma)
+                m, _ = self._interior_system(ks[part])
                 out[part] = np.linalg.det(m)
         if not np.isfinite(out).all():
             i = int(np.argmin(np.isfinite(out)))
@@ -315,90 +307,30 @@ def _closed(graph: MetricGraph) -> OpenGraph:
     return OpenGraph(graph, ())
 
 
-def _det_phase(blocks) -> float:
-    """Principal argument of the determinant of the block-diagonal matrix."""
-    acc = 1.0 + 0.0j
-    for b in blocks:
-        d = lu_det(b)
-        acc *= d / abs(d)
-    return cmath.phase(acc)
-
-
-class _RealSecular:
-    """Phase-regularized secular function of a closed graph.
-
-    For unitary channel matrices U(k) = Sigma T(k), the function
-    r(k) = det(I - U) * exp(-i arg det U / 2) * i^n is real for real k and
-    changes sign at simple eigenvalues, which makes bracketing reliable.
-    The phase of det U is exp(i k sum L_b) det Sigma, exactly linear in k
-    when Sigma is constant; otherwise det Sigma(k) is taken from the same
-    vertex matrices sigma_v(k) as D(k), built once per k.
-    """
-
-    def __init__(self, asm: Assembly):
-        self.asm = asm
-        self.n = asm.table.n_bonds
-        self._phase0 = _det_phase(asm._blocks(1.0)) if asm.k_independent else None
-
-    def value(self, k):
-        return self.values(np.array([k], dtype=float))[0]
-
-    def values(self, ks):
-        """``value`` at every k of an array, with one batched determinant call."""
-        asm = self.asm
-        if self._phase0 is not None:
-            fs = asm.interior_det_many(ks)
-            phases = [self._phase0] * len(ks)
-        else:
-            blocks = [asm._blocks(k) for k in ks]
-            fs = asm.interior_det_many(ks, blocks)
-            phases = [_det_phase(b) for b in blocks]
-        turn = 1j ** self.n
-        return np.array([
-            (complex(f) * cmath.exp(-0.5j * (p + k * asm.total_bond_length)) * turn).real
-            for f, p, k in zip(fs, phases, ks)])
-
-
-def _bisect(sec, lo, hi, flo):
-    """Midpoints of the brackets [lo, hi] of sign changes of ``sec.value``
-    (``flo`` its values at ``lo``) after bisection. Every open bracket is
-    halved at each step, all with one batched evaluation, and each stops by
-    its own rules: an exact zero, a width below 1e-13 max(1, mid), or 80
-    steps.
-    """
-    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
-    open_ = np.arange(len(lo))
-    for _ in range(80):
-        if not len(open_):
-            break
-        mid = 0.5 * (lo[open_] + hi[open_])
-        fm = sec.values(mid)
-        zero = fm == 0.0
-        left = ~zero & (flo[open_] * fm < 0)
-        right = ~zero & ~left
-        lo[open_[zero | right]] = mid[zero | right]
-        flo[open_[right]] = fm[right]
-        hi[open_[zero | left]] = mid[zero | left]
-        width = hi[open_] - lo[open_]
-        open_ = open_[~zero & ~(width < 1e-13 * np.maximum(1.0, mid))]
-    return 0.5 * (lo + hi)
-
-
 def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     """Locate the Laplacian eigenvalues (as k values) in a real window.
 
-    The secular function is scanned with step min(0.01, pi / (4 L_total)) on
-    at most ``_NODE_BUDGET`` nodes (else :class:`WindowTooWide`), sign
-    changes are bisected, near-zero dips are polished by Newton, and each
-    candidate's multiplicity comes from the winding number of the interior
-    determinant on a small circle around it. The circles of all
-    candidates are wound together (:func:`~qgscatter.contours.first_circle_windings`),
-    and a circle that meets a zero is retried with twice the radius, up to
-    0.4 of the gap to the nearest other candidate (at most 0.05): round i
-    winds the i-th radius of every candidate still unresolved, in one pass.
-    A candidate whose every circle meets a zero is kept with multiplicity 1
-    and a message in ``warnings``. The residuals |D(k)| of all candidates
-    come from one batched determinant call.
+    The eigenvalues are the real zeros of D(k). On a grid of step
+    min(0.01, pi / (4 L_total)), at most ``_NODE_BUDGET`` nodes (else
+    :class:`WindowTooWide`), one batched call evaluates
+    g(k) = D(k) exp(-ik sum L_b / 2), which on the real axis is a real
+    function times a phase that is constant for k-independent conditions
+    and drifts slowly for A/B ones. Newton on D starts inside every sign
+    change of g, where |g| interpolates linearly to zero, and at every
+    interior local minimum of |g| that does not end such a bracket, so
+    zeros of even multiplicity are seeded too. Each distinct real result
+    inside the window gets its multiplicity from the winding number of D
+    on a small circle around it; a start that led nowhere winds 0 and is
+    dropped. The circles of all candidates are wound together
+    (:func:`~qgscatter.contours.first_circle_windings`), and a circle that
+    meets a zero is retried with twice the radius, up to 0.4 of the gap to
+    the nearest other candidate (at most 0.05): round i winds the i-th
+    radius of every candidate still unresolved, in one pass. A candidate
+    whose every circle meets a zero is kept with multiplicity 1 and a
+    message in ``warnings``. The residuals |D(k)| of all candidates come
+    from one batched determinant call. Two zeros closer than a scan step
+    with no sign change between them can yield one candidate, and the
+    other is then missed.
     """
     if isinstance(window, SpectrumWindow):
         k_min, k_max = window.k_min, window.k_max
@@ -420,31 +352,19 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
         )
 
     asm = Assembly(_closed(graph))
-    sec = _RealSecular(asm)
     ks = np.linspace(k_min, k_max, n_samples)
-    rs = sec.values(ks)
-
-    # Sign changes bracket odd-multiplicity zeros.
-    at = np.flatnonzero((rs[:-1] != 0.0) & (rs[:-1] * rs[1:] < 0))
-    bisected = dict(zip(at.tolist(), _bisect(sec, ks[at], ks[at + 1], rs[at])))
-
-    candidates = []
-    for i in range(n_samples - 1):
-        if rs[i] == 0.0:
-            candidates.append(ks[i])
-        elif i in bisected:
-            candidates.append(bisected[i])
-    if rs[-1] == 0.0:
-        candidates.append(ks[-1])
-
-    # Dips catch even-multiplicity zeros that never change sign.
-    absr = np.abs(rs)
-    win = 30
-    for i in range(1, n_samples - 1):
-        if absr[i] <= absr[i - 1] and absr[i] <= absr[i + 1]:
-            local = np.max(absr[max(0, i - win):min(n_samples, i + win + 1)])
-            if local > 0 and absr[i] < 1e-4 * local:
-                candidates.append(ks[i])
+    # g is real up to one constant phase for k-independent conditions (a
+    # slowly drifting one otherwise), so Re(g_i conj g_i+1) < 0 marks a sign
+    # change between nodes i and i + 1
+    g = asm.interior_det_many(ks) * np.exp(-0.5j * asm.total_bond_length * ks)
+    size = np.abs(g)
+    at = np.flatnonzero((g[:-1] * g[1:].conj()).real < 0)
+    candidates = list(ks[at] + (ks[at + 1] - ks[at]) * size[at] / (size[at] + size[at + 1]))
+    # dips of |g| catch the zeros that do not change sign
+    dip = np.zeros(n_samples, dtype=bool)
+    dip[1:-1] = (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
+    dip[at] = dip[at + 1] = False
+    candidates += list(ks[dip])
 
     # Polish, verify, deduplicate.
     found = []

@@ -90,6 +90,12 @@ def ab_to_sigma(a, b, k, *, check_self_adjoint: bool = False) -> np.ndarray:
     (the standard self-adjointness criterion); only then is the result
     unitary at real k.
     """
+    return _ab_solve(*_checked_ab(a, b, check_self_adjoint), k)
+
+
+def _checked_ab(a, b, check_self_adjoint):
+    """A and B as complex matrices, after the k-independent checks of
+    :func:`ab_to_sigma`."""
     a = as_complex_matrix(a, "A")
     b = as_complex_matrix(b, "B")
     d = a.shape[0]
@@ -101,7 +107,7 @@ def ab_to_sigma(a, b, k, *, check_self_adjoint: bool = False) -> np.ndarray:
         defect = hermitian_defect(a @ b.conj().T)
         if defect > 1e-10 * max(1.0, float(np.abs(a).max() * np.abs(b).max())):
             raise NotSelfAdjoint(f"A B^dagger deviates from Hermitian by {defect:.3e}")
-    return _ab_solve(a, b, k)
+    return a, b
 
 
 def _ab_solve(a, b, k) -> np.ndarray:
@@ -116,10 +122,11 @@ def _ab_solve(a, b, k) -> np.ndarray:
 
 
 def ab_sigma(a, b, *, check_self_adjoint: bool = False) -> VertexSigma:
-    a = as_complex_matrix(a, "A")
-    b = as_complex_matrix(b, "B")
-    # Raise shape/rank/self-adjointness problems eagerly, at a generic k.
-    ab_to_sigma(a, b, 1.0, check_self_adjoint=check_self_adjoint)
+    """The k-dependent rule of the conditions A f + B f' = 0. The rank and,
+    when asked, the self-adjointness of A and B are checked here; a k where
+    A + ikB is singular raises :class:`SingularAtK` only when the rule is
+    evaluated there."""
+    a, b = _checked_ab(a, b, check_self_adjoint)
     a.setflags(write=False)
     b.setflags(write=False)
     return VertexSigma(degree=a.shape[0], ab=(a, b))

@@ -1,5 +1,6 @@
 """Global scattering matrix, secular function, and compact spectra."""
 
+import importlib.util
 import json
 
 import numpy as np
@@ -42,6 +43,8 @@ from conftest import (
     star_open_graph,
     two_pendant_resonator,
 )
+
+REFERENCE = DATA_DIR.parent / "bench" / "reference.py"
 
 
 def lead_edge_dirichlet(length=1.0):
@@ -257,26 +260,99 @@ def test_dirichlet_leaf_star_multiplicities(n):
     assert win.warnings == ()
 
 
-def test_spectrum_evaluation_count():
-    # one batched pass for the multiplicity circles and one for the
-    # residuals: the parent, which wound each circle on its own from 48
-    # points and took each residual alone, computed 14,235 determinants here
-    # in 299 calls of the kernel
-    graph = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph
+def counted_spectrum(graph, window):
+    """eigenvalues_compact(graph, window) and the batch size of each call of
+    the determinant kernel it made."""
     counted = []
     det_many = Assembly.interior_det_many
 
-    def counting(self, ks, *args):
+    def counting(self, ks):
         counted.append(len(ks))
-        return det_many(self, ks, *args)
+        return det_many(self, ks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Assembly, "interior_det_many", counting)
-        win = eigenvalues_compact(graph, (0.5, 30.0))
-    assert len(win.eigenvalues) == 87
-    assert sum(ev.multiplicity for ev in win.eigenvalues) == 89
-    assert sum(counted) <= 7_500
-    assert len(counted) <= 50
+        return eigenvalues_compact(graph, window), counted
+
+
+def test_spectrum_evaluation_count():
+    # one batched pass for the scan, one for the multiplicity circles and one
+    # for the residuals. The earlier phase-regularised scan found 87
+    # eigenvalues (89 with multiplicity) here, missing the double ones at
+    # 8 pi / 3, 4 pi, 16 pi / 3, 20 pi / 3 and 8 pi, and computed 7,275
+    # determinants in 41 calls of the kernel
+    graph = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph
+    win, counted = counted_spectrum(graph, (0.5, 30.0))
+    assert len(win.eigenvalues) == 92
+    assert sum(ev.multiplicity for ev in win.eigenvalues) == 99
+    assert sum(counted) <= 4_600
+    assert len(counted) <= 4
+
+
+def seeded_compact_graph(seed, n_edges, n_vertices):
+    """All-Neumann connected graph: a random spanning tree plus random
+    chords (parallel edges allowed), lengths uniform in [0.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, int(rng.integers(0, i))) for i in range(1, n_vertices)]
+    while len(pairs) < n_edges:
+        a, b = (int(x) for x in rng.choice(n_vertices, size=2, replace=False))
+        pairs.append((a, b))
+    lengths = rng.uniform(0.5, 1.5, n_edges)
+    return build_graph(
+        [Vertex(f"v{i}", Neumann()) for i in range(n_vertices)],
+        [Edge(f"e{j}", f"v{a}", f"v{b}", float(length))
+         for j, ((a, b), length) in enumerate(zip(pairs, lengths))])
+
+
+def test_odd_edge_spectrum_evaluation_count():
+    # on a graph with an odd number of edges the earlier phase-regularised
+    # secular function was rounding noise, so every scan step read as a sign
+    # change and each was bisected: 11,910 determinants here
+    win, counted = counted_spectrum(seeded_compact_graph(1, 11, 6), (0.5, 12.0))
+    assert sum(ev.multiplicity for ev in win.eigenvalues) == 34
+    assert sum(counted) <= 3_000
+
+
+def _reference():
+    spec = importlib.util.spec_from_file_location("reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ring(lengths):
+    n = len(lengths)
+    return build_graph([Vertex(f"v{i}", Neumann()) for i in range(n)],
+                       [Edge(f"e{i}", f"v{i}", f"v{(i + 1) % n}", length)
+                        for i, length in enumerate(lengths)])
+
+
+def _k4():
+    verts = [Vertex(f"v{i}", Neumann()) for i in range(4)]
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    return build_graph(verts, [Edge(f"e{j}", f"v{a}", f"v{b}", 1.0)
+                               for j, (a, b) in enumerate(pairs)])
+
+
+@pytest.mark.parametrize("name", ["mm1", "mm2", "k4", "unit-6-cycle", "3-cycle"])
+def test_eigenvalue_count_matches_the_argument_principle(name):
+    # the bench oracle counts the zeros of D in a thin box around the window
+    # with code shared with nothing in the library
+    graph, window = {
+        "mm1": (lambda: parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph,
+                (0.5, 30.0)),
+        "mm2": (lambda: parse_graph_file(DATA_DIR / "mcdonald_meyers_2.json").graph,
+                (0.5, 20.0)),
+        "k4": (_k4, (0.5, 10.0)),
+        "unit-6-cycle": (lambda: _ring([1.0] * 6), (0.5, 12.0)),
+        "3-cycle": (lambda: _ring([1.0, 1.3, 0.7]), (0.5, 20.0)),
+    }[name]
+    graph = graph()
+    ref = _reference()
+    want = ref.zero_count(ref.BondSystem.of(graph), *window, -0.1, 0.1)
+    win = eigenvalues_compact(graph, window)
+    assert sum(ev.multiplicity for ev in win.eigenvalues) == want
+    assert win.warnings == ()
 
 
 def test_multiplicity_fallback_is_reported(monkeypatch, capsys, tmp_path):
@@ -399,12 +475,10 @@ def test_robin_interval_eigenvalues():
 
 
 def test_secular_function_builds_each_vertex_matrix_once_per_k(monkeypatch):
-    # D(k) and the phase of det Sigma(k) come from the same sigma_v(k): one
-    # A/B solve per k-dependent vertex per k
+    # one batched D(k) over many k: one A/B solve per k-dependent vertex per k
     from qgscatter import vertex_scattering
-    from qgscatter.global_scattering import _RealSecular
 
-    sec = _RealSecular(Assembly(OpenGraph(robin_interval(), ())))
+    asm = Assembly(OpenGraph(robin_interval(), ()))
     calls = []
     ab_solve = vertex_scattering._ab_solve
 
@@ -413,44 +487,10 @@ def test_secular_function_builds_each_vertex_matrix_once_per_k(monkeypatch):
         return ab_solve(a, b, k)
 
     monkeypatch.setattr(vertex_scattering, "_ab_solve", counting)
-    r = sec.value(2.0)
-    assert calls == [2.0]
     ks = np.linspace(0.5, 9.5, 10)
-    calls.clear()
-    rs = sec.values(ks)
+    ds = asm.interior_det_many(ks)
     assert calls == list(ks)
-    assert rs[3] == sec.value(ks[3]) and r == sec.values(np.array([2.0]))[0]
-
-
-def test_lockstep_bisection_matches_the_scalar_loop():
-    # the bisection that eigenvalues_compact ran one bracket at a time, as
-    # the reference: the batched one must give the same midpoints bit for bit
-    from qgscatter.global_scattering import _bisect, _RealSecular
-
-    def scalar(sec, lo, hi, flo):
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = sec.value(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-13 * max(1.0, mid):
-                break
-        return 0.5 * (lo + hi)
-
-    mm1 = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph
-    for graph, ks in ((mm1, np.linspace(0.5, 12.0, 400)),
-                      (robin_interval(), np.linspace(0.3, 10.0, 60))):
-        sec = _RealSecular(Assembly(OpenGraph(graph, ())))
-        rs = sec.values(ks)
-        at = np.flatnonzero(rs[:-1] * rs[1:] < 0)
-        assert len(at) >= 4
-        want = [scalar(sec, ks[i], ks[i + 1], rs[i]) for i in at]
-        assert np.array_equal(_bisect(sec, ks[at], ks[at + 1], rs[at]), want)
+    assert ds[3] == asm.interior_det(ks[3])
 
 
 def test_log_derivative_of_k_dependent_conditions():

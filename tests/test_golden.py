@@ -4,8 +4,10 @@ Each report under ``tests/golden`` is the standard output of one CLI
 invocation below. A rerun must give the same keys, strings, integers,
 booleans and list lengths; floats must agree to a relative 1e-9 or an
 absolute 1e-12, so a refactor that keeps the results passes while one that
-changes them does not. When a report changes on purpose, rewrite the files
-with ``PYTHONPATH=src python tests/test_golden.py``.
+changes them does not. When a report changes on purpose, rewrite all the
+files with ``PYTHONPATH=src python tests/test_golden.py --rewrite``; run as a
+script with any other arguments, or none, it exits non-zero and writes
+nothing.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -95,5 +98,7 @@ def test_cli_report_matches_golden(name):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        sys.exit(f"usage: {sys.argv[0]} --rewrite  (overwrites every report in {GOLDEN_DIR})")
     for name, argv in INVOCATIONS.items():
         (GOLDEN_DIR / name).write_text(_run(argv))

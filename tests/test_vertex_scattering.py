@@ -104,6 +104,23 @@ def test_ab_singular_at_k():
     ab_to_sigma(a, b, 1.0)
 
 
+def test_ab_vertex_singular_only_at_k_one_serves_every_other_k():
+    # A + ikB = 1 - k: the rule is built without a solve at any k, so only
+    # k = 1 itself raises
+    from qgscatter.global_scattering import scattering_matrix
+    from qgscatter.graph_core import Edge, LinearAB, Neumann, Vertex, attach_leads, build_graph
+
+    g = build_graph(
+        [Vertex("a", LinearAB(np.array([[1.0]]), np.array([[1j]]))), Vertex("b", Neumann())],
+        [Edge("e", "a", "b", 1.0)],
+        pending_leads={"b": 1},
+    )
+    og = attach_leads(g, ["b"])
+    assert np.isfinite(scattering_matrix(og, 2.0).s).all()
+    with pytest.raises(SingularAtK, match="k = \\(1\\+0j\\)"):
+        scattering_matrix(og, 1.0)
+
+
 def test_constant_variants_are_k_independent():
     for rule in (neumann_sigma(4), dirichlet_sigma(4), dft_sigma(4)):
         assert rule.is_constant
