@@ -120,21 +120,23 @@ class Assembly:
         """Sigma(k) over all channels, leads first, as in the bond table."""
         return self._sigma if self._sigma is not None else self._assemble(k)
 
+    def _sigmas(self, ks) -> np.ndarray:
+        """Sigma(k) for a 1-D array of k: the one constant matrix, or one per k."""
+        if self._sigma is not None:
+            return self._sigma
+        return np.stack([self._assemble(complex(k)) for k in ks])
+
     def _interior_system(self, ks, sigma=None):
         """I - Sigma_BB T(k) stacked over a 1-D array of k, and T(k).
 
-        ``sigma`` is Sigma(k) when the caller has built it already, one
-        matrix for every k.
+        ``sigma`` is Sigma(k) when the caller has built it already: one
+        matrix for every k, or one per k stacked.
         """
         nl, nb = self.table.n_leads, self.table.n_bonds
         tk = np.exp((1j * ks)[:, None] * self.table.bond_lengths)
         if sigma is None:
-            sigma = self._sigma
-        if sigma is not None:
-            s_bb = sigma[nl:, nl:]
-        else:
-            s_bb = np.stack([self._assemble(complex(k))[nl:, nl:] for k in ks])
-        m = s_bb * tk[:, None, :]
+            sigma = self._sigmas(ks)
+        m = sigma[..., nl:, nl:] * tk[:, None, :]
         np.subtract(np.eye(nb), m, out=m)
         return m, tk
 
@@ -222,27 +224,64 @@ class Assembly:
         if k == 0:
             raise ZeroK("k must be nonzero")
         sigma = self.sigma(k)
-        nl = self.table.n_leads
-        s_ll, s_lb, s_bl = sigma[:nl, :nl], sigma[:nl, nl:], sigma[nl:, :nl]
         if self.table.n_bonds == 0:
-            return ScatteringEvaluation(k=k, s=s_ll.copy(), interior_det=1.0 + 0.0j)
+            nl = self.table.n_leads
+            return ScatteringEvaluation(k=k, s=sigma[:nl, :nl].copy(), interior_det=1.0 + 0.0j)
         m, tk = self._interior_system(np.array([k]), sigma)
-        m, tk = m[0], tk[0]
-        det = lu_det(m)
-        if abs(det) < _SINGULAR_TOL and k.imag == 0:
-            raise SingularInterior(
-                f"interior system singular at k = {k} (|D| = {abs(det):.3e}); "
-                "this k hosts a bound state or exceptional point",
-                k=k,
-                determinant=det,
-            )
+        det = lu_det(m[0])
+        s = self._schur([k], sigma, m[0], tk[0], [det])
+        return ScatteringEvaluation(k=k, s=s, interior_det=det)
+
+    def scattering_many(self, ks) -> np.ndarray:
+        """S(k) stacked over a 1-D array of k, each bit-identical to
+        ``scattering(k).s``.
+
+        The interior systems are stacked and their determinants and solves
+        handed to LAPACK in chunks of about ``_DET_CHUNK_ENTRIES`` entries,
+        so long sweeps of large graphs keep memory flat. k-dependent
+        conditions get one Sigma(k) per k. Raises :class:`ZeroK` when some k
+        is 0 and :class:`SingularInterior` at the first real k, in order,
+        where the interior system is singular, as ``scattering(k)`` does.
+        """
+        ks = np.asarray(ks, dtype=complex)
+        if (ks == 0).any():
+            raise ZeroK("k must be nonzero")
+        nl, nb = self.table.n_leads, self.table.n_bonds
+        if nb == 0:
+            sigma = self._sigmas(ks)
+            return np.array(np.broadcast_to(sigma[..., :nl, :nl], (len(ks), nl, nl)))
+        out = np.empty((len(ks), nl, nl), dtype=complex)
+        per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
+        for start in range(0, len(ks), per_chunk):
+            part = slice(start, start + per_chunk)
+            sigma = self._sigmas(ks[part])
+            m, tk = self._interior_system(ks[part], sigma)
+            out[part] = self._schur(ks[part], sigma, m, tk, np.linalg.det(m))
+        return out
+
+    def _schur(self, ks, sigma, m, tk, dets) -> np.ndarray:
+        """S(k) = Sigma_LL + Sigma_LB T (I - Sigma_BB T)^-1 Sigma_BL for the
+        interior systems ``m`` of ks (one matrix, or one per k stacked) with
+        determinants ``dets``. Raises :class:`SingularInterior` at the first
+        real k with |D(k)| below ``_SINGULAR_TOL``, or at the first k whose
+        system LAPACK cannot solve."""
+        for k, det in zip(ks, dets):
+            if abs(det) < _SINGULAR_TOL and k.imag == 0:
+                k, det = complex(k), complex(det)
+                raise SingularInterior(
+                    f"interior system singular at k = {k} (|D| = {abs(det):.3e}); "
+                    "this k hosts a bound state or exceptional point",
+                    k=k,
+                    determinant=det,
+                )
+        nl = self.table.n_leads
         try:
-            x = np.linalg.solve(m, s_bl)
+            x = np.linalg.solve(m, sigma[..., nl:, :nl])
         except np.linalg.LinAlgError as exc:
+            k, det = next((complex(k), complex(det)) for k, det in zip(ks, dets) if det == 0)
             raise SingularInterior(f"interior system exactly singular at k = {k}",
                                    k=k, determinant=det) from exc
-        s = s_ll + (s_lb * tk[None, :]) @ x
-        return ScatteringEvaluation(k=k, s=s, interior_det=det)
+        return sigma[..., :nl, :nl] + (sigma[..., :nl, nl:] * tk[..., None, :]) @ x
 
 
 # The Assembly of the graph passed last to scattering_matrix, secular_value

@@ -29,7 +29,7 @@ from .contours import Rect
 from .global_scattering import Assembly
 from .graph_core import OpenGraph
 from .linalg import null_space
-from .resonances import PoleSet, find_poles
+from .resonances import PoleSet, _confirm_poles, _find_poles
 
 EVIDENCE_LABEL = "numerical evidence"
 
@@ -186,14 +186,20 @@ def isophasal_check(s1, s2) -> Tuple[bool, float]:
     values directly is equivalent to comparing total phases modulo 2 pi and
     avoids branch tracking.
     """
-    dev = 0.0
-    for k in _PHASE_KS:
-        try:
-            d1 = complex(np.linalg.det(np.asarray(s1(k), dtype=complex)))
-            d2 = complex(np.linalg.det(np.asarray(s2(k), dtype=complex)))
-        except SingularInterior as exc:
-            raise SampleAtSingularity(f"sample k = {k} hits a singular point") from exc
-        dev = max(dev, abs(d1 - d2))
+    def stacked(s):
+        return lambda ks: np.stack([np.asarray(s(k), dtype=complex) for k in ks])
+
+    return _isophasal(stacked(s1), stacked(s2))
+
+
+def _isophasal(many1, many2) -> Tuple[bool, float]:
+    """:func:`isophasal_check` of two functions that map an array of k to
+    the stacked matrices S(k), such as ``Assembly.scattering_many``."""
+    ks = np.array(_PHASE_KS)
+    try:
+        dev = float(np.max(np.abs(np.linalg.det(many1(ks)) - np.linalg.det(many2(ks)))))
+    except SingularInterior as exc:
+        raise SampleAtSingularity(f"sample k = {exc.k.real} hits a singular point") from exc
     return dev <= _PHASE_TOL, dev
 
 
@@ -257,6 +263,14 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     training samples of the conjugator search. The rest is fixed: the
     constants ``_N_HOLDOUT``, ``_NULL_RTOL``, ``_RESIDUAL_TOL``, ``_PHASE_KS``,
     ``_PHASE_TOL`` and ``_MATCH_TOL`` here, those of ``resonances`` for poles.
+
+    Each graph gets one :class:`Assembly`. The phase samples are one
+    stacked S(k) solve per graph. Graph 1's poles are searched for; when a
+    conjugator is found and that search gave no warning, graph 2's are
+    confirmed from them (conjugate S have the same poles), and searched
+    for afresh when the confirmation fails. The report's warnings are
+    those of both pole searches, prefixed "graph 1: " and "graph 2: ",
+    then the verdict's own.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -264,16 +278,21 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
             "conjugacy needs equal dimensions"
         )
     asm1, asm2 = Assembly(og1), Assembly(og2)
-    s1 = lambda k: asm1.scattering(k).s
-    s2 = lambda k: asm2.scattering(k).s
-
-    conj = find_conjugator(s1, s2, n_training=n_training)
-    phases_ok, dev = isophasal_check(s1, s2)
-    poles1 = find_poles(og1, window)
-    poles2 = find_poles(og2, window)
+    conj = find_conjugator(lambda k: asm1.scattering(k).s, lambda k: asm2.scattering(k).s,
+                           n_training=n_training)
+    phases_ok, dev = _isophasal(asm1.scattering_many, asm2.scattering_many)
+    poles1 = _find_poles(asm1, window)
+    # conjugate S share their poles: confirm graph 2's from graph 1's, and
+    # search afresh when that fails
+    poles2 = None
+    if conj.found and not poles1.warnings:
+        poles2 = _confirm_poles(asm2, window, asm1, poles1)
+    if poles2 is None:
+        poles2 = _find_poles(asm2, window)
     polar_ok, pairing = isopolar_check(poles1, poles2)
 
-    warnings = []
+    warnings = ([f"graph 1: {w}" for w in poles1.warnings]
+                + [f"graph 2: {w}" for w in poles2.warnings])
     if conj.found and not polar_ok:
         warnings.append(
             "conjugator found but pole sets disagree; check scan residuals"

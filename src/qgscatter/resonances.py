@@ -28,6 +28,11 @@ The check inside a cell of winding w >= 2 is the same pass with one centre.
 
 Real-axis zeros of the determinant are not scattering poles; they mark
 states decoupled from the leads and are reported separately.
+
+A graph whose S(k) is conjugate to that of a graph already searched has
+the same poles; :func:`_confirm_poles` checks them on its determinant (one
+winding around the window, one Newton run per zero) instead of searching
+again.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contours import (QuadLevel, Rect, first_circle_windings, first_windings, rect_winding,
-                       rect_windings)
+from .contours import (ZERO_TOL, QuadLevel, Rect, first_circle_windings, first_windings,
+                       rect_winding, rect_windings)
 from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import Assembly
 from .graph_core import LinearAB, OpenGraph
@@ -50,9 +55,14 @@ _REFINE_CELL = 0.1  # cells this small go to Newton
 _DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
 _RESIDUAL_TOL = 1e-8  # largest |D| at an accepted Newton point
 _BOUNDARY_SAMPLES = 64  # initial samples of a cell side
-_MAX_RETRIES = 5  # contours tried per cell that meets a zero, see inflations()
+_MAX_RETRIES = 5  # contours tried per cell that meets a zero, see _inflations()
 _JITTER = 1e-6  # relative inflation per retry
 _REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero reported on the real axis
+# Radii of the multiplicity circles around a zero, tried in turn while a
+# circle meets a zero: each 1.4 times the last.
+_CIRCLE_RADII = tuple(itertools.accumulate(itertools.repeat(1.4, _MAX_RETRIES - 1),
+                                           operator.mul,
+                                           initial=max(10 * _DEDUPE_RADIUS, 1e-6)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,10 @@ class PoleSet:
     conditions physical resonances lie in Im k < 0. ``evaluations`` counts
     the determinants D(k) the search computed: contour samples, multiplicity
     circles and residuals (Newton's steps solve with the matrix instead).
-    A multiplicity circle around a simple zero costs 16 of them.
+    A multiplicity circle around a simple zero costs 16 of them. For a set
+    confirmed from a conjugate graph's, it counts the determinants of the
+    confirmation, and ``residual`` and ``iterations`` are those of the
+    Newton runs started at that graph's zeros.
     """
 
     poles: Tuple[Pole, ...]
@@ -125,6 +138,43 @@ def _require_holomorphic(og: OpenGraph):
             )
 
 
+def _inflations(rect):
+    """The contour, then inflated by _JITTER x attempt x max(diameter, 1) per
+    retry. Inflation only grows cells, so a zero near a shared edge may be
+    counted by two sibling cells but never lost; deduplication collapses
+    doubles."""
+    for attempt in range(1, _MAX_RETRIES + 1):
+        yield rect
+        rect = rect.inflated(_JITTER * max(rect.diameter, 1.0) * attempt)
+
+
+class _CountedDet:
+    """D(k) of one Assembly in batches, counting the determinants, and the
+    winding of D around contours and circles as the pole search takes them."""
+
+    def __init__(self, asm: Assembly):
+        self.asm = asm
+        self.evaluations = 0
+        # Bulk rotation rate of the determinant: the total directed-bond length.
+        self.rate = asm.total_bond_length + 1.0
+
+    def __call__(self, ks):
+        self.evaluations += len(ks)
+        return self.asm.interior_det_many(ks)
+
+    def rect_windings(self, rects):
+        return rect_windings(self, rects, _BOUNDARY_SAMPLES, rate_hint=self.rate)
+
+    def multiplicities(self, ks):
+        """Winding of D on a small circle around each k, all wound together;
+        a circle that meets a zero is grown by 1.4 on each retry (round i
+        winds the i-th radius of every k still unresolved, in one pass).
+        None where every circle meets a zero."""
+        return [None if isinstance(w, str) else w
+                for w in first_circle_windings(self, ks, [_CIRCLE_RADII] * len(ks),
+                                               rate_hint=self.rate)]
+
+
 def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     """Locate all zeros of the interior determinant inside the window.
 
@@ -135,55 +185,31 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
     finite on a contour (windows reaching far below the real axis).
     """
-    _require_holomorphic(og)
-    asm = Assembly(og)
+    return _find_poles(Assembly(og), window)
+
+
+def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
+    """:func:`find_poles` on a graph's Assembly."""
+    _require_holomorphic(asm.og)
     warnings: list = []
 
     if asm.table.n_bonds == 0:
         return PoleSet(poles=(), window=window, warnings=())
 
-    evaluations = 0
-
-    def det(ks):
-        nonlocal evaluations
-        evaluations += len(ks)
-        return asm.interior_det_many(ks)
-
-    # Bulk rotation rate of the determinant: the total directed-bond length.
-    rate = asm.total_bond_length + 1.0
-
-    radii = list(itertools.accumulate(itertools.repeat(1.4, _MAX_RETRIES - 1),
-                                      operator.mul, initial=max(10 * _DEDUPE_RADIUS, 1e-6)))
-
-    def multiplicities(ks):
-        """Winding of D on a small circle around each k, all wound together;
-        a circle that meets a zero is grown by 1.4 on each retry (round i winds
-        the i-th radius of every k still unresolved, in one pass). None where
-        every circle meets a zero."""
-        return [None if isinstance(w, str) else w
-                for w in first_circle_windings(det, ks, [radii] * len(ks), rate_hint=rate)]
-
-    def inflations(rect):
-        """The cell, then inflated by _JITTER x attempt x max(diameter, 1) per
-        retry. Inflation only grows cells, so a zero near a shared edge may be
-        counted by two sibling cells but never lost; deduplication collapses
-        doubles."""
-        for attempt in range(1, _MAX_RETRIES + 1):
-            yield rect
-            rect = rect.inflated(_JITTER * max(rect.diameter, 1.0) * attempt)
+    det = _CountedDet(asm)
 
     polished = []
     level = QuadLevel(window)
     while level.cells:
-        windings = level.wind(det, _BOUNDARY_SAMPLES, rate_hint=rate)
+        windings = level.wind(det, _BOUNDARY_SAMPLES, rate_hint=det.rate)
         # A cell whose contour met a zero takes the first of its inflations
         # that does not; the failed cells of the level retry together, one
         # call of rect_windings per round (an inflated contour shares no side
         # with another cell).
         failed = [i for i, w in enumerate(windings) if isinstance(w, str)]
         retried = dict(zip(failed, first_windings(
-            lambda rects: rect_windings(det, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
-            [inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
+            det.rect_windings, [_inflations(level.cells[i]) for i in failed],
+            [windings[i] for i in failed])))
         split = []
         for i, (original, w) in enumerate(zip(level.cells, windings)):
             cell = original
@@ -208,7 +234,7 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
             residual = np.inf
             if inside:
                 residual = abs(asm.interior_det(k_star))
-                evaluations += 1
+                det.evaluations += 1
             ok = (
                 inside
                 and residual <= _RESIDUAL_TOL
@@ -217,7 +243,7 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
             if ok and w > 1 and not at_floor:
                 # Newton finds one zero; if it is not of multiplicity w, the
                 # cell holds distinct zeros that subdivision must separate.
-                (mult,) = multiplicities([k_star])
+                (mult,) = det.multiplicities([k_star])
                 ok = mult is None or mult >= w
             if ok:
                 polished.append((k_star, residual, iterations))
@@ -246,7 +272,7 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     real_axis = []
     upper = []
     for (k_star, residual, iterations), mult in zip(
-            merged, multiplicities([k for k, _, _ in merged])):
+            merged, det.multiplicities([k for k, _, _ in merged])):
         if mult is None:
             mult = 1
             warnings.append(f"multiplicity circle at {k_star} kept hitting zeros; assumed 1")
@@ -272,5 +298,89 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
         real_axis_zeros=tuple(real_axis),
         upper_half_flagged=tuple(upper),
         warnings=tuple(warnings),
-        evaluations=evaluations,
+        evaluations=det.evaluations,
+    )
+
+
+def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
+                   reference: PoleSet) -> Optional[PoleSet]:
+    """The zeros of D in the window, confirmed from ``reference``, the
+    :class:`PoleSet` that :func:`find_poles` gave for the graph of
+    ``reference_asm``, whose S(k) is conjugate to this one's; None when a
+    check fails, and the caller must search afresh.
+
+    Conjugate scattering matrices have the same poles, so D should vanish
+    at every zero of ``reference`` with the same multiplicity, and nowhere
+    else in the window. The ratio D / D_ref is wound once around the window
+    (with the inflated retries of :func:`find_poles`); Newton runs on D
+    once from each pole and real-axis zero of ``reference``, and the
+    residuals |D| come from one batched call; circles are wound only around
+    zeros of multiplicity above 1. The set is returned when the ratio winds
+    0 times, every Newton run ends within ``_DEDUPE_RADIUS`` of its start
+    with a residual of at most ``_RESIDUAL_TOL``, the refined points stay
+    distinct and inside the window (or on the real axis), and every circle
+    winds the multiplicity of ``reference``. Together these leave D no zero
+    beyond those of ``reference``: each is there, at least simple, exactly
+    as multiple where a circle was wound, and the totals are equal.
+
+    Real-axis zeros of D are trapped states, not poles of S, so conjugacy
+    does not make them equal; the winding is what sees an extra one. It is
+    the ratio that is wound, not D: the zeros the two determinants share
+    cancel in it, and a shared zero of even multiplicity next to the
+    contour, such as a double trapped state on a window edge at Im k = 0,
+    can otherwise lose a whole turn between two samples of D and hide an
+    extra zero elsewhere.
+    """
+    _require_holomorphic(asm.og)
+    det = _CountedDet(asm)
+    rate = max(det.rate, reference_asm.total_bond_length + 1.0)
+
+    def ratio(ks):
+        # a point where |D_ref| is at most ZERO_TOL counts as a zero on the
+        # contour, which is then retried inflated
+        d, d_ref = det(ks), reference_asm.interior_det_many(ks)
+        det.evaluations += len(ks)
+        clear = np.abs(d_ref) > ZERO_TOL
+        return np.where(clear, d / np.where(clear, d_ref, 1.0), 0.0)
+
+    starts = reference.poles + reference.real_axis_zeros
+    (wound,) = first_windings(
+        lambda rects: rect_windings(ratio, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
+        [_inflations(window)])
+    if isinstance(wound, str) or wound[0] != 0:
+        return None
+    refined = []
+    for p in starts:
+        k_star, iterations, inside = asm.newton(p.k, max_iter=80, tol=1e-12,
+                                                trust=_DEDUPE_RADIUS)
+        if not inside:
+            return None
+        refined.append((k_star, iterations))
+    ks = np.array([k for k, _ in refined], dtype=complex)
+    residuals = np.abs(det(ks))
+    a, b = np.triu_indices(len(ks), 1)
+    if (residuals > _RESIDUAL_TOL).any() or (np.abs(ks[a] - ks[b]) <= _DEDUPE_RADIUS).any():
+        return None
+    multiple = [i for i, p in enumerate(starts) if p.multiplicity > 1]
+    if det.multiplicities(ks[multiple]) != [starts[i].multiplicity for i in multiple]:
+        return None
+
+    poles, real_axis = [], []
+    for p, (k_star, iterations), residual in zip(starts, refined, residuals):
+        record = Pole(k=k_star, multiplicity=p.multiplicity, residual=float(residual),
+                      iterations=iterations)
+        if abs(k_star.imag) <= _REAL_AXIS_TOL:
+            real_axis.append(replace(record, k=complex(k_star.real, 0.0)))
+        elif window.contains(k_star):
+            poles.append(record)
+        else:
+            return None
+    poles.sort(key=lambda p: (p.k.real, p.k.imag))
+    real_axis.sort(key=lambda p: p.k.real)
+    return PoleSet(
+        poles=tuple(poles),
+        window=window,
+        real_axis_zeros=tuple(real_axis),
+        upper_half_flagged=tuple(p.k for p in poles if p.k.imag > 0),
+        evaluations=det.evaluations,
     )

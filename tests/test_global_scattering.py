@@ -601,3 +601,91 @@ def test_failed_assembly_is_not_kept(monkeypatch):
         with pytest.raises(InvalidDegree):
             scattering_matrix(bad, 1.0)
     assert len(built) == 2
+
+
+def _robin_lead_graph():
+    """Lead at a Neumann vertex, an edge to a Robin (k-dependent A/B) end and
+    a loop at a degree-3 A/B vertex."""
+    h = np.array([[0.3, 1j, 0.2], [-1j, -0.5, 0.0], [0.2, 0.0, 1.1]])
+    g = build_graph(
+        [Vertex("v", Neumann()), Vertex("w", LinearAB(np.array([[1.0]]), np.array([[-1.0]]))),
+         Vertex("u", LinearAB(h, np.eye(3)))],
+        [Edge("e1", "v", "w", 0.8), Edge("e2", "v", "u", 1.3), Edge("e3", "u", "u", 0.6)],
+        pending_leads={"v": 1},
+    )
+    return attach_leads(g, ["v"])
+
+
+def _sweep_ks():
+    rng = np.random.default_rng(13)
+    return np.concatenate([np.linspace(0.1, 20.0, 64),
+                           rng.uniform(0.1, 10.0, 16) - 1j * rng.uniform(0.0, 2.0, 16)])
+
+
+@pytest.mark.parametrize("name", ["unitary", "robin", "edge-free-star", "edge-free-ab-star"])
+def test_scattering_many_matches_per_k_bit_for_bit(name):
+    og = {
+        "unitary": _dft_unitary_graph,
+        "robin": _robin_lead_graph,
+        "edge-free-star": lambda: star_open_graph(3),
+        "edge-free-ab-star": lambda: star_open_graph(
+            2, LinearAB(np.array([[1.0, 0.5], [0.5, -1.0]]), np.eye(2))),
+    }[name]()
+    asm = Assembly(og)
+    ks = _sweep_ks()
+    many = asm.scattering_many(ks)
+    assert many.shape == (len(ks), og.n_leads, og.n_leads)
+    assert np.array_equal(many, np.stack([asm.scattering(k).s for k in ks]))
+
+
+def test_scattering_many_names_the_first_singular_k():
+    # a Dirichlet interval of length 1 beside the lead: bound states at m pi
+    g = build_graph(
+        [Vertex("c", Neumann()), Vertex("a", Dirichlet()), Vertex("b", Dirichlet())],
+        [Edge("e", "a", "b", 1.0)],
+        pending_leads={"c": 1},
+    )
+    asm = Assembly(attach_leads(g, ["c"]))
+    ks = [1.0, 2 * np.pi - 0.5j, 2 * np.pi, 1.5, np.pi]
+    with pytest.raises(SingularInterior) as many:
+        asm.scattering_many(ks)
+    with pytest.raises(SingularInterior) as one:
+        asm.scattering(2 * np.pi)
+    assert many.value.k == 2 * np.pi
+    assert str(many.value) == str(one.value)
+    with pytest.raises(ZeroK):
+        asm.scattering_many([1.0, 0.0])
+
+
+def test_scattering_many_of_a_large_graph_runs_in_chunks(monkeypatch):
+    # 100 edges are 200 directed bonds: a 200 x 200 system holds more than
+    # one chunk's worth of entries, so every k is its own LAPACK call
+    rng = np.random.default_rng(17)
+    names = [f"v{i}" for i in range(40)]
+    pairs = [(i, (i + 1) % 40) for i in range(40)]
+    pairs += [tuple(int(x) for x in rng.choice(40, 2, replace=False)) for _ in range(60)]
+    degree = {nm: 0 for nm in names}
+    for a, b in pairs:
+        degree[names[a]] += 1
+        degree[names[b]] += 1
+    leads = ["v0", "v10", "v20", "v30"]
+    g = build_graph(
+        [Vertex(nm, FixedUnitary(random_unitary(rng, degree[nm] + (nm in leads))))
+         for nm in names],
+        [Edge(f"e{j}", names[a], names[b], float(rng.uniform(0.3, 1.7)))
+         for j, (a, b) in enumerate(pairs)],
+        pending_leads={nm: 1 for nm in leads},
+    )
+    asm = Assembly(attach_leads(g, leads))
+    assert asm.table.n_bonds == 200
+    ks = np.linspace(0.5, 8.0, 64)
+    solve, calls = np.linalg.solve, []
+
+    def counting(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    many = asm.scattering_many(ks)
+    assert len(calls) > 1 and sum(calls) == len(ks)
+    assert np.array_equal(many, np.stack([asm.scattering(k).s for k in ks]))

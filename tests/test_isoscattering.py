@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qgscatter.cli import parse_graph_file, run_command
 from qgscatter.contours import Rect
 from qgscatter.errors import DimensionMismatch, SampleAtSingularity, WindowMismatch
 from qgscatter.global_scattering import Assembly
-from qgscatter.graph_core import Dirichlet, Neumann, Vertex, attach_leads, build_graph
+from qgscatter.graph_core import Dirichlet, Edge, Neumann, Vertex, attach_leads, build_graph
 from qgscatter.isoscattering import (
     _PHASE_KS,
     conjugation_residual,
@@ -19,7 +20,8 @@ from qgscatter.isoscattering import (
     isopolar_check,
     transplantability_verdict,
 )
-from qgscatter.resonances import find_poles
+from qgscatter import resonances
+from qgscatter.resonances import _confirm_poles, find_poles
 
 from conftest import random_open_graph, star_open_graph, two_pendant_resonator, DATA_DIR
 
@@ -149,6 +151,10 @@ def test_verdict_negative_for_shipped_pair():
     assert report.verdict == "no transplantation on these lead sets"
     assert report.conjugacy.status == "not_found"
     assert not report.isopolar
+    # the pole searches' own warnings reach the report, named by graph
+    assert report.poles_1.warnings == ()
+    assert report.poles_2.warnings and report.warnings == tuple(
+        f"graph 2: {w}" for w in report.poles_2.warnings)
 
 
 def test_verdict_requires_equal_lead_counts():
@@ -230,3 +236,121 @@ def test_phase_sample_at_a_bound_state_raises(tmp_path, capsys):
     captured = capsys.readouterr()
     assert report is None and code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and "hits a singular point" in captured.err
+
+
+def _commensurate_graph(rng, n_edges, n_leads):
+    """Neumann open graph with lengths in whole quarters, leads at distinct
+    vertices."""
+    n_v = n_edges // 2 + 1
+    names = [f"v{i}" for i in range(n_v)]
+    pairs = [(i, int(rng.integers(0, i))) for i in range(1, n_v)]
+    pairs += [tuple(int(x) for x in rng.choice(n_v, 2)) for _ in range(n_edges - len(pairs))]
+    edges = [Edge(f"e{j}", names[a], names[b], 0.25 * int(rng.integers(2, 9)))
+             for j, (a, b) in enumerate(pairs)]
+    leads = [names[int(v)] for v in rng.choice(n_v, n_leads, replace=False)]
+    g = build_graph([Vertex(nm, Neumann()) for nm in names], edges,
+                    pending_leads={nm: 1 for nm in leads})
+    return attach_leads(g, leads)
+
+
+def _relabelled_pair(seed, n_edges, n_leads):
+    og = _commensurate_graph(np.random.default_rng(seed), n_edges, n_leads)
+    return og, og.with_lead_order(list(range(1, n_leads)) + [0])
+
+
+def _resonator_beside_intervals(*bound_states):
+    """The two-pendant resonator beside detached Dirichlet intervals, which
+    the lead does not see: an interval of length pi / b adds trapped states
+    at k = b, 2b, ..."""
+    vertices = [Vertex("c", Neumann()), Vertex("w1", Dirichlet()), Vertex("w2", Dirichlet())]
+    edges = [Edge("e1", "c", "w1", 1.0), Edge("e2", "c", "w2", 1.0)]
+    for i, b in enumerate(bound_states):
+        vertices += [Vertex(f"a{i}", Dirichlet()), Vertex(f"b{i}", Dirichlet())]
+        edges.append(Edge(f"d{i}", f"a{i}", f"b{i}", math.pi / b))
+    return attach_leads(build_graph(vertices, edges, pending_leads={"c": 1}), ["c"])
+
+
+def _twin_resonators():
+    """Two two-pendant resonators, one lead each: every zero of D is double."""
+    vertices, edges = [], []
+    for i in (1, 2):
+        vertices += [Vertex(f"c{i}", Neumann()), Vertex(f"w{i}", Dirichlet()),
+                     Vertex(f"x{i}", Dirichlet())]
+        edges += [Edge(f"e{i}", f"c{i}", f"w{i}", 1.0), Edge(f"f{i}", f"c{i}", f"x{i}", 1.0)]
+    g = build_graph(vertices, edges, pending_leads={"c1": 1, "c2": 1})
+    return attach_leads(g, ["c1", "c2"])
+
+
+def _assert_same_zeros(got, want, tol):
+    for a, b in ((got.poles, want.poles), (got.real_axis_zeros, want.real_axis_zeros)):
+        assert [p.multiplicity for p in a] == [p.multiplicity for p in b]
+        assert all(abs(p.k - q.k) <= tol for p, q in zip(a, b))
+
+
+MM1_WINDOW = Rect(0.0, 8.0, -3.0, 0.0)
+CONFIRMED_CASES = {
+    "relabelled-4-2": lambda: (*_relabelled_pair(1, 4, 2), Rect(0.5, 3.5, -0.6, 0.0)),
+    "relabelled-7-3": lambda: (*_relabelled_pair(2, 7, 3), Rect(0.5, 3.5, -0.6, 0.0)),
+    "relabelled-10-4": lambda: (*_relabelled_pair(3, 10, 4), Rect(0.5, 3.5, -0.6, 0.0)),
+    "two-pendant-self": lambda: (two_pendant_resonator(), two_pendant_resonator(),
+                                 Rect(0.0, 10.0, -2.0, 0.0)),
+    "mm1-self": lambda: (parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"),
+                         parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"), MM1_WINDOW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIRMED_CASES))
+def test_confirmed_pole_set_matches_a_full_search(name):
+    og1, og2, window = CONFIRMED_CASES[name]()
+    report = transplantability_verdict(og1, og2, window)
+    assert report.conjugacy.found and report.isopolar
+    full = find_poles(og2, window)
+    _assert_same_zeros(report.poles_2, full, 1e-12)
+    # the confirmation, not a second search: a fraction of its determinants
+    assert report.poles_2.evaluations <= full.evaluations / 5
+    if name == "mm1-self":
+        assert len(full.real_axis_zeros) == 9
+
+
+def test_confirmation_winds_circles_around_double_zeros():
+    og = _twin_resonators()
+    window = Rect(0.5, 6.0, -2.0, -0.1)
+    report = transplantability_verdict(og, og.with_lead_order([1, 0]), window)
+    full = find_poles(og, window)
+    assert [p.multiplicity for p in full.poles] == [2, 2]
+    asm = Assembly(og)
+    assert report.poles_2 == _confirm_poles(asm, window, asm, full)
+    # Newton converges only linearly to a double zero: the two runs agree
+    # to the search's own merge radius, not to rounding
+    _assert_same_zeros(report.poles_2, full, resonances._DEDUPE_RADIUS)
+    # a reference that splits the total 4 as 3 + 1 passes the winding and
+    # every Newton run, and is refused by the circles
+    wrong = replace(full, poles=(replace(full.poles[0], multiplicity=3),
+                                 replace(full.poles[1], multiplicity=1)))
+    assert _confirm_poles(asm, window, asm, wrong) is None
+
+
+# Pairs with the same S, so conjugate, whose D differ by trapped states on
+# the top edge of the window (no phase or conjugator sample hits one).
+# Graph 2 has: one more (3.3); a double one where graph 1 has a simple one;
+# one more (4.4) beside a double one (3.3) that both share, which makes a
+# winding of D alone lose a whole turn and count graph 1's total.
+FALLBACK_CASES = {
+    "extra": ((), (3.3,)),
+    "simple-to-double": ((3.3,), (3.3, 3.3)),
+    "extra-beside-double": ((3.3, 3.3), (3.3, 3.3, 4.4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_an_extra_trapped_state_falls_back_to_a_full_search(name):
+    states1, states2 = FALLBACK_CASES[name]
+    og1 = _resonator_beside_intervals(*states1)
+    og2 = _resonator_beside_intervals(*states2)
+    window = Rect(0.5, 6.0, -2.0, 0.0)
+    report = transplantability_verdict(og1, og2, window)
+    assert report.conjugacy.found and report.isopolar
+    full = find_poles(og2, window)
+    assert report.poles_2 == full != report.poles_1
+    assert report.poles_2.evaluations == full.evaluations
+    assert _confirm_poles(Assembly(og2), window, Assembly(og1), report.poles_1) is None
