@@ -184,22 +184,43 @@ def isophasal_check(s1, s2) -> Tuple[bool, float]:
 
     Both determinants lie on the unit circle for unitary S, so comparing the
     values directly is equivalent to comparing total phases modulo 2 pi and
-    avoids branch tracking.
+    avoids branch tracking. A sample where ``s1`` or ``s2`` raises
+    :class:`SingularInterior` raises :class:`SampleAtSingularity` naming
+    the first such k.
     """
     def stacked(s):
-        return lambda ks: np.stack([np.asarray(s(k), dtype=complex) for k in ks])
+        def many(ks):
+            out = []
+            for k in ks:
+                try:
+                    out.append(np.asarray(s(k), dtype=complex))
+                except SingularInterior as exc:
+                    # name the sample, whatever k the caller's error carries
+                    raise SingularInterior(str(exc), k=k, determinant=exc.determinant) from exc
+            return np.stack(out)
+        return many
 
     return _isophasal(stacked(s1), stacked(s2))
 
 
 def _isophasal(many1, many2) -> Tuple[bool, float]:
     """:func:`isophasal_check` of two functions that map an array of k to
-    the stacked matrices S(k), such as ``Assembly.scattering_many``."""
+    the stacked matrices S(k), such as ``Assembly.scattering_many``, and
+    raise :class:`SingularInterior` at the first singular k. A sample where
+    either is singular raises :class:`SampleAtSingularity` naming the
+    first such k, graph 1's on a tie."""
     ks = np.array(_PHASE_KS)
-    try:
-        dev = float(np.max(np.abs(np.linalg.det(many1(ks)) - np.linalg.det(many2(ks)))))
-    except SingularInterior as exc:
-        raise SampleAtSingularity(f"sample k = {exc.k.real} hits a singular point") from exc
+    dets, singular = [], []
+    for many in (many1, many2):
+        try:
+            dets.append(np.linalg.det(many(ks)))
+        except SingularInterior as exc:
+            singular.append(exc)
+    if singular:
+        exc = min(singular, key=lambda e: complex(e.k).real)
+        raise SampleAtSingularity(
+            f"sample k = {complex(exc.k).real} hits a singular point") from exc
+    dev = float(np.max(np.abs(dets[0] - dets[1])))
     return dev <= _PHASE_TOL, dev
 
 

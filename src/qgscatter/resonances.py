@@ -58,6 +58,8 @@ _BOUNDARY_SAMPLES = 64  # initial samples of a cell side
 _MAX_RETRIES = 5  # contours tried per cell that meets a zero, see _inflations()
 _JITTER = 1e-6  # relative inflation per retry
 _REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero reported on the real axis
+_NEWTON_MAX_ITER = 80  # Newton steps from a cell centre or a conjugate graph's zero
+_NEWTON_STEP_TOL = 1e-12  # Newton stops once a step is this small
 # Radii of the multiplicity circles around a zero, tried in turn while a
 # circle meets a zero: each 1.4 times the last.
 _CIRCLE_RADII = tuple(itertools.accumulate(itertools.repeat(1.4, _MAX_RETRIES - 1),
@@ -180,7 +182,8 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
 
     The search is fixed by the module constants ``_MIN_CELL``,
     ``_REFINE_CELL``, ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``,
-    ``_BOUNDARY_SAMPLES``, ``_MAX_RETRIES``, ``_JITTER`` and ``_REAL_AXIS_TOL``.
+    ``_BOUNDARY_SAMPLES``, ``_MAX_RETRIES``, ``_JITTER``, ``_REAL_AXIS_TOL``,
+    ``_NEWTON_MAX_ITER`` and ``_NEWTON_STEP_TOL``.
 
     Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
     finite on a contour (windows reaching far below the real axis).
@@ -228,7 +231,7 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
                 split.append(i)
                 continue
             k_star, iterations, inside = asm.newton(
-                cell.center, max_iter=80, tol=1e-12,
+                cell.center, max_iter=_NEWTON_MAX_ITER, tol=_NEWTON_STEP_TOL,
                 trust=10.0 * max(original.diameter, 10 * _MIN_CELL),
             )
             residual = np.inf
@@ -330,6 +333,16 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     contour, such as a double trapped state on a window edge at Im k = 0,
     can otherwise lose a whole turn between two samples of D and hide an
     extra zero elsewhere.
+
+    Once the Newton runs and circles have passed, every zero of D_ref in
+    the window is one of D at least as multiple, so the ratio has no pole
+    there and winds at least once for each extra zero of D, also one on
+    the contour: at an extra zero of odd multiplicity the phase of the
+    ratio jumps by an odd multiple of pi, the contour is bisected down to
+    it and retried inflated, which encloses it; along an edge through an
+    extra zero of even multiplicity m, where a trapped state on the top
+    edge lies, the phase is the same on both sides, and the rest of the
+    contour turns it by m pi, so the ratio winds m / 2 times.
     """
     _require_holomorphic(asm.og)
     det = _CountedDet(asm)
@@ -351,8 +364,8 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
         return None
     refined = []
     for p in starts:
-        k_star, iterations, inside = asm.newton(p.k, max_iter=80, tol=1e-12,
-                                                trust=_DEDUPE_RADIUS)
+        k_star, iterations, inside = asm.newton(p.k, max_iter=_NEWTON_MAX_ITER,
+                                                tol=_NEWTON_STEP_TOL, trust=_DEDUPE_RADIUS)
         if not inside:
             return None
         refined.append((k_star, iterations))

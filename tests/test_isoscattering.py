@@ -9,7 +9,8 @@ import pytest
 
 from qgscatter.cli import parse_graph_file, run_command
 from qgscatter.contours import Rect
-from qgscatter.errors import DimensionMismatch, SampleAtSingularity, WindowMismatch
+from qgscatter.errors import (DimensionMismatch, SampleAtSingularity, SingularInterior,
+                              WindowMismatch)
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import Dirichlet, Edge, Neumann, Vertex, attach_leads, build_graph
 from qgscatter.isoscattering import (
@@ -238,6 +239,29 @@ def test_phase_sample_at_a_bound_state_raises(tmp_path, capsys):
     assert captured.err.startswith("error:") and "hits a singular point" in captured.err
 
 
+def test_phase_check_names_the_first_singular_sample_of_either_graph():
+    # graph 1 has a bound state at the 11th phase sample, graph 2 at the 4th
+    og1 = _resonator_beside_intervals(_PHASE_KS[10])
+    og2 = _resonator_beside_intervals(_PHASE_KS[3])
+    first = f"sample k = {_PHASE_KS[3]} hits a singular point"
+    with pytest.raises(SampleAtSingularity, match=first):
+        transplantability_verdict(og1, og2, Rect(0.5, 1.0, -1.0, 0.0))
+    asm1, asm2 = Assembly(og1), Assembly(og2)
+    with pytest.raises(SampleAtSingularity, match=first):
+        isophasal_check(lambda k: asm1.scattering(k).s, lambda k: asm2.scattering(k).s)
+
+    # a caller's function may raise SingularInterior without a k
+    def singular_from(k0):
+        def s(k):
+            if k >= k0:
+                raise SingularInterior("singular")
+            return GOLDEN_STAR3
+        return s
+
+    with pytest.raises(SampleAtSingularity, match=first):
+        isophasal_check(singular_from(_PHASE_KS[10]), singular_from(_PHASE_KS[3]))
+
+
 def _commensurate_graph(rng, n_edges, n_leads):
     """Neumann open graph with lengths in whole quarters, leads at distinct
     vertices."""
@@ -332,11 +356,14 @@ def test_confirmation_winds_circles_around_double_zeros():
 
 # Pairs with the same S, so conjugate, whose D differ by trapped states on
 # the top edge of the window (no phase or conjugator sample hits one).
-# Graph 2 has: one more (3.3); a double one where graph 1 has a simple one;
-# one more (4.4) beside a double one (3.3) that both share, which makes a
-# winding of D alone lose a whole turn and count graph 1's total.
+# Graph 2 has: one more (3.3); a double one more (3.3), along which the
+# phase of D2 / D1 does not jump, so that only the rest of the contour shows
+# it, by one turn; a double one where graph 1 has a simple one; one more
+# (4.4) beside a double one (3.3) that both share, which makes a winding of
+# D alone lose a whole turn and count graph 1's total.
 FALLBACK_CASES = {
     "extra": ((), (3.3,)),
+    "extra-double": ((), (3.3, 3.3)),
     "simple-to-double": ((3.3,), (3.3, 3.3)),
     "extra-beside-double": ((3.3, 3.3), (3.3, 3.3, 4.4)),
 }
