@@ -38,6 +38,8 @@ from .linalg import lu_det, unitarity_defect
 from .vertex_scattering import condition_sigma
 
 _SINGULAR_TOL = 1e-13
+_REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero taken to lie on the real axis
+_DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
 # Matrix entries per LAPACK call of Assembly.interior_det_many: about 512 kB,
 # so long batches keep memory flat.
 _DET_CHUNK_ENTRIES = 1 << 15
@@ -85,6 +87,10 @@ class Assembly:
     matrices sigma_v(k) into place, at indices fixed at construction; for
     graphs whose conditions are all k-independent it is built once, and
     only the propagator T(k) varies with k.
+
+    ``evaluations`` counts the determinants D(k) that
+    :meth:`interior_det_many` has computed (none for a graph without edges).
+    S(k) solves and Newton steps on k-independent conditions compute none.
     """
 
     def __init__(self, og: OpenGraph):
@@ -92,6 +98,7 @@ class Assembly:
         self.table: BondTable = bond_table(og)
         # sum L_b over directed bonds: |D(k)| grows like exp(|Im k| sum L_b)
         self.total_bond_length = float(np.sum(self.table.bond_lengths))
+        self.evaluations = 0
         n = self.table.n_channels
         self._rules = []
         flat = []
@@ -152,6 +159,7 @@ class Assembly:
         nb = self.table.n_bonds
         if nb == 0:
             return np.ones(len(ks), dtype=complex)
+        self.evaluations += len(ks)
         out = np.empty(len(ks), dtype=complex)
         per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -347,7 +355,7 @@ def _closed(graph: MetricGraph) -> OpenGraph:
 
 
 def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
-    """Locate the Laplacian eigenvalues (as k values) in a real window.
+    """Locate the Laplacian eigenvalues (as k values) in the window (k_min, k_max).
 
     The eigenvalues are the real zeros of D(k). On a grid of step
     min(0.01, pi / (4 L_total)), at most ``_NODE_BUDGET`` nodes (else
@@ -371,10 +379,7 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     with no sign change between them can yield one candidate, and the
     other is then missed.
     """
-    if isinstance(window, SpectrumWindow):
-        k_min, k_max = window.k_min, window.k_max
-    else:
-        k_min, k_max = window
+    k_min, k_max = window
     if not (0 < k_min < k_max):
         raise ValidationError(f"window must satisfy 0 < k_min < k_max, got ({k_min}, {k_max})")
     if not math.isfinite(k_max):
@@ -409,12 +414,12 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     found = []
     for k0 in candidates:
         k_star, _, _ = asm.newton(k0, max_iter=150, tol=1e-13, trust=0.5)
-        if abs(k_star.imag) > 1e-9:
+        if abs(k_star.imag) > _REAL_AXIS_TOL:
             continue
         kr = float(k_star.real)
         if not (k_min - 1e-9 <= kr <= k_max + 1e-9):
             continue
-        if any(abs(kr - f) < 1e-7 for f in found):
+        if any(abs(kr - f) < _DEDUPE_RADIUS for f in found):
             continue
         found.append(kr)
 

@@ -24,7 +24,8 @@ The circles of all polished zeros are wound together in the same way
 (:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
 circle that meets a zero is retried with a radius 1.4 times larger, and
 round i winds the i-th radius of every zero still unresolved, in one pass.
-The check inside a cell of winding w >= 2 is the same pass with one centre.
+The Newton runs from the centres of a level's small cells, and then the
+checks inside those of winding w >= 2, are likewise one pass per level.
 
 Real-axis zeros of the determinant are not scattering poles; they mark
 states decoupled from the leads and are reported separately.
@@ -33,6 +34,10 @@ A graph whose S(k) is conjugate to that of a graph already searched has
 the same poles; :func:`_confirm_poles` checks them on its determinant (one
 winding around the window, one Newton run per zero) instead of searching
 again.
+
+Both paths, and :func:`refine_pole`, polish their starts with one Newton
+pass (:func:`_polish`), and both build their :class:`PoleSet` with
+:func:`_pole_set`.
 """
 
 from __future__ import annotations
@@ -40,24 +45,22 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .contours import (ZERO_TOL, QuadLevel, Rect, first_circle_windings, first_windings,
                        rect_winding, rect_windings)
 from .errors import BoundaryZero, Diverged, NonHolomorphic
-from .global_scattering import Assembly
+from .global_scattering import _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly
 from .graph_core import LinearAB, OpenGraph
 
 _MIN_CELL = 1e-6  # cells this small are not split further
 _REFINE_CELL = 0.1  # cells this small go to Newton
-_DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
 _RESIDUAL_TOL = 1e-8  # largest |D| at an accepted Newton point
 _BOUNDARY_SAMPLES = 64  # initial samples of a cell side
 _MAX_RETRIES = 5  # contours tried per cell that meets a zero, see _inflations()
 _JITTER = 1e-6  # relative inflation per retry
-_REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero reported on the real axis
 _NEWTON_MAX_ITER = 80  # Newton steps from a cell centre or a conjugate graph's zero
 _NEWTON_STEP_TOL = 1e-12  # Newton stops once a step is this small
 # Radii of the multiplicity circles around a zero, tried in turn while a
@@ -84,11 +87,13 @@ class PoleSet:
     upper half plane are kept but flagged, since for k-independent vertex
     conditions physical resonances lie in Im k < 0. ``evaluations`` counts
     the determinants D(k) the search computed: contour samples, multiplicity
-    circles and residuals (Newton's steps solve with the matrix instead).
-    A multiplicity circle around a simple zero costs 16 of them. For a set
+    circles and residuals (Newton's steps solve with the matrix instead),
+    as the increase of :attr:`Assembly.evaluations` over the search. A
+    multiplicity circle around a simple zero costs 16 of them. For a set
     confirmed from a conjugate graph's, it counts the determinants of the
-    confirmation, and ``residual`` and ``iterations`` are those of the
-    Newton runs started at that graph's zeros.
+    confirmation on both graphs' Assemblies, and ``residual`` and
+    ``iterations`` are those of the Newton runs started at that graph's
+    zeros.
     """
 
     poles: Tuple[Pole, ...]
@@ -113,22 +118,22 @@ def winding_number(f: Callable[[complex], complex], rect: Rect, samples: int = 6
                         rect, samples)
 
 
-def refine_pole(og: OpenGraph, k0, *, max_iter: int = 50, step_tol: float = 1e-12,
+def refine_pole(og: OpenGraph, k0, *,
                 trust_radius: Optional[float] = None) -> Tuple[complex, float, int]:
-    """Newton-refine a pole candidate; returns (k*, |D(k*)|, iterations).
+    """Newton-refine a pole candidate with the pole search's Newton
+    (:func:`_polish`); returns (k*, |D(k*)|, iterations).
 
     Raises :class:`Diverged` when the iterates leave a ball of radius
     10 x trust_radius around the start (trust_radius defaults to 1).
     """
     _require_holomorphic(og)
-    asm = Assembly(og)
     limit = 10.0 * (trust_radius if trust_radius is not None else 1.0)
-    k, iterations, inside = asm.newton(k0, max_iter=max_iter, tol=step_tol, trust=limit)
-    if not inside:
+    ((k, residual, iterations),) = _polish(Assembly(og), [k0], [limit])
+    if residual == np.inf:
         raise Diverged(
             f"Newton left the trust region (|k - k0| = {abs(k - k0):.3e} > {limit:.3e})"
         )
-    return k, abs(asm.interior_det(k)), iterations
+    return k, residual, iterations
 
 
 def _require_holomorphic(og: OpenGraph):
@@ -150,31 +155,63 @@ def _inflations(rect):
         rect = rect.inflated(_JITTER * max(rect.diameter, 1.0) * attempt)
 
 
-class _CountedDet:
-    """D(k) of one Assembly in batches, counting the determinants, and the
-    winding of D around contours and circles as the pole search takes them."""
+def _rate(*asms: Assembly) -> float:
+    """Bulk rotation rate of the determinants of ``asms`` along a contour:
+    the largest total directed-bond length, plus 1."""
+    return max(a.total_bond_length for a in asms) + 1.0
 
-    def __init__(self, asm: Assembly):
-        self.asm = asm
-        self.evaluations = 0
-        # Bulk rotation rate of the determinant: the total directed-bond length.
-        self.rate = asm.total_bond_length + 1.0
 
-    def __call__(self, ks):
-        self.evaluations += len(ks)
-        return self.asm.interior_det_many(ks)
+def _multiplicities(asm: Assembly, ks) -> List[Optional[int]]:
+    """Winding of D on a small circle around each k, all wound together;
+    a circle that meets a zero is grown by 1.4 on each retry (round i
+    winds the i-th radius of every k still unresolved, in one pass).
+    None where every circle meets a zero."""
+    return [None if isinstance(w, str) else w
+            for w in first_circle_windings(asm.interior_det_many, ks,
+                                           [_CIRCLE_RADII] * len(ks), rate_hint=_rate(asm))]
 
-    def rect_windings(self, rects):
-        return rect_windings(self, rects, _BOUNDARY_SAMPLES, rate_hint=self.rate)
 
-    def multiplicities(self, ks):
-        """Winding of D on a small circle around each k, all wound together;
-        a circle that meets a zero is grown by 1.4 on each retry (round i
-        winds the i-th radius of every k still unresolved, in one pass).
-        None where every circle meets a zero."""
-        return [None if isinstance(w, str) else w
-                for w in first_circle_windings(self, ks, [_CIRCLE_RADII] * len(ks),
-                                               rate_hint=self.rate)]
+def _polish(asm: Assembly, starts, trusts) -> List[Tuple[complex, float, int]]:
+    """Newton on D from each start, within its own trust radius (at most
+    ``_NEWTON_MAX_ITER`` steps, step tolerance ``_NEWTON_STEP_TOL``), then
+    |D| at every run that stayed inside, in one batched call.
+
+    Returns (k, residual, iterations) per start; a run that left its trust
+    radius has residual inf and k the iterate that left.
+    """
+    runs = [asm.newton(k0, max_iter=_NEWTON_MAX_ITER, tol=_NEWTON_STEP_TOL, trust=trust)
+            for k0, trust in zip(starts, trusts)]
+    inside = [k for k, _, ok in runs if ok]
+    residuals = iter(asm.interior_det_many(inside) if inside else ())
+    return [(k, abs(complex(next(residuals))) if ok else np.inf, iterations)
+            for k, iterations, ok in runs]
+
+
+def _pole_set(window: Rect, zeros, warnings: list, evaluations: int) -> PoleSet:
+    """The :class:`PoleSet` of ``zeros`` (:class:`Pole` records) in ``window``.
+
+    A zero with |Im k| <= ``_REAL_AXIS_TOL`` is a real-axis zero, snapped to
+    the axis; any other outside the window is dropped, with a warning
+    appended to ``warnings``. Poles in the upper half plane are flagged.
+    """
+    poles, real_axis = [], []
+    for record in zeros:
+        if abs(record.k.imag) <= _REAL_AXIS_TOL:
+            real_axis.append(replace(record, k=complex(record.k.real, 0.0)))
+        elif window.contains(record.k):
+            poles.append(record)
+        else:
+            warnings.append(f"refined pole {record.k} lies outside the window; dropped")
+    poles.sort(key=lambda p: (p.k.real, p.k.imag))
+    real_axis.sort(key=lambda p: p.k.real)
+    return PoleSet(
+        poles=tuple(poles),
+        window=window,
+        real_axis_zeros=tuple(real_axis),
+        upper_half_flagged=tuple(p.k for p in poles if p.k.imag > 0),
+        warnings=tuple(warnings),
+        evaluations=evaluations,
+    )
 
 
 def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
@@ -195,70 +232,61 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
     """:func:`find_poles` on a graph's Assembly."""
     _require_holomorphic(asm.og)
     warnings: list = []
-
-    if asm.table.n_bonds == 0:
-        return PoleSet(poles=(), window=window, warnings=())
-
-    det = _CountedDet(asm)
-
+    start = asm.evaluations
+    rate = _rate(asm)
     polished = []
     level = QuadLevel(window)
     while level.cells:
-        windings = level.wind(det, _BOUNDARY_SAMPLES, rate_hint=det.rate)
+        windings = level.wind(asm.interior_det_many, _BOUNDARY_SAMPLES, rate_hint=rate)
         # A cell whose contour met a zero takes the first of its inflations
         # that does not; the failed cells of the level retry together, one
         # call of rect_windings per round (an inflated contour shares no side
         # with another cell).
         failed = [i for i, w in enumerate(windings) if isinstance(w, str)]
         retried = dict(zip(failed, first_windings(
-            det.rect_windings, [_inflations(level.cells[i]) for i in failed],
-            [windings[i] for i in failed])))
-        split = []
+            lambda rects: rect_windings(asm.interior_det_many, rects, _BOUNDARY_SAMPLES,
+                                        rate_hint=rate),
+            [_inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
+        # cells to split, cells at refinement size as (index, winding, cell,
+        # contour), and the level's warnings by cell, given in cell order
+        split, small, notes = [], [], {}
         for i, (original, w) in enumerate(zip(level.cells, windings)):
             cell = original
             if i in retried:
                 if isinstance(retried[i], str):
                     raise BoundaryZero(retried[i])
                 w, cell = retried[i]
-            if w == 0:
-                continue
             if w < 0:
-                warnings.append(f"negative winding {w} over {original}; non-holomorphic input?")
-                continue
-            small = original.diameter <= _REFINE_CELL
-            at_floor = original.diameter <= _MIN_CELL
-            if not (small or at_floor):
+                notes[i] = f"negative winding {w} over {original}; non-holomorphic input?"
+            elif w > 0 and original.diameter > _REFINE_CELL:
                 split.append(i)
-                continue
-            k_star, iterations, inside = asm.newton(
-                cell.center, max_iter=_NEWTON_MAX_ITER, tol=_NEWTON_STEP_TOL,
-                trust=10.0 * max(original.diameter, 10 * _MIN_CELL),
-            )
-            residual = np.inf
-            if inside:
-                residual = abs(asm.interior_det(k_star))
-                det.evaluations += 1
-            ok = (
-                inside
-                and residual <= _RESIDUAL_TOL
-                and cell.inflated(original.diameter).contains(k_star)
-            )
-            if ok and w > 1 and not at_floor:
-                # Newton finds one zero; if it is not of multiplicity w, the
-                # cell holds distinct zeros that subdivision must separate.
-                (mult,) = det.multiplicities([k_star])
-                ok = mult is None or mult >= w
-            if ok:
-                polished.append((k_star, residual, iterations))
-            elif not at_floor:
-                # Newton missed or left the cell; localize harder.
-                split.append(i)
-            else:
-                warnings.append(
-                    f"cell at {original.center} (winding {w}) could not be refined; "
-                    f"residual {residual:.3e}"
-                )
-        level = level.split(split)
+            elif w > 0:
+                small.append((i, w, original, cell))
+        if small:
+            # Newton from the centre of every small cell, then the circle
+            # checks of all cells of winding w >= 2, each in one pass
+            found = _polish(asm, [cell.center for *_, cell in small],
+                            [10.0 * max(original.diameter, 10 * _MIN_CELL)
+                             for _, _, original, _ in small])
+            ok = [residual <= _RESIDUAL_TOL and cell.inflated(original.diameter).contains(k_star)
+                  for (_, _, original, cell), (k_star, residual, _) in zip(small, found)]
+            # Newton finds one zero; if it is not of multiplicity w, the
+            # cell holds distinct zeros that subdivision must separate.
+            check = [j for j, (_, w, original, _) in enumerate(small)
+                     if ok[j] and w > 1 and original.diameter > _MIN_CELL]
+            for j, mult in zip(check, _multiplicities(asm, [found[j][0] for j in check])):
+                ok[j] = mult is None or mult >= small[j][1]
+            for (i, w, original, _), good, zero in zip(small, ok, found):
+                if good:
+                    polished.append(zero)
+                elif original.diameter > _MIN_CELL:
+                    # Newton missed or left the cell; localize harder.
+                    split.append(i)
+                else:
+                    notes[i] = (f"cell at {original.center} (winding {w}) could not be "
+                                f"refined; residual {zero[1]:.3e}")
+        warnings += [notes[i] for i in sorted(notes)]
+        level = level.split(sorted(split))
 
     # Deduplicate within _DEDUPE_RADIUS.
     merged = []
@@ -271,38 +299,17 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
         else:
             merged.append((k_star, residual, iterations))
 
-    poles = []
-    real_axis = []
-    upper = []
+    zeros = []
     for (k_star, residual, iterations), mult in zip(
-            merged, det.multiplicities([k for k, _, _ in merged])):
+            merged, _multiplicities(asm, [k for k, _, _ in merged])):
         if mult is None:
             mult = 1
             warnings.append(f"multiplicity circle at {k_star} kept hitting zeros; assumed 1")
         if mult < 1:
             warnings.append(f"refined point {k_star} shows no enclosed zero; dropped")
             continue
-        record = Pole(k=k_star, multiplicity=mult, residual=residual, iterations=iterations)
-        if abs(k_star.imag) <= _REAL_AXIS_TOL:
-            real_axis.append(replace(record, k=complex(k_star.real, 0.0)))
-            continue
-        if not window.contains(k_star):
-            warnings.append(f"refined pole {k_star} lies outside the window; dropped")
-            continue
-        if k_star.imag > 0:
-            upper.append(k_star)
-        poles.append(record)
-
-    poles.sort(key=lambda p: (p.k.real, p.k.imag))
-    real_axis.sort(key=lambda p: p.k.real)
-    return PoleSet(
-        poles=tuple(poles),
-        window=window,
-        real_axis_zeros=tuple(real_axis),
-        upper_half_flagged=tuple(upper),
-        warnings=tuple(warnings),
-        evaluations=det.evaluations,
-    )
+        zeros.append(Pole(k=k_star, multiplicity=mult, residual=residual, iterations=iterations))
+    return _pole_set(window, zeros, warnings, asm.evaluations - start)
 
 
 def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
@@ -345,55 +352,34 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     contour turns it by m pi, so the ratio winds m / 2 times.
     """
     _require_holomorphic(asm.og)
-    det = _CountedDet(asm)
-    rate = max(det.rate, reference_asm.total_bond_length + 1.0)
+    both = {asm, reference_asm}  # one Assembly when the graphs are the same
+    start = sum(a.evaluations for a in both)
 
     def ratio(ks):
         # a point where |D_ref| is at most ZERO_TOL counts as a zero on the
         # contour, which is then retried inflated
-        d, d_ref = det(ks), reference_asm.interior_det_many(ks)
-        det.evaluations += len(ks)
+        d, d_ref = asm.interior_det_many(ks), reference_asm.interior_det_many(ks)
         clear = np.abs(d_ref) > ZERO_TOL
         return np.where(clear, d / np.where(clear, d_ref, 1.0), 0.0)
 
     starts = reference.poles + reference.real_axis_zeros
     (wound,) = first_windings(
-        lambda rects: rect_windings(ratio, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
+        lambda rects: rect_windings(ratio, rects, _BOUNDARY_SAMPLES,
+                                    rate_hint=_rate(asm, reference_asm)),
         [_inflations(window)])
     if isinstance(wound, str) or wound[0] != 0:
         return None
-    refined = []
-    for p in starts:
-        k_star, iterations, inside = asm.newton(p.k, max_iter=_NEWTON_MAX_ITER,
-                                                tol=_NEWTON_STEP_TOL, trust=_DEDUPE_RADIUS)
-        if not inside:
-            return None
-        refined.append((k_star, iterations))
-    ks = np.array([k for k, _ in refined], dtype=complex)
-    residuals = np.abs(det(ks))
+    refined = _polish(asm, [p.k for p in starts], [_DEDUPE_RADIUS] * len(starts))
+    ks = np.array([k for k, _, _ in refined], dtype=complex)
     a, b = np.triu_indices(len(ks), 1)
-    if (residuals > _RESIDUAL_TOL).any() or (np.abs(ks[a] - ks[b]) <= _DEDUPE_RADIUS).any():
+    if (any(residual > _RESIDUAL_TOL for _, residual, _ in refined)
+            or (np.abs(ks[a] - ks[b]) <= _DEDUPE_RADIUS).any()
+            or not all(abs(k.imag) <= _REAL_AXIS_TOL or window.contains(k) for k in ks)):
         return None
     multiple = [i for i, p in enumerate(starts) if p.multiplicity > 1]
-    if det.multiplicities(ks[multiple]) != [starts[i].multiplicity for i in multiple]:
+    if _multiplicities(asm, ks[multiple]) != [starts[i].multiplicity for i in multiple]:
         return None
-
-    poles, real_axis = [], []
-    for p, (k_star, iterations), residual in zip(starts, refined, residuals):
-        record = Pole(k=k_star, multiplicity=p.multiplicity, residual=float(residual),
-                      iterations=iterations)
-        if abs(k_star.imag) <= _REAL_AXIS_TOL:
-            real_axis.append(replace(record, k=complex(k_star.real, 0.0)))
-        elif window.contains(k_star):
-            poles.append(record)
-        else:
-            return None
-    poles.sort(key=lambda p: (p.k.real, p.k.imag))
-    real_axis.sort(key=lambda p: p.k.real)
-    return PoleSet(
-        poles=tuple(poles),
-        window=window,
-        real_axis_zeros=tuple(real_axis),
-        upper_half_flagged=tuple(p.k for p in poles if p.k.imag > 0),
-        evaluations=det.evaluations,
-    )
+    zeros = [Pole(k=k_star, multiplicity=p.multiplicity, residual=residual,
+                  iterations=iterations)
+             for p, (k_star, residual, iterations) in zip(starts, refined)]
+    return _pole_set(window, zeros, [], sum(a.evaluations for a in both) - start)

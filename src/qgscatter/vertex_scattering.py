@@ -151,5 +151,6 @@ def condition_sigma(condition: VertexCondition, degree: int) -> VertexSigma:
     if isinstance(condition, LinearAB):
         if condition.dim != degree:
             raise InvalidDegree(f"A/B are {condition.dim}x{condition.dim}, degree is {degree}")
-        return ab_sigma(condition.a, condition.b)
+        # LinearAB checked the rank of [A|B] and froze A and B when it was built
+        return VertexSigma(degree=degree, ab=(condition.a, condition.b))
     raise TypeError(f"unsupported vertex condition {condition!r}")

@@ -110,6 +110,23 @@ def test_interior_determinant_no_edges():
     assert interior_determinant(og, 1.3) == 1.0 + 0.0j
 
 
+def test_assembly_counts_the_determinants_it_computes():
+    # S(k) solves and Newton steps on k-independent conditions are not
+    # counted; a graph without edges computes no determinant
+    asm = Assembly(two_pendant_resonator())
+    asm.scattering(1.3)
+    asm.scattering_many([1.1, 2.0 - 0.4j, 3.7])
+    asm.newton(1.5 - 0.5j, max_iter=80, tol=1e-12, trust=1.0)
+    asm.interior_log_derivative(0.9 - 0.1j)
+    assert asm.evaluations == 0
+    asm.interior_det_many([1.0, 2.0 - 0.5j])
+    asm.interior_det(3.0)
+    assert asm.evaluations == 3
+    star = Assembly(star_open_graph(4))
+    star.interior_det_many([1.0, 2.0])
+    assert star.evaluations == 0
+
+
 def _dft_unitary_graph():
     rng = np.random.default_rng(5)
     g = build_graph(

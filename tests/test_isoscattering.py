@@ -336,6 +336,24 @@ def test_confirmed_pole_set_matches_a_full_search(name):
         assert len(full.real_axis_zeros) == 9
 
 
+@pytest.mark.parametrize("name", ["mm1-self", "relabelled-4-2"])
+def test_verdict_evaluations_count_every_determinant(name, monkeypatch):
+    # the pole search of graph 1 and the confirmation of graph 2, on both
+    # graphs' Assemblies, compute every determinant of the verdict
+    og1, og2, window = CONFIRMED_CASES[name]()
+    counted = []
+    det_many = Assembly.interior_det_many
+
+    def counting(self, ks):
+        counted.append(len(ks))
+        return det_many(self, ks)
+
+    monkeypatch.setattr(Assembly, "interior_det_many", counting)
+    report = transplantability_verdict(og1, og2, window)
+    assert report.conjugacy.found and report.isopolar
+    assert sum(counted) == report.poles_1.evaluations + report.poles_2.evaluations
+
+
 def test_confirmation_winds_circles_around_double_zeros():
     og = _twin_resonators()
     window = Rect(0.5, 6.0, -2.0, -0.1)

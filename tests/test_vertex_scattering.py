@@ -121,6 +121,29 @@ def test_ab_vertex_singular_only_at_k_one_serves_every_other_k():
         scattering_matrix(og, 1.0)
 
 
+def test_assembly_does_not_recheck_the_rank_of_ab_conditions(monkeypatch):
+    # LinearAB checks the rank of [A|B] when it is built; the Assembly's
+    # vertex rules take A and B from it as they are
+    from qgscatter.global_scattering import Assembly
+    from qgscatter.graph_core import Edge, LinearAB, Vertex, attach_leads, build_graph
+
+    a, b = np.array([[1.0, 0.5], [0.5, -1.0]]), np.eye(2)
+    g = build_graph(
+        [Vertex("u", LinearAB(a, b)), Vertex("w", LinearAB(a, b))],
+        [Edge("e", "u", "w", 1.0)],
+        pending_leads={"u": 1, "w": 1},
+    )
+    og = attach_leads(g, ["u", "w"])
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda *args, **kw: calls.append(1)
+                        or rank(*args, **kw))
+    Assembly(og)
+    assert calls == []
+    ab_sigma(a, b)
+    assert len(calls) == 1  # the public entry point keeps its check
+
+
 def test_constant_variants_are_k_independent():
     for rule in (neumann_sigma(4), dirichlet_sigma(4), dft_sigma(4)):
         assert rule.is_constant
