@@ -287,11 +287,11 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
 
     Each graph gets one :class:`Assembly`. The phase samples are one
     stacked S(k) solve per graph. Graph 1's poles are searched for; when a
-    conjugator is found and that search gave no warning, graph 2's are
-    confirmed from them (conjugate S have the same poles), and searched
-    for afresh when the confirmation fails. The report's warnings are
-    those of both pole searches, prefixed "graph 1: " and "graph 2: ",
-    then the verdict's own.
+    conjugator is found and that search gave no warning but those of edge
+    zeros, graph 2's are confirmed from them (conjugate S have the same
+    poles), and searched for afresh when the confirmation fails. The
+    report's warnings are those of both pole searches, prefixed "graph 1: "
+    and "graph 2: ", then the verdict's own.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -304,9 +304,10 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     phases_ok, dev = _isophasal(asm1.scattering_many, asm2.scattering_many)
     poles1 = _find_poles(asm1, window)
     # conjugate S share their poles: confirm graph 2's from graph 1's, and
-    # search afresh when that fails
+    # search afresh when that fails; of graph 1's warnings only those of its
+    # edge zeros, one each, allow the confirmation
     poles2 = None
-    if conj.found and not poles1.warnings:
+    if conj.found and len(poles1.warnings) == len(poles1.edge_zeros):
         poles2 = _confirm_poles(asm2, window, asm1, poles1)
     if poles2 is None:
         poles2 = _find_poles(asm2, window)

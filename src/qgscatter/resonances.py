@@ -1,11 +1,15 @@
 """Resonance poles: zeros of the interior determinant in a complex window.
 
 The search subdivides the window into quadrants, level by level, counting
-zeros per cell with the argument principle, until each cell with zeros is
-small; candidates are then polished by Newton iteration and their
-multiplicities confirmed by a small winding circle. A small cell that winds
-w >= 2 times is subdivided further when the zero Newton finds in it has
-multiplicity below w, since it then holds distinct zeros.
+zeros per cell with the argument principle. A cell that winds once holds
+exactly one zero, and a simple one, at any size: Newton runs from its
+centre, and the zero is taken when it lies inside the contour that was
+wound, with no multiplicity circle; otherwise the cell is split. A cell
+that winds w >= 2 times is split down to the refinement size, then Newton
+runs from its centre and a small circle winds around the zero it finds;
+the cell is split further when that multiplicity is below w, since it then
+holds distinct zeros. After merging, a circle gives the multiplicity of
+every zero that a cell of winding w >= 2 found.
 
 The cells of a level are wound together (:class:`~qgscatter.contours.QuadLevel`):
 a child cell inherits the two resolved half-sides of its parent that it
@@ -20,15 +24,17 @@ inflation (:func:`~qgscatter.contours.first_windings` over
 requested window edge (commonly on the real axis) are still captured by the
 cells they border.
 
-The circles of all polished zeros are wound together in the same way
-(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
-circle that meets a zero is retried with a radius 1.4 times larger, and
+The circles are wound together in the same way
+(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each;
+a circle that meets a zero is retried with a radius 1.4 times larger, and
 round i winds the i-th radius of every zero still unresolved, in one pass.
-The Newton runs from the centres of a level's small cells, and then the
-checks inside those of winding w >= 2, are likewise one pass per level.
+The Newton runs from the centres of a level's cells, and then the checks
+inside those of winding w >= 2, are likewise one pass per level.
 
 Real-axis zeros of the determinant are not scattering poles; they mark
-states decoupled from the leads and are reported separately.
+states decoupled from the leads and are reported separately. Any other
+zero within ``_REAL_AXIS_TOL`` of a side of the window is an edge zero,
+dropped with a warning, so that rounding decides nothing.
 
 A graph whose S(k) is conjugate to that of a graph already searched has
 the same poles; :func:`_confirm_poles` checks them on its determinant (one
@@ -56,7 +62,7 @@ from .global_scattering import _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly
 from .graph_core import LinearAB, OpenGraph
 
 _MIN_CELL = 1e-6  # cells this small are not split further
-_REFINE_CELL = 0.1  # cells this small go to Newton
+_REFINE_CELL = 0.1  # cells of winding w >= 2 this small go to Newton
 _RESIDUAL_TOL = 1e-8  # largest |D| at an accepted Newton point
 _BOUNDARY_SAMPLES = 64  # initial samples of a cell side
 _MAX_RETRIES = 5  # contours tried per cell that meets a zero, see _inflations()
@@ -85,15 +91,17 @@ class PoleSet:
     ``real_axis_zeros`` lists determinant zeros on the real axis (decoupled
     bound states), which are excluded from ``poles``. Zeros refined into the
     upper half plane are kept but flagged, since for k-independent vertex
-    conditions physical resonances lie in Im k < 0. ``evaluations`` counts
+    conditions physical resonances lie in Im k < 0. ``edge_zeros`` lists the
+    zeros off the real axis within ``_REAL_AXIS_TOL`` of a side of the
+    window, which are dropped, each with one warning. ``evaluations`` counts
     the determinants D(k) the search computed: contour samples, multiplicity
     circles and residuals (Newton's steps solve with the matrix instead),
-    as the increase of :attr:`Assembly.evaluations` over the search. A
-    multiplicity circle around a simple zero costs 16 of them. For a set
-    confirmed from a conjugate graph's, it counts the determinants of the
-    confirmation on both graphs' Assemblies, and ``residual`` and
+    as the increase of :attr:`Assembly.evaluations` over the search. A zero
+    found in a cell that winds once costs one residual and no circle. For a
+    set confirmed from a conjugate graph's, it counts the determinants of
+    the confirmation on both graphs' Assemblies, ``residual`` and
     ``iterations`` are those of the Newton runs started at that graph's
-    zeros.
+    zeros, and ``edge_zeros`` and their warnings are that graph's.
     """
 
     poles: Tuple[Pole, ...]
@@ -102,6 +110,7 @@ class PoleSet:
     upper_half_flagged: Tuple[complex, ...] = ()
     warnings: Tuple[str, ...] = ()
     evaluations: int = field(default=0, compare=False)
+    edge_zeros: Tuple[Pole, ...] = ()
 
     def ks(self) -> np.ndarray:
         return np.array([p.k for p in self.poles])
@@ -191,17 +200,32 @@ def _pole_set(window: Rect, zeros, warnings: list, evaluations: int) -> PoleSet:
     """The :class:`PoleSet` of ``zeros`` (:class:`Pole` records) in ``window``.
 
     A zero with |Im k| <= ``_REAL_AXIS_TOL`` is a real-axis zero, snapped to
-    the axis; any other outside the window is dropped, with a warning
-    appended to ``warnings``. Poles in the upper half plane are flagged.
+    the axis. Any other is a pole when it lies inside the window farther
+    than ``_REAL_AXIS_TOL`` from every side; within that distance of a
+    side it is an edge zero, dropped with a warning that names the side and
+    prints k snapped onto it to 12 digits, so that which side of the line
+    rounding put it on decides nothing; beyond, it is dropped with a
+    warning. Warnings are appended to ``warnings``. Poles in the upper half
+    plane are flagged.
     """
-    poles, real_axis = [], []
+    poles, real_axis, edge = [], [], []
+    near = window.inflated(_REAL_AXIS_TOL)
     for record in zeros:
-        if abs(record.k.imag) <= _REAL_AXIS_TOL:
-            real_axis.append(replace(record, k=complex(record.k.real, 0.0)))
-        elif window.contains(record.k):
+        k = record.k
+        if abs(k.imag) <= _REAL_AXIS_TOL:
+            real_axis.append(replace(record, k=complex(k.real, 0.0)))
+        elif window.contains(k, _REAL_AXIS_TOL):
             poles.append(record)
+        elif near.contains(k):
+            edge.append(record)
+            # the nearest side, as (distance, name, k snapped onto it)
+            _, side, on = min((k.imag - window.im_min, "bottom", complex(k.real, window.im_min)),
+                              (window.re_max - k.real, "right", complex(window.re_max, k.imag)),
+                              (window.im_max - k.imag, "top", complex(k.real, window.im_max)),
+                              (k.real - window.re_min, "left", complex(window.re_min, k.imag)))
+            warnings.append(f"zero {on:.12g} lies on the {side} side of the window; dropped")
         else:
-            warnings.append(f"refined pole {record.k} lies outside the window; dropped")
+            warnings.append(f"refined pole {k} lies outside the window; dropped")
     poles.sort(key=lambda p: (p.k.real, p.k.imag))
     real_axis.sort(key=lambda p: p.k.real)
     return PoleSet(
@@ -211,11 +235,19 @@ def _pole_set(window: Rect, zeros, warnings: list, evaluations: int) -> PoleSet:
         upper_half_flagged=tuple(p.k for p in poles if p.k.imag > 0),
         warnings=tuple(warnings),
         evaluations=evaluations,
+        edge_zeros=tuple(edge),
     )
 
 
 def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     """Locate all zeros of the interior determinant inside the window.
+
+    A zero with |Im k| <= ``_REAL_AXIS_TOL`` is a real-axis zero
+    (``real_axis_zeros``). Any other zero within ``_REAL_AXIS_TOL`` of a side
+    of the window, inside or out, is dropped to ``edge_zeros`` with one
+    warning naming the side and k snapped onto it to 12 significant digits
+    (k = 0-0.203258178195j on the left side of [0, 8] x [-3, 0]), whichever
+    side of the line rounding put it on.
 
     The search is fixed by the module constants ``_MIN_CELL``,
     ``_REFINE_CELL``, ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``,
@@ -247,9 +279,10 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
             lambda rects: rect_windings(asm.interior_det_many, rects, _BOUNDARY_SAMPLES,
                                         rate_hint=rate),
             [_inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
-        # cells to split, cells at refinement size as (index, winding, cell,
-        # contour), and the level's warnings by cell, given in cell order
-        split, small, notes = [], [], {}
+        # cells to split, and cells to run Newton in as (index, winding, cell,
+        # contour): every cell of winding 1, and those of winding w >= 2 at
+        # refinement size; the level's warnings by cell, given in cell order
+        split, newton, notes = [], [], {}
         for i, (original, w) in enumerate(zip(level.cells, windings)):
             cell = original
             if i in retried:
@@ -258,27 +291,30 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
                 w, cell = retried[i]
             if w < 0:
                 notes[i] = f"negative winding {w} over {original}; non-holomorphic input?"
-            elif w > 0 and original.diameter > _REFINE_CELL:
+            elif w > 1 and original.diameter > _REFINE_CELL:
                 split.append(i)
             elif w > 0:
-                small.append((i, w, original, cell))
-        if small:
-            # Newton from the centre of every small cell, then the circle
+                newton.append((i, w, original, cell))
+        if newton:
+            # Newton from the centre of every such cell, then the circle
             # checks of all cells of winding w >= 2, each in one pass
-            found = _polish(asm, [cell.center for *_, cell in small],
+            found = _polish(asm, [cell.center for *_, cell in newton],
                             [10.0 * max(original.diameter, 10 * _MIN_CELL)
-                             for _, _, original, _ in small])
-            ok = [residual <= _RESIDUAL_TOL and cell.inflated(original.diameter).contains(k_star)
-                  for (_, _, original, cell), (k_star, residual, _) in zip(small, found)]
+                             for _, _, original, _ in newton])
+            # A contour that winds once holds one simple zero: Newton's point
+            # is that zero when it lies inside the contour that was wound.
+            ok = [residual <= _RESIDUAL_TOL
+                  and (cell if w == 1 else cell.inflated(original.diameter)).contains(k_star)
+                  for (_, w, original, cell), (k_star, residual, _) in zip(newton, found)]
             # Newton finds one zero; if it is not of multiplicity w, the
             # cell holds distinct zeros that subdivision must separate.
-            check = [j for j, (_, w, original, _) in enumerate(small)
+            check = [j for j, (_, w, original, _) in enumerate(newton)
                      if ok[j] and w > 1 and original.diameter > _MIN_CELL]
             for j, mult in zip(check, _multiplicities(asm, [found[j][0] for j in check])):
-                ok[j] = mult is None or mult >= small[j][1]
-            for (i, w, original, _), good, zero in zip(small, ok, found):
+                ok[j] = mult is None or mult >= newton[j][1]
+            for (i, w, original, _), good, zero in zip(newton, ok, found):
                 if good:
-                    polished.append(zero)
+                    polished.append((*zero, w == 1))
                 elif original.diameter > _MIN_CELL:
                     # Newton missed or left the cell; localize harder.
                     split.append(i)
@@ -288,20 +324,24 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
         warnings += [notes[i] for i in sorted(notes)]
         level = level.split(sorted(split))
 
-    # Deduplicate within _DEDUPE_RADIUS.
+    # Deduplicate within _DEDUPE_RADIUS; a zero stays certified simple only
+    # when every cell that found it wound once.
     merged = []
-    for k_star, residual, iterations in sorted(polished, key=lambda t: (t[0].real, t[0].imag)):
-        for i, (km, rm, im_) in enumerate(merged):
+    for k_star, residual, iterations, simple in sorted(
+            polished, key=lambda t: (t[0].real, t[0].imag)):
+        for i, (km, rm, im_, sm) in enumerate(merged):
             if abs(k_star - km) <= _DEDUPE_RADIUS:
-                if residual < rm:
-                    merged[i] = (k_star, residual, iterations)
+                best = (k_star, residual, iterations) if residual < rm else (km, rm, im_)
+                merged[i] = (*best, simple and sm)
                 break
         else:
-            merged.append((k_star, residual, iterations))
+            merged.append((k_star, residual, iterations, simple))
 
+    # the circles of the zeros not certified simple, wound together
+    circles = iter(_multiplicities(asm, [k for k, _, _, simple in merged if not simple]))
     zeros = []
-    for (k_star, residual, iterations), mult in zip(
-            merged, _multiplicities(asm, [k for k, _, _ in merged])):
+    for k_star, residual, iterations, simple in merged:
+        mult = 1 if simple else next(circles)
         if mult is None:
             mult = 1
             warnings.append(f"multiplicity circle at {k_star} kept hitting zeros; assumed 1")
@@ -328,10 +368,15 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     zeros of multiplicity above 1. The set is returned when the ratio winds
     0 times, every Newton run ends within ``_DEDUPE_RADIUS`` of its start
     with a residual of at most ``_RESIDUAL_TOL``, the refined points stay
-    distinct and inside the window (or on the real axis), and every circle
-    winds the multiplicity of ``reference``. Together these leave D no zero
-    beyond those of ``reference``: each is there, at least simple, exactly
-    as multiple where a circle was wound, and the totals are equal.
+    distinct and on the real axis or inside the window farther than
+    ``_REAL_AXIS_TOL`` from its sides (where :func:`_pole_set` keeps a
+    pole), and every circle winds the multiplicity of ``reference``.
+    Together these leave D no zero beyond those of ``reference``: each is
+    there, at least simple, exactly as multiple where a circle was wound,
+    and the totals are equal. The edge zeros of ``reference`` are carried
+    over and dropped again, with the same warnings: conjugate S share their
+    poles, and the winding of the ratio counts an edge zero that only one of
+    the determinants has whenever it lies inside the contour.
 
     Real-axis zeros of D are trapped states, not poles of S, so conjugacy
     does not make them equal; the winding is what sees an extra one. It is
@@ -374,7 +419,8 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     a, b = np.triu_indices(len(ks), 1)
     if (any(residual > _RESIDUAL_TOL for _, residual, _ in refined)
             or (np.abs(ks[a] - ks[b]) <= _DEDUPE_RADIUS).any()
-            or not all(abs(k.imag) <= _REAL_AXIS_TOL or window.contains(k) for k in ks)):
+            or not all(abs(k.imag) <= _REAL_AXIS_TOL or window.contains(k, _REAL_AXIS_TOL)
+                       for k in ks)):
         return None
     multiple = [i for i, p in enumerate(starts) if p.multiplicity > 1]
     if _multiplicities(asm, ks[multiple]) != [starts[i].multiplicity for i in multiple]:
@@ -382,4 +428,5 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     zeros = [Pole(k=k_star, multiplicity=p.multiplicity, residual=residual,
                   iterations=iterations)
              for p, (k_star, residual, iterations) in zip(starts, refined)]
-    return _pole_set(window, zeros, [], sum(a.evaluations for a in both) - start)
+    return _pole_set(window, zeros + list(reference.edge_zeros), [],
+                     sum(a.evaluations for a in both) - start)

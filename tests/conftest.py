@@ -48,6 +48,19 @@ def two_pendant_resonator():
     return attach_leads(g, ["c"])
 
 
+def twin_resonators():
+    """Two disjoint copies of the two-pendant resonator: D factors into
+    identical pieces and every zero doubles."""
+    verts, edges = [], []
+    for tag in ("x", "y"):
+        verts += [Vertex(f"c{tag}", Neumann()), Vertex(f"w1{tag}", Dirichlet()),
+                  Vertex(f"w2{tag}", Dirichlet())]
+        edges += [Edge(f"e1{tag}", f"c{tag}", f"w1{tag}", 1.0),
+                  Edge(f"e2{tag}", f"c{tag}", f"w2{tag}", 1.0)]
+    g = build_graph(verts, edges, pending_leads={"cx": 1, "cy": 1})
+    return attach_leads(g, ["cx", "cy"])
+
+
 def s3_star_action():
     """The six-lead star with the full permutation action on three objects;
     leads are labeled by group elements, g . l_h = l_{gh}."""
