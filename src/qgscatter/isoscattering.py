@@ -305,9 +305,9 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     poles1 = _find_poles(asm1, window)
     # conjugate S share their poles: confirm graph 2's from graph 1's, and
     # search afresh when that fails; of graph 1's warnings only those of its
-    # edge zeros, one each, allow the confirmation
+    # edge zeros allow the confirmation
     poles2 = None
-    if conj.found and len(poles1.warnings) == len(poles1.edge_zeros):
+    if conj.found and poles1.only_edge_warnings:
         poles2 = _confirm_poles(asm2, window, asm1, poles1)
     if poles2 is None:
         poles2 = _find_poles(asm2, window)

@@ -2,14 +2,15 @@
 
 The search subdivides the window into quadrants, level by level, counting
 zeros per cell with the argument principle. A cell that winds once holds
-exactly one zero, and a simple one, at any size: Newton runs from its
-centre, and the zero is taken when it lies inside the contour that was
-wound, with no multiplicity circle; otherwise the cell is split. A cell
-that winds w >= 2 times is split down to the refinement size, then Newton
-runs from its centre and a small circle winds around the zero it finds;
-the cell is split further when that multiplicity is below w, since it then
-holds distinct zeros. After merging, a circle gives the multiplicity of
-every zero that a cell of winding w >= 2 found.
+one zero, at any size: Newton runs from its centre, and the zero is taken
+when it lies inside the contour that was wound; otherwise the cell is
+split. A cell that winds w >= 2 times is split down to the refinement
+size, then Newton runs from its centre and a small circle winds around the
+zero it finds; the cell is split further when that multiplicity is below
+w, since it then holds distinct zeros. After merging, a circle gives the
+multiplicity of every zero: a cell that winds once holds a simple zero, or
+half of a zero of even multiplicity on its contour, along which the phase
+of D does not jump.
 
 The cells of a level are wound together (:class:`~qgscatter.contours.QuadLevel`):
 a child cell inherits the two resolved half-sides of its parent that it
@@ -24,9 +25,9 @@ inflation (:func:`~qgscatter.contours.first_windings` over
 requested window edge (commonly on the real axis) are still captured by the
 cells they border.
 
-The circles are wound together in the same way
-(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each;
-a circle that meets a zero is retried with a radius 1.4 times larger, and
+The circles of all polished zeros are wound together in the same way
+(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
+circle that meets a zero is retried with a radius 1.4 times larger, and
 round i winds the i-th radius of every zero still unresolved, in one pass.
 The Newton runs from the centres of a level's cells, and then the checks
 inside those of winding w >= 2, are likewise one pass per level.
@@ -97,11 +98,12 @@ class PoleSet:
     the determinants D(k) the search computed: contour samples, multiplicity
     circles and residuals (Newton's steps solve with the matrix instead),
     as the increase of :attr:`Assembly.evaluations` over the search. A zero
-    found in a cell that winds once costs one residual and no circle. For a
+    found in a cell that winds once costs one residual and its circle. For a
     set confirmed from a conjugate graph's, it counts the determinants of
-    the confirmation on both graphs' Assemblies, ``residual`` and
-    ``iterations`` are those of the Newton runs started at that graph's
-    zeros, and ``edge_zeros`` and their warnings are that graph's.
+    the confirmation on both graphs' Assemblies, and every zero, edge zeros
+    included, is this graph's own: the point, ``residual`` and
+    ``iterations`` of a Newton run on its determinant started at the
+    conjugate graph's zero.
     """
 
     poles: Tuple[Pole, ...]
@@ -114,6 +116,12 @@ class PoleSet:
 
     def ks(self) -> np.ndarray:
         return np.array([p.k for p in self.poles])
+
+    @property
+    def only_edge_warnings(self) -> bool:
+        """True when every warning is the one :func:`_pole_set` gives each
+        edge zero."""
+        return len(self.warnings) == len(self.edge_zeros)
 
 
 def winding_number(f: Callable[[complex], complex], rect: Rect, samples: int = 64) -> int:
@@ -196,27 +204,37 @@ def _polish(asm: Assembly, starts, trusts) -> List[Tuple[complex, float, int]]:
             for k, iterations, ok in runs]
 
 
+def _place(window: Rect, k: complex) -> str:
+    """Where :func:`_pole_set` files a zero at k: "real" when |Im k| <=
+    ``_REAL_AXIS_TOL``, else "pole" inside the window farther than
+    ``_REAL_AXIS_TOL`` from every side, "edge" within that distance of a
+    side, inside or out, and "outside" beyond."""
+    if abs(k.imag) <= _REAL_AXIS_TOL:
+        return "real"
+    if window.contains(k, _REAL_AXIS_TOL):
+        return "pole"
+    return "edge" if window.inflated(_REAL_AXIS_TOL).contains(k) else "outside"
+
+
 def _pole_set(window: Rect, zeros, warnings: list, evaluations: int) -> PoleSet:
     """The :class:`PoleSet` of ``zeros`` (:class:`Pole` records) in ``window``.
 
-    A zero with |Im k| <= ``_REAL_AXIS_TOL`` is a real-axis zero, snapped to
-    the axis. Any other is a pole when it lies inside the window farther
-    than ``_REAL_AXIS_TOL`` from every side; within that distance of a
-    side it is an edge zero, dropped with a warning that names the side and
+    Each zero is filed by :func:`_place`. A real-axis zero is snapped to the
+    axis. An edge zero is dropped with one warning that names the side and
     prints k snapped onto it to 12 digits, so that which side of the line
-    rounding put it on decides nothing; beyond, it is dropped with a
+    rounding put it on decides nothing; a zero outside is dropped with a
     warning. Warnings are appended to ``warnings``. Poles in the upper half
     plane are flagged.
     """
     poles, real_axis, edge = [], [], []
-    near = window.inflated(_REAL_AXIS_TOL)
     for record in zeros:
         k = record.k
-        if abs(k.imag) <= _REAL_AXIS_TOL:
+        place = _place(window, k)
+        if place == "real":
             real_axis.append(replace(record, k=complex(k.real, 0.0)))
-        elif window.contains(k, _REAL_AXIS_TOL):
+        elif place == "pole":
             poles.append(record)
-        elif near.contains(k):
+        elif place == "edge":
             edge.append(record)
             # the nearest side, as (distance, name, k snapped onto it)
             _, side, on = min((k.imag - window.im_min, "bottom", complex(k.real, window.im_min)),
@@ -301,11 +319,10 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
             found = _polish(asm, [cell.center for *_, cell in newton],
                             [10.0 * max(original.diameter, 10 * _MIN_CELL)
                              for _, _, original, _ in newton])
-            # A contour that winds once holds one simple zero: Newton's point
-            # is that zero when it lies inside the contour that was wound.
-            ok = [residual <= _RESIDUAL_TOL
-                  and (cell if w == 1 else cell.inflated(original.diameter)).contains(k_star)
-                  for (_, w, original, cell), (k_star, residual, _) in zip(newton, found)]
+            # Newton's point is the cell's zero when it lies inside the
+            # contour that was wound; a contour that winds once holds one.
+            ok = [residual <= _RESIDUAL_TOL and cell.contains(k_star)
+                  for (*_, cell), (k_star, residual, _) in zip(newton, found)]
             # Newton finds one zero; if it is not of multiplicity w, the
             # cell holds distinct zeros that subdivision must separate.
             check = [j for j, (_, w, original, _) in enumerate(newton)
@@ -314,7 +331,7 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
                 ok[j] = mult is None or mult >= newton[j][1]
             for (i, w, original, _), good, zero in zip(newton, ok, found):
                 if good:
-                    polished.append((*zero, w == 1))
+                    polished.append(zero)
                 elif original.diameter > _MIN_CELL:
                     # Newton missed or left the cell; localize harder.
                     split.append(i)
@@ -324,24 +341,23 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
         warnings += [notes[i] for i in sorted(notes)]
         level = level.split(sorted(split))
 
-    # Deduplicate within _DEDUPE_RADIUS; a zero stays certified simple only
-    # when every cell that found it wound once.
+    # Deduplicate within _DEDUPE_RADIUS.
     merged = []
-    for k_star, residual, iterations, simple in sorted(
-            polished, key=lambda t: (t[0].real, t[0].imag)):
-        for i, (km, rm, im_, sm) in enumerate(merged):
+    for k_star, residual, iterations in sorted(polished, key=lambda t: (t[0].real, t[0].imag)):
+        for i, (km, rm, im_) in enumerate(merged):
             if abs(k_star - km) <= _DEDUPE_RADIUS:
-                best = (k_star, residual, iterations) if residual < rm else (km, rm, im_)
-                merged[i] = (*best, simple and sm)
+                if residual < rm:
+                    merged[i] = (k_star, residual, iterations)
                 break
         else:
-            merged.append((k_star, residual, iterations, simple))
+            merged.append((k_star, residual, iterations))
 
-    # the circles of the zeros not certified simple, wound together
-    circles = iter(_multiplicities(asm, [k for k, _, _, simple in merged if not simple]))
+    # The multiplicity of every zero, its circles wound together. A cell
+    # that winds once may have found half of a zero of even multiplicity
+    # on its contour, whose phase jump the contour does not see.
     zeros = []
-    for k_star, residual, iterations, simple in merged:
-        mult = 1 if simple else next(circles)
+    for (k_star, residual, iterations), mult in zip(
+            merged, _multiplicities(asm, [k for k, _, _ in merged])):
         if mult is None:
             mult = 1
             warnings.append(f"multiplicity circle at {k_star} kept hitting zeros; assumed 1")
@@ -363,20 +379,17 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     at every zero of ``reference`` with the same multiplicity, and nowhere
     else in the window. The ratio D / D_ref is wound once around the window
     (with the inflated retries of :func:`find_poles`); Newton runs on D
-    once from each pole and real-axis zero of ``reference``, and the
-    residuals |D| come from one batched call; circles are wound only around
-    zeros of multiplicity above 1. The set is returned when the ratio winds
-    0 times, every Newton run ends within ``_DEDUPE_RADIUS`` of its start
-    with a residual of at most ``_RESIDUAL_TOL``, the refined points stay
-    distinct and on the real axis or inside the window farther than
-    ``_REAL_AXIS_TOL`` from its sides (where :func:`_pole_set` keeps a
-    pole), and every circle winds the multiplicity of ``reference``.
-    Together these leave D no zero beyond those of ``reference``: each is
-    there, at least simple, exactly as multiple where a circle was wound,
-    and the totals are equal. The edge zeros of ``reference`` are carried
-    over and dropped again, with the same warnings: conjugate S share their
-    poles, and the winding of the ratio counts an edge zero that only one of
-    the determinants has whenever it lies inside the contour.
+    once from each pole, real-axis zero and edge zero of ``reference``, and
+    the residuals |D| come from one batched call; circles are wound only
+    around zeros of multiplicity above 1. The set is returned when the ratio
+    winds 0 times, every Newton run ends within ``_DEDUPE_RADIUS`` of its
+    start with a residual of at most ``_RESIDUAL_TOL``, the refined points
+    stay distinct and each is filed by :func:`_place` with the zeros of
+    ``reference`` it started from (so an edge zero is dropped again, with
+    its own warning), and every circle winds the multiplicity of
+    ``reference``. Together these leave D no zero beyond those of
+    ``reference``: each is there, at least simple, exactly as multiple
+    where a circle was wound, and the totals are equal.
 
     Real-axis zeros of D are trapped states, not poles of S, so conjugacy
     does not make them equal; the winding is what sees an extra one. It is
@@ -407,7 +420,9 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
         clear = np.abs(d_ref) > ZERO_TOL
         return np.where(clear, d / np.where(clear, d_ref, 1.0), 0.0)
 
-    starts = reference.poles + reference.real_axis_zeros
+    starts = reference.poles + reference.real_axis_zeros + reference.edge_zeros
+    places = (["pole"] * len(reference.poles) + ["real"] * len(reference.real_axis_zeros)
+              + ["edge"] * len(reference.edge_zeros))
     (wound,) = first_windings(
         lambda rects: rect_windings(ratio, rects, _BOUNDARY_SAMPLES,
                                     rate_hint=_rate(asm, reference_asm)),
@@ -419,8 +434,7 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     a, b = np.triu_indices(len(ks), 1)
     if (any(residual > _RESIDUAL_TOL for _, residual, _ in refined)
             or (np.abs(ks[a] - ks[b]) <= _DEDUPE_RADIUS).any()
-            or not all(abs(k.imag) <= _REAL_AXIS_TOL or window.contains(k, _REAL_AXIS_TOL)
-                       for k in ks)):
+            or [_place(window, k) for k in ks] != places):
         return None
     multiple = [i for i, p in enumerate(starts) if p.multiplicity > 1]
     if _multiplicities(asm, ks[multiple]) != [starts[i].multiplicity for i in multiple]:
@@ -428,5 +442,4 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     zeros = [Pole(k=k_star, multiplicity=p.multiplicity, residual=residual,
                   iterations=iterations)
              for p, (k_star, residual, iterations) in zip(starts, refined)]
-    return _pole_set(window, zeros + list(reference.edge_zeros), [],
-                     sum(a.evaluations for a in both) - start)
+    return _pole_set(window, zeros, [], sum(a.evaluations for a in both) - start)

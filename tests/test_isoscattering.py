@@ -319,11 +319,10 @@ CONFIRMED_CASES = {
 
 
 # Determinants of each confirmation: the contour of the ratio and one
-# residual per zero; mm1-self's pole on the window's left side is no longer
-# a start (2,972 when it was kept as a pole).
+# residual per zero, mm1-self's edge zero on the window's left side included.
 CONFIRMATION_EVALUATIONS = {"relabelled-4-2": 420, "relabelled-7-3": 649,
                             "relabelled-10-4": 713, "two-pendant-self": 819,
-                            "mm1-self": 2_971}
+                            "mm1-self": 2_972}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIRMED_CASES))
@@ -335,9 +334,12 @@ def test_confirmed_pole_set_matches_a_full_search(name):
     _assert_same_zeros(report.poles_2, full, 1e-12)
     # the confirmation, not a second search
     assert report.poles_2.evaluations == CONFIRMATION_EVALUATIONS[name] < full.evaluations
-    # graph 1's edge zero does not bar the confirmation, which carries it
+    # graph 1's edge zero does not bar the confirmation, which finds it on
+    # graph 2's determinant and drops it again
     assert report.poles_2.warnings == report.poles_1.warnings == full.warnings
-    assert report.poles_2.edge_zeros == report.poles_1.edge_zeros
+    assert len(report.poles_2.edge_zeros) == len(full.edge_zeros)
+    for p, q in zip(report.poles_2.edge_zeros, full.edge_zeros):
+        assert abs(p.k - q.k) <= 1e-12 and p.residual <= resonances._RESIDUAL_TOL
     if name == "mm1-self":
         assert len(full.real_axis_zeros) == 9
         assert len(full.edge_zeros) == 1
@@ -352,6 +354,20 @@ def test_confirmation_refuses_a_zero_on_a_window_side():
     kept = replace(full, poles=full.poles + full.edge_zeros, edge_zeros=(), warnings=())
     assert _confirm_poles(asm, MM1_WINDOW, asm, full) is not None
     assert _confirm_poles(asm, MM1_WINDOW, asm, kept) is None
+    # nor may an inner pole pass as an edge zero
+    moved = replace(full, poles=full.poles[1:], edge_zeros=full.edge_zeros + full.poles[:1])
+    assert _confirm_poles(asm, MM1_WINDOW, asm, moved) is None
+
+
+def test_confirmation_checks_edge_zeros_on_its_own_determinant():
+    # an edge zero of the reference where D has none fails its Newton run
+    og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    asm = Assembly(og)
+    full = find_poles(og, MM1_WINDOW)
+    (edge,) = full.edge_zeros
+    assert abs(asm.interior_det(complex(0.0, -0.5))) > 1e-3
+    wrong = replace(full, edge_zeros=(replace(edge, k=complex(0.0, -0.5)),))
+    assert _confirm_poles(asm, MM1_WINDOW, asm, wrong) is None
 
 
 @pytest.mark.parametrize("name", ["mm1-self", "relabelled-4-2"])
@@ -403,6 +419,21 @@ FALLBACK_CASES = {
     "simple-to-double": ((3.3,), (3.3, 3.3)),
     "extra-beside-double": ((3.3, 3.3), (3.3, 3.3, 4.4)),
 }
+
+
+@pytest.mark.parametrize("states", sorted({s for case in FALLBACK_CASES.values() for s in case}))
+def test_trapped_states_on_the_top_edge_have_their_multiplicity(states):
+    # along the top edge a trapped state of even multiplicity shows no
+    # phase jump, so the cell below it winds half its multiplicity; the
+    # search reports the resonator's trapped state at pi and each interval's
+    # with its multiplicity
+    ps = find_poles(_resonator_beside_intervals(*states), Rect(0.5, 6.0, -2.0, 0.0))
+    want = {math.pi: 1}
+    for b in states:
+        want[b] = want.get(b, 0) + 1
+    assert [p.multiplicity for p in ps.real_axis_zeros] == [want[b] for b in sorted(want)]
+    assert np.allclose([p.k for p in ps.real_axis_zeros], sorted(want), rtol=0, atol=1e-9)
+    assert ps.warnings == ()
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
