@@ -42,6 +42,11 @@ parent side is resolved afresh: a phase is never interpolated. Of a parent
 side that met a zero, the half holding that zero fails at once and the
 other half is resolved afresh.
 
+The resolved samples of a contour also give the power sums of the zeros
+inside it (:meth:`QuadLevel.power_sums` for a cell, :func:`rect_power_sums`
+for rectangles wound afresh) by the midpoint rule, with no further value
+of f.
+
 A function value close to zero on the contour makes the winding number
 ill-defined. It fails the contour (in :class:`QuadLevel`, only the cells
 whose sides pass through it), and callers jitter their contours and retry
@@ -269,13 +274,30 @@ def windings(f, polylines):
     point back to the first. ``f`` maps a 1-D complex array to the array of
     its values.
     """
+    paths = _closed_paths(polylines)
+    return [r[0] if _failed(r) else _winding(_phase(r[1])) for r in _settle(f, paths, {})]
+
+
+def _closed_paths(polylines):
+    """The paths of :func:`_settle` for closed polylines: each vertex at its
+    index, and the first vertex repeated at the end."""
     paths = []
     for p in polylines:
         z = np.asarray(p, dtype=complex)
         if len(z) < 3:
             raise ValueError("need at least 3 points for a closed contour")
         paths.append((np.arange(len(z) + 1.0), np.append(z, z[0])))
-    return [r[0] if _failed(r) else _winding(_phase(r[1])) for r in _settle(f, paths, {})]
+    return paths
+
+
+def _log_moments(z, v, rect, count):
+    """Sum over consecutive samples of u^p log(v[j+1] / v[j]), p = 1 ..
+    count, u being the midpoint of z[j] and z[j+1] in units centred on the
+    centre of ``rect`` and scaled by half its diameter. The principal log is
+    the step of log f between the samples, since the phase steps of
+    resolved samples are below pi/2."""
+    u = ((z[1:] + z[:-1]) / 2 - rect.center) / (rect.diameter / 2)
+    return np.cumprod(np.broadcast_to(u, (count, len(u))), axis=0) @ np.log(v[1:] / v[:-1])
 
 
 def _one(result):
@@ -308,6 +330,31 @@ def rect_windings(f, rects, samples: int = 64, *, rate_hint=None):
     A side starts from ``samples // 4`` equal segments, more where
     ``rate_hint`` asks for them.
     """
+    return windings(f, _rect_polylines(rects, samples, rate_hint))
+
+
+def rect_power_sums(f, rects, samples: int = 64, *, rate_hint=None):
+    """For each rectangle, (w, s): its winding number w, as
+    :func:`rect_windings` gives it, and the power sums s of the zeros
+    inside, as :meth:`QuadLevel.power_sums` gives them for a cell, p = 1 ..
+    w; for a rectangle whose boundary met a zero, the message (a str). The
+    sums come from the resolved samples; they cost no value of f."""
+    paths = _closed_paths(_rect_polylines(rects, samples, rate_hint))
+    out = []
+    for rect, (t0, z0), r in zip(rects, paths, _settle(f, paths, {})):
+        w = r[0] if _failed(r) else _winding(_phase(r[1]))
+        if isinstance(w, str):
+            out.append(w)
+            continue
+        t, v = r
+        z = np.interp(t, t0, z0.real) + 1j * np.interp(t, t0, z0.imag)
+        out.append((w, _log_moments(z, v, rect, max(w, 0)) / (2j * np.pi)))
+    return out
+
+
+def _rect_polylines(rects, samples, rate_hint):
+    """The boundary of each rectangle, counterclockwise from its lower left
+    corner, each side in ``samples // 4`` equal segments or more."""
     base = max(2, samples // 4)
     polylines = []
     for rect in rects:
@@ -318,7 +365,7 @@ def rect_windings(f, rects, samples: int = 64, *, rate_hint=None):
             n = _samples_for(abs(z1 - z0), base, rate_hint)
             pts += [z0 + (z1 - z0) * j / n for j in range(n)]
         polylines.append(pts)
-    return windings(f, polylines)
+    return polylines
 
 
 def rect_winding(f, rect: Rect, samples: int = 64, *, rate_hint=None) -> int:
@@ -429,6 +476,23 @@ class QuadLevel:
             failure = next((s.failure for s in (b, r, t, l) if s.failure), None)
             out.append(failure or _winding(b.phase + r.phase - t.phase - l.phase))
         return out
+
+    def power_sums(self, i, count):
+        """s_p = (1/2 pi i) times the integral of u^p d log f around cell i,
+        counterclockwise, for p = 1 .. count, with u = (z - c) / (d / 2) for
+        the cell's centre c and diameter d: the sum of u^p over the zeros of
+        f inside, with multiplicity, when no pole is inside (Delves and
+        Lyness, Math. Comp. 21 (1967) 543).
+
+        Computed from the samples :meth:`wind` resolved on the cell's sides,
+        which must not have failed, by the midpoint rule: u^p at the
+        midpoint of two consecutive samples times the log of their ratio.
+        No value of f is computed.
+        """
+        cell = self.cells[i]
+        sides = (self._sides[j] for j in self._refs[i])
+        return sum(sign * _log_moments(s.a + (s.b - s.a) * s.t, s.v, cell, count)
+                   for sign, s in zip((1, 1, -1, -1), sides)) / (2j * np.pi)
 
     def split(self, indices) -> "QuadLevel":
         """The next level: the quadrants (as :meth:`Rect.quadrants` orders

@@ -1,16 +1,21 @@
 """Resonance poles: zeros of the interior determinant in a complex window.
 
 The search subdivides the window into quadrants, level by level, counting
-zeros per cell with the argument principle. A cell that winds once holds
-one zero, at any size: Newton runs from its centre, and the zero is taken
-when it lies inside the contour that was wound; otherwise the cell is
-split. A cell that winds w >= 2 times is split down to the refinement
-size, then Newton runs from its centre and a small circle winds around the
-zero it finds; the cell is split further when that multiplicity is below
-w, since it then holds distinct zeros. After merging, a circle gives the
-multiplicity of every zero: a cell that winds once holds a simple zero, or
-half of a zero of even multiplicity on its contour, along which the phase
-of D does not jump.
+zeros per cell with the argument principle. The samples that resolve the
+contour of a cell of winding w >= 1 also give, at no further determinant,
+the power sums s_p of the zeros inside, p = 1 .. w (Delves and Lyness,
+Math. Comp. 21 (1967) 543; :meth:`~qgscatter.contours.QuadLevel.power_sums`),
+and Newton's identities turn them into a polynomial whose w roots start w
+Newton runs, at any cell size. The cell's zeros are taken when every run
+ends inside the contour that was wound, and, for w >= 2, when small
+circles around the distinct points found wind w times in all; otherwise
+the cell is split. The roots of w >= 2 power sums are ill-conditioned in
+w, and a cell of winding w >= 2 whose roots do not all lie inside its
+contour is split with no Newton run; a cell that winds once runs from its
+root, moved onto the contour if it lies outside. After merging, a circle
+gives the multiplicity of every zero: a cell that winds once holds a
+simple zero, or half of a zero of even multiplicity on its contour, along
+which the phase of D does not jump.
 
 The cells of a level are wound together (:class:`~qgscatter.contours.QuadLevel`):
 a child cell inherits the two resolved half-sides of its parent that it
@@ -21,16 +26,17 @@ of determinants per bisection depth. A half-edge that passes too close to a
 zero fails only the cells that share it. Every failed cell of the level is
 then inflated slightly and wound again, all of them in one retry round per
 inflation (:func:`~qgscatter.contours.first_windings` over
-:func:`~qgscatter.contours.rect_windings`), so zeros sitting exactly on the
-requested window edge (commonly on the real axis) are still captured by the
-cells they border.
+:func:`~qgscatter.contours.rect_power_sums`, which gives the power sums of
+the inflated contour too), so zeros sitting exactly on the requested window
+edge (commonly on the real axis) are still captured by the cells they
+border.
 
 The circles of all polished zeros are wound together in the same way
 (:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
 circle that meets a zero is retried with a radius 1.4 times larger, and
 round i winds the i-th radius of every zero still unresolved, in one pass.
-The Newton runs from the centres of a level's cells, and then the checks
-inside those of winding w >= 2, are likewise one pass per level.
+The Newton runs from the moment starts of a level's cells, and then the
+circles inside those of winding w >= 2, are likewise one pass per level.
 
 Real-axis zeros of the determinant are not scattering poles; they mark
 states decoupled from the leads and are reported separately. Any other
@@ -57,18 +63,17 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .contours import (ZERO_TOL, QuadLevel, Rect, first_circle_windings, first_windings,
-                       rect_winding, rect_windings)
+                       rect_power_sums, rect_winding, rect_windings)
 from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly
 from .graph_core import LinearAB, OpenGraph
 
 _MIN_CELL = 1e-6  # cells this small are not split further
-_REFINE_CELL = 0.1  # cells of winding w >= 2 this small go to Newton
 _RESIDUAL_TOL = 1e-8  # largest |D| at an accepted Newton point
 _BOUNDARY_SAMPLES = 64  # initial samples of a cell side
 _MAX_RETRIES = 5  # contours tried per cell that meets a zero, see _inflations()
 _JITTER = 1e-6  # relative inflation per retry
-_NEWTON_MAX_ITER = 80  # Newton steps from a cell centre or a conjugate graph's zero
+_NEWTON_MAX_ITER = 80  # Newton steps from a moment start or a conjugate graph's zero
 _NEWTON_STEP_TOL = 1e-12  # Newton stops once a step is this small
 # Radii of the multiplicity circles around a zero, tried in turn while a
 # circle meets a zero: each 1.4 times the last.
@@ -268,9 +273,12 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     side of the line rounding put it on.
 
     The search is fixed by the module constants ``_MIN_CELL``,
-    ``_REFINE_CELL``, ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``,
-    ``_BOUNDARY_SAMPLES``, ``_MAX_RETRIES``, ``_JITTER``, ``_REAL_AXIS_TOL``,
-    ``_NEWTON_MAX_ITER`` and ``_NEWTON_STEP_TOL``.
+    ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``, ``_BOUNDARY_SAMPLES``,
+    ``_MAX_RETRIES``, ``_JITTER``, ``_REAL_AXIS_TOL``, ``_NEWTON_MAX_ITER``
+    and ``_NEWTON_STEP_TOL``. Every cell that winds w >= 1 times starts w
+    Newton runs from the roots of the power sums of its zeros (see the
+    module docstring), whatever its size and w; a run may go 10 cell
+    diameters from its start.
 
     Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
     finite on a contour (windows reaching far below the real axis).
@@ -290,71 +298,76 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
         windings = level.wind(asm.interior_det_many, _BOUNDARY_SAMPLES, rate_hint=rate)
         # A cell whose contour met a zero takes the first of its inflations
         # that does not; the failed cells of the level retry together, one
-        # call of rect_windings per round (an inflated contour shares no side
-        # with another cell).
+        # call of rect_power_sums per round (an inflated contour shares no
+        # side with another cell).
         failed = [i for i, w in enumerate(windings) if isinstance(w, str)]
         retried = dict(zip(failed, first_windings(
-            lambda rects: rect_windings(asm.interior_det_many, rects, _BOUNDARY_SAMPLES,
-                                        rate_hint=rate),
+            lambda rects: rect_power_sums(asm.interior_det_many, rects, _BOUNDARY_SAMPLES,
+                                          rate_hint=rate),
             [_inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
-        # cells to split, and cells to run Newton in as (index, winding, cell,
-        # contour): every cell of winding 1, and those of winding w >= 2 at
-        # refinement size; the level's warnings by cell, given in cell order
-        split, newton, notes = [], [], {}
+        # cells to run Newton in as (index, winding, cell, contour, starts),
+        # and cells refused as (index, winding, cell, residual); the level's
+        # warnings by cell, given in cell order
+        newton, refused, notes = [], [], {}
         for i, (original, w) in enumerate(zip(level.cells, windings)):
-            cell = original
             if i in retried:
                 if isinstance(retried[i], str):
                     raise BoundaryZero(retried[i])
-                w, cell = retried[i]
+                (w, sums), cell = retried[i]
+            elif w > 0:
+                cell, sums = original, level.power_sums(i, w)
             if w < 0:
                 notes[i] = f"negative winding {w} over {original}; non-holomorphic input?"
-            elif w > 1 and original.diameter > _REFINE_CELL:
-                split.append(i)
             elif w > 0:
-                newton.append((i, w, original, cell))
-        if newton:
-            # Newton from the centre of every such cell, then the circle
-            # checks of all cells of winding w >= 2, each in one pass
-            found = _polish(asm, [cell.center for *_, cell in newton],
-                            [10.0 * max(original.diameter, 10 * _MIN_CELL)
-                             for _, _, original, _ in newton])
-            # Newton's point is the cell's zero when it lies inside the
-            # contour that was wound; a contour that winds once holds one.
-            ok = [residual <= _RESIDUAL_TOL and cell.contains(k_star)
-                  for (*_, cell), (k_star, residual, _) in zip(newton, found)]
-            # Newton finds one zero; if it is not of multiplicity w, the
-            # cell holds distinct zeros that subdivision must separate.
-            check = [j for j, (_, w, original, _) in enumerate(newton)
-                     if ok[j] and w > 1 and original.diameter > _MIN_CELL]
-            for j, mult in zip(check, _multiplicities(asm, [found[j][0] for j in check])):
-                ok[j] = mult is None or mult >= newton[j][1]
-            for (i, w, original, _), good, zero in zip(newton, ok, found):
-                if good:
-                    polished.append(zero)
-                elif original.diameter > _MIN_CELL:
-                    # Newton missed or left the cell; localize harder.
-                    split.append(i)
+                starts = _moment_starts(cell, sums)
+                # The roots of w >= 2 power sums are ill-conditioned in w; one
+                # moved onto the contour shows that they missed the zeros.
+                if starts is not None and (w == 1 or all(map(cell.contains, starts))):
+                    newton.append((i, w, original, cell, starts))
                 else:
-                    notes[i] = (f"cell at {original.center} (winding {w}) could not be "
-                                f"refined; residual {zero[1]:.3e}")
+                    refused.append((i, w, original, np.inf))
+        if newton:
+            # Newton from every start, then the circles of the cells of
+            # winding w >= 2, each in one pass
+            runs = iter(_polish(asm, [k for *_, starts in newton for k in starts],
+                                [10.0 * max(original.diameter, 10 * _MIN_CELL)
+                                 for _, w, original, _, _ in newton for _ in range(w)]))
+            found = [[next(runs) for _ in range(w)] for _, w, *_ in newton]
+            # The runs found the cell's zeros when each ends inside the
+            # contour that was wound; a contour that winds once holds one.
+            ok = [all(residual <= _RESIDUAL_TOL and cell.contains(k)
+                      for k, residual, _ in zeros)
+                  for (_, _, _, cell, _), zeros in zip(newton, found)]
+            # The distinct points of w >= 2 runs must hold w zeros by their
+            # circles; else the runs missed one.
+            check = [j for j, (_, w, original, _, _) in enumerate(newton)
+                     if ok[j] and w > 1 and original.diameter > _MIN_CELL]
+            points = {j: _merge(found[j]) for j in check}
+            mults = iter(_multiplicities(asm, [k for j in check for k, _, _ in points[j]]))
+            for j in check:
+                counted = [next(mults) for _ in points[j]]
+                ok[j] = None not in counted and sum(counted) == newton[j][1]
+                found[j] = points[j]
+            for (i, w, original, _, _), good, zeros in zip(newton, ok, found):
+                if good:
+                    polished += zeros
+                else:
+                    refused.append((i, w, original, max(r for _, r, _ in zeros)))
+        # a refused cell is split, so that its zeros are separated
+        split = []
+        for i, w, original, residual in refused:
+            if original.diameter > _MIN_CELL:
+                split.append(i)
+            else:
+                notes[i] = (f"cell at {original.center} (winding {w}) could not be "
+                            f"refined; residual {residual:.3e}")
         warnings += [notes[i] for i in sorted(notes)]
         level = level.split(sorted(split))
-
-    # Deduplicate within _DEDUPE_RADIUS.
-    merged = []
-    for k_star, residual, iterations in sorted(polished, key=lambda t: (t[0].real, t[0].imag)):
-        for i, (km, rm, im_) in enumerate(merged):
-            if abs(k_star - km) <= _DEDUPE_RADIUS:
-                if residual < rm:
-                    merged[i] = (k_star, residual, iterations)
-                break
-        else:
-            merged.append((k_star, residual, iterations))
 
     # The multiplicity of every zero, its circles wound together. A cell
     # that winds once may have found half of a zero of even multiplicity
     # on its contour, whose phase jump the contour does not see.
+    merged = _merge(polished)
     zeros = []
     for (k_star, residual, iterations), mult in zip(
             merged, _multiplicities(asm, [k for k, _, _ in merged])):
@@ -366,6 +379,41 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
             continue
         zeros.append(Pole(k=k_star, multiplicity=mult, residual=residual, iterations=iterations))
     return _pole_set(window, zeros, warnings, asm.evaluations - start)
+
+
+def _moment_starts(cell: Rect, sums) -> Optional[np.ndarray]:
+    """The zeros whose power sums, in the units of
+    :meth:`~qgscatter.contours.QuadLevel.power_sums` on ``cell``, are
+    ``sums``: the roots of the monic polynomial whose coefficients Newton's
+    identities give, c_p = -(s_1 c_(p-1) + ... + s_p c_0) / p. A root
+    outside the cell is moved onto its contour: the midpoint rule sees a
+    zero close to the contour from a distance of about the spacing of the
+    samples there. None when a coefficient overflows (thousands of zeros).
+    """
+    c = [1.0 + 0.0j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, len(sums) + 1):
+            c.append(-sum(c[p - q] * sums[q - 1] for q in range(1, p + 1)) / p)
+    if not np.isfinite(c).all():
+        return None
+    ks = cell.center + cell.diameter / 2 * np.roots(c)
+    return (np.clip(ks.real, cell.re_min, cell.re_max)
+            + 1j * np.clip(ks.imag, cell.im_min, cell.im_max))
+
+
+def _merge(zeros):
+    """(k, residual, iterations) records sorted by (Re k, Im k), those within
+    ``_DEDUPE_RADIUS`` of one kept merged into the one of least residual."""
+    merged = []
+    for k_star, residual, iterations in sorted(zeros, key=lambda t: (t[0].real, t[0].imag)):
+        for i, (km, rm, _) in enumerate(merged):
+            if abs(k_star - km) <= _DEDUPE_RADIUS:
+                if residual < rm:
+                    merged[i] = (k_star, residual, iterations)
+                break
+        else:
+            merged.append((k_star, residual, iterations))
+    return merged
 
 
 def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,

@@ -1,5 +1,6 @@
 """Shared builders and oracles for the test suite."""
 
+import importlib.util
 import math
 import pathlib
 
@@ -20,6 +21,16 @@ from qgscatter.global_scattering import Assembly
 from qgscatter.symmetry_rep import FiniteGroup, GraphAction, MatrixRep, symmetric_group
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def bench_reference():
+    """The benchmark's oracle, ``bench/reference.py``, which shares no code
+    with the library."""
+    spec = importlib.util.spec_from_file_location(
+        "reference", DATA_DIR.parent / "bench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 R2D_MATRICES = {
     "e": [[1, 0], [0, 1]],

@@ -1,6 +1,5 @@
 """Global scattering matrix, secular function, and compact spectra."""
 
-import importlib.util
 import json
 
 import numpy as np
@@ -38,13 +37,12 @@ from qgscatter.vertex_scattering import condition_sigma
 
 from conftest import (
     DATA_DIR,
+    bench_reference,
     random_open_graph,
     random_unitary,
     star_open_graph,
     two_pendant_resonator,
 )
-
-REFERENCE = DATA_DIR.parent / "bench" / "reference.py"
 
 
 def lead_edge_dirichlet(length=1.0):
@@ -330,13 +328,6 @@ def test_odd_edge_spectrum_evaluation_count():
     assert sum(counted) <= 3_000
 
 
-def _reference():
-    spec = importlib.util.spec_from_file_location("reference", REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _ring(lengths):
     n = len(lengths)
     return build_graph([Vertex(f"v{i}", Neumann()) for i in range(n)],
@@ -365,7 +356,7 @@ def test_eigenvalue_count_matches_the_argument_principle(name):
         "3-cycle": (lambda: _ring([1.0, 1.3, 0.7]), (0.5, 20.0)),
     }[name]
     graph = graph()
-    ref = _reference()
+    ref = bench_reference()
     want = ref.zero_count(ref.BondSystem.of(graph), *window, -0.1, 0.1)
     win = eigenvalues_compact(graph, window)
     assert sum(ev.multiplicity for ev in win.eigenvalues) == want

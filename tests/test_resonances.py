@@ -17,6 +17,7 @@ from qgscatter.contours import (
     circle_winding,
     circle_windings,
     first_windings,
+    rect_power_sums,
     rect_winding,
     rect_windings,
 )
@@ -34,8 +35,8 @@ from qgscatter.graph_core import (
 )
 from qgscatter.resonances import find_poles, refine_pole, winding_number
 
-from conftest import (DATA_DIR, random_open_graph, star_open_graph, twin_resonators,
-                      two_pendant_resonator)
+from conftest import (DATA_DIR, bench_reference, random_open_graph, star_open_graph,
+                      twin_resonators, two_pendant_resonator)
 
 RESONATOR_POLES = [(2 * m + 1) * np.pi / 2 - 0.5j * np.log(3.0) for m in range(3)]
 
@@ -371,17 +372,17 @@ def _record_level_windings(monkeypatch):
 
 def test_inherited_cell_windings_match_fresh_windings(monkeypatch):
     # every cell wound from inherited and shared sides gets the winding that
-    # a fresh contour around it gives; a cell that winds once goes to Newton
-    # unsplit, so every window winds at least twice
+    # a fresh contour around it gives. Most cells are resolved by their
+    # moment starts unsplit, so the windows are wide and reach the real
+    # axis: the starts of a cell that holds many zeros, or whose top side
+    # meets a trapped state there and is retried inflated, are refused, and
+    # the cell is split
     rng = np.random.default_rng(61)
     cases = [(two_pendant_resonator(), Rect(0.0, 10.0, -2.0, 0.0))]
-    window = Rect(0.3, 8.0, -1.0, -0.05)
-    while len(cases) < 5:
+    window = Rect(0.3, 16.0, -1.0, 0.0)
+    while len(cases) < 7:
         og = random_open_graph(rng, max_edges=5, max_leads=3)
-        asm = Assembly(og)
-        if (asm.k_independent and og.graph.edges
-                and rect_winding(asm.interior_det_many, window,
-                                 rate_hint=asm.total_bond_length + 1.0) >= 2):
+        if Assembly(og).k_independent and og.graph.edges:
             cases.append((og, window))
     seen = _record_level_windings(monkeypatch)
     wound = failed = 0
@@ -398,6 +399,64 @@ def test_inherited_cell_windings_match_fresh_windings(monkeypatch):
                 wound += 1
                 assert w == rect_winding(asm.interior_det_many, cell, rate_hint=rate), cell
     assert wound > 100 and failed > 0
+
+
+def test_power_sums_of_a_cell_match_its_zeros():
+    # f = (z - a)(z - b)^2 e^(3iz): the power sums of a, b, b in units
+    # centred on the cell and scaled by half its diameter, from the samples
+    # that winding the cell resolved; a quadrant, whose sides are partly
+    # inherited, and an inflated rectangle wound afresh give theirs. The
+    # midpoint rule is of second order: four times the samples, a sixteenth
+    # of the error.
+    a, b = 0.3 - 0.2j, -0.4 + 0.35j
+
+    def f(zs):
+        return (zs - a) * (zs - b) ** 2 * np.exp(3j * zs)
+
+    def exact(cell, zeros, count):
+        u = (np.array(zeros) - cell.center) / (cell.diameter / 2)
+        return [np.sum(u ** p) for p in range(1, count + 1)]
+
+    window = Rect(-1.0, 1.5, -0.8, 0.9)
+    inflated = window.inflated(0.1)
+    for samples, tol in ((64, 3e-3), (256, 2e-4)):
+        level = QuadLevel(window)
+        assert level.wind(f, samples, rate_hint=3.0) == [3]
+        np.testing.assert_allclose(level.power_sums(0, 3), exact(window, [a, b, b], 3),
+                                   rtol=0, atol=tol)
+        level = level.split([0])
+        assert level.wind(f, samples, rate_hint=3.0) == [0, 1, 2, 0]
+        np.testing.assert_allclose(level.power_sums(1, 1), exact(level.cells[1], [a], 1),
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(level.power_sums(2, 2), exact(level.cells[2], [b, b], 2),
+                                   rtol=0, atol=tol)
+        ((w, sums),) = rect_power_sums(f, [inflated], samples, rate_hint=3.0)
+        assert w == 3
+        np.testing.assert_allclose(sums, exact(inflated, [a, b, b], 3), rtol=0, atol=tol)
+
+
+def test_two_zero_window_is_resolved_from_its_moments(monkeypatch):
+    # a seeded window that holds two simple zeros: the roots of its power
+    # sums start one Newton run at each, so one level of windings finds
+    # both, and the benchmark's oracle, which shares no code with the
+    # library, counts the same zeros in the window and one in a small box
+    # around each
+    rng = np.random.default_rng(3)
+    og = [random_open_graph(rng, max_edges=6, max_leads=3) for _ in range(3)][-1]
+    window = Rect(1.0, 2.0, -0.6, -0.05)
+    seen = _record_level_windings(monkeypatch)
+    ps = find_poles(og, window)
+    assert [w for _, w in seen] == [[2]]
+    assert [p.multiplicity for p in ps.poles] == [1, 1]
+    assert ps.real_axis_zeros == ps.edge_zeros == ps.warnings == ()
+    ref = bench_reference()
+    system = ref.BondSystem.of(og)
+    assert ref.zero_count(system, window.re_min, window.re_max, window.im_min,
+                          window.im_max) == 2
+    for p in ps.poles:
+        box = (p.k.real - 1e-4, p.k.real + 1e-4, p.k.imag - 1e-4, p.k.imag + 1e-4)
+        assert ref.zero_count(system, *box) == 1
+        assert ref.relative_residual(system, p.k) <= 1e-6
 
 
 def test_quad_level_windings_match_fresh_windings():
@@ -431,67 +490,83 @@ def test_pole_search_evaluation_count():
     # here, and 30,687 with cells wound by level but each multiplicity circle
     # alone from 48 points; retrying each failed cell on its own took 925
     # calls of the kernel, where one retry round per level takes about 300.
-    # Splitting every cell down to 0.1 before Newton took 28,447; Newton in
-    # every cell that winds once, at any size, takes 19,456.
+    # Splitting every cell down to 0.1 before Newton took 28,447; Newton
+    # from the centre of every cell that winds once, at any size, took
+    # 19,456 and 306 Newton steps. Newton from the moment starts of every
+    # cell that winds at all takes 17,762 and 87 steps.
     og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
-    counted = []
+    counted, steps = [], []
     det_many = Assembly.interior_det_many
+    log_derivative = Assembly.interior_log_derivative
 
     def counting(self, ks, *args):
         counted.append(len(ks))
         return det_many(self, ks, *args)
 
+    def stepping(self, k):
+        steps.append(k)
+        return log_derivative(self, k)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Assembly, "interior_det_many", counting)
+        mp.setattr(Assembly, "interior_log_derivative", stepping)
         ps = find_poles(og, Rect(0.0, 8.0, -3.0, 0.0))
     # the pole on the imaginary axis lies on the window's left side
     assert (len(ps.poles), len(ps.real_axis_zeros)) == (18, 9)
     assert ps.warnings == ("zero 0-0.203258178195j lies on the left side of the window; "
                            "dropped",)
     assert ps.evaluations == sum(counted)
-    assert ps.evaluations <= 19_500
+    assert ps.evaluations <= 18_400
+    assert len(steps) == 87
     assert len(counted) <= 400
 
 
-def test_window_centred_on_a_pole(monkeypatch):
-    # the centre of the window is a double pole (exactly, in floating
-    # point), so the window winds twice and is split, all four cross
-    # half-edges of the split meet the zero and the four quadrants are
-    # wound again inflated, together in one call
+def _row_of_double_poles():
+    """A window of the twin resonators centred (exactly, in floating point)
+    on the double pole RESONATOR_POLES[0], in a row of seven double poles:
+    too many zeros for the moment starts of the window, which are refused,
+    so that the window is split through the pole at its centre."""
     pole = RESONATOR_POLES[0]
-    h = 0.0625
-    window = Rect(pole.real - h, pole.real + h, pole.imag - h, pole.imag + h)
+    window = Rect(pole.real - 12.0, pole.real + 12.0, pole.imag - 0.25, pole.imag + 0.25)
     assert window.center == pole
+    return window
+
+
+def test_window_centred_on_a_pole(monkeypatch):
+    # the window is split through the double pole at its centre, all four
+    # cross half-edges of the split meet the zero and the four quadrants
+    # are wound again inflated, together in one call
+    pole = RESONATOR_POLES[0]
+    window = _row_of_double_poles()
     og = twin_resonators()
     assert abs(Assembly(og).interior_det(pole)) <= ZERO_TOL
     seen = _record_level_windings(monkeypatch)
     batches = []
-    fresh = resonances.rect_windings
+    fresh = resonances.rect_power_sums
 
     def recording(f, rects, *args, **kwargs):
         batches.append(list(rects))
         return fresh(f, rects, *args, **kwargs)
 
-    monkeypatch.setattr(resonances, "rect_windings", recording)
+    monkeypatch.setattr(resonances, "rect_power_sums", recording)
     ps = find_poles(og, window)
-    assert len(seen) == 2 and seen[0][1] == [2]
+    assert seen[0][1] == [14]
     assert len(seen[1][1]) == 4 and all(isinstance(w, str) for w in seen[1][1])
     quadrants = window.quadrants()
-    assert len(batches) == 1 and len(batches[0]) == 4
+    assert len(batches[0]) == 4
     for q, r in zip(quadrants, batches[0]):
         assert r.re_min < q.re_min and r.re_max > q.re_max and r.contains(pole)
-    assert [p.multiplicity for p in ps.poles] == [2]
-    assert abs(ps.poles[0].k - pole) <= 1e-10
+    assert [p.multiplicity for p in ps.poles] == [2] * 7
+    (centred,) = [p for p in ps.poles if abs(p.k - pole) <= 1e-10]
+    assert centred.multiplicity == 2
     assert ps.warnings == ()
 
 
 def test_cell_whose_every_inflation_meets_a_zero_raises(monkeypatch):
     # with no jitter every inflation of a quadrant is the quadrant itself,
     # so all _MAX_RETRIES contours through the double pole at the centre of
-    # the window, which winds twice and is split, fail
-    pole = RESONATOR_POLES[0]
-    h = 0.0625
-    window = Rect(pole.real - h, pole.real + h, pole.imag - h, pole.imag + h)
+    # the window, which is split, fail
+    window = _row_of_double_poles()
     monkeypatch.setattr(resonances, "_JITTER", 0.0)
     monkeypatch.setattr(resonances, "_MAX_RETRIES", 3)
     with pytest.raises(BoundaryZero, match=re.escape(
@@ -500,8 +575,8 @@ def test_cell_whose_every_inflation_meets_a_zero_raises(monkeypatch):
 
 
 def test_cell_that_winds_once_goes_to_newton_unsplit(monkeypatch):
-    # a window ten times the refinement size around one simple pole: one
-    # level of windings, one Newton run, and one multiplicity circle
+    # a window of diameter 1 around one simple pole: one level of windings,
+    # one Newton run, and one multiplicity circle
     window = Rect(1.0, 2.0, -1.0, 0.0)
     seen = _record_level_windings(monkeypatch)
     circles = []
@@ -513,7 +588,6 @@ def test_cell_that_winds_once_goes_to_newton_unsplit(monkeypatch):
 
     monkeypatch.setattr(contours, "circle_windings", recording)
     ps = find_poles(two_pendant_resonator(), window)
-    assert window.diameter >= 10 * resonances._REFINE_CELL
     assert [w for _, w in seen] == [[1]]
     assert len(circles) == 1 and np.allclose(circles[0], [RESONATOR_POLES[0]])
     assert [p.multiplicity for p in ps.poles] == [1]
@@ -522,13 +596,18 @@ def test_cell_that_winds_once_goes_to_newton_unsplit(monkeypatch):
 
 
 def test_cell_whose_newton_run_leaves_it_is_split(monkeypatch):
-    # the window holds one pole, but Newton from its centre runs to the
-    # trapped state at k = pi above it; the window is split until a cell's
-    # own Newton run finds the pole
+    # the window holds one pole; its moment start is replaced by its
+    # centre, from which Newton runs to the trapped state at k = pi above
+    # it, so the window is split until a cell's own Newton run finds the
+    # pole
     window = Rect(1.0, 4.6, -1.1, -0.1)
     og = two_pendant_resonator()
     runs = []
     polish = resonances._polish
+    moment_starts = resonances._moment_starts
+
+    def centre_of_window(cell, sums):
+        return [cell.center] if cell == window else moment_starts(cell, sums)
 
     def recording(asm, starts, trusts):
         out = polish(asm, starts, trusts)
@@ -537,6 +616,7 @@ def test_cell_whose_newton_run_leaves_it_is_split(monkeypatch):
 
     seen = _record_level_windings(monkeypatch)
     monkeypatch.setattr(resonances, "_polish", recording)
+    monkeypatch.setattr(resonances, "_moment_starts", centre_of_window)
     ps = find_poles(og, window)
     ((start, (k, residual, _)),) = runs[0]
     assert seen[0][1] == [1] and start == window.center
@@ -548,17 +628,42 @@ def test_cell_whose_newton_run_leaves_it_is_split(monkeypatch):
 
 
 def test_double_pole_on_a_cut_line_is_double(monkeypatch):
-    # the window's vertical cut runs through the double pole, so each of the
-    # two cells beside it winds once, with half of the pole on its contour;
-    # the multiplicity circle, not the winding of the cell, counts it
+    # the window's vertical cut runs through the double pole. The window
+    # also holds the double trapped states at 0 and pi, 0.01 below its top
+    # side, which its moment starts place outside the contour; they are
+    # refused and the window is split, so each of the two cells beside the
+    # pole winds once, with half of the pole on its contour; the
+    # multiplicity circle, not the winding of the cell, counts it
     pole = RESONATOR_POLES[0]
-    window = Rect(np.pi / 2 - 0.25, np.pi / 2 + 0.25, -0.9, -0.1)
+    window = Rect(np.pi / 2 - 2.5, np.pi / 2 + 2.5, -0.9, 0.01)
     assert window.quadrants()[0].re_max == pole.real
     seen = _record_level_windings(monkeypatch)
     ps = find_poles(twin_resonators(), window)
-    assert 1 in seen[1][1]
+    assert seen[0][1] == [6]
+    assert seen[1][1][:2] == [1, 1]
     assert [p.multiplicity for p in ps.poles] == [2]
     assert abs(ps.poles[0].k - pole) <= resonances._DEDUPE_RADIUS
+    assert ps.warnings == ()
+
+
+def test_cell_with_half_a_double_zero_on_its_side_is_split(monkeypatch):
+    # the window's top side runs through the double trapped states at 0 and
+    # pi, of which it winds half each, and its vertical cut through the
+    # double pole, of which each cell beside it winds half. Newton's points
+    # lie on those contours, not inside, so the moment starts are refused
+    # and the cells split until the halves are whole; the circles count
+    # every zero double
+    pole = RESONATOR_POLES[0]
+    window = Rect(np.pi / 2 - 2.5, np.pi / 2 + 2.5, -0.9, 0.0)
+    assert window.quadrants()[0].re_max == pole.real
+    seen = _record_level_windings(monkeypatch)
+    ps = find_poles(twin_resonators(), window)
+    assert seen[0][1] == [4] and seen[1][1] == [1, 1, 1, 1] and len(seen) > 2
+    assert [p.multiplicity for p in ps.poles] == [2]
+    assert abs(ps.poles[0].k - pole) <= resonances._DEDUPE_RADIUS
+    assert [p.multiplicity for p in ps.real_axis_zeros] == [2, 2]
+    np.testing.assert_allclose([p.k for p in ps.real_axis_zeros], [0.0, np.pi],
+                               rtol=0, atol=1e-9)
     assert ps.warnings == ()
 
 
