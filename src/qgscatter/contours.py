@@ -13,10 +13,11 @@ of every pending segment in one call of f. A path that meets a zero fails
 alone, and the others are still resolved.
 
 :func:`windings` settles closed polylines, each one path closed by
-repeating its first point. :func:`rect_windings` and
-:func:`circle_windings` wind rectangles and circles through it;
-:func:`rect_winding` and :func:`circle_winding` are their one-contour
-cases, which raise on failure. A circle starts from 8 points: a zero of
+repeating its first point, and :func:`circle_windings` winds circles
+through it. :func:`rect_power_sums` settles rectangles the same way, and
+:func:`rect_windings` takes their windings from it. :func:`rect_winding`
+and :func:`circle_winding` are the one-contour cases, which raise on
+failure. A circle starts from 8 points: a zero of
 multiplicity m at its centre advances the phase by m pi/4 per segment, so
 m < 4 costs 16 values and a higher m splits the segments until each
 half-step is below pi/2.
@@ -274,8 +275,13 @@ def windings(f, polylines):
     point back to the first. ``f`` maps a 1-D complex array to the array of
     its values.
     """
-    paths = _closed_paths(polylines)
-    return [r[0] if _failed(r) else _winding(_phase(r[1])) for r in _settle(f, paths, {})]
+    return [_wound(r) for r in _settle(f, _closed_paths(polylines), {})]
+
+
+def _wound(result):
+    """The winding number of a result of :func:`_settle`, or its failure
+    message (a str)."""
+    return result[0] if _failed(result) else _winding(_phase(result[1]))
 
 
 def _closed_paths(polylines):
@@ -324,13 +330,14 @@ def _side_segments(length: float, samples: int, rate_hint) -> int:
 
 def rect_windings(f, rects, samples: int = 64, *, rate_hint=None):
     """Winding number of f around each rectangle boundary (counterclockwise),
-    all in one pass of :func:`windings`; for a rectangle whose boundary met
-    a zero, the message (a str).
+    all settled in one pass; for a rectangle whose boundary met a zero, the
+    message (a str).
 
     A side starts from ``samples // 4`` equal segments, more where
     ``rate_hint`` asks for them.
     """
-    return windings(f, _rect_polylines(rects, samples, rate_hint))
+    return [w if isinstance(w, str) else w[0]
+            for w in rect_power_sums(f, rects, samples, rate_hint=rate_hint)]
 
 
 def rect_power_sums(f, rects, samples: int = 64, *, rate_hint=None):
@@ -342,7 +349,7 @@ def rect_power_sums(f, rects, samples: int = 64, *, rate_hint=None):
     paths = _closed_paths(_rect_polylines(rects, samples, rate_hint))
     out = []
     for rect, (t0, z0), r in zip(rects, paths, _settle(f, paths, {})):
-        w = r[0] if _failed(r) else _winding(_phase(r[1]))
+        w = _wound(r)
         if isinstance(w, str):
             out.append(w)
             continue

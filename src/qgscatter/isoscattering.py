@@ -302,13 +302,15 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     conj = find_conjugator(lambda k: asm1.scattering(k).s, lambda k: asm2.scattering(k).s,
                            n_training=n_training)
     phases_ok, dev = _isophasal(asm1.scattering_many, asm2.scattering_many)
-    poles1 = _find_poles(asm1, window)
     # conjugate S share their poles: confirm graph 2's from graph 1's, and
     # search afresh when that fails; of graph 1's warnings only those of its
-    # edge zeros allow the confirmation
+    # edge zeros allow the confirmation, which reuses D1 on the window's
+    # contour from graph 1's search
+    seen = {} if conj.found else None
+    poles1 = _find_poles(asm1, window, seen)
     poles2 = None
     if conj.found and poles1.only_edge_warnings:
-        poles2 = _confirm_poles(asm2, window, asm1, poles1)
+        poles2 = _confirm_poles(asm2, window, asm1, poles1, seen)
     if poles2 is None:
         poles2 = _find_poles(asm2, window)
     polar_ok, pairing = isopolar_check(poles1, poles2)

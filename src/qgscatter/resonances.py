@@ -7,15 +7,22 @@ the power sums s_p of the zeros inside, p = 1 .. w (Delves and Lyness,
 Math. Comp. 21 (1967) 543; :meth:`~qgscatter.contours.QuadLevel.power_sums`),
 and Newton's identities turn them into a polynomial whose w roots start w
 Newton runs, at any cell size. The cell's zeros are taken when every run
-ends inside the contour that was wound, and, for w >= 2, when small
-circles around the distinct points found wind w times in all; otherwise
-the cell is split. The roots of w >= 2 power sums are ill-conditioned in
-w, and a cell of winding w >= 2 whose roots do not all lie inside its
-contour is split with no Newton run; a cell that winds once runs from its
-root, moved onto the contour if it lies outside. After merging, a circle
-gives the multiplicity of every zero: a cell that winds once holds a
-simple zero, or half of a zero of even multiplicity on its contour, along
-which the phase of D does not jump.
+ends inside the contour that was wound, farther than ``_REAL_AXIS_TOL``
+from it, and, for w >= 2, when small circles around the distinct points
+found wind w times in all; otherwise the cell is split. The roots of w >=
+2 power sums are ill-conditioned in w, and a cell of winding w >= 2 whose
+roots do not all lie inside its contour is split with no Newton run; a
+cell that winds once runs from its root, moved onto the contour if it
+lies outside. Two zeros on a contour, or a hair inside it, within half a
+sample segment of each other turn the phase of D by a whole turn that
+the samples do not see, and the cell winds one fewer; a run ending next
+to a contour that did not meet a zero, or a zero the cell did not find
+in a circle of one sample spacing around a zero found on the contour of
+a cell wound inflated, shows such a pair, and the cell is split to part
+it. After merging, a circle gives the multiplicity of every zero that
+its cell's check did not count: a cell that winds once holds a simple
+zero, or half of a zero of even multiplicity on its contour, along which
+the phase of D does not jump.
 
 The cells of a level are wound together (:class:`~qgscatter.contours.QuadLevel`):
 a child cell inherits the two resolved half-sides of its parent that it
@@ -45,8 +52,9 @@ dropped with a warning, so that rounding decides nothing.
 
 A graph whose S(k) is conjugate to that of a graph already searched has
 the same poles; :func:`_confirm_poles` checks them on its determinant (one
-winding around the window, one Newton run per zero) instead of searching
-again.
+winding around the window, which reuses the values of the first graph's
+determinant that its search computed there, and one Newton run per zero)
+instead of searching again.
 
 Both paths, and :func:`refine_pole`, polish their starts with one Newton
 pass (:func:`_polish`), and both build their :class:`PoleSet` with
@@ -75,11 +83,16 @@ _MAX_RETRIES = 5  # contours tried per cell that meets a zero, see _inflations()
 _JITTER = 1e-6  # relative inflation per retry
 _NEWTON_MAX_ITER = 80  # Newton steps from a moment start or a conjugate graph's zero
 _NEWTON_STEP_TOL = 1e-12  # Newton stops once a step is this small
-# Radii of the multiplicity circles around a zero, tried in turn while a
-# circle meets a zero: each 1.4 times the last.
-_CIRCLE_RADII = tuple(itertools.accumulate(itertools.repeat(1.4, _MAX_RETRIES - 1),
-                                           operator.mul,
-                                           initial=max(10 * _DEDUPE_RADIUS, 1e-6)))
+
+
+def _grown(radius):
+    """Radii of the circles around a point, tried in turn while a circle
+    meets a zero: ``radius``, then each 1.4 times the last."""
+    return tuple(itertools.accumulate(itertools.repeat(1.4, _MAX_RETRIES - 1), operator.mul,
+                                      initial=radius))
+
+
+_CIRCLE_RADII = _grown(max(10 * _DEDUPE_RADIUS, 1e-6))  # multiplicity circles
 
 
 @dataclass(frozen=True)
@@ -105,7 +118,9 @@ class PoleSet:
     as the increase of :attr:`Assembly.evaluations` over the search. A zero
     found in a cell that winds once costs one residual and its circle. For a
     set confirmed from a conjugate graph's, it counts the determinants of
-    the confirmation on both graphs' Assemblies, and every zero, edge zeros
+    the confirmation on both graphs' Assemblies, not those of the conjugate
+    graph that its search computed on the window's contour and the
+    confirmation reuses, and every zero, edge zeros
     included, is this graph's own: the point, ``residual`` and
     ``iterations`` of a Newton run on its determinant started at the
     conjugate graph's zero.
@@ -183,14 +198,14 @@ def _rate(*asms: Assembly) -> float:
     return max(a.total_bond_length for a in asms) + 1.0
 
 
-def _multiplicities(asm: Assembly, ks) -> List[Optional[int]]:
-    """Winding of D on a small circle around each k, all wound together;
-    a circle that meets a zero is grown by 1.4 on each retry (round i
-    winds the i-th radius of every k still unresolved, in one pass).
-    None where every circle meets a zero."""
+def _circle_windings(asm: Assembly, circles) -> List[Optional[int]]:
+    """Winding of D on the first circle of each (centre, radii) that meets
+    no zero, all wound together: round i winds the i-th radius of every
+    centre still unresolved, in one pass. None where every circle meets a
+    zero."""
     return [None if isinstance(w, str) else w
-            for w in first_circle_windings(asm.interior_det_many, ks,
-                                           [_CIRCLE_RADII] * len(ks), rate_hint=_rate(asm))]
+            for w in first_circle_windings(asm.interior_det_many, [c for c, _ in circles],
+                                           [r for _, r in circles], rate_hint=_rate(asm))]
 
 
 def _polish(asm: Assembly, starts, trusts) -> List[Tuple[complex, float, int]]:
@@ -286,25 +301,28 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     return _find_poles(Assembly(og), window)
 
 
-def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
-    """:func:`find_poles` on a graph's Assembly."""
+def _find_poles(asm: Assembly, window: Rect, seen: Optional[dict] = None) -> PoleSet:
+    """:func:`find_poles` on a graph's Assembly. With ``seen``, a dict, D at
+    every sample of the window's contour and of its inflated retries is
+    recorded there (k: D(k)) for :func:`_confirm_poles`."""
     _require_holomorphic(asm.og)
     warnings: list = []
     start = asm.evaluations
     rate = _rate(asm)
     polished = []
+    det = asm.interior_det_many if seen is None else _recording(asm.interior_det_many, seen)
     level = QuadLevel(window)
     while level.cells:
-        windings = level.wind(asm.interior_det_many, _BOUNDARY_SAMPLES, rate_hint=rate)
+        windings = level.wind(det, _BOUNDARY_SAMPLES, rate_hint=rate)
         # A cell whose contour met a zero takes the first of its inflations
         # that does not; the failed cells of the level retry together, one
         # call of rect_power_sums per round (an inflated contour shares no
         # side with another cell).
         failed = [i for i, w in enumerate(windings) if isinstance(w, str)]
         retried = dict(zip(failed, first_windings(
-            lambda rects: rect_power_sums(asm.interior_det_many, rects, _BOUNDARY_SAMPLES,
-                                          rate_hint=rate),
+            lambda rects: rect_power_sums(det, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
             [_inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
+        det = asm.interior_det_many  # the window's contour is wound at the first level
         # cells to run Newton in as (index, winding, cell, contour, starts),
         # and cells refused as (index, winding, cell, residual); the level's
         # warnings by cell, given in cell order
@@ -327,32 +345,55 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
                 else:
                     refused.append((i, w, original, np.inf))
         if newton:
-            # Newton from every start, then the circles of the cells of
-            # winding w >= 2, each in one pass
+            # Newton from every start, then the circles of the cells
+            # checked below, each in one pass
             runs = iter(_polish(asm, [k for *_, starts in newton for k in starts],
                                 [10.0 * max(original.diameter, 10 * _MIN_CELL)
                                  for _, w, original, _, _ in newton for _ in range(w)]))
-            found = [[next(runs) for _ in range(w)] for _, w, *_ in newton]
+            found = [[(k, residual, iterations, None) for k, residual, iterations
+                      in itertools.islice(runs, w)] for _, w, *_ in newton]
             # The runs found the cell's zeros when each ends inside the
-            # contour that was wound; a contour that winds once holds one.
-            ok = [all(residual <= _RESIDUAL_TOL and cell.contains(k)
-                      for k, residual, _ in zeros)
+            # contour that was wound, farther than _REAL_AXIS_TOL from it: a
+            # zero on the contour fails it, so one next to it is one of a
+            # close pair on it whose phase jumps of pi the samples took for
+            # a whole turn, and the cell is split to part them.
+            ok = [all(residual <= _RESIDUAL_TOL and cell.contains(k, _REAL_AXIS_TOL)
+                      for k, residual, _, _ in zeros)
                   for (_, _, _, cell, _), zeros in zip(newton, found)]
-            # The distinct points of w >= 2 runs must hold w zeros by their
-            # circles; else the runs missed one.
-            check = [j for j, (_, w, original, _, _) in enumerate(newton)
-                     if ok[j] and w > 1 and original.diameter > _MIN_CELL]
-            points = {j: _merge(found[j]) for j in check}
-            mults = iter(_multiplicities(asm, [k for j in check for k, _, _ in points[j]]))
-            for j in check:
-                counted = [next(mults) for _ in points[j]]
-                ok[j] = None not in counted and sum(counted) == newton[j][1]
-                found[j] = points[j]
+            # A cell wound inflated, after its contour met a zero, holds the
+            # zeros on that contour a hair inside the inflated one, where a
+            # close pair still looks like one zero. A circle around each
+            # point found on the cell's own contour, as wide as an initial
+            # sample segment can be (a sixteenth of the diameter), must hold
+            # the zeros found near it and no other. The distinct points of
+            # w >= 2 runs must hold w zeros by their multiplicity circles,
+            # else the runs missed one; the run of a cell that winds once
+            # may end at a double zero on the cell's own contour, whose
+            # second turn the inflated contour misses too.
+            check = {}
+            for j, (_, w, original, _, _) in enumerate(newton):
+                if ok[j] and original.diameter > _MIN_CELL:
+                    points = _merge(found[j])
+                    edge = [k for k, *_ in points if not original.contains(k, _REAL_AXIS_TOL)]
+                    if w > 1 or edge:
+                        check[j] = points, edge
+            near = {j: newton[j][3].diameter / (_BOUNDARY_SAMPLES // 4) for j in check}
+            counts = iter(_circle_windings(
+                asm, [(k, _CIRCLE_RADII) for points, _ in check.values() for k, *_ in points]
+                + [(k, _grown(near[j])) for j, (_, edge) in check.items() for k in edge]))
+            counted = {j: [next(counts) for _ in points] for j, (points, _) in check.items()}
+            for j, (points, edge) in check.items():
+                inside = [sum(m for (q, *_), m in zip(points, counted[j]) if abs(q - k) <= near[j])
+                          for k in edge]
+                ok[j] = (None not in counted[j]
+                         and (newton[j][1] == 1 or sum(counted[j]) == newton[j][1])
+                         and [next(counts) for _ in edge] == inside)
+                found[j] = [(*record[:3], m) for record, m in zip(points, counted[j])]
             for (i, w, original, _, _), good, zeros in zip(newton, ok, found):
                 if good:
                     polished += zeros
                 else:
-                    refused.append((i, w, original, max(r for _, r, _ in zeros)))
+                    refused.append((i, w, original, max(r for _, r, _, _ in zeros)))
         # a refused cell is split, so that its zeros are separated
         split = []
         for i, w, original, residual in refused:
@@ -364,13 +405,17 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
         warnings += [notes[i] for i in sorted(notes)]
         level = level.split(sorted(split))
 
-    # The multiplicity of every zero, its circles wound together. A cell
-    # that winds once may have found half of a zero of even multiplicity
-    # on its contour, whose phase jump the contour does not see.
+    # The multiplicity of every zero whose cell's check did not count it,
+    # its circles wound together. A cell that winds once may have found
+    # half of a zero of even multiplicity on its contour, whose phase jump
+    # the contour does not see.
     merged = _merge(polished)
+    unknown = [k for k, _, _, mult in merged if mult is None]
+    wound = dict(zip(unknown, _circle_windings(asm, [(k, _CIRCLE_RADII) for k in unknown])))
     zeros = []
-    for (k_star, residual, iterations), mult in zip(
-            merged, _multiplicities(asm, [k for k, _, _ in merged])):
+    for k_star, residual, iterations, mult in merged:
+        if mult is None:
+            mult = wound[k_star]
         if mult is None:
             mult = 1
             warnings.append(f"multiplicity circle at {k_star} kept hitting zeros; assumed 1")
@@ -379,6 +424,27 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
             continue
         zeros.append(Pole(k=k_star, multiplicity=mult, residual=residual, iterations=iterations))
     return _pole_set(window, zeros, warnings, asm.evaluations - start)
+
+
+def _recording(f, seen):
+    """f, recording every value it computes in the dict ``seen``."""
+    def recorded(ks):
+        v = f(ks)
+        seen.update(zip(np.asarray(ks).tolist(), v.tolist()))
+        return v
+    return recorded
+
+
+def _recalling(f, seen):
+    """f, taking its value from the dict ``seen`` where k is there."""
+    def recalled(ks):
+        ks = np.asarray(ks, dtype=complex)
+        v = np.array([seen.get(k, np.nan) for k in ks.tolist()], dtype=complex)
+        new = np.isnan(v)
+        if new.any():
+            v[new] = f(ks[new])
+        return v
+    return recalled
 
 
 def _moment_starts(cell: Rect, sums) -> Optional[np.ndarray]:
@@ -402,22 +468,23 @@ def _moment_starts(cell: Rect, sums) -> Optional[np.ndarray]:
 
 
 def _merge(zeros):
-    """(k, residual, iterations) records sorted by (Re k, Im k), those within
-    ``_DEDUPE_RADIUS`` of one kept merged into the one of least residual."""
+    """(k, residual, iterations, multiplicity) records sorted by (Re k, Im
+    k), those within ``_DEDUPE_RADIUS`` of one kept merged into the one of
+    least residual; a merged multiplicity is None unless all agree."""
     merged = []
-    for k_star, residual, iterations in sorted(zeros, key=lambda t: (t[0].real, t[0].imag)):
-        for i, (km, rm, _) in enumerate(merged):
-            if abs(k_star - km) <= _DEDUPE_RADIUS:
-                if residual < rm:
-                    merged[i] = (k_star, residual, iterations)
+    for record in sorted(zeros, key=lambda t: (t[0].real, t[0].imag)):
+        for i, kept in enumerate(merged):
+            if abs(record[0] - kept[0]) <= _DEDUPE_RADIUS:
+                best = record if record[1] < kept[1] else kept
+                merged[i] = (*best[:3], kept[3] if kept[3] == record[3] else None)
                 break
         else:
-            merged.append((k_star, residual, iterations))
+            merged.append(record)
     return merged
 
 
 def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
-                   reference: PoleSet) -> Optional[PoleSet]:
+                   reference: PoleSet, seen: Optional[dict] = None) -> Optional[PoleSet]:
     """The zeros of D in the window, confirmed from ``reference``, the
     :class:`PoleSet` that :func:`find_poles` gave for the graph of
     ``reference_asm``, whose S(k) is conjugate to this one's; None when a
@@ -425,8 +492,10 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
 
     Conjugate scattering matrices have the same poles, so D should vanish
     at every zero of ``reference`` with the same multiplicity, and nowhere
-    else in the window. The ratio D / D_ref is wound once around the window
-    (with the inflated retries of :func:`find_poles`); Newton runs on D
+    else in the window. The ratio D / D_ref is wound once around the window,
+    from the initial samples of the first level of :func:`find_poles` (with
+    its inflated retries), taking D_ref from ``seen`` where the search of
+    the reference recorded it there (see :func:`_find_poles`); Newton runs on D
     once from each pole, real-axis zero and edge zero of ``reference``, and
     the residuals |D| come from one batched call; circles are wound only
     around zeros of multiplicity above 1. The set is returned when the ratio
@@ -464,18 +533,23 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     def ratio(ks):
         # a point where |D_ref| is at most ZERO_TOL counts as a zero on the
         # contour, which is then retried inflated
-        d, d_ref = asm.interior_det_many(ks), reference_asm.interior_det_many(ks)
+        d, d_ref = asm.interior_det_many(ks), det_ref(ks)
         clear = np.abs(d_ref) > ZERO_TOL
         return np.where(clear, d / np.where(clear, d_ref, 1.0), 0.0)
 
+    det_ref = (reference_asm.interior_det_many if seen is None
+               else _recalling(reference_asm.interior_det_many, seen))
     starts = reference.poles + reference.real_axis_zeros + reference.edge_zeros
     places = (["pole"] * len(reference.poles) + ["real"] * len(reference.real_axis_zeros)
               + ["edge"] * len(reference.edge_zeros))
-    (wound,) = first_windings(
-        lambda rects: rect_windings(ratio, rects, _BOUNDARY_SAMPLES,
-                                    rate_hint=_rate(asm, reference_asm)),
-        [_inflations(window)])
-    if isinstance(wound, str) or wound[0] != 0:
+    rate = _rate(asm, reference_asm)
+    (wound,) = QuadLevel(window).wind(ratio, _BOUNDARY_SAMPLES, rate_hint=rate)
+    if isinstance(wound, str):
+        (retried,) = first_windings(
+            lambda rects: rect_windings(ratio, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
+            [_inflations(window)], [wound])
+        wound = retried if isinstance(retried, str) else retried[0]
+    if isinstance(wound, str) or wound != 0:
         return None
     refined = _polish(asm, [p.k for p in starts], [_DEDUPE_RADIUS] * len(starts))
     ks = np.array([k for k, _, _ in refined], dtype=complex)
@@ -485,7 +559,8 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
             or [_place(window, k) for k in ks] != places):
         return None
     multiple = [i for i, p in enumerate(starts) if p.multiplicity > 1]
-    if _multiplicities(asm, ks[multiple]) != [starts[i].multiplicity for i in multiple]:
+    if (_circle_windings(asm, [(k, _CIRCLE_RADII) for k in ks[multiple]])
+            != [starts[i].multiplicity for i in multiple]):
         return None
     zeros = [Pole(k=k_star, multiplicity=p.multiplicity, residual=residual,
                   iterations=iterations)
