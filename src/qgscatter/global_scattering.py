@@ -89,8 +89,10 @@ class Assembly:
     only the propagator T(k) varies with k.
 
     ``evaluations`` counts the determinants D(k) that
-    :meth:`interior_det_many` has computed (none for a graph without edges).
-    S(k) solves and Newton steps on k-independent conditions compute none.
+    :meth:`interior_det_many` has computed (none for a graph without edges),
+    among them one per k of :meth:`scattering_det_many` on unitary
+    conditions. S(k) solves and Newton steps on k-independent conditions
+    compute none.
     """
 
     def __init__(self, og: OpenGraph):
@@ -266,6 +268,46 @@ class Assembly:
             m, tk = self._interior_system(ks[part], sigma)
             out[part] = self._schur(ks[part], sigma, m, tk, np.linalg.det(m))
         return out
+
+    def scattering_det_many(self, ks) -> np.ndarray:
+        """det S(k) for a 1-D array of real k, equal to
+        ``np.linalg.det(scattering(k).s)`` up to rounding.
+
+        When every vertex condition is unitary at real k, so is Sigma(k),
+        and the Schur complement of S gives
+
+            det S(k) = det Sigma(k) exp(ik sum L_b) conj(D(k)) / D(k)
+
+        from one :meth:`interior_det_many` call; det Sigma is one
+        determinant for k-independent conditions, one per k otherwise.
+        Other conditions (A/B that are not self-adjoint) take the
+        determinants of :meth:`scattering_many`. Raises
+        :class:`ValidationError` when some k is not real, :class:`ZeroK` when
+        some k is 0 and :class:`SingularInterior` at the first k where
+        |D(k)| is below ``_SINGULAR_TOL``, as ``scattering_many`` does.
+        """
+        ks = np.asarray(ks, dtype=complex)
+        if ks.imag.any():
+            raise ValidationError("det S from D needs real k")
+        if not all(rule.is_unitary for rule in self._rules):
+            return np.linalg.det(self.scattering_many(ks))
+        if (ks == 0).any():
+            raise ZeroK("k must be nonzero")
+        d = self.interior_det_many(ks)
+        singular = np.flatnonzero(np.abs(d) < _SINGULAR_TOL)
+        if singular.size:
+            k, det = complex(ks[singular[0]]), complex(d[singular[0]])
+            raise SingularInterior(
+                f"interior system singular at k = {k} (|D| = {abs(det):.3e}); "
+                "this k hosts a bound state or exceptional point",
+                k=k,
+                determinant=det,
+            )
+        if self._sigma is not None:
+            det_sigma = np.linalg.det(self._sigma)
+        else:
+            det_sigma = np.array([np.linalg.det(self._assemble(k)) for k in ks])
+        return det_sigma * np.exp(1j * self.total_bond_length * ks) * d.conj() / d
 
     def _schur(self, ks, sigma, m, tk, dets) -> np.ndarray:
         """S(k) = Sigma_LL + Sigma_LB T (I - Sigma_BB T)^-1 Sigma_BL for the

@@ -3,11 +3,13 @@
 Two scattering systems whose matrices are conjugate by one k-independent
 invertible matrix share their total phase (det S) and their pole sets; a
 conjugator restricted from an eigenspace isomorphism is exactly what makes
-two systems "the same seen from outside". The solver looks for such a
-conjugator by sampling S at several real k, solving the joint Sylvester-type
-system Pi S1(k_j) = S2(k_j) Pi for its null space, and validating any
-invertible null vector on held-out samples. Sampling can only ever provide
-numerical evidence, never proof, and results are labeled accordingly.
+two systems "the same seen from outside". The solver samples each S at
+several real k in one stacked call, solves the joint Sylvester-type system
+Pi S1(k_j) = S2(k_j) Pi for its null space, and validates any invertible
+null vector on held-out samples. The verdict takes total phases from the
+interior determinants (``Assembly.scattering_det_many``). Sampling can only
+ever provide numerical evidence, never proof, and results are labeled
+accordingly.
 """
 
 from __future__ import annotations
@@ -81,26 +83,32 @@ class ConjugacyResult:
         return self.status == "found"
 
 
-def _collect_samples(s1, s2, count: int, skip: int):
-    """Evaluate both matrix functions at the first ``count`` points of
-    ``default_samples`` from index ``skip`` on that are not singular.
+def _stacked(s):
+    """The function of a list of k that stacks the matrices ``s(k)``, and
+    names the sample in a :class:`SingularInterior` that ``s`` raises."""
+    def many(ks):
+        out = []
+        for k in ks:
+            try:
+                out.append(np.asarray(s(k), dtype=complex))
+            except SingularInterior as exc:
+                raise SingularInterior(str(exc), k=k, determinant=exc.determinant) from exc
+        return np.stack(out)
+    return many
 
-    Returns (pairs, used k values, index of the next unused default sample).
-    """
-    pairs = []
-    used = []
-    j = skip
-    while len(pairs) < count:
-        k = default_samples(1, j)[0]
-        j += 1
+
+def _collect_samples(many1, many2, count: int):
+    """The first ``count`` points of ``default_samples`` at which neither
+    ``many1`` nor ``many2`` raises :class:`SingularInterior`, and the stacked
+    matrices of both there."""
+    ks, skip = default_samples(count), count
+    while True:
         try:
-            a = np.asarray(s1(k), dtype=complex)
-            b = np.asarray(s2(k), dtype=complex)
-        except SingularInterior:
-            continue
-        pairs.append((a, b))
-        used.append(k)
-    return pairs, used, j
+            return ks, np.asarray(many1(ks)), np.asarray(many2(ks))
+        except SingularInterior as exc:
+            ks.remove(exc.k)
+            ks += default_samples(1, skip)
+            skip += 1
 
 
 def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.ndarray],
@@ -118,28 +126,32 @@ def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.
     holdout does not, "not_found" when the null space is trivial or contains
     no invertible element.
     """
+    return _find_conjugator(_stacked(s1), _stacked(s2), n_training)
+
+
+def _find_conjugator(many1, many2, n_training: int) -> ConjugacyResult:
+    """:func:`find_conjugator` of two functions that map a list of k to the
+    stacked matrices, such as ``Assembly.scattering_many``, and raise
+    :class:`SingularInterior` naming a singular k, whose sample is skipped."""
     if n_training < 3:
         raise ValidationError(f"need at least 3 training samples, got {n_training}")
-    pairs, used, consumed = _collect_samples(s1, s2, n_training, 0)
-    hold_pairs, hold_used, _ = _collect_samples(s1, s2, _N_HOLDOUT, consumed)
+    ks, s1s, s2s = _collect_samples(many1, many2, n_training + _N_HOLDOUT)
+    used, hold_used = tuple(ks[:n_training]), tuple(ks[n_training:])
 
-    n = pairs[0][0].shape[0]
-    for a, b in pairs:
-        if a.shape != (n, n) or b.shape != (n, n):
-            raise DimensionMismatch(
-                f"matrix functions must agree in dimension, got {a.shape} vs {b.shape}"
-            )
+    n = s1s.shape[-1]
+    if s1s.shape[1:] != (n, n) or s2s.shape != s1s.shape:
+        raise DimensionMismatch("matrix functions must agree in dimension, "
+                                f"got {s1s.shape[1:]} vs {s2s.shape[1:]}")
 
+    # vec(Pi A - B Pi) = (kron(I, A^T) - kron(B, I)) vec(Pi), row-major vec,
+    # for every training pair (A, B) at once
     eye = np.eye(n)
-    rows = []
-    for a, b in pairs:
-        # vec(Pi A - B Pi) = (kron(I, A^T) - kron(B, I)) vec(Pi), row-major vec.
-        rows.append(np.kron(eye, a.T) - np.kron(b, eye))
-    basis = null_space(np.vstack(rows), rtol=_NULL_RTOL).T
+    a, b = s1s[:n_training], s2s[:n_training]
+    rows = np.einsum("pr,jsq->jpqrs", eye, a) - np.einsum("jpr,qs->jpqrs", b, eye)
+    basis = null_space(rows.reshape(-1, n * n), rtol=_NULL_RTOL).T
     null_dim = len(basis)
     if null_dim == 0:
-        return ConjugacyResult("not_found", None, None, 0,
-                               tuple(used), tuple(hold_used))
+        return ConjugacyResult("not_found", None, None, 0, used, hold_used)
 
     candidates = [basis[i] for i in range(null_dim)]
     rng = np.random.default_rng(_COMBINATION_SEED)
@@ -157,14 +169,13 @@ def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.
             pi = cand
             break
     if pi is None:
-        return ConjugacyResult("not_found", None, None, null_dim,
-                               tuple(used), tuple(hold_used))
+        return ConjugacyResult("not_found", None, None, null_dim, used, hold_used)
 
     residual = 0.0
-    for (a, b), k in zip(hold_pairs, hold_used):
+    for a, b in zip(s1s[n_training:], s2s[n_training:]):
         residual = max(residual, float(np.linalg.norm(pi @ a - b @ pi)))
     status = "found" if residual <= _RESIDUAL_TOL else "inconclusive"
-    return ConjugacyResult(status, pi, residual, null_dim, tuple(used), tuple(hold_used))
+    return ConjugacyResult(status, pi, residual, null_dim, used, hold_used)
 
 
 def conjugation_residual(pi, s1, s2, ks) -> float:
@@ -188,32 +199,21 @@ def isophasal_check(s1, s2) -> Tuple[bool, float]:
     :class:`SingularInterior` raises :class:`SampleAtSingularity` naming
     the first such k.
     """
-    def stacked(s):
-        def many(ks):
-            out = []
-            for k in ks:
-                try:
-                    out.append(np.asarray(s(k), dtype=complex))
-                except SingularInterior as exc:
-                    # name the sample, whatever k the caller's error carries
-                    raise SingularInterior(str(exc), k=k, determinant=exc.determinant) from exc
-            return np.stack(out)
-        return many
-
-    return _isophasal(stacked(s1), stacked(s2))
+    many1, many2 = _stacked(s1), _stacked(s2)
+    return _isophasal(lambda ks: np.linalg.det(many1(ks)), lambda ks: np.linalg.det(many2(ks)))
 
 
-def _isophasal(many1, many2) -> Tuple[bool, float]:
+def _isophasal(dets1, dets2) -> Tuple[bool, float]:
     """:func:`isophasal_check` of two functions that map an array of k to
-    the stacked matrices S(k), such as ``Assembly.scattering_many``, and
-    raise :class:`SingularInterior` at the first singular k. A sample where
+    det S(k), such as ``Assembly.scattering_det_many``, and raise
+    :class:`SingularInterior` at the first singular k. A sample where
     either is singular raises :class:`SampleAtSingularity` naming the
     first such k, graph 1's on a tie."""
     ks = np.array(_PHASE_KS)
     dets, singular = [], []
-    for many in (many1, many2):
+    for det_many in (dets1, dets2):
         try:
-            dets.append(np.linalg.det(many(ks)))
+            dets.append(det_many(ks))
         except SingularInterior as exc:
             singular.append(exc)
     if singular:
@@ -285,13 +285,14 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     constants ``_N_HOLDOUT``, ``_NULL_RTOL``, ``_RESIDUAL_TOL``, ``_PHASE_KS``,
     ``_PHASE_TOL`` and ``_MATCH_TOL`` here, those of ``resonances`` for poles.
 
-    Each graph gets one :class:`Assembly`. The phase samples are one
-    stacked S(k) solve per graph. Graph 1's poles are searched for; when a
-    conjugator is found and that search gave no warning but those of edge
-    zeros, graph 2's are confirmed from them (conjugate S have the same
-    poles), and searched for afresh when the confirmation fails. The
-    report's warnings are those of both pole searches, prefixed "graph 1: "
-    and "graph 2: ", then the verdict's own.
+    Each graph gets one :class:`Assembly`. The conjugator samples are one
+    stacked S(k) solve per graph (again after a singular sample, which is
+    skipped); det S at the phase samples comes from D(k) alone. Graph 1's
+    poles are searched for; when a conjugator is found and that search gave
+    no warning but those of edge zeros, graph 2's are confirmed from them
+    (conjugate S have the same poles), and searched for afresh when the
+    confirmation fails. The report's warnings are those of both pole
+    searches, prefixed "graph 1: " and "graph 2: ", then the verdict's own.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -299,9 +300,8 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
             "conjugacy needs equal dimensions"
         )
     asm1, asm2 = Assembly(og1), Assembly(og2)
-    conj = find_conjugator(lambda k: asm1.scattering(k).s, lambda k: asm2.scattering(k).s,
-                           n_training=n_training)
-    phases_ok, dev = _isophasal(asm1.scattering_many, asm2.scattering_many)
+    conj = _find_conjugator(asm1.scattering_many, asm2.scattering_many, n_training)
+    phases_ok, dev = _isophasal(asm1.scattering_det_many, asm2.scattering_det_many)
     # conjugate S share their poles: confirm graph 2's from graph 1's, and
     # search afresh when that fails; of graph 1's warnings only those of its
     # edge zeros allow the confirmation, which reuses D1 on the window's

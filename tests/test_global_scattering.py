@@ -661,8 +661,63 @@ def test_scattering_many_names_the_first_singular_k():
         asm.scattering(2 * np.pi)
     assert many.value.k == 2 * np.pi
     assert str(many.value) == str(one.value)
+    with pytest.raises(SingularInterior) as det_s:
+        asm.scattering_det_many([1.0, 2 * np.pi, 1.5, np.pi])
+    assert str(det_s.value) == str(one.value) and det_s.value.k == 2 * np.pi
     with pytest.raises(ZeroK):
         asm.scattering_many([1.0, 0.0])
+    with pytest.raises(ZeroK):
+        asm.scattering_det_many([1.0, 0.0])
+    with pytest.raises(ValidationError):
+        asm.scattering_det_many([1.0, 2 * np.pi - 0.5j])
+
+
+def _not_self_adjoint_graph():
+    """The Robin lead graph with A B^dagger not Hermitian at the degree-3
+    vertex, so that Sigma(k) is not unitary."""
+    h = np.array([[0.3, 1j, 0.2], [0.5, -0.5, 0.0], [0.2, 0.0, 1.1]])
+    g = build_graph(
+        [Vertex("v", Neumann()), Vertex("u", LinearAB(h, np.eye(3)))],
+        [Edge("e1", "v", "u", 0.8), Edge("e2", "u", "u", 0.6)],
+        pending_leads={"v": 1},
+    )
+    return attach_leads(g, ["v"])
+
+
+DET_S_GRAPHS = {
+    # Neumann
+    "mm1": lambda: parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"),
+    # DFT, fixed_unitary and Dirichlet
+    "unitary": _dft_unitary_graph,
+    # Neumann and self-adjoint linear_ab
+    "robin": _robin_lead_graph,
+    "not-self-adjoint": _not_self_adjoint_graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DET_S_GRAPHS))
+def test_det_s_from_d_matches_det_of_s(name):
+    asm = Assembly(DET_S_GRAPHS[name]())
+    ks = np.linspace(0.1, 20.0, 64)
+    want = np.linalg.det(np.stack([asm.scattering(k).s for k in ks]))
+    got = asm.scattering_det_many(ks)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    # one determinant per k, except where Sigma is not unitary and S is solved
+    assert asm.evaluations == (0 if name == "not-self-adjoint" else len(ks))
+
+
+@pytest.mark.parametrize("name", ["mm1", "unitary"])
+def test_det_s_identity_holds_off_the_axis_for_constant_conditions(name):
+    # det S(k) = det Sigma exp(ik sum L_b) conj(D(conj k)) / D(k) off the
+    # real axis too, where Sigma does not depend on k
+    asm = Assembly(DET_S_GRAPHS[name]())
+    ks = _sweep_ks()[64:]
+    assert (ks.imag != 0).all()
+    d, d_conj = asm.interior_det_many(ks), asm.interior_det_many(ks.conj())
+    got = (np.linalg.det(asm.sigma(1.0)) * np.exp(1j * asm.total_bond_length * ks)
+           * d_conj.conj() / d)
+    want = np.linalg.det(np.stack([asm.scattering(k).s for k in ks]))
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_scattering_many_of_a_large_graph_runs_in_chunks(monkeypatch):

@@ -13,9 +13,11 @@ from qgscatter.errors import (DimensionMismatch, SampleAtSingularity, SingularIn
                               WindowMismatch)
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import Dirichlet, Edge, Neumann, Vertex, attach_leads, build_graph
+from qgscatter import isoscattering
 from qgscatter.isoscattering import (
     _PHASE_KS,
     conjugation_residual,
+    default_samples,
     find_conjugator,
     isophasal_check,
     isopolar_check,
@@ -268,6 +270,49 @@ def test_phase_check_names_the_first_singular_sample_of_either_graph():
         isophasal_check(singular_from(_PHASE_KS[10]), singular_from(_PHASE_KS[3]))
 
 
+def test_singular_conjugator_sample_is_skipped():
+    # a bound state at the third conjugator sample: the verdict's stacked
+    # search drops it for the next point of the sequence, as the scalar
+    # search does, and finds the same conjugator bit for bit
+    bound = default_samples(1, 2)[0]
+    og = _resonator_beside_intervals(bound)
+    asm = Assembly(og)
+    with pytest.raises(SingularInterior):
+        asm.scattering(bound)
+    report = transplantability_verdict(og, og, Rect(0.5, 1.0, -1.0, 0.0))
+    conj = report.conjugacy
+    assert conj.found and report.isophasal
+    assert conj.training_ks + conj.holdout_ks == tuple(
+        k for k in default_samples(12) if k != bound)
+    s = lambda k: asm.scattering(k).s
+    scalar = find_conjugator(s, s)
+    assert (conj.training_ks, conj.holdout_ks) == (scalar.training_ks, scalar.holdout_ks)
+    assert np.array_equal(conj.pi, scalar.pi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conjugator_system_is_the_kron_form(n, monkeypatch):
+    # the stacked system Pi A - B Pi = 0 of the training samples, row by row
+    # the vec identity (kron(I, A^T) - kron(B, I)) vec(Pi), row-major vec
+    rng = np.random.default_rng(n)
+    a0, a1, b0, b1 = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    s1 = lambda k: a0 + k * a1
+    s2 = lambda k: b0 + np.sin(k) * b1
+    systems = []
+    solve = isoscattering.null_space
+
+    def capturing(m, rtol):
+        systems.append(m)
+        return solve(m, rtol=rtol)
+
+    monkeypatch.setattr(isoscattering, "null_space", capturing)
+    result = find_conjugator(s1, s2)
+    eye = np.eye(n)
+    want = np.vstack([np.kron(eye, s1(k).T) - np.kron(s2(k), eye)
+                      for k in result.training_ks])
+    assert len(systems) == 1 and np.array_equal(systems[0], want)
+
+
 def _commensurate_graph(rng, n_edges, n_leads):
     """Neumann open graph with lengths in whole quarters, leads at distinct
     vertices."""
@@ -373,8 +418,10 @@ def test_confirmation_checks_edge_zeros_on_its_own_determinant():
 
 @pytest.mark.parametrize("name", ["mm1-self", "relabelled-4-2"])
 def test_verdict_evaluations_count_every_determinant(name, monkeypatch):
-    # the pole search of graph 1 and the confirmation of graph 2, on both
-    # graphs' Assemblies, compute every determinant of the verdict
+    # the pole search of graph 1, the confirmation of graph 2 and the phase
+    # samples of both, on both graphs' Assemblies, compute every determinant
+    # of the verdict; the conjugator samples are stacked solves, and no
+    # scalar S(k) is solved at all
     og1, og2, window = CONFIRMED_CASES[name]()
     counted = []
     det_many = Assembly.interior_det_many
@@ -383,10 +430,15 @@ def test_verdict_evaluations_count_every_determinant(name, monkeypatch):
         counted.append(len(ks))
         return det_many(self, ks)
 
+    def scalar(self, k):
+        raise AssertionError("the verdict solves a scalar S(k)")
+
     monkeypatch.setattr(Assembly, "interior_det_many", counting)
+    monkeypatch.setattr(Assembly, "scattering", scalar)
     report = transplantability_verdict(og1, og2, window)
-    assert report.conjugacy.found and report.isopolar
-    assert sum(counted) == report.poles_1.evaluations + report.poles_2.evaluations
+    assert report.conjugacy.found and report.isopolar and report.isophasal
+    assert sum(counted) == (report.poles_1.evaluations + report.poles_2.evaluations
+                            + 2 * len(_PHASE_KS))
 
 
 def test_confirmation_winds_circles_around_double_zeros():
