@@ -80,6 +80,17 @@ class SpectrumWindow:
         return np.array([ev.k for ev in self.eigenvalues])
 
 
+def _singular(k, det) -> SingularInterior:
+    """The error of a real k whose |D(k)| is below ``_SINGULAR_TOL``."""
+    k, det = complex(k), complex(det)
+    return SingularInterior(
+        f"interior system singular at k = {k} (|D| = {abs(det):.3e}); "
+        "this k hosts a bound state or exceptional point",
+        k=k,
+        determinant=det,
+    )
+
+
 class Assembly:
     """Cached channel matrices for one open (or closed) graph.
 
@@ -90,9 +101,8 @@ class Assembly:
 
     ``evaluations`` counts the determinants D(k) that
     :meth:`interior_det_many` has computed (none for a graph without edges),
-    among them one per k of :meth:`scattering_det_many` on unitary
-    conditions. S(k) solves and Newton steps on k-independent conditions
-    compute none.
+    among them one per k of :meth:`scattering_det_many`. S(k) solves and
+    Newton steps on k-independent conditions compute none.
     """
 
     def __init__(self, og: OpenGraph):
@@ -273,41 +283,29 @@ class Assembly:
         """det S(k) for a 1-D array of real k, equal to
         ``np.linalg.det(scattering(k).s)`` up to rounding.
 
-        When every vertex condition is unitary at real k, so is Sigma(k),
+        For k-independent vertex conditions Sigma is constant and unitary,
         and the Schur complement of S gives
 
-            det S(k) = det Sigma(k) exp(ik sum L_b) conj(D(k)) / D(k)
+            det S(k) = det Sigma exp(ik sum L_b) conj(D(k)) / D(k)
 
-        from one :meth:`interior_det_many` call; det Sigma is one
-        determinant for k-independent conditions, one per k otherwise.
-        Other conditions (A/B that are not self-adjoint) take the
-        determinants of :meth:`scattering_many`. Raises
-        :class:`ValidationError` when some k is not real, :class:`ZeroK` when
-        some k is 0 and :class:`SingularInterior` at the first k where
-        |D(k)| is below ``_SINGULAR_TOL``, as ``scattering_many`` does.
+        from one :meth:`interior_det_many` call. Raises
+        :class:`ValidationError` when some condition depends on k or some k
+        is not real, :class:`ZeroK` when some k is 0 and
+        :class:`SingularInterior` at the first k where |D(k)| is below
+        ``_SINGULAR_TOL``, as ``scattering_many`` does.
         """
+        if not self.k_independent:
+            raise ValidationError("det S from D needs k-independent vertex conditions")
         ks = np.asarray(ks, dtype=complex)
         if ks.imag.any():
             raise ValidationError("det S from D needs real k")
-        if not all(rule.is_unitary for rule in self._rules):
-            return np.linalg.det(self.scattering_many(ks))
         if (ks == 0).any():
             raise ZeroK("k must be nonzero")
         d = self.interior_det_many(ks)
         singular = np.flatnonzero(np.abs(d) < _SINGULAR_TOL)
         if singular.size:
-            k, det = complex(ks[singular[0]]), complex(d[singular[0]])
-            raise SingularInterior(
-                f"interior system singular at k = {k} (|D| = {abs(det):.3e}); "
-                "this k hosts a bound state or exceptional point",
-                k=k,
-                determinant=det,
-            )
-        if self._sigma is not None:
-            det_sigma = np.linalg.det(self._sigma)
-        else:
-            det_sigma = np.array([np.linalg.det(self._assemble(k)) for k in ks])
-        return det_sigma * np.exp(1j * self.total_bond_length * ks) * d.conj() / d
+            raise _singular(ks[singular[0]], d[singular[0]])
+        return np.linalg.det(self._sigma) * np.exp(1j * self.total_bond_length * ks) * d.conj() / d
 
     def _schur(self, ks, sigma, m, tk, dets) -> np.ndarray:
         """S(k) = Sigma_LL + Sigma_LB T (I - Sigma_BB T)^-1 Sigma_BL for the
@@ -317,13 +315,7 @@ class Assembly:
         system LAPACK cannot solve."""
         for k, det in zip(ks, dets):
             if abs(det) < _SINGULAR_TOL and k.imag == 0:
-                k, det = complex(k), complex(det)
-                raise SingularInterior(
-                    f"interior system singular at k = {k} (|D| = {abs(det):.3e}); "
-                    "this k hosts a bound state or exceptional point",
-                    k=k,
-                    determinant=det,
-                )
+                raise _singular(k, det)
         nl = self.table.n_leads
         try:
             x = np.linalg.solve(m, sigma[..., nl:, :nl])

@@ -31,7 +31,7 @@ from .contours import Rect
 from .global_scattering import Assembly
 from .graph_core import OpenGraph
 from .linalg import null_space
-from .resonances import PoleSet, _confirm_poles, _find_poles
+from .resonances import PoleSet, _confirm_poles, _find_poles, _require_holomorphic
 
 EVIDENCE_LABEL = "numerical evidence"
 
@@ -284,6 +284,9 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     training samples of the conjugator search. The rest is fixed: the
     constants ``_N_HOLDOUT``, ``_NULL_RTOL``, ``_RESIDUAL_TOL``, ``_PHASE_KS``,
     ``_PHASE_TOL`` and ``_MATCH_TOL`` here, those of ``resonances`` for poles.
+    Both graphs must have k-independent vertex conditions, which the pole
+    search and the phase identity need: a ``linear_ab`` vertex raises
+    :class:`~qgscatter.errors.NonHolomorphic` before anything is solved.
 
     Each graph gets one :class:`Assembly`. The conjugator samples are one
     stacked S(k) solve per graph (again after a singular sample, which is
@@ -299,6 +302,8 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
             f"lead counts differ ({og1.n_leads} vs {og2.n_leads}); "
             "conjugacy needs equal dimensions"
         )
+    _require_holomorphic(og1)
+    _require_holomorphic(og2)
     asm1, asm2 = Assembly(og1), Assembly(og2)
     conj = _find_conjugator(asm1.scattering_many, asm2.scattering_many, n_training)
     phases_ok, dev = _isophasal(asm1.scattering_det_many, asm2.scattering_det_many)

@@ -108,9 +108,7 @@ class PoleSet:
     """Located poles, sorted by (Re k, Im k).
 
     ``real_axis_zeros`` lists determinant zeros on the real axis (decoupled
-    bound states), which are excluded from ``poles``. Zeros refined into the
-    upper half plane are kept but flagged, since for k-independent vertex
-    conditions physical resonances lie in Im k < 0. ``edge_zeros`` lists the
+    bound states), which are excluded from ``poles``. ``edge_zeros`` lists the
     zeros off the real axis within ``_REAL_AXIS_TOL`` of a side of the
     window, which are dropped, each with one warning. ``evaluations`` counts
     the determinants D(k) the search computed: contour samples, multiplicity
@@ -129,7 +127,6 @@ class PoleSet:
     poles: Tuple[Pole, ...]
     window: Rect
     real_axis_zeros: Tuple[Pole, ...] = ()
-    upper_half_flagged: Tuple[complex, ...] = ()
     warnings: Tuple[str, ...] = ()
     evaluations: int = field(default=0, compare=False)
     edge_zeros: Tuple[Pole, ...] = ()
@@ -178,7 +175,7 @@ def _require_holomorphic(og: OpenGraph):
         if isinstance(v.condition, LinearAB):
             raise NonHolomorphic(
                 f"vertex {v.id!r} carries k-dependent linear A/B conditions; "
-                "window scans require k-independent conditions"
+                "pole searches and verdicts require k-independent conditions"
             )
 
 
@@ -243,8 +240,7 @@ def _pole_set(window: Rect, zeros, warnings: list, evaluations: int) -> PoleSet:
     axis. An edge zero is dropped with one warning that names the side and
     prints k snapped onto it to 12 digits, so that which side of the line
     rounding put it on decides nothing; a zero outside is dropped with a
-    warning. Warnings are appended to ``warnings``. Poles in the upper half
-    plane are flagged.
+    warning. Warnings are appended to ``warnings``.
     """
     poles, real_axis, edge = [], [], []
     for record in zeros:
@@ -270,7 +266,6 @@ def _pole_set(window: Rect, zeros, warnings: list, evaluations: int) -> PoleSet:
         poles=tuple(poles),
         window=window,
         real_axis_zeros=tuple(real_axis),
-        upper_half_flagged=tuple(p.k for p in poles if p.k.imag > 0),
         warnings=tuple(warnings),
         evaluations=evaluations,
         edge_zeros=tuple(edge),
@@ -488,7 +483,8 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     """The zeros of D in the window, confirmed from ``reference``, the
     :class:`PoleSet` that :func:`find_poles` gave for the graph of
     ``reference_asm``, whose S(k) is conjugate to this one's; None when a
-    check fails, and the caller must search afresh.
+    check fails, and the caller must search afresh. The caller checks that
+    the conditions of ``asm`` do not depend on k.
 
     Conjugate scattering matrices have the same poles, so D should vanish
     at every zero of ``reference`` with the same multiplicity, and nowhere
@@ -526,7 +522,6 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
     edge lies, the phase is the same on both sides, and the rest of the
     contour turns it by m pi, so the ratio winds m / 2 times.
     """
-    _require_holomorphic(asm.og)
     both = {asm, reference_asm}  # one Assembly when the graphs are the same
     start = sum(a.evaluations for a in both)
 

@@ -48,16 +48,6 @@ class VertexSigma:
     def is_constant(self) -> bool:
         return self.constant is not None
 
-    @property
-    def is_unitary(self) -> bool:
-        """Whether sigma(k) is unitary at every real k: always for the
-        constant variants, for A/B exactly when the condition set is
-        self-adjoint."""
-        if self.constant is not None:
-            return True
-        defect, tol = _adjoint_defect(*self.ab)
-        return defect <= tol
-
 
 def _constant(matrix) -> VertexSigma:
     m = np.asarray(matrix, dtype=complex)
@@ -114,17 +104,10 @@ def _checked_ab(a, b, check_self_adjoint):
     if rank < d:
         raise RankDeficientAB(f"[A|B] has rank {rank} < {d}")
     if check_self_adjoint:
-        defect, tol = _adjoint_defect(a, b)
-        if defect > tol:
+        defect = hermitian_defect(a @ b.conj().T)
+        if defect > 1e-10 * max(1.0, float(np.abs(a).max() * np.abs(b).max())):
             raise NotSelfAdjoint(f"A B^dagger deviates from Hermitian by {defect:.3e}")
     return a, b
-
-
-def _adjoint_defect(a, b):
-    """How far A B^dagger is from Hermitian, and the most a self-adjoint
-    condition set may deviate: 1e-10 relative to the sizes of A and B."""
-    return (hermitian_defect(a @ b.conj().T),
-            1e-10 * max(1.0, float(np.abs(a).max() * np.abs(b).max())))
 
 
 def _ab_solve(a, b, k) -> np.ndarray:

@@ -13,7 +13,7 @@ from qgscatter.cli import (
     serialize_graph,
 )
 from qgscatter.contours import Rect
-from qgscatter.errors import ParseError
+from qgscatter.errors import NotUnitary, ParseError
 from qgscatter.graph_core import MetricGraph, OpenGraph
 from qgscatter.isoscattering import transplantability_verdict
 
@@ -101,6 +101,52 @@ def test_round_trip(tmp_path):
     doc = serialize_graph(og)
     again = parse_graph_document(doc)
     assert serialize_graph(again) == doc
+
+
+def _one_vertex_doc(condition):
+    """A lead and an edge at a vertex with the given condition."""
+    return {
+        "vertices": [{"id": "v", "condition": condition},
+                     {"id": "w", "condition": {"type": "neumann"}}],
+        "edges": [{"id": "e", "from": "v", "to": "w", "length": 1.5}],
+        "leads": [{"id": "l", "at": "v"}],
+    }
+
+
+CONDITION_DOCS = {
+    "neumann": {"type": "neumann"},
+    "dirichlet": {"type": "dirichlet"},
+    "dft": {"type": "dft", "degree": 2},
+    "dft-any-degree": {"type": "dft"},
+    # continuity and Kirchhoff: f1 - f2 = 0, f1' + f2' = 0
+    "linear_ab": {"type": "linear_ab",
+                  "a": [[[1.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                  "b": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]},
+    "fixed_unitary": {"type": "fixed_unitary",
+                      "matrix": [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONDITION_DOCS))
+def test_condition_round_trip(name):
+    doc = _one_vertex_doc(CONDITION_DOCS[name])
+    og = parse_graph_document(doc)
+    assert og.graph.vertex("v").condition.type_name == CONDITION_DOCS[name]["type"]
+    assert serialize_graph(og) == doc
+
+
+@pytest.mark.parametrize("condition, error, message", [
+    ({"type": "dft", "degree": 0}, ParseError, "positive integer"),
+    ({"type": "fixed_unitary", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+     ParseError, "unequal lengths"),
+    ({"type": "linear_ab", "a": [[1.0, 0.0], [0.0]], "b": [[0.0, 0.0], [1.0, 1.0]]},
+     ParseError, "unequal lengths"),
+    ({"type": "fixed_unitary", "matrix": [[2.0, 0.0], [0.0, 1.0]]}, NotUnitary, "not unitary"),
+    ({"type": "robin"}, ParseError, "unknown condition type"),
+])
+def test_condition_errors(condition, error, message):
+    with pytest.raises(error, match=message):
+        parse_graph_document(_one_vertex_doc(condition))
 
 
 def test_deterministic_serializer():

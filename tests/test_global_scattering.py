@@ -689,9 +689,6 @@ DET_S_GRAPHS = {
     "mm1": lambda: parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"),
     # DFT, fixed_unitary and Dirichlet
     "unitary": _dft_unitary_graph,
-    # Neumann and self-adjoint linear_ab
-    "robin": _robin_lead_graph,
-    "not-self-adjoint": _not_self_adjoint_graph,
 }
 
 
@@ -702,8 +699,18 @@ def test_det_s_from_d_matches_det_of_s(name):
     want = np.linalg.det(np.stack([asm.scattering(k).s for k in ks]))
     got = asm.scattering_det_many(ks)
     assert np.allclose(got, want, rtol=1e-12, atol=0)
-    # one determinant per k, except where Sigma is not unitary and S is solved
-    assert asm.evaluations == (0 if name == "not-self-adjoint" else len(ks))
+    assert asm.evaluations == len(ks)
+
+
+@pytest.mark.parametrize("graph", [_robin_lead_graph, _not_self_adjoint_graph],
+                         ids=["robin", "not-self-adjoint"])
+def test_det_s_from_d_refuses_k_dependent_conditions(graph):
+    # Sigma(k) of linear A/B conditions is not one constant unitary matrix,
+    # self-adjoint or not: det S from D is refused before any determinant
+    asm = Assembly(graph())
+    with pytest.raises(ValidationError, match="k-independent"):
+        asm.scattering_det_many(np.linspace(0.1, 20.0, 64))
+    assert asm.evaluations == 0
 
 
 @pytest.mark.parametrize("name", ["mm1", "unitary"])

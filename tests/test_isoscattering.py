@@ -9,10 +9,11 @@ import pytest
 
 from qgscatter.cli import parse_graph_file, run_command
 from qgscatter.contours import Rect
-from qgscatter.errors import (DimensionMismatch, SampleAtSingularity, SingularInterior,
-                              WindowMismatch)
+from qgscatter.errors import (DimensionMismatch, LengthViolation, NonHolomorphic,
+                              SampleAtSingularity, SingularInterior, WindowMismatch)
 from qgscatter.global_scattering import Assembly
-from qgscatter.graph_core import Dirichlet, Edge, Neumann, Vertex, attach_leads, build_graph
+from qgscatter.graph_core import (Dirichlet, Edge, LinearAB, Neumann, Vertex, attach_leads,
+                                  build_graph)
 from qgscatter import isoscattering
 from qgscatter.isoscattering import (
     _PHASE_KS,
@@ -25,6 +26,8 @@ from qgscatter.isoscattering import (
 )
 from qgscatter import resonances
 from qgscatter.resonances import _confirm_poles, find_poles
+from qgscatter.symmetry_rep import (GraphAction, MatrixRep, dihedral_group, quotient_scattering,
+                                    subgroup, validate_action)
 
 from conftest import (DATA_DIR, random_open_graph, star_open_graph, twin_resonators,
                       two_pendant_resonator)
@@ -171,6 +174,164 @@ def test_verdict_requires_equal_lead_counts():
     og2 = star_open_graph(2)
     with pytest.raises(DimensionMismatch):
         transplantability_verdict(og1, og2, Rect(0.0, 2.0, -1.0, 0.0))
+
+
+def _ab_end_graph(a):
+    """A lead at a Neumann centre and one edge of length 1.3 to a vertex
+    with the condition a f + f' = 0, which depends on k."""
+    g = build_graph(
+        [Vertex("c", Neumann()), Vertex("w", LinearAB(np.array([[a]]), np.array([[1.0]])))],
+        [Edge("e", "c", "w", 1.3)],
+        pending_leads={"c": 1},
+    )
+    return attach_leads(g, ["c"])
+
+
+K0 = default_samples(1)[0]
+K_DEPENDENT_PAIRS = {
+    "robin-first": lambda: (_ab_end_graph(1.0), two_pendant_resonator()),
+    "robin-second": lambda: (two_pendant_resonator(), _ab_end_graph(1.0)),
+    # A + ikB = 0 at the first conjugator sample k0
+    "singular-at-first-sample": lambda: (_ab_end_graph(-1j * K0), _ab_end_graph(-1j * K0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K_DEPENDENT_PAIRS))
+def test_verdict_refuses_k_dependent_conditions_first(name, monkeypatch):
+    # the pole search and the phase identity need k-independent conditions:
+    # the verdict says so before it solves any S(k) or takes any phase sample
+    og1, og2 = K_DEPENDENT_PAIRS[name]()
+
+    def solve(self, ks):
+        raise AssertionError("the verdict solved before refusing")
+
+    monkeypatch.setattr(Assembly, "scattering_many", solve)
+    monkeypatch.setattr(Assembly, "scattering_det_many", solve)
+    with pytest.raises(NonHolomorphic, match="vertex 'w'"):
+        transplantability_verdict(og1, og2, Rect(0.5, 6.0, -2.0, 0.0))
+
+
+def _longer_resonator():
+    """The two-pendant resonator with one pendant 1.2 long: not conjugate to
+    the resonator, nor isophasal or isopolar with it."""
+    g = build_graph(
+        [Vertex("c", Neumann()), Vertex("w1", Dirichlet()), Vertex("w2", Dirichlet())],
+        [Edge("e1", "c", "w1", 1.0), Edge("e2", "c", "w2", 1.2)],
+        pending_leads={"c": 1},
+    )
+    return attach_leads(g, ["c"])
+
+
+ISOPHASAL_NOT_FOUND = "systems are isophasal yet no conjugator was found on these samples"
+
+
+@pytest.mark.parametrize("status, same, verdict, warnings", [
+    ("found", False, "transplantable (numerical evidence)",
+     ("conjugator found but pole sets disagree; check scan residuals",)),
+    ("not_found", True, "no transplantation on these lead sets", (ISOPHASAL_NOT_FOUND,)),
+    ("inconclusive", True, "inconclusive", (ISOPHASAL_NOT_FOUND,)),
+    ("inconclusive", False, "no transplantation on these lead sets", ()),
+])
+def test_verdict_of_a_forced_conjugator_status(status, same, verdict, warnings, monkeypatch):
+    # outcomes that no small pair reaches honestly: the conjugator search is
+    # run, and its status replaced
+    find = isoscattering._find_conjugator
+    monkeypatch.setattr(isoscattering, "_find_conjugator",
+                        lambda *args: replace(find(*args), status=status))
+    og1 = two_pendant_resonator()
+    og2 = og1 if same else _longer_resonator()
+    report = transplantability_verdict(og1, og2, Rect(0.5, 6.0, -2.0, 0.0))
+    assert report.conjugacy.status == status and report.verdict == verdict
+    assert report.isophasal == report.isopolar == same
+    assert report.warnings == warnings
+
+
+GAMMA_SPOKES = (0, 90, 180, 270)
+GAMMA_TIPS = (20, 70, 110, 160, 200, 250, 290, 340)
+# (kind, angle) of every edge of Gamma, in the order of their ids, which is
+# the order of validate_action's edge maps
+GAMMA_EDGES = sorted([("ring", a) for a in GAMMA_SPOKES] + [("spoke", a) for a in GAMMA_SPOKES]
+                     + [("tip", t) for t in GAMMA_TIPS], key=lambda e: f"{e[0]}{e[1]}")
+
+
+def _gamma(tip_lengths=None):
+    """Gamma: a Neumann centre c, spokes of length 1 to p0, p90, p180 and
+    p270, ring edges p_a -> p_{a+90} of length 1.37, and eight tips t_theta
+    at 90 i +- 20 degrees, joined to the nearest spoke end by edges of length
+    0.61 (or ``tip_lengths[theta]``), one lead each."""
+    lengths = dict.fromkeys(GAMMA_TIPS, 0.61) | (tip_lengths or {})
+    nearest = {t: 90 * round(t / 90) % 360 for t in GAMMA_TIPS}
+    names = ["c"] + [f"p{a}" for a in GAMMA_SPOKES] + [f"t{t}" for t in GAMMA_TIPS]
+    edges = ([Edge(f"spoke{a}", "c", f"p{a}", 1.0) for a in GAMMA_SPOKES]
+             + [Edge(f"ring{a}", f"p{a}", f"p{(a + 90) % 360}", 1.37) for a in GAMMA_SPOKES]
+             + [Edge(f"tip{t}", f"p{nearest[t]}", f"t{t}", lengths[t]) for t in GAMMA_TIPS])
+    g = build_graph([Vertex(nm, Neumann()) for nm in names], edges,
+                    pending_leads={f"t{t}": 1 for t in GAMMA_TIPS})
+    return attach_leads(g, [f"t{t}" for t in GAMMA_TIPS])
+
+
+def _gamma_action():
+    """D4 on Gamma: s^a turns angles by 90 a degrees and f_a (rx, ru, ry,
+    rv) maps theta to 90 a - theta; a reflection reverses the ring."""
+    moves = ([lambda t, a=a: (t + 90 * a) % 360 for a in range(4)]
+             + [lambda t, a=a: (90 * a - t) % 360 for a in range(4)])
+    lead_perm, edge_perm, edge_flip = [], [], []
+    for g in moves:
+        lead_perm.append([GAMMA_TIPS.index(g(t)) for t in GAMMA_TIPS])
+        images = []
+        for kind, a in GAMMA_EDGES:
+            if kind == "ring":  # p_a -> p_{a+90} lands on p_u -> p_v
+                u, v = g(a), g(a + 90)
+                flip = v != (u + 90) % 360
+                images.append((("ring", v if flip else u), flip))
+            else:
+                images.append(((kind, g(a)), False))
+        edge_perm.append([GAMMA_EDGES.index(edge) for edge, _ in images])
+        edge_flip.append([flip for _, flip in images])
+    return GraphAction(dihedral_group(4), np.array(lead_perm), np.array(edge_perm),
+                       np.array(edge_flip))
+
+
+def _gamma_quotient(og, act, names, chars):
+    """S(k) of Gamma's quotient by the 1-dimensional representation that
+    takes the values ``chars`` on the subgroup {e} + ``names``."""
+    sub = subgroup(act.group, ["e", *names])
+    rho = MatrixRep.from_mapping(sub.group, {"e": [[1]], **{n: [[c]] for n, c in
+                                                            zip(names, chars)}})
+    sub_act = act.restricted(sub)
+    return lambda k: quotient_scattering(og, sub_act, rho, k=k)
+
+
+def test_dihedral_quotients_of_a_graph_with_edges_are_conjugate():
+    # the paper's claim on a graph with edges: R1 on {e, rx, ry, s2} and R2
+    # on {e, ru, rv, s2} both induce the 2-dimensional irreducible
+    # representation of D4, so Gamma's quotients by them are conjugate
+    og, act = _gamma(), _gamma_action()
+    s1 = _gamma_quotient(og, act, ["rx", "ry", "s2"], (-1, 1, -1))
+    s2 = _gamma_quotient(og, act, ["ru", "rv", "s2"], (1, -1, -1))
+    assert s1(1.0).shape == s2(1.0).shape == (2, 2)
+    assert not np.allclose(s1(1.0), s1(2.0)) and not np.allclose(s2(1.0), s2(2.0))
+    result = find_conjugator(s1, s2)
+    assert result.found and result.solution_dim == 2 and result.residual <= 1e-14
+    ok, dev = isophasal_check(s1, s2)
+    assert ok and dev <= 1e-14
+
+
+@pytest.mark.parametrize("chars", [(-1, -1, 1), (1, 1, 1)])
+def test_dihedral_quotients_inducing_different_representations_are_not(chars):
+    # these representations of {e, ru, rv, s2} are 1 on s2, so they induce
+    # a sum of two 1-dimensional representations of D4, not R1's 2-dimensional one
+    og, act = _gamma(), _gamma_action()
+    s1 = _gamma_quotient(og, act, ["rx", "ry", "s2"], (-1, 1, -1))
+    s2 = _gamma_quotient(og, act, ["ru", "rv", "s2"], chars)
+    assert find_conjugator(s1, s2).status == "not_found"
+
+
+def test_dihedral_action_on_gamma_maps_edges():
+    act = _gamma_action()
+    assert validate_action(_gamma(), act).ok
+    with pytest.raises(LengthViolation, match="'tip20'"):
+        validate_action(_gamma({20: 0.62}), act)
 
 
 def test_conjugacy_symmetry_on_conjugated_systems():
