@@ -20,7 +20,11 @@ and :func:`circle_winding` are the one-contour cases, which raise on
 failure. A circle starts from 8 points: a zero of
 multiplicity m at its centre advances the phase by m pi/4 per segment, so
 m < 4 costs 16 values and a higher m splits the segments until each
-half-step is below pi/2.
+half-step is below pi/2. :func:`half_circle_windings` winds a circle
+centred on the real axis from its upper half alone, one open path, for an
+f with f(conj z) = c conj(f(z)) and |c| = 1, whose lower half turns by as
+much as its upper half: from 5 points, with the segments of the whole
+circle, so m < 4 costs 9 values and the aliasing limit is the same.
 
 Phase tracking by sampling cannot see rotations faster than the sampling
 resolves (a whole turn between samples aliases to zero), so callers that
@@ -53,9 +57,9 @@ ill-defined. It fails the contour (in :class:`QuadLevel`, only the cells
 whose sides pass through it), and callers jitter their contours and retry
 through :func:`first_windings`, round by round: round i winds the i-th
 contour of every schedule still unresolved, in one pass
-(:func:`first_circle_windings` for circles). A value that is not finite
-aborts the computation with :class:`DeterminantOverflow`, which a retry
-cannot cure.
+(:func:`first_circle_windings` for whole or half circles). A value that
+is not finite aborts the computation with :class:`DeterminantOverflow`,
+which a retry cannot cure.
 """
 
 from __future__ import annotations
@@ -399,6 +403,33 @@ def circle_windings(f, centers, radii, *, rate_hint=None):
     return windings(f, polylines)
 
 
+def half_circle_windings(f, centers, radii, *, rate_hint=None):
+    """Winding number of f around each circle (centers[i], radii[i]) with a
+    real centre, from its upper half alone, all settled in one
+    :func:`_settle` pass; for a circle whose upper half met a zero, the
+    message (a str).
+
+    Valid for an f with f(conj z) = c conj(f(z)) for a constant c of
+    modulus 1, such as g(k) = D(k) exp(-ik sum L_b / 2) for the interior
+    determinant D of a graph whose vertex conditions are k-independent (not
+    D itself: its factor exp(ik sum L_b / 2) turns the two halves by
+    opposite amounts). The lower half then turns by exactly as much phase as
+    the upper half, which runs from center + radius to center - radius. The
+    upper half starts from 5 points, half of the segments
+    :func:`circle_windings` starts from, so each segment turns by as much
+    and aliases as little; a zero of multiplicity m < 4 at the centre costs
+    9 values.
+    """
+    paths = []
+    for center, radius in zip(centers, radii):
+        n = (_samples_for(2 * math.pi * radius, _CIRCLE_POINTS, rate_hint) + 1) // 2
+        t = np.arange(n + 1.0) / n
+        z = center + radius * np.exp(1j * np.pi * t)
+        z[0], z[-1] = center + radius, center - radius
+        paths.append((t, z))
+    return [r[0] if _failed(r) else _winding(2 * _phase(r[1])) for r in _settle(f, paths, {})]
+
+
 def circle_winding(f, center, radius, *, rate_hint=None) -> int:
     """Winding number of f around one circle, as :func:`circle_windings`
     gives it; raises :class:`BoundaryZero` when the circle meets a zero."""
@@ -575,14 +606,16 @@ def first_windings(wind_many, schedules, failures=None):
     return out
 
 
-def first_circle_windings(f, centers, radii, *, rate_hint=None):
+def first_circle_windings(f, centers, radii, *, rate_hint=None, upper_half=False):
     """For each centre, the winding number of f around the first circle of
     its radii (one sequence per centre) that does not meet a zero, the
     circles tried round by round as in :func:`first_windings` and wound as
-    in :func:`circle_windings`; where every circle meets a zero, the message
-    (a str)."""
-    out = first_windings(
-        lambda circles: circle_windings(f, [c for c, _ in circles], [r for _, r in circles],
-                                        rate_hint=rate_hint),
-        [[(c, r) for r in rs] for c, rs in zip(centers, radii)])
+    in :func:`circle_windings`, or as in :func:`half_circle_windings` with
+    ``upper_half``; where every circle meets a zero, the message (a str)."""
+    many = half_circle_windings if upper_half else circle_windings
+
+    def wind(circles):
+        return many(f, [c for c, _ in circles], [r for _, r in circles], rate_hint=rate_hint)
+
+    out = first_windings(wind, [[(c, r) for r in rs] for c, rs in zip(centers, radii)])
     return [w if isinstance(w, str) else w[0] for w in out]

@@ -54,7 +54,12 @@ class InvalidDegree(QGError):
 
 
 class SingularAtK(QGError):
-    pass
+    """A + ikB of a vertex's linear conditions is singular at ``k``, so its
+    scattering matrix does not exist there."""
+
+    def __init__(self, message, k=None):
+        super().__init__(message)
+        self.k = k
 
 
 class NotSelfAdjoint(QGError):

@@ -18,9 +18,10 @@ eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -44,6 +45,11 @@ _DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
 # so long batches keep memory flat.
 _DET_CHUNK_ENTRIES = 1 << 15
 _NODE_BUDGET = 2_000_000  # most scan nodes eigenvalues_compact lays over a window
+_BRACKET_TOL = 4e-16  # bracket width, relative to k, at which a real zero is solved
+_BRACKET_STEPS = 12  # most regula falsi steps of one bracket
+# Newton step that ends a run from a dip of |g| or an unsolved bracket: a
+# zero of multiplicity m <= 11 then lies inside the first circle (1e-4)
+_START_STEP = 5e-6
 
 
 @dataclass(frozen=True)
@@ -69,12 +75,17 @@ class Eigenvalue:
 @dataclass(frozen=True)
 class SpectrumWindow:
     """Eigenvalues (as k values) found in a window; ``warnings`` names each
-    eigenvalue whose multiplicity could not be wound and was assumed 1."""
+    eigenvalue whose multiplicity could not be wound and was assumed 1.
+    ``evaluations`` counts the determinants D(k) the call computed, read
+    from :attr:`Assembly.evaluations`: the scan, the bracketed solve, the
+    multiplicity circles and the residuals (Newton's steps solve with the
+    matrix instead for k-independent conditions)."""
 
     k_min: float
     k_max: float
     eigenvalues: Tuple[Eigenvalue, ...] = ()
     warnings: Tuple[str, ...] = ()
+    evaluations: int = field(default=0, compare=False)
 
     def ks(self) -> np.ndarray:
         return np.array([ev.k for ev in self.eigenvalues])
@@ -210,8 +221,11 @@ class Assembly:
         x = np.linalg.solve(m[0], mprime)
         return complex(np.trace(x))
 
-    def newton(self, k0, *, max_iter, tol, trust):
-        """Newton on D(k) from k0, stepping by 1 / (d/dk log D).
+    def newton(self, k0, *, max_iter, tol, trust, multiplicity=1):
+        """Newton on D(k) from k0, stepping by m / (d/dk log D), m being
+        ``multiplicity``: the multiplicity of the zero sought, at which the
+        steps converge quadratically (linearly, by the ratio (m - 1) / m,
+        with m = 1).
 
         Returns (k, iterations, inside). It stops when a step falls below
         ``tol * max(1, |k|)``, when k is an exact zero of D or the log
@@ -230,7 +244,7 @@ class Assembly:
                 return k, it, True
             if dlog == 0:
                 return k, it, True
-            k_next = k - 1.0 / dlog
+            k_next = k - multiplicity / dlog
             if abs(k_next - k0) > trust:
                 return k_next, it, False
             step = abs(k_next - k)
@@ -388,6 +402,75 @@ def _closed(graph: MetricGraph) -> OpenGraph:
     return OpenGraph(graph, ())
 
 
+def _g(asm: Assembly, ks) -> np.ndarray:
+    """g(k) = D(k) exp(-ik sum L_b / 2) for every k of a 1-D array. It has
+    the zeros of D, and for k-independent conditions g(conj k) = c conj(g(k))
+    with c = (-1)^n det Sigma_BB of modulus 1, so g is real on the real axis
+    up to that constant phase."""
+    ks = np.asarray(ks, dtype=complex)
+    return asm.interior_det_many(ks) * np.exp(-0.5j * asm.total_bond_length * ks)
+
+
+def _bracketed_zeros(asm: Assembly, lo, hi, g_lo, g_hi):
+    """One zero of D in each bracket [lo_i, hi_i] of the real axis, where
+    g = D exp(-ik sum L_b / 2) has the values ``g_lo`` and ``g_hi`` with
+    Re(g_lo conj g_hi) < 0.
+
+    Each bracket solves r(k) = Re(g(k) exp(-i alpha)) for the phase alpha of
+    g at its lower end, so r > 0 there and r < 0 at the upper end. g is a
+    real function times a phase that is constant for k-independent
+    conditions and drifts slowly for A/B ones, so the zeros of r in the
+    bracket are those of D. Regula falsi with the Illinois step (the value
+    at an end kept twice in a row is halved) steps every live bracket in
+    lockstep, one :meth:`Assembly.interior_det_many` call per step. A
+    bracket is solved when r is exactly 0 at its new point, when it is at
+    most ``_BRACKET_TOL`` wide relative to k, or when its next point lies
+    that close to its last one or rounds onto an end; that point, the last
+    secant step, is then the zero and is not evaluated. A zero of odd
+    multiplicity m >= 3 draws the points in only linearly; after
+    ``_BRACKET_STEPS`` steps such a bracket stops unsolved at the end with
+    the smaller |r|.
+
+    Returns the zeros and whether each was solved.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    turn = np.exp(-1j * np.angle(g_lo))
+    r_lo, r_hi = (np.asarray(g_lo) * turn).real, (np.asarray(g_hi) * turn).real
+    # the values regula falsi steps with: r, or r halved by the Illinois step
+    f_lo, f_hi = r_lo.copy(), r_hi.copy()
+    kept = np.zeros(len(lo), dtype=int)  # the end kept at the last step: -1 lo, 1 hi
+    last = np.full(len(lo), np.nan)  # the point evaluated last
+    zeros = np.full(len(lo), np.nan)  # the last secant steps and exact zeros
+    live = np.arange(len(lo))
+    for _ in range(_BRACKET_STEPS):
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        x = np.clip(b - fb * (b - a) / (fb - fa), a, b)
+        # a point that rounds onto an end is within an ulp of it
+        close = (np.abs(x - last[live]) <= _BRACKET_TOL * x) | (x == a) | (x == b)
+        zeros[live[close]] = x[close]
+        live, x = live[~close], x[~close]
+        if not len(live):
+            break
+        r = (_g(asm, x) * turn[live]).real
+        last[live] = x
+        exact = r == 0
+        zeros[live[exact]] = x[exact]
+        up, down = r > 0, r < 0  # x replaces the lower end, where r > 0, or the upper
+        i, j = live[up], live[down]
+        lo[i], r_lo[i], f_lo[i] = x[up], r[up], r[up]
+        hi[j], r_hi[j], f_hi[j] = x[down], r[down], r[down]
+        f_hi[i[kept[i] == 1]] *= 0.5
+        f_lo[j[kept[j] == -1]] *= 0.5
+        kept[i], kept[j] = 1, -1
+        live = live[~exact]
+        live = live[hi[live] - lo[live] > _BRACKET_TOL * hi[live]]
+    solved = np.ones(len(lo), dtype=bool)
+    solved[live] = False
+    ends = np.isnan(zeros)  # brackets narrowed to a few ulp, and the unsolved
+    zeros[ends] = np.where(np.abs(r_lo) <= np.abs(r_hi), lo, hi)[ends]
+    return zeros, solved
+
+
 def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     """Locate the Laplacian eigenvalues (as k values) in the window (k_min, k_max).
 
@@ -396,22 +479,35 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     :class:`WindowTooWide`), one batched call evaluates
     g(k) = D(k) exp(-ik sum L_b / 2), which on the real axis is a real
     function times a phase that is constant for k-independent conditions
-    and drifts slowly for A/B ones. Newton on D starts inside every sign
-    change of g, where |g| interpolates linearly to zero, and at every
-    interior local minimum of |g| that does not end such a bracket, so
-    zeros of even multiplicity are seeded too. Each distinct real result
-    inside the window gets its multiplicity from the winding number of D
+    and drifts slowly for A/B ones. Every sign change of g brackets a zero,
+    and one lockstep regula falsi solves all the brackets together
+    (:func:`_bracketed_zeros`, one batched determinant call per step).
+    Newton on D starts in every bracket that regula falsi left unsolved and
+    at every interior local minimum of |g| that does not end a bracket, so
+    zeros of even multiplicity are seeded too; it stops once a step is
+    below ``_START_STEP``, inside the first circle of the zero it nears.
+
+    Each distinct candidate gets its multiplicity m from the winding number
     on a small circle around it; a start that led nowhere winds 0 and is
-    dropped. The circles of all candidates are wound together
+    dropped. For k-independent conditions g(conj k) = c conj(g(k)) with
+    |c| = 1, so only the upper half of each circle is wound, and the
+    winding is twice its turn
+    (:func:`~qgscatter.contours.half_circle_windings`); A/B conditions wind
+    the whole circle of D. The circles of all
+    candidates are wound together
     (:func:`~qgscatter.contours.first_circle_windings`), and a circle that
     meets a zero is retried with twice the radius, up to 0.4 of the gap to
     the nearest other candidate (at most 0.05): round i winds the i-th
     radius of every candidate still unresolved, in one pass. A candidate
     whose every circle meets a zero is kept with multiplicity 1 and a
-    message in ``warnings``. The residuals |D(k)| of all candidates come
-    from one batched determinant call. Two zeros closer than a scan step
-    with no sign change between them can yield one candidate, and the
-    other is then missed.
+    message in ``warnings``. A candidate of m >= 2 or from Newton is
+    polished by Newton with the step m / (d/dk log D), which converges
+    quadratically on a zero of multiplicity m, within that circle's largest
+    radius; a polish that ends off the real axis drops its candidate, and
+    candidates that meet within ``_DEDUPE_RADIUS`` merge. The residuals
+    |D(k)| of all zeros come from one batched determinant call. Two zeros
+    closer than a scan step with no sign change between them can yield one
+    candidate, and the other is then missed.
     """
     k_min, k_max = window
     if not (0 < k_min < k_max):
@@ -434,53 +530,75 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     # g is real up to one constant phase for k-independent conditions (a
     # slowly drifting one otherwise), so Re(g_i conj g_i+1) < 0 marks a sign
     # change between nodes i and i + 1
-    g = asm.interior_det_many(ks) * np.exp(-0.5j * asm.total_bond_length * ks)
+    g = _g(asm, ks)
     size = np.abs(g)
     at = np.flatnonzero((g[:-1] * g[1:].conj()).real < 0)
-    candidates = list(ks[at] + (ks[at + 1] - ks[at]) * size[at] / (size[at] + size[at + 1]))
-    # dips of |g| catch the zeros that do not change sign
+    zeros, solved = _bracketed_zeros(asm, ks[at], ks[at + 1], g[at], g[at + 1])
+    # (k, whether k is solved already) for every candidate
+    candidates = [(kr, True) for kr in zeros[solved].tolist()]
+    # Newton starts: the brackets left unsolved, and the dips of |g| that end
+    # no bracket, which catch the zeros that do not change sign
     dip = np.zeros(n_samples, dtype=bool)
     dip[1:-1] = (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
     dip[at] = dip[at + 1] = False
-    candidates += list(ks[dip])
-
-    # Polish, verify, deduplicate.
-    found = []
-    for k0 in candidates:
-        k_star, _, _ = asm.newton(k0, max_iter=150, tol=1e-13, trust=0.5)
-        if abs(k_star.imag) > _REAL_AXIS_TOL:
-            continue
+    for k0 in np.concatenate([zeros[~solved], ks[dip]]):
+        # a run stops once a step is below _START_STEP (newton's tolerance is
+        # relative to max(1, |k|), and |k| <= k0 + trust), within (m - 1)
+        # steps of a zero of multiplicity m and so inside its first circle;
+        # its iterates leave the axis in proportion to their distance from
+        # the zero, so the real part is the candidate, polished below
+        k_star, _, inside = asm.newton(k0, max_iter=150, trust=0.5,
+                                       tol=_START_STEP / max(1.0, k0 + 0.5))
         kr = float(k_star.real)
-        if not (k_min - 1e-9 <= kr <= k_max + 1e-9):
+        if not inside or not (k_min - 1e-9 <= kr <= k_max + 1e-9):
             continue
-        if any(abs(kr - f) < _DEDUPE_RADIUS for f in found):
+        if any(abs(kr - other) < _DEDUPE_RADIUS for other, _ in candidates):
             continue
-        found.append(kr)
+        candidates.append((kr, False))
 
-    found_sorted = sorted(found)
+    candidates.sort()
+    found = [kr for kr, _ in candidates]
     rate = asm.total_bond_length + 1.0
 
-    def radii(i, kr):
+    def cap(i, kr):
         # A zero of multiplicity m has |D| ~ r^m on a radius-r circle, which
         # can undercut the contour zero tolerance; grow the circle, but stay
         # clear of neighboring zeros.
-        cap = min([0.05] + [0.4 * abs(kr - other)
-                            for j, other in enumerate(found_sorted) if j != i])
-        return itertools.takewhile(lambda r: r <= max(cap, 1e-4),
-                                   (1e-4 * 2.0 ** n for n in itertools.count()))
+        return max(1e-4, min([0.05] + [0.4 * abs(kr - other)
+                                       for j, other in enumerate(found) if j != i]))
 
+    caps = [cap(i, kr) for i, kr in enumerate(found)]
+    radii = [list(itertools.takewhile(lambda r, c=c: r <= c,
+                                      (1e-4 * 2.0 ** n for n in itertools.count())))
+             for c in caps]
+    # the lower half of a circle turns g by as much as the upper half when
+    # the conditions are k-independent (not D: its factor exp(ik sum L_b / 2)
+    # turns the halves by opposite amounts)
     windings = contours.first_circle_windings(
-        asm.interior_det_many, found_sorted,
-        [list(radii(i, kr)) for i, kr in enumerate(found_sorted)], rate_hint=rate)
-    residuals = asm.interior_det_many(found_sorted)
-    results, warnings = [], []
-    for kr, mult, residual in zip(found_sorted, windings, residuals):
+        functools.partial(_g, asm) if asm.k_independent else asm.interior_det_many,
+        found, radii, rate_hint=rate, upper_half=asm.k_independent)
+    kept, warnings = [], []
+    for (kr, done), mult, trust in zip(candidates, windings, caps):
         if isinstance(mult, str):
             warnings.append(f"multiplicity circles around k = {kr} kept hitting zeros; "
                             "assumed 1")
             mult = 1
         if mult < 1:
             continue
-        results.append(Eigenvalue(k=kr, multiplicity=mult, residual=abs(complex(residual))))
-
-    return SpectrumWindow(k_min, k_max, tuple(results), tuple(warnings))
+        if mult > 1 or not done:
+            # the step m / (d/dk log D) converges quadratically on a zero of
+            # multiplicity m; a zero off the real axis is dropped
+            k_star, _, inside = asm.newton(kr, max_iter=150, tol=1e-13, trust=trust,
+                                           multiplicity=mult)
+            if inside and abs(k_star.imag) > _REAL_AXIS_TOL:
+                continue
+            if inside:
+                kr = float(k_star.real)
+        if any(abs(kr - other) < _DEDUPE_RADIUS for other, _ in kept):
+            continue
+        kept.append((kr, mult))
+    kept.sort()
+    residuals = asm.interior_det_many([kr for kr, _ in kept])
+    results = tuple(Eigenvalue(k=kr, multiplicity=mult, residual=abs(complex(residual)))
+                    for (kr, mult), residual in zip(kept, residuals))
+    return SpectrumWindow(k_min, k_max, results, tuple(warnings), asm.evaluations)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     SampleAtSingularity,
+    SingularAtK,
     SingularInterior,
     ValidationError,
     WindowMismatch,
@@ -85,7 +86,8 @@ class ConjugacyResult:
 
 def _stacked(s):
     """The function of a list of k that stacks the matrices ``s(k)``, and
-    names the sample in a :class:`SingularInterior` that ``s`` raises."""
+    names the sample in a :class:`SingularInterior` or :class:`SingularAtK`
+    that ``s`` raises."""
     def many(ks):
         out = []
         for k in ks:
@@ -93,19 +95,21 @@ def _stacked(s):
                 out.append(np.asarray(s(k), dtype=complex))
             except SingularInterior as exc:
                 raise SingularInterior(str(exc), k=k, determinant=exc.determinant) from exc
+            except SingularAtK as exc:
+                raise SingularAtK(str(exc), k=k) from exc
         return np.stack(out)
     return many
 
 
 def _collect_samples(many1, many2, count: int):
     """The first ``count`` points of ``default_samples`` at which neither
-    ``many1`` nor ``many2`` raises :class:`SingularInterior`, and the stacked
-    matrices of both there."""
+    ``many1`` nor ``many2`` raises :class:`SingularInterior` or
+    :class:`SingularAtK`, and the stacked matrices of both there."""
     ks, skip = default_samples(count), count
     while True:
         try:
             return ks, np.asarray(many1(ks)), np.asarray(many2(ks))
-        except SingularInterior as exc:
+        except (SingularInterior, SingularAtK) as exc:
             ks.remove(exc.k)
             ks += default_samples(1, skip)
             skip += 1
@@ -132,7 +136,8 @@ def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.
 def _find_conjugator(many1, many2, n_training: int) -> ConjugacyResult:
     """:func:`find_conjugator` of two functions that map a list of k to the
     stacked matrices, such as ``Assembly.scattering_many``, and raise
-    :class:`SingularInterior` naming a singular k, whose sample is skipped."""
+    :class:`SingularInterior` or :class:`SingularAtK` naming a singular k,
+    whose sample is skipped."""
     if n_training < 3:
         raise ValidationError(f"need at least 3 training samples, got {n_training}")
     ks, s1s, s2s = _collect_samples(many1, many2, n_training + _N_HOLDOUT)

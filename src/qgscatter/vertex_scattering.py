@@ -117,7 +117,7 @@ def _ab_solve(a, b, k) -> np.ndarray:
     m = a + 1j * k * b
     scale = max(1.0, float(np.abs(m).max()))
     if abs(np.linalg.det(m / scale)) < 1e-13:
-        raise SingularAtK(f"A + ikB is singular at k = {k}")
+        raise SingularAtK(f"A + ikB is singular at k = {k}", k=k)
     return -np.linalg.solve(m, a - 1j * k * b)
 
 

@@ -261,47 +261,63 @@ def test_equilateral_star_spectrum_and_multiplicities():
         assert abs(np.linalg.det(np.eye(6) - s)) <= 1e-9
 
 
+def _dirichlet_leaf_star(n, length=1.0):
+    verts = [Vertex("c", Neumann())] + [Vertex(f"t{i}", Dirichlet()) for i in range(n)]
+    return build_graph(verts, [Edge(f"e{i}", "c", f"t{i}", length) for i in range(n)])
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_dirichlet_leaf_star_multiplicities(n):
     # n unit edges from a Neumann centre to Dirichlet leaves: sin(k x) from
     # every leaf, so k = m pi carries the n - 1 modes whose slopes at the
     # centre cancel and k = (m + 1/2) pi the one mode equal on every edge;
     # circles start from 8 points, so multiplicities of 4 or more must split
-    verts = [Vertex("c", Neumann())] + [Vertex(f"t{i}", Dirichlet()) for i in range(n)]
-    edges = [Edge(f"e{i}", "c", f"t{i}", 1.0) for i in range(n)]
-    win = eigenvalues_compact(build_graph(verts, edges), (0.5, 10.0))
+    win = eigenvalues_compact(_dirichlet_leaf_star(n), (0.5, 10.0))
     np.testing.assert_allclose(win.ks(), np.pi * np.arange(1, 7) / 2, atol=1e-9)
     assert [ev.multiplicity for ev in win.eigenvalues] == [1, n - 1] * 3
     assert win.warnings == ()
 
 
 def counted_spectrum(graph, window):
-    """eigenvalues_compact(graph, window) and the batch size of each call of
-    the determinant kernel it made."""
-    counted = []
+    """eigenvalues_compact(graph, window), the batch size of each call of the
+    determinant kernel it made and the number of its Newton steps (calls of
+    the log derivative)."""
+    counted, steps = [], []
     det_many = Assembly.interior_det_many
+    log_derivative = Assembly.interior_log_derivative
 
     def counting(self, ks):
         counted.append(len(ks))
         return det_many(self, ks)
 
+    def stepping(self, k):
+        steps.append(k)
+        return log_derivative(self, k)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Assembly, "interior_det_many", counting)
-        return eigenvalues_compact(graph, window), counted
+        mp.setattr(Assembly, "interior_log_derivative", stepping)
+        win = eigenvalues_compact(graph, window)
+    assert win.evaluations == sum(counted)
+    return win, counted, len(steps)
 
 
 def test_spectrum_evaluation_count():
-    # one batched pass for the scan, one for the multiplicity circles and one
-    # for the residuals. The earlier phase-regularised scan found 87
-    # eigenvalues (89 with multiplicity) here, missing the double ones at
-    # 8 pi / 3, 4 pi, 16 pi / 3, 20 pi / 3 and 8 pi, and computed 7,275
-    # determinants in 41 calls of the kernel
+    # one batched pass for the scan, one per step of the bracketed solve of
+    # all sign changes, one per round of the multiplicity circles and one
+    # for the residuals; Newton only from dips of |g| and to polish zeros of
+    # multiplicity 2 or more (497 steps when Newton started at every sign
+    # change too). The earlier phase-regularised scan found 87 eigenvalues
+    # (89 with multiplicity) here, missing the double ones at 8 pi / 3,
+    # 4 pi, 16 pi / 3, 20 pi / 3 and 8 pi, and computed 7,275 determinants
+    # in 41 calls of the kernel
     graph = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph
-    win, counted = counted_spectrum(graph, (0.5, 30.0))
+    win, counted, steps = counted_spectrum(graph, (0.5, 30.0))
     assert len(win.eigenvalues) == 92
     assert sum(ev.multiplicity for ev in win.eigenvalues) == 99
-    assert sum(counted) <= 4_600
-    assert len(counted) <= 4
+    assert win.evaluations <= 4_600
+    assert len(counted) <= 24
+    assert steps <= 230
 
 
 def seeded_compact_graph(seed, n_edges, n_vertices):
@@ -323,9 +339,9 @@ def test_odd_edge_spectrum_evaluation_count():
     # on a graph with an odd number of edges the earlier phase-regularised
     # secular function was rounding noise, so every scan step read as a sign
     # change and each was bisected: 11,910 determinants here
-    win, counted = counted_spectrum(seeded_compact_graph(1, 11, 6), (0.5, 12.0))
+    win, _, _ = counted_spectrum(seeded_compact_graph(1, 11, 6), (0.5, 12.0))
     assert sum(ev.multiplicity for ev in win.eigenvalues) == 34
-    assert sum(counted) <= 3_000
+    assert win.evaluations <= 3_000
 
 
 def _ring(lengths):
@@ -340,6 +356,120 @@ def _k4():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     return build_graph(verts, [Edge(f"e{j}", f"v{a}", f"v{b}", 1.0)
                                for j, (a, b) in enumerate(pairs)])
+
+
+def _cube():
+    verts = [Vertex(f"v{i}", Neumann()) for i in range(8)]
+    pairs = [(i, i ^ bit) for i in range(8) for bit in (1, 2, 4) if i < i ^ bit]
+    return build_graph(verts, [Edge(f"e{j}", f"v{a}", f"v{b}", 1.0)
+                               for j, (a, b) in enumerate(pairs)])
+
+
+def _g_of(asm):
+    """k -> g(k) = D(k) exp(-ik sum L_b / 2) for a 1-D array of k."""
+    return lambda k: asm.interior_det_many(k) * np.exp(-0.5j * asm.total_bond_length * k)
+
+
+def _conjugation_graphs():
+    rng = np.random.default_rng(7)
+    dft = build_graph(
+        [Vertex("a", DFT()), Vertex("b", Neumann()), Vertex("c", Dirichlet())],
+        [Edge("e1", "a", "b", 0.7), Edge("e2", "a", "b", 1.3), Edge("e3", "a", "c", 0.9)])
+    fixed = build_graph(
+        [Vertex("a", FixedUnitary(random_unitary(rng, 3))), Vertex("b", DFT()),
+         Vertex("c", Neumann())],
+        [Edge("loop", "a", "a", 0.8), Edge("e1", "a", "b", 1.1), Edge("e2", "b", "c", 0.6),
+         Edge("e3", "b", "c", 1.4)])
+    return {"mm1": parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json").graph,
+            "dft": dft, "fixed-unitary": fixed}
+
+
+@pytest.mark.parametrize("name", ["mm1", "dft", "fixed-unitary"])
+def test_g_at_conjugate_k_is_a_constant_times_its_conjugate(name):
+    # for k-independent conditions g(conj k) = c conj(g(k)), g = D(k)
+    # exp(-ik sum L_b / 2) and c = (-1)^n det Sigma_BB of modulus 1: the
+    # lower half of a circle centred on the real axis turns by as much
+    # phase as the upper half
+    asm = Assembly(OpenGraph(_conjugation_graphs()[name], ()))
+    assert asm.k_independent
+    rng = np.random.default_rng(11)
+    ks = rng.uniform(0.5, 20.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
+    g = _g_of(asm)
+    c = (-1) ** asm.table.n_bonds * np.linalg.det(asm.sigma(1.0))
+    assert abs(abs(c) - 1) <= 1e-12
+    assert np.all(np.abs(g(ks.conj()) - c * g(ks).conj()) <= 1e-12 * np.abs(g(ks)))
+
+
+@pytest.mark.parametrize("name", [f"star{n}" for n in range(2, 9)] + ["k4", "cube"])
+def test_half_circle_winding_equals_full_circle_winding(name):
+    # at every zero, simple or of multiplicity up to 7, and on circles of
+    # three radii, the upper half of g = D exp(-ik sum L_b / 2) alone gives
+    # the winding of the whole circle (D's own upper half turns by sum L_b r
+    # less)
+    from qgscatter import contours
+
+    if name.startswith("star"):
+        n = int(name[4:])
+        graph = _dirichlet_leaf_star(n)
+        zeros = np.pi * np.arange(1, 7) / 2
+        multiplicities = [1, n - 1] * 3
+    else:
+        graph = _k4() if name == "k4" else _cube()
+        win = eigenvalues_compact(graph, (0.5, 10.0))
+        zeros, multiplicities = win.ks(), [ev.multiplicity for ev in win.eigenvalues]
+        assert max(multiplicities) >= 4
+    asm = Assembly(OpenGraph(graph, ()))
+    rate = asm.total_bond_length + 1.0
+    g = _g_of(asm)
+    for radius in (0.05, 0.1, 0.3):
+        radii = [radius] * len(zeros)
+        half = contours.half_circle_windings(g, zeros, radii, rate_hint=rate)
+        full = contours.circle_windings(g, zeros, radii, rate_hint=rate)
+        assert half == full == multiplicities
+
+
+@pytest.mark.parametrize("name, bound", [("k4", 100), ("cube", 200)])
+def test_multiple_eigenvalues_are_polished_with_their_multiplicity(name, bound):
+    # zeros of multiplicity m: plain Newton converges on them by the ratio
+    # (m - 1) / m, and took 299 steps on K4 and 661 on the cube here; the
+    # step m / (d/dk log D), once a circle gives m, converges quadratically
+    graph = _k4() if name == "k4" else _cube()
+    a, b = np.arccos(1 / 3), np.arccos(-1 / 3)
+    pi = np.pi
+    expected = {
+        "k4": [(b, 3), (pi, 2), (2 * pi - b, 3), (2 * pi, 4), (2 * pi + b, 3), (3 * pi, 2)],
+        "cube": [(a, 3), (b, 3), (pi, 6), (2 * pi - b, 3), (2 * pi - a, 3), (2 * pi, 6),
+                 (2 * pi + a, 3), (2 * pi + b, 3), (3 * pi, 6)],
+    }[name]
+    win, _, steps = counted_spectrum(graph, (0.5, 10.0))
+    np.testing.assert_allclose(win.ks(), [k for k, _ in expected], rtol=1e-12)
+    assert [ev.multiplicity for ev in win.eigenvalues] == [m for _, m in expected]
+    assert win.warnings == ()
+    assert steps <= bound
+
+
+@pytest.mark.parametrize("name", ["star6-long-edges", "k4-high-k"])
+def test_multiple_zeros_far_from_their_start_keep_their_multiplicity(name):
+    # a quintuple zero holds regula falsi to linear steps, which stop short
+    # of it by more than the first circle's radius on long edges; a double
+    # zero at k ~ 160 stops Newton from its dip farther than that radius if
+    # the run stops at a step relative to k. Both must still be circled
+    if name == "star6-long-edges":
+        # edges of length 10: k = j pi / 10 has multiplicity 5, k = (j + 1/2) pi / 10 is simple
+        graph, window = _dirichlet_leaf_star(6, 10.0), (0.5, 10.0)
+        zeros = [(j * np.pi / 10, 5) for j in range(1, 33)] + [
+            ((j + 0.5) * np.pi / 10, 1) for j in range(32)]
+    else:
+        graph, window = _k4(), (150.0, 170.0)
+        b = np.arccos(-1 / 3)
+        zeros = [z for j in range(20, 30) for z in (
+            (2 * np.pi * j, 4), ((2 * j + 1) * np.pi, 2), (2 * np.pi * j - b, 3),
+            (2 * np.pi * j + b, 3))]
+    expected = sorted(z for z in zeros if window[0] < z[0] < window[1])
+    win = eigenvalues_compact(graph, window)
+    np.testing.assert_allclose(win.ks(), [k for k, _ in expected], rtol=1e-12)
+    assert [ev.multiplicity for ev in win.eigenvalues] == [m for _, m in expected]
+    assert win.warnings == ()
 
 
 @pytest.mark.parametrize("name", ["mm1", "mm2", "k4", "unit-6-cycle", "3-cycle"])
@@ -375,7 +505,8 @@ def test_multiplicity_fallback_is_reported(monkeypatch, capsys, tmp_path):
         calls.append(len(centers))
         return ["forced failure"] * len(centers)
 
-    monkeypatch.setattr(contours, "circle_windings", failing)
+    # k-independent conditions: the circles are wound from their upper halves
+    monkeypatch.setattr(contours, "half_circle_windings", failing)
     verts = [Vertex("c", Neumann())] + [Vertex(f"t{i}", Dirichlet()) for i in range(3)]
     edges = [Edge(f"e{i}", "c", f"t{i}", 1.0) for i in range(3)]
     win = eigenvalues_compact(build_graph(verts, edges), (0.5, 4.0))

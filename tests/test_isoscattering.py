@@ -10,7 +10,8 @@ import pytest
 from qgscatter.cli import parse_graph_file, run_command
 from qgscatter.contours import Rect
 from qgscatter.errors import (DimensionMismatch, LengthViolation, NonHolomorphic,
-                              SampleAtSingularity, SingularInterior, WindowMismatch)
+                              SampleAtSingularity, SingularAtK, SingularInterior,
+                              WindowMismatch)
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import (Dirichlet, Edge, LinearAB, Neumann, Vertex, attach_leads,
                                   build_graph)
@@ -449,6 +450,23 @@ def test_singular_conjugator_sample_is_skipped():
     scalar = find_conjugator(s, s)
     assert (conj.training_ks, conj.holdout_ks) == (scalar.training_ks, scalar.holdout_ks)
     assert np.array_equal(conj.pi, scalar.pi)
+
+
+def test_conjugator_skips_a_sample_where_a_plus_ikb_is_singular():
+    # a vertex with A = -i k0, B = 1: A + ikB vanishes at the first
+    # conjugator sample k0, where S raises SingularAtK naming k0, and the
+    # search moves on to the next point of the sequence
+    k0 = default_samples(1)[0]
+    g = build_graph([Vertex("c", Neumann()), Vertex("w", LinearAB([[-1j * k0]], [[1.0]]))],
+                    [Edge("e", "c", "w", 1.3)], pending_leads={"c": 2})
+    asm = Assembly(attach_leads(g, ["c", "c"]))
+    with pytest.raises(SingularAtK) as raised:
+        asm.scattering(k0)
+    assert raised.value.k == k0
+    s = lambda k: asm.scattering(k).s
+    result = find_conjugator(s, s)
+    assert result.found
+    assert result.training_ks + result.holdout_ks == tuple(default_samples(12)[1:])
 
 
 @pytest.mark.parametrize("n", [2, 3])
