@@ -12,19 +12,17 @@ less than pi/2, and is bisected otherwise; each level probes the midpoints
 of every pending segment in one call of f. A path that meets a zero fails
 alone, and the others are still resolved.
 
-:func:`windings` settles closed polylines, each one path closed by
-repeating its first point, and :func:`circle_windings` winds circles
-through it. :func:`rect_power_sums` settles rectangles the same way, and
-:func:`rect_windings` takes their windings from it. :func:`rect_winding`
-and :func:`circle_winding` are the one-contour cases, which raise on
-failure. A circle starts from 8 points: a zero of
-multiplicity m at its centre advances the phase by m pi/4 per segment, so
-m < 4 costs 16 values and a higher m splits the segments until each
-half-step is below pi/2. :func:`half_circle_windings` winds a circle
-centred on the real axis from its upper half alone, one open path, for an
-f with f(conj z) = c conj(f(z)) and |c| = 1, whose lower half turns by as
-much as its upper half: from 5 points, with the segments of the whole
-circle, so m < 4 costs 9 values and the aliasing limit is the same.
+:class:`QuadLevel` winds every rectangle (:func:`rect_windings` too), and
+:func:`circle_windings` winds each circle as one closed path. A circle
+starts from 8 points: a zero of multiplicity m at its centre advances the
+phase by m pi/4 per segment, so m < 4 costs 16 values and a higher m
+splits the segments until each half-step is below pi/2.
+:func:`half_circle_windings` winds a circle centred on the real axis from
+its upper half alone, one open path, for an f with f(conj z) = c
+conj(f(z)) and |c| = 1, whose lower half turns by as much as its upper
+half: from 5 points, with the segments of the whole circle, so m < 4 costs
+9 values and the aliasing limit is the same. :func:`rect_winding` and
+:func:`circle_winding` are the one-contour cases, which raise on failure.
 
 Phase tracking by sampling cannot see rotations faster than the sampling
 resolves (a whole turn between samples aliases to zero), so callers that
@@ -48,18 +46,18 @@ side that met a zero, the half holding that zero fails at once and the
 other half is resolved afresh.
 
 The resolved samples of a contour also give the power sums of the zeros
-inside it (:meth:`QuadLevel.power_sums` for a cell, :func:`rect_power_sums`
-for rectangles wound afresh) by the midpoint rule, with no further value
-of f.
+inside it (:meth:`QuadLevel.power_sums`) by the midpoint rule, with no
+further value of f.
 
 A function value close to zero on the contour makes the winding number
 ill-defined. It fails the contour (in :class:`QuadLevel`, only the cells
-whose sides pass through it), and callers jitter their contours and retry
-through :func:`first_windings`, round by round: round i winds the i-th
-contour of every schedule still unresolved, in one pass
-(:func:`first_circle_windings` for whole or half circles). A value that
-is not finite aborts the computation with :class:`DeterminantOverflow`,
-which a retry cannot cure.
+whose sides pass through it), which is retried through
+:func:`first_windings`, round by round: :meth:`QuadLevel.wind` winds every
+failed cell of the level again, slightly inflated, all in one pass per
+round (:meth:`QuadLevel.contour` names the rectangle wound), and
+:func:`first_circle_windings` does the same with the caller's radii. A
+value that is not finite aborts the computation with
+:class:`DeterminantOverflow`, which a retry cannot cure.
 """
 
 from __future__ import annotations
@@ -75,6 +73,8 @@ from .errors import BoundaryZero, DeterminantOverflow, ValidationError
 # |f| at or below this is treated as "the contour hit a zero".
 ZERO_TOL = 1e-12
 _MAX_DEPTH = 48
+_CONTOURS_TRIED = 5  # contours tried per cell that meets a zero: the cell, then 4 inflations
+_JITTER = 1e-6  # relative inflation per retry of a cell, see _inflations()
 
 
 @dataclass(frozen=True)
@@ -271,35 +271,6 @@ def _winding(total):
     return int(n)
 
 
-def windings(f, polylines):
-    """Winding number of f around each closed polyline, all settled in one
-    pass; for a polyline that met a zero, the message (a str).
-
-    Each polyline is its vertices in order; the path closes from the last
-    point back to the first. ``f`` maps a 1-D complex array to the array of
-    its values.
-    """
-    return [_wound(r) for r in _settle(f, _closed_paths(polylines), {})]
-
-
-def _wound(result):
-    """The winding number of a result of :func:`_settle`, or its failure
-    message (a str)."""
-    return result[0] if _failed(result) else _winding(_phase(result[1]))
-
-
-def _closed_paths(polylines):
-    """The paths of :func:`_settle` for closed polylines: each vertex at its
-    index, and the first vertex repeated at the end."""
-    paths = []
-    for p in polylines:
-        z = np.asarray(p, dtype=complex)
-        if len(z) < 3:
-            raise ValueError("need at least 3 points for a closed contour")
-        paths.append((np.arange(len(z) + 1.0), np.append(z, z[0])))
-    return paths
-
-
 def _log_moments(z, v, rect, count):
     """Sum over consecutive samples of u^p log(v[j+1] / v[j]), p = 1 ..
     count, u being the midpoint of z[j] and z[j+1] in units centred on the
@@ -324,14 +295,6 @@ def _samples_for(length: float, base: int, rate_hint) -> int:
     return max(base, int(math.ceil(length * rate_hint)) + 1)
 
 
-def _side_segments(length: float, samples: int, rate_hint) -> int:
-    """Initial segments of a side of a :class:`QuadLevel` cell: as many as
-    :func:`rect_windings` takes, rounded up to a power of two, so that the
-    side's midpoint is a sample."""
-    n = _samples_for(length, max(2, samples // 4), rate_hint)
-    return 1 << (n - 1).bit_length()
-
-
 def rect_windings(f, rects, samples: int = 64, *, rate_hint=None):
     """Winding number of f around each rectangle boundary (counterclockwise),
     all settled in one pass; for a rectangle whose boundary met a zero, the
@@ -340,43 +303,7 @@ def rect_windings(f, rects, samples: int = 64, *, rate_hint=None):
     A side starts from ``samples // 4`` equal segments, more where
     ``rate_hint`` asks for them.
     """
-    return [w if isinstance(w, str) else w[0]
-            for w in rect_power_sums(f, rects, samples, rate_hint=rate_hint)]
-
-
-def rect_power_sums(f, rects, samples: int = 64, *, rate_hint=None):
-    """For each rectangle, (w, s): its winding number w, as
-    :func:`rect_windings` gives it, and the power sums s of the zeros
-    inside, as :meth:`QuadLevel.power_sums` gives them for a cell, p = 1 ..
-    w; for a rectangle whose boundary met a zero, the message (a str). The
-    sums come from the resolved samples; they cost no value of f."""
-    paths = _closed_paths(_rect_polylines(rects, samples, rate_hint))
-    out = []
-    for rect, (t0, z0), r in zip(rects, paths, _settle(f, paths, {})):
-        w = _wound(r)
-        if isinstance(w, str):
-            out.append(w)
-            continue
-        t, v = r
-        z = np.interp(t, t0, z0.real) + 1j * np.interp(t, t0, z0.imag)
-        out.append((w, _log_moments(z, v, rect, max(w, 0)) / (2j * np.pi)))
-    return out
-
-
-def _rect_polylines(rects, samples, rate_hint):
-    """The boundary of each rectangle, counterclockwise from its lower left
-    corner, each side in ``samples // 4`` equal segments or more."""
-    base = max(2, samples // 4)
-    polylines = []
-    for rect in rects:
-        pts = []
-        c = rect.corners()
-        for i in range(4):
-            z0, z1 = c[i], c[(i + 1) % 4]
-            n = _samples_for(abs(z1 - z0), base, rate_hint)
-            pts += [z0 + (z1 - z0) * j / n for j in range(n)]
-        polylines.append(pts)
-    return polylines
+    return QuadLevel._ring(rects)._wind_sides(f, samples, rate_hint)
 
 
 def rect_winding(f, rect: Rect, samples: int = 64, *, rate_hint=None) -> int:
@@ -386,28 +313,39 @@ def rect_winding(f, rect: Rect, samples: int = 64, *, rate_hint=None) -> int:
     return _one(rect_windings(f, [rect], samples, rate_hint=rate_hint)[0])
 
 
+def _circle_windings(f, centers, radii, rate_hint, upper_half):
+    """The windings of :func:`circle_windings`, or with ``upper_half`` of
+    :func:`half_circle_windings`: each circle is one path of one
+    :func:`_settle` pass, the whole circle from center + radius round to
+    itself, or its upper half, counted twice, from center + radius to
+    center - radius with half as many segments."""
+    turns = 2 if upper_half else 1  # the path is 1 / turns of the circle
+    paths = []
+    for center, radius in zip(centers, radii):
+        n = math.ceil(_samples_for(2 * math.pi * radius, _CIRCLE_POINTS, rate_hint) / turns)
+        t = np.arange(n + 1.0) / n
+        z = center + radius * np.exp(2j * np.pi / turns * t)
+        z[0], z[-1] = center + radius, (center - radius if upper_half else center + radius)
+        paths.append((t, z))
+    return [r[0] if _failed(r) else _winding(turns * _phase(r[1])) for r in _settle(f, paths, {})]
+
+
 def circle_windings(f, centers, radii, *, rate_hint=None):
-    """Winding number of f around each circle (centers[i], radii[i]), all in
-    one pass of :func:`windings`; for a circle that met a zero, the message
-    (a str).
+    """Winding number of f around each circle (centers[i], radii[i]), all
+    settled in one pass; for a circle that met a zero, the message (a str).
 
     A circle starts from 8 equally spaced points, more where ``rate_hint``
     asks for them. Eight suffice: the resolver bisects every segment whose
     half-steps of phase are not both below pi/2, so a zero of multiplicity m
     costs 16 values when m < 4 and splits further otherwise.
     """
-    polylines = []
-    for center, radius in zip(centers, radii):
-        n = _samples_for(2 * math.pi * radius, _CIRCLE_POINTS, rate_hint)
-        polylines.append(center + radius * np.exp(2j * np.pi * np.arange(n) / n))
-    return windings(f, polylines)
+    return _circle_windings(f, centers, radii, rate_hint, False)
 
 
 def half_circle_windings(f, centers, radii, *, rate_hint=None):
     """Winding number of f around each circle (centers[i], radii[i]) with a
-    real centre, from its upper half alone, all settled in one
-    :func:`_settle` pass; for a circle whose upper half met a zero, the
-    message (a str).
+    real centre, from its upper half alone, all settled in one pass; for a
+    circle whose upper half met a zero, the message (a str).
 
     Valid for an f with f(conj z) = c conj(f(z)) for a constant c of
     modulus 1, such as g(k) = D(k) exp(-ik sum L_b / 2) for the interior
@@ -420,14 +358,7 @@ def half_circle_windings(f, centers, radii, *, rate_hint=None):
     and aliases as little; a zero of multiplicity m < 4 at the centre costs
     9 values.
     """
-    paths = []
-    for center, radius in zip(centers, radii):
-        n = (_samples_for(2 * math.pi * radius, _CIRCLE_POINTS, rate_hint) + 1) // 2
-        t = np.arange(n + 1.0) / n
-        z = center + radius * np.exp(1j * np.pi * t)
-        z[0], z[-1] = center + radius, center - radius
-        paths.append((t, z))
-    return [r[0] if _failed(r) else _winding(2 * _phase(r[1])) for r in _settle(f, paths, {})]
+    return _circle_windings(f, centers, radii, rate_hint, True)
 
 
 def circle_winding(f, center, radius, *, rate_hint=None) -> int:
@@ -476,29 +407,78 @@ class QuadLevel:
     right or bottom to top; a cell lists its bottom, right, top and left
     side and winds counterclockwise by bottom + right - top - left.
     :meth:`wind` settles the sides that are still pending, all in one
-    :func:`_settle` pass, and :meth:`split` makes the next level, whose
-    cells inherit the resolved half-sides of their parents.
+    :func:`_settle` pass, retries the cells that failed, and :meth:`split`
+    makes the next level, whose cells inherit the resolved half-sides of
+    their parents.
+
+    A ring (:meth:`_ring`) holds rectangles that share no side, each on four
+    sides of its own, such as the inflated retries of :meth:`wind`. It is
+    never split, so its sides start from :func:`_samples_for` segments, not
+    rounded to a power of two.
     """
 
     def __init__(self, window: Rect):
-        ll, lr, ur, ul = window.corners()
-        self.cells = [window]
-        self._sides = [_Side(ll, lr), _Side(lr, ur), _Side(ul, ur), _Side(ll, ul)]
-        self._refs = [(0, 1, 2, 3)]
+        self._own_sides([window], splits=True)
+
+    @classmethod
+    def _ring(cls, rects):
+        ring = cls.__new__(cls)
+        ring._own_sides(rects, splits=False)
+        return ring
+
+    def _own_sides(self, rects, splits):
+        """Cells ``rects``, each on four pending sides of its own."""
+        self._splits = splits
+        self.cells, self._sides, self._refs = list(rects), [], []
+        for rect in self.cells:
+            ll, lr, ur, ul = rect.corners()
+            n = len(self._sides)
+            self._sides += [_Side(ll, lr), _Side(lr, ur), _Side(ul, ur), _Side(ll, ul)]
+            self._refs.append((n, n + 1, n + 2, n + 3))
         # f at vertices of the pending sides, where the parent level has it
         self._known = {}
+        # cell index: (ring, index there) of a cell wound inflated
+        self._retried = {}
 
     def wind(self, f, samples: int = 64, *, rate_hint=None):
-        """Winding number of every cell, in order; for a cell whose contour
-        failed (it met a zero), the message of the failure (a str).
+        """Winding number of every cell, in order, around :meth:`contour`;
+        for a cell whose every contour failed (met a zero), the message (a
+        str).
 
         ``samples`` and ``rate_hint`` set the initial sampling of a pending
-        side as in :func:`rect_windings`.
+        side as in :func:`rect_windings`. A cell whose contour fails is
+        wound again inflated, with every other failed cell of the level:
+        :func:`first_windings` over the :func:`_inflations` of the failed
+        cells, each round one ring.
         """
+        out = self._wind_sides(f, samples, rate_hint)
+        failed = [i for i, w in enumerate(out) if isinstance(w, str)]
+
+        def wind_ring(rects):
+            ring = QuadLevel._ring(rects)
+            return [w if isinstance(w, str) else (w, ring, j)
+                    for j, w in enumerate(ring._wind_sides(f, samples, rate_hint))]
+
+        retried = first_windings(wind_ring, [_inflations(self.cells[i]) for i in failed],
+                                 [out[i] for i in failed])
+        for i, r in zip(failed, retried):
+            if isinstance(r, str):
+                out[i] = r
+            else:
+                (out[i], ring, j), _ = r
+                self._retried[i] = ring, j
+        return out
+
+    def _wind_sides(self, f, samples, rate_hint):
+        """Winding number of every cell, or the message of its failure, from
+        the sides settled in one pass, with no retry."""
         pending = [s for s in self._sides if s.v is None and s.failure is None]
         paths = []
         for s in pending:
-            n = _side_segments(abs(s.b - s.a), samples, rate_hint)
+            n = _samples_for(abs(s.b - s.a), max(2, samples // 4), rate_hint)
+            if self._splits:
+                # a power of two, so that the side's midpoint is a sample
+                n = 1 << (n - 1).bit_length()
             t = np.arange(n + 1) / n
             z = s.a + (s.b - s.a) * t
             z[0], z[-1] = s.a, s.b
@@ -515,18 +495,29 @@ class QuadLevel:
             out.append(failure or _winding(b.phase + r.phase - t.phase - l.phase))
         return out
 
-    def power_sums(self, i, count):
-        """s_p = (1/2 pi i) times the integral of u^p d log f around cell i,
-        counterclockwise, for p = 1 .. count, with u = (z - c) / (d / 2) for
-        the cell's centre c and diameter d: the sum of u^p over the zeros of
-        f inside, with multiplicity, when no pole is inside (Delves and
-        Lyness, Math. Comp. 21 (1967) 543).
+    def contour(self, i) -> Rect:
+        """The rectangle around which :meth:`wind` wound cell i: the cell,
+        or the inflation of it that met no zero."""
+        if i in self._retried:
+            ring, j = self._retried[i]
+            return ring.cells[j]
+        return self.cells[i]
 
-        Computed from the samples :meth:`wind` resolved on the cell's sides,
-        which must not have failed, by the midpoint rule: u^p at the
+    def power_sums(self, i, count):
+        """s_p = (1/2 pi i) times the integral of u^p d log f around
+        :meth:`contour` i, counterclockwise, for p = 1 .. count, with u = (z
+        - c) / (d / 2) for the contour's centre c and diameter d: the sum of
+        u^p over the zeros of f inside, with multiplicity, when no pole is
+        inside (Delves and Lyness, Math. Comp. 21 (1967) 543).
+
+        Computed from the samples :meth:`wind` resolved on the contour's
+        sides, which must not have failed, by the midpoint rule: u^p at the
         midpoint of two consecutive samples times the log of their ratio.
         No value of f is computed.
         """
+        if i in self._retried:
+            ring, j = self._retried[i]
+            return ring.power_sums(j, count)
         cell = self.cells[i]
         sides = (self._sides[j] for j in self._refs[i])
         return sum(sign * _log_moments(s.a + (s.b - s.a) * s.t, s.v, cell, count)
@@ -536,7 +527,7 @@ class QuadLevel:
         """The next level: the quadrants (as :meth:`Rect.quadrants` orders
         them) of the cells at ``indices``, in that order."""
         nxt = QuadLevel.__new__(QuadLevel)
-        nxt.cells, nxt._refs, nxt._sides, nxt._known = [], [], [], {}
+        nxt._own_sides((), splits=True)
         halves = {}
 
         def add(side):
@@ -569,6 +560,17 @@ class QuadLevel:
         return nxt
 
 
+def _inflations(rect):
+    """The contours tried for a cell of :class:`QuadLevel`: the cell, then
+    each inflated by _JITTER x attempt x max(diameter, 1) from the last,
+    ``_CONTOURS_TRIED`` in all. Inflation only grows cells, so a zero near a
+    shared edge may be counted by two sibling cells but never lost; the
+    pole search merges the doubles."""
+    for attempt in range(1, _CONTOURS_TRIED + 1):
+        yield rect
+        rect = rect.inflated(_JITTER * max(rect.diameter, 1.0) * attempt)
+
+
 def first_windings(wind_many, schedules, failures=None):
     """For each schedule of contours, the winding of its first contour that
     does not hit a zero, as (winding, contour).
@@ -580,7 +582,7 @@ def first_windings(wind_many, schedules, failures=None):
     first contour of every schedule has been wound already and hit a zero
     with that message, and the rounds start at the second. A schedule whose
     every contour hits a zero gives a message (a str) naming its first
-    contour.
+    contour and how many contours were tried, the first included.
     """
     schedules = [iter(s) for s in schedules]
     out = [None] * len(schedules) if failures is None else list(failures)
@@ -593,8 +595,8 @@ def first_windings(wind_many, schedules, failures=None):
             if contour is not None:
                 batch.append((i, contour))
             else:
-                out[i] = (f"contour through {tried[i][0]} still hits zeros after "
-                          f"{len(tried[i])} retries: {out[i]}")
+                out[i] = (f"all {len(tried[i])} contours tried for {tried[i][0]} "
+                          f"hit zeros: {out[i]}")
         pending = []
         for (i, contour), w in zip(batch, wind_many([c for _, c in batch]) if batch else ()):
             if isinstance(w, str):

@@ -30,13 +30,12 @@ lies on, and the four siblings share the four new half-edges from the
 parent's centre to its side midpoints, so a split resolves 4 new half-edges
 instead of 16 sides, and the new half-edges of a whole level cost one batch
 of determinants per bisection depth. A half-edge that passes too close to a
-zero fails only the cells that share it. Every failed cell of the level is
-then inflated slightly and wound again, all of them in one retry round per
-inflation (:func:`~qgscatter.contours.first_windings` over
-:func:`~qgscatter.contours.rect_power_sums`, which gives the power sums of
-the inflated contour too), so zeros sitting exactly on the requested window
-edge (commonly on the real axis) are still captured by the cells they
-border.
+zero fails only the cells that share it. The level then winds every failed
+cell again, inflated slightly, all of them in one retry round per
+inflation, and gives the power sums of the inflated contour
+(:meth:`~qgscatter.contours.QuadLevel.contour`), so zeros sitting exactly
+on the requested window edge (commonly on the real axis) are still
+captured by the cells they border.
 
 The circles of all polished zeros are wound together in the same way
 (:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
@@ -70,8 +69,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .contours import (ZERO_TOL, QuadLevel, Rect, first_circle_windings, first_windings,
-                       rect_power_sums, rect_winding, rect_windings)
+from .contours import (_CONTOURS_TRIED, ZERO_TOL, QuadLevel, Rect, first_circle_windings,
+                       rect_winding)
 from .errors import BoundaryZero, Diverged, NonHolomorphic
 from .global_scattering import _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly
 from .graph_core import LinearAB, OpenGraph
@@ -79,8 +78,6 @@ from .graph_core import LinearAB, OpenGraph
 _MIN_CELL = 1e-6  # cells this small are not split further
 _RESIDUAL_TOL = 1e-8  # largest |D| at an accepted Newton point
 _BOUNDARY_SAMPLES = 64  # initial samples of a cell side
-_MAX_RETRIES = 5  # contours tried per cell that meets a zero, see _inflations()
-_JITTER = 1e-6  # relative inflation per retry
 _NEWTON_MAX_ITER = 80  # Newton steps from a moment start or a conjugate graph's zero
 _NEWTON_STEP_TOL = 1e-12  # Newton stops once a step is this small
 
@@ -88,7 +85,7 @@ _NEWTON_STEP_TOL = 1e-12  # Newton stops once a step is this small
 def _grown(radius):
     """Radii of the circles around a point, tried in turn while a circle
     meets a zero: ``radius``, then each 1.4 times the last."""
-    return tuple(itertools.accumulate(itertools.repeat(1.4, _MAX_RETRIES - 1), operator.mul,
+    return tuple(itertools.accumulate(itertools.repeat(1.4, _CONTOURS_TRIED - 1), operator.mul,
                                       initial=radius))
 
 
@@ -177,16 +174,6 @@ def _require_holomorphic(og: OpenGraph):
                 f"vertex {v.id!r} carries k-dependent linear A/B conditions; "
                 "pole searches and verdicts require k-independent conditions"
             )
-
-
-def _inflations(rect):
-    """The contour, then inflated by _JITTER x attempt x max(diameter, 1) per
-    retry. Inflation only grows cells, so a zero near a shared edge may be
-    counted by two sibling cells but never lost; deduplication collapses
-    doubles."""
-    for attempt in range(1, _MAX_RETRIES + 1):
-        yield rect
-        rect = rect.inflated(_JITTER * max(rect.diameter, 1.0) * attempt)
 
 
 def _rate(*asms: Assembly) -> float:
@@ -284,11 +271,12 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
 
     The search is fixed by the module constants ``_MIN_CELL``,
     ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``, ``_BOUNDARY_SAMPLES``,
-    ``_MAX_RETRIES``, ``_JITTER``, ``_REAL_AXIS_TOL``, ``_NEWTON_MAX_ITER``
-    and ``_NEWTON_STEP_TOL``. Every cell that winds w >= 1 times starts w
-    Newton runs from the roots of the power sums of its zeros (see the
-    module docstring), whatever its size and w; a run may go 10 cell
-    diameters from its start.
+    ``_REAL_AXIS_TOL``, ``_NEWTON_MAX_ITER`` and ``_NEWTON_STEP_TOL``, and
+    by ``contours._CONTOURS_TRIED`` and ``contours._JITTER``, which set the
+    retries of cells and circles that meet a zero. Every cell that winds w
+    >= 1 times starts w Newton runs from the roots of the power sums of its
+    zeros (see the module docstring), whatever its size and w; a run may go
+    10 cell diameters from its start.
 
     Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
     finite on a contour (windows reaching far below the real axis).
@@ -308,31 +296,21 @@ def _find_poles(asm: Assembly, window: Rect, seen: Optional[dict] = None) -> Pol
     det = asm.interior_det_many if seen is None else _recording(asm.interior_det_many, seen)
     level = QuadLevel(window)
     while level.cells:
+        # a cell whose contour met a zero is wound inflated (level.contour)
         windings = level.wind(det, _BOUNDARY_SAMPLES, rate_hint=rate)
-        # A cell whose contour met a zero takes the first of its inflations
-        # that does not; the failed cells of the level retry together, one
-        # call of rect_power_sums per round (an inflated contour shares no
-        # side with another cell).
-        failed = [i for i, w in enumerate(windings) if isinstance(w, str)]
-        retried = dict(zip(failed, first_windings(
-            lambda rects: rect_power_sums(det, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
-            [_inflations(level.cells[i]) for i in failed], [windings[i] for i in failed])))
         det = asm.interior_det_many  # the window's contour is wound at the first level
         # cells to run Newton in as (index, winding, cell, contour, starts),
         # and cells refused as (index, winding, cell, residual); the level's
         # warnings by cell, given in cell order
         newton, refused, notes = [], [], {}
         for i, (original, w) in enumerate(zip(level.cells, windings)):
-            if i in retried:
-                if isinstance(retried[i], str):
-                    raise BoundaryZero(retried[i])
-                (w, sums), cell = retried[i]
-            elif w > 0:
-                cell, sums = original, level.power_sums(i, w)
+            if isinstance(w, str):
+                raise BoundaryZero(w)
             if w < 0:
                 notes[i] = f"negative winding {w} over {original}; non-holomorphic input?"
             elif w > 0:
-                starts = _moment_starts(cell, sums)
+                cell = level.contour(i)
+                starts = _moment_starts(cell, level.power_sums(i, w))
                 # The roots of w >= 2 power sums are ill-conditioned in w; one
                 # moved onto the contour shows that they missed the zeros.
                 if starts is not None and (w == 1 or all(map(cell.contains, starts))):
@@ -539,11 +517,6 @@ def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
               + ["edge"] * len(reference.edge_zeros))
     rate = _rate(asm, reference_asm)
     (wound,) = QuadLevel(window).wind(ratio, _BOUNDARY_SAMPLES, rate_hint=rate)
-    if isinstance(wound, str):
-        (retried,) = first_windings(
-            lambda rects: rect_windings(ratio, rects, _BOUNDARY_SAMPLES, rate_hint=rate),
-            [_inflations(window)], [wound])
-        wound = retried if isinstance(retried, str) else retried[0]
     if isinstance(wound, str) or wound != 0:
         return None
     refined = _polish(asm, [p.k for p in starts], [_DEDUPE_RADIUS] * len(starts))
