@@ -14,6 +14,21 @@ with D(k) = det(I - Sigma_BB T(k)) as the interior determinant whose zeros
 are the poles of S. For a compact graph (no leads) D doubles as the secular
 function: its positive real zeros are the square roots of the Laplacian
 eigenvalues.
+
+When every vertex is Neumann or Dirichlet, D is also a determinant over the
+n' Neumann vertices V' (von Below, Linear Algebra Appl. 71 (1985) 309;
+Kottos and Smilansky, Ann. Phys. 274 (1999) 76):
+
+    D(k) = c det(M(k) + i N_L) prod_e sin(k L_e) exp(ik sum_e L_e),
+
+with M_vv = -sum_{e at v} cot(k L_e) and M_uv = sum_{e = uv} 1 / sin(k L_e)
+(parallel edges add up; a loop adds -2 cot + 2 / sin to M_vv), N_L the
+diagonal of lead counts, Dirichlet vertices removed (a graph without Neumann
+vertices has the 0 x 0 matrix, of determinant 1), and
+c = 2^E / (i^(E + n') prod_{v in V'} d_v), d_v being the full degree (edge
+ends and leads), the limit that makes D -> 1 as k -> +i oo. The matrix is
+|V'| x |V'| where the bond matrix is 2|E| x 2|E|; precision falls near
+k L_e in pi Z, where the bond matrix takes over.
 """
 
 from __future__ import annotations
@@ -34,16 +49,21 @@ from .errors import (
     WindowTooWide,
     ZeroK,
 )
-from .graph_core import BondTable, MetricGraph, OpenGraph, bond_table
+from .graph_core import BondTable, Dirichlet, MetricGraph, Neumann, OpenGraph, bond_table
 from .linalg import lu_det, unitarity_defect
 from .vertex_scattering import condition_sigma
 
 _SINGULAR_TOL = 1e-13
 _REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero taken to lie on the real axis
 _DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
-# Matrix entries per LAPACK call of Assembly.interior_det_many: about 512 kB,
-# so long batches keep memory flat.
+# Matrix entries per LAPACK call of Assembly.interior_det_many, in either
+# kernel (the bond matrices, or the vertex matrices and their per-edge
+# terms): about 512 kB, so long batches keep memory flat.
 _DET_CHUNK_ENTRIES = 1 << 15
+# Smallest min_e |sin(k L_e)| at which the vertex kernel evaluates D(k): its
+# precision falls like 1e-16 / |sin(k L_e)| near k L_e in pi Z, so the bond
+# kernel evaluates the k closer than this
+_VERTEX_BAND = 1e-3
 _NODE_BUDGET = 2_000_000  # most scan nodes eigenvalues_compact lays over a window
 _BRACKET_TOL = 4e-16  # bracket width, relative to k, at which a real zero is solved
 _BRACKET_STEPS = 12  # most regula falsi steps of one bracket
@@ -102,6 +122,90 @@ def _singular(k, det) -> SingularInterior:
     )
 
 
+class _VertexKernel:
+    """D(k) of a graph with edges whose conditions are all Neumann or
+    Dirichlet, from the vertex matrix M(k) + i N_L of its Neumann vertices
+    (the identity in the module docstring).
+
+    With w_e = exp(2ik L_e), -cot(k L_e) = -i + t_e and 1/sin(k L_e) =
+    -exp(ik L_e) t_e, where t_e = 2i / (1 - w_e); the constant parts of the
+    diagonal, i (leads - edge ends), are summed at construction, and
+    D(k) = det(M(k) + i N_L) prod_e (1 - w_e) / (i^n' prod_v d_v). Below
+    the real axis t_e is small, and the diagonal of a vertex with as many
+    leads as edge ends keeps its precision, which -cot(k L_e) + i would
+    lose.
+
+    The entries of M that have terms are summed in ``sums``, sorted by
+    their number of terms: slot j adds the j-th term of the first entries,
+    those with more than j terms. So each entry sums its terms in one fixed
+    order, whatever the number of k.
+    """
+
+    def __init__(self, og: OpenGraph, table: BondTable):
+        by_id = {e.id: e for e in og.graph.edges}
+        edges = [by_id[eid] for eid in table.edge_order]
+        neumann = [v.id for v in og.graph.vertices
+                   if isinstance(v.condition, Neumann) and table.vertex_io[v.id]]
+        row = {vid: p for p, vid in enumerate(neumann)}
+        n, n_e = len(neumann), len(edges)
+        self.n = n
+        self.lengths = table.bond_lengths[::2]
+        # flat index in M -> its columns of the terms [t_e | 1/sin(k L_e)]
+        terms = {}
+        for i, e in enumerate(edges):
+            u, v = row.get(e.from_vertex), row.get(e.to_vertex)
+            for end in (u, v):
+                if end is not None:
+                    terms.setdefault(end * (n + 1), []).append(i)
+            if u is not None and v is not None:
+                terms.setdefault(u * n + v, []).append(n_e + i)
+                terms.setdefault(v * n + u, []).append(n_e + i)
+        entries = sorted(terms, key=lambda at: -len(terms[at]))
+        self.entries = np.array(entries, dtype=np.intp)
+        self.slots = [
+            np.array([terms[at][j] for at in entries if len(terms[at]) > j], dtype=np.intp)
+            for j in range(len(terms[entries[0]]) if entries else 0)
+        ]
+        channels = [table.vertex_channels[vid] for vid in neumann]
+        self.base = np.zeros(n * n, dtype=complex)
+        # leads - edge ends = 2 leads - d_v
+        self.base[:: n + 1] = [1j * (2 * sum(ch[0] == "lead" for ch in chs) - len(chs))
+                               for chs in channels]
+        self.base_entries = self.base[self.entries]
+        # D(k) -> 1 as k -> +i oo, where M(k) + i N_L -> i diag(d_v)
+        degrees = math.prod(len(chs) for chs in channels)
+        self.scale = 1.0 / (1j ** (n % 4) * degrees)
+        self.per_chunk = max(1, _DET_CHUNK_ENTRIES // max(n * n, 2 * n_e))
+
+    def dets(self, ks) -> np.ndarray:
+        """D(k) for every k of a 1-D complex array; NaN where some
+        |sin(k L_e)| is below ``_VERTEX_BAND``, and wherever the value is
+        not finite."""
+        out = np.empty(len(ks), dtype=complex)
+        n, n_e = self.n, len(self.lengths)
+        with np.errstate(all="ignore"):
+            for start in range(0, len(ks), self.per_chunk):
+                part = slice(start, start + self.per_chunk)
+                z = np.exp(1j * ks[part, None] * self.lengths)
+                one_w = 1.0 - z * z
+                terms = np.empty((len(z), 2 * n_e), dtype=complex)
+                t, csc = terms[:, :n_e], terms[:, n_e:]
+                np.divide(2j, one_w, out=t)
+                np.multiply(z, t, out=csc)
+                np.negative(csc, out=csc)
+                m = np.empty((len(z), n * n), dtype=complex)
+                m[:] = self.base
+                if self.slots:
+                    sums = terms[:, self.slots[0]]
+                    for cols in self.slots[1:]:
+                        sums[:, : len(cols)] += terms[:, cols]
+                    m[:, self.entries] = sums + self.base_entries
+                det = np.linalg.det(m.reshape(-1, n, n)) if n else 1.0
+                out[part] = self.scale * det * np.prod(one_w, axis=1)
+                out[part][(np.abs(csc) > 1.0 / _VERTEX_BAND).any(axis=1)] = np.nan
+        return out
+
+
 class Assembly:
     """Cached channel matrices for one open (or closed) graph.
 
@@ -110,10 +214,19 @@ class Assembly:
     graphs whose conditions are all k-independent it is built once, and
     only the propagator T(k) varies with k.
 
+    D(k) has two kernels. A graph with edges whose conditions are all
+    Neumann or Dirichlet gets the vertex kernel: D from the |V'| x |V'|
+    matrix M(k) + i N_L of the module docstring, except within
+    ``_VERTEX_BAND`` of the points k L_e in pi Z and where that value is not
+    finite, where the bond kernel evaluates it. Every other graph gets the
+    bond kernel: det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k)
+    solves and Newton steps always work in bond space.
+
     ``evaluations`` counts the determinants D(k) that
     :meth:`interior_det_many` has computed (none for a graph without edges),
-    among them one per k of :meth:`scattering_det_many`. S(k) solves and
-    Newton steps on k-independent conditions compute none.
+    one per k whichever kernel evaluated it, among them one per k of
+    :meth:`scattering_det_many`. S(k) solves and Newton steps on
+    k-independent conditions compute none.
     """
 
     def __init__(self, og: OpenGraph):
@@ -137,6 +250,12 @@ class Assembly:
         self._flat = np.array(flat, dtype=np.intp)
         self.k_independent = all(r.is_constant for r in self._rules)
         self._sigma = self._assemble(1.0) if self.k_independent else None
+        self._vertex = (
+            _VertexKernel(og, self.table)
+            if self.table.n_bonds and all(isinstance(v.condition, (Neumann, Dirichlet))
+                                          for v in og.graph.vertices)
+            else None
+        )
 
     def _assemble(self, k) -> np.ndarray:
         """Sigma(k) from the vertex matrices sigma_v(k)."""
@@ -171,18 +290,33 @@ class Assembly:
         return m, tk
 
     def interior_det_many(self, ks) -> np.ndarray:
-        """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array.
+        """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array, from
+        the graph's kernel (see the class docstring).
 
         The matrices are stacked and handed to LAPACK in chunks of about
-        ``_DET_CHUNK_ENTRIES`` entries; each determinant is bit-identical to
-        that of the single matrix. Raises :class:`DeterminantOverflow` when
-        some D(k) is not finite.
+        ``_DET_CHUNK_ENTRIES`` entries. Each D(k) is bit-identical to that of
+        the same k evaluated alone (so to :meth:`interior_det`); where the
+        bond kernel evaluates it, also to the determinant of the single bond
+        matrix. Raises :class:`DeterminantOverflow` when some D(k) is not
+        finite.
         """
         ks = np.asarray(ks, dtype=complex)
-        nb = self.table.n_bonds
-        if nb == 0:
+        if self.table.n_bonds == 0:
             return np.ones(len(ks), dtype=complex)
         self.evaluations += len(ks)
+        if self._vertex is None:
+            return self._bond_dets(ks)
+        out = self._vertex.dets(ks)
+        redo = ~np.isfinite(out)
+        if redo.any():
+            out[redo] = self._bond_dets(ks[redo])
+        return out
+
+    def _bond_dets(self, ks) -> np.ndarray:
+        """det(I - Sigma_BB T(k)) for every k of a 1-D complex array; raises
+        :class:`DeterminantOverflow` at the first k whose value is not
+        finite."""
+        nb = self.table.n_bonds
         out = np.empty(len(ks), dtype=complex)
         per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ from qgscatter.errors import (
     ZeroK,
 )
 from qgscatter.global_scattering import (
+    _VERTEX_BAND,
     Assembly,
     eigenvalues_compact,
     interior_determinant,
@@ -136,24 +137,132 @@ def _dft_unitary_graph():
     return attach_leads(g, ["a"])
 
 
+def _textbook_det(asm, k):
+    """det(I - Sigma_BB T(k)) built from the Assembly's Sigma, one matrix."""
+    nl, nb = asm.table.n_leads, asm.table.n_bonds
+    return np.linalg.det(np.eye(nb) - asm.sigma(k)[nl:, nl:]
+                         * np.exp(1j * complex(k) * asm.table.bond_lengths)[None, :])
+
+
+def _vertex_kernel_serves(og):
+    return bool(og.graph.edges) and all(isinstance(v.condition, (Neumann, Dirichlet))
+                                        for v in og.graph.vertices)
+
+
+def _band(og, ks):
+    """The k within _VERTEX_BAND of some k L_e in pi Z."""
+    lengths = np.array([e.length for e in og.graph.edges])
+    return np.abs(np.sin(np.outer(ks, lengths))).min(axis=1) < _VERTEX_BAND
+
+
 def test_interior_det_many_matches_scalar_bit_for_bit():
     rng = np.random.default_rng(11)
     # real k, deep and upper-half-plane k; enough of them for several chunks
     ks = np.concatenate([rng.uniform(0.1, 30.0, 400),
                          rng.uniform(0.1, 10.0, 400) - 1j * rng.uniform(0.0, 3.0, 400),
                          rng.uniform(0.1, 10.0, 100) + 1j * rng.uniform(0.0, 1.0, 100)])
-    graphs = [parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"), _dft_unitary_graph()]
+    mm1 = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    # k at and beside the points k L_e = m pi of mm1's edges, in its band
+    near = np.array([m * np.pi / e.length for e in mm1.graph.edges for m in (1, 3)])
+    ks = np.concatenate([ks, near, near * (1 + 1e-5), near - 1e-5j])
+    graphs = [mm1, _dft_unitary_graph()]
     graphs += [random_open_graph(np.random.default_rng(s)) for s in range(4)]
+    assert _band(mm1, ks).sum() >= 3 * len(near)
     for og in graphs:
         asm = Assembly(og)
         many = asm.interior_det_many(ks)
         assert np.array_equal(many, [asm.interior_det(k) for k in ks])
-        # the textbook construction, one matrix at a time
-        nl, nb = asm.table.n_leads, asm.table.n_bonds
-        loop = [np.linalg.det(np.eye(nb) - asm.sigma(k)[nl:, nl:]
-                              * np.exp(1j * complex(k) * asm.table.bond_lengths)[None, :])
-                for k in ks]
-        assert np.array_equal(many, loop)
+        # the textbook construction, one matrix at a time: the bond kernel
+        # and the band of the vertex kernel give its value bit for bit, the
+        # vertex kernel elsewhere to rounding
+        loop = np.array([_textbook_det(asm, k) for k in ks])
+        band = _band(og, ks) if _vertex_kernel_serves(og) else np.ones(len(ks), dtype=bool)
+        assert np.array_equal(many[band], loop[band])
+        assert np.all(np.abs(many - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
+
+
+def _vertex_identity_graphs():
+    """Neumann/Dirichlet graphs, each with one feature of the vertex kernel."""
+    def og(vertices, edges, leads):
+        counts = {at: leads.count(at) for at in leads}
+        g = build_graph(vertices, edges, pending_leads=counts)
+        return attach_leads(g, leads) if leads else OpenGraph(g, ())
+
+    n, d = Neumann(), Dirichlet()
+    return {
+        "loop": og([Vertex("a", n), Vertex("b", n)],
+                   [Edge("l", "a", "a", 0.83), Edge("e", "a", "b", 1.1)], ["b"]),
+        "parallel": og([Vertex("a", n), Vertex("b", n), Vertex("c", n)],
+                       [Edge("p1", "a", "b", 0.71), Edge("p2", "a", "b", 1.13),
+                        Edge("p3", "b", "a", 0.57), Edge("e", "b", "c", 0.9)], ["a", "c"]),
+        "dirichlet-degree-3": og([Vertex("a", n), Vertex("w", d), Vertex("b", n)],
+                                 [Edge("e1", "a", "w", 0.9), Edge("e2", "w", "b", 1.3),
+                                  Edge("e3", "a", "w", 0.61), Edge("e4", "a", "b", 0.77)], ["a"]),
+        "dirichlet-dirichlet": og([Vertex("a", n), Vertex("w", d), Vertex("x", d)],
+                                  [Edge("e1", "a", "w", 0.9), Edge("e2", "w", "x", 0.55),
+                                   Edge("e3", "a", "a", 1.21)], []),
+        "leads-only-vertex": og([Vertex("s", n), Vertex("a", n), Vertex("b", n)],
+                                [Edge("e1", "a", "b", 1.07), Edge("e2", "b", "a", 0.64)],
+                                ["s", "s", "a"]),
+    }
+
+
+def _identity_ks():
+    rng = np.random.default_rng(23)
+    return np.concatenate([rng.uniform(0.1, 20.0, 150),
+                           rng.uniform(0.1, 10.0, 150) - 1j * rng.uniform(0.5, 6.0, 150),
+                           rng.uniform(0.1, 10.0, 50) + 1j * rng.uniform(0.0, 2.0, 50)])
+
+
+@pytest.mark.parametrize("name", list(_vertex_identity_graphs()))
+def test_vertex_kernel_matches_bond_space(name):
+    og = _vertex_identity_graphs()[name]
+    asm = Assembly(og)
+    assert asm._vertex is not None
+    ks = _identity_ks()
+    many = asm.interior_det_many(ks)
+    loop = np.array([_textbook_det(asm, k) for k in ks])
+    off = ~_band(og, ks)
+    assert off.sum() > 0.9 * len(ks)
+    assert np.all(np.abs(many - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
+    assert not np.array_equal(many[off], loop[off])  # the vertex kernel did the work
+
+
+def test_vertex_kernel_all_dirichlet_interval():
+    # no Neumann vertex: the vertex matrix is 0 x 0, and D = 1 - exp(2ikL)
+    g = build_graph([Vertex("a", Dirichlet()), Vertex("b", Dirichlet())],
+                    [Edge("e", "a", "b", 1.3)])
+    asm = Assembly(OpenGraph(g, ()))
+    assert asm._vertex is not None and asm._vertex.n == 0
+    ks = _identity_ks()
+    np.testing.assert_allclose(asm.interior_det_many(ks), 1 - np.exp(2.6j * ks),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_vertex_kernel_band_is_bond_space_bit_for_bit():
+    # an equilateral unit triangle with a pendant: at k = m pi every
+    # sin(k L_e) vanishes and the bond kernel evaluates D, which is 0 at
+    # even m (cos(kx) on every edge); each k counts once
+    g = build_graph([Vertex(v, Neumann()) for v in "abcd"],
+                    [Edge("ab", "a", "b", 1.0), Edge("bc", "b", "c", 1.0),
+                     Edge("ca", "c", "a", 1.0), Edge("cd", "c", "d", 1.0)])
+    asm = Assembly(OpenGraph(g, ()))
+    ks = np.array([np.pi, 2 * np.pi, 1.7, 3 * np.pi, 4 * np.pi])
+    many = asm.interior_det_many(ks)
+    assert asm.evaluations == len(ks)
+    for i in (0, 1, 3, 4):
+        assert many[i] == _textbook_det(asm, ks[i])
+    assert abs(many[1]) < 1e-12 and abs(many[4]) < 1e-12
+
+
+def test_one_dft_vertex_keeps_the_bond_kernel():
+    g = build_graph([Vertex("a", Neumann()), Vertex("b", DFT()), Vertex("c", Dirichlet())],
+                    [Edge("e1", "a", "b", 0.7), Edge("e2", "b", "c", 1.3),
+                     Edge("e3", "a", "c", 0.9)], pending_leads={"a": 1})
+    asm = Assembly(attach_leads(g, ["a"]))
+    assert asm._vertex is None
+    ks = _identity_ks()
+    assert np.array_equal(asm.interior_det_many(ks), [_textbook_det(asm, k) for k in ks])
 
 
 def _textbook_sigma(og, k):
