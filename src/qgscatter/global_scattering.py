@@ -15,19 +15,25 @@ are the poles of S. For a compact graph (no leads) D doubles as the secular
 function: its positive real zeros are the square roots of the Laplacian
 eigenvalues.
 
-When every vertex is Neumann or Dirichlet, D is also a determinant over the
-n' Neumann vertices V' (von Below, Linear Algebra Appl. 71 (1985) 309;
-Kottos and Smilansky, Ann. Phys. 274 (1999) 76):
+When every vertex condition is k-independent, D is also an r x r
+determinant, r = sum_v rank R_v with R_v = sigma_v^BB + I, sigma_v^BB being
+sigma_v restricted to the edge ends of v. Number the bonds by the vertex
+they leave, so that the bond arriving at an edge end is the reverse of the
+one leaving it. Then Sigma_BB T = (R - I) P T, with R the block diagonal of
+the R_v and P T the 2 x 2 blocks [[0, z_e], [z_e, 0]], z_e = exp(ik L_e).
+Factoring R = U V* and using det(I - XY) = det(I - YX),
 
-    D(k) = c det(M(k) + i N_L) prod_e sin(k L_e) exp(ik sum_e L_e),
+    D(k) = prod_e (1 - z_e^2) det M(k),
+    M(k) = I - V* U + sum_e h_e V* E_e U - sum_e z_e h_e V* F_e U,
 
-with M_vv = -sum_{e at v} cot(k L_e) and M_uv = sum_{e = uv} 1 / sin(k L_e)
-(parallel edges add up; a loop adds -2 cot + 2 / sin to M_vv), N_L the
-diagonal of lead counts, Dirichlet vertices removed (a graph without Neumann
-vertices has the 0 x 0 matrix, of determinant 1), and
-c = 2^E / (i^(E + n') prod_{v in V'} d_v), d_v being the full degree (edge
-ends and leads), the limit that makes D -> 1 as k -> +i oo. The matrix is
-|V'| x |V'| where the bond matrix is 2|E| x 2|E|; precision falls near
+where h_e = 1 / (1 - z_e^2), E_e is the identity on the two bonds of e and
+F_e swaps them (Kottos and Smilansky, Ann. Phys. 274 (1999) 76, give the
+rank-1 case: a Neumann vertex has R_v = (2/d) J, and M is then von Below's
+vertex matrix, Linear Algebra Appl. 71 (1985) 309). An edge touches only
+the blocks of its two end vertices, and M -> I as k -> +i oo, where D -> 1.
+A Dirichlet vertex has R_v = 0 and drops out; a DFT or fixed-unitary vertex
+is factored by SVD, its singular values below a relative rank cut dropped.
+M is r x r where the bond matrix is 2|E| x 2|E|; its precision falls near
 k L_e in pi Z, where the bond matrix takes over.
 """
 
@@ -57,13 +63,16 @@ _SINGULAR_TOL = 1e-13
 _REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero taken to lie on the real axis
 _DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
 # Matrix entries per LAPACK call of Assembly.interior_det_many, in either
-# kernel (the bond matrices, or the vertex matrices and their per-edge
-# terms): about 512 kB, so long batches keep memory flat.
+# kernel (the bond matrices, or the reduced matrices and their terms): about
+# 512 kB, so long batches keep memory flat.
 _DET_CHUNK_ENTRIES = 1 << 15
-# Smallest min_e |sin(k L_e)| at which the vertex kernel evaluates D(k): its
+# Smallest min_e |sin(k L_e)| at which the reduced kernel evaluates D(k): its
 # precision falls like 1e-16 / |sin(k L_e)| near k L_e in pi Z, so the bond
 # kernel evaluates the k closer than this
-_VERTEX_BAND = 1e-3
+_REDUCED_BAND = 1e-3
+# Singular values of sigma_v^BB + I below this fraction of the largest are
+# dropped from its factor; those of a rank-deficient R_v come out near 1e-16
+_RANK_CUT = 1e-13
 _NODE_BUDGET = 2_000_000  # most scan nodes eigenvalues_compact lays over a window
 _BRACKET_TOL = 4e-16  # bracket width, relative to k, at which a real zero is solved
 _BRACKET_STEPS = 12  # most regula falsi steps of one bracket
@@ -96,10 +105,10 @@ class Eigenvalue:
 class SpectrumWindow:
     """Eigenvalues (as k values) found in a window; ``warnings`` names each
     eigenvalue whose multiplicity could not be wound and was assumed 1.
-    ``evaluations`` counts the determinants D(k) the call computed, read
-    from :attr:`Assembly.evaluations`: the scan, the bracketed solve, the
-    multiplicity circles and the residuals (Newton's steps solve with the
-    matrix instead for k-independent conditions)."""
+    ``evaluations`` counts the determinants D(k) the call computed, as the
+    increase of :attr:`Assembly.evaluations` over the call: the scan, the
+    bracketed solve, the multiplicity circles and the residuals (Newton's
+    steps solve with the matrix instead for k-independent conditions)."""
 
     k_min: float
     k_max: float
@@ -122,87 +131,135 @@ def _singular(k, det) -> SingularInterior:
     )
 
 
-class _VertexKernel:
-    """D(k) of a graph with edges whose conditions are all Neumann or
-    Dirichlet, from the vertex matrix M(k) + i N_L of its Neumann vertices
-    (the identity in the module docstring).
+class _ReducedKernel:
+    """D(k) of a graph with edges whose vertex conditions are all
+    k-independent, from the r x r matrix M(k) of the module docstring.
 
-    With w_e = exp(2ik L_e), -cot(k L_e) = -i + t_e and 1/sin(k L_e) =
-    -exp(ik L_e) t_e, where t_e = 2i / (1 - w_e); the constant parts of the
-    diagonal, i (leads - edge ends), are summed at construction, and
-    D(k) = det(M(k) + i N_L) prod_e (1 - w_e) / (i^n' prod_v d_v). Below
-    the real axis t_e is small, and the diagonal of a vertex with as many
-    leads as edge ends keeps its precision, which -cot(k L_e) + i would
-    lose.
+    Each vertex v with r_v = rank R_v > 0 owns r_v rows and columns of M.
+    Its rows are stored times c_v, with R_v = U_v W_v / c_v: the diagonal
+    block holds K0 = c_v I - W_v U_v, an edge end whose out bond is b adds
+    h_e W_v[:, b] U_v[b, :] to it, and the bond b from u to v adds
+    -exp(ik L_e) h_e W_u[:, b] U_v[b ^ 1, :] to the block (u, v). A Neumann
+    vertex of full degree d with d_b edge ends has U_v = 2 (one column),
+    W_v = 1 (one row) and c_v = d, so its row keeps the integer constants
+    d - 2 d_b, 2 and -2. A DFT or fixed-unitary vertex takes U_v W_v from
+    the SVD of R_v, dropping the singular values below ``_RANK_CUT`` times
+    the largest, with c_v = 1. A Dirichlet vertex has R_v = 0 and owns
+    nothing. So D(k) = prod_e (1 - exp(2ik L_e)) det M(k) / prod_v c_v^r_v.
 
-    The entries of M that have terms are summed in ``sums``, sorted by
-    their number of terms: slot j adds the j-th term of the first entries,
-    those with more than j terms. So each entry sums its terms in one fixed
-    order, whatever the number of k.
+    Each entry of M is a sum of coefficients (``coefs``) times the terms
+    [h_e | exp(ik L_e) h_e | 1] (columns ``cols``), the last one carrying
+    K0. They are laid out slot by slot: slot j holds the j-th term of the
+    entries with more than j terms, which sort first (``widths[j]`` of
+    them), so each entry sums its terms in one fixed order whatever the
+    number of k.
     """
 
-    def __init__(self, og: OpenGraph, table: BondTable):
-        by_id = {e.id: e for e in og.graph.edges}
-        edges = [by_id[eid] for eid in table.edge_order]
-        neumann = [v.id for v in og.graph.vertices
-                   if isinstance(v.condition, Neumann) and table.vertex_io[v.id]]
-        row = {vid: p for p, vid in enumerate(neumann)}
-        n, n_e = len(neumann), len(edges)
-        self.n = n
-        self.lengths = table.bond_lengths[::2]
-        # flat index in M -> its columns of the terms [t_e | 1/sin(k L_e)]
-        terms = {}
-        for i, e in enumerate(edges):
-            u, v = row.get(e.from_vertex), row.get(e.to_vertex)
-            for end in (u, v):
-                if end is not None:
-                    terms.setdefault(end * (n + 1), []).append(i)
-            if u is not None and v is not None:
-                terms.setdefault(u * n + v, []).append(n_e + i)
-                terms.setdefault(v * n + u, []).append(n_e + i)
-        entries = sorted(terms, key=lambda at: -len(terms[at]))
-        self.entries = np.array(entries, dtype=np.intp)
-        self.slots = [
-            np.array([terms[at][j] for at in entries if len(terms[at]) > j], dtype=np.intp)
-            for j in range(len(terms[entries[0]]) if entries else 0)
-        ]
-        channels = [table.vertex_channels[vid] for vid in neumann]
-        self.base = np.zeros(n * n, dtype=complex)
-        # leads - edge ends = 2 leads - d_v
-        self.base[:: n + 1] = [1j * (2 * sum(ch[0] == "lead" for ch in chs) - len(chs))
-                               for chs in channels]
-        self.base_entries = self.base[self.entries]
-        # D(k) -> 1 as k -> +i oo, where M(k) + i N_L -> i diag(d_v)
-        degrees = math.prod(len(chs) for chs in channels)
-        self.scale = 1.0 / (1j ** (n % 4) * degrees)
-        self.per_chunk = max(1, _DET_CHUNK_ENTRIES // max(n * n, 2 * n_e))
+    def __init__(self, table: BondTable, vertices):
+        """``vertices`` lists (condition, io, sigma_v) for every vertex with
+        channels, io being its (out, in) channel pairs from the bond table."""
+        nl, nb = table.n_leads, table.n_bonds
+        n_e = nb // 2
+        self.ilengths = 1j * table.bond_lengths[::2]
+        # per out bond: the first row of its vertex, its column of W_v and
+        # its row of U_v; per vertex of rank > 0: its first row and K0
+        top, w_of, u_of = [0] * nb, [[]] * nb, [[]] * nb
+        blocks, r, scale = [], 0, 1.0
+        for condition, io, sigma in vertices:
+            ends = [i for i, (c_out, _) in enumerate(io) if c_out >= nl]
+            if not ends or isinstance(condition, Dirichlet):
+                continue
+            if isinstance(condition, Neumann):
+                c, k0 = len(io), [[len(io) - 2 * len(ends)]]
+                w, u = [[1.0]] * len(ends), [[2.0]] * len(ends)
+            else:
+                a, s, bh = np.linalg.svd(sigma[np.ix_(ends, ends)] + np.eye(len(ends)))
+                keep = s > _RANK_CUT * s[0]
+                if not keep.any():
+                    continue
+                u_v, w_v = a[:, keep] * s[keep], bh[keep]
+                c, k0 = 1, (np.eye(len(w_v)) - w_v @ u_v).tolist()
+                w, u = w_v.T.tolist(), u_v.tolist()
+            for j, i in enumerate(ends):
+                b = io[i][0] - nl
+                top[b], w_of[b], u_of[b] = r, w[j], u[j]
+            blocks.append((r, k0))
+            r += len(k0)
+            scale /= c ** len(k0)
+        self.r, self.scale = r, scale
+        # the factors of each out bond, padded with zeros to the largest
+        # rank, and the rows and columns of M they address
+        pad = max(map(len, w_of))
+        w_b, u_b = (np.array([row + [0.0] * (pad - len(row)) for row in rows], dtype=complex)
+                    for rows in (w_of, u_of))
+        at = np.array(top)[:, None] + np.arange(pad)
+        swap, edge = np.arange(nb) ^ 1, np.arange(nb) // 2
+        # (flat index in M, term, coefficient) of every contribution: K0 with
+        # the last term, the constant 1; h_e on the diagonal block of the
+        # vertex that each bond of e leaves, and exp(ik L_e) h_e on the block
+        # from it to the other end's (the two bonds of a loop give a term
+        # each)
+        k0_at = [(r0 + p) * r + r0 + q for r0, k0 in blocks
+                 for p in range(len(k0)) for q in range(len(k0))]
+        flat = np.concatenate([np.array(k0_at, dtype=np.intp),
+                               (at[:, :, None] * r + at[:, None, :]).ravel(),
+                               (at[:, :, None] * r + at[swap][:, None, :]).ravel()])
+        cols = np.concatenate([np.full(len(k0_at), nb),
+                               np.repeat(edge, pad * pad), np.repeat(n_e + edge, pad * pad)])
+        coefs = np.concatenate([np.array([x for _, k0 in blocks for row in k0 for x in row]),
+                                (w_b[:, :, None] * u_b[:, None, :]).ravel(),
+                                (-w_b[:, :, None] * u_b[swap][:, None, :]).ravel()])
+        keep = coefs != 0
+        flat, cols, coefs = flat[keep], cols[keep], coefs[keep]
+        # the terms of each entry in the order of their columns, and the
+        # entries with the most terms first
+        by_entry = np.lexsort((cols, flat))
+        flat = flat[by_entry]
+        first = np.flatnonzero(np.diff(flat, prepend=-1))
+        entries, counts = flat[first], np.diff(first, append=len(flat))
+        order = np.argsort(-counts, kind="stable")
+        self.entries = entries[order]
+        self.widths = (len(counts) - np.cumsum(np.bincount(counts))[:-1]).tolist()
+        picks = by_entry[np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            first[order[:width]] + j for j, width in enumerate(self.widths)])]
+        self.cols, self.coefs = cols[picks], coefs[picks]
+        self.per_chunk = max(1, _DET_CHUNK_ENTRIES // max(r * r, len(picks), nb + 1))
 
     def dets(self, ks) -> np.ndarray:
         """D(k) for every k of a 1-D complex array; NaN where some
-        |sin(k L_e)| is below ``_VERTEX_BAND``, and wherever the value is
+        |sin(k L_e)| is below ``_REDUCED_BAND``, and wherever the value is
         not finite."""
         out = np.empty(len(ks), dtype=complex)
-        n, n_e = self.n, len(self.lengths)
+        n_e, r = len(self.ilengths), self.r
         with np.errstate(all="ignore"):
             for start in range(0, len(ks), self.per_chunk):
                 part = slice(start, start + self.per_chunk)
-                z = np.exp(1j * ks[part, None] * self.lengths)
+                z = np.exp(ks[part, None] * self.ilengths)
                 one_w = 1.0 - z * z
-                terms = np.empty((len(z), 2 * n_e), dtype=complex)
-                t, csc = terms[:, :n_e], terms[:, n_e:]
-                np.divide(2j, one_w, out=t)
-                np.multiply(z, t, out=csc)
-                np.negative(csc, out=csc)
-                m = np.empty((len(z), n * n), dtype=complex)
-                m[:] = self.base
-                if self.slots:
-                    sums = terms[:, self.slots[0]]
-                    for cols in self.slots[1:]:
-                        sums[:, : len(cols)] += terms[:, cols]
-                    m[:, self.entries] = sums + self.base_entries
-                det = np.linalg.det(m.reshape(-1, n, n)) if n else 1.0
-                out[part] = self.scale * det * np.prod(one_w, axis=1)
-                out[part][(np.abs(csc) > 1.0 / _VERTEX_BAND).any(axis=1)] = np.nan
+                terms = np.empty((len(z), 2 * n_e + 1), dtype=complex)
+                h, zh = terms[:, :n_e], terms[:, n_e:-1]
+                np.divide(1.0, one_w, out=h)
+                np.multiply(z, h, out=zh)
+                terms[:, -1] = 1.0
+                d = np.multiply.reduce(one_w, axis=1, initial=self.scale)
+                if r:
+                    # numpy multiplies a single element in place by its
+                    # reduction loop, which can round otherwise; here that is
+                    # one k of a one-term M, whose coefficient is 1 or 2
+                    sums = terms[:, self.cols]
+                    sums *= self.coefs
+                    at = self.widths[0]
+                    for width in self.widths[1:]:
+                        sums[:, :width] += sums[:, at:at + width]
+                        at += width
+                    m = np.zeros((len(z), r * r), dtype=complex)
+                    m[:, self.entries] = sums[:, :self.widths[0]]
+                    d = d * np.linalg.det(m.reshape(-1, r, r))  # one k: not in place
+                out[part] = d
+                # |sin(k L_e)| = 1 / (2 |exp(ik L_e) h_e|)
+                band = np.abs(zh) > 0.5 / _REDUCED_BAND
+                if band.any():
+                    out[part][band.any(axis=1)] = np.nan
         return out
 
 
@@ -215,12 +272,12 @@ class Assembly:
     only the propagator T(k) varies with k.
 
     D(k) has two kernels. A graph with edges whose conditions are all
-    Neumann or Dirichlet gets the vertex kernel: D from the |V'| x |V'|
-    matrix M(k) + i N_L of the module docstring, except within
-    ``_VERTEX_BAND`` of the points k L_e in pi Z and where that value is not
-    finite, where the bond kernel evaluates it. Every other graph gets the
-    bond kernel: det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k)
-    solves and Newton steps always work in bond space.
+    k-independent gets the reduced kernel: D from the r x r matrix M(k) of
+    the module docstring, except within ``_REDUCED_BAND`` of the points
+    k L_e in pi Z and where that value is not finite, where the bond kernel
+    evaluates it. A graph with A/B conditions gets the bond kernel:
+    det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k) solves and
+    Newton steps always work in bond space.
 
     ``evaluations`` counts the determinants D(k) that
     :meth:`interior_det_many` has computed (none for a graph without edges),
@@ -236,13 +293,14 @@ class Assembly:
         self.total_bond_length = float(np.sum(self.table.bond_lengths))
         self.evaluations = 0
         n = self.table.n_channels
-        self._rules = []
+        self._rules, self._vertices = [], []
         flat = []
         for v in og.graph.vertices:
             io = self.table.vertex_io[v.id]
             if not io:
                 continue
             self._rules.append(condition_sigma(v.condition, len(io)))
+            self._vertices.append((v.condition, io, self._rules[-1].constant))
             # sigma_v[i, j] sends local in-channel j to local out-channel i
             ins = [c_in for _, c_in in io]
             for c_out, _ in io:
@@ -250,12 +308,15 @@ class Assembly:
         self._flat = np.array(flat, dtype=np.intp)
         self.k_independent = all(r.is_constant for r in self._rules)
         self._sigma = self._assemble(1.0) if self.k_independent else None
-        self._vertex = (
-            _VertexKernel(og, self.table)
-            if self.table.n_bonds and all(isinstance(v.condition, (Neumann, Dirichlet))
-                                          for v in og.graph.vertices)
-            else None
-        )
+
+    @functools.cached_property
+    def _reduced(self):
+        """The reduced kernel when the graph has edges and its conditions
+        are all k-independent, else None; built at the first determinant,
+        so that S(k) sweeps do not pay for it."""
+        if not (self.k_independent and self.table.n_bonds):
+            return None
+        return _ReducedKernel(self.table, self._vertices)
 
     def _assemble(self, k) -> np.ndarray:
         """Sigma(k) from the vertex matrices sigma_v(k)."""
@@ -286,12 +347,17 @@ class Assembly:
         if sigma is None:
             sigma = self._sigmas(ks)
         m = sigma[..., nl:, nl:] * tk[:, None, :]
-        np.subtract(np.eye(nb), m, out=m)
+        np.negative(m, out=m)
+        m.reshape(len(ks), nb * nb)[:, :: nb + 1] += 1.0
         return m, tk
 
     def interior_det_many(self, ks) -> np.ndarray:
         """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array, from
-        the graph's kernel (see the class docstring).
+        the graph's kernel (see the class docstring). The reduced kernel
+        takes it as prod_e (1 - exp(2ik L_e)) det M(k), M being r x r with
+        r = sum_v rank(sigma_v^BB + I), each rank taken exactly for Neumann
+        (1) and Dirichlet (0) vertices and with the relative cut
+        ``_RANK_CUT`` on the singular values of the others.
 
         The matrices are stacked and handed to LAPACK in chunks of about
         ``_DET_CHUNK_ENTRIES`` entries. Each D(k) is bit-identical to that of
@@ -304,11 +370,11 @@ class Assembly:
         if self.table.n_bonds == 0:
             return np.ones(len(ks), dtype=complex)
         self.evaluations += len(ks)
-        if self._vertex is None:
+        if self._reduced is None:
             return self._bond_dets(ks)
-        out = self._vertex.dets(ks)
-        redo = ~np.isfinite(out)
-        if redo.any():
+        out = self._reduced.dets(ks)
+        if not np.isfinite(out).all():
+            redo = ~np.isfinite(out)
             out[redo] = self._bond_dets(ks[redo])
         return out
 
@@ -474,20 +540,21 @@ class Assembly:
         return sigma[..., :nl, :nl] + (sigma[..., :nl, nl:] * tk[..., None, :]) @ x
 
 
-# The Assembly of the graph passed last to scattering_matrix, secular_value
-# or interior_determinant. One entry, so it holds at most one graph alive.
+# The graph passed last to scattering_matrix, secular_value,
+# interior_determinant, eigenvalues_compact, find_poles or refine_pole, and
+# its Assembly. One entry, so it holds at most one graph alive.
 _last_assembly = None
 
 
-def _assembly(og: OpenGraph) -> Assembly:
-    """The Assembly of ``og``: the previous call's when ``og`` is the same
-    object (compared with ``is``), else a new one that replaces it."""
+def _assembly(graph) -> Assembly:
+    """The Assembly of ``graph``, an OpenGraph or a MetricGraph (taken
+    without leads): the previous call's when ``graph`` is the same object
+    (compared with ``is``), else a new one that replaces it."""
     global _last_assembly
-    asm = _last_assembly
-    if asm is None or asm.og is not og:
-        asm = Assembly(og)
-        _last_assembly = asm
-    return asm
+    if _last_assembly is None or _last_assembly[0] is not graph:
+        og = graph if isinstance(graph, OpenGraph) else OpenGraph(graph, ())
+        _last_assembly = (graph, Assembly(og))
+    return _last_assembly[1]
 
 
 def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
@@ -530,11 +597,6 @@ def interior_determinant(og: OpenGraph, k) -> complex:
 # ---------------------------------------------------------------------------
 # compact spectra
 # ---------------------------------------------------------------------------
-
-def _closed(graph: MetricGraph) -> OpenGraph:
-    # Internal shim: the assembly machinery accepts a lead-free OpenGraph.
-    return OpenGraph(graph, ())
-
 
 def _g(asm: Assembly, ks) -> np.ndarray:
     """g(k) = D(k) exp(-ik sum L_b / 2) for every k of a 1-D array. It has
@@ -642,6 +704,10 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     |D(k)| of all zeros come from one batched determinant call. Two zeros
     closer than a scan step with no sign change between them can yield one
     candidate, and the other is then missed.
+
+    The graph's :class:`Assembly` comes from the one-graph memo of
+    :func:`scattering_matrix`, keyed on ``graph``, so windows of one graph
+    object in a row set it up once.
     """
     k_min, k_max = window
     if not (0 < k_min < k_max):
@@ -659,7 +725,8 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
             f"scan would need {n_samples} nodes (budget {_NODE_BUDGET}); shrink the window"
         )
 
-    asm = Assembly(_closed(graph))
+    asm = _assembly(graph)
+    start = asm.evaluations
     ks = np.linspace(k_min, k_max, n_samples)
     # g is real up to one constant phase for k-independent conditions (a
     # slowly drifting one otherwise), so Re(g_i conj g_i+1) < 0 marks a sign
@@ -735,4 +802,4 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     residuals = asm.interior_det_many([kr for kr, _ in kept])
     results = tuple(Eigenvalue(k=kr, multiplicity=mult, residual=abs(complex(residual)))
                     for (kr, mult), residual in zip(kept, residuals))
-    return SpectrumWindow(k_min, k_max, results, tuple(warnings), asm.evaluations)
+    return SpectrumWindow(k_min, k_max, results, tuple(warnings), asm.evaluations - start)

@@ -29,7 +29,7 @@ from .errors import (
     WindowMismatch,
 )
 from .contours import Rect
-from .global_scattering import Assembly
+from .global_scattering import Assembly, _assembly
 from .graph_core import OpenGraph
 from .linalg import null_space
 from .resonances import PoleSet, _confirm_poles, _find_poles, _require_holomorphic
@@ -293,14 +293,18 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     search and the phase identity need: a ``linear_ab`` vertex raises
     :class:`~qgscatter.errors.NonHolomorphic` before anything is solved.
 
-    Each graph gets one :class:`Assembly`. The conjugator samples are one
-    stacked S(k) solve per graph (again after a singular sample, which is
-    skipped); det S at the phase samples comes from D(k) alone. Graph 1's
-    poles are searched for; when a conjugator is found and that search gave
-    no warning but those of edge zeros, graph 2's are confirmed from them
-    (conjugate S have the same poles), and searched for afresh when the
-    confirmation fails. The report's warnings are those of both pole
-    searches, prefixed "graph 1: " and "graph 2: ", then the verdict's own.
+    Each graph gets one :class:`Assembly`, graph 1 from the one-graph memo
+    that :func:`~qgscatter.resonances.find_poles` and
+    :func:`~qgscatter.global_scattering.scattering_matrix` share, so that
+    verdicts of one graph against others in a row set it up once. The
+    conjugator samples are one stacked S(k) solve per graph (again after a
+    singular sample, which is skipped); det S at the phase samples comes
+    from D(k) alone. Graph 1's poles are searched for; when a conjugator is
+    found and that search gave no warning but those of edge zeros, graph
+    2's are confirmed from them (conjugate S have the same poles), and
+    searched for afresh when the confirmation fails. The report's warnings
+    are those of both pole searches, prefixed "graph 1: " and "graph 2: ",
+    then the verdict's own.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -309,7 +313,7 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
         )
     _require_holomorphic(og1)
     _require_holomorphic(og2)
-    asm1, asm2 = Assembly(og1), Assembly(og2)
+    asm1, asm2 = _assembly(og1), Assembly(og2)
     conj = _find_conjugator(asm1.scattering_many, asm2.scattering_many, n_training)
     phases_ok, dev = _isophasal(asm1.scattering_det_many, asm2.scattering_det_many)
     # conjugate S share their poles: confirm graph 2's from graph 1's, and

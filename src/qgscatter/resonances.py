@@ -72,7 +72,7 @@ import numpy as np
 from .contours import (_CONTOURS_TRIED, ZERO_TOL, QuadLevel, Rect, first_circle_windings,
                        rect_winding)
 from .errors import BoundaryZero, Diverged, NonHolomorphic
-from .global_scattering import _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly
+from .global_scattering import _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly, _assembly
 from .graph_core import LinearAB, OpenGraph
 
 _MIN_CELL = 1e-6  # cells this small are not split further
@@ -159,7 +159,7 @@ def refine_pole(og: OpenGraph, k0, *,
     """
     _require_holomorphic(og)
     limit = 10.0 * (trust_radius if trust_radius is not None else 1.0)
-    ((k, residual, iterations),) = _polish(Assembly(og), [k0], [limit])
+    ((k, residual, iterations),) = _polish(_assembly(og), [k0], [limit])
     if residual == np.inf:
         raise Diverged(
             f"Newton left the trust region (|k - k0| = {abs(k - k0):.3e} > {limit:.3e})"
@@ -278,10 +278,14 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     zeros (see the module docstring), whatever its size and w; a run may go
     10 cell diameters from its start.
 
+    The graph's :class:`Assembly` comes from the one-graph memo of
+    :func:`~qgscatter.global_scattering.scattering_matrix`, so windows of
+    one graph object in a row set it up once.
+
     Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
     finite on a contour (windows reaching far below the real axis).
     """
-    return _find_poles(Assembly(og), window)
+    return _find_poles(_assembly(og), window)
 
 
 def _find_poles(asm: Assembly, window: Rect, seen: Optional[dict] = None) -> PoleSet:

@@ -14,7 +14,7 @@ from qgscatter.errors import (
     ZeroK,
 )
 from qgscatter.global_scattering import (
-    _VERTEX_BAND,
+    _REDUCED_BAND,
     Assembly,
     eigenvalues_compact,
     interior_determinant,
@@ -144,15 +144,15 @@ def _textbook_det(asm, k):
                          * np.exp(1j * complex(k) * asm.table.bond_lengths)[None, :])
 
 
-def _vertex_kernel_serves(og):
-    return bool(og.graph.edges) and all(isinstance(v.condition, (Neumann, Dirichlet))
-                                        for v in og.graph.vertices)
+def _reduced_kernel_serves(og):
+    return bool(og.graph.edges) and not any(isinstance(v.condition, LinearAB)
+                                            for v in og.graph.vertices)
 
 
 def _band(og, ks):
-    """The k within _VERTEX_BAND of some k L_e in pi Z."""
+    """The k within _REDUCED_BAND of some k L_e in pi Z."""
     lengths = np.array([e.length for e in og.graph.edges])
-    return np.abs(np.sin(np.outer(ks, lengths))).min(axis=1) < _VERTEX_BAND
+    return np.abs(np.sin(np.outer(ks, lengths))).min(axis=1) < _REDUCED_BAND
 
 
 def test_interior_det_many_matches_scalar_bit_for_bit():
@@ -165,7 +165,8 @@ def test_interior_det_many_matches_scalar_bit_for_bit():
     # k at and beside the points k L_e = m pi of mm1's edges, in its band
     near = np.array([m * np.pi / e.length for e in mm1.graph.edges for m in (1, 3)])
     ks = np.concatenate([ks, near, near * (1 + 1e-5), near - 1e-5j])
-    graphs = [mm1, _dft_unitary_graph()]
+    # lead_edge_dirichlet: a 1 x 1 reduced matrix of one term
+    graphs = [mm1, _dft_unitary_graph(), lead_edge_dirichlet(0.8)]
     graphs += [random_open_graph(np.random.default_rng(s)) for s in range(4)]
     assert _band(mm1, ks).sum() >= 3 * len(near)
     for og in graphs:
@@ -173,22 +174,38 @@ def test_interior_det_many_matches_scalar_bit_for_bit():
         many = asm.interior_det_many(ks)
         assert np.array_equal(many, [asm.interior_det(k) for k in ks])
         # the textbook construction, one matrix at a time: the bond kernel
-        # and the band of the vertex kernel give its value bit for bit, the
-        # vertex kernel elsewhere to rounding
+        # and the band of the reduced kernel give its value bit for bit, the
+        # reduced kernel elsewhere to rounding
         loop = np.array([_textbook_det(asm, k) for k in ks])
-        band = _band(og, ks) if _vertex_kernel_serves(og) else np.ones(len(ks), dtype=bool)
+        assert (asm._reduced is not None) == _reduced_kernel_serves(og)
+        band = _band(og, ks) if _reduced_kernel_serves(og) else np.ones(len(ks), dtype=bool)
         assert np.array_equal(many[band], loop[band])
         assert np.all(np.abs(many - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
 
 
+def _exp_ih(coupling=0.2):
+    """exp(iH) for H coupling channel 0 to channels 1 and 2 with strength
+    ``coupling``: the vertex matrix of the benchmark's weakly coupled pair."""
+    h = np.zeros((3, 3))
+    h[0, 1:] = h[1:, 0] = coupling
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
 def _vertex_identity_graphs():
-    """Neumann/Dirichlet graphs, each with one feature of the vertex kernel."""
+    """Graphs with k-independent conditions, each with one feature of the
+    reduced kernel."""
     def og(vertices, edges, leads):
         counts = {at: leads.count(at) for at in leads}
         g = build_graph(vertices, edges, pending_leads=counts)
         return attach_leads(g, leads) if leads else OpenGraph(g, ())
 
     n, d = Neumann(), Dirichlet()
+    # a lead mixed with one edge end, and two edge ends swapped: sigma_v^BB
+    # + I has rank 2 at three edge ends
+    swap = np.zeros((4, 4), dtype=complex)
+    swap[:2, :2] = random_unitary(np.random.default_rng(3), 2)
+    swap[2, 3] = swap[3, 2] = 1.0
     return {
         "loop": og([Vertex("a", n), Vertex("b", n)],
                    [Edge("l", "a", "a", 0.83), Edge("e", "a", "b", 1.1)], ["b"]),
@@ -204,6 +221,19 @@ def _vertex_identity_graphs():
         "leads-only-vertex": og([Vertex("s", n), Vertex("a", n), Vertex("b", n)],
                                 [Edge("e1", "a", "b", 1.07), Edge("e2", "b", "a", 0.64)],
                                 ["s", "s", "a"]),
+        "dft-with-leads": og([Vertex("a", DFT()), Vertex("b", n), Vertex("w", d)],
+                             [Edge("e1", "a", "b", 0.93), Edge("e2", "a", "w", 1.21),
+                              Edge("e3", "b", "a", 0.58)], ["a", "a", "b"]),
+        "swap-block": og([Vertex("c", FixedUnitary(swap)), Vertex("b", n), Vertex("w", d)],
+                         [Edge("e1", "c", "w", 0.77), Edge("e2", "c", "b", 1.09),
+                          Edge("e3", "c", "b", 0.66)], ["c"]),
+        "unitary-loop-parallel": og(
+            [Vertex("u", FixedUnitary(random_unitary(np.random.default_rng(8), 5))),
+             Vertex("v", DFT()), Vertex("n", n)],
+            [Edge("l", "u", "u", 0.71), Edge("p1", "u", "v", 1.03), Edge("p2", "v", "u", 0.59),
+             Edge("e", "v", "n", 0.88)], ["u", "n"]),
+        "exp-ih": og([Vertex("c", FixedUnitary(_exp_ih())), Vertex("d1", d), Vertex("d2", d)],
+                     [Edge("e1", "c", "d1", 1.0), Edge("e2", "c", "d2", 1.005)], ["c"]),
     }
 
 
@@ -218,22 +248,56 @@ def _identity_ks():
 def test_vertex_kernel_matches_bond_space(name):
     og = _vertex_identity_graphs()[name]
     asm = Assembly(og)
-    assert asm._vertex is not None
+    assert asm._reduced is not None
     ks = _identity_ks()
     many = asm.interior_det_many(ks)
+    assert np.array_equal(many, [asm.interior_det(k) for k in ks])
     loop = np.array([_textbook_det(asm, k) for k in ks])
     off = ~_band(og, ks)
     assert off.sum() > 0.9 * len(ks)
     assert np.all(np.abs(many - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
-    assert not np.array_equal(many[off], loop[off])  # the vertex kernel did the work
+    assert not np.array_equal(many[off], loop[off])  # the reduced kernel did the work
+
+
+def test_reduced_matrix_has_the_rank_of_sigma_bb_plus_one():
+    # r = sum_v rank(sigma_v^BB + I): 1 per Neumann vertex with edge ends,
+    # 0 per Dirichlet vertex, the numerical rank for the others. The 3 x 3
+    # DFT matrix has the eigenvalue -1 once, so a DFT vertex of degree 3
+    # without leads has rank 2
+    ranks = {"loop": 2, "leads-only-vertex": 2, "dirichlet-dirichlet": 1, "dft-with-leads": 4,
+             "swap-block": 3, "unitary-loop-parallel": 4 + 2 + 1, "exp-ih": 2}
+    graphs = _vertex_identity_graphs()
+    assert {name: Assembly(graphs[name])._reduced.r for name in ranks} == ranks
+
+
+def test_reduced_kernel_keeps_its_precision_deep_below_the_axis():
+    # a Neumann vertex with as many leads as edge ends: its row of M has no
+    # constant, and the bond matrix loses up to 1.5e-8 relative here. The
+    # values are det(I - Sigma_BB T(k)) in 60-digit arithmetic (mpmath),
+    # with Sigma from the exact fractions 2 / d - delta
+    g = build_graph([Vertex("a", Neumann()), Vertex("b", Neumann()), Vertex("w", Dirichlet())],
+                    [Edge("e1", "a", "w", 0.83), Edge("e2", "a", "b", 1.17),
+                     Edge("e3", "b", "a", 0.61), Edge("l", "b", "b", 0.9)],
+                    pending_leads={"a": 3})
+    exact = [
+        (7.7 - 11.5j, "1.191006625153399484252598e+28", "9.58985035833150633444016e+27"),
+        (3.1 - 8j, "14862195725154320509.47203", "-18883879505677423662.69487"),
+        (12.3 - 6.2j, "-503384210223017.3725543762", "512832619341749.4555610733"),
+        (5.5 - 14j, "2.711108930990652203304204e+34", "1.415978255012404264353001e+34"),
+        (2.2 - 3.3j, "40784232.88130851315867156", "7736764.875246017593858284"),
+    ]
+    asm = Assembly(attach_leads(g, ["a"] * 3))
+    ks = np.array([k for k, _, _ in exact])
+    want = np.array([complex(float(re), float(im)) for _, re, im in exact])
+    assert np.all(np.abs(asm.interior_det_many(ks) - want) <= 1e-14 * np.abs(want))
 
 
 def test_vertex_kernel_all_dirichlet_interval():
-    # no Neumann vertex: the vertex matrix is 0 x 0, and D = 1 - exp(2ikL)
+    # no vertex of rank > 0: M is 0 x 0, and D = 1 - exp(2ikL)
     g = build_graph([Vertex("a", Dirichlet()), Vertex("b", Dirichlet())],
                     [Edge("e", "a", "b", 1.3)])
     asm = Assembly(OpenGraph(g, ()))
-    assert asm._vertex is not None and asm._vertex.n == 0
+    assert asm._reduced is not None and asm._reduced.r == 0
     ks = _identity_ks()
     np.testing.assert_allclose(asm.interior_det_many(ks), 1 - np.exp(2.6j * ks),
                                rtol=1e-12, atol=1e-12)
@@ -255,12 +319,22 @@ def test_vertex_kernel_band_is_bond_space_bit_for_bit():
     assert abs(many[1]) < 1e-12 and abs(many[4]) < 1e-12
 
 
-def test_one_dft_vertex_keeps_the_bond_kernel():
+def test_one_dft_vertex_takes_the_reduced_kernel():
     g = build_graph([Vertex("a", Neumann()), Vertex("b", DFT()), Vertex("c", Dirichlet())],
                     [Edge("e1", "a", "b", 0.7), Edge("e2", "b", "c", 1.3),
                      Edge("e3", "a", "c", 0.9)], pending_leads={"a": 1})
     asm = Assembly(attach_leads(g, ["a"]))
-    assert asm._vertex is None
+    # the 2 x 2 DFT matrix has eigenvalues 1 and -1: rank 1, as at a
+    assert asm._reduced is not None and asm._reduced.r == 2
+    ks = _identity_ks()
+    loop = np.array([_textbook_det(asm, k) for k in ks])
+    many = asm.interior_det_many(ks)
+    assert np.all(np.abs(many - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
+
+
+def test_linear_ab_graph_keeps_the_bond_kernel():
+    asm = Assembly(_robin_lead_graph())
+    assert asm._reduced is None
     ks = _identity_ks()
     assert np.array_equal(asm.interior_det_many(ks), [_textbook_det(asm, k) for k in ks])
 
@@ -810,6 +884,18 @@ def test_k_sweep_builds_one_assembly(monkeypatch):
     assert interior_determinant(og, 2.5) == Assembly(og).interior_det(2.5)
     secular_value(og, 2.5)
     assert len(built) == 1
+
+
+def test_spectrum_windows_of_one_graph_share_one_assembly(monkeypatch):
+    # each call counts its own determinants, as on a fresh Assembly
+    windows = [(1.0, 3.0), (3.0, 5.0), (1.0, 3.0)]
+    fresh = [eigenvalues_compact(seeded_compact_graph(3, 9, 5), w) for w in windows]
+    graph = seeded_compact_graph(3, 9, 5)
+    built = counted_assembly(monkeypatch)
+    got = [eigenvalues_compact(graph, w) for w in windows]
+    assert len(built) == 1 and built[0].graph is graph
+    assert got == fresh
+    assert [w.evaluations for w in got] == [w.evaluations for w in fresh]
 
 
 def test_alternating_graphs_each_get_their_own_s():

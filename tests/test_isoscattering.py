@@ -15,7 +15,7 @@ from qgscatter.errors import (DimensionMismatch, LengthViolation, NonHolomorphic
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import (Dirichlet, Edge, LinearAB, Neumann, Vertex, attach_leads,
                                   build_graph)
-from qgscatter import isoscattering
+from qgscatter import global_scattering, isoscattering
 from qgscatter.isoscattering import (
     _PHASE_KS,
     conjugation_residual,
@@ -618,6 +618,29 @@ def test_verdict_evaluations_count_every_determinant(name, monkeypatch):
     assert report.conjugacy.found and report.isopolar and report.isophasal
     assert sum(counted) == (report.poles_1.evaluations + report.poles_2.evaluations
                             + 2 * len(_PHASE_KS))
+
+
+def test_verdicts_against_one_graph_set_it_up_once(monkeypatch):
+    # graph 1 takes its Assembly from the one-graph memo, graph 2 gets its
+    # own; the counts are those of a verdict on fresh Assemblies
+    og1, og2, window = CONFIRMED_CASES["relabelled-4-2"]()
+    first = transplantability_verdict(og1, og2, window)
+    built = []
+
+    class Counting(Assembly):
+        def __init__(self, og):
+            built.append(og)
+            super().__init__(og)
+
+    monkeypatch.setattr(global_scattering, "Assembly", Counting)
+    monkeypatch.setattr(isoscattering, "Assembly", Counting)
+    again = [transplantability_verdict(og1, og2, window) for _ in range(2)]
+    assert built == [og2, og2]
+    for report in again:
+        assert (report.verdict, report.poles_1, report.poles_2) == (
+            first.verdict, first.poles_1, first.poles_2)
+        assert (report.poles_1.evaluations, report.poles_2.evaluations) == (
+            first.poles_1.evaluations, first.poles_2.evaluations)
 
 
 def test_confirmation_winds_circles_around_double_zeros():

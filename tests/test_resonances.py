@@ -23,6 +23,7 @@ from qgscatter.contours import (
 from qgscatter.errors import BoundaryZero, DeterminantOverflow, Diverged, NonHolomorphic
 from qgscatter.global_scattering import Assembly
 from qgscatter.graph_core import (
+    DFT,
     Dirichlet,
     Edge,
     FixedUnitary,
@@ -34,8 +35,8 @@ from qgscatter.graph_core import (
 )
 from qgscatter.resonances import find_poles, refine_pole, winding_number
 
-from conftest import (DATA_DIR, bench_reference, random_open_graph, star_open_graph,
-                      twin_resonators, two_pendant_resonator)
+from conftest import (DATA_DIR, bench_reference, random_open_graph, random_unitary,
+                      star_open_graph, twin_resonators, two_pendant_resonator)
 
 RESONATOR_POLES = [(2 * m + 1) * np.pi / 2 - 0.5j * np.log(3.0) for m in range(3)]
 
@@ -620,6 +621,48 @@ def test_pole_search_evaluation_count():
         ps = find_poles(parse_graph_file(DATA_DIR / "mcdonald_meyers_2.json"),
                         Rect(0.0, 8.0, -3.0, 0.0))
     assert ps.evaluations == sum(counted) == 13_792
+    # DFT and fixed-unitary vertices: the same count from the reduced
+    # kernel as from the bond kernel
+    counted.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Assembly, "interior_det_many", counting)
+        ps = find_poles(_unitary_open_graph(), Rect(0.5, 8.0, -2.0, 0.0))
+    assert (len(ps.poles), len(ps.real_axis_zeros), ps.warnings) == (13, 0, ())
+    assert ps.evaluations == sum(counted) == 1_369
+
+
+def _unitary_open_graph():
+    """Six edges between Neumann, DFT, fixed-unitary and Dirichlet vertices,
+    two leads, incommensurate lengths."""
+    u = random_unitary(np.random.default_rng(2), 3)
+    g = build_graph(
+        [Vertex("a", Neumann()), Vertex("b", DFT()), Vertex("c", FixedUnitary(u)),
+         Vertex("d", Neumann()), Vertex("w", Dirichlet())],
+        [Edge("e1", "a", "b", 0.83), Edge("e2", "b", "c", 1.12), Edge("e3", "c", "d", 0.71),
+         Edge("e4", "c", "a", 0.97), Edge("e5", "b", "d", 1.31), Edge("e6", "d", "w", 0.64)],
+        pending_leads={"a": 1, "d": 1})
+    return attach_leads(g, ["a", "d"])
+
+
+def test_windows_of_one_graph_share_one_assembly(monkeypatch):
+    # find_poles and refine_pole keep the Assembly of the graph passed last;
+    # each search counts its own determinants, as on a fresh Assembly
+    og = _unitary_open_graph()
+    windows = [Rect(1.0, 2.0, -0.6, 0.0), Rect(2.0, 3.0, -0.6, 0.0), Rect(1.0, 2.0, -0.6, 0.0)]
+    fresh = [find_poles(_unitary_open_graph(), w) for w in windows]
+    built = []
+
+    class Counting(Assembly):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(global_scattering, "Assembly", Counting)
+    got = [find_poles(og, w) for w in windows]
+    refine_pole(og, got[0].poles[0].k)
+    assert built == [og]
+    assert got == fresh
+    assert [ps.evaluations for ps in got] == [ps.evaluations for ps in fresh]
 
 
 def _row_of_double_poles():
