@@ -112,8 +112,36 @@ def complex_matrix_payload(m) -> list:
 # graph files
 # ---------------------------------------------------------------------------
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError("expected an object", where)
+    return value
+
+
+def _list(value, where: str, item=object, what="a list") -> list:
+    """value, when it is a list whose entries are all ``item`` instances."""
+    if not (isinstance(value, list) and all(isinstance(x, item) for x in value)):
+        raise ParseError(f"expected {what}", where)
+    return value
+
+
+def _is_number(value) -> bool:
+    """Whether value is a JSON number; true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _index_rows(rows, where: str) -> np.ndarray:
+    """Equal-length lists of integer indices, as an array."""
+    if not all(isinstance(r, list) and all(_is_number(x) and isinstance(x, int) for x in r)
+               for r in _list(rows, where)):
+        raise ParseError("expected lists of integers", where)
+    if len({len(r) for r in rows}) > 1:
+        raise ParseError("rows have unequal lengths", where)
+    return np.asarray(rows, dtype=int)
+
+
 def _require_keys(d: Mapping, allowed, required, where: str):
-    unknown = set(d) - set(allowed)
+    unknown = set(_object(d, where)) - set(allowed)
     if unknown:
         raise ParseError(f"unknown keys {sorted(unknown)}", where)
     missing = set(required) - set(d)
@@ -122,10 +150,9 @@ def _require_keys(d: Mapping, allowed, required, where: str):
 
 
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ParseError("complex numbers are written as [re, im]", where)
 
@@ -145,9 +172,7 @@ def _parse_complex_matrix(value, where: str) -> np.ndarray:
 
 
 def _parse_condition(d, where: str):
-    if not isinstance(d, dict):
-        raise ParseError("condition must be an object", where)
-    if "type" not in d:
+    if "type" not in _object(d, where):
         raise ParseError("condition needs a type", where)
     t = d["type"]
     if t == "neumann":
@@ -159,7 +184,7 @@ def _parse_condition(d, where: str):
     if t == "dft":
         _require_keys(d, {"type", "degree"}, {"type"}, where)
         deg = d.get("degree")
-        if deg is not None and (not isinstance(deg, int) or deg < 1):
+        if deg is not None and not (_is_number(deg) and isinstance(deg, int) and deg >= 1):
             raise ParseError("dft degree must be a positive integer", where)
         return DFT(degree=deg)
     if t == "linear_ab":
@@ -174,33 +199,29 @@ def _parse_condition(d, where: str):
 
 def parse_graph_document(doc) -> Union[MetricGraph, OpenGraph]:
     """Validate a parsed JSON document into a graph object."""
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", "$")
     _require_keys(doc, {"vertices", "edges", "leads"}, {"vertices"}, "$")
     vertices = []
-    for i, v in enumerate(doc["vertices"]):
+    for i, v in enumerate(_list(doc["vertices"], "$.vertices")):
         where = f"$.vertices[{i}]"
-        if not isinstance(v, dict):
-            raise ParseError("vertex must be an object", where)
         _require_keys(v, {"id", "condition"}, {"id", "condition"}, where)
         if not isinstance(v["id"], str):
             raise ParseError("vertex id must be a string", where)
         vertices.append(Vertex(v["id"], _parse_condition(v["condition"], f"{where}.condition")))
     edges = []
-    for i, e in enumerate(doc.get("edges", [])):
+    for i, e in enumerate(_list(doc.get("edges", []), "$.edges")):
         where = f"$.edges[{i}]"
-        if not isinstance(e, dict):
-            raise ParseError("edge must be an object", where)
         _require_keys(e, {"id", "from", "to", "length"}, {"id", "from", "to", "length"}, where)
-        if not isinstance(e["length"], (int, float)):
+        if not all(isinstance(e[key], str) for key in ("id", "from", "to")):
+            raise ParseError("edge id, from and to must be strings", where)
+        if not _is_number(e["length"]):
             raise ParseError("edge length must be a number", where)
         edges.append(Edge(e["id"], e["from"], e["to"], float(e["length"])))
     leads = []
-    for i, l in enumerate(doc.get("leads", [])):
+    for i, l in enumerate(_list(doc.get("leads", []), "$.leads")):
         where = f"$.leads[{i}]"
-        if not isinstance(l, dict):
-            raise ParseError("lead must be an object", where)
         _require_keys(l, {"id", "at"}, {"id", "at"}, where)
+        if not (isinstance(l["id"], str) and isinstance(l["at"], str)):
+            raise ParseError("lead id and at must be strings", where)
         leads.append(Lead(l["id"], l["at"]))
     if leads:
         return open_graph(vertices, edges, leads)
@@ -284,53 +305,42 @@ class SymmetrySpec:
         raise ParseError(f"no representation named {name!r} in symmetry file")
 
 
+def _per_element(group: FiniteGroup, d, where: str) -> list:
+    """The values of the object d, which maps every element name of group, in
+    the group's order."""
+    _require_keys(d, group.elements, group.elements, where)
+    return [d[name] for name in group.elements]
+
+
 def _parse_rep(group: FiniteGroup, d, where: str) -> MatrixRep:
-    if not isinstance(d, dict):
-        raise ParseError("representation must map element names to matrices", where)
-    unknown = set(d) - set(group.elements)
-    if unknown:
-        raise ParseError(f"unknown elements {sorted(unknown)}", where)
-    mats = {}
-    for name in group.elements:
-        if name not in d:
-            raise ParseError(f"representation missing element {name!r}", where)
-        mats[name] = _parse_complex_matrix(d[name], f"{where}.{name}")
-    return MatrixRep.from_mapping(group, mats)
+    return MatrixRep.from_mapping(group, {
+        name: _parse_complex_matrix(m, f"{where}.{name}")
+        for name, m in zip(group.elements, _per_element(group, d, where))})
 
 
 def parse_symmetry_document(doc) -> SymmetrySpec:
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", "$")
     _require_keys(doc, {"group", "lead_action", "representations", "subgroups"},
                   {"group", "lead_action"}, "$")
     gd = doc["group"]
     _require_keys(gd, {"elements", "table"}, {"elements", "table"}, "$.group")
-    group = FiniteGroup(tuple(gd["elements"]), np.asarray(gd["table"], dtype=int))
+    group = FiniteGroup(tuple(_list(gd["elements"], "$.group.elements", str, "a list of strings")),
+                        _index_rows(gd["table"], "$.group.table"))
 
-    la = doc["lead_action"]
-    if not isinstance(la, dict):
-        raise ParseError("lead_action must map element names to index lists", "$.lead_action")
-    unknown = set(la) - set(group.elements)
-    if unknown:
-        raise ParseError(f"unknown elements {sorted(unknown)}", "$.lead_action")
-    rows = []
-    for name in group.elements:
-        if name not in la:
-            raise ParseError(f"lead_action missing element {name!r}", "$.lead_action")
-        rows.append(la[name])
-    action = GraphAction(group, np.asarray(rows, dtype=int))
+    rows = _per_element(group, doc["lead_action"], "$.lead_action")
+    action = GraphAction(group, _index_rows(rows, "$.lead_action"))
 
     reps = {}
-    for rname, rd in (doc.get("representations") or {}).items():
+    for rname, rd in _object(doc.get("representations") or {}, "$.representations").items():
         reps[rname] = _parse_rep(group, rd, f"$.representations.{rname}")
 
     subs = {}
-    for sname, sd in (doc.get("subgroups") or {}).items():
+    for sname, sd in _object(doc.get("subgroups") or {}, "$.subgroups").items():
         where = f"$.subgroups.{sname}"
         _require_keys(sd, {"elements", "representations"}, {"elements"}, where)
-        emb = subgroup(group, sd["elements"])
+        emb = subgroup(group, _list(sd["elements"], f"{where}.elements", str, "a list of strings"))
         sreps = {}
-        for rname, rd in (sd.get("representations") or {}).items():
+        for rname, rd in _object(sd.get("representations") or {},
+                                 f"{where}.representations").items():
             sreps[rname] = _parse_rep(emb.group, rd, f"{where}.representations.{rname}")
         subs[sname] = (emb, sreps)
 

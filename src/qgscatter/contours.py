@@ -12,16 +12,16 @@ less than pi/2, and is bisected otherwise; each level probes the midpoints
 of every pending segment in one call of f. A path that meets a zero fails
 alone, and the others are still resolved.
 
-:class:`QuadLevel` winds every rectangle (:func:`rect_windings` too), and
-:func:`circle_windings` winds each circle as one closed path. A circle
-starts from 8 points: a zero of multiplicity m at its centre advances the
-phase by m pi/4 per segment, so m < 4 costs 16 values and a higher m
-splits the segments until each half-step is below pi/2.
-:func:`half_circle_windings` winds a circle centred on the real axis from
-its upper half alone, one open path, for an f with f(conj z) = c
-conj(f(z)) and |c| = 1, whose lower half turns by as much as its upper
-half: from 5 points, with the segments of the whole circle, so m < 4 costs
-9 values and the aliasing limit is the same. :func:`rect_winding` and
+:class:`QuadLevel` winds every rectangle, and
+:func:`first_circle_windings` every multiplicity circle: a circle starts
+from 8 points, one closed path. A zero of multiplicity m at its centre
+advances the phase by m pi/4 per segment, so m < 4 costs 16 values and a
+higher m splits the segments until each half-step is below pi/2. With
+``upper_half``, a circle centred on the real axis is wound from its upper
+half alone, one open path, for an f with f(conj z) = c conj(f(z)) and
+|c| = 1, whose lower half turns by as much as its upper half: from 5
+points, with the segments of the whole circle, so m < 4 costs 9 values and
+the aliasing limit is the same. :func:`rect_winding` and
 :func:`circle_winding` are the one-contour cases, which raise on failure.
 
 Phase tracking by sampling cannot see rotations faster than the sampling
@@ -295,30 +295,28 @@ def _samples_for(length: float, base: int, rate_hint) -> int:
     return max(base, int(math.ceil(length * rate_hint)) + 1)
 
 
-def rect_windings(f, rects, samples: int = 64, *, rate_hint=None):
-    """Winding number of f around each rectangle boundary (counterclockwise),
-    all settled in one pass; for a rectangle whose boundary met a zero, the
-    message (a str).
-
-    A side starts from ``samples // 4`` equal segments, more where
-    ``rate_hint`` asks for them.
-    """
-    return QuadLevel._ring(rects)._wind_sides(f, samples, rate_hint)
-
-
 def rect_winding(f, rect: Rect, samples: int = 64, *, rate_hint=None) -> int:
-    """Winding number of f around one rectangle boundary, as
-    :func:`rect_windings` gives it; raises :class:`BoundaryZero` when the
+    """Winding number of f around one rectangle boundary, counterclockwise,
+    a side starting from ``samples // 4`` equal segments, more where
+    ``rate_hint`` asks for them; raises :class:`BoundaryZero` when the
     boundary meets a zero."""
-    return _one(rect_windings(f, [rect], samples, rate_hint=rate_hint)[0])
+    return _one(QuadLevel._ring([rect])._wind_sides(f, samples, rate_hint)[0])
 
 
 def _circle_windings(f, centers, radii, rate_hint, upper_half):
-    """The windings of :func:`circle_windings`, or with ``upper_half`` of
-    :func:`half_circle_windings`: each circle is one path of one
-    :func:`_settle` pass, the whole circle from center + radius round to
-    itself, or its upper half, counted twice, from center + radius to
-    center - radius with half as many segments."""
+    """Winding number of f around each circle (centers[i], radii[i]), all
+    settled in one pass; for a circle that met a zero, the message (a str).
+
+    Each circle is one path of one :func:`_settle` pass, from 8 points or
+    more where ``rate_hint`` asks for them: the whole circle from
+    center + radius round to itself, or with ``upper_half`` its upper half,
+    counted twice, from center + radius to center - radius with half as
+    many segments. The upper half is valid for an f with
+    f(conj z) = c conj(f(z)), |c| = 1, such as g(k) = D(k) exp(-ik sum L_b / 2)
+    for the interior determinant D of a graph whose vertex conditions are
+    k-independent (not D itself: its factor exp(ik sum L_b / 2) turns the
+    two halves by opposite amounts).
+    """
     turns = 2 if upper_half else 1  # the path is 1 / turns of the circle
     paths = []
     for center, radius in zip(centers, radii):
@@ -330,41 +328,11 @@ def _circle_windings(f, centers, radii, rate_hint, upper_half):
     return [r[0] if _failed(r) else _winding(turns * _phase(r[1])) for r in _settle(f, paths, {})]
 
 
-def circle_windings(f, centers, radii, *, rate_hint=None):
-    """Winding number of f around each circle (centers[i], radii[i]), all
-    settled in one pass; for a circle that met a zero, the message (a str).
-
-    A circle starts from 8 equally spaced points, more where ``rate_hint``
-    asks for them. Eight suffice: the resolver bisects every segment whose
-    half-steps of phase are not both below pi/2, so a zero of multiplicity m
-    costs 16 values when m < 4 and splits further otherwise.
-    """
-    return _circle_windings(f, centers, radii, rate_hint, False)
-
-
-def half_circle_windings(f, centers, radii, *, rate_hint=None):
-    """Winding number of f around each circle (centers[i], radii[i]) with a
-    real centre, from its upper half alone, all settled in one pass; for a
-    circle whose upper half met a zero, the message (a str).
-
-    Valid for an f with f(conj z) = c conj(f(z)) for a constant c of
-    modulus 1, such as g(k) = D(k) exp(-ik sum L_b / 2) for the interior
-    determinant D of a graph whose vertex conditions are k-independent (not
-    D itself: its factor exp(ik sum L_b / 2) turns the two halves by
-    opposite amounts). The lower half then turns by exactly as much phase as
-    the upper half, which runs from center + radius to center - radius. The
-    upper half starts from 5 points, half of the segments
-    :func:`circle_windings` starts from, so each segment turns by as much
-    and aliases as little; a zero of multiplicity m < 4 at the centre costs
-    9 values.
-    """
-    return _circle_windings(f, centers, radii, rate_hint, True)
-
-
 def circle_winding(f, center, radius, *, rate_hint=None) -> int:
-    """Winding number of f around one circle, as :func:`circle_windings`
-    gives it; raises :class:`BoundaryZero` when the circle meets a zero."""
-    return _one(circle_windings(f, [center], [radius], rate_hint=rate_hint)[0])
+    """Winding number of f around one whole circle, as
+    :func:`_circle_windings` gives it; raises :class:`BoundaryZero` when the
+    circle meets a zero."""
+    return _one(_circle_windings(f, [center], [radius], rate_hint, False)[0])
 
 
 class _Side:
@@ -446,7 +414,7 @@ class QuadLevel:
         str).
 
         ``samples`` and ``rate_hint`` set the initial sampling of a pending
-        side as in :func:`rect_windings`. A cell whose contour fails is
+        side as in :func:`rect_winding`. A cell whose contour fails is
         wound again inflated, with every other failed cell of the level:
         :func:`first_windings` over the :func:`_inflations` of the failed
         cells, each round one ring.
@@ -608,16 +576,15 @@ def first_windings(wind_many, schedules, failures=None):
     return out
 
 
-def first_circle_windings(f, centers, radii, *, rate_hint=None, upper_half=False):
-    """For each centre, the winding number of f around the first circle of
-    its radii (one sequence per centre) that does not meet a zero, the
+def first_circle_windings(f, circles, *, rate_hint=None, upper_half=False):
+    """For each (centre, radii) of ``circles``, the winding number of f
+    around the first circle of those radii that does not meet a zero, the
     circles tried round by round as in :func:`first_windings` and wound as
-    in :func:`circle_windings`, or as in :func:`half_circle_windings` with
-    ``upper_half``; where every circle meets a zero, the message (a str)."""
-    many = half_circle_windings if upper_half else circle_windings
+    in :func:`_circle_windings`; None where every circle meets a zero."""
 
-    def wind(circles):
-        return many(f, [c for c, _ in circles], [r for _, r in circles], rate_hint=rate_hint)
+    def wind(batch):
+        return _circle_windings(f, [c for c, _ in batch], [r for _, r in batch],
+                                rate_hint, upper_half)
 
-    out = first_windings(wind, [[(c, r) for r in rs] for c, rs in zip(centers, radii)])
-    return [w if isinstance(w, str) else w[0] for w in out]
+    out = first_windings(wind, [[(c, r) for r in radii] for c, radii in circles])
+    return [None if isinstance(w, str) else w[0] for w in out]

@@ -541,8 +541,9 @@ class Assembly:
 
 
 # The graph passed last to scattering_matrix, secular_value,
-# interior_determinant, eigenvalues_compact, find_poles or refine_pole, and
-# its Assembly. One entry, so it holds at most one graph alive.
+# interior_determinant, eigenvalues_compact, find_poles, refine_pole or, as
+# its graph 1, transplantability_verdict, and its Assembly. One entry, so it
+# holds at most one graph alive.
 _last_assembly = None
 
 
@@ -685,13 +686,12 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
 
     Each distinct candidate gets its multiplicity m from the winding number
     on a small circle around it; a start that led nowhere winds 0 and is
-    dropped. For k-independent conditions g(conj k) = c conj(g(k)) with
-    |c| = 1, so only the upper half of each circle is wound, and the
-    winding is twice its turn
-    (:func:`~qgscatter.contours.half_circle_windings`); A/B conditions wind
-    the whole circle of D. The circles of all
-    candidates are wound together
-    (:func:`~qgscatter.contours.first_circle_windings`), and a circle that
+    dropped. The circles of all candidates are wound together by the one
+    circle entry the pole search uses too
+    (:func:`~qgscatter.contours.first_circle_windings`): for k-independent
+    conditions g(conj k) = c conj(g(k)) with |c| = 1, so only the upper half
+    of each circle is wound (``upper_half``), and the winding is twice its
+    turn; A/B conditions wind the whole circle of D. A circle that
     meets a zero is retried with twice the radius, up to 0.4 of the gap to
     the nearest other candidate (at most 0.05): round i winds the i-th
     radius of every candidate still unresolved, in one pass. A candidate
@@ -777,10 +777,10 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     # turns the halves by opposite amounts)
     windings = contours.first_circle_windings(
         functools.partial(_g, asm) if asm.k_independent else asm.interior_det_many,
-        found, radii, rate_hint=rate, upper_half=asm.k_independent)
+        zip(found, radii), rate_hint=rate, upper_half=asm.k_independent)
     kept, warnings = [], []
     for (kr, done), mult, trust in zip(candidates, windings, caps):
-        if isinstance(mult, str):
+        if mult is None:
             warnings.append(f"multiplicity circles around k = {kr} kept hitting zeros; "
                             "assumed 1")
             mult = 1

@@ -9,6 +9,7 @@ bookkeeping built by :func:`bond_table`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -300,35 +301,24 @@ def attach_leads(graph: MetricGraph, attachments: Sequence[str], *, lead_ids=Non
         lead_ids = [f"l{i}" for i in range(len(attachments))]
     if len(lead_ids) != len(attachments):
         raise ValidationError("lead_ids must match attachments in length")
-    if len(set(lead_ids)) != len(lead_ids):
-        raise DuplicateId("duplicate lead id")
-
-    counts = {}
-    for vid in attachments:
-        counts[vid] = counts.get(vid, 0) + 1
-    _check_conditions(graph, counts)
+    twice = [lid for lid, n in Counter(lead_ids).items() if n > 1]
+    if twice:
+        raise DuplicateId(f"duplicate lead id {twice[0]!r}")
+    _check_conditions(graph, Counter(attachments))
 
     leads = tuple(Lead(lid, vid) for lid, vid in zip(lead_ids, attachments))
     return OpenGraph(graph, leads)
 
 
 def open_graph(vertices, edges, leads) -> OpenGraph:
-    """One-shot validated construction from parsed record lists."""
+    """One-shot validated construction from parsed record lists: the graph
+    built with its leads pending, then :func:`attach_leads`."""
     leads = tuple(leads)
     if not leads:
         raise NoLeads("an open graph needs at least one lead")
-    counts = {}
-    for l in leads:
-        counts[l.at] = counts.get(l.at, 0) + 1
-    g = build_graph(vertices, edges, pending_leads=counts)
-    seen = set()
-    for l in leads:
-        if l.id in seen:
-            raise DuplicateId(f"duplicate lead id {l.id!r}")
-        seen.add(l.id)
-        if not g.has_vertex(l.at):
-            raise UnknownVertex(f"lead {l.id!r} attached at unknown vertex {l.at!r}")
-    return OpenGraph(g, leads)
+    ats = [l.at for l in leads]
+    g = build_graph(vertices, edges, pending_leads=Counter(ats))
+    return attach_leads(g, ats, lead_ids=[l.id for l in leads])
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,11 @@ inflation, and gives the power sums of the inflated contour
 on the requested window edge (commonly on the real axis) are still
 captured by the cells they border.
 
-The circles of all polished zeros are wound together in the same way
-(:func:`~qgscatter.contours.first_circle_windings`), from 8 points each; a
-circle that meets a zero is retried with a radius 1.4 times larger, and
-round i winds the i-th radius of every zero still unresolved, in one pass.
+The circles of all polished zeros are wound together in the same way by
+the one circle entry the spectrum uses too, from 8 points each
+(:func:`~qgscatter.contours.first_circle_windings`); a circle that meets
+a zero is retried with a radius 1.4 times larger, and round i winds the
+i-th radius of every zero still unresolved, in one pass.
 The Newton runs from the moment starts of a level's cells, and then the
 circles inside those of winding w >= 2, are likewise one pass per level.
 
@@ -183,13 +184,9 @@ def _rate(*asms: Assembly) -> float:
 
 
 def _circle_windings(asm: Assembly, circles) -> List[Optional[int]]:
-    """Winding of D on the first circle of each (centre, radii) that meets
-    no zero, all wound together: round i winds the i-th radius of every
-    centre still unresolved, in one pass. None where every circle meets a
-    zero."""
-    return [None if isinstance(w, str) else w
-            for w in first_circle_windings(asm.interior_det_many, [c for c, _ in circles],
-                                           [r for _, r in circles], rate_hint=_rate(asm))]
+    """:func:`~qgscatter.contours.first_circle_windings` of D on each
+    (centre, radii), at the bulk rate of D alone."""
+    return first_circle_windings(asm.interior_det_many, circles, rate_hint=_rate(asm))
 
 
 def _polish(asm: Assembly, starts, trusts) -> List[Tuple[complex, float, int]]:

@@ -323,6 +323,56 @@ def test_bad_parameters_exit_1_with_error_line(capsys, argv, message):
     assert captured.err.startswith("error:") and message in captured.err
 
 
+_Z2_GROUP = {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]}
+_Z2_ACTION = {"e": [0, 1], "s": [1, 0]}
+
+
+@pytest.mark.parametrize("graph, symmetry, where", [
+    ({"vertices": 5}, None, "$.vertices"),
+    ({**INTERVAL_DOC, "edges": {"e": 1}}, None, "$.edges"),
+    ({**INTERVAL_DOC, "leads": "a"}, None, "$.leads"),
+    ({**INTERVAL_DOC, "edges": [{"id": "e", "from": ["a"], "to": "b", "length": 1.0}]},
+     None, "$.edges[0]"),
+    ({**INTERVAL_DOC, "leads": [{"id": "l", "at": {}}]}, None, "$.leads[0]"),
+    # true and false are not numbers: a length of true built an edge of length 1.0
+    ({**INTERVAL_DOC, "edges": [{"id": "e", "from": "a", "to": "b", "length": True}]},
+     None, "$.edges[0]"),
+    ({"vertices": [{"id": "a", "condition": {"type": "dft", "degree": True}}]},
+     None, "$.vertices[0].condition"),
+    ({"vertices": [{"id": "a", "condition": {"type": "fixed_unitary", "matrix": [[False]]}}]},
+     None, "$.vertices[0].condition.matrix[0][0]"),
+    ({"vertices": [{"id": "a", "condition": {"type": "fixed_unitary",
+                                             "matrix": [[[True, 0]]]}}]},
+     None, "$.vertices[0].condition.matrix[0][0]"),
+    (None, {"group": 3, "lead_action": {}}, "$.group"),
+    (None, {"group": {"elements": 2, "table": [[0]]}, "lead_action": {}}, "$.group.elements"),
+    (None, {"group": {"elements": ["e", "s"], "table": [[0, 1], [1]]}, "lead_action": {}},
+     "$.group.table"),
+    (None, {"group": {"elements": ["e", "s"], "table": [[0, True], [1, 0]]},
+            "lead_action": {}}, "$.group.table"),
+    (None, {"group": _Z2_GROUP, "lead_action": {"e": [0, 1], "s": [1]}}, "$.lead_action"),
+    (None, {"group": _Z2_GROUP, "lead_action": _Z2_ACTION, "representations": [1]},
+     "$.representations"),
+    (None, {"group": _Z2_GROUP, "lead_action": _Z2_ACTION, "subgroups": {"H": 4}},
+     "$.subgroups.H"),
+    (None, {"group": _Z2_GROUP, "lead_action": _Z2_ACTION,
+            "subgroups": {"H": {"elements": "e"}}}, "$.subgroups.H.elements"),
+])
+def test_malformed_file_shapes_exit_1_with_error_line(capsys, tmp_path, graph, symmetry, where):
+    # a value of the wrong JSON type is a ParseError at its path, never a traceback
+    if symmetry is None:
+        argv = ["eigenvalues", "--graph", write(tmp_path, "g.json", graph),
+                "--kmin", "0.5", "--kmax", "4"]
+    else:
+        argv = ["quotient", "--graph", str(DATA_DIR / "s3_star.json"), "--symmetry",
+                write(tmp_path, "s.json", symmetry), "--rep", "R_2d", "--k", "1.0"]
+    report, code = run_command(argv)
+    captured = capsys.readouterr()
+    assert report is None and code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and f"(at {where})" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     import os
     import subprocess

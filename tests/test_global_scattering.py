@@ -606,8 +606,8 @@ def test_half_circle_winding_equals_full_circle_winding(name):
     g = _g_of(asm)
     for radius in (0.05, 0.1, 0.3):
         radii = [radius] * len(zeros)
-        half = contours.half_circle_windings(g, zeros, radii, rate_hint=rate)
-        full = contours.circle_windings(g, zeros, radii, rate_hint=rate)
+        half = contours._circle_windings(g, zeros, radii, rate, True)
+        full = contours._circle_windings(g, zeros, radii, rate, False)
         assert half == full == multiplicities
 
 
@@ -684,12 +684,13 @@ def test_multiplicity_fallback_is_reported(monkeypatch, capsys, tmp_path):
 
     calls = []
 
-    def failing(f, centers, radii, *args, **kwargs):
+    def failing(f, centers, radii, rate_hint, upper_half):
+        # k-independent conditions: the circles are wound from their upper halves
+        assert upper_half
         calls.append(len(centers))
         return ["forced failure"] * len(centers)
 
-    # k-independent conditions: the circles are wound from their upper halves
-    monkeypatch.setattr(contours, "half_circle_windings", failing)
+    monkeypatch.setattr(contours, "_circle_windings", failing)
     verts = [Vertex("c", Neumann())] + [Vertex(f"t{i}", Dirichlet()) for i in range(3)]
     edges = [Edge(f"e{i}", "c", f"t{i}", 1.0) for i in range(3)]
     win = eigenvalues_compact(build_graph(verts, edges), (0.5, 4.0))

@@ -15,10 +15,9 @@ from qgscatter.contours import (
     QuadLevel,
     Rect,
     circle_winding,
-    circle_windings,
+    first_circle_windings,
     first_windings,
     rect_winding,
-    rect_windings,
 )
 from qgscatter.errors import BoundaryZero, DeterminantOverflow, Diverged, NonHolomorphic
 from qgscatter.global_scattering import Assembly
@@ -57,11 +56,23 @@ def test_winding_boundary_zero_detected():
         winding_number(lambda z: z - 1.0, Rect(0, 1, -1, 1))
 
 
+def _rect_windings(f, rects, samples=64):
+    """The winding of f around each rectangle, all settled in one pass; for
+    a rectangle whose boundary met a zero, the message (a str)."""
+    return QuadLevel._ring(rects)._wind_sides(f, samples, None)
+
+
+def _whole_circle_windings(f, centers, radii):
+    """The winding of f around each whole circle, all settled in one pass;
+    for a circle that met a zero, the message (a str)."""
+    return contours._circle_windings(f, centers, radii, None, False)
+
+
 def test_first_windings_inflates_past_a_corner_zero():
     c = 1.0 + 1.0j  # the upper right corner of the first rectangle
     first = Rect(0.0, 1.0, 0.0, 1.0)
     rects = [first, first.inflated(0.1), first.inflated(0.1).inflated(0.2)]
-    out = first_windings(lambda batch: rect_windings(lambda zs: zs - c, batch), [rects])
+    out = first_windings(lambda batch: _rect_windings(lambda zs: zs - c, batch), [rects])
     assert out == [(1, rects[1])]
 
 
@@ -73,7 +84,7 @@ def test_first_windings_names_the_first_contour_when_all_hit_zeros():
 
     def wind_many(batch):
         wound.append(batch)
-        return rect_windings(lambda zs: zs, batch)
+        return _rect_windings(lambda zs: zs, batch)
 
     (out,) = first_windings(wind_many, [rects])
     assert out.startswith(f"all 2 contours tried for {rects[0]} hit zeros: ")
@@ -107,7 +118,7 @@ def test_circle_windings_match_one_circle_at_a_time():
     # circles around each root, circles beside it and circles enclosing none
     centers = [c + d for c, _ in _ROOTS for d in (0.0, 0.3 - 0.2j)] + [1.5, 4.5j]
     radii = [0.5, 0.1, 0.01, 1.0, 0.25, 0.05, 1e-3, 0.8, 0.5, 0.2, 0.7, 0.9, 1.0, 2.0]
-    together = circle_windings(_multiple_roots, centers, radii)
+    together = _whole_circle_windings(_multiple_roots, centers, radii)
     alone = [circle_winding(_multiple_roots, c, r) for c, r in zip(centers, radii)]
     assert together == alone
     assert together[::2][:6] == [m for _, m in _ROOTS]
@@ -117,7 +128,7 @@ def test_circle_windings_match_one_circle_at_a_time():
 def test_circle_windings_call_f_once_per_bisection_depth():
     f, calls = _counting(_multiple_roots)
     centers = [c for c, _ in _ROOTS]
-    assert circle_windings(f, centers, [0.5] * len(centers)) == [m for _, m in _ROOTS]
+    assert _whole_circle_windings(f, centers, [0.5] * len(centers)) == [m for _, m in _ROOTS]
     alone = []
     for c in centers:
         one, calls_one = _counting(_multiple_roots)
@@ -141,7 +152,8 @@ def test_circle_through_a_zero_fails_alone():
     def f(zs):
         return (zs - 1.0) * (zs - p) * (zs - 3.0) ** 2
 
-    windings = circle_windings(f, [0.0, 3.0, 10.0, 3.0 + 1.0j, 10.0], [1.0, 0.5, 1.0, 0.1, 0.5])
+    windings = _whole_circle_windings(f, [0.0, 3.0, 10.0, 3.0 + 1.0j, 10.0],
+                                      [1.0, 0.5, 1.0, 0.1, 0.5])
     assert all(isinstance(w, str) and "on the contour" in w for w in windings[::2][:2])
     assert windings[1::2] == [2, 0] and windings[4] == 0
     with pytest.raises(BoundaryZero):
@@ -155,16 +167,19 @@ def test_first_windings_retries_round_by_round():
 
     def wind_many(circles):
         rounds.append(circles)
-        return circle_windings(_multiple_roots, [c for c, _ in circles],
-                               [r for _, r in circles])
+        return _whole_circle_windings(_multiple_roots, [c for c, _ in circles],
+                                      [r for _, r in circles])
 
     schedules = [[(0.0, 3.0), (0.0, 2.0)], [(3.0, 0.5)], [(6.0, 3.0), (6.0, 1.0)],
                  [(9.0, 3.0), (9.0, 3.0)]]
     out = first_windings(wind_many, schedules)
     assert out[:3] == [(1, (0.0, 2.0)), (2, (3.0, 0.5)), (3, (6.0, 1.0))]
     assert out[3] == (f"all 2 contours tried for {(9.0, 3.0)} hit zeros: "
-                      + circle_windings(_multiple_roots, [9.0], [3.0])[0])
+                      + _whole_circle_windings(_multiple_roots, [9.0], [3.0])[0])
     assert rounds == [[s[0] for s in schedules], [(0.0, 2.0), (6.0, 1.0), (9.0, 3.0)]]
+    # the one circle entry winds the same rounds and gives None for a failure
+    circles = [(s[0][0], [r for _, r in s]) for s in schedules]
+    assert first_circle_windings(_multiple_roots, circles) == [1, 2, 3, None]
 
 
 def test_winding_scalar_and_array_callables_agree():
@@ -510,7 +525,7 @@ def test_failed_cells_of_a_level_are_wound_together_inflated(monkeypatch):
     alone = []
     for rect in rects:
         one, calls_one = _counting(poly)
-        assert rect_windings(one, [rect], 256) == [rect_winding(poly, rect)]
+        assert _rect_windings(one, [rect], 256) == [rect_winding(poly, rect)]
         alone.append(calls_one)
     assert calls[start] == sum(c[0] for c in alone)
     assert len(calls) - start == max(map(len, alone))
@@ -726,13 +741,13 @@ def test_cell_that_winds_once_goes_to_newton_unsplit(monkeypatch):
     window = Rect(1.0, 2.0, -1.0, 0.0)
     seen = _record_level_windings(monkeypatch)
     circles = []
-    wind_circles = contours.circle_windings
+    wind_circles = contours._circle_windings
 
-    def recording(f, centers, radii, **kwargs):
+    def recording(f, centers, radii, rate_hint, upper_half):
         circles.append(list(centers))
-        return wind_circles(f, centers, radii, **kwargs)
+        return wind_circles(f, centers, radii, rate_hint, upper_half)
 
-    monkeypatch.setattr(contours, "circle_windings", recording)
+    monkeypatch.setattr(contours, "_circle_windings", recording)
     ps = find_poles(two_pendant_resonator(), window)
     assert [w for _, w in seen] == [[1]]
     assert len(circles) == 1 and np.allclose(circles[0], [RESONATOR_POLES[0]])
