@@ -458,8 +458,9 @@ def _cmd_compute_s(args) -> RunReport:
     k = _parse_k(args.k)
     with np.errstate(over="ignore", invalid="ignore"):
         ev = scattering_matrix(og, k)
-    if not np.isfinite(ev.interior_det):  # S can stay finite where D(k) overflows
-        raise DeterminantOverflow(f"interior determinant D(k) = {ev.interior_det} "
+        det = ev.interior_det  # taken here at complex k, where it may overflow
+    if not np.isfinite(det):  # S can stay finite where D(k) overflows
+        raise DeterminantOverflow(f"interior determinant D(k) = {det} "
                                   f"is not finite at k = {k}")
     return RunReport(
         command="compute-s",
@@ -469,7 +470,7 @@ def _cmd_compute_s(args) -> RunReport:
             "k": k,
             "s": complex_matrix_payload(ev.s),
             "lead_order": [l.id for l in og.leads],
-            "interior_determinant": ev.interior_det,
+            "interior_determinant": det,
             "unitarity_defect": ev.unitarity_defect,
         },
     )

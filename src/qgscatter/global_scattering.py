@@ -47,7 +47,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import contours
+from . import contours, vertex_scattering
 from .errors import (
     DeterminantOverflow,
     SingularInterior,
@@ -83,11 +83,25 @@ _START_STEP = 5e-6
 
 @dataclass(frozen=True)
 class ScatteringEvaluation:
-    """One evaluation of the scattering matrix S(k)."""
+    """One evaluation of the scattering matrix S(k).
+
+    ``interior_det`` is D(k), the LU determinant of the interior matrix
+    I - Sigma_BB T(k) that S(k) was solved with. At real k the singularity
+    test of :meth:`Assembly.scattering` takes it, and it is stored. At
+    complex k nothing reads it there, so the evaluation keeps the interior
+    matrix (``_interior``) and takes its determinant on the first read,
+    with the same bits; reading it again costs nothing more.
+    """
 
     k: complex
     s: np.ndarray
-    interior_det: complex
+    _interior: object = field(repr=False)  # D(k), or the matrix it is the determinant of
+
+    @functools.cached_property
+    def interior_det(self) -> complex:
+        if isinstance(self._interior, np.ndarray):
+            return lu_det(self._interior)
+        return self._interior
 
     @property
     def unitarity_defect(self) -> float:
@@ -266,10 +280,14 @@ class _ReducedKernel:
 class Assembly:
     """Cached channel matrices for one open (or closed) graph.
 
-    Sigma(k) over all channels is one scatter of the stacked vertex
-    matrices sigma_v(k) into place, at indices fixed at construction; for
-    graphs whose conditions are all k-independent it is built once, and
-    only the propagator T(k) varies with k.
+    Sigma(k) over all channels is one scatter of the vertex matrices
+    sigma_v(k) into place, at indices fixed at construction; for graphs
+    whose conditions are all k-independent it is built once, and only the
+    propagator T(k) varies with k. Otherwise each Sigma(k) writes the
+    constant blocks from one precomputed index/value pair and solves the
+    A/B vertices of each degree in one stacked
+    :func:`~qgscatter.vertex_scattering._ab_solve` call, which raises
+    :class:`~qgscatter.errors.SingularAtK` when any of them is singular.
 
     D(k) has two kernels. A graph with edges whose conditions are all
     k-independent gets the reduced kernel: D from the r x r matrix M(k) of
@@ -293,20 +311,31 @@ class Assembly:
         self.total_bond_length = float(np.sum(self.table.bond_lengths))
         self.evaluations = 0
         n = self.table.n_channels
-        self._rules, self._vertices = [], []
-        flat = []
+        self._vertices = []
+        # flat indices and values of the constant blocks; per degree, the
+        # flat indices and the stacked A and B of the A/B vertices
+        const_flat, const_values, by_degree = [], [], {}
         for v in og.graph.vertices:
             io = self.table.vertex_io[v.id]
             if not io:
                 continue
-            self._rules.append(condition_sigma(v.condition, len(io)))
-            self._vertices.append((v.condition, io, self._rules[-1].constant))
+            rule = condition_sigma(v.condition, len(io))
+            self._vertices.append((v.condition, io, rule.constant))
             # sigma_v[i, j] sends local in-channel j to local out-channel i
-            ins = [c_in for _, c_in in io]
-            for c_out, _ in io:
-                flat += [c_out * n + c_in for c_in in ins]
-        self._flat = np.array(flat, dtype=np.intp)
-        self.k_independent = all(r.is_constant for r in self._rules)
+            flat = [c_out * n + c_in for c_out, _ in io for _, c_in in io]
+            if rule.is_constant:
+                const_flat += flat
+                const_values.append(rule.constant.ravel())
+            else:
+                flats, a, b = by_degree.setdefault(rule.degree, ([], [], []))
+                flats += flat
+                a.append(rule.ab[0])
+                b.append(rule.ab[1])
+        self._const = (np.array(const_flat, dtype=np.intp),
+                       np.concatenate(const_values) if const_values else np.zeros(0, complex))
+        self._ab = [(np.array(flat, dtype=np.intp), np.stack(a), np.stack(b))
+                    for flat, a, b in by_degree.values()]
+        self.k_independent = not self._ab
         self._sigma = self._assemble(1.0) if self.k_independent else None
 
     @functools.cached_property
@@ -319,11 +348,14 @@ class Assembly:
         return _ReducedKernel(self.table, self._vertices)
 
     def _assemble(self, k) -> np.ndarray:
-        """Sigma(k) from the vertex matrices sigma_v(k)."""
+        """Sigma(k) from the vertex matrices sigma_v(k): the constant blocks,
+        then one stacked A/B solve per degree."""
         n = self.table.n_channels
         sigma = np.zeros(n * n, dtype=complex)
-        if self._rules:
-            sigma[self._flat] = np.concatenate([rule(k).ravel() for rule in self._rules])
+        flat, values = self._const
+        sigma[flat] = values
+        for flat, a, b in self._ab:
+            sigma[flat] = vertex_scattering._ab_solve(a, b, k).ravel()
         return sigma.reshape(n, n)
 
     def sigma(self, k) -> np.ndarray:
@@ -454,28 +486,40 @@ class Assembly:
         return k, max_iter, True
 
     def scattering(self, k) -> ScatteringEvaluation:
+        """S(k) by one bond-space solve (:meth:`_schur`), after Sigma(k) and
+        T(k). The LU determinant D(k) of the interior matrix is taken at
+        real k only, where |D(k)| below ``_SINGULAR_TOL`` raises
+        :class:`SingularInterior`; at complex k the evaluation takes it when
+        its ``interior_det`` is first read. Raises :class:`ZeroK` at k = 0.
+        """
         k = complex(k)
         if k == 0:
             raise ZeroK("k must be nonzero")
         sigma = self.sigma(k)
         if self.table.n_bonds == 0:
             nl = self.table.n_leads
-            return ScatteringEvaluation(k=k, s=sigma[:nl, :nl].copy(), interior_det=1.0 + 0.0j)
+            return ScatteringEvaluation(k=k, s=sigma[:nl, :nl].copy(), _interior=1.0 + 0.0j)
         m, tk = self._interior_system(np.array([k]), sigma)
-        det = lu_det(m[0])
-        s = self._schur([k], sigma, m[0], tk[0], [det])
-        return ScatteringEvaluation(k=k, s=s, interior_det=det)
+        interior = m[0]
+        if not k.imag:
+            interior = lu_det(m[0])
+            if abs(interior) < _SINGULAR_TOL:
+                raise _singular(k, interior)
+        return ScatteringEvaluation(k=k, s=self._schur([k], sigma, m[0], tk[0]),
+                                    _interior=interior)
 
     def scattering_many(self, ks) -> np.ndarray:
         """S(k) stacked over a 1-D array of k, each bit-identical to
         ``scattering(k).s``.
 
-        The interior systems are stacked and their determinants and solves
-        handed to LAPACK in chunks of about ``_DET_CHUNK_ENTRIES`` entries,
-        so long sweeps of large graphs keep memory flat. k-dependent
-        conditions get one Sigma(k) per k. Raises :class:`ZeroK` when some k
-        is 0 and :class:`SingularInterior` at the first real k, in order,
-        where the interior system is singular, as ``scattering(k)`` does.
+        The interior systems are stacked and their solves handed to LAPACK
+        in chunks of about ``_DET_CHUNK_ENTRIES`` entries, so long sweeps of
+        large graphs keep memory flat; the determinants are taken of the
+        real k of a chunk only, in one call, for the singularity test.
+        k-dependent conditions get one Sigma(k) per k. Raises :class:`ZeroK`
+        when some k is 0 and :class:`SingularInterior` at the first real k,
+        in order, where the interior system is singular, as
+        ``scattering(k)`` does.
         """
         ks = np.asarray(ks, dtype=complex)
         if (ks == 0).any():
@@ -490,7 +534,12 @@ class Assembly:
             part = slice(start, start + per_chunk)
             sigma = self._sigmas(ks[part])
             m, tk = self._interior_system(ks[part], sigma)
-            out[part] = self._schur(ks[part], sigma, m, tk, np.linalg.det(m))
+            real = ks[part].imag == 0
+            dets = np.linalg.det(m if real.all() else m[real])
+            singular = np.flatnonzero(np.abs(dets) < _SINGULAR_TOL)
+            if singular.size:
+                raise _singular(ks[part][real][singular[0]], dets[singular[0]])
+            out[part] = self._schur(ks[part], sigma, m, tk)
         return out
 
     def scattering_det_many(self, ks) -> np.ndarray:
@@ -521,19 +570,17 @@ class Assembly:
             raise _singular(ks[singular[0]], d[singular[0]])
         return np.linalg.det(self._sigma) * np.exp(1j * self.total_bond_length * ks) * d.conj() / d
 
-    def _schur(self, ks, sigma, m, tk, dets) -> np.ndarray:
+    def _schur(self, ks, sigma, m, tk) -> np.ndarray:
         """S(k) = Sigma_LL + Sigma_LB T (I - Sigma_BB T)^-1 Sigma_BL for the
-        interior systems ``m`` of ks (one matrix, or one per k stacked) with
-        determinants ``dets``. Raises :class:`SingularInterior` at the first
-        real k with |D(k)| below ``_SINGULAR_TOL``, or at the first k whose
-        system LAPACK cannot solve."""
-        for k, det in zip(ks, dets):
-            if abs(det) < _SINGULAR_TOL and k.imag == 0:
-                raise _singular(k, det)
+        interior systems ``m`` of ks (one matrix, or one per k stacked),
+        whose real k the caller has tested for singularity. Raises
+        :class:`SingularInterior` at the first k whose system LAPACK cannot
+        solve, taking the determinants only then."""
         nl = self.table.n_leads
         try:
             x = np.linalg.solve(m, sigma[..., nl:, :nl])
         except np.linalg.LinAlgError as exc:
+            dets = np.linalg.det(m).reshape(-1)
             k, det = next((complex(k), complex(det)) for k, det in zip(ks, dets) if det == 0)
             raise SingularInterior(f"interior system exactly singular at k = {k}",
                                    k=k, determinant=det) from exc
@@ -568,9 +615,11 @@ def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
     A sweep over k of one graph object builds its :class:`Assembly` (bond
     table, vertex rules, Sigma when constant) once: the Assembly of the
     graph of the last call is kept and reused while the same object is
-    passed again. Only that one graph is held. T(k), Sigma(k) for
-    k-dependent conditions, the solve and the singularity test run on every
-    call, and S is a new array each time.
+    passed again. Only that one graph is held. Every call builds T(k) and,
+    for k-dependent conditions, Sigma(k), with one stacked A/B solve per
+    vertex degree; then it solves for S, a new array each time. A real k
+    also takes the bond determinant D(k) for the singularity test; a
+    complex k takes it only when ``interior_det`` of the result is read.
     """
     return _assembly(og).scattering(k)
 

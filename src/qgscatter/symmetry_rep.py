@@ -632,7 +632,8 @@ _EQUIVARIANCE_TOL = 1e-10  # largest commutator defect or leak, Frobenius norm
 
 
 # The set-up of the (graph, action) pair passed last to a quotient:
-# (og, act, P(g) matrices, {(rho bytes, carrier bytes): EncodingMap or None}).
+# (og, act, P(g) stacked in element order, {(rho bytes, carrier bytes):
+# EncodingMap or None}).
 # One entry, replaced whole, so it holds one graph alive. The encodings are
 # keyed by value, so an equal rho built afresh hits and no rho is kept; the
 # dict is emptied when it reaches _MAX_ENCODINGS (a sweep over carriers v).
@@ -641,19 +642,26 @@ _MAX_ENCODINGS = 32
 
 
 def _quotient_setup(og: OpenGraph, act: GraphAction):
-    """P(g) and the encodings cache of the pair, validated once per pair."""
+    """P(g) stacked (order x leads x leads) and the encodings cache of the
+    pair, validated once per pair."""
     global _last_quotient
     last_og, last_act, perm_mats, encodings = _last_quotient
     if last_og is not og or last_act is not act:
         validate_action(og, act)
-        perm_mats, encodings = lead_permutation_matrices(act), {}
+        perm_mats, encodings = np.stack(lead_permutation_matrices(act)), {}
         _last_quotient = (og, act, perm_mats, encodings)
     return perm_mats, encodings
 
 
 def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
     """Upsilon_i^+ S(k) Upsilon_i for each (rho_i, v_i) of ``terms``, in order,
-    all from one S(k) and one commutator check."""
+    all from one S(k) and one commutator check.
+
+    The check takes P(g) S - S P(g) for every element at once from the
+    stacked P(g) of the set-up and names the first element whose defect
+    exceeds ``_EQUIVARIANCE_TOL``. Each block B = (Upsilon^+ S) Upsilon
+    has the leak |S Upsilon - Upsilon B|, which is |(I - Upsilon
+    Upsilon^+) S Upsilon| without the projector."""
     perm_mats, encodings = _quotient_setup(og, act)
     keyed = []
     for rho, v in terms:
@@ -670,13 +678,14 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
             )
         keyed.append((rho, carrier, key))
     s = scattering_matrix(og, k).s
-    for g, p in enumerate(perm_mats):
-        defect = float(np.linalg.norm(p @ s - s @ p))
-        if defect > _EQUIVARIANCE_TOL:
-            raise NotEquivariant(
-                f"S(k) does not commute with {act.group.elements[g]} "
-                f"(defect {defect:.3e}); the graph does not have this symmetry"
-            )
+    defects = np.linalg.norm(perm_mats @ s - s @ perm_mats, axis=(1, 2))
+    failed = np.flatnonzero(defects > _EQUIVARIANCE_TOL)
+    if failed.size:
+        g = failed[0]
+        raise NotEquivariant(
+            f"S(k) does not commute with {act.group.elements[g]} "
+            f"(defect {defects[g]:.3e}); the graph does not have this symmetry"
+        )
     blocks = []
     for rho, carrier, key in keyed:
         if key in encodings:
@@ -689,12 +698,11 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
         if enc is None:
             blocks.append(np.zeros((0, 0), dtype=complex))
             continue
-        leak = float(np.linalg.norm(
-            (np.eye(s.shape[0]) - enc.upsilon @ enc.pseudo_inverse) @ s @ enc.upsilon
-        ))
+        block = enc.pseudo_inverse @ s @ enc.upsilon
+        leak = float(np.linalg.norm(s @ enc.upsilon - enc.upsilon @ block))
         if leak > _EQUIVARIANCE_TOL:
             raise NotEquivariant(f"S(k) leaks out of the encoded subspace (residual {leak:.3e})")
-        blocks.append(enc.pseudo_inverse @ s @ enc.upsilon)
+        blocks.append(block)
     return blocks
 
 
@@ -709,12 +717,14 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
     dim rho. This is the one-term :func:`quotient_scattering_sum`.
 
     A sweep over k builds its set-up once: the validated action, its P(g)
-    and the encoding of each (rho, v) are kept for the last (og, act) pair
-    (compared with ``is``), keyed by the values of rho's matrices and v (up
-    to ``_MAX_ENCODINGS`` of them). S(k) comes from :func:`scattering_matrix`,
+    stacked in one array and the encoding of each (rho, v) are kept for the
+    last (og, act) pair (compared with ``is``), keyed by the values of rho's
+    matrices and v (up to ``_MAX_ENCODINGS`` of them). S(k) comes from :func:`scattering_matrix`,
     whose memo keeps the Assembly of its last graph, so at most two graphs
     are held. Nothing that raised is kept, and the commutator and leak
-    checks run on every call.
+    checks run on every call: one stacked P(g) S - S P(g) for all elements,
+    and the leak |S Upsilon - Upsilon B| of the block B returned, with no
+    identity or projector built.
     """
     return _quotient_blocks(og, act, [(rho, v)], k)[0]
 

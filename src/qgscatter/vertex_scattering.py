@@ -31,7 +31,10 @@ class VertexSigma:
 
     Named conditions are constant in k; linear A/B conditions are not. The
     constant variants are unitary by construction; an A/B matrix is unitary
-    at real k exactly when the condition set is self-adjoint.
+    at real k exactly when the condition set is self-adjoint. Calling the
+    rule solves its one A/B pair; :class:`~qgscatter.global_scattering.Assembly`
+    instead stacks the pairs of all its A/B vertices of one degree and
+    solves them in one :func:`_ab_solve` call per k, with the same bits.
     """
 
     degree: int
@@ -112,13 +115,21 @@ def _checked_ab(a, b, check_self_adjoint):
 
 def _ab_solve(a, b, k) -> np.ndarray:
     """The per-k part of :func:`ab_to_sigma`, for complex A and B whose
-    [A|B] is already known to have full row rank."""
+    [A|B] is already known to have full row rank.
+
+    ``a`` and ``b`` are one d x d pair or a stack of n pairs (n x d x d);
+    a stack is tested and solved in one LAPACK call each, every matrix of
+    it bit-identical to its own call. Raises :class:`SingularAtK` when some
+    A + ikB is all zero or has a determinant below 1e-13 once divided by
+    its largest entry; that scale feeds only this test.
+    """
     k = complex(k)
-    m = a + 1j * k * b
-    scale = max(1.0, float(np.abs(m).max()))
-    if abs(np.linalg.det(m / scale)) < 1e-13:
+    ikb = 1j * k * b
+    m = a + ikb
+    scale = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    if not scale.all() or (np.abs(np.linalg.det(m / scale)) < 1e-13).any():
         raise SingularAtK(f"A + ikB is singular at k = {k}", k=k)
-    return -np.linalg.solve(m, a - 1j * k * b)
+    return -np.linalg.solve(m, a - ikb)
 
 
 def ab_sigma(a, b, *, check_self_adjoint: bool = False) -> VertexSigma:

@@ -8,6 +8,7 @@ import pytest
 from qgscatter.cli import parse_graph_file
 from qgscatter.errors import (
     InvalidDegree,
+    SingularAtK,
     SingularInterior,
     ValidationError,
     WindowTooWide,
@@ -997,6 +998,80 @@ def test_scattering_many_names_the_first_singular_k():
         asm.scattering_det_many([1.0, 0.0])
     with pytest.raises(ValidationError):
         asm.scattering_det_many([1.0, 2 * np.pi - 0.5j])
+
+
+@pytest.mark.parametrize("build", [_dft_unitary_graph, _robin_lead_graph])
+def test_sweep_takes_bond_determinants_at_real_k_only(monkeypatch, build):
+    # the singularity test reads D(k) at real k; at complex k it is taken
+    # when interior_det is first read, once
+    from qgscatter import global_scattering
+
+    og = build()
+    taken = []
+    lu_det = global_scattering.lu_det
+    monkeypatch.setattr(global_scattering, "lu_det", lambda m: taken.append(1) or lu_det(m))
+    ks = _sweep_ks()
+    evs = [scattering_matrix(og, k) for k in ks]
+    n_real = int(np.sum(ks.imag == 0))
+    assert 0 < n_real < len(ks) and len(taken) == n_real
+    ev = evs[-1]
+    assert ev.k.imag != 0
+    det = ev.interior_det
+    assert ev.interior_det == det and len(taken) == n_real + 1
+    assert det == _textbook_det(Assembly(og), ev.k)
+    assert evs[0].interior_det == _textbook_det(Assembly(og), ks[0])
+    assert len(taken) == n_real + 1
+
+
+def _ab_degrees_graph():
+    """A/B vertices of degrees 3, 1, 2 and 1 beside a Neumann and a DFT
+    vertex. The last one, r2 (A = 1, B = -1), is singular at k = -i only."""
+    h3 = np.array([[0.3, 1j, 0.2], [-1j, -0.5, 0.0], [0.2, 0.0, 1.1]])
+    h2 = np.array([[0.4, 0.2], [0.2, -0.7]])
+    g = build_graph(
+        [Vertex("n", Neumann()), Vertex("f", DFT()), Vertex("u3", LinearAB(h3, np.eye(3))),
+         Vertex("r1", LinearAB([[1.0]], [[0.5]])), Vertex("u2", LinearAB(h2, np.eye(2))),
+         Vertex("r2", LinearAB([[1.0]], [[-1.0]]))],
+        [Edge("e1", "n", "f", 0.9), Edge("e2", "f", "u3", 1.3), Edge("e3", "u3", "u3", 0.7),
+         Edge("e4", "f", "r1", 0.6), Edge("e5", "n", "u2", 1.1), Edge("e6", "u2", "r2", 0.8)],
+        pending_leads={"n": 1, "f": 1},
+    )
+    return attach_leads(g, ["n", "f"])
+
+
+def test_stacked_ab_solves_place_each_vertex_block(monkeypatch):
+    from qgscatter import vertex_scattering
+    from qgscatter.vertex_scattering import ab_to_sigma
+
+    og = _ab_degrees_graph()
+    table = bond_table(og)
+    ks = (1.7, 2.1 - 0.4j)
+    expected = []
+    for k in ks:
+        sigma = np.zeros((table.n_channels, table.n_channels), dtype=complex)
+        for v in og.graph.vertices:
+            io = table.vertex_io[v.id]
+            c = v.condition
+            block = (ab_to_sigma(c.a, c.b, k) if isinstance(c, LinearAB)
+                     else condition_sigma(c, len(io))(k))
+            sigma[np.ix_([o for o, _ in io], [i for _, i in io])] = block
+        expected.append(sigma)
+    asm = Assembly(og)
+    calls = []
+    ab_solve = vertex_scattering._ab_solve
+
+    def counting(a, b, k):
+        calls.append((a.shape, k))
+        return ab_solve(a, b, k)
+
+    monkeypatch.setattr(vertex_scattering, "_ab_solve", counting)
+    for k, sigma in zip(ks, expected):
+        del calls[:]
+        assert np.array_equal(asm.sigma(k), sigma)
+        assert sorted(calls) == [((1, 2, 2), k), ((1, 3, 3), k), ((2, 1, 1), k)]
+    with pytest.raises(SingularAtK) as raised:
+        scattering_matrix(og, -1j)
+    assert raised.value.k == -1j
 
 
 def _not_self_adjoint_graph():

@@ -319,6 +319,38 @@ def test_quotient_requires_commuting_s():
         quotient_scattering(og, act, rho, None, k=1.0)
 
 
+def test_quotient_names_the_first_element_that_does_not_commute():
+    # Z2 x Z2 on a four-lead DFT star: l -> -l (mod 4) commutes with the DFT
+    # matrix, the swap of leads 0 and 2 and its product with it do not
+    group = FiniteGroup(("e", "a", "b", "ab"), np.array([[i ^ j for j in range(4)]
+                                                         for i in range(4)]))
+    act = GraphAction(group, [[0, 1, 2, 3], [0, 3, 2, 1], [2, 1, 0, 3], [2, 3, 0, 1]])
+    og = star_open_graph(4, condition=DFT())
+    s = scattering_matrix(og, 1.0).s
+    p = lead_permutation_matrices(act)
+    assert np.linalg.norm(p[1] @ s - s @ p[1]) <= 1e-12
+    defect = float(np.linalg.norm(p[2] @ s - s @ p[2]))
+    with pytest.raises(NotEquivariant) as raised:
+        quotient_scattering(og, act, trivial_rep(group), None, k=1.0)
+    assert str(raised.value) == (f"S(k) does not commute with b (defect {defect:.3e}); "
+                                 "the graph does not have this symmetry")
+
+
+def test_quotient_reports_a_subspace_that_s_leaks_out_of(monkeypatch):
+    # S commutes with the action, but the encoding handed in spans only the
+    # first lead, which S of the Neumann star does not keep
+    from qgscatter import symmetry_rep
+    from qgscatter.symmetry_rep import EncodingMap
+
+    og, act, _ = s3_star_action()
+    e0 = np.eye(6, 1, dtype=complex)
+    monkeypatch.setattr(symmetry_rep, "_last_quotient", (None, None, (), {}))
+    monkeypatch.setattr(symmetry_rep, "encoding_map",
+                        lambda phis, v: EncodingMap(upsilon=e0, pseudo_inverse=e0.T))
+    with pytest.raises(NotEquivariant, match="leaks out of the encoded subspace"):
+        quotient_scattering(og, act, trivial_rep(act.group), None, k=1.0)
+
+
 def test_choice_of_carrier_vector_conjugates():
     og, act, rho = s3_star_action()
     q1 = quotient_scattering(og, act, rho, [1.0, 0.0], k=1.0)

@@ -104,6 +104,25 @@ def test_ab_singular_at_k():
     ab_to_sigma(a, b, 1.0)
 
 
+@pytest.mark.parametrize("scale, d", [(0.05, 12), (0.3, 27)])
+def test_ab_small_entries_are_not_singular(scale, d):
+    # A = c I, B = 0 is the Dirichlet condition at every k; det(A + ikB) =
+    # c^d is tiny (2.4e-16 for 0.05 I_12), but scaled by its largest entry
+    # the matrix is I
+    sigma = ab_to_sigma(scale * np.eye(d), np.zeros((d, d)), 2.0)
+    assert np.array_equal(sigma, -np.eye(d))
+
+
+def test_ab_all_zero_matrix_is_singular():
+    # A + ikB = -ik0 I + ik I vanishes entirely at k = k0
+    k0 = 1.7
+    a, b = -1j * k0 * np.eye(3), np.eye(3)
+    with pytest.raises(SingularAtK) as raised:
+        ab_to_sigma(a, b, k0)
+    assert raised.value.k == k0
+    ab_to_sigma(a, b, k0 + 0.1)
+
+
 def test_ab_vertex_singular_only_at_k_one_serves_every_other_k():
     # A + ikB = 1 - k: the rule is built without a solve at any k, so only
     # k = 1 itself raises
