@@ -69,7 +69,6 @@ from .symmetry_rep import (
     validate_action,
 )
 from .vertex_scattering import (
-    VertexSigma,
     ab_to_sigma,
     dft_sigma,
     dirichlet_sigma,

@@ -61,7 +61,7 @@ def _format_float(x: float) -> str:
     return s
 
 
-def dumps_deterministic(obj, indent: int = 0) -> str:
+def dumps_deterministic(obj) -> str:
     """JSON text with sorted keys and %.17g floats, newline-free."""
     if obj is None:
         return "null"
@@ -101,11 +101,6 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
-
-
-def complex_matrix_payload(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +240,6 @@ def parse_graph_file(path) -> Union[MetricGraph, OpenGraph]:
     path. Validation errors from the graph model propagate unchanged.
     """
     return parse_graph_document(_load_json(path))
-
-
-def serialize_condition(c) -> dict:
-    if isinstance(c, Neumann):
-        return {"type": "neumann"}
-    if isinstance(c, Dirichlet):
-        return {"type": "dirichlet"}
-    if isinstance(c, DFT):
-        out = {"type": "dft"}
-        if c.degree is not None:
-            out["degree"] = c.degree
-        return out
-    if isinstance(c, LinearAB):
-        return {"type": "linear_ab", "a": complex_matrix_payload(c.a),
-                "b": complex_matrix_payload(c.b)}
-    if isinstance(c, FixedUnitary):
-        return {"type": "fixed_unitary", "matrix": complex_matrix_payload(c.matrix)}
-    raise TypeError(f"unsupported condition {c!r}")
-
-
-def serialize_graph(g: Union[MetricGraph, OpenGraph]) -> dict:
-    if isinstance(g, OpenGraph):
-        graph, leads = g.graph, g.leads
-    else:
-        graph, leads = g, ()
-    doc = {
-        "vertices": [{"id": v.id, "condition": serialize_condition(v.condition)}
-                     for v in graph.vertices],
-        "edges": [{"id": e.id, "from": e.from_vertex, "to": e.to_vertex, "length": e.length}
-                  for e in graph.edges],
-    }
-    if leads:
-        doc["leads"] = [{"id": l.id, "at": l.at} for l in leads]
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +429,7 @@ def _cmd_compute_s(args) -> RunReport:
         parameters={"k": k},
         results={
             "k": k,
-            "s": complex_matrix_payload(ev.s),
+            "s": ev.s,
             "lead_order": [l.id for l in og.leads],
             "interior_determinant": det,
             "unitarity_defect": ev.unitarity_defect,
@@ -563,7 +524,7 @@ def _cmd_quotient(args) -> RunReport:
         command="quotient",
         inputs={"graph": _digest(args.graph), "symmetry": _digest(args.symmetry)},
         parameters={"rep": args.rep, "v": args.v, "k": k},
-        results={"matrix": complex_matrix_payload(matrix), "dimension": matrix.shape[0]},
+        results={"matrix": matrix, "dimension": matrix.shape[0]},
     )
 
 
@@ -591,7 +552,7 @@ def _cmd_check_isoscattering(args) -> RunReport:
         "label": report.label,
     }
     if report.conjugacy.pi is not None:
-        results["pi"] = complex_matrix_payload(report.conjugacy.pi)
+        results["pi"] = report.conjugacy.pi
         results["conjugacy_residual"] = report.conjugacy.residual
     return RunReport(
         command="check-isoscattering",

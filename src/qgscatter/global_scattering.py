@@ -281,13 +281,19 @@ class Assembly:
     """Cached channel matrices for one open (or closed) graph.
 
     Sigma(k) over all channels is one scatter of the vertex matrices
-    sigma_v(k) into place, at indices fixed at construction; for graphs
-    whose conditions are all k-independent it is built once, and only the
-    propagator T(k) varies with k. Otherwise each Sigma(k) writes the
-    constant blocks from one precomputed index/value pair and solves the
-    A/B vertices of each degree in one stacked
-    :func:`~qgscatter.vertex_scattering._ab_solve` call, which raises
-    :class:`~qgscatter.errors.SingularAtK` when any of them is singular.
+    sigma_v(k) into place, at indices fixed at construction. Each vertex
+    with channels gets its sigma_v from
+    :func:`~qgscatter.vertex_scattering.condition_sigma`, which also checks
+    the condition against the vertex degree; an A/B vertex gets None there,
+    and the A and B of its :class:`~qgscatter.graph_core.LinearAB`, whose
+    [A|B] rank was checked when it was built, are stacked with those of the
+    other A/B vertices of its degree. For graphs whose conditions are all
+    k-independent Sigma is built once, and only the propagator T(k) varies
+    with k. Otherwise each Sigma(k) writes the constant blocks from one
+    precomputed index/value pair and solves the A/B vertices of each degree
+    in one stacked :func:`~qgscatter.vertex_scattering._ab_solve` call,
+    which raises :class:`~qgscatter.errors.SingularAtK` when any of them is
+    singular.
 
     D(k) has two kernels. A graph with edges whose conditions are all
     k-independent gets the reduced kernel: D from the r x r matrix M(k) of
@@ -319,18 +325,18 @@ class Assembly:
             io = self.table.vertex_io[v.id]
             if not io:
                 continue
-            rule = condition_sigma(v.condition, len(io))
-            self._vertices.append((v.condition, io, rule.constant))
+            sigma = condition_sigma(v.condition, len(io))
+            self._vertices.append((v.condition, io, sigma))
             # sigma_v[i, j] sends local in-channel j to local out-channel i
             flat = [c_out * n + c_in for c_out, _ in io for _, c_in in io]
-            if rule.is_constant:
+            if sigma is not None:
                 const_flat += flat
-                const_values.append(rule.constant.ravel())
+                const_values.append(sigma.ravel())
             else:
-                flats, a, b = by_degree.setdefault(rule.degree, ([], [], []))
+                flats, a, b = by_degree.setdefault(len(io), ([], [], []))
                 flats += flat
-                a.append(rule.ab[0])
-                b.append(rule.ab[1])
+                a.append(v.condition.a)
+                b.append(v.condition.b)
         self._const = (np.array(const_flat, dtype=np.intp),
                        np.concatenate(const_values) if const_values else np.zeros(0, complex))
         self._ab = [(np.array(flat, dtype=np.intp), np.stack(a), np.stack(b))

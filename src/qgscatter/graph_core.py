@@ -224,9 +224,6 @@ class OpenGraph:
     def lead_count_at(self, vid) -> int:
         return sum(1 for l in self.leads if l.at == vid)
 
-    def full_degree(self, vid) -> int:
-        return self.graph.degree(vid) + self.lead_count_at(vid)
-
     def scaled(self, factor: float) -> "OpenGraph":
         return OpenGraph(self.graph.scaled(factor), self.leads)
 

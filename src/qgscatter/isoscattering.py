@@ -183,17 +183,6 @@ def _find_conjugator(many1, many2, n_training: int) -> ConjugacyResult:
     return ConjugacyResult(status, pi, residual, null_dim, used, hold_used)
 
 
-def conjugation_residual(pi, s1, s2, ks) -> float:
-    """max_k ||Pi S1(k) - S2(k) Pi||_F over the given samples."""
-    pi = np.asarray(pi, dtype=complex)
-    out = 0.0
-    for k in ks:
-        a = np.asarray(s1(k), dtype=complex)
-        b = np.asarray(s2(k), dtype=complex)
-        out = max(out, float(np.linalg.norm(pi @ a - b @ pi)))
-    return out
-
-
 def isophasal_check(s1, s2) -> Tuple[bool, float]:
     """Equality of det S1(k) and det S2(k), to ``_PHASE_TOL``, at the 64
     evenly spaced real points ``_PHASE_KS`` in (0.1, 20].

@@ -93,24 +93,6 @@ def orthonormalize_rows(rows, tol=1e-12):
     return np.array(out) if out else np.zeros((0, np.asarray(rows).shape[1]), dtype=complex)
 
 
-def subspace_distance(a, b):
-    """Distance between the column spans of a and b.
-
-    Spectral norm of the difference of the orthogonal projectors, i.e. the
-    sine of the largest principal angle: 0 for identical spans, 1 for spans
-    with orthogonal directions or different dimensions. Computed from the
-    projectors directly, which stays at machine precision for equal spans
-    (the sqrt(1 - cos^2) route loses half the digits).
-    """
-    qa, _ = np.linalg.qr(np.asarray(a, dtype=complex))
-    qb, _ = np.linalg.qr(np.asarray(b, dtype=complex))
-    if qa.shape[1] != qb.shape[1]:
-        return 1.0
-    pa = qa @ qa.conj().T
-    pb = qb @ qb.conj().T
-    return float(np.linalg.norm(pa - pb, ord=2))
-
-
 def block_diag(blocks):
     """Direct sum of square complex blocks (0x0 result for no blocks)."""
     blocks = [np.asarray(b, dtype=complex) for b in blocks]

@@ -96,20 +96,6 @@ class FiniteGroup:
     def inverse(self, i: int) -> int:
         return int(np.nonzero(self.table[i] == 0)[0][0])
 
-    def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:
-        """Classes as index tuples, ordered by smallest member."""
-        seen = set()
-        classes = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            cls = set()
-            for x in range(self.order):
-                cls.add(self.multiply(self.multiply(x, g), self.inverse(x)))
-            classes.append(tuple(sorted(cls)))
-            seen |= cls
-        return tuple(sorted(classes, key=lambda c: c[0]))
-
     def same_group(self, other: "FiniteGroup") -> bool:
         return self.elements == other.elements and np.array_equal(self.table, other.table)
 
@@ -304,11 +290,6 @@ class ClassFunction:
             raise GroupMismatch("class functions live on different groups")
         return ClassFunction(self.group, self.values + other.values)
 
-    def inner(self, other: "ClassFunction") -> complex:
-        if not self.group.same_group(other.group):
-            raise GroupMismatch("class functions live on different groups")
-        return complex(np.sum(self.values * other.values.conj()) / self.group.order)
-
 
 def characters_equal(chi1: ClassFunction, chi2: ClassFunction, tol: float = 1e-9):
     """Max-norm equality of two class functions on the same group."""
@@ -363,9 +344,10 @@ def induced_character(group: FiniteGroup, sub: Union[SubgroupEmbedding, Sequence
 class GraphAction:
     """Permutation action of a group on the leads of an open graph.
 
-    ``lead_perm[g, i]`` is the index of lead g . l_i. Edge images with
-    orientation flags may be supplied for validation of internal symmetry;
-    they are not used by the quotient computation itself.
+    ``lead_perm[g, i]`` is the index of lead g . l_i. Edge images
+    (``edge_perm``) with orientation flags (``edge_flip``, all False when
+    omitted; it needs ``edge_perm``) may be supplied for validation of
+    internal symmetry; they are not used by the quotient computation itself.
     """
 
     group: FiniteGroup
@@ -379,6 +361,8 @@ class GraphAction:
             raise ValidationError("lead_perm must have one row per group element")
         lp.setflags(write=False)
         object.__setattr__(self, "lead_perm", lp)
+        if self.edge_perm is None and self.edge_flip is not None:
+            raise ValidationError("edge_flip needs an edge_perm")
         if self.edge_perm is not None:
             ep = np.asarray(self.edge_perm, dtype=int)
             ef = (np.zeros_like(ep, dtype=bool) if self.edge_flip is None
@@ -438,38 +422,47 @@ def _induced_channel_permutation(table: BondTable, act: GraphAction, g: int,
     return perm
 
 
+def _check_permutation_action(group: FiniteGroup, what: str, perm, flip, n):
+    """Raise :class:`NotHomomorphism` unless ``perm`` (one row per element,
+    with orientation flags ``flip``) is an action of ``group`` on n items:
+    each row a permutation, the identity fixing every item unflipped, and
+    g after h acting as gh, the flip of gh at e being that of h at e XOR
+    that of g at the image of e under h."""
+    if perm.shape[1] != n:
+        raise NotHomomorphism(f"action permutes {perm.shape[1]} {what}s, graph has {n}")
+    for g in range(group.order):
+        if sorted(perm[g].tolist()) != list(range(n)):
+            raise NotHomomorphism(f"element {group.elements[g]} does not permute the {what}s")
+    if not np.all(perm[0] == np.arange(n)) or flip[0].any():
+        raise NotHomomorphism(f"identity element must act trivially on {what}s")
+    # [g, h, e]: the image and flip of e under g after h, against those under gh
+    wrong = ((perm[:, perm] != perm[group.table])
+             | (flip[:, perm] ^ flip[None] != flip[group.table])).any(axis=2)
+    if wrong.any():
+        g, h = np.argwhere(wrong)[0]
+        raise NotHomomorphism(
+            f"{what} action of {group.elements[g]} after {group.elements[h]} "
+            f"differs from their product"
+        )
+
+
 def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
     """Check that the declared action is a symmetry of the open graph.
 
     Verifies the homomorphism property of the lead (and optional edge)
-    permutations, that edge lengths are preserved, and that every vertex
-    condition is carried onto an identical condition. Matrix-valued
-    conditions are compared up to the channel permutation induced by the
-    lead and edge maps; when the edge map is absent and the vertex touches
-    edges, they are compared entrywise.
+    permutations and edge flips, that edge lengths are preserved, and that
+    every vertex condition is carried onto an identical condition.
+    Matrix-valued conditions are compared up to the channel permutation
+    induced by the lead and edge maps; when the edge map is absent and the
+    vertex touches edges, they are compared entrywise.
     """
     group = act.group
-    n_leads = og.n_leads
     lp = act.lead_perm
-    if lp.shape[1] != n_leads:
-        raise NotHomomorphism(f"action permutes {lp.shape[1]} leads, graph has {n_leads}")
-
-    for g in range(group.order):
-        row = lp[g]
-        if sorted(row.tolist()) != list(range(n_leads)):
-            raise NotHomomorphism(f"element {group.elements[g]} does not permute the leads")
-    if not np.all(lp[0] == np.arange(n_leads)):
-        raise NotHomomorphism("identity element must act trivially on leads")
-    for g in range(group.order):
-        for h in range(group.order):
-            composed = lp[g][lp[h]]
-            if not np.all(composed == lp[group.multiply(g, h)]):
-                raise NotHomomorphism(
-                    f"lead action of {group.elements[g]} after {group.elements[h]} "
-                    f"differs from their product"
-                )
-
+    _check_permutation_action(group, "lead", lp, np.zeros_like(lp, dtype=bool), og.n_leads)
     edges = sorted(og.graph.edges, key=lambda e: e.id)
+    if act.edge_perm is not None:
+        _check_permutation_action(group, "edge", act.edge_perm, act.edge_flip, len(edges))
+
     table = None  # built when a matrix-valued condition needs its channels
     for g in range(group.order):
         vmap = {}
@@ -485,8 +478,6 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
             learn(lead.at, og.leads[lp[g, i]].at)
 
         if act.edge_perm is not None:
-            if act.edge_perm.shape[1] != len(edges):
-                raise NotHomomorphism("edge permutation size does not match the graph")
             for ei, e in enumerate(edges):
                 img = edges[act.edge_perm[g, ei]]
                 if abs(e.length - img.length) > 1e-12 * max(1.0, e.length):
@@ -744,22 +735,3 @@ def quotient_scattering_sum(og: OpenGraph, act: GraphAction, reps, *, k) -> np.n
             raise ValidationError(f"multiplicity n_i = {n_i!r} is not an integer >= 1")
     blocks = _quotient_blocks(og, act, [(rho_i, v_i) for rho_i, _, v_i in reps], k)
     return block_diag([b for b, (_, n_i, _) in zip(blocks, reps) for _ in range(n_i)])
-
-
-def permutation_character(act: GraphAction) -> ClassFunction:
-    """Character of the lead permutation representation (fixed-point counts)."""
-    vals = np.array(
-        [np.sum(act.lead_perm[g] == np.arange(act.n_leads)) for g in range(act.group.order)],
-        dtype=complex,
-    )
-    return ClassFunction(act.group, vals)
-
-
-def rep_multiplicity_in_leads(act: GraphAction, rho: MatrixRep) -> int:
-    """Multiplicity of rho in the lead permutation representation, via the
-    character inner product."""
-    m = permutation_character(act).inner(rho.character())
-    m_int = round(m.real)
-    if abs(m - m_int) > 1e-9:
-        raise ValidationError(f"character inner product {m} is not an integer")
-    return int(m_int)

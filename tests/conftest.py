@@ -42,6 +42,35 @@ R2D_MATRICES = {
 }
 
 
+def subspace_distance(a, b):
+    """Distance between the column spans of a and b.
+
+    Spectral norm of the difference of the orthogonal projectors, i.e. the
+    sine of the largest principal angle: 0 for identical spans, 1 for spans
+    with orthogonal directions or different dimensions. Computed from the
+    projectors directly, which stays at machine precision for equal spans
+    (the sqrt(1 - cos^2) route loses half the digits).
+    """
+    qa, _ = np.linalg.qr(np.asarray(a, dtype=complex))
+    qb, _ = np.linalg.qr(np.asarray(b, dtype=complex))
+    if qa.shape[1] != qb.shape[1]:
+        return 1.0
+    pa = qa @ qa.conj().T
+    pb = qb @ qb.conj().T
+    return float(np.linalg.norm(pa - pb, ord=2))
+
+
+def conjugation_residual(pi, s1, s2, ks) -> float:
+    """max_k ||Pi S1(k) - S2(k) Pi||_F over the given samples."""
+    pi = np.asarray(pi, dtype=complex)
+    out = 0.0
+    for k in ks:
+        a = np.asarray(s1(k), dtype=complex)
+        b = np.asarray(s2(k), dtype=complex)
+        out = max(out, float(np.linalg.norm(pi @ a - b @ pi)))
+    return out
+
+
 def star_open_graph(n_leads, condition=None):
     """Single vertex with n semi-infinite leads."""
     g = build_graph([Vertex("c", condition or Neumann())], [],

@@ -13,12 +13,10 @@ from qgscatter.errors import SingularInterior
 from qgscatter.global_scattering import Assembly, eigenvalues_compact, scattering_matrix
 from qgscatter.graph_core import attach_leads
 from qgscatter.isoscattering import (
-    conjugation_residual,
     find_conjugator,
     isophasal_check,
     transplantability_verdict,
 )
-from qgscatter.linalg import subspace_distance
 from qgscatter.resonances import find_poles, winding_number
 from qgscatter.symmetry_rep import (
     dihedral_group,
@@ -37,6 +35,7 @@ from qgscatter.symmetry_rep import (
 
 from conftest import (
     DATA_DIR,
+    conjugation_residual,
     exterior_blind_zeros,
     pinwheel,
     polish_exterior_zero,
@@ -44,6 +43,7 @@ from conftest import (
     random_open_graph,
     s3_star_action,
     star_open_graph,
+    subspace_distance,
     two_pendant_resonator,
 )
 

@@ -7,17 +7,43 @@ import pytest
 
 from qgscatter.cli import (
     dumps_deterministic,
+    jsonable,
     parse_graph_document,
     parse_graph_file,
     run_command,
-    serialize_graph,
 )
 from qgscatter.contours import Rect
 from qgscatter.errors import NotUnitary, ParseError
-from qgscatter.graph_core import MetricGraph, OpenGraph
+from qgscatter.graph_core import DFT, FixedUnitary, LinearAB, MetricGraph, OpenGraph
 from qgscatter.isoscattering import transplantability_verdict
 
 from conftest import DATA_DIR
+
+
+def serialize_condition(c) -> dict:
+    """A vertex condition as the graph-file object it was parsed from."""
+    out = {"type": c.type_name}
+    if isinstance(c, DFT) and c.degree is not None:
+        out["degree"] = c.degree
+    if isinstance(c, LinearAB):
+        out.update(a=jsonable(c.a), b=jsonable(c.b))
+    if isinstance(c, FixedUnitary):
+        out["matrix"] = jsonable(c.matrix)
+    return out
+
+
+def serialize_graph(g) -> dict:
+    """A metric or open graph as a graph-file document."""
+    graph, leads = (g.graph, g.leads) if isinstance(g, OpenGraph) else (g, ())
+    doc = {
+        "vertices": [{"id": v.id, "condition": serialize_condition(v.condition)}
+                     for v in graph.vertices],
+        "edges": [{"id": e.id, "from": e.from_vertex, "to": e.to_vertex, "length": e.length}
+                  for e in graph.edges],
+    }
+    if leads:
+        doc["leads"] = [{"id": l.id, "at": l.at} for l in leads]
+    return doc
 
 
 def matrix_from_payload(payload):
@@ -154,6 +180,8 @@ def test_deterministic_serializer():
     assert text == '{"a":[1,true,null,"x"],"b":0.33333333333333331}'
     with pytest.raises(TypeError):
         dumps_deterministic({"x": object()})
+    with pytest.raises(TypeError):  # no layout option that it would ignore
+        dumps_deterministic({}, indent=2)
 
 
 def test_compute_s_star_golden(capsys):

@@ -35,7 +35,7 @@ from qgscatter.graph_core import (
     bond_table,
     build_graph,
 )
-from qgscatter.vertex_scattering import condition_sigma
+from qgscatter.vertex_scattering import ab_to_sigma, condition_sigma
 
 from conftest import (
     DATA_DIR,
@@ -352,7 +352,9 @@ def _textbook_sigma(og, k):
         channels = table.vertex_channels[v.id]
         if not channels:
             continue
-        local = condition_sigma(v.condition, len(channels))(k)
+        c = v.condition
+        local = (ab_to_sigma(c.a, c.b, k) if isinstance(c, LinearAB)
+                 else condition_sigma(c, len(channels)))
         ports = []
         for ch in channels:
             if ch[0] == "lead":
@@ -1041,7 +1043,6 @@ def _ab_degrees_graph():
 
 def test_stacked_ab_solves_place_each_vertex_block(monkeypatch):
     from qgscatter import vertex_scattering
-    from qgscatter.vertex_scattering import ab_to_sigma
 
     og = _ab_degrees_graph()
     table = bond_table(og)
@@ -1053,7 +1054,7 @@ def test_stacked_ab_solves_place_each_vertex_block(monkeypatch):
             io = table.vertex_io[v.id]
             c = v.condition
             block = (ab_to_sigma(c.a, c.b, k) if isinstance(c, LinearAB)
-                     else condition_sigma(c, len(io))(k))
+                     else condition_sigma(c, len(io)))
             sigma[np.ix_([o for o, _ in io], [i for _, i in io])] = block
         expected.append(sigma)
     asm = Assembly(og)

@@ -18,7 +18,6 @@ from qgscatter.graph_core import (Dirichlet, Edge, LinearAB, Neumann, Vertex, at
 from qgscatter import global_scattering, isoscattering
 from qgscatter.isoscattering import (
     _PHASE_KS,
-    conjugation_residual,
     default_samples,
     find_conjugator,
     isophasal_check,
@@ -30,8 +29,8 @@ from qgscatter.resonances import _confirm_poles, find_poles
 from qgscatter.symmetry_rep import (GraphAction, MatrixRep, dihedral_group, quotient_scattering,
                                     subgroup, validate_action)
 
-from conftest import (DATA_DIR, random_open_graph, star_open_graph, twin_resonators,
-                      two_pendant_resonator)
+from conftest import (DATA_DIR, conjugation_residual, random_open_graph, star_open_graph,
+                      twin_resonators, two_pendant_resonator)
 
 GOLDEN_STAR3 = np.array([[-1, 2, 2], [2, -1, 2], [2, 2, -1]]) / 3.0
 GOLDEN_SUM = np.diag([1.0, -1.0, -1.0])

@@ -16,8 +16,8 @@ from qgscatter.errors import (
 )
 from qgscatter.global_scattering import scattering_matrix
 from qgscatter.graph_core import DFT, Dirichlet, Edge, Neumann, Vertex, attach_leads, build_graph
-from qgscatter.linalg import subspace_distance
 from qgscatter.symmetry_rep import (
+    ClassFunction,
     FiniteGroup,
     GraphAction,
     MatrixRep,
@@ -29,16 +29,55 @@ from qgscatter.symmetry_rep import (
     lead_permutation_matrices,
     quotient_scattering,
     quotient_scattering_sum,
-    rep_multiplicity_in_leads,
     subgroup,
     symmetric_group,
     trivial_rep,
     validate_action,
 )
 
-from conftest import R2D_MATRICES, pinwheel, s3_star_action, star_open_graph
+from conftest import R2D_MATRICES, pinwheel, s3_star_action, star_open_graph, subspace_distance
 
 GOLDEN_STAR3 = np.array([[-1, 2, 2], [2, -1, 2], [2, 2, -1]]) / 3.0
+
+
+def conjugacy_classes(group):
+    """Classes as index tuples, ordered by smallest member."""
+    seen = set()
+    classes = []
+    for g in range(group.order):
+        if g in seen:
+            continue
+        cls = {group.multiply(group.multiply(x, g), group.inverse(x))
+               for x in range(group.order)}
+        classes.append(tuple(sorted(cls)))
+        seen |= cls
+    return tuple(sorted(classes, key=lambda c: c[0]))
+
+
+def permutation_character(act):
+    """Character of the lead permutation representation (fixed-point counts)."""
+    vals = np.array(
+        [np.sum(act.lead_perm[g] == np.arange(act.n_leads)) for g in range(act.group.order)],
+        dtype=complex,
+    )
+    return ClassFunction(act.group, vals)
+
+
+def class_inner(chi, psi):
+    """<chi, psi> = (1/|G|) sum_g chi(g) conj(psi(g))."""
+    if not chi.group.same_group(psi.group):
+        raise GroupMismatch("class functions live on different groups")
+    return complex(np.sum(chi.values * psi.values.conj()) / chi.group.order)
+
+
+def rep_multiplicity_in_leads(act, rho):
+    """Multiplicity of rho in the lead permutation representation, via the
+    character inner product."""
+    m = class_inner(permutation_character(act), rho.character())
+    m_int = round(m.real)
+    if abs(m - m_int) > 1e-9:
+        raise ValidationError(f"character inner product {m} is not an integer")
+    return int(m_int)
 
 
 def h_subaction(og, act):
@@ -84,11 +123,11 @@ def test_dihedral_group_structure():
 
 def test_conjugacy_classes_exact():
     g, _ = symmetric_group(3)
-    classes = g.conjugacy_classes()
+    classes = conjugacy_classes(g)
     names = [tuple(g.elements[i] for i in c) for c in classes]
     assert names == [("e",), ("(1,2)", "(1,3)", "(2,3)"), ("(1,2,3)", "(1,3,2)")]
     d4 = dihedral_group(4)
-    assert sorted(len(c) for c in d4.conjugacy_classes()) == [1, 1, 2, 2, 2]
+    assert sorted(len(c) for c in conjugacy_classes(d4)) == [1, 1, 2, 2, 2]
     # characters are constant on classes
     chi = induced_character(g, ["e", "(1,2)"], [1.0, 1.0])
     for cls in classes:
@@ -128,6 +167,45 @@ def test_validate_action_not_a_permutation():
     bad[1] = [0, 0, 5, 4, 3, 2]
     with pytest.raises(NotHomomorphism):
         validate_action(og, GraphAction(act.group, bad))
+
+
+def _z2_on(edges):
+    """Z2 acting on a graph with one lead at Neumann vertex "a": the lead
+    stays, and ``edges`` lists (id, from, to) of unit edges."""
+    ids = {v for _, *ends in edges for v in ends}
+    g = build_graph([Vertex(v, Neumann()) for v in sorted(ids)],
+                    [Edge(e, u, w, 1.0) for e, u, w in edges], pending_leads={"a": 1})
+    group = FiniteGroup(("e", "s"), np.array([[0, 1], [1, 0]]))
+    return attach_leads(g, ["a"]), group, np.array([[0], [0]])
+
+
+def test_validate_action_checks_the_edge_permutations():
+    og, group, lp = _z2_on([("e0", "a", "b"), ("e1", "a", "b"), ("e2", "a", "b")])
+    assert validate_action(og, GraphAction(group, lp, edge_perm=[[0, 1, 2], [1, 0, 2]])).ok
+    for row in ([0, 0, 0],    # not a permutation
+                [1, 2, 0],    # a 3-cycle, so s s is not the identity
+                [-1, 1, 0],   # negative: no wrap-around to edge 2
+                [3, 1, 0]):   # out of range
+        with pytest.raises(NotHomomorphism):
+            validate_action(og, GraphAction(group, lp, edge_perm=[[0, 1, 2], row]))
+    with pytest.raises(NotHomomorphism):  # the identity must fix every edge
+        validate_action(og, GraphAction(group, lp, edge_perm=[[1, 0, 2], [0, 1, 2]]))
+
+
+def test_validate_action_checks_the_edge_flips():
+    # two loops at "a": every flip keeps the vertex map, so only the flip
+    # rule of the product can tell a wrong one
+    og, group, lp = _z2_on([("l0", "a", "a"), ("l1", "a", "a")])
+    swap = [[0, 1], [1, 0]]
+    assert validate_action(og, GraphAction(group, lp, swap, [[False, False], [True, True]])).ok
+    # s s flips l0 once (T XOR F), but the identity flips nothing
+    with pytest.raises(NotHomomorphism):
+        validate_action(og, GraphAction(group, lp, swap, [[False, False], [True, False]]))
+    with pytest.raises(NotHomomorphism):
+        validate_action(og, GraphAction(group, lp, [[0, 1], [0, 1]],
+                                        [[True, False], [True, False]]))
+    with pytest.raises(ValidationError, match="edge_flip needs an edge_perm"):
+        GraphAction(group, lp, edge_flip=[[False, False], [True, True]])
 
 
 def test_validate_action_condition_violation():

@@ -5,7 +5,6 @@ import pytest
 
 from qgscatter.errors import InvalidDegree, NotSelfAdjoint, RankDeficientAB, SingularAtK
 from qgscatter.vertex_scattering import (
-    ab_sigma,
     ab_to_sigma,
     dft_sigma,
     dirichlet_sigma,
@@ -26,28 +25,28 @@ def boundary_solve_sigma(a, b, k):
 
 
 def test_neumann_entries():
-    s6 = neumann_sigma(6)(1.0)
+    s6 = neumann_sigma(6)
     np.testing.assert_allclose(s6, np.full((6, 6), 1 / 3) - np.eye(6), atol=1e-15)
-    np.testing.assert_allclose(neumann_sigma(1)(2.0), [[1.0]], atol=1e-15)
-    np.testing.assert_allclose(neumann_sigma(2)(0.3), [[0, 1], [1, 0]], atol=1e-15)
+    np.testing.assert_allclose(neumann_sigma(1), [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(neumann_sigma(2), [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_dirichlet_entries():
-    np.testing.assert_allclose(dirichlet_sigma(1)(1.0), [[-1.0]], atol=1e-15)
-    np.testing.assert_allclose(dirichlet_sigma(2)(1.0), -np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(dirichlet_sigma(1), [[-1.0]], atol=1e-15)
+    np.testing.assert_allclose(dirichlet_sigma(2), -np.eye(2), atol=1e-15)
 
 
 def test_two_dirichlet_leads_block():
-    s = np.diag([dirichlet_sigma(1)(1.0)[0, 0], dirichlet_sigma(1)(1.0)[0, 0]])
+    s = np.diag([dirichlet_sigma(1)[0, 0], dirichlet_sigma(1)[0, 0]])
     np.testing.assert_allclose(s, np.diag([-1.0, -1.0]), atol=1e-15)
 
 
 def test_dft_entries():
-    np.testing.assert_allclose(dft_sigma(1)(1.0), [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(dft_sigma(1), [[1.0]], atol=1e-15)
     np.testing.assert_allclose(
-        dft_sigma(2)(1.0), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15
+        dft_sigma(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15
     )
-    s4 = dft_sigma(4)(1.0)
+    s4 = dft_sigma(4)
     np.testing.assert_allclose(s4 @ s4.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -86,7 +85,7 @@ def test_ab_reproduces_neumann():
             a[i, i], a[i, i + 1] = 1.0, -1.0
         b[d - 1, :] = 1.0
         for k in (0.7, 13.0):
-            np.testing.assert_allclose(ab_to_sigma(a, b, k), neumann_sigma(d)(k),
+            np.testing.assert_allclose(ab_to_sigma(a, b, k), neumann_sigma(d),
                                        atol=1e-12)
 
 
@@ -124,8 +123,8 @@ def test_ab_all_zero_matrix_is_singular():
 
 
 def test_ab_vertex_singular_only_at_k_one_serves_every_other_k():
-    # A + ikB = 1 - k: the rule is built without a solve at any k, so only
-    # k = 1 itself raises
+    # A + ikB = 1 - k: the Assembly is built without a solve at any k, so
+    # only k = 1 itself raises
     from qgscatter.global_scattering import scattering_matrix
     from qgscatter.graph_core import Edge, LinearAB, Neumann, Vertex, attach_leads, build_graph
 
@@ -141,8 +140,8 @@ def test_ab_vertex_singular_only_at_k_one_serves_every_other_k():
 
 
 def test_assembly_does_not_recheck_the_rank_of_ab_conditions(monkeypatch):
-    # LinearAB checks the rank of [A|B] when it is built; the Assembly's
-    # vertex rules take A and B from it as they are
+    # LinearAB checks the rank of [A|B] when it is built; the Assembly
+    # stacks A and B from it as they are
     from qgscatter.global_scattering import Assembly
     from qgscatter.graph_core import Edge, LinearAB, Vertex, attach_leads, build_graph
 
@@ -159,28 +158,16 @@ def test_assembly_does_not_recheck_the_rank_of_ab_conditions(monkeypatch):
                         or rank(*args, **kw))
     Assembly(og)
     assert calls == []
-    ab_sigma(a, b)
+    ab_to_sigma(a, b, 1.0)
     assert len(calls) == 1  # the public entry point keeps its check
-
-
-def test_constant_variants_are_k_independent():
-    for rule in (neumann_sigma(4), dirichlet_sigma(4), dft_sigma(4)):
-        assert rule.is_constant
-        assert rule(1.0) is rule(33.3)
 
 
 def test_unitarity_across_variants_and_k():
     rng = np.random.default_rng(42)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (h + h.conj().T) / 2
-    rules = [
-        neumann_sigma(5),
-        dirichlet_sigma(3),
-        dft_sigma(4),
-        ab_sigma(h, np.eye(3), check_self_adjoint=True),
-    ]
     for k in np.linspace(0.25, 50.0, 40):
-        for rule in rules:
-            s = rule(k)
+        for s in (neumann_sigma(5), dirichlet_sigma(3), dft_sigma(4),
+                  ab_to_sigma(h, np.eye(3), k, check_self_adjoint=True)):
             defect = np.linalg.norm(s @ s.conj().T - np.eye(s.shape[0]))
             assert defect <= 1e-10
