@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -54,15 +55,12 @@ from .symmetry_rep import (
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite float {x} cannot be serialized")
-    s = f"{x:.17g}"
-    return s
-
-
 def dumps_deterministic(obj) -> str:
-    """JSON text with sorted keys and %.17g floats, newline-free."""
+    """JSON text with sorted keys and %.17g floats, newline-free.
+
+    numpy arrays are written as nested lists, complex numbers (Python or
+    numpy) as [re, im], and numpy floats and integers as numbers.
+    """
     if obj is None:
         return "null"
     if obj is True:
@@ -71,36 +69,23 @@ def dumps_deterministic(obj) -> str:
         return "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj} cannot be serialized")
+        return f"{float(obj):.17g}"
+    if isinstance(obj, (complex, np.complexfloating)):
+        return dumps_deterministic([float(obj.real), float(obj.imag)])
     if isinstance(obj, dict):
         items = sorted(obj.items())
         inner = ",".join(f"{json.dumps(str(k))}:{dumps_deterministic(v)}" for k, v in items)
         return "{" + inner + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps_deterministic(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def jsonable(obj):
-    """Convert numpy arrays/scalars and complex values to plain JSON types."""
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -166,30 +151,34 @@ def _parse_complex_matrix(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _parse_dft(d, where: str) -> DFT:
+    deg = d.get("degree")
+    if deg is not None and not (_is_number(deg) and isinstance(deg, int) and deg >= 1):
+        raise ParseError("dft degree must be a positive integer", where)
+    return DFT(degree=deg)
+
+
+# condition type -> (allowed keys, required keys, builder(d, where))
+_CONDITIONS = {
+    "neumann": ({"type"}, {"type"}, lambda d, where: Neumann()),
+    "dirichlet": ({"type"}, {"type"}, lambda d, where: Dirichlet()),
+    "dft": ({"type", "degree"}, {"type"}, _parse_dft),
+    "linear_ab": ({"type", "a", "b"}, {"type", "a", "b"}, lambda d, where: LinearAB(
+        _parse_complex_matrix(d["a"], f"{where}.a"), _parse_complex_matrix(d["b"], f"{where}.b"))),
+    "fixed_unitary": ({"type", "matrix"}, {"type", "matrix"}, lambda d, where: FixedUnitary(
+        _parse_complex_matrix(d["matrix"], f"{where}.matrix"))),
+}
+
+
 def _parse_condition(d, where: str):
     if "type" not in _object(d, where):
         raise ParseError("condition needs a type", where)
     t = d["type"]
-    if t == "neumann":
-        _require_keys(d, {"type"}, {"type"}, where)
-        return Neumann()
-    if t == "dirichlet":
-        _require_keys(d, {"type"}, {"type"}, where)
-        return Dirichlet()
-    if t == "dft":
-        _require_keys(d, {"type", "degree"}, {"type"}, where)
-        deg = d.get("degree")
-        if deg is not None and not (_is_number(deg) and isinstance(deg, int) and deg >= 1):
-            raise ParseError("dft degree must be a positive integer", where)
-        return DFT(degree=deg)
-    if t == "linear_ab":
-        _require_keys(d, {"type", "a", "b"}, {"type", "a", "b"}, where)
-        return LinearAB(_parse_complex_matrix(d["a"], f"{where}.a"),
-                        _parse_complex_matrix(d["b"], f"{where}.b"))
-    if t == "fixed_unitary":
-        _require_keys(d, {"type", "matrix"}, {"type", "matrix"}, where)
-        return FixedUnitary(_parse_complex_matrix(d["matrix"], f"{where}.matrix"))
-    raise ParseError(f"unknown condition type {t!r}", where)
+    if not (isinstance(t, str) and t in _CONDITIONS):
+        raise ParseError(f"unknown condition type {t!r}", where)
+    allowed, required, build = _CONDITIONS[t]
+    _require_keys(d, allowed, required, where)
+    return build(d, where)
 
 
 def parse_graph_document(doc) -> Union[MetricGraph, OpenGraph]:
@@ -273,10 +262,16 @@ def _per_element(group: FiniteGroup, d, where: str) -> list:
     return [d[name] for name in group.elements]
 
 
-def _parse_rep(group: FiniteGroup, d, where: str) -> MatrixRep:
-    return MatrixRep.from_mapping(group, {
-        name: _parse_complex_matrix(m, f"{where}.{name}")
-        for name, m in zip(group.elements, _per_element(group, d, where))})
+def _parse_reps(group: FiniteGroup, doc, where: str) -> dict:
+    """The named representations of group in the optional "representations"
+    object of doc, which sits at ``where``."""
+    where = f"{where}.representations"
+    reps = {}
+    for rname, rd in _object(doc.get("representations") or {}, where).items():
+        reps[rname] = MatrixRep.from_mapping(group, {
+            name: _parse_complex_matrix(m, f"{where}.{rname}.{name}")
+            for name, m in zip(group.elements, _per_element(group, rd, f"{where}.{rname}"))})
+    return reps
 
 
 def parse_symmetry_document(doc) -> SymmetrySpec:
@@ -289,21 +284,14 @@ def parse_symmetry_document(doc) -> SymmetrySpec:
 
     rows = _per_element(group, doc["lead_action"], "$.lead_action")
     action = GraphAction(group, _index_rows(rows, "$.lead_action"))
-
-    reps = {}
-    for rname, rd in _object(doc.get("representations") or {}, "$.representations").items():
-        reps[rname] = _parse_rep(group, rd, f"$.representations.{rname}")
+    reps = _parse_reps(group, doc, "$")
 
     subs = {}
     for sname, sd in _object(doc.get("subgroups") or {}, "$.subgroups").items():
         where = f"$.subgroups.{sname}"
         _require_keys(sd, {"elements", "representations"}, {"elements"}, where)
         emb = subgroup(group, _list(sd["elements"], f"{where}.elements", str, "a list of strings"))
-        sreps = {}
-        for rname, rd in _object(sd.get("representations") or {},
-                                 f"{where}.representations").items():
-            sreps[rname] = _parse_rep(emb.group, rd, f"{where}.representations.{rname}")
-        subs[sname] = (emb, sreps)
+        subs[sname] = (emb, _parse_reps(emb.group, sd, where))
 
     return SymmetrySpec(group=group, action=action, representations=reps, subgroups=subs)
 
@@ -326,16 +314,14 @@ class RunReport:
     wall_time_s: Optional[float] = None
 
     def to_json(self, *, include_timing: bool = False) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": jsonable(self.inputs),
-            "parameters": jsonable(self.parameters),
-            "results": jsonable(self.results),
-            "warnings": list(self.warnings),
-        }
-        if include_timing and self.wall_time_s is not None:
-            payload["wall_time_s"] = self.wall_time_s
+        payload = dict(vars(self))
+        if not (include_timing and self.wall_time_s is not None):
+            del payload["wall_time_s"]
         return dumps_deterministic(payload)
+
+
+# the arguments that name input files; a report's inputs are their sha256 digests
+_INPUT_FILES = ("graph", "graph1", "graph2", "symmetry")
 
 
 def _digest(path) -> str:
@@ -355,10 +341,16 @@ def _parse_k(text: str) -> complex:
     return complex(*parts)
 
 
-def _as_open(g, path) -> OpenGraph:
+def _open_graph_file(path) -> OpenGraph:
+    g = parse_graph_file(path)
     if not isinstance(g, OpenGraph):
         raise ParseError(f"graph file {path} has no leads; this command needs an open graph")
     return g
+
+
+def _rows(records, *fields) -> list:
+    """One dict per record, holding the named attributes."""
+    return [{f: getattr(r, f) for f in fields} for r in records]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute_s(args) -> RunReport:
-    og = _as_open(parse_graph_file(args.graph), args.graph)
+    og = _open_graph_file(args.graph)
     k = _parse_k(args.k)
     with np.errstate(over="ignore", invalid="ignore"):
         ev = scattering_matrix(og, k)
@@ -425,7 +417,6 @@ def _cmd_compute_s(args) -> RunReport:
                                   f"is not finite at k = {k}")
     return RunReport(
         command="compute-s",
-        inputs={"graph": _digest(args.graph)},
         parameters={"k": k},
         results={
             "k": k,
@@ -444,60 +435,42 @@ def _cmd_eigenvalues(args) -> RunReport:
     window = eigenvalues_compact(g, (args.kmin, args.kmax))
     return RunReport(
         command="eigenvalues",
-        inputs={"graph": _digest(args.graph)},
         parameters={"kmin": args.kmin, "kmax": args.kmax},
-        results={
-            "eigenvalues": [
-                {"k": ev.k, "multiplicity": ev.multiplicity, "residual": ev.residual}
-                for ev in window.eigenvalues
-            ]
-        },
+        results={"eigenvalues": _rows(window.eigenvalues, "k", "multiplicity", "residual")},
         warnings=list(window.warnings),
     )
 
 
-def _eigenvalues_csv(report: RunReport) -> str:
-    lines = ["k,multiplicity,residual"]
-    for ev in report.results["eigenvalues"]:
-        lines.append(f"{_format_float(ev['k'])},{ev['multiplicity']},"
-                     f"{_format_float(ev['residual'])}")
-    return "\n".join(lines)
-
-
 def _cmd_poles(args) -> RunReport:
-    og = _as_open(parse_graph_file(args.graph), args.graph)
+    og = _open_graph_file(args.graph)
     window = Rect(args.re_min, args.re_max, args.im_min, args.im_max)
     ps = find_poles(og, window)
     return RunReport(
         command="poles",
-        inputs={"graph": _digest(args.graph)},
         parameters={"re_min": args.re_min, "re_max": args.re_max,
                     "im_min": args.im_min, "im_max": args.im_max},
         results={
-            "poles": [
-                {"k": p.k, "multiplicity": p.multiplicity, "residual": p.residual}
-                for p in ps.poles
-            ],
-            "real_axis_zeros": [
-                {"k": p.k, "multiplicity": p.multiplicity, "residual": p.residual}
-                for p in ps.real_axis_zeros
-            ],
+            "poles": _rows(ps.poles, "k", "multiplicity", "residual"),
+            "real_axis_zeros": _rows(ps.real_axis_zeros, "k", "multiplicity", "residual"),
         },
         warnings=list(ps.warnings),
     )
 
 
-def _poles_csv(report: RunReport) -> str:
-    lines = ["re,im,multiplicity,residual"]
-    for p in report.results["poles"]:
-        k = p["k"]
-        lines.append(f"{_format_float(k.real)},{_format_float(k.imag)},"
-                     f"{p['multiplicity']},{_format_float(p['residual'])}")
+def _csv(report: RunReport) -> str:
+    """The eigenvalues or poles of a report, one CSV line each after the
+    header; a pole's complex k takes two columns, re and im."""
+    split = report.command == "poles"
+    lines = ["re,im,multiplicity,residual" if split else "k,multiplicity,residual"]
+    for r in report.results[report.command]:
+        k = (r["k"].real, r["k"].imag) if split else (r["k"],)
+        lines.append(",".join(dumps_deterministic(x)
+                              for x in (*k, r["multiplicity"], r["residual"])))
     return "\n".join(lines)
 
 
 def _cmd_quotient(args) -> RunReport:
-    og = _as_open(parse_graph_file(args.graph), args.graph)
+    og = _open_graph_file(args.graph)
     spec = parse_symmetry_file(args.symmetry)
     k = _parse_k(args.k)
     names = [n.strip() for n in args.rep.split(",") if n.strip()]
@@ -522,15 +495,14 @@ def _cmd_quotient(args) -> RunReport:
     )
     return RunReport(
         command="quotient",
-        inputs={"graph": _digest(args.graph), "symmetry": _digest(args.symmetry)},
         parameters={"rep": args.rep, "v": args.v, "k": k},
         results={"matrix": matrix, "dimension": matrix.shape[0]},
     )
 
 
 def _cmd_check_isoscattering(args) -> RunReport:
-    g1 = _as_open(parse_graph_file(args.graph1), args.graph1)
-    g2 = _as_open(parse_graph_file(args.graph2), args.graph2)
+    g1 = _open_graph_file(args.graph1)
+    g2 = _open_graph_file(args.graph2)
     window = Rect(*args.window)
     report = transplantability_verdict(g1, g2, window, n_training=args.samples)
     results = {
@@ -540,8 +512,8 @@ def _cmd_check_isoscattering(args) -> RunReport:
         "isophasal": report.isophasal,
         "isophasal_deviation": report.isophasal_deviation,
         "isopolar": report.isopolar,
-        "poles_1": [{"k": p.k, "multiplicity": p.multiplicity} for p in report.poles_1.poles],
-        "poles_2": [{"k": p.k, "multiplicity": p.multiplicity} for p in report.poles_2.poles],
+        "poles_1": _rows(report.poles_1.poles, "k", "multiplicity"),
+        "poles_2": _rows(report.poles_2.poles, "k", "multiplicity"),
         "pole_pairing": {
             "matched": [{"k1": a, "k2": b, "distance": d}
                         for a, b, d in report.pairing.matched],
@@ -556,7 +528,6 @@ def _cmd_check_isoscattering(args) -> RunReport:
         results["conjugacy_residual"] = report.conjugacy.residual
     return RunReport(
         command="check-isoscattering",
-        inputs={"graph1": _digest(args.graph1), "graph2": _digest(args.graph2)},
         parameters={"window": list(args.window), "samples": args.samples},
         results=results,
         warnings=list(report.warnings),
@@ -579,7 +550,6 @@ def _cmd_check_induced(args) -> RunReport:
     equal, dev = characters_equal(chi1, chi2)
     return RunReport(
         command="check-induced",
-        inputs={"symmetry": _digest(args.symmetry)},
         parameters={"sub1": args.sub1, "rep1": args.rep1,
                     "sub2": args.sub2, "rep2": args.rep2},
         results={
@@ -620,19 +590,15 @@ def run_command(argv: Sequence[str]) -> Tuple[Optional[RunReport], int]:
     started = time.perf_counter()
     try:
         report = _HANDLERS[args.command](args)
-    except QGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
-    except OSError as exc:
+        report.inputs = {name: _digest(path) for name, path in vars(args).items()
+                         if name in _INPUT_FILES}
+    except (QGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
     report.wall_time_s = time.perf_counter() - started
 
-    emit = getattr(args, "emit", "json")
-    if emit == "csv" and args.command == "poles":
-        print(_poles_csv(report))
-    elif emit == "csv" and args.command == "eigenvalues":
-        print(_eigenvalues_csv(report))
+    if getattr(args, "emit", "json") == "csv":
+        print(_csv(report))
     else:
         print(report.to_json(include_timing=args.timing))
     return report, 0

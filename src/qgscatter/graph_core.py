@@ -246,6 +246,15 @@ def _check_conditions(graph: MetricGraph, extra_degrees: Mapping[str, int]):
             )
 
 
+def _check_unique(what: str, ids):
+    """Raise :class:`DuplicateId` naming the first id that repeats."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise DuplicateId(f"duplicate {what} id {i!r}")
+        seen.add(i)
+
+
 def build_graph(vertices, edges, *, pending_leads: Optional[Mapping[str, int]] = None) -> MetricGraph:
     """Validate and freeze a metric graph.
 
@@ -259,17 +268,10 @@ def build_graph(vertices, edges, *, pending_leads: Optional[Mapping[str, int]] =
     if not vertices:
         raise ValidationError("graph must have at least one vertex")
 
-    seen = set()
-    for v in vertices:
-        if v.id in seen:
-            raise DuplicateId(f"duplicate vertex id {v.id!r}")
-        seen.add(v.id)
-    seen_e = set()
+    _check_unique("vertex", [v.id for v in vertices])
+    _check_unique("edge", [e.id for e in edges])
     vertex_ids = {v.id for v in vertices}
     for e in edges:
-        if e.id in seen_e:
-            raise DuplicateId(f"duplicate edge id {e.id!r}")
-        seen_e.add(e.id)
         if not (e.length > 0) or not np.isfinite(e.length):
             raise NonPositiveLength(f"edge {e.id!r} has length {e.length}")
         for end in (e.from_vertex, e.to_vertex):
@@ -298,9 +300,7 @@ def attach_leads(graph: MetricGraph, attachments: Sequence[str], *, lead_ids=Non
         lead_ids = [f"l{i}" for i in range(len(attachments))]
     if len(lead_ids) != len(attachments):
         raise ValidationError("lead_ids must match attachments in length")
-    twice = [lid for lid, n in Counter(lead_ids).items() if n > 1]
-    if twice:
-        raise DuplicateId(f"duplicate lead id {twice[0]!r}")
+    _check_unique("lead", lead_ids)
     _check_conditions(graph, Counter(attachments))
 
     leads = tuple(Lead(lid, vid) for lid, vid in zip(lead_ids, attachments))

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     ConditionViolation,
     DependentColumns,
+    DeterminantOverflow,
     GroupMismatch,
     LengthViolation,
     NotEquivariant,
@@ -41,8 +42,9 @@ from .errors import (
     ValidationError,
 )
 from .global_scattering import scattering_matrix
-from .graph_core import BondTable, OpenGraph, bond_table
+from .graph_core import BondTable, DFT, OpenGraph, bond_table
 from .linalg import block_diag, null_space, orthonormalize_rows, rref
+from .vertex_scattering import dft_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,9 @@ class ActionReport:
     ok: bool
 
 
-def _matrix_condition_payload(cond):
+def _matrix_condition_payload(cond, og: OpenGraph, vid):
+    if isinstance(cond, DFT):  # its channel order matters: compare sigma_v
+        return (dft_sigma(og.graph.degree(vid) + og.lead_count_at(vid)),)
     if hasattr(cond, "matrix"):
         return (cond.matrix,)
     if hasattr(cond, "a"):
@@ -452,7 +456,8 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
     Verifies the homomorphism property of the lead (and optional edge)
     permutations and edge flips, that edge lengths are preserved, and that
     every vertex condition is carried onto an identical condition.
-    Matrix-valued conditions are compared up to the channel permutation
+    Matrix-valued conditions, and DFT conditions through their matrix
+    sigma_v, are compared up to the channel permutation
     induced by the lead and edge maps; when the edge map is absent and the
     vertex touches edges, they are compared entrywise.
     """
@@ -500,7 +505,7 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
                     f"element {group.elements[g]} maps vertex {v_from!r} "
                     f"({c_from.type_name}) onto {v_to!r} ({c_to.type_name})"
                 )
-            pay_from = _matrix_condition_payload(c_from)
+            pay_from = _matrix_condition_payload(c_from, og, v_from)
             if pay_from is None:
                 if c_from != c_to:
                     raise ConditionViolation(
@@ -508,7 +513,7 @@ def validate_action(og: OpenGraph, act: GraphAction) -> ActionReport:
                         f"{v_to!r} differ"
                     )
                 continue
-            pay_to = _matrix_condition_payload(c_to)
+            pay_to = _matrix_condition_payload(c_to, og, v_to)
             if table is None:
                 table = bond_table(og)
             perm = _induced_channel_permutation(table, act, g, v_from, v_to)
@@ -619,7 +624,7 @@ def encoding_map(phis: Sequence[np.ndarray], v) -> EncodingMap:
     return EncodingMap(upsilon=upsilon, pseudo_inverse=pinv)
 
 
-_EQUIVARIANCE_TOL = 1e-10  # largest commutator defect or leak, Frobenius norm
+_EQUIVARIANCE_TOL = 1e-10  # largest commutator defect or leak of S/max(1, max|S_ij|)
 
 
 # The set-up of the (graph, action) pair passed last to a quotient:
@@ -652,7 +657,10 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
     stacked P(g) of the set-up and names the first element whose defect
     exceeds ``_EQUIVARIANCE_TOL``. Each block B = (Upsilon^+ S) Upsilon
     has the leak |S Upsilon - Upsilon B|, which is |(I - Upsilon
-    Upsilon^+) S Upsilon| without the projector."""
+    Upsilon^+) S Upsilon| without the projector. Both are taken on S and B
+    divided by max(1, max|S_ij|), since off the real axis |S_ij| grows like
+    exp(2|Im k| L) and so do its rounding errors. An S(k) that is not
+    finite raises :class:`DeterminantOverflow`."""
     perm_mats, encodings = _quotient_setup(og, act)
     keyed = []
     for rho, v in terms:
@@ -668,8 +676,13 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
                 "decompose and use quotient_scattering_sum"
             )
         keyed.append((rho, carrier, key))
-    s = scattering_matrix(og, k).s
-    defects = np.linalg.norm(perm_mats @ s - s @ perm_mats, axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = scattering_matrix(og, k).s
+    if not np.isfinite(s).all():
+        raise DeterminantOverflow(f"S(k) is not finite at k = {k}")
+    scale = max(1.0, float(np.abs(s).max()))
+    s_n = s / scale
+    defects = np.linalg.norm(perm_mats @ s_n - s_n @ perm_mats, axis=(1, 2))
     failed = np.flatnonzero(defects > _EQUIVARIANCE_TOL)
     if failed.size:
         g = failed[0]
@@ -690,7 +703,7 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
             blocks.append(np.zeros((0, 0), dtype=complex))
             continue
         block = enc.pseudo_inverse @ s @ enc.upsilon
-        leak = float(np.linalg.norm(s @ enc.upsilon - enc.upsilon @ block))
+        leak = float(np.linalg.norm(s_n @ enc.upsilon - enc.upsilon @ (block / scale)))
         if leak > _EQUIVARIANCE_TOL:
             raise NotEquivariant(f"S(k) leaks out of the encoded subspace (residual {leak:.3e})")
         blocks.append(block)
@@ -703,7 +716,7 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
 
     Checks that the action matrices commute with S(k) and that the encoded
     subspace is S-invariant, both to ``_EQUIVARIANCE_TOL`` in the Frobenius
-    norm, before conjugating: Upsilon^+ S(k) Upsilon.
+    norm relative to max(1, max|S_ij|), before conjugating: Upsilon^+ S(k) Upsilon.
     ``v`` defaults to the first carrier basis vector and must have length
     dim rho. This is the one-term :func:`quotient_scattering_sum`.
 

@@ -7,7 +7,6 @@ import pytest
 
 from qgscatter.cli import (
     dumps_deterministic,
-    jsonable,
     parse_graph_document,
     parse_graph_file,
     run_command,
@@ -26,10 +25,15 @@ def serialize_condition(c) -> dict:
     if isinstance(c, DFT) and c.degree is not None:
         out["degree"] = c.degree
     if isinstance(c, LinearAB):
-        out.update(a=jsonable(c.a), b=jsonable(c.b))
+        out.update(a=_plain(c.a), b=_plain(c.b))
     if isinstance(c, FixedUnitary):
-        out["matrix"] = jsonable(c.matrix)
+        out["matrix"] = _plain(c.matrix)
     return out
+
+
+def _plain(matrix):
+    """A complex matrix as the nested [re, im] lists of a graph file."""
+    return json.loads(dumps_deterministic(matrix))
 
 
 def serialize_graph(g) -> dict:
@@ -182,6 +186,20 @@ def test_deterministic_serializer():
         dumps_deterministic({"x": object()})
     with pytest.raises(TypeError):  # no layout option that it would ignore
         dumps_deterministic({}, indent=2)
+
+
+def test_serializer_writes_numpy_and_complex_values():
+    # the text that converting numpy and complex values to plain JSON types
+    # first, and writing those, produced
+    doc = {"f": np.float64(0.1), "i": np.int64(-7), "c": np.complex128(1.5 - 2j), "z": 2j,
+           "m": np.array([[1 + 2j, 3.0], [0.25j, -1]]),
+           "t": (1, np.float32(0.5), (None, True)), "b": [True, None, False]}
+    assert dumps_deterministic(doc) == (
+        '{"b":[true,null,false],"c":[1.5,-2],"f":0.10000000000000001,"i":-7,'
+        '"m":[[[1,2],[3,0]],[[0,0.25],[-1,0]]],"t":[1,0.5,[null,true]],"z":[0,2]}')
+    for value in (np.bool_(True), object(), {1, 2}):
+        with pytest.raises(TypeError):
+            dumps_deterministic({"x": value})
 
 
 def test_compute_s_star_golden(capsys):

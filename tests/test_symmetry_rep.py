@@ -6,6 +6,7 @@ import pytest
 from qgscatter.errors import (
     ConditionViolation,
     DependentColumns,
+    DeterminantOverflow,
     GroupMismatch,
     LengthViolation,
     NotEquivariant,
@@ -35,7 +36,8 @@ from qgscatter.symmetry_rep import (
     validate_action,
 )
 
-from conftest import R2D_MATRICES, pinwheel, s3_star_action, star_open_graph, subspace_distance
+from conftest import (R2D_MATRICES, cyclic_group, pinwheel, s3_star_action, star_open_graph,
+                      subspace_distance)
 
 GOLDEN_STAR3 = np.array([[-1, 2, 2], [2, -1, 2], [2, 2, -1]]) / 3.0
 
@@ -255,6 +257,17 @@ def test_validate_action_matrix_condition_up_to_channel_relabeling():
         validate_action(make(np.diag([1.0, -1.0])).with_lead_order(order), shuffled)
 
 
+def test_validate_action_compares_dft_channel_order():
+    # the cyclic shift of three leads does not keep the DFT matrix, so S(k)
+    # of the star does not commute with it; l -> -l (mod 4) keeps it
+    act = GraphAction(cyclic_group(3), [[(i + j) % 3 for i in range(3)] for j in range(3)])
+    with pytest.raises(ConditionViolation):
+        validate_action(star_open_graph(3, condition=DFT()), act)
+    group = FiniteGroup(("e", "s"), np.array([[0, 1], [1, 0]]))
+    act = GraphAction(group, [[0, 1, 2, 3], [0, 3, 2, 1]])
+    assert validate_action(star_open_graph(4, condition=DFT()), act).ok
+
+
 def test_validate_action_length_violation():
     g = build_graph(
         [Vertex("a", Neumann()), Vertex("b", Neumann()), Vertex("m", Neumann())],
@@ -390,20 +403,32 @@ def test_quotient_rejects_reducible():
         quotient_scattering(og, act, perm_rep, None, k=1.0)
 
 
+def arms(lengths):
+    """A Neumann centre with one arm of each length to a Neumann tip; lead i
+    sits at the tip of arm i. An action given by its lead map alone maps
+    tips onto tips, all Neumann, so :func:`validate_action` passes it
+    whatever the lengths."""
+    tips = [f"t{i}" for i in range(len(lengths))]
+    g = build_graph([Vertex("c", Neumann())] + [Vertex(t, Neumann()) for t in tips],
+                    [Edge(f"a{i}", "c", t, lengths[i]) for i, t in enumerate(tips)],
+                    pending_leads={t: 1 for t in tips})
+    return attach_leads(g, tips)
+
+
 def test_quotient_requires_commuting_s():
-    og = star_open_graph(6, condition=DFT())
+    og = arms([1.0, 1.1, 1.2, 1.3, 1.4, 1.5])
     _, act, rho = s3_star_action()
     with pytest.raises(NotEquivariant):
         quotient_scattering(og, act, rho, None, k=1.0)
 
 
 def test_quotient_names_the_first_element_that_does_not_commute():
-    # Z2 x Z2 on a four-lead DFT star: l -> -l (mod 4) commutes with the DFT
-    # matrix, the swap of leads 0 and 2 and its product with it do not
+    # Z2 x Z2 on four arms: the swap of leads 1 and 3, on arms of one length,
+    # commutes with S; the swap of leads 0 and 2 and its product with it do not
     group = FiniteGroup(("e", "a", "b", "ab"), np.array([[i ^ j for j in range(4)]
                                                          for i in range(4)]))
     act = GraphAction(group, [[0, 1, 2, 3], [0, 3, 2, 1], [2, 1, 0, 3], [2, 3, 0, 1]])
-    og = star_open_graph(4, condition=DFT())
+    og = arms([1.0, 1.3, 1.7, 1.3])
     s = scattering_matrix(og, 1.0).s
     p = lead_permutation_matrices(act)
     assert np.linalg.norm(p[1] @ s - s @ p[1]) <= 1e-12
@@ -412,6 +437,19 @@ def test_quotient_names_the_first_element_that_does_not_commute():
         quotient_scattering(og, act, trivial_rep(group), None, k=1.0)
     assert str(raised.value) == (f"S(k) does not commute with b (defect {defect:.3e}); "
                                  "the graph does not have this symmetry")
+
+
+def test_quotient_off_the_real_axis_checks_s_relative_to_its_scale():
+    # two equal arms swapped: P S - S P is 0, but |S_ij| reaches 4.9e8 at
+    # Im k = -10 and 1e260 at -300, so absolute defects fail on rounding alone
+    group = FiniteGroup(("e", "s"), np.array([[0, 1], [1, 0]]))
+    og, act = arms([1.0, 1.0]), GraphAction(group, [[0, 1], [1, 0]])
+    for k in (2.5 - 10j, 2.5 - 150j, 2.5 - 300j):
+        s = scattering_matrix(og, k).s
+        q = quotient_scattering(og, act, trivial_rep(group), None, k=k)
+        np.testing.assert_allclose(q, [[s[0, 0] + s[0, 1]]], rtol=1e-12)
+    with pytest.raises(DeterminantOverflow, match=r"not finite at k = \(2.5-800j\)"):
+        quotient_scattering(og, act, trivial_rep(group), None, k=2.5 - 800j)
 
 
 def test_quotient_reports_a_subspace_that_s_leaks_out_of(monkeypatch):
@@ -590,7 +628,7 @@ def test_quotient_failures_are_not_kept():
 def test_quotient_memo_follows_the_graph():
     # a second graph with the same action gets its own S, then the first again
     og, act, rho = s3_star_action()
-    other = star_open_graph(6, condition=DFT())
+    other = arms([1.0, 1.1, 1.2, 1.3, 1.4, 1.5])
     expected = quotient_scattering(og, act, rho, None, k=1.0)
     with pytest.raises(NotEquivariant):
         quotient_scattering(other, act, rho, None, k=1.0)
