@@ -35,10 +35,25 @@ A Dirichlet vertex has R_v = 0 and drops out; a DFT or fixed-unitary vertex
 is factored by SVD, its singular values below a relative rank cut dropped.
 M is r x r where the bond matrix is 2|E| x 2|E|; its precision falls near
 k L_e in pi Z, where the bond matrix takes over.
+
+The same factors give S(k) from one r x r solve. With A = I + P T, whose
+inverse is h_e (I - P T) on the two bonds of e, I - Sigma_BB T = A - R P T,
+and the Woodbury identity (I - X Y)^-1 = I + X (I - Y X)^-1 Y gives, with
+Q = T A^-1,
+
+    S(k) = Sigma_LL + Sigma_LB Q (Sigma_BL + U M^-1 V* P Q Sigma_BL),
+
+M being the matrix of D(k) above. Q holds z_e h_e and 1 - h_e on the bonds
+of e, which stay bounded below the real axis, where T overflows. Near
+k L_e in pi Z, where h_e grows without bound, the bonds of e stay unknowns
+beside M instead, in a bordered system of r + 2 rows per such edge. Large
+graphs with k-independent conditions solve for S this way (see
+Assembly.scattering).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -70,6 +85,11 @@ _DET_CHUNK_ENTRIES = 1 << 15
 # precision falls like 1e-16 / |sin(k L_e)| near k L_e in pi Z, so the bond
 # kernel evaluates the k closer than this
 _REDUCED_BAND = 1e-3
+# S(k) of a graph with k-independent conditions takes the reduced route from
+# this many bonds on, when r can reach at most this fraction of them (see
+# Assembly._reduced_s)
+_REDUCED_S_BONDS = 128
+_REDUCED_S_RANK = 0.8
 # Singular values of sigma_v^BB + I below this fraction of the largest are
 # dropped from its factor; those of a rank-deficient R_v come out near 1e-16
 _RANK_CUT = 1e-13
@@ -85,23 +105,25 @@ _START_STEP = 5e-6
 class ScatteringEvaluation:
     """One evaluation of the scattering matrix S(k).
 
-    ``interior_det`` is D(k), the LU determinant of the interior matrix
-    I - Sigma_BB T(k) that S(k) was solved with. At real k the singularity
-    test of :meth:`Assembly.scattering` takes it, and it is stored. At
-    complex k nothing reads it there, so the evaluation keeps the interior
-    matrix (``_interior``) and takes its determinant on the first read,
-    with the same bits; reading it again costs nothing more.
+    ``interior_det`` is D(k): on the bond route the LU determinant of the
+    interior matrix I - Sigma_BB T(k) that S(k) was solved with, on the
+    reduced route (see :meth:`Assembly.scattering`) the value of
+    :func:`interior_determinant`, bit for bit. At real k the singularity
+    test takes it from the system S(k) was solved with, and it is stored
+    (but for the reduced route's band, whose bordered system differs from
+    the bond kernel of :func:`interior_determinant`). Otherwise nothing
+    reads it there, so the evaluation keeps a way to take it
+    (``_interior``) and takes it on the first read, with the same bits;
+    reading it again costs nothing more.
     """
 
     k: complex
     s: np.ndarray
-    _interior: object = field(repr=False)  # D(k), or the matrix it is the determinant of
+    _interior: object = field(repr=False)  # D(k), or a function that takes it
 
     @functools.cached_property
     def interior_det(self) -> complex:
-        if isinstance(self._interior, np.ndarray):
-            return lu_det(self._interior)
-        return self._interior
+        return self._interior() if callable(self._interior) else self._interior
 
     @property
     def unitarity_defect(self) -> float:
@@ -134,6 +156,12 @@ class SpectrumWindow:
         return np.array([ev.k for ev in self.eigenvalues])
 
 
+def _overflow(k) -> DeterminantOverflow:
+    """The error of a k below the real axis whose S(k) is not finite."""
+    return DeterminantOverflow(f"S(k) is not finite at k = {complex(k)}: its entries grow "
+                               "like exp(2 |Im k| L_e)")
+
+
 def _singular(k, det) -> SingularInterior:
     """The error of a real k whose |D(k)| is below ``_SINGULAR_TOL``."""
     k, det = complex(k), complex(det)
@@ -145,9 +173,19 @@ def _singular(k, det) -> SingularInterior:
     )
 
 
+def _pairs(rows, cols):
+    """(i, p, q) for every i and every p < rows[i], q < cols[i], in that
+    order, p before q."""
+    counts = rows * cols
+    i = np.repeat(np.arange(len(counts)), counts)
+    at = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return (i, *np.divmod(at, cols[i]))
+
+
 class _ReducedKernel:
     """D(k) of a graph with edges whose vertex conditions are all
-    k-independent, from the r x r matrix M(k) of the module docstring.
+    k-independent, from the r x r matrix M(k) of the module docstring, and
+    S(k) from the same matrix.
 
     Each vertex v with r_v = rank R_v > 0 owns r_v rows and columns of M.
     Its rows are stored times c_v, with R_v = U_v W_v / c_v: the diagonal
@@ -158,8 +196,9 @@ class _ReducedKernel:
     W_v = 1 (one row) and c_v = d, so its row keeps the integer constants
     d - 2 d_b, 2 and -2. A DFT or fixed-unitary vertex takes U_v W_v from
     the SVD of R_v, dropping the singular values below ``_RANK_CUT`` times
-    the largest, with c_v = 1. A Dirichlet vertex has R_v = 0 and owns
-    nothing. So D(k) = prod_e (1 - exp(2ik L_e)) det M(k) / prod_v c_v^r_v.
+    the largest, with c_v = 1; the R_v of one end count are factored in one
+    stacked SVD. A Dirichlet vertex has R_v = 0 and owns nothing. So
+    D(k) = prod_e (1 - exp(2ik L_e)) det M(k) / prod_v c_v^r_v.
 
     Each entry of M is a sum of coefficients (``coefs``) times the terms
     [h_e | exp(ik L_e) h_e | 1] (columns ``cols``), the last one carrying
@@ -171,66 +210,95 @@ class _ReducedKernel:
 
     def __init__(self, table: BondTable, vertices):
         """``vertices`` lists (condition, io, sigma_v) for every vertex with
-        channels, io being its (out, in) channel pairs from the bond table."""
+        channels, io being its (out, in) channel pairs from the bond table,
+        leads first."""
         nl, nb = table.n_leads, table.n_bonds
-        n_e = nb // 2
         self.ilengths = 1j * table.bond_lengths[::2]
-        # per out bond: the first row of its vertex, its column of W_v and
-        # its row of U_v; per vertex of rank > 0: its first row and K0
-        top, w_of, u_of = [0] * nb, [[]] * nb, [[]] * nb
-        blocks, r, scale = [], 0, 1.0
+        # the out bonds of every vertex with edge ends that is not Dirichlet,
+        # with its c_v, or its place in the stack of the R_v of its end count
+        found, stacks = [], {}
         for condition, io, sigma in vertices:
-            ends = [i for i, (c_out, _) in enumerate(io) if c_out >= nl]
-            if not ends or isinstance(condition, Dirichlet):
+            bonds = [c_out - nl for c_out, _ in io if c_out >= nl]
+            if not bonds or isinstance(condition, Dirichlet):
                 continue
             if isinstance(condition, Neumann):
-                c, k0 = len(io), [[len(io) - 2 * len(ends)]]
-                w, u = [[1.0]] * len(ends), [[2.0]] * len(ends)
+                found.append((bonds, len(io), None))
+                continue
+            stack = stacks.setdefault(len(bonds), ([], []))
+            found.append((bonds, 1, len(stack[0])))
+            stack[0].append(sigma[-len(bonds):, -len(bonds):])  # the leads come first
+            stack[1].extend(bonds)
+        # per end count: the SVD of its R_v, U_v W_v and K0 at full rank,
+        # and each rank
+        for d, (stack, bonds) in stacks.items():
+            a, s, bh = np.linalg.svd(np.array(stack) + np.eye(d))
+            u = a * s[:, None, :]
+            stacks[d] = (a, s, bh, u, (np.eye(d) - bh @ u).tolist(),
+                         (s > _RANK_CUT * s[:, :1]).sum(axis=1).tolist(), bonds)
+        # per vertex of rank > 0, in vertex order: its first row, rank and K0
+        r, scale, firsts, sizes, k0s = 0, 1.0, [], [], []
+        owned, tops, ranks, neumann = [], [], [], []
+        for bonds, c, i in found:
+            if i is None:
+                rank = 1
+                k0s.append(c - 2 * len(bonds))
+                neumann += bonds
+                scale /= c
             else:
-                a, s, bh = np.linalg.svd(sigma[np.ix_(ends, ends)] + np.eye(len(ends)))
-                keep = s > _RANK_CUT * s[0]
-                if not keep.any():
+                a, s, bh, _, k0, rank_of, _ = stacks[len(bonds)]
+                rank = rank_of[i]
+                if not rank:
                     continue
-                u_v, w_v = a[:, keep] * s[keep], bh[keep]
-                c, k0 = 1, (np.eye(len(w_v)) - w_v @ u_v).tolist()
-                w, u = w_v.T.tolist(), u_v.tolist()
-            for j, i in enumerate(ends):
-                b = io[i][0] - nl
-                top[b], w_of[b], u_of[b] = r, w[j], u[j]
-            blocks.append((r, k0))
-            r += len(k0)
-            scale /= c ** len(k0)
+                k0 = k0[i] if rank == len(bonds) else (
+                    np.eye(rank) - bh[i, :rank] @ (a[i, :, :rank] * s[i, :rank])).tolist()
+                for row in k0:
+                    k0s += row
+            firsts.append(r)
+            sizes.append(rank)
+            owned += bonds
+            tops += [r] * len(bonds)
+            ranks += [rank] * len(bonds)
+            r += rank
         self.r, self.scale = r, scale
-        # the factors of each out bond, padded with zeros to the largest
-        # rank, and the rows and columns of M they address
-        pad = max(map(len, w_of))
-        w_b, u_b = (np.array([row + [0.0] * (pad - len(row)) for row in rows], dtype=complex)
-                    for rows in (w_of, u_of))
-        at = np.array(top)[:, None] + np.arange(pad)
-        swap, edge = np.arange(nb) ^ 1, np.arange(nb) // 2
-        # (flat index in M, term, coefficient) of every contribution: K0 with
-        # the last term, the constant 1; h_e on the diagonal block of the
-        # vertex that each bond of e leaves, and exp(ik L_e) h_e on the block
-        # from it to the other end's (the two bonds of a loop give a term
-        # each)
-        k0_at = [(r0 + p) * r + r0 + q for r0, k0 in blocks
-                 for p in range(len(k0)) for q in range(len(k0))]
-        flat = np.concatenate([np.array(k0_at, dtype=np.intp),
-                               (at[:, :, None] * r + at[:, None, :]).ravel(),
-                               (at[:, :, None] * r + at[swap][:, None, :]).ravel()])
-        cols = np.concatenate([np.full(len(k0_at), nb),
-                               np.repeat(edge, pad * pad), np.repeat(n_e + edge, pad * pad)])
-        coefs = np.concatenate([np.array([x for _, k0 in blocks for row in k0 for x in row]),
-                                (w_b[:, :, None] * u_b[:, None, :]).ravel(),
-                                (-w_b[:, :, None] * u_b[swap][:, None, :]).ravel()])
+        # per out bond: the first row and the rank of its vertex, and its
+        # column of W_v and row of U_v (not read beyond that rank)
+        top, rank = np.zeros(nb, dtype=np.intp), np.zeros(nb, dtype=np.intp)
+        top[owned], rank[owned] = tops, ranks
+        w_b = np.zeros((nb, max([1, *stacks])), dtype=complex)
+        u_b = np.zeros_like(w_b)
+        if neumann:
+            w_b[neumann, 0], u_b[neumann, 0] = 1.0, 2.0
+        for d, (_, _, bh, u, _, _, bonds) in stacks.items():
+            w_b[bonds, :d] = bh.transpose(0, 2, 1).reshape(-1, d)
+            u_b[bonds, :d] = u.reshape(-1, d)
+        self._bonds = top, rank, w_b, u_b
+        # (flat index in M, term, coefficient) of every contribution, block
+        # by block and row by row within a block: block b holds h_e on the
+        # diagonal block of the vertex that bond b of e leaves, block n_b + b
+        # exp(ik L_e) h_e on the block from it to the vertex that b ^ 1
+        # leaves (the two bonds of a loop give a term each), and the last
+        # blocks K0 with the constant term. Block j has the term j // 2, so
+        # each entry meets its terms in the order of their columns, and a
+        # stable sort by entry keeps that order
+        swap = np.arange(nb) ^ 1
+        firsts, sizes = np.array(firsts, dtype=np.intp), np.array(sizes, dtype=np.intp)
+        i, p, q = _pairs(np.concatenate([rank, rank, sizes]),
+                         np.concatenate([rank, rank[swap], sizes]))
+        flat = ((np.concatenate([top, top, firsts])[i] + p) * r
+                + np.concatenate([top, top[swap], firsts])[i] + q)
+        cols = np.concatenate([np.arange(2 * nb) // 2, np.full(len(firsts), nb)])[i]
+        n_diag, n_bonds = int(rank @ rank), len(i) - len(k0s)
+        w = w_b[i[:n_bonds] % nb, p[:n_bonds]]
+        np.negative(w[n_diag:], out=w[n_diag:])
+        coefs = np.concatenate([w * u_b[np.concatenate([np.arange(nb), swap])[i[:n_bonds]],
+                                        q[:n_bonds]], np.array(k0s)])
         keep = coefs != 0
         flat, cols, coefs = flat[keep], cols[keep], coefs[keep]
-        # the terms of each entry in the order of their columns, and the
-        # entries with the most terms first
-        by_entry = np.lexsort((cols, flat))
+        by_entry = np.argsort(flat, kind="stable")
         flat = flat[by_entry]
         first = np.flatnonzero(np.diff(flat, prepend=-1))
         entries, counts = flat[first], np.diff(first, append=len(flat))
+        # the entries with the most terms first
         order = np.argsort(-counts, kind="stable")
         self.entries = entries[order]
         self.widths = (len(counts) - np.cumsum(np.bincount(counts))[:-1]).tolist()
@@ -239,42 +307,140 @@ class _ReducedKernel:
         self.cols, self.coefs = cols[picks], coefs[picks]
         self.per_chunk = max(1, _DET_CHUNK_ENTRIES // max(r * r, len(picks), nb + 1))
 
+    def terms(self, ks):
+        """The terms [h_e | z_e h_e | 1], z_e = exp(ik L_e), and
+        prod_e (1 - z_e^2) times ``scale``, each stacked over a 1-D complex
+        array of k."""
+        n_e = len(self.ilengths)
+        z = np.exp(ks[:, None] * self.ilengths)
+        one_w = 1.0 - z * z
+        terms = np.empty((len(z), 2 * n_e + 1), dtype=complex)
+        h, zh = terms[:, :n_e], terms[:, n_e:-1]
+        np.divide(1.0, one_w, out=h)
+        np.multiply(z, h, out=zh)
+        terms[:, -1] = 1.0
+        return terms, np.multiply.reduce(one_w, axis=1, initial=self.scale)
+
+    def matrix(self, terms) -> np.ndarray:
+        """M(k) for every row of ``terms``, stacked k x r x r: the one
+        builder of M for D(k) and S(k)."""
+        r = self.r
+        m = np.zeros((len(terms), r * r), dtype=complex)
+        if r:
+            # numpy multiplies a single element in place by its reduction
+            # loop, which can round otherwise; here that is one k of a
+            # one-term M, whose coefficient is 1 or 2
+            sums = terms[:, self.cols]
+            sums *= self.coefs
+            at = self.widths[0]
+            for width in self.widths[1:]:
+                sums[:, :width] += sums[:, at:at + width]
+                at += width
+            m[:, self.entries] = sums[:, :self.widths[0]]
+        return m.reshape(len(terms), r, r)
+
+    def band(self, terms) -> np.ndarray:
+        """Whether |sin(k L_e)| is below ``_REDUCED_BAND``, per row of
+        ``terms`` and edge: |sin(k L_e)| = 1 / (2 |exp(ik L_e) h_e|)."""
+        return np.abs(terms[:, len(self.ilengths):-1]) > 0.5 / _REDUCED_BAND
+
     def dets(self, ks) -> np.ndarray:
-        """D(k) for every k of a 1-D complex array; NaN where some
-        |sin(k L_e)| is below ``_REDUCED_BAND``, and wherever the value is
-        not finite."""
+        """D(k) for every k of a 1-D complex array; NaN in the band (some
+        edge in :meth:`band`), and wherever the value is not finite."""
         out = np.empty(len(ks), dtype=complex)
-        n_e, r = len(self.ilengths), self.r
         with np.errstate(all="ignore"):
             for start in range(0, len(ks), self.per_chunk):
                 part = slice(start, start + self.per_chunk)
-                z = np.exp(ks[part, None] * self.ilengths)
-                one_w = 1.0 - z * z
-                terms = np.empty((len(z), 2 * n_e + 1), dtype=complex)
-                h, zh = terms[:, :n_e], terms[:, n_e:-1]
-                np.divide(1.0, one_w, out=h)
-                np.multiply(z, h, out=zh)
-                terms[:, -1] = 1.0
-                d = np.multiply.reduce(one_w, axis=1, initial=self.scale)
-                if r:
-                    # numpy multiplies a single element in place by its
-                    # reduction loop, which can round otherwise; here that is
-                    # one k of a one-term M, whose coefficient is 1 or 2
-                    sums = terms[:, self.cols]
-                    sums *= self.coefs
-                    at = self.widths[0]
-                    for width in self.widths[1:]:
-                        sums[:, :width] += sums[:, at:at + width]
-                        at += width
-                    m = np.zeros((len(z), r * r), dtype=complex)
-                    m[:, self.entries] = sums[:, :self.widths[0]]
-                    d = d * np.linalg.det(m.reshape(-1, r, r))  # one k: not in place
+                terms, d = self.terms(ks[part])
+                if self.r:
+                    d = d * np.linalg.det(self.matrix(terms))  # one k: not in place
                 out[part] = d
-                # |sin(k L_e)| = 1 / (2 |exp(ik L_e) h_e|)
-                band = np.abs(zh) > 0.5 / _REDUCED_BAND
+                band = self.band(terms)
                 if band.any():
                     out[part][band.any(axis=1)] = np.nan
         return out
+
+    @functools.cached_property
+    def factors(self):
+        """W (r x n_b, the rows of vertex v times c_v) and U (n_b x r) of
+        the module docstring, dense, with the edge and the reverse of each
+        bond."""
+        top, rank, w_b, u_b = self._bonds
+        nb = len(top)
+        b, p, _ = _pairs(rank, np.ones_like(rank))
+        w = np.zeros((self.r, nb), dtype=complex)
+        u = np.zeros((nb, self.r), dtype=complex)
+        w[top[b] + p, b] = w_b[b, p]
+        u[b, top[b] + p] = u_b[b, p]
+        return w, u, np.arange(nb) // 2, np.arange(nb) ^ 1
+
+    def bordered(self, k, terms, band):
+        """M(k) at one k with edges in the band (``band``, per edge),
+        bordered by the bonds of those edges, which stay unknowns; with the
+        terms and the bonds it was built from, and the prefactor of D(k).
+
+        With A' = I + P T on the other edges and I on the kept bonds E,
+        I - Sigma_BB T = A' - X Y, X = [U | E], Y = [W P T; -E* P T], so no
+        h_e of a band edge appears. In M those edges take the terms h_e = 1
+        and z_e h_e = z_e, which also make Q = T A'^-1 hold z_e on their
+        bonds. The border holds -z_e W on the reverse bonds, z_e U of the
+        reverse bonds, and I + P T on the kept bonds, and
+        D(k) = prod over the other edges of (1 - z_e^2) times its
+        determinant, times ``scale``.
+        """
+        n_e, r = len(self.ilengths), self.r
+        w, u, _, swap = self.factors
+        at = np.flatnonzero(band)
+        z = np.exp(k * self.ilengths[at])
+        kept = terms.copy()
+        kept[at], kept[n_e + at] = 1.0, z
+        bonds = np.ravel([2 * at, 2 * at + 1], order="F")
+        zb, n = np.repeat(z, 2), 2 * len(at)
+        m = np.zeros((r + n, r + n), dtype=complex)
+        m[:r, :r] = self.matrix(kept[None])[0]
+        m[:r, r:] = -w[:, swap[bonds]] * zb
+        m[r:, :r] = zb[:, None] * u[swap[bonds]]
+        m[r:, r:] = np.eye(n)
+        m[r + np.arange(n), r + (np.arange(n) ^ 1)] = zb
+        return kept, m, bonds, np.multiply.reduce(1.0 / terms[:n_e][~band], initial=self.scale)
+
+    def scattering(self, sigma, nl, terms, m, bonds=None) -> np.ndarray:
+        """S(k) for a 1-D array of k, from its terms (:meth:`terms`) and M
+        (:meth:`matrix`); or for one k in the band, from the terms, M and
+        kept bonds of :meth:`bordered`.
+
+        With A = I + P T, whose inverse is h_e (I - P T) on the two bonds of
+        e, I - Sigma_BB T = A - R P T, and by Woodbury
+        (I - Sigma_BB T)^-1 = (I + A^-1 U M^-1 W P T) A^-1, the rows of M
+        and W both times c_v. With Q = T A^-1, which holds z_e h_e on the
+        diagonal and 1 - h_e off it on the two bonds of e, both bounded
+        wherever the terms are finite,
+
+            S = Sigma_LL + Sigma_LB Q (Sigma_BL + U M^-1 W P Q Sigma_BL),
+
+        and with kept bonds E, X and Y of :meth:`bordered` in place of U and
+        W P. A k whose M LAPACK cannot solve gets NaN, for the caller to
+        solve in bond space.
+        """
+        w, u, edge, swap = self.factors
+        n_e = len(self.ilengths)
+        q1, q2 = terms[:, n_e + edge, None], 1.0 - terms[:, edge, None]
+        s_bl = sigma[nl:, :nl]
+        qs = q1 * s_bl + q2 * s_bl[swap]
+        rhs = w @ qs[:, swap]
+        if bonds is not None:
+            rhs = np.concatenate([rhs, -qs[:, swap[bonds]]], axis=1)
+        try:
+            x = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            x = np.full_like(rhs, np.nan)
+            for i in range(len(m)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    x[i] = np.linalg.solve(m[i], rhs[i])
+        ux = u @ x[:, :self.r]
+        if bonds is not None:
+            ux[:, bonds] += x[:, self.r:]
+        return sigma[:nl, :nl] + sigma[:nl, nl:] @ (qs + q1 * ux + q2 * ux[:, swap])
 
 
 class Assembly:
@@ -300,8 +466,12 @@ class Assembly:
     the module docstring, except within ``_REDUCED_BAND`` of the points
     k L_e in pi Z and where that value is not finite, where the bond kernel
     evaluates it. A graph with A/B conditions gets the bond kernel:
-    det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k) solves and
-    Newton steps always work in bond space.
+    det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k) has two
+    routes, chosen per graph (:attr:`_reduced_s`): large graphs with
+    k-independent conditions solve the reduced kernel's r x r system,
+    bordered in the band by the bonds of the edges there, and fall back to
+    the bond solve where that S is not finite; all others solve in bond
+    space. Newton steps always work in bond space.
 
     ``evaluations`` counts the determinants D(k) that
     :meth:`interior_det_many` has computed (none for a graph without edges),
@@ -408,6 +578,11 @@ class Assembly:
         if self.table.n_bonds == 0:
             return np.ones(len(ks), dtype=complex)
         self.evaluations += len(ks)
+        return self._dets(ks)
+
+    def _dets(self, ks) -> np.ndarray:
+        """:meth:`interior_det_many` of a 1-D complex array of k on a graph
+        with edges, without counting."""
         if self._reduced is None:
             return self._bond_dets(ks)
         out = self._reduced.dets(ks)
@@ -491,23 +666,75 @@ class Assembly:
                 return k, it, True
         return k, max_iter, True
 
+    @functools.cached_property
+    def _reduced_s(self):
+        """The reduced kernel when S(k) takes the reduced route, else None.
+
+        The route is chosen per graph, from sizes known before any k: at
+        least ``_REDUCED_S_BONDS`` bonds, k-independent conditions, and an
+        upper bound on r of at most ``_REDUCED_S_RANK`` times the bonds,
+        without an SVD: 1 per Neumann vertex with edge ends and the number of
+        edge ends of each DFT or fixed-unitary vertex. Below, the bond solve
+        costs less than building the kernel and solving with it.
+        """
+        nl, nb = self.table.n_leads, self.table.n_bonds
+        if not self.k_independent or nb < _REDUCED_S_BONDS:
+            return None
+        bound = 0
+        for condition, io, _ in self._vertices:
+            ends = sum(c_out >= nl for c_out, _ in io)
+            if isinstance(condition, Neumann):
+                bound += min(ends, 1)
+            elif not isinstance(condition, Dirichlet):
+                bound += ends
+        return self._reduced if bound <= _REDUCED_S_RANK * nb else None
+
     def scattering(self, k) -> ScatteringEvaluation:
-        """S(k) by one bond-space solve (:meth:`_schur`), after Sigma(k) and
-        T(k). The LU determinant D(k) of the interior matrix is taken at
-        real k only, where |D(k)| below ``_SINGULAR_TOL`` raises
-        :class:`SingularInterior`; at complex k the evaluation takes it when
-        its ``interior_det`` is first read. Raises :class:`ZeroK` at k = 0.
+        """S(k) from one solve, on the graph's route, after T(k) and, for
+        k-dependent conditions, Sigma(k). Raises :class:`ZeroK` at k = 0.
+
+        The bond route solves the 2|E| x 2|E| interior system
+        (:meth:`_schur`). The reduced route (:attr:`_reduced_s`) solves the
+        r x r system M(k) of the reduced kernel
+        (:meth:`_ReducedKernel.scattering`). Within ``_REDUCED_BAND`` of the
+        points k L_e in pi Z, where h_e of M grows without bound, the bonds
+        of the edges there stay unknowns of a bordered system
+        (:meth:`_ReducedKernel.bordered`); where its S is not finite, the
+        bond route solves.
+
+        D(k) is taken at real k only, where |D(k)| below ``_SINGULAR_TOL``
+        raises :class:`SingularInterior`: the LU determinant of the bond
+        matrix, or prod_e (1 - exp(2ik L_e)) det M(k) of the same M (of the
+        bordered system in the band). At complex k, and in the band, where
+        :func:`interior_determinant` takes the bond kernel, the evaluation
+        takes D(k) when its ``interior_det`` is first read. Below the real
+        axis, an S(k) that is not finite raises :class:`DeterminantOverflow`.
         """
         k = complex(k)
         if k == 0:
             raise ZeroK("k must be nonzero")
+        if k.imag >= 0:
+            return self._scattering(k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev = self._scattering(k)
+        if not np.isfinite(ev.s).all():
+            raise _overflow(k)
+        return ev
+
+    def _scattering(self, k) -> ScatteringEvaluation:
+        if self._reduced_s is not None:
+            s, dets, band = self._reduced_scattering(np.array([k]))
+            interior = complex(dets[0]) if not (k.imag or band[0]) else (
+                lambda: complex(self._dets(np.array([k]))[0]))
+            return ScatteringEvaluation(k=k, s=s[0], _interior=interior)
         sigma = self.sigma(k)
         if self.table.n_bonds == 0:
             nl = self.table.n_leads
             return ScatteringEvaluation(k=k, s=sigma[:nl, :nl].copy(), _interior=1.0 + 0.0j)
         m, tk = self._interior_system(np.array([k]), sigma)
-        interior = m[0]
-        if not k.imag:
+        if k.imag:
+            interior = functools.partial(lu_det, m[0])
+        else:
             interior = lu_det(m[0])
             if abs(interior) < _SINGULAR_TOL:
                 raise _singular(k, interior)
@@ -518,14 +745,15 @@ class Assembly:
         """S(k) stacked over a 1-D array of k, each bit-identical to
         ``scattering(k).s``.
 
-        The interior systems are stacked and their solves handed to LAPACK
-        in chunks of about ``_DET_CHUNK_ENTRIES`` entries, so long sweeps of
-        large graphs keep memory flat; the determinants are taken of the
-        real k of a chunk only, in one call, for the singularity test.
-        k-dependent conditions get one Sigma(k) per k. Raises :class:`ZeroK`
-        when some k is 0 and :class:`SingularInterior` at the first real k,
-        in order, where the interior system is singular, as
-        ``scattering(k)`` does.
+        The systems are stacked and their solves handed to LAPACK in chunks
+        of about ``_DET_CHUNK_ENTRIES`` entries, so long sweeps of large
+        graphs keep memory flat; the determinants are taken of the real k of
+        a chunk only, for the singularity test. k-dependent conditions get
+        one Sigma(k) per k. Raises :class:`ZeroK` when some k is 0, and, as
+        ``scattering(k)`` does, :class:`SingularInterior` at the first real
+        k, in order, where the interior system is singular, and
+        :class:`DeterminantOverflow` at the first k below the real axis
+        whose S(k) is not finite.
         """
         ks = np.asarray(ks, dtype=complex)
         if (ks == 0).any():
@@ -535,18 +763,75 @@ class Assembly:
             sigma = self._sigmas(ks)
             return np.array(np.broadcast_to(sigma[..., :nl, :nl], (len(ks), nl, nl)))
         out = np.empty((len(ks), nl, nl), dtype=complex)
-        per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
+        if self._reduced_s is None:
+            per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
+        else:
+            per_chunk = self._reduced_s.per_chunk
         for start in range(0, len(ks), per_chunk):
             part = slice(start, start + per_chunk)
-            sigma = self._sigmas(ks[part])
-            m, tk = self._interior_system(ks[part], sigma)
-            real = ks[part].imag == 0
-            dets = np.linalg.det(m if real.all() else m[real])
-            singular = np.flatnonzero(np.abs(dets) < _SINGULAR_TOL)
-            if singular.size:
-                raise _singular(ks[part][real][singular[0]], dets[singular[0]])
-            out[part] = self._schur(ks[part], sigma, m, tk)
+            low = ks[part].imag < 0
+            if not low.any():
+                out[part] = self._scattering_chunk(ks[part])
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[part] = self._scattering_chunk(ks[part])
+            bad = np.flatnonzero(low & ~np.isfinite(out[part]).all(axis=(1, 2)))
+            if bad.size:
+                raise _overflow(ks[part][bad[0]])
         return out
+
+    def _scattering_chunk(self, ks) -> np.ndarray:
+        """S(k) for a 1-D array of nonzero k on the graph's route, after the
+        singularity test of its real k."""
+        if self._reduced_s is not None:
+            return self._reduced_scattering(ks)[0]
+        sigma = self._sigmas(ks)
+        m, tk = self._interior_system(ks, sigma)
+        real = ks.imag == 0
+        dets = np.linalg.det(m if real.all() else m[real])
+        singular = np.flatnonzero(np.abs(dets) < _SINGULAR_TOL)
+        if singular.size:
+            raise _singular(ks[real][singular[0]], dets[singular[0]])
+        return self._schur(ks, sigma, m, tk)
+
+    def _reduced_scattering(self, ks):
+        """S(k) on the reduced route for a 1-D array of nonzero k, D(k) at
+        its real k (0 elsewhere) and whether each k is in the band. A k in
+        the band solves its bordered system (:meth:`_ReducedKernel.bordered`),
+        one k at a time, and the k below the real axis whose S is not finite
+        the bond system. Raises :class:`SingularInterior` at the first real k
+        where |D(k)| is below ``_SINGULAR_TOL``."""
+        kern, nl = self._reduced_s, self.table.n_leads
+        terms, d = kern.terms(ks)
+        real, band = ks.imag == 0, kern.band(terms)
+        fine, banded = np.flatnonzero(~band.any(axis=1)), np.flatnonzero(band.any(axis=1))
+        out, dets = np.empty((len(ks), nl, nl), dtype=complex), np.zeros(len(ks), dtype=complex)
+        systems = []  # (the k, their terms, M, the kept bonds)
+        if fine.size:
+            m = kern.matrix(terms[fine])
+            at = real[fine]
+            if at.any():
+                dets[fine[at]] = d[fine[at]] * np.linalg.det(m if at.all() else m[at])
+            systems.append((fine, terms[fine], m, None))
+        for i in banded:
+            kept, m, bonds, d_i = kern.bordered(ks[i], terms[i], band[i])
+            if real[i]:
+                dets[i] = d_i * np.linalg.det(m)
+            systems.append(([i], kept[None], m[None], bonds))
+        if real.any():
+            singular = np.flatnonzero(real & (np.abs(dets) < _SINGULAR_TOL))
+            if singular.size:
+                raise _singular(ks[singular[0]], dets[singular[0]])
+        for at, t, m, bonds in systems:
+            out[at] = kern.scattering(self._sigma, nl, t, m, bonds)
+        if (ks.imag < 0).any():
+            # S overflows, and M is singular at a zero of D, only below the
+            # real axis
+            redo = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+            if redo.size:
+                m, tk = self._interior_system(ks[redo])
+                out[redo] = self._schur(ks[redo], self._sigma, m, tk)
+        return out, dets, band.any(axis=1)
 
     def scattering_det_many(self, ks) -> np.ndarray:
         """det S(k) for a 1-D array of real k, equal to
@@ -619,13 +904,17 @@ def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
     leads); no regularized S is returned there.
 
     A sweep over k of one graph object builds its :class:`Assembly` (bond
-    table, vertex rules, Sigma when constant) once: the Assembly of the
+    table, vertex rules, Sigma when constant, and on large graphs with
+    k-independent conditions the reduced kernel) once: the Assembly of the
     graph of the last call is kept and reused while the same object is
     passed again. Only that one graph is held. Every call builds T(k) and,
     for k-dependent conditions, Sigma(k), with one stacked A/B solve per
-    vertex degree; then it solves for S, a new array each time. A real k
-    also takes the bond determinant D(k) for the singularity test; a
-    complex k takes it only when ``interior_det`` of the result is read.
+    vertex degree; then it solves for S, a new array each time, on the
+    route of :meth:`Assembly.scattering`: the 2|E| x 2|E| bond system, or
+    the r x r system of the reduced kernel. A real k also takes D(k) of
+    that system for the singularity test; a complex k takes it only when
+    ``interior_det`` of the result is read. Below the real axis an S(k)
+    that overflows raises :class:`DeterminantOverflow`.
     """
     return _assembly(og).scattering(k)
 

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     ConditionViolation,
     DependentColumns,
-    DeterminantOverflow,
     GroupMismatch,
     LengthViolation,
     NotEquivariant,
@@ -660,7 +659,8 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
     Upsilon^+) S Upsilon| without the projector. Both are taken on S and B
     divided by max(1, max|S_ij|), since off the real axis |S_ij| grows like
     exp(2|Im k| L) and so do its rounding errors. An S(k) that is not
-    finite raises :class:`DeterminantOverflow`."""
+    finite raises :class:`~qgscatter.errors.DeterminantOverflow` from
+    :meth:`~qgscatter.global_scattering.Assembly.scattering`."""
     perm_mats, encodings = _quotient_setup(og, act)
     keyed = []
     for rho, v in terms:
@@ -676,10 +676,7 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
                 "decompose and use quotient_scattering_sum"
             )
         keyed.append((rho, carrier, key))
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = scattering_matrix(og, k).s
-    if not np.isfinite(s).all():
-        raise DeterminantOverflow(f"S(k) is not finite at k = {k}")
+    s = scattering_matrix(og, k).s
     scale = max(1.0, float(np.abs(s).max()))
     s_n = s / scale
     defects = np.linalg.norm(perm_mats @ s_n - s_n @ perm_mats, axis=(1, 2))

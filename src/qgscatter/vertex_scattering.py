@@ -17,6 +17,7 @@ set is self-adjoint.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ from .graph_core import (DFT, Dirichlet, FixedUnitary, LinearAB, Neumann, Vertex
 from .linalg import hermitian_defect
 
 
+@functools.lru_cache(maxsize=None)
 def neumann_sigma(d: int) -> np.ndarray:
     """Star-vertex matrix with entries 2/d - delta_ij."""
     if d < 1:
@@ -34,6 +36,7 @@ def neumann_sigma(d: int) -> np.ndarray:
     return _frozen_array(np.full((d, d), 2.0 / d) - np.eye(d))
 
 
+@functools.lru_cache(maxsize=None)
 def dirichlet_sigma(d: int) -> np.ndarray:
     """Total reflection with sign flip on every channel: -I."""
     if d < 1:
@@ -41,6 +44,7 @@ def dirichlet_sigma(d: int) -> np.ndarray:
     return _frozen_array(-np.eye(d))
 
 
+@functools.lru_cache(maxsize=None)
 def dft_sigma(d: int) -> np.ndarray:
     """Unitary condition sigma_pq = exp(2 pi i p q / d) / sqrt(d)."""
     if d < 1:

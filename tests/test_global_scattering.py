@@ -7,6 +7,7 @@ import pytest
 
 from qgscatter.cli import parse_graph_file
 from qgscatter.errors import (
+    DeterminantOverflow,
     InvalidDegree,
     SingularAtK,
     SingularInterior,
@@ -1162,3 +1163,275 @@ def test_scattering_many_of_a_large_graph_runs_in_chunks(monkeypatch):
     many = asm.scattering_many(ks)
     assert len(calls) > 1 and sum(calls) == len(ks)
     assert np.array_equal(many, np.stack([asm.scattering(k).s for k in ks]))
+
+
+# ---------------------------------------------------------------------------
+# S(k) far below the real axis
+# ---------------------------------------------------------------------------
+
+def test_s_that_overflows_below_the_axis_raises_determinant_overflow():
+    # on mm1 exp(ik L_b) overflows at 2 - 300i: both entries name k, and no
+    # numpy warning escapes (pytest fails on any)
+    og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    with pytest.raises(DeterminantOverflow, match=r"not finite at k = \(2-300j\)"):
+        scattering_matrix(og, 2 - 300j)
+    with pytest.raises(DeterminantOverflow, match=r"not finite at k = \(2-300j\)"):
+        Assembly(og).scattering_many([1.0, 2 - 30j, 2 - 300j])
+    assert np.isfinite(scattering_matrix(og, 2 - 30j).s).all()
+    assert np.isfinite(Assembly(og).scattering_many([2 - 30j])).all()
+
+
+# ---------------------------------------------------------------------------
+# S(k) of large graphs from the reduced kernel's r x r system
+# ---------------------------------------------------------------------------
+
+TRAPPED_K = np.pi / (1 + np.sqrt(2))
+
+
+def _large_graph(trapped=False, tied=1):
+    """A seeded connected graph of 70 edges (140 bonds), one of them a loop,
+    and 4 leads: Neumann vertices, a DFT vertex at every fifth, Dirichlet at
+    about half of the leaves without a lead; its first ``tied`` edges have
+    one length. With ``trapped``, a separate Neumann vertex between
+    Dirichlet edges of lengths 1 and sqrt(2) hosts a state trapped at
+    ``TRAPPED_K``, where every sin(k L_e) is far from 0."""
+    rng = np.random.default_rng(31)
+    n_v = 36
+    pairs = [(i, int(rng.integers(0, i))) for i in range(1, n_v)] + [(7, 7)]
+    while len(pairs) < 70:
+        pairs.append(tuple(int(x) for x in rng.choice(n_v, 2, replace=False)))
+    leads = [f"v{int(i)}" for i in rng.choice(n_v, 4, replace=False)]
+    degree = {f"v{i}": 0 for i in range(n_v)}
+    for a, b in pairs:
+        degree[f"v{a}"] += 1
+        degree[f"v{b}"] += 1
+    vertices = []
+    for i in range(n_v):
+        name = f"v{i}"
+        if i % 5 == 0:
+            condition = DFT()
+        elif degree[name] == 1 and name not in leads and rng.random() < 0.5:
+            condition = Dirichlet()
+        else:
+            condition = Neumann()
+        vertices.append(Vertex(name, condition))
+    lengths = rng.uniform(0.5, 1.5, len(pairs))
+    lengths[:tied] = lengths[0]
+    edges = [Edge(f"e{j:02d}", f"v{a}", f"v{b}", float(length))
+             for j, ((a, b), length) in enumerate(zip(pairs, lengths))]
+    if trapped:
+        vertices += [Vertex("t", Neumann()), Vertex("w1", Dirichlet()), Vertex("w2", Dirichlet())]
+        edges += [Edge("t1", "w1", "t", 1.0), Edge("t2", "t", "w2", float(np.sqrt(2)))]
+    g = build_graph(vertices, edges, pending_leads={nm: 1 for nm in leads})
+    return attach_leads(g, leads)
+
+
+def _band_ks(og):
+    """Real and complex k in the band of the reduced kernel, at and next to
+    k L_e = 3 pi for the first edge."""
+    k = 3 * np.pi / og.graph.edges[0].length
+    return [k, k * (1 + 1e-6), complex(k, -1e-6)]
+
+
+def _route_ks(og):
+    """Real k, conjugate pairs off the axis, then the three k of _band_ks."""
+    rng = np.random.default_rng(3)
+    low = rng.uniform(0.5, 12.0, 4) - 1j * rng.uniform(0.05, 2.0, 4)
+    ks = list(rng.uniform(0.5, 12.0, 6)) + list(low) + list(low.conj()) + _band_ks(og)
+    return np.array(ks, dtype=complex)
+
+
+def _bond_route_assembly(monkeypatch, og):
+    from qgscatter import global_scattering
+
+    with monkeypatch.context() as patch:
+        patch.setattr(global_scattering, "_REDUCED_S_BONDS", 10 ** 9)
+        asm = Assembly(og)
+        assert asm._reduced_s is None
+    return asm
+
+
+def test_large_graphs_with_k_independent_conditions_take_the_reduced_route():
+    og = _large_graph()
+    asm = Assembly(og)
+    assert asm.table.n_bonds >= 128 and asm._reduced_s is asm._reduced
+    assert asm._reduced.r < 0.5 * asm.table.n_bonds
+    assert _band(og, _band_ks(og)).all() and not _band(og, _route_ks(og)[:-3]).any()
+    # small graphs, A/B graphs and graphs whose r can reach n_b keep the
+    # bond route: here a ring of 70 fixed-unitary vertices, r = n_b = 140
+    assert Assembly(parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"))._reduced_s is None
+    assert Assembly(_robin_lead_graph())._reduced_s is None
+    rng = np.random.default_rng(2)
+    vertices = [Vertex(f"u{i}", FixedUnitary(random_unitary(rng, 2 + (i == 0))))
+                for i in range(70)]
+    edges = [Edge(f"e{i:02d}", f"u{i}", f"u{(i + 1) % 70}", float(length))
+             for i, length in enumerate(rng.uniform(0.5, 1.5, 70))]
+    ring = build_graph(vertices, edges, pending_leads={"u0": 1})
+    asm = Assembly(attach_leads(ring, ["u0"]))
+    assert asm.table.n_bonds == 140 and asm._reduced_s is None and asm._reduced.r == 140
+
+
+@pytest.mark.parametrize("tied", [1, 4])
+def test_reduced_route_matches_the_bond_solve(monkeypatch, tied):
+    # in the band too, where h_e of an edge grows without bound: the bonds of
+    # the edges in the band (1 or 4 of them) stay in the bordered system,
+    # down to sin(k L_e) = 0 up to rounding, and so does D(k) for the
+    # singularity test
+    og = _large_graph(tied=tied)
+    ks = _route_ks(og)
+    asm, bond = Assembly(og), _bond_route_assembly(monkeypatch, og)
+    lengths = np.array([e.length for e in og.graph.edges])
+    assert (np.abs(np.sin(np.outer(ks[-3:], lengths))) < _REDUCED_BAND).sum(axis=1).min() == tied
+    for k in ks:
+        ev, want = asm.scattering(k), bond.scattering(k)
+        scale = max(1.0, np.linalg.norm(want.s))
+        assert np.linalg.norm(ev.s - want.s) <= 1e-12 * scale
+        assert not np.array_equal(ev.s, want.s)
+        if not k.imag:
+            d = asm._reduced_scattering(np.array([k]))[1][0]
+            assert abs(d - want.interior_det) <= 1e-12 * abs(want.interior_det)
+    assert asm.evaluations == 0
+
+
+def test_reduced_route_sweeps_match_per_k_bit_for_bit():
+    og = _large_graph()
+    ks = _route_ks(og)
+    asm = Assembly(og)
+    many = asm.scattering_many(ks)
+    assert asm._reduced_s.per_chunk < len(ks)
+    assert np.array_equal(many, np.stack([asm.scattering(k).s for k in ks]))
+    assert np.array_equal(many, np.stack([scattering_matrix(og, k).s for k in ks]))
+
+
+def test_reduced_route_interior_det_is_interior_determinant(monkeypatch):
+    # at real k off the band D(k) comes from the M that S was solved with;
+    # at complex k, and in the band, where interior_determinant takes the
+    # bond kernel, it is taken only when read, once
+    og = _large_graph()
+    ks = _route_ks(og)
+    lazy = (ks.imag != 0) | _band(og, ks)
+    asm = Assembly(og)
+    det, taken = np.linalg.det, []
+    monkeypatch.setattr(np.linalg, "det", lambda m: taken.append(1) or det(m))
+    evs = [asm.scattering(k) for k in ks]
+    assert len(taken) == int(np.sum(ks.imag == 0))
+    for ev, read_later in zip(evs, lazy):
+        before = len(taken)
+        d = ev.interior_det
+        after = len(taken)
+        assert (after > before) == read_later
+        assert ev.interior_det == d and len(taken) == after
+        assert d == interior_determinant(og, ev.k)
+    assert asm.evaluations == 0
+
+
+def test_reduced_route_reports_a_trapped_state_as_the_bond_route_does(monkeypatch):
+    from qgscatter import global_scattering
+
+    og = _large_graph(trapped=True)
+    asm, bond = Assembly(og), _bond_route_assembly(monkeypatch, og)
+    assert asm._reduced_s is not None and not _band(og, [TRAPPED_K]).any()
+    # |D| at the trapped state is rounding times the D of the rest of the
+    # graph: 3.4e-13 from M and 5.5e-13 from the bond matrix here, above the
+    # absolute _SINGULAR_TOL, which does not scale with the graph
+    assert 1e-13 < abs(asm.interior_det(TRAPPED_K)) < 1e-12
+    monkeypatch.setattr(global_scattering, "_SINGULAR_TOL", 1e-11)
+    with pytest.raises(SingularInterior) as reduced:
+        asm.scattering(TRAPPED_K)
+    with pytest.raises(SingularInterior) as many:
+        asm.scattering_many([1.0, 2.0 - 0.5j, TRAPPED_K, 3.0])
+    with pytest.raises(SingularInterior) as bonds:
+        bond.scattering(TRAPPED_K)
+    assert reduced.value.k == many.value.k == bonds.value.k == TRAPPED_K
+    assert str(reduced.value) == str(many.value)
+    assert reduced.value.determinant == interior_determinant(og, TRAPPED_K)
+    head = "interior system singular at k = "
+    tail = "this k hosts a bound state or exceptional point"
+    assert all(str(e.value).startswith(head) and str(e.value).endswith(tail)
+               for e in (reduced, bonds))
+    np.testing.assert_allclose(asm.scattering(TRAPPED_K + 0.01).s,
+                               bond.scattering(TRAPPED_K + 0.01).s, atol=1e-12)
+
+
+def _reference_kernel_arrays(table, vertices):
+    """(entries, widths, cols, coefs, r, scale) of the reduced kernel, built
+    one vertex and one bond at a time, all padded to the largest rank."""
+    nl, nb = table.n_leads, table.n_bonds
+    n_e = nb // 2
+    top, w_of, u_of = [0] * nb, [[]] * nb, [[]] * nb
+    blocks, r, scale = [], 0, 1.0
+    for condition, io, sigma in vertices:
+        ends = [i for i, (c_out, _) in enumerate(io) if c_out >= nl]
+        if not ends or isinstance(condition, Dirichlet):
+            continue
+        if isinstance(condition, Neumann):
+            c, k0 = len(io), [[len(io) - 2 * len(ends)]]
+            w, u = [[1.0]] * len(ends), [[2.0]] * len(ends)
+        else:
+            a, s, bh = np.linalg.svd(sigma[np.ix_(ends, ends)] + np.eye(len(ends)))
+            keep = s > 1e-13 * s[0]
+            if not keep.any():
+                continue
+            u_v, w_v = a[:, keep] * s[keep], bh[keep]
+            c, k0 = 1, (np.eye(len(w_v)) - w_v @ u_v).tolist()
+            w, u = w_v.T.tolist(), u_v.tolist()
+        for j, i in enumerate(ends):
+            b = io[i][0] - nl
+            top[b], w_of[b], u_of[b] = r, w[j], u[j]
+        blocks.append((r, k0))
+        r += len(k0)
+        scale /= c ** len(k0)
+    pad = max(map(len, w_of))
+    w_b, u_b = (np.array([row + [0.0] * (pad - len(row)) for row in rows], dtype=complex)
+                for rows in (w_of, u_of))
+    at = np.array(top)[:, None] + np.arange(pad)
+    swap, edge = np.arange(nb) ^ 1, np.arange(nb) // 2
+    k0_at = [(r0 + p) * r + r0 + q for r0, k0 in blocks
+             for p in range(len(k0)) for q in range(len(k0))]
+    flat = np.concatenate([np.array(k0_at, dtype=np.intp),
+                           (at[:, :, None] * r + at[:, None, :]).ravel(),
+                           (at[:, :, None] * r + at[swap][:, None, :]).ravel()])
+    cols = np.concatenate([np.full(len(k0_at), nb),
+                           np.repeat(edge, pad * pad), np.repeat(n_e + edge, pad * pad)])
+    coefs = np.concatenate([np.array([x for _, k0 in blocks for row in k0 for x in row]),
+                            (w_b[:, :, None] * u_b[:, None, :]).ravel(),
+                            (-w_b[:, :, None] * u_b[swap][:, None, :]).ravel()])
+    keep = coefs != 0
+    flat, cols, coefs = flat[keep], cols[keep], coefs[keep]
+    by_entry = np.lexsort((cols, flat))
+    flat = flat[by_entry]
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    entries, counts = flat[first], np.diff(first, append=len(flat))
+    order = np.argsort(-counts, kind="stable")
+    widths = (len(counts) - np.cumsum(np.bincount(counts))[:-1]).tolist()
+    picks = by_entry[np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        first[order[:width]] + j for j, width in enumerate(widths)])]
+    return entries[order], widths, cols[picks], coefs[picks], r, scale
+
+
+def test_reduced_kernel_arrays_match_the_one_vertex_at_a_time_reference():
+    # every D(k) keeps its bits when the kernel's arrays do: loops, parallel
+    # edges, DFT vertices of full and of deficient rank, a fixed-unitary
+    # vertex of rank 0 (-I), Dirichlet vertices of every degree
+    graphs = dict(_vertex_identity_graphs())
+    g = build_graph([Vertex("a", Neumann()), Vertex("m", FixedUnitary(-np.eye(3))),
+                     Vertex("d", DFT()), Vertex("w", Dirichlet())],
+                    [Edge("e1", "a", "m", 0.7), Edge("e2", "m", "d", 1.1),
+                     Edge("e3", "m", "w", 0.9), Edge("e4", "d", "d", 0.6),
+                     Edge("e5", "a", "d", 1.3)],
+                    pending_leads={"a": 1})
+    graphs["rank-0-unitary"] = attach_leads(g, ["a"])
+    graphs["large"] = _large_graph(trapped=True)
+    graphs.update({f"random-{s}": random_open_graph(np.random.default_rng(s)) for s in range(40)})
+    checked = 0
+    for og in graphs.values():
+        asm = Assembly(og)
+        if asm._reduced is None:
+            continue
+        kernel = asm._reduced
+        entries, widths, cols, coefs, r, scale = _reference_kernel_arrays(asm.table, asm._vertices)
+        assert (kernel.r, kernel.scale, kernel.widths) == (r, scale, widths)
+        for got, want in ((kernel.entries, entries), (kernel.cols, cols), (kernel.coefs, coefs)):
+            assert got.shape == want.shape and got.tobytes() == want.astype(got.dtype).tobytes()
+        checked += 1
+    assert checked >= 30

@@ -56,6 +56,20 @@ def test_invalid_degree():
             ctor(0)
 
 
+def test_named_sigmas_are_shared_per_degree():
+    # one read-only matrix per degree, handed to every vertex of it; a bad
+    # degree raises on every call
+    for ctor in (neumann_sigma, dirichlet_sigma, dft_sigma):
+        for d in (1, 3, 5):
+            m = ctor(d)
+            assert ctor(d) is m and not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+        for d in (0, -2, 0):
+            with pytest.raises(InvalidDegree):
+                ctor(d)
+
+
 def test_ab_dirichlet_and_neumann_limits():
     np.testing.assert_allclose(ab_to_sigma(np.eye(3), np.zeros((3, 3)), 2.2),
                                -np.eye(3), atol=1e-14)
