@@ -44,11 +44,10 @@ Q = T A^-1,
     S(k) = Sigma_LL + Sigma_LB Q (Sigma_BL + U M^-1 V* P Q Sigma_BL),
 
 M being the matrix of D(k) above. Q holds z_e h_e and 1 - h_e on the bonds
-of e, which stay bounded below the real axis, where T overflows. Near
-k L_e in pi Z, where h_e grows without bound, the bonds of e stay unknowns
-beside M instead, in a bordered system of r + 2 rows per such edge. Large
-graphs with k-independent conditions solve for S this way (see
-Assembly.scattering).
+of e, which stay bounded below the real axis, where T overflows. Large
+graphs with k-independent conditions solve for S this way, except near
+k L_e in pi Z, where h_e grows without bound and the bond system solves
+(see Assembly.scattering).
 """
 
 from __future__ import annotations
@@ -86,10 +85,8 @@ _DET_CHUNK_ENTRIES = 1 << 15
 # kernel evaluates the k closer than this
 _REDUCED_BAND = 1e-3
 # S(k) of a graph with k-independent conditions takes the reduced route from
-# this many bonds on, when r can reach at most this fraction of them (see
-# Assembly._reduced_s)
+# this many bonds on (see Assembly._reduced_s)
 _REDUCED_S_BONDS = 128
-_REDUCED_S_RANK = 0.8
 # Singular values of sigma_v^BB + I below this fraction of the largest are
 # dropped from its factor; those of a rank-deficient R_v come out near 1e-16
 _RANK_CUT = 1e-13
@@ -109,12 +106,10 @@ class ScatteringEvaluation:
     interior matrix I - Sigma_BB T(k) that S(k) was solved with, on the
     reduced route (see :meth:`Assembly.scattering`) the value of
     :func:`interior_determinant`, bit for bit. At real k the singularity
-    test takes it from the system S(k) was solved with, and it is stored
-    (but for the reduced route's band, whose bordered system differs from
-    the bond kernel of :func:`interior_determinant`). Otherwise nothing
-    reads it there, so the evaluation keeps a way to take it
-    (``_interior``) and takes it on the first read, with the same bits;
-    reading it again costs nothing more.
+    test takes it from the system S(k) was solved with, and it is stored.
+    At complex k nothing reads it there, so the evaluation keeps a way to
+    take it (``_interior``) and takes it on the first read, with the same
+    bits; reading it again costs nothing more.
     """
 
     k: complex
@@ -374,40 +369,9 @@ class _ReducedKernel:
         u[b, top[b] + p] = u_b[b, p]
         return w, u, np.arange(nb) // 2, np.arange(nb) ^ 1
 
-    def bordered(self, k, terms, band):
-        """M(k) at one k with edges in the band (``band``, per edge),
-        bordered by the bonds of those edges, which stay unknowns; with the
-        terms and the bonds it was built from, and the prefactor of D(k).
-
-        With A' = I + P T on the other edges and I on the kept bonds E,
-        I - Sigma_BB T = A' - X Y, X = [U | E], Y = [W P T; -E* P T], so no
-        h_e of a band edge appears. In M those edges take the terms h_e = 1
-        and z_e h_e = z_e, which also make Q = T A'^-1 hold z_e on their
-        bonds. The border holds -z_e W on the reverse bonds, z_e U of the
-        reverse bonds, and I + P T on the kept bonds, and
-        D(k) = prod over the other edges of (1 - z_e^2) times its
-        determinant, times ``scale``.
-        """
-        n_e, r = len(self.ilengths), self.r
-        w, u, _, swap = self.factors
-        at = np.flatnonzero(band)
-        z = np.exp(k * self.ilengths[at])
-        kept = terms.copy()
-        kept[at], kept[n_e + at] = 1.0, z
-        bonds = np.ravel([2 * at, 2 * at + 1], order="F")
-        zb, n = np.repeat(z, 2), 2 * len(at)
-        m = np.zeros((r + n, r + n), dtype=complex)
-        m[:r, :r] = self.matrix(kept[None])[0]
-        m[:r, r:] = -w[:, swap[bonds]] * zb
-        m[r:, :r] = zb[:, None] * u[swap[bonds]]
-        m[r:, r:] = np.eye(n)
-        m[r + np.arange(n), r + (np.arange(n) ^ 1)] = zb
-        return kept, m, bonds, np.multiply.reduce(1.0 / terms[:n_e][~band], initial=self.scale)
-
-    def scattering(self, sigma, nl, terms, m, bonds=None) -> np.ndarray:
-        """S(k) for a 1-D array of k, from its terms (:meth:`terms`) and M
-        (:meth:`matrix`); or for one k in the band, from the terms, M and
-        kept bonds of :meth:`bordered`.
+    def scattering(self, sigma, nl, terms, m) -> np.ndarray:
+        """S(k) for a 1-D array of k off the band, from its terms
+        (:meth:`terms`) and M (:meth:`matrix`).
 
         With A = I + P T, whose inverse is h_e (I - P T) on the two bonds of
         e, I - Sigma_BB T = A - R P T, and by Woodbury
@@ -416,11 +380,10 @@ class _ReducedKernel:
         diagonal and 1 - h_e off it on the two bonds of e, both bounded
         wherever the terms are finite,
 
-            S = Sigma_LL + Sigma_LB Q (Sigma_BL + U M^-1 W P Q Sigma_BL),
+            S = Sigma_LL + Sigma_LB Q (Sigma_BL + U M^-1 W P Q Sigma_BL).
 
-        and with kept bonds E, X and Y of :meth:`bordered` in place of U and
-        W P. A k whose M LAPACK cannot solve gets NaN, for the caller to
-        solve in bond space.
+        A k whose M LAPACK cannot solve gets NaN, for the caller to solve in
+        bond space.
         """
         w, u, edge, swap = self.factors
         n_e = len(self.ilengths)
@@ -428,8 +391,6 @@ class _ReducedKernel:
         s_bl = sigma[nl:, :nl]
         qs = q1 * s_bl + q2 * s_bl[swap]
         rhs = w @ qs[:, swap]
-        if bonds is not None:
-            rhs = np.concatenate([rhs, -qs[:, swap[bonds]]], axis=1)
         try:
             x = np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError:
@@ -437,9 +398,7 @@ class _ReducedKernel:
             for i in range(len(m)):
                 with contextlib.suppress(np.linalg.LinAlgError):
                     x[i] = np.linalg.solve(m[i], rhs[i])
-        ux = u @ x[:, :self.r]
-        if bonds is not None:
-            ux[:, bonds] += x[:, self.r:]
+        ux = u @ x
         return sigma[:nl, :nl] + sigma[:nl, nl:] @ (qs + q1 * ux + q2 * ux[:, swap])
 
 
@@ -468,10 +427,10 @@ class Assembly:
     evaluates it. A graph with A/B conditions gets the bond kernel:
     det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k) has two
     routes, chosen per graph (:attr:`_reduced_s`): large graphs with
-    k-independent conditions solve the reduced kernel's r x r system,
-    bordered in the band by the bonds of the edges there, and fall back to
-    the bond solve where that S is not finite; all others solve in bond
-    space. Newton steps always work in bond space.
+    k-independent conditions solve the reduced kernel's r x r system, and
+    the bond system within ``_REDUCED_BAND`` of the points k L_e in pi Z
+    and where that S is not finite; all others solve in bond space. Newton
+    steps always work in bond space.
 
     ``evaluations`` counts the determinants D(k) that
     :meth:`interior_det_many` has computed (none for a graph without edges),
@@ -518,7 +477,8 @@ class Assembly:
     def _reduced(self):
         """The reduced kernel when the graph has edges and its conditions
         are all k-independent, else None; built at the first determinant,
-        so that S(k) sweeps do not pay for it."""
+        or at the first S(k) on the reduced route (:attr:`_reduced_s`), so
+        that S(k) sweeps on the bond route do not pay for it."""
         if not (self.k_independent and self.table.n_bonds):
             return None
         return _ReducedKernel(self.table, self._vertices)
@@ -668,26 +628,11 @@ class Assembly:
 
     @functools.cached_property
     def _reduced_s(self):
-        """The reduced kernel when S(k) takes the reduced route, else None.
-
-        The route is chosen per graph, from sizes known before any k: at
-        least ``_REDUCED_S_BONDS`` bonds, k-independent conditions, and an
-        upper bound on r of at most ``_REDUCED_S_RANK`` times the bonds,
-        without an SVD: 1 per Neumann vertex with edge ends and the number of
-        edge ends of each DFT or fixed-unitary vertex. Below, the bond solve
-        costs less than building the kernel and solving with it.
-        """
-        nl, nb = self.table.n_leads, self.table.n_bonds
-        if not self.k_independent or nb < _REDUCED_S_BONDS:
-            return None
-        bound = 0
-        for condition, io, _ in self._vertices:
-            ends = sum(c_out >= nl for c_out, _ in io)
-            if isinstance(condition, Neumann):
-                bound += min(ends, 1)
-            elif not isinstance(condition, Dirichlet):
-                bound += ends
-        return self._reduced if bound <= _REDUCED_S_RANK * nb else None
+        """The reduced kernel when S(k) takes the reduced route, else None:
+        k-independent conditions and at least ``_REDUCED_S_BONDS`` bonds.
+        Below, the bond solve costs less than building the kernel and
+        solving with it."""
+        return self._reduced if self.table.n_bonds >= _REDUCED_S_BONDS else None
 
     def scattering(self, k) -> ScatteringEvaluation:
         """S(k) from one solve, on the graph's route, after T(k) and, for
@@ -697,18 +642,15 @@ class Assembly:
         (:meth:`_schur`). The reduced route (:attr:`_reduced_s`) solves the
         r x r system M(k) of the reduced kernel
         (:meth:`_ReducedKernel.scattering`). Within ``_REDUCED_BAND`` of the
-        points k L_e in pi Z, where h_e of M grows without bound, the bonds
-        of the edges there stay unknowns of a bordered system
-        (:meth:`_ReducedKernel.bordered`); where its S is not finite, the
-        bond route solves.
+        points k L_e in pi Z, where h_e of M grows without bound, and below
+        the real axis where that S is not finite, the bond route solves.
 
         D(k) is taken at real k only, where |D(k)| below ``_SINGULAR_TOL``
         raises :class:`SingularInterior`: the LU determinant of the bond
-        matrix, or prod_e (1 - exp(2ik L_e)) det M(k) of the same M (of the
-        bordered system in the band). At complex k, and in the band, where
-        :func:`interior_determinant` takes the bond kernel, the evaluation
-        takes D(k) when its ``interior_det`` is first read. Below the real
-        axis, an S(k) that is not finite raises :class:`DeterminantOverflow`.
+        matrix, or prod_e (1 - exp(2ik L_e)) det M(k) of the same M. At
+        complex k the evaluation takes D(k) when its ``interior_det`` is
+        first read. Below the real axis, an S(k) that is not finite raises
+        :class:`DeterminantOverflow`.
         """
         k = complex(k)
         if k == 0:
@@ -723,8 +665,8 @@ class Assembly:
 
     def _scattering(self, k) -> ScatteringEvaluation:
         if self._reduced_s is not None:
-            s, dets, band = self._reduced_scattering(np.array([k]))
-            interior = complex(dets[0]) if not (k.imag or band[0]) else (
+            s, dets = self._reduced_scattering(np.array([k]))
+            interior = complex(dets[0]) if not k.imag else (
                 lambda: complex(self._dets(np.array([k]))[0]))
             return ScatteringEvaluation(k=k, s=s[0], _interior=interior)
         sigma = self.sigma(k)
@@ -795,35 +737,34 @@ class Assembly:
         return self._schur(ks, sigma, m, tk)
 
     def _reduced_scattering(self, ks):
-        """S(k) on the reduced route for a 1-D array of nonzero k, D(k) at
-        its real k (0 elsewhere) and whether each k is in the band. A k in
-        the band solves its bordered system (:meth:`_ReducedKernel.bordered`),
-        one k at a time, and the k below the real axis whose S is not finite
-        the bond system. Raises :class:`SingularInterior` at the first real k
-        where |D(k)| is below ``_SINGULAR_TOL``."""
+        """S(k) on the reduced route for a 1-D array of nonzero k, and D(k)
+        at its real k (0 elsewhere). The k in the band, and the k below the
+        real axis whose S is not finite, are solved in bond space. Raises
+        :class:`SingularInterior` at the first real k where |D(k)| is below
+        ``_SINGULAR_TOL``."""
         kern, nl = self._reduced_s, self.table.n_leads
         terms, d = kern.terms(ks)
-        real, band = ks.imag == 0, kern.band(terms)
-        fine, banded = np.flatnonzero(~band.any(axis=1)), np.flatnonzero(band.any(axis=1))
-        out, dets = np.empty((len(ks), nl, nl), dtype=complex), np.zeros(len(ks), dtype=complex)
-        systems = []  # (the k, their terms, M, the kept bonds)
+        real, band = ks.imag == 0, kern.band(terms).any(axis=1)
+        fine, banded = np.flatnonzero(~band), np.flatnonzero(band)
+        dets = np.zeros(len(ks), dtype=complex)
         if fine.size:
             m = kern.matrix(terms[fine])
             at = real[fine]
             if at.any():
                 dets[fine[at]] = d[fine[at]] * np.linalg.det(m if at.all() else m[at])
-            systems.append((fine, terms[fine], m, None))
-        for i in banded:
-            kept, m, bonds, d_i = kern.bordered(ks[i], terms[i], band[i])
-            if real[i]:
-                dets[i] = d_i * np.linalg.det(m)
-            systems.append(([i], kept[None], m[None], bonds))
-        if real.any():
-            singular = np.flatnonzero(real & (np.abs(dets) < _SINGULAR_TOL))
-            if singular.size:
-                raise _singular(ks[singular[0]], dets[singular[0]])
-        for at, t, m, bonds in systems:
-            out[at] = kern.scattering(self._sigma, nl, t, m, bonds)
+        if banded.size:
+            bond_m, tk = self._interior_system(ks[banded])
+            at = real[banded]
+            if at.any():
+                dets[banded[at]] = np.linalg.det(bond_m if at.all() else bond_m[at])
+        singular = np.flatnonzero(real & (np.abs(dets) < _SINGULAR_TOL))
+        if singular.size:
+            raise _singular(ks[singular[0]], dets[singular[0]])
+        out = np.empty((len(ks), nl, nl), dtype=complex)
+        if fine.size:
+            out[fine] = kern.scattering(self._sigma, nl, terms[fine], m)
+        if banded.size:
+            out[banded] = self._schur(ks[banded], self._sigma, bond_m, tk)
         if (ks.imag < 0).any():
             # S overflows, and M is singular at a zero of D, only below the
             # real axis
@@ -831,7 +772,7 @@ class Assembly:
             if redo.size:
                 m, tk = self._interior_system(ks[redo])
                 out[redo] = self._schur(ks[redo], self._sigma, m, tk)
-        return out, dets, band.any(axis=1)
+        return out, dets
 
     def scattering_det_many(self, ks) -> np.ndarray:
         """det S(k) for a 1-D array of real k, equal to

@@ -1188,13 +1188,12 @@ def test_s_that_overflows_below_the_axis_raises_determinant_overflow():
 TRAPPED_K = np.pi / (1 + np.sqrt(2))
 
 
-def _large_graph(trapped=False, tied=1):
+def _large_graph(trapped=False):
     """A seeded connected graph of 70 edges (140 bonds), one of them a loop,
     and 4 leads: Neumann vertices, a DFT vertex at every fifth, Dirichlet at
-    about half of the leaves without a lead; its first ``tied`` edges have
-    one length. With ``trapped``, a separate Neumann vertex between
-    Dirichlet edges of lengths 1 and sqrt(2) hosts a state trapped at
-    ``TRAPPED_K``, where every sin(k L_e) is far from 0."""
+    about half of the leaves without a lead. With ``trapped``, a separate
+    Neumann vertex between Dirichlet edges of lengths 1 and sqrt(2) hosts a
+    state trapped at ``TRAPPED_K``, where every sin(k L_e) is far from 0."""
     rng = np.random.default_rng(31)
     n_v = 36
     pairs = [(i, int(rng.integers(0, i))) for i in range(1, n_v)] + [(7, 7)]
@@ -1216,7 +1215,6 @@ def _large_graph(trapped=False, tied=1):
             condition = Neumann()
         vertices.append(Vertex(name, condition))
     lengths = rng.uniform(0.5, 1.5, len(pairs))
-    lengths[:tied] = lengths[0]
     edges = [Edge(f"e{j:02d}", f"v{a}", f"v{b}", float(length))
              for j, ((a, b), length) in enumerate(zip(pairs, lengths))]
     if trapped:
@@ -1257,39 +1255,27 @@ def test_large_graphs_with_k_independent_conditions_take_the_reduced_route():
     assert asm.table.n_bonds >= 128 and asm._reduced_s is asm._reduced
     assert asm._reduced.r < 0.5 * asm.table.n_bonds
     assert _band(og, _band_ks(og)).all() and not _band(og, _route_ks(og)[:-3]).any()
-    # small graphs, A/B graphs and graphs whose r can reach n_b keep the
-    # bond route: here a ring of 70 fixed-unitary vertices, r = n_b = 140
+    # small graphs and A/B graphs keep the bond route
     assert Assembly(parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"))._reduced_s is None
     assert Assembly(_robin_lead_graph())._reduced_s is None
-    rng = np.random.default_rng(2)
-    vertices = [Vertex(f"u{i}", FixedUnitary(random_unitary(rng, 2 + (i == 0))))
-                for i in range(70)]
-    edges = [Edge(f"e{i:02d}", f"u{i}", f"u{(i + 1) % 70}", float(length))
-             for i, length in enumerate(rng.uniform(0.5, 1.5, 70))]
-    ring = build_graph(vertices, edges, pending_leads={"u0": 1})
-    asm = Assembly(attach_leads(ring, ["u0"]))
-    assert asm.table.n_bonds == 140 and asm._reduced_s is None and asm._reduced.r == 140
 
 
-@pytest.mark.parametrize("tied", [1, 4])
-def test_reduced_route_matches_the_bond_solve(monkeypatch, tied):
-    # in the band too, where h_e of an edge grows without bound: the bonds of
-    # the edges in the band (1 or 4 of them) stay in the bordered system,
-    # down to sin(k L_e) = 0 up to rounding, and so does D(k) for the
-    # singularity test
-    og = _large_graph(tied=tied)
+def test_reduced_route_matches_the_bond_solve(monkeypatch):
+    # off the band from M, so to rounding; in the band, where h_e of an edge
+    # grows without bound, from the bond solve, bit for bit, and so is D(k)
+    # of the singularity test
+    og = _large_graph()
     ks = _route_ks(og)
     asm, bond = Assembly(og), _bond_route_assembly(monkeypatch, og)
-    lengths = np.array([e.length for e in og.graph.edges])
-    assert (np.abs(np.sin(np.outer(ks[-3:], lengths))) < _REDUCED_BAND).sum(axis=1).min() == tied
-    for k in ks:
+    for k, in_band in zip(ks, _band(og, ks)):
         ev, want = asm.scattering(k), bond.scattering(k)
         scale = max(1.0, np.linalg.norm(want.s))
         assert np.linalg.norm(ev.s - want.s) <= 1e-12 * scale
-        assert not np.array_equal(ev.s, want.s)
+        assert np.array_equal(ev.s, want.s) == in_band
         if not k.imag:
             d = asm._reduced_scattering(np.array([k]))[1][0]
             assert abs(d - want.interior_det) <= 1e-12 * abs(want.interior_det)
+            assert (d == want.interior_det) == in_band
     assert asm.evaluations == 0
 
 
@@ -1304,12 +1290,12 @@ def test_reduced_route_sweeps_match_per_k_bit_for_bit():
 
 
 def test_reduced_route_interior_det_is_interior_determinant(monkeypatch):
-    # at real k off the band D(k) comes from the M that S was solved with;
-    # at complex k, and in the band, where interior_determinant takes the
-    # bond kernel, it is taken only when read, once
+    # at real k D(k) comes from the system S was solved with: M off the
+    # band, the bond matrix in it; at complex k it is taken only when read,
+    # once
     og = _large_graph()
     ks = _route_ks(og)
-    lazy = (ks.imag != 0) | _band(og, ks)
+    lazy = ks.imag != 0
     asm = Assembly(og)
     det, taken = np.linalg.det, []
     monkeypatch.setattr(np.linalg, "det", lambda m: taken.append(1) or det(m))
