@@ -50,6 +50,21 @@ from .vertex_scattering import dft_sigma
 # groups
 # ---------------------------------------------------------------------------
 
+def _index_array(values, what: str) -> np.ndarray:
+    """``values`` as a read-only integer array; :class:`ValidationError` when
+    its rows have unequal lengths or an entry is not an integer."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValidationError(f"{what} rows have unequal lengths") from None
+    with np.errstate(invalid="ignore"):
+        ints = arr.astype(int)
+    if not np.array_equal(ints, arr):
+        raise ValidationError(f"{what} entries are not integers")
+    ints.setflags(write=False)
+    return ints
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Finite group as element names plus a multiplication table.
@@ -63,7 +78,9 @@ class FiniteGroup:
 
     def __post_init__(self):
         n = len(self.elements)
-        table = np.asarray(self.table, dtype=int)
+        if n == 0:
+            raise ValidationError("a group needs at least one element, the identity")
+        table = _index_array(self.table, "table")
         if table.shape != (n, n):
             raise ValidationError(f"table shape {table.shape} does not match {n} elements")
         if len(set(self.elements)) != n:
@@ -72,13 +89,13 @@ class FiniteGroup:
             raise ValidationError("table entries out of range")
         if not (np.all(table[0] == np.arange(n)) and np.all(table[:, 0] == np.arange(n))):
             raise ValidationError("element 0 is not the identity")
-        for i in range(n):
-            if set(table[i]) != set(range(n)) or set(table[:, i]) != set(range(n)):
-                raise ValidationError(f"row/column {i} is not a permutation (not a group)")
+        # bad[i]: row i or column i is not a permutation of 0..n-1
+        bad = (np.sort(np.stack([table, table.T]), axis=2) != np.arange(n)).any(axis=(0, 2))
+        if bad.any():
+            raise ValidationError(f"row/column {np.argmax(bad)} is not a permutation (not a group)")
         # (ij)k == i(jk) for every triple: O(n^3) integers, cheap up to order ~100.
         if not np.array_equal(table[table, :], table[:, table]):
             raise ValidationError("multiplication table is not associative")
-        table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     @property
@@ -102,24 +119,16 @@ class FiniteGroup:
 
 
 def _cycle_name(perm: Tuple[int, ...]) -> str:
-    n = len(perm)
-    seen = [False] * n
+    """Cycle notation, 1-based, each cycle from its smallest point; "e" for
+    the identity."""
     cycles = []
-    for start in range(n):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
+    for start in range(len(perm)):
         cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        cycles.append(cyc)
-    if not cycles:
-        return "e"
-    return "".join("(" + ",".join(str(i + 1) for i in c) + ")" for c in cycles)
+        while perm[cyc[-1]] != start:
+            cyc.append(perm[cyc[-1]])
+        if len(cyc) > 1 and min(cyc) == start:
+            cycles.append("(" + ",".join(str(i + 1) for i in cyc) + ")")
+    return "".join(cycles) or "e"
 
 
 def symmetric_group(n: int) -> Tuple[FiniteGroup, Mapping[str, Tuple[int, ...]]]:
@@ -129,21 +138,16 @@ def symmetric_group(n: int) -> Tuple[FiniteGroup, Mapping[str, Tuple[int, ...]]]
     the identity first and, for n = 3, transpositions before 3-cycles.
     Returns the group and a name -> permutation-tuple mapping.
     """
-    perms = list(itertools.permutations(range(n)))
-
-    def moved(p):
-        return sum(1 for i, x in enumerate(p) if x != i)
-
-    perms.sort(key=lambda p: (moved(p), _cycle_name(p)))
+    perms = sorted(itertools.permutations(range(n)),
+                   key=lambda p: (sum(x != i for i, x in enumerate(p)), _cycle_name(p)))
     names = [_cycle_name(p) for p in perms]
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.empty((size, size), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    group = FiniteGroup(tuple(names), table)
-    return group, {names[i]: perms[i] for i in range(size)}
+    arr = np.array(perms, dtype=int)
+    # each permutation as its base-n number; arr[:, arr][i, j] is "apply j, then i"
+    digits = n ** np.arange(n)
+    codes = arr @ digits
+    order = np.argsort(codes)
+    table = order[np.searchsorted(codes, arr[:, arr] @ digits, sorter=order)]
+    return FiniteGroup(tuple(names), table), dict(zip(names, perms))
 
 
 def dihedral_group(n: int, reflection_names: Optional[Sequence[str]] = None) -> FiniteGroup:
@@ -157,22 +161,11 @@ def dihedral_group(n: int, reflection_names: Optional[Sequence[str]] = None) -> 
     if len(reflection_names) != n:
         raise ValidationError(f"need {n} reflection names")
     rot_names = ["e"] + [f"s{j}" if j > 1 else "s" for j in range(1, n)]
-    elements = tuple(rot_names) + tuple(reflection_names)
-    size = 2 * n
-    table = np.empty((size, size), dtype=int)
-    for i in range(size):
-        for j in range(size):
-            i_rot, a = i < n, i % n
-            j_rot, b = j < n, j % n
-            if i_rot and j_rot:
-                table[i, j] = (a + b) % n
-            elif i_rot and not j_rot:
-                table[i, j] = n + (b + a) % n
-            elif not i_rot and j_rot:
-                table[i, j] = n + (a - b) % n
-            else:
-                table[i, j] = (a - b) % n
-    return FiniteGroup(elements, table)
+    # s^a f_b = f_(a+b), f_a s^b = f_(a-b), f_a f_b = s^(a-b)
+    plus = np.add.outer(np.arange(n), np.arange(n)) % n
+    minus = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    table = np.block([[plus, n + plus], [n + minus, minus]])
+    return FiniteGroup(tuple(rot_names) + tuple(reflection_names), table)
 
 
 @dataclass(frozen=True)
@@ -189,21 +182,15 @@ def subgroup(group: FiniteGroup, names: Sequence[str]) -> SubgroupEmbedding:
     if 0 not in indices:
         raise NotSubgroup("subgroup must contain the identity")
     indices = [0] + [i for i in indices if i != 0]
-    idx_set = set(indices)
-    if len(idx_set) != len(indices):
+    if len(set(indices)) != len(indices):
         raise NotSubgroup("duplicate subgroup elements")
-    pos = {g: p for p, g in enumerate(indices)}
-    h = len(indices)
-    table = np.empty((h, h), dtype=int)
-    for a in range(h):
-        for b in range(h):
-            prod = group.multiply(indices[a], indices[b])
-            if prod not in idx_set:
-                raise NotSubgroup(
-                    f"{group.elements[indices[a]]} * {group.elements[indices[b]]} "
-                    f"leaves the subset"
-                )
-            table[a, b] = pos[prod]
+    pos = np.full(group.order, -1)
+    pos[indices] = np.arange(len(indices))
+    table = pos[group.table[np.ix_(indices, indices)]]
+    if (table < 0).any():
+        a, b = np.argwhere(table < 0)[0]
+        raise NotSubgroup(
+            f"{group.elements[indices[a]]} * {group.elements[indices[b]]} leaves the subset")
     sub = FiniteGroup(tuple(group.elements[i] for i in indices), table)
     return SubgroupEmbedding(group=sub, parent_indices=tuple(indices))
 
@@ -224,24 +211,20 @@ class MatrixRep:
         if len(mats) != self.group.order:
             raise ValidationError("need one matrix per group element")
         n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise ValidationError("representation matrices must share a square shape")
+        if any(m.shape != (n, n) for m in mats):
+            raise ValidationError("representation matrices must share a square shape")
         if np.linalg.norm(mats[0] - np.eye(n)) > 1e-12:
             raise ValidationError("identity element must map to the identity matrix")
-        for i in range(self.group.order):
-            for j in range(self.group.order):
-                prod = mats[i] @ mats[j]
-                if np.linalg.norm(prod - mats[self.group.multiply(i, j)]) > 1e-12 * max(
-                    1.0, float(np.abs(prod).max())
-                ):
-                    raise NotHomomorphism(
-                        f"rho({self.group.elements[i]}) rho({self.group.elements[j]}) "
-                        f"!= rho(product)"
-                    )
-        for m in mats:
-            m.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
+        stack = np.stack(mats)
+        prod = stack[:, None] @ stack[None]  # [i, j] = rho(i) rho(j)
+        wrong = (np.linalg.norm(prod - stack[self.group.table], axis=(2, 3))
+                 > 1e-12 * np.maximum(1.0, np.abs(prod).max(axis=(2, 3))))
+        if wrong.any():
+            i, j = np.argwhere(wrong)[0]
+            raise NotHomomorphism(
+                f"rho({self.group.elements[i]}) rho({self.group.elements[j]}) != rho(product)")
+        stack.setflags(write=False)
+        object.__setattr__(self, "matrices", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -251,8 +234,7 @@ class MatrixRep:
         return self.matrices[i]
 
     def character(self) -> "ClassFunction":
-        vals = np.array([np.trace(m) for m in self.matrices])
-        return ClassFunction(self.group, vals)
+        return ClassFunction(self.group, np.array([np.trace(m) for m in self.matrices]))
 
     def is_irreducible(self, tol: float = 1e-9) -> bool:
         chi = self.character().values
@@ -261,11 +243,16 @@ class MatrixRep:
 
     @staticmethod
     def from_mapping(group: FiniteGroup, mapping: Mapping[str, np.ndarray]) -> "MatrixRep":
-        missing = [e for e in group.elements if e not in mapping]
-        if missing:
-            raise ValidationError(f"representation missing elements {missing}")
-        return MatrixRep(group, tuple(np.asarray(mapping[e], dtype=complex)
-                                      for e in group.elements))
+        return MatrixRep(group, tuple(_values_at(mapping, group.elements, "representation")))
+
+
+def _values_at(mapping: Mapping, names: Sequence[str], what: str) -> list:
+    """``mapping``'s values at ``names``, in order; :class:`ValidationError`
+    naming every name it lacks."""
+    missing = [e for e in names if e not in mapping]
+    if missing:
+        raise ValidationError(f"{what} missing elements {missing}")
+    return [mapping[e] for e in names]
 
 
 def trivial_rep(group: FiniteGroup) -> MatrixRep:
@@ -296,7 +283,7 @@ def characters_equal(chi1: ClassFunction, chi2: ClassFunction, tol: float = 1e-9
     """Max-norm equality of two class functions on the same group."""
     if not chi1.group.same_group(chi2.group):
         raise GroupMismatch("characters defined on different groups")
-    dev = float(np.max(np.abs(chi1.values - chi2.values))) if chi1.group.order else 0.0
+    dev = float(np.max(np.abs(chi1.values - chi2.values)))
     return dev <= tol, dev
 
 
@@ -311,30 +298,27 @@ def induced_character(group: FiniteGroup, sub: Union[SubgroupEmbedding, Sequence
     """
     if not isinstance(sub, SubgroupEmbedding):
         sub = subgroup(group, list(sub))
-    h_indices = sub.parent_indices
-    pos = {g: p for p, g in enumerate(h_indices)}
 
     if isinstance(chi, ClassFunction):
         if not chi.group.same_group(sub.group):
             raise GroupMismatch("character is not defined on the given subgroup")
         chi_vals = chi.values
     elif isinstance(chi, Mapping):
-        chi_vals = np.array([chi[name] for name in sub.group.elements], dtype=complex)
+        chi_vals = np.array(_values_at(chi, sub.group.elements, "character"), dtype=complex)
     else:
         chi_vals = np.asarray(list(chi), dtype=complex)
         if chi_vals.shape != (sub.group.order,):
             raise ValidationError("character length does not match subgroup order")
 
-    n = group.order
-    values = np.zeros(n, dtype=complex)
-    for g in range(n):
-        acc = 0.0 + 0.0j
-        for x in range(n):
-            conj = group.multiply(group.multiply(group.inverse(x), g), x)
-            if conj in pos:
-                acc += chi_vals[pos[conj]]
-        values[g] = acc / sub.group.order
-    return ClassFunction(group, values)
+    table = group.table
+    # conj[g, x] = x^-1 g x, with x^-1 the column where row x holds the identity
+    conj = table[table[np.argmax(table == 0, axis=1)].T, np.arange(group.order)]
+    pos = np.full(group.order, -1)
+    pos[list(sub.parent_indices)] = np.arange(sub.group.order)
+    terms = np.where(pos[conj] >= 0, chi_vals[pos[conj]], 0.0)
+    # cumsum adds the terms one at a time in x order, so each value has the
+    # bits of the plain sum over x (np.sum would add them pairwise)
+    return ClassFunction(group, np.cumsum(terms, axis=1)[:, -1] / sub.group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +341,18 @@ class GraphAction:
     edge_flip: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        lp = np.asarray(self.lead_perm, dtype=int)
+        lp = _index_array(self.lead_perm, "lead_perm")
         if lp.ndim != 2 or lp.shape[0] != self.group.order:
             raise ValidationError("lead_perm must have one row per group element")
-        lp.setflags(write=False)
         object.__setattr__(self, "lead_perm", lp)
         if self.edge_perm is None and self.edge_flip is not None:
             raise ValidationError("edge_flip needs an edge_perm")
         if self.edge_perm is not None:
-            ep = np.asarray(self.edge_perm, dtype=int)
+            ep = _index_array(self.edge_perm, "edge_perm")
             ef = (np.zeros_like(ep, dtype=bool) if self.edge_flip is None
                   else np.asarray(self.edge_flip, dtype=bool))
             if ep.shape[0] != self.group.order or ef.shape != ep.shape:
                 raise ValidationError("edge_perm/edge_flip shapes do not match the group")
-            ep.setflags(write=False)
             ef.setflags(write=False)
             object.__setattr__(self, "edge_perm", ep)
             object.__setattr__(self, "edge_flip", ef)
@@ -433,9 +415,10 @@ def _check_permutation_action(group: FiniteGroup, what: str, perm, flip, n):
     that of g at the image of e under h."""
     if perm.shape[1] != n:
         raise NotHomomorphism(f"action permutes {perm.shape[1]} {what}s, graph has {n}")
-    for g in range(group.order):
-        if sorted(perm[g].tolist()) != list(range(n)):
-            raise NotHomomorphism(f"element {group.elements[g]} does not permute the {what}s")
+    bad = (np.sort(perm, axis=1) != np.arange(n)).any(axis=1)
+    if bad.any():
+        g = np.argmax(bad)
+        raise NotHomomorphism(f"element {group.elements[g]} does not permute the {what}s")
     if not np.all(perm[0] == np.arange(n)) or flip[0].any():
         raise NotHomomorphism(f"identity element must act trivially on {what}s")
     # [g, h, e]: the image and flip of e under g after h, against those under gh
@@ -541,15 +524,15 @@ def lead_permutation_matrices(act: GraphAction) -> Tuple[np.ndarray, ...]:
     Amplitudes transform by pullback, so P(g) e_i = e_{g i}; equivalently
     (P(g) a)_l = a_{g^-1 l}.
     """
-    n = act.n_leads
-    mats = []
-    for g in range(act.group.order):
-        p = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            p[act.lead_perm[g, i], i] = 1.0
-        p.setflags(write=False)
-        mats.append(p)
-    return tuple(mats)
+    return tuple(_lead_permutation_stack(act))
+
+
+def _lead_permutation_stack(act: GraphAction) -> np.ndarray:
+    """P(g) of :func:`lead_permutation_matrices` stacked (order x leads x
+    leads), read-only: P(g)[l, i] is 1 where l = g i."""
+    stack = np.eye(act.n_leads, dtype=complex)[act.lead_perm].transpose(0, 2, 1).copy()
+    stack.setflags(write=False)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +554,14 @@ def intertwiner_basis(perm_mats: Sequence[np.ndarray], rho: MatrixRep):
     n_leads = perm_mats[0].shape[0]
     n = rho.dim
 
-    blocks = []
-    eye_n = np.eye(n)
-    eye_l = np.eye(n_leads)
-    for g in range(1, group.order):
-        m_t = rho.matrix(group.inverse(g))  # equals M(g)^T for M(g) = rho(g^-1)^T
-        blocks.append(np.kron(perm_mats[g], eye_n) - np.kron(eye_l, m_t))
-    if not blocks:
-        basis = np.eye(n_leads * n, dtype=complex)
-    else:
-        basis = null_space(np.vstack(blocks))
+    eye_n, eye_l = np.eye(n), np.eye(n_leads)
+    # rho(g^-1) equals M(g)^T for M(g) = rho(g^-1)^T
+    blocks = [np.kron(perm_mats[g], eye_n) - np.kron(eye_l, rho.matrix(group.inverse(g)))
+              for g in range(1, group.order)]
+    basis = null_space(np.vstack(blocks)) if blocks else np.eye(n_leads * n, dtype=complex)
     if basis.shape[1] == 0:
         return []
-    canon = rref(basis.T, tol=1e-9)
-    ortho = orthonormalize_rows(canon)
-    return [row.reshape(n_leads, n) for row in ortho]
+    return [row.reshape(n_leads, n) for row in orthonormalize_rows(rref(basis.T, tol=1e-9))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,8 +585,7 @@ def encoding_map(phis: Sequence[np.ndarray], v) -> EncodingMap:
     if not phis:
         raise DependentColumns("empty intertwiner basis")
     v = np.asarray(v, dtype=complex).reshape(-1)
-    cols = [phi @ v for phi in phis]
-    upsilon = np.column_stack(cols)
+    upsilon = np.column_stack([phi @ v for phi in phis])
     s = np.linalg.svd(upsilon, compute_uv=False)
     if s[0] == 0 or s[-1] < 1e-10 * s[0]:
         raise DependentColumns(
@@ -643,7 +618,7 @@ def _quotient_setup(og: OpenGraph, act: GraphAction):
     last_og, last_act, perm_mats, encodings = _last_quotient
     if last_og is not og or last_act is not act:
         validate_action(og, act)
-        perm_mats, encodings = np.stack(lead_permutation_matrices(act)), {}
+        perm_mats, encodings = _lead_permutation_stack(act), {}
         _last_quotient = (og, act, perm_mats, encodings)
     return perm_mats, encodings
 
@@ -689,13 +664,12 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
         )
     blocks = []
     for rho, carrier, key in keyed:
-        if key in encodings:
-            enc = encodings[key]
-        else:
+        if key not in encodings:
             if len(encodings) >= _MAX_ENCODINGS:
                 encodings.clear()
             phis = intertwiner_basis(perm_mats, rho)
-            enc = encodings[key] = encoding_map(phis, carrier) if phis else None
+            encodings[key] = encoding_map(phis, carrier) if phis else None
+        enc = encodings[key]
         if enc is None:
             blocks.append(np.zeros((0, 0), dtype=complex))
             continue

@@ -157,6 +157,87 @@ def test_matrix_rep_validation():
         MatrixRep.from_mapping(g, broken)
 
 
+def _compose_index(maps, i, j):
+    """Index in ``maps`` of the map "apply maps[j], then maps[i]"."""
+    composed = tuple(maps[i][x] for x in maps[j])
+    return maps.index(composed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_group_table_composes_its_permutations(n):
+    g, perms = symmetric_group(n)
+    maps = [tuple(perms[e]) for e in g.elements]
+    assert len(set(maps)) == g.order == len(perms)
+    for i in range(g.order):
+        for j in range(g.order):
+            assert g.multiply(i, j) == _compose_index(maps, i, j)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_dihedral_group_table_composes_the_polygon_maps(n):
+    # rotation s^a: x -> x + a, reflection f_b: x -> b - x (mod n), in element order
+    maps = ([tuple((x + a) % n for x in range(n)) for a in range(n)]
+            + [tuple((b - x) % n for x in range(n)) for b in range(n)])
+    d = dihedral_group(n)
+    expected = [[_compose_index(maps, i, j) for j in range(2 * n)] for i in range(2 * n)]
+    np.testing.assert_array_equal(d.table, expected)
+
+
+def test_group_layer_error_messages():
+    with pytest.raises(ValidationError, match=r"^row/column 1 is not a permutation \(not a group\)$"):
+        FiniteGroup(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 2, 1]])
+    with pytest.raises(ValidationError, match=r"^row/column 2 is not a permutation \(not a group\)$"):
+        FiniteGroup(("e", "a", "b", "c"), [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 1, 1]])
+    g, _ = symmetric_group(3)
+    with pytest.raises(NotSubgroup, match=r"^\(1,2,3\) \* \(1,2,3\) leaves the subset$"):
+        subgroup(g, ["e", "(1,2,3)"])
+    # the first pair in row-major order of the names as given, identity first
+    with pytest.raises(NotSubgroup, match=r"^\(1,3\) \* \(1,2\) leaves the subset$"):
+        subgroup(g, ["(1,3)", "e", "(1,2)"])
+    broken = {e: np.array(R2D_MATRICES[e], dtype=complex) for e in g.elements}
+    broken["(1,2)"] = np.eye(2)
+    with pytest.raises(NotHomomorphism,
+                       match=r"^rho\(\(1,2\)\) rho\(\(1,3\)\) != rho\(product\)$"):
+        MatrixRep.from_mapping(g, broken)
+    og, act, _ = s3_star_action()
+    bad = np.array(act.lead_perm, copy=True)
+    bad[[1, 2]] = [0, 0, 5, 4, 3, 2]
+    with pytest.raises(NotHomomorphism, match=r"^element \(1,2\) does not permute the leads$"):
+        validate_action(og, GraphAction(act.group, bad))
+
+
+def test_induced_character_names_the_elements_its_mapping_lacks():
+    g, _ = symmetric_group(3)
+    with pytest.raises(ValidationError, match=r"^character missing elements \['\(1,2\)'\]$"):
+        induced_character(g, ["e", "(1,2)"], {"e": 1})
+
+
+def test_group_table_refuses_entries_that_are_not_integers():
+    with pytest.raises(ValidationError, match="^table entries are not integers$"):
+        FiniteGroup(("e", "a"), [[0, 1], [1, 0.7]])
+    with pytest.raises(ValidationError, match="^table entries are not integers$"):
+        FiniteGroup(("e", "a"), [[0, 1], [1, np.nan]])
+    # integral values of any dtype are still indices
+    assert FiniteGroup(("e", "a"), [[0.0, 1.0], [1.0, 0.0]]).table.dtype.kind == "i"
+
+
+def test_group_needs_an_element():
+    with pytest.raises(ValidationError, match="^a group needs at least one element"):
+        FiniteGroup((), np.zeros((0, 0)))
+
+
+def test_lead_perm_rows_of_unequal_lengths_are_refused():
+    g, _ = symmetric_group(3)
+    with pytest.raises(ValidationError, match="^lead_perm rows have unequal lengths$"):
+        GraphAction(g, [[0, 1], [0]] * 3)
+
+
+def test_lead_perm_entries_that_are_not_integers_are_refused():
+    g, _ = symmetric_group(3)
+    with pytest.raises(ValidationError, match="^lead_perm entries are not integers$"):
+        GraphAction(g, [[0, 1], [1, 0.5]] * 3)
+
+
 def test_validate_action_ok():
     og, act, _ = s3_star_action()
     report = validate_action(og, act)
