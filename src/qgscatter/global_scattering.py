@@ -44,10 +44,15 @@ Q = T A^-1,
     S(k) = Sigma_LL + Sigma_LB Q (Sigma_BL + U M^-1 V* P Q Sigma_BL),
 
 M being the matrix of D(k) above. Q holds z_e h_e and 1 - h_e on the bonds
-of e, which stay bounded below the real axis, where T overflows. Large
-graphs with k-independent conditions solve for S this way, except near
-k L_e in pi Z, where h_e grows without bound and the bond system solves
-(see Assembly.scattering).
+of e, which stay bounded below the real axis, where T overflows.
+
+An A/B vertex (A f + B f' = 0) has sigma_v(k) + I = 2ik (A + ikB)^-1 B,
+which varies with k. It is factored as U_v(k) W_v with W_v = I and
+U_v(k) = sigma_v^BB(k) + I, read from Sigma(k): one row of M per edge end,
+whose entries vary with k. So large graphs solve for S this way whatever
+their conditions, except near k L_e in pi Z, where h_e grows without bound
+and the bond system solves (see Assembly.scattering). D(k) of a graph with
+A/B vertices is the bond matrix's.
 """
 
 from __future__ import annotations
@@ -84,8 +89,8 @@ _DET_CHUNK_ENTRIES = 1 << 15
 # precision falls like 1e-16 / |sin(k L_e)| near k L_e in pi Z, so the bond
 # kernel evaluates the k closer than this
 _REDUCED_BAND = 1e-3
-# S(k) of a graph with k-independent conditions takes the reduced route from
-# this many bonds on (see Assembly._reduced_s)
+# S(k) takes the reduced route from this many bonds on, whatever the vertex
+# conditions (see Assembly._reduced_s)
 _REDUCED_S_BONDS = 128
 # Singular values of sigma_v^BB + I below this fraction of the largest are
 # dropped from its factor; those of a rank-deficient R_v come out near 1e-16
@@ -105,8 +110,11 @@ class ScatteringEvaluation:
     ``interior_det`` is D(k): on the bond route the LU determinant of the
     interior matrix I - Sigma_BB T(k) that S(k) was solved with, on the
     reduced route (see :meth:`Assembly.scattering`) the value of
-    :func:`interior_determinant`, bit for bit. At real k the singularity
-    test takes it from the system S(k) was solved with, and it is stored.
+    :func:`interior_determinant`, bit for bit, except at real k off the
+    band on a graph with A/B vertices: there it comes from det M, and
+    :func:`interior_determinant` from the bond matrix, so the two agree to
+    rounding only. At real k the singularity test takes it from the system
+    S(k) was solved with, and it is stored.
     At complex k nothing reads it there, so the evaluation keeps a way to
     take it (``_interior``) and takes it on the first read, with the same
     bits; reading it again costs nothing more.
@@ -180,7 +188,7 @@ def _pairs(rows, cols):
 class _ReducedKernel:
     """D(k) of a graph with edges whose vertex conditions are all
     k-independent, from the r x r matrix M(k) of the module docstring, and
-    S(k) from the same matrix.
+    S(k) of any graph with edges from the same matrix.
 
     Each vertex v with r_v = rank R_v > 0 owns r_v rows and columns of M.
     Its rows are stored times c_v, with R_v = U_v W_v / c_v: the diagonal
@@ -191,8 +199,10 @@ class _ReducedKernel:
     W_v = 1 (one row) and c_v = d, so its row keeps the integer constants
     d - 2 d_b, 2 and -2. A DFT or fixed-unitary vertex takes U_v W_v from
     the SVD of R_v, dropping the singular values below ``_RANK_CUT`` times
-    the largest, with c_v = 1; the R_v of one end count are factored in one
-    stacked SVD. A Dirichlet vertex has R_v = 0 and owns nothing. So
+    the largest, with c_v = 1; the distinct R_v of one end count are
+    factored in one stacked SVD. A Dirichlet vertex has R_v = 0 and owns
+    nothing. An A/B vertex with d_b edge ends owns d_b rows, with W_v = I,
+    c_v = 1 and U_v(k) = sigma_v^BB(k) + I, so K0 = -sigma_v^BB(k). So
     D(k) = prod_e (1 - exp(2ik L_e)) det M(k) / prod_v c_v^r_v.
 
     Each entry of M is a sum of coefficients (``coefs``) times the terms
@@ -200,47 +210,62 @@ class _ReducedKernel:
     K0. They are laid out slot by slot: slot j holds the j-th term of the
     entries with more than j terms, which sort first (``widths[j]`` of
     them), so each entry sums its terms in one fixed order whatever the
-    number of k.
+    number of k. A coefficient that involves U_v(k) or K0 of an A/B vertex
+    is its fixed factor times an entry of Sigma(k) (plus 1 on the diagonal
+    of U_v), taken per k (``gather``).
     """
 
     def __init__(self, table: BondTable, vertices):
         """``vertices`` lists (condition, io, sigma_v) for every vertex with
         channels, io being its (out, in) channel pairs from the bond table,
-        leads first."""
-        nl, nb = table.n_leads, table.n_bonds
+        leads first, and sigma_v None for an A/B vertex."""
+        nl, nb, n = table.n_leads, table.n_bonds, table.n_channels
         self.ilengths = 1j * table.bond_lengths[::2]
-        # the out bonds of every vertex with edge ends that is not Dirichlet,
-        # with its c_v, or its place in the stack of the R_v of its end count
+        # the condition, out bonds and degree of every vertex with edge ends
+        # that is not Dirichlet, and for a DFT or fixed-unitary one its place
+        # among the distinct R_v of its end count
         found, stacks = [], {}
         for condition, io, sigma in vertices:
             bonds = [c_out - nl for c_out, _ in io if c_out >= nl]
             if not bonds or isinstance(condition, Dirichlet):
                 continue
-            if isinstance(condition, Neumann):
-                found.append((bonds, len(io), None))
-                continue
-            stack = stacks.setdefault(len(bonds), ([], []))
-            found.append((bonds, 1, len(stack[0])))
-            stack[0].append(sigma[-len(bonds):, -len(bonds):])  # the leads come first
-            stack[1].extend(bonds)
-        # per end count: the SVD of its R_v, U_v W_v and K0 at full rank,
-        # and each rank
-        for d, (stack, bonds) in stacks.items():
+            i = None
+            if sigma is not None and not isinstance(condition, Neumann):
+                d = len(bonds)
+                r_v = sigma[-d:, -d:]  # the leads come first
+                distinct, stack, places, owners = stacks.setdefault(d, ({}, [], [], []))
+                i = distinct.setdefault(r_v.tobytes(), len(stack))
+                if i == len(stack):
+                    stack.append(r_v)
+                places.append(i)
+                owners += bonds
+            found.append((condition, bonds, len(io), i))
+        # per end count: the SVD of its distinct R_v, U_v W_v and K0 at full
+        # rank, and each rank
+        for d, (_, stack, places, owners) in stacks.items():
             a, s, bh = np.linalg.svd(np.array(stack) + np.eye(d))
             u = a * s[:, None, :]
             stacks[d] = (a, s, bh, u, (np.eye(d) - bh @ u).tolist(),
-                         (s > _RANK_CUT * s[:, :1]).sum(axis=1).tolist(), bonds)
+                         (s > _RANK_CUT * s[:, :1]).sum(axis=1).tolist(), places, owners)
         # per vertex of rank > 0, in vertex order: its first row, rank and K0
+        # (the K0 of an A/B vertex is read from Sigma(k), and -1 holds its
+        # place), and the out bonds, end counts and K0 places of A/B vertices
         r, scale, firsts, sizes, k0s = 0, 1.0, [], [], []
-        owned, tops, ranks, neumann = [], [], [], []
-        for bonds, c, i in found:
-            if i is None:
+        owned, tops, ranks, neumann, ab, ab_sizes, ab_at = [], [], [], [], [], [], []
+        for condition, bonds, degree, i in found:
+            if isinstance(condition, Neumann):
                 rank = 1
-                k0s.append(c - 2 * len(bonds))
+                k0s.append(degree - 2 * len(bonds))
                 neumann += bonds
-                scale /= c
+                scale /= degree
+            elif i is None:
+                rank = len(bonds)
+                ab_at.append(len(k0s))
+                k0s += [-1.0] * (rank * rank)
+                ab += bonds
+                ab_sizes.append(rank)
             else:
-                a, s, bh, _, k0, rank_of, _ = stacks[len(bonds)]
+                a, s, bh, _, k0, rank_of, _, _ = stacks[len(bonds)]
                 rank = rank_of[i]
                 if not rank:
                     continue
@@ -256,17 +281,36 @@ class _ReducedKernel:
             r += rank
         self.r, self.scale = r, scale
         # per out bond: the first row and the rank of its vertex, and its
-        # column of W_v and row of U_v (not read beyond that rank)
+        # column of W_v and row of U_v (not read beyond that rank); per entry
+        # of U_v and K0 that is read from Sigma(k), its flat index there
+        # (u_src, k0_src; -1 elsewhere) and what is added to it (u_add)
         top, rank = np.zeros(nb, dtype=np.intp), np.zeros(nb, dtype=np.intp)
         top[owned], rank[owned] = tops, ranks
-        w_b = np.zeros((nb, max([1, *stacks])), dtype=complex)
+        w_b = np.zeros((nb, max([1, *stacks, *ab_sizes])), dtype=complex)
         u_b = np.zeros_like(w_b)
+        u_src, u_add = np.full(w_b.shape, -1, dtype=np.intp), np.zeros(w_b.shape)
+        k0_src = np.full(len(k0s), -1, dtype=np.intp)
         if neumann:
             w_b[neumann, 0], u_b[neumann, 0] = 1.0, 2.0
-        for d, (_, _, bh, u, _, _, bonds) in stacks.items():
-            w_b[bonds, :d] = bh.transpose(0, 2, 1).reshape(-1, d)
-            u_b[bonds, :d] = u.reshape(-1, d)
-        self._bonds = top, rank, w_b, u_b
+        for d, (_, _, bh, u, _, _, places, owners) in stacks.items():
+            w_b[owners, :d] = bh[places].transpose(0, 2, 1).reshape(-1, d)
+            u_b[owners, :d] = u[places].reshape(-1, d)
+        if ab:
+            # an A/B vertex has W_v = I, U_v(k) = sigma_v^BB(k) + I and
+            # K0 = -sigma_v^BB(k): row b, column q is the entry of Sigma(k)
+            # from the in-channel of its end q, the reverse of that end's out
+            # bond, to b. u_b holds 1 in place of U_v
+            ab, ab_sizes = np.array(ab), np.array(ab_sizes)
+            heads = np.repeat(np.cumsum(ab_sizes) - ab_sizes, ab_sizes)
+            j, q, _ = _pairs(np.repeat(ab_sizes, ab_sizes), np.ones_like(ab))
+            b = ab[j]
+            w_b[ab, np.arange(len(ab)) - heads] = 1.0
+            u_b[b, q], u_add[b, q] = 1.0, heads[j] + q == j
+            u_src[b, q] = (nl + b) * n + nl + (ab[heads[j] + q] ^ 1)
+            squares = ab_sizes * ab_sizes
+            k0_src[np.repeat(np.array(ab_at) - np.cumsum(squares) + squares, squares)
+                   + np.arange(len(j))] = u_src[b, q]
+        self._bonds = top, rank, w_b, u_b, u_src, u_add
         # (flat index in M, term, coefficient) of every contribution, block
         # by block and row by row within a block: block b holds h_e on the
         # diagonal block of the vertex that bond b of e leaves, block n_b + b
@@ -285,10 +329,12 @@ class _ReducedKernel:
         n_diag, n_bonds = int(rank @ rank), len(i) - len(k0s)
         w = w_b[i[:n_bonds] % nb, p[:n_bonds]]
         np.negative(w[n_diag:], out=w[n_diag:])
-        coefs = np.concatenate([w * u_b[np.concatenate([np.arange(nb), swap])[i[:n_bonds]],
-                                        q[:n_bonds]], np.array(k0s)])
+        at = np.concatenate([np.arange(nb), swap])[i[:n_bonds]], q[:n_bonds]
+        coefs = np.concatenate([w * u_b[at], np.array(k0s)])
+        src = np.concatenate([u_src[at], k0_src])
+        add = np.concatenate([u_add[at], np.zeros(len(k0s))])
         keep = coefs != 0
-        flat, cols, coefs = flat[keep], cols[keep], coefs[keep]
+        flat, cols, coefs, src, add = flat[keep], cols[keep], coefs[keep], src[keep], add[keep]
         by_entry = np.argsort(flat, kind="stable")
         flat = flat[by_entry]
         first = np.flatnonzero(np.diff(flat, prepend=-1))
@@ -300,7 +346,13 @@ class _ReducedKernel:
         picks = by_entry[np.concatenate([np.zeros(0, dtype=np.intp)] + [
             first[order[:width]] + j for j, width in enumerate(self.widths)])]
         self.cols, self.coefs = cols[picks], coefs[picks]
-        self.per_chunk = max(1, _DET_CHUNK_ENTRIES // max(r * r, len(picks), nb + 1))
+        # the coefficients that are their fixed factor times an entry of
+        # Sigma(k), plus 0 or 1: their places, flat indices in Sigma and adds
+        dyn = np.flatnonzero(src[picks] >= 0)
+        self.gather = (dyn, src[picks][dyn], add[picks][dyn]) if dyn.size else None
+        # k-dependent conditions hold one Sigma(k) of n x n entries per k
+        self.per_chunk = max(1, _DET_CHUNK_ENTRIES // max(r * r, len(picks), nb + 1,
+                                                          n * n if len(ab) else 0))
 
     def terms(self, ks):
         """The terms [h_e | z_e h_e | 1], z_e = exp(ik L_e), and
@@ -316,9 +368,10 @@ class _ReducedKernel:
         terms[:, -1] = 1.0
         return terms, np.multiply.reduce(one_w, axis=1, initial=self.scale)
 
-    def matrix(self, terms) -> np.ndarray:
+    def matrix(self, terms, sigma=None) -> np.ndarray:
         """M(k) for every row of ``terms``, stacked k x r x r: the one
-        builder of M for D(k) and S(k)."""
+        builder of M for D(k) and S(k). A graph with A/B vertices reads
+        their coefficients from ``sigma``, Sigma(k) stacked per row."""
         r = self.r
         m = np.zeros((len(terms), r * r), dtype=complex)
         if r:
@@ -327,6 +380,9 @@ class _ReducedKernel:
             # one-term M, whose coefficient is 1 or 2
             sums = terms[:, self.cols]
             sums *= self.coefs
+            if self.gather is not None:
+                at, src, add = self.gather
+                sums[:, at] *= sigma.reshape(len(terms), -1)[:, src] + add
             at = self.widths[0]
             for width in self.widths[1:]:
                 sums[:, :width] += sums[:, at:at + width]
@@ -359,19 +415,24 @@ class _ReducedKernel:
     def factors(self):
         """W (r x n_b, the rows of vertex v times c_v) and U (n_b x r) of
         the module docstring, dense, with the edge and the reverse of each
-        bond."""
-        top, rank, w_b, u_b = self._bonds
+        bond, and the (rows, columns, flat indices in Sigma(k), adds) of the
+        entries of U that A/B vertices read from Sigma(k), or None."""
+        top, rank, w_b, u_b, u_src, u_add = self._bonds
         nb = len(top)
         b, p, _ = _pairs(rank, np.ones_like(rank))
         w = np.zeros((self.r, nb), dtype=complex)
         u = np.zeros((nb, self.r), dtype=complex)
         w[top[b] + p, b] = w_b[b, p]
         u[b, top[b] + p] = u_b[b, p]
-        return w, u, np.arange(nb) // 2, np.arange(nb) ^ 1
+        read = u_src[b, p] >= 0
+        b, p = b[read], p[read]
+        gather = (b, top[b] + p, u_src[b, p], u_add[b, p]) if b.size else None
+        return w, u, np.arange(nb) // 2, np.arange(nb) ^ 1, gather
 
     def scattering(self, sigma, nl, terms, m) -> np.ndarray:
-        """S(k) for a 1-D array of k off the band, from its terms
-        (:meth:`terms`) and M (:meth:`matrix`).
+        """S(k) for a 1-D array of k off the band, from Sigma(k) (one
+        matrix, or one per k stacked), its terms (:meth:`terms`) and M
+        (:meth:`matrix`).
 
         With A = I + P T, whose inverse is h_e (I - P T) on the two bonds of
         e, I - Sigma_BB T = A - R P T, and by Woodbury
@@ -385,11 +446,11 @@ class _ReducedKernel:
         A k whose M LAPACK cannot solve gets NaN, for the caller to solve in
         bond space.
         """
-        w, u, edge, swap = self.factors
+        w, u, edge, swap, gather = self.factors
         n_e = len(self.ilengths)
         q1, q2 = terms[:, n_e + edge, None], 1.0 - terms[:, edge, None]
-        s_bl = sigma[nl:, :nl]
-        qs = q1 * s_bl + q2 * s_bl[swap]
+        s_bl = sigma[..., nl:, :nl]
+        qs = q1 * s_bl + q2 * s_bl[..., swap, :]
         rhs = w @ qs[:, swap]
         try:
             x = np.linalg.solve(m, rhs)
@@ -398,8 +459,12 @@ class _ReducedKernel:
             for i in range(len(m)):
                 with contextlib.suppress(np.linalg.LinAlgError):
                     x[i] = np.linalg.solve(m[i], rhs[i])
+        if gather is not None:
+            rows, cols, src, add = gather
+            u = np.repeat(u[None], len(x), axis=0)
+            u[:, rows, cols] = sigma.reshape(len(x), -1)[:, src] + add
         ux = u @ x
-        return sigma[:nl, :nl] + sigma[:nl, nl:] @ (qs + q1 * ux + q2 * ux[:, swap])
+        return sigma[..., :nl, :nl] + sigma[..., :nl, nl:] @ (qs + q1 * ux + q2 * ux[:, swap])
 
 
 class Assembly:
@@ -426,11 +491,12 @@ class Assembly:
     k L_e in pi Z and where that value is not finite, where the bond kernel
     evaluates it. A graph with A/B conditions gets the bond kernel:
     det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k) has two
-    routes, chosen per graph (:attr:`_reduced_s`): large graphs with
-    k-independent conditions solve the reduced kernel's r x r system, and
-    the bond system within ``_REDUCED_BAND`` of the points k L_e in pi Z
-    and where that S is not finite; all others solve in bond space. Newton
-    steps always work in bond space.
+    routes, chosen per graph by bond count (:attr:`_reduced_s`): large
+    graphs solve the reduced kernel's r x r system, whose rows of A/B
+    vertices are read from Sigma(k), and the bond system within
+    ``_REDUCED_BAND`` of the points k L_e in pi Z and where that S is not
+    finite; all others solve in bond space. Newton steps always work in
+    bond space.
 
     ``evaluations`` counts the determinants D(k) that
     :meth:`interior_det_many` has computed (none for a graph without edges),
@@ -502,6 +568,8 @@ class Assembly:
         """Sigma(k) for a 1-D array of k: the one constant matrix, or one per k."""
         if self._sigma is not None:
             return self._sigma
+        if len(ks) == 1:
+            return self._assemble(complex(ks[0]))[None]
         return np.stack([self._assemble(complex(k)) for k in ks])
 
     def _interior_system(self, ks, sigma=None):
@@ -629,10 +697,12 @@ class Assembly:
     @functools.cached_property
     def _reduced_s(self):
         """The reduced kernel when S(k) takes the reduced route, else None:
-        k-independent conditions and at least ``_REDUCED_S_BONDS`` bonds.
-        Below, the bond solve costs less than building the kernel and
-        solving with it."""
-        return self._reduced if self.table.n_bonds >= _REDUCED_S_BONDS else None
+        at least ``_REDUCED_S_BONDS`` bonds. Below, the bond solve costs less
+        than building the kernel and solving with it. A graph with A/B
+        vertices gets a kernel of its own, which D(k) does not use."""
+        if self.table.n_bonds < _REDUCED_S_BONDS:
+            return None
+        return self._reduced if self.k_independent else _ReducedKernel(self.table, self._vertices)
 
     def scattering(self, k) -> ScatteringEvaluation:
         """S(k) from one solve, on the graph's route, after T(k) and, for
@@ -641,7 +711,10 @@ class Assembly:
         The bond route solves the 2|E| x 2|E| interior system
         (:meth:`_schur`). The reduced route (:attr:`_reduced_s`) solves the
         r x r system M(k) of the reduced kernel
-        (:meth:`_ReducedKernel.scattering`). Within ``_REDUCED_BAND`` of the
+        (:meth:`_ReducedKernel.scattering`), reading the entries of A/B
+        vertices from Sigma(k). Either route builds Sigma(k) first, so an
+        A + ikB that is singular raises
+        :class:`~qgscatter.errors.SingularAtK` on both. Within ``_REDUCED_BAND`` of the
         points k L_e in pi Z, where h_e of M grows without bound, and below
         the real axis where that S is not finite, the bond route solves.
 
@@ -738,22 +811,28 @@ class Assembly:
 
     def _reduced_scattering(self, ks):
         """S(k) on the reduced route for a 1-D array of nonzero k, and D(k)
-        at its real k (0 elsewhere). The k in the band, and the k below the
-        real axis whose S is not finite, are solved in bond space. Raises
+        at its real k (0 elsewhere), from one Sigma(k) per k for k-dependent
+        conditions. The k in the band, and the k below the real axis whose S
+        is not finite, are solved in bond space. Raises
         :class:`SingularInterior` at the first real k where |D(k)| is below
         ``_SINGULAR_TOL``."""
         kern, nl = self._reduced_s, self.table.n_leads
+        sigmas = self._sigmas(ks)
+
+        def sigma(at):
+            return sigmas if self.k_independent or len(at) == len(ks) else sigmas[at]
+
         terms, d = kern.terms(ks)
         real, band = ks.imag == 0, kern.band(terms).any(axis=1)
         fine, banded = np.flatnonzero(~band), np.flatnonzero(band)
         dets = np.zeros(len(ks), dtype=complex)
         if fine.size:
-            m = kern.matrix(terms[fine])
+            m = kern.matrix(terms[fine], sigma(fine))
             at = real[fine]
             if at.any():
                 dets[fine[at]] = d[fine[at]] * np.linalg.det(m if at.all() else m[at])
         if banded.size:
-            bond_m, tk = self._interior_system(ks[banded])
+            bond_m, tk = self._interior_system(ks[banded], sigma(banded))
             at = real[banded]
             if at.any():
                 dets[banded[at]] = np.linalg.det(bond_m if at.all() else bond_m[at])
@@ -762,16 +841,16 @@ class Assembly:
             raise _singular(ks[singular[0]], dets[singular[0]])
         out = np.empty((len(ks), nl, nl), dtype=complex)
         if fine.size:
-            out[fine] = kern.scattering(self._sigma, nl, terms[fine], m)
+            out[fine] = kern.scattering(sigma(fine), nl, terms[fine], m)
         if banded.size:
-            out[banded] = self._schur(ks[banded], self._sigma, bond_m, tk)
+            out[banded] = self._schur(ks[banded], sigma(banded), bond_m, tk)
         if (ks.imag < 0).any():
             # S overflows, and M is singular at a zero of D, only below the
             # real axis
             redo = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
             if redo.size:
-                m, tk = self._interior_system(ks[redo])
-                out[redo] = self._schur(ks[redo], self._sigma, m, tk)
+                m, tk = self._interior_system(ks[redo], sigma(redo))
+                out[redo] = self._schur(ks[redo], sigma(redo), m, tk)
         return out, dets
 
     def scattering_det_many(self, ks) -> np.ndarray:
@@ -845,8 +924,8 @@ def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
     leads); no regularized S is returned there.
 
     A sweep over k of one graph object builds its :class:`Assembly` (bond
-    table, vertex rules, Sigma when constant, and on large graphs with
-    k-independent conditions the reduced kernel) once: the Assembly of the
+    table, vertex rules, Sigma when constant, and on large graphs the
+    reduced kernel) once: the Assembly of the
     graph of the last call is kept and reused while the same object is
     passed again. Only that one graph is held. Every call builds T(k) and,
     for k-dependent conditions, Sigma(k), with one stacked A/B solve per

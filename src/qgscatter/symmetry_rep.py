@@ -50,13 +50,19 @@ from .vertex_scattering import dft_sigma
 # groups
 # ---------------------------------------------------------------------------
 
+def _rows(values, what: str, dtype=None) -> np.ndarray:
+    """``values`` as an array; :class:`ValidationError` when its rows have
+    unequal lengths."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except ValueError:
+        raise ValidationError(f"{what} rows have unequal lengths") from None
+
+
 def _index_array(values, what: str) -> np.ndarray:
     """``values`` as a read-only integer array; :class:`ValidationError` when
     its rows have unequal lengths or an entry is not an integer."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:
-        raise ValidationError(f"{what} rows have unequal lengths") from None
+    arr = _rows(values, what)
     with np.errstate(invalid="ignore"):
         ints = arr.astype(int)
     if not np.array_equal(ints, arr):
@@ -350,7 +356,7 @@ class GraphAction:
         if self.edge_perm is not None:
             ep = _index_array(self.edge_perm, "edge_perm")
             ef = (np.zeros_like(ep, dtype=bool) if self.edge_flip is None
-                  else np.asarray(self.edge_flip, dtype=bool))
+                  else _rows(self.edge_flip, "edge_flip", bool))
             if ep.shape[0] != self.group.order or ef.shape != ep.shape:
                 raise ValidationError("edge_perm/edge_flip shapes do not match the group")
             ef.setflags(write=False)

@@ -1186,14 +1186,20 @@ def test_s_that_overflows_below_the_axis_raises_determinant_overflow():
 # ---------------------------------------------------------------------------
 
 TRAPPED_K = np.pi / (1 + np.sqrt(2))
+AB_SINGULAR_K = (1 + 1j) / 2
 
 
-def _large_graph(trapped=False):
+def _large_graph(trapped=False, ab=False):
     """A seeded connected graph of 70 edges (140 bonds), one of them a loop,
     and 4 leads: Neumann vertices, a DFT vertex at every fifth, Dirichlet at
     about half of the leaves without a lead. With ``trapped``, a separate
     Neumann vertex between Dirichlet edges of lengths 1 and sqrt(2) hosts a
-    state trapped at ``TRAPPED_K``, where every sin(k L_e) is far from 0."""
+    state trapped at ``TRAPPED_K``, where every sin(k L_e) is far from 0.
+
+    With ``ab`` the DFT vertices carry Robin conditions instead (A Hermitian
+    and seeded, B = I), the first Neumann vertex of degree 3 or more a delta
+    condition (B of rank 1) and the next Neumann vertex of degree 2 or more
+    the non-self-adjoint A = I, B = (1 + i) I, singular at ``AB_SINGULAR_K``."""
     rng = np.random.default_rng(31)
     n_v = 36
     pairs = [(i, int(rng.integers(0, i))) for i in range(1, n_v)] + [(7, 7)]
@@ -1217,6 +1223,24 @@ def _large_graph(trapped=False):
     lengths = rng.uniform(0.5, 1.5, len(pairs))
     edges = [Edge(f"e{j:02d}", f"v{a}", f"v{b}", float(length))
              for j, ((a, b), length) in enumerate(zip(pairs, lengths))]
+    if ab:
+        crng, kinds = np.random.default_rng(37), ["delta", "not-self-adjoint"]
+        for j, v in enumerate(vertices):
+            d = degree[v.id] + (v.id in leads)
+            if isinstance(v.condition, DFT):
+                h = crng.standard_normal((d, d)) + 1j * crng.standard_normal((d, d))
+                vertices[j] = Vertex(v.id, LinearAB((h + h.conj().T) / 2, np.eye(d)))
+            elif kinds and kinds[0] == "delta" and isinstance(v.condition, Neumann) and d >= 3:
+                # f continuous, and the sum of f' is 0.7 f
+                a = np.eye(d) - np.eye(d, k=1)
+                a[-1] = np.eye(d)[0] * 0.7
+                b = np.zeros((d, d))
+                b[-1] = -1.0
+                vertices[j] = Vertex(v.id, LinearAB(a, b))
+                kinds.pop(0)
+            elif kinds == ["not-self-adjoint"] and isinstance(v.condition, Neumann) and d >= 2:
+                vertices[j] = Vertex(v.id, LinearAB(np.eye(d), (1 + 1j) * np.eye(d)))
+                kinds.pop(0)
     if trapped:
         vertices += [Vertex("t", Neumann()), Vertex("w1", Dirichlet()), Vertex("w2", Dirichlet())]
         edges += [Edge("t1", "w1", "t", 1.0), Edge("t2", "t", "w2", float(np.sqrt(2)))]
@@ -1255,7 +1279,7 @@ def test_large_graphs_with_k_independent_conditions_take_the_reduced_route():
     assert asm.table.n_bonds >= 128 and asm._reduced_s is asm._reduced
     assert asm._reduced.r < 0.5 * asm.table.n_bonds
     assert _band(og, _band_ks(og)).all() and not _band(og, _route_ks(og)[:-3]).any()
-    # small graphs and A/B graphs keep the bond route
+    # small graphs, A/B ones too, keep the bond route
     assert Assembly(parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"))._reduced_s is None
     assert Assembly(_robin_lead_graph())._reduced_s is None
 
@@ -1421,3 +1445,140 @@ def test_reduced_kernel_arrays_match_the_one_vertex_at_a_time_reference():
             assert got.shape == want.shape and got.tobytes() == want.astype(got.dtype).tobytes()
         checked += 1
     assert checked >= 30
+
+
+def test_reduced_kernel_factors_each_distinct_r_v_once(monkeypatch):
+    # DFT vertices of one degree and end count share R_v, and it is factored
+    # once; the arrays stay those of one SVD per vertex (see the reference
+    # test above)
+    svd, stacked = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        stacked.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = []
+    for og in (_large_graph(), _dft_unitary_graph()):
+        asm = Assembly(og)
+        factored = [(condition, io) for condition, io, _ in asm._vertices
+                    if isinstance(condition, (DFT, FixedUnitary))
+                    and any(c_out >= asm.table.n_leads for c_out, _ in io)]
+        distinct = {(len(io), sum(c_out >= asm.table.n_leads for c_out, _ in io))
+                    if isinstance(condition, DFT) else id(condition) for condition, io in factored}
+        stacked.clear()
+        assert asm._reduced is not None
+        counts.append((sum(stacked), len(distinct), len(factored)))
+    assert counts == [(5, 5, 8), (2, 2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# S(k) of large graphs with A/B vertices from the reduced kernel
+# ---------------------------------------------------------------------------
+
+def test_large_graphs_with_ab_vertices_take_the_reduced_route(monkeypatch):
+    og = _large_graph(ab=True)
+    asm = Assembly(og)
+    assert asm.table.n_bonds >= 128 and not asm.k_independent
+    assert asm._reduced_s is not None and asm._reduced is None  # D stays in bond space
+    conditions = [v.condition for v in og.graph.vertices]
+    ranks = [np.linalg.matrix_rank(c.b) for c in conditions if isinstance(c, LinearAB)]
+    assert any(isinstance(c, Dirichlet) for c in conditions)
+    assert any(isinstance(c, Neumann) for c in conditions)
+    assert 1 in ranks and max(ranks) > 2
+    ab = [c for c in conditions if isinstance(c, LinearAB)]
+    assert any(np.array_equal(c.b, np.eye(len(c.b))) and np.array_equal(c.a, c.a.conj().T)
+               for c in ab)  # Robin
+    assert any(not np.allclose(c.a @ c.b.conj().T, (c.a @ c.b.conj().T).conj().T) for c in ab)
+    # an A/B vertex owns a row of M per edge end, a Neumann vertex one row
+    ends = {type(condition): 0 for condition, _, _ in asm._vertices}
+    for condition, io, _ in asm._vertices:
+        n_ends = sum(c_out >= asm.table.n_leads for c_out, _ in io)
+        ends[type(condition)] += n_ends if isinstance(condition, LinearAB) else n_ends > 0
+    assert set(ends) == {LinearAB, Neumann, Dirichlet}
+    assert asm._reduced_s.r == ends[LinearAB] + ends[Neumann]
+    # a small A/B graph keeps the bond route, bit for bit
+    small = _robin_lead_graph()
+    ks = _sweep_ks()
+    bond = _bond_route_assembly(monkeypatch, small)
+    assert Assembly(small)._reduced_s is None
+    assert np.array_equal(Assembly(small).scattering_many(ks), bond.scattering_many(ks))
+
+
+def test_ab_reduced_route_matches_the_bond_solve(monkeypatch):
+    # off the band from M, to rounding, above and below the axis; in the
+    # band from the bond solve, bit for bit. At real k D(k) comes from det M
+    # (the bond matrix in the band), at complex k from the bond kernel
+    og = _large_graph(ab=True)
+    ks = _route_ks(og)
+    asm, bond = Assembly(og), _bond_route_assembly(monkeypatch, og)
+    assert (ks.imag > 0).any() and (ks.imag < 0).any() and _band(og, ks).sum() == 3
+    for k, in_band in zip(ks, _band(og, ks)):
+        ev, want = asm.scattering(k), bond.scattering(k)
+        scale = max(1.0, np.abs(want.s).max())
+        assert np.abs(ev.s - want.s).max() <= 1e-12 * scale
+        assert np.array_equal(ev.s, want.s) == in_band
+        d = interior_determinant(og, k)
+        assert abs(ev.interior_det - d) <= 1e-11 * abs(d)
+        assert (ev.interior_det == d) == (in_band or k.imag != 0)
+    assert asm.evaluations == 0
+
+
+def test_ab_reduced_route_sweeps_match_per_k_bit_for_bit():
+    og = _large_graph(ab=True)
+    ks = _route_ks(og)
+    asm = Assembly(og)
+    many = asm.scattering_many(ks)
+    assert asm._reduced_s.per_chunk < len(ks)
+    assert np.array_equal(many, np.stack([asm.scattering(k).s for k in ks]))
+    assert np.array_equal(many, np.stack([scattering_matrix(og, k).s for k in ks]))
+    # a chunk holds one Sigma(k) per k, so here one k; all k in one call,
+    # those in the band and off it, give the same bits
+    assert asm._reduced_s.per_chunk == 1
+    assert np.array_equal(asm._reduced_scattering(ks)[0], many)
+
+
+def test_ab_reduced_route_takes_no_bond_determinant_off_the_band(monkeypatch):
+    from qgscatter import global_scattering
+
+    og = _large_graph(ab=True)
+    ks = _route_ks(og)
+    off = ks[(ks.imag == 0) & ~_band(og, ks)]
+    taken = []
+    lu_det = global_scattering.lu_det
+    monkeypatch.setattr(global_scattering, "lu_det", lambda m: taken.append(1) or lu_det(m))
+    asm = Assembly(og)
+    evs = [asm.scattering(k) for k in off]
+    asm.scattering_many(off)
+    assert len(off) == 6 and all(ev.interior_det for ev in evs) and not taken
+
+
+def test_ab_reduced_route_raises_as_the_bond_route_does(monkeypatch):
+    from qgscatter import global_scattering
+
+    og = _large_graph(ab=True)
+    asm, bond = Assembly(og), _bond_route_assembly(monkeypatch, og)
+    # A + ikB of the non-self-adjoint vertex is singular
+    for call in (asm.scattering, bond.scattering, lambda k: asm.scattering_many([1.0, k, 2.0])):
+        with pytest.raises(SingularAtK) as singular:
+            call(AB_SINGULAR_K)
+        assert singular.value.k == AB_SINGULAR_K
+    # S(k) overflows far below the axis
+    for call in (asm.scattering, bond.scattering, lambda k: asm.scattering_many([1.0, k])):
+        with pytest.raises(DeterminantOverflow, match=r"not finite at k = \(2-500j\)"):
+            call(2 - 500j)
+    # a trapped state: as on the k-independent graph, |D| is rounding times
+    # the D of the rest of the graph (1.8e-12 from M, 2.9e-12 from the bond
+    # matrix here), above the absolute _SINGULAR_TOL
+    og = _large_graph(trapped=True, ab=True)
+    asm, bond = Assembly(og), _bond_route_assembly(monkeypatch, og)
+    assert asm._reduced_s is not None and not _band(og, [TRAPPED_K]).any()
+    monkeypatch.setattr(global_scattering, "_SINGULAR_TOL", 1e-11)
+    errors = []
+    for call in (asm.scattering, bond.scattering,
+                 lambda k: asm.scattering_many([1.0, 2.0 - 0.5j, k, 3.0])):
+        with pytest.raises(SingularInterior) as trapped:
+            call(TRAPPED_K)
+        errors.append(trapped.value)
+    assert all(e.k == TRAPPED_K for e in errors) and str(errors[0]) == str(errors[2])
+    assert abs(errors[0].determinant) < 1e-11 and abs(errors[1].determinant) < 1e-11

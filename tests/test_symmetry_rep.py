@@ -232,6 +232,11 @@ def test_lead_perm_rows_of_unequal_lengths_are_refused():
         GraphAction(g, [[0, 1], [0]] * 3)
 
 
+def test_edge_flip_rows_of_unequal_lengths_are_refused():
+    with pytest.raises(ValidationError, match="^edge_flip rows have unequal lengths$"):
+        GraphAction(cyclic_group(2), [[0], [0]], [[0, 1], [1, 0]], [[False, True], [True]])
+
+
 def test_lead_perm_entries_that_are_not_integers_are_refused():
     g, _ = symmetric_group(3)
     with pytest.raises(ValidationError, match="^lead_perm entries are not integers$"):
