@@ -49,10 +49,10 @@ of e, which stay bounded below the real axis, where T overflows.
 An A/B vertex (A f + B f' = 0) has sigma_v(k) + I = 2ik (A + ikB)^-1 B,
 which varies with k. It is factored as U_v(k) W_v with W_v = I and
 U_v(k) = sigma_v^BB(k) + I, read from Sigma(k): one row of M per edge end,
-whose entries vary with k. So large graphs solve for S this way whatever
-their conditions, except near k L_e in pi Z, where h_e grows without bound
-and the bond system solves (see Assembly.scattering). D(k) of a graph with
-A/B vertices is the bond matrix's.
+whose entries vary with k. So D(k) of every graph with edges comes from M,
+and large graphs solve for S this way, whatever their conditions, except
+near k L_e in pi Z, where h_e grows without bound and the bond matrix
+evaluates D and solves for S (see Assembly).
 """
 
 from __future__ import annotations
@@ -81,16 +81,18 @@ from .vertex_scattering import condition_sigma
 _SINGULAR_TOL = 1e-13
 _REAL_AXIS_TOL = 1e-9  # largest |Im k| of a zero taken to lie on the real axis
 _DEDUPE_RADIUS = 1e-7  # zeros closer than this merge
-# Matrix entries per LAPACK call of Assembly.interior_det_many, in either
-# kernel (the bond matrices, or the reduced matrices and their terms): about
-# 512 kB, so long batches keep memory flat.
+# Matrix entries per LAPACK call of Assembly.interior_det_many and
+# scattering_many (the reduced matrices and their terms, or the bond
+# matrices): about 512 kB, so long batches keep memory flat.
 _DET_CHUNK_ENTRIES = 1 << 15
 # Smallest min_e |sin(k L_e)| at which the reduced kernel evaluates D(k): its
 # precision falls like 1e-16 / |sin(k L_e)| near k L_e in pi Z, so the bond
-# kernel evaluates the k closer than this
+# matrix evaluates the k closer than this
 _REDUCED_BAND = 1e-3
-# S(k) takes the reduced route from this many bonds on, whatever the vertex
-# conditions (see Assembly._reduced_s)
+# S(k) solves with the reduced kernel from this many bonds on, whatever the
+# vertex conditions, and in bond space below, where that costs less than
+# building the kernel and solving with it (see Assembly._reduced_s); D(k)
+# reads the kernel at every size
 _REDUCED_S_BONDS = 128
 # Singular values of sigma_v^BB + I below this fraction of the largest are
 # dropped from its factor; those of a rank-deficient R_v come out near 1e-16
@@ -110,11 +112,8 @@ class ScatteringEvaluation:
     ``interior_det`` is D(k): on the bond route the LU determinant of the
     interior matrix I - Sigma_BB T(k) that S(k) was solved with, on the
     reduced route (see :meth:`Assembly.scattering`) the value of
-    :func:`interior_determinant`, bit for bit, except at real k off the
-    band on a graph with A/B vertices: there it comes from det M, and
-    :func:`interior_determinant` from the bond matrix, so the two agree to
-    rounding only. At real k the singularity test takes it from the system
-    S(k) was solved with, and it is stored.
+    :func:`interior_determinant`, bit for bit. At real k the singularity
+    test takes it from the system S(k) was solved with, and it is stored.
     At complex k nothing reads it there, so the evaluation keeps a way to
     take it (``_interior``) and takes it on the first read, with the same
     bits; reading it again costs nothing more.
@@ -159,10 +158,16 @@ class SpectrumWindow:
         return np.array([ev.k for ev in self.eigenvalues])
 
 
-def _overflow(k) -> DeterminantOverflow:
-    """The error of a k below the real axis whose S(k) is not finite."""
-    return DeterminantOverflow(f"S(k) is not finite at k = {complex(k)}: its entries grow "
-                               "like exp(2 |Im k| L_e)")
+def _finite(ks, s) -> np.ndarray:
+    """``s``, S(k) stacked over the k of ``ks``, once checked: raises
+    :class:`DeterminantOverflow` at the first k below the real axis whose
+    S(k) is not finite. The one overflow guard of S(k), one k or many."""
+    if not np.isfinite(s).all():
+        bad = np.flatnonzero((np.imag(ks) < 0) & ~np.isfinite(s).reshape(len(ks), -1).all(axis=1))
+        if bad.size:
+            raise DeterminantOverflow(f"S(k) is not finite at k = {complex(ks[bad[0]])}: its "
+                                      "entries grow like exp(2 |Im k| L_e)")
+    return s
 
 
 def _singular(k, det) -> SingularInterior:
@@ -176,6 +181,21 @@ def _singular(k, det) -> SingularInterior:
     )
 
 
+def _raise_singular(ks, dets):
+    """Raise :func:`_singular` at the first k whose |D(k)| is below
+    ``_SINGULAR_TOL``; a NaN D(k), of a k that is not tested, is not."""
+    singular = np.flatnonzero(np.abs(dets) < _SINGULAR_TOL)
+    if singular.size:
+        raise _singular(ks[singular[0]], dets[singular[0]])
+
+
+def _at(sigma, at) -> np.ndarray:
+    """Sigma(k) of the k numbered ``at`` of a chunk: the one constant
+    matrix, or those of the stack of one per k (the stack itself, not a
+    copy, when they are all)."""
+    return sigma if sigma.ndim == 2 or len(at) == len(sigma) else sigma[at]
+
+
 def _pairs(rows, cols):
     """(i, p, q) for every i and every p < rows[i], q < cols[i], in that
     order, p before q."""
@@ -186,9 +206,9 @@ def _pairs(rows, cols):
 
 
 class _ReducedKernel:
-    """D(k) of a graph with edges whose vertex conditions are all
-    k-independent, from the r x r matrix M(k) of the module docstring, and
-    S(k) of any graph with edges from the same matrix.
+    """D(k) and S(k) of a graph with edges, whatever its vertex conditions,
+    from the r x r matrix M(k) of the module docstring; the Assembly holds
+    one, and its :meth:`band` decides where the bond matrix takes over.
 
     Each vertex v with r_v = rank R_v > 0 owns r_v rows and columns of M.
     Its rows are stored times c_v, with R_v = U_v W_v / c_v: the diagonal
@@ -350,25 +370,27 @@ class _ReducedKernel:
         # Sigma(k), plus 0 or 1: their places, flat indices in Sigma and adds
         dyn = np.flatnonzero(src[picks] >= 0)
         self.gather = (dyn, src[picks][dyn], add[picks][dyn]) if dyn.size else None
-        # k-dependent conditions hold one Sigma(k) of n x n entries per k
+        # k-dependent conditions hold one Sigma(k) of n x n entries per k,
+        # also when no A/B vertex has edge ends
+        k_dependent = any(sigma is None for _, _, sigma in vertices)
         self.per_chunk = max(1, _DET_CHUNK_ENTRIES // max(r * r, len(picks), nb + 1,
-                                                          n * n if len(ab) else 0))
+                                                          n * n if k_dependent else 0))
 
     def terms(self, ks):
         """The terms [h_e | z_e h_e | 1], z_e = exp(ik L_e), and
         prod_e (1 - z_e^2) times ``scale``, each stacked over a 1-D complex
-        array of k."""
+        array of k. h and z h are taken as contiguous arrays and then
+        placed: written through strided views, with one edge, numpy steps
+        along k and rounds z h unlike a call of one k."""
         n_e = len(self.ilengths)
         z = np.exp(ks[:, None] * self.ilengths)
         one_w = 1.0 - z * z
+        h = 1.0 / one_w
         terms = np.empty((len(z), 2 * n_e + 1), dtype=complex)
-        h, zh = terms[:, :n_e], terms[:, n_e:-1]
-        np.divide(1.0, one_w, out=h)
-        np.multiply(z, h, out=zh)
-        terms[:, -1] = 1.0
+        terms[:, :n_e], terms[:, n_e:-1], terms[:, -1] = h, z * h, 1.0
         return terms, np.multiply.reduce(one_w, axis=1, initial=self.scale)
 
-    def matrix(self, terms, sigma=None) -> np.ndarray:
+    def matrix(self, terms, sigma) -> np.ndarray:
         """M(k) for every row of ``terms``, stacked k x r x r: the one
         builder of M for D(k) and S(k). A graph with A/B vertices reads
         their coefficients from ``sigma``, Sigma(k) stacked per row."""
@@ -395,21 +417,19 @@ class _ReducedKernel:
         ``terms`` and edge: |sin(k L_e)| = 1 / (2 |exp(ik L_e) h_e|)."""
         return np.abs(terms[:, len(self.ilengths):-1]) > 0.5 / _REDUCED_BAND
 
-    def dets(self, ks) -> np.ndarray:
-        """D(k) for every k of a 1-D complex array; NaN in the band (some
-        edge in :meth:`band`), and wherever the value is not finite."""
-        out = np.empty(len(ks), dtype=complex)
+    def dets(self, ks, sigma) -> np.ndarray:
+        """D(k) for a chunk of at most ``per_chunk`` k (a 1-D complex
+        array) whose Sigma(k) is ``sigma`` (see :meth:`matrix`); NaN in the
+        band (some edge in :meth:`band`), and wherever the value is not
+        finite."""
         with np.errstate(all="ignore"):
-            for start in range(0, len(ks), self.per_chunk):
-                part = slice(start, start + self.per_chunk)
-                terms, d = self.terms(ks[part])
-                if self.r:
-                    d = d * np.linalg.det(self.matrix(terms))  # one k: not in place
-                out[part] = d
-                band = self.band(terms)
-                if band.any():
-                    out[part][band.any(axis=1)] = np.nan
-        return out
+            terms, d = self.terms(ks)
+            if self.r:
+                d = d * np.linalg.det(self.matrix(terms, sigma))  # one k: not in place
+        band = self.band(terms)
+        if band.any():
+            d[band.any(axis=1)] = np.nan
+        return d
 
     @functools.cached_property
     def factors(self):
@@ -485,22 +505,21 @@ class Assembly:
     which raises :class:`~qgscatter.errors.SingularAtK` when any of them is
     singular.
 
-    D(k) has two kernels. A graph with edges whose conditions are all
-    k-independent gets the reduced kernel: D from the r x r matrix M(k) of
-    the module docstring, except within ``_REDUCED_BAND`` of the points
-    k L_e in pi Z and where that value is not finite, where the bond kernel
-    evaluates it. A graph with A/B conditions gets the bond kernel:
-    det(I - Sigma_BB T(k)) over the 2|E| directed bonds. S(k) has two
-    routes, chosen per graph by bond count (:attr:`_reduced_s`): large
-    graphs solve the reduced kernel's r x r system, whose rows of A/B
-    vertices are read from Sigma(k), and the bond system within
-    ``_REDUCED_BAND`` of the points k L_e in pi Z and where that S is not
-    finite; all others solve in bond space. Newton steps always work in
-    bond space.
+    A graph with edges has one reduced kernel (:attr:`_reduced`), whose
+    rows of A/B vertices are read from Sigma(k). D(k) comes from its r x r
+    matrix M(k), except within ``_REDUCED_BAND`` of the points k L_e in
+    pi Z and where that value is not finite, where the bond matrix
+    I - Sigma_BB T(k) over the 2|E| directed bonds evaluates it, from the
+    same Sigma(k). S(k) has two routes, chosen per graph by bond count
+    (:attr:`_reduced_s`): large graphs solve the kernel's r x r system,
+    and the bond system where D is the bond matrix's and where that S is
+    not finite; all others solve in bond space. Newton steps work in bond
+    space for k-independent conditions, and take a central difference of
+    D(k) otherwise.
 
     ``evaluations`` counts the determinants D(k) that
     :meth:`interior_det_many` has computed (none for a graph without edges),
-    one per k whichever kernel evaluated it, among them one per k of
+    one per k whichever matrix evaluated it, among them one per k of
     :meth:`scattering_det_many`. S(k) solves and Newton steps on
     k-independent conditions compute none.
     """
@@ -541,13 +560,11 @@ class Assembly:
 
     @functools.cached_property
     def _reduced(self):
-        """The reduced kernel when the graph has edges and its conditions
-        are all k-independent, else None; built at the first determinant,
-        or at the first S(k) on the reduced route (:attr:`_reduced_s`), so
-        that S(k) sweeps on the bond route do not pay for it."""
-        if not (self.k_independent and self.table.n_bonds):
-            return None
-        return _ReducedKernel(self.table, self._vertices)
+        """The reduced kernel of a graph with edges, else None; built at the
+        first determinant, or at the first S(k) on the reduced route
+        (:attr:`_reduced_s`), so that S(k) sweeps on the bond route do not
+        pay for it."""
+        return _ReducedKernel(self.table, self._vertices) if self.table.n_bonds else None
 
     def _assemble(self, k) -> np.ndarray:
         """Sigma(k) from the vertex matrices sigma_v(k): the constant blocks,
@@ -589,16 +606,19 @@ class Assembly:
 
     def interior_det_many(self, ks) -> np.ndarray:
         """D(k) = det(I - Sigma_BB T(k)) for every k of a 1-D array, from
-        the graph's kernel (see the class docstring). The reduced kernel
-        takes it as prod_e (1 - exp(2ik L_e)) det M(k), M being r x r with
-        r = sum_v rank(sigma_v^BB + I), each rank taken exactly for Neumann
-        (1) and Dirichlet (0) vertices and with the relative cut
-        ``_RANK_CUT`` on the singular values of the others.
+        the reduced kernel as prod_e (1 - exp(2ik L_e)) det M(k), M being
+        r x r with r = sum_v rank(sigma_v^BB + I), each rank taken exactly
+        for Neumann (1), Dirichlet (0) and A/B vertices (their number of
+        edge ends) and with the relative cut ``_RANK_CUT`` on the singular
+        values of the others. Within ``_REDUCED_BAND`` of the points
+        k L_e in pi Z, and where that value is not finite, the bond matrix
+        evaluates it, from the same Sigma(k).
 
         The matrices are stacked and handed to LAPACK in chunks of about
-        ``_DET_CHUNK_ENTRIES`` entries. Each D(k) is bit-identical to that of
-        the same k evaluated alone (so to :meth:`interior_det`); where the
-        bond kernel evaluates it, also to the determinant of the single bond
+        ``_DET_CHUNK_ENTRIES`` entries, with one Sigma(k) per k for
+        k-dependent conditions. Each D(k) is bit-identical to that of the
+        same k evaluated alone (so to :meth:`interior_det`); where the bond
+        matrix evaluates it, also to the determinant of the single bond
         matrix. Raises :class:`DeterminantOverflow` when some D(k) is not
         finite.
         """
@@ -611,26 +631,30 @@ class Assembly:
     def _dets(self, ks) -> np.ndarray:
         """:meth:`interior_det_many` of a 1-D complex array of k on a graph
         with edges, without counting."""
-        if self._reduced is None:
-            return self._bond_dets(ks)
-        out = self._reduced.dets(ks)
-        if not np.isfinite(out).all():
-            redo = ~np.isfinite(out)
-            out[redo] = self._bond_dets(ks[redo])
+        kern = self._reduced
+        out = np.empty(len(ks), dtype=complex)
+        for start in range(0, len(ks), kern.per_chunk):
+            part = ks[start:start + kern.per_chunk]
+            sigma = self._sigmas(part)
+            d = kern.dets(part, sigma)
+            if not np.isfinite(d).all():
+                redo = np.flatnonzero(~np.isfinite(d))
+                d[redo] = self._bond_dets(part[redo], _at(sigma, redo))
+            out[start:start + len(part)] = d
         return out
 
-    def _bond_dets(self, ks) -> np.ndarray:
-        """det(I - Sigma_BB T(k)) for every k of a 1-D complex array; raises
-        :class:`DeterminantOverflow` at the first k whose value is not
-        finite."""
+    def _bond_dets(self, ks, sigma) -> np.ndarray:
+        """det(I - Sigma_BB T(k)) for every k of a 1-D complex array whose
+        Sigma(k) is ``sigma``; raises :class:`DeterminantOverflow` at the
+        first k whose value is not finite."""
         nb = self.table.n_bonds
         out = np.empty(len(ks), dtype=complex)
         per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(ks), per_chunk):
-                part = slice(start, start + per_chunk)
-                m, _ = self._interior_system(ks[part])
-                out[part] = np.linalg.det(m)
+                at = np.arange(start, min(start + per_chunk, len(ks)))
+                m, _ = self._interior_system(ks[at], _at(sigma, at))
+                out[at] = np.linalg.det(m)
         if not np.isfinite(out).all():
             i = int(np.argmin(np.isfinite(out)))
             raise DeterminantOverflow(
@@ -698,11 +722,8 @@ class Assembly:
     def _reduced_s(self):
         """The reduced kernel when S(k) takes the reduced route, else None:
         at least ``_REDUCED_S_BONDS`` bonds. Below, the bond solve costs less
-        than building the kernel and solving with it. A graph with A/B
-        vertices gets a kernel of its own, which D(k) does not use."""
-        if self.table.n_bonds < _REDUCED_S_BONDS:
-            return None
-        return self._reduced if self.k_independent else _ReducedKernel(self.table, self._vertices)
+        than building the kernel and solving with it."""
+        return self._reduced if self.table.n_bonds >= _REDUCED_S_BONDS else None
 
     def scattering(self, k) -> ScatteringEvaluation:
         """S(k) from one solve, on the graph's route, after T(k) and, for
@@ -710,19 +731,16 @@ class Assembly:
 
         The bond route solves the 2|E| x 2|E| interior system
         (:meth:`_schur`). The reduced route (:attr:`_reduced_s`) solves the
-        r x r system M(k) of the reduced kernel
-        (:meth:`_ReducedKernel.scattering`), reading the entries of A/B
-        vertices from Sigma(k). Either route builds Sigma(k) first, so an
-        A + ikB that is singular raises
-        :class:`~qgscatter.errors.SingularAtK` on both. Within ``_REDUCED_BAND`` of the
-        points k L_e in pi Z, where h_e of M grows without bound, and below
-        the real axis where that S is not finite, the bond route solves.
+        r x r system M(k) of the reduced kernel (:meth:`_solve_stack`),
+        reading the entries of A/B vertices from Sigma(k). Either route
+        builds Sigma(k) first, so an A + ikB that is singular raises
+        :class:`~qgscatter.errors.SingularAtK` on both.
 
         D(k) is taken at real k only, where |D(k)| below ``_SINGULAR_TOL``
         raises :class:`SingularInterior`: the LU determinant of the bond
-        matrix, or prod_e (1 - exp(2ik L_e)) det M(k) of the same M. At
-        complex k the evaluation takes D(k) when its ``interior_det`` is
-        first read. Below the real axis, an S(k) that is not finite raises
+        matrix, or that of :func:`interior_determinant`. At complex k the
+        evaluation takes D(k) when its ``interior_det`` is first read. Below
+        the real axis, an S(k) that is not finite raises
         :class:`DeterminantOverflow`.
         """
         k = complex(k)
@@ -732,13 +750,12 @@ class Assembly:
             return self._scattering(k)
         with np.errstate(over="ignore", invalid="ignore"):
             ev = self._scattering(k)
-        if not np.isfinite(ev.s).all():
-            raise _overflow(k)
+        _finite([k], ev.s)
         return ev
 
     def _scattering(self, k) -> ScatteringEvaluation:
         if self._reduced_s is not None:
-            s, dets = self._reduced_scattering(np.array([k]))
+            s, dets = self._solve_stack(np.array([k]))
             interior = complex(dets[0]) if not k.imag else (
                 lambda: complex(self._dets(np.array([k]))[0]))
             return ScatteringEvaluation(k=k, s=s[0], _interior=interior)
@@ -761,14 +778,14 @@ class Assembly:
         ``scattering(k).s``.
 
         The systems are stacked and their solves handed to LAPACK in chunks
-        of about ``_DET_CHUNK_ENTRIES`` entries, so long sweeps of large
-        graphs keep memory flat; the determinants are taken of the real k of
-        a chunk only, for the singularity test. k-dependent conditions get
-        one Sigma(k) per k. Raises :class:`ZeroK` when some k is 0, and, as
-        ``scattering(k)`` does, :class:`SingularInterior` at the first real
-        k, in order, where the interior system is singular, and
-        :class:`DeterminantOverflow` at the first k below the real axis
-        whose S(k) is not finite.
+        of about ``_DET_CHUNK_ENTRIES`` entries (:meth:`_solve_stack`), so
+        long sweeps of large graphs keep memory flat; the determinants are
+        taken of the real k of a chunk only, for the singularity test.
+        k-dependent conditions get one Sigma(k) per k. Raises :class:`ZeroK`
+        when some k is 0, and, as ``scattering(k)`` does,
+        :class:`SingularInterior` at the first real k, in order, where the
+        interior system is singular, and :class:`DeterminantOverflow` at the
+        first k below the real axis whose S(k) is not finite.
         """
         ks = np.asarray(ks, dtype=complex)
         if (ks == 0).any():
@@ -778,79 +795,58 @@ class Assembly:
             sigma = self._sigmas(ks)
             return np.array(np.broadcast_to(sigma[..., :nl, :nl], (len(ks), nl, nl)))
         out = np.empty((len(ks), nl, nl), dtype=complex)
-        if self._reduced_s is None:
-            per_chunk = max(1, _DET_CHUNK_ENTRIES // (nb * nb))
-        else:
-            per_chunk = self._reduced_s.per_chunk
+        per_chunk = (max(1, _DET_CHUNK_ENTRIES // (nb * nb)) if self._reduced_s is None
+                     else self._reduced_s.per_chunk)
         for start in range(0, len(ks), per_chunk):
-            part = slice(start, start + per_chunk)
-            low = ks[part].imag < 0
-            if not low.any():
-                out[part] = self._scattering_chunk(ks[part])
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[part] = self._scattering_chunk(ks[part])
-            bad = np.flatnonzero(low & ~np.isfinite(out[part]).all(axis=(1, 2)))
-            if bad.size:
-                raise _overflow(ks[part][bad[0]])
+            part = ks[start:start + per_chunk]
+            # S(k) can overflow below the real axis only
+            quiet = np.errstate(over="ignore", invalid="ignore")
+            with quiet if (part.imag < 0).any() else contextlib.nullcontext():
+                out[start:start + len(part)] = _finite(part, self._solve_stack(part)[0])
         return out
 
-    def _scattering_chunk(self, ks) -> np.ndarray:
-        """S(k) for a 1-D array of nonzero k on the graph's route, after the
-        singularity test of its real k."""
-        if self._reduced_s is not None:
-            return self._reduced_scattering(ks)[0]
-        sigma = self._sigmas(ks)
-        m, tk = self._interior_system(ks, sigma)
-        real = ks.imag == 0
-        dets = np.linalg.det(m if real.all() else m[real])
-        singular = np.flatnonzero(np.abs(dets) < _SINGULAR_TOL)
-        if singular.size:
-            raise _singular(ks[real][singular[0]], dets[singular[0]])
-        return self._schur(ks, sigma, m, tk)
-
-    def _reduced_scattering(self, ks):
-        """S(k) on the reduced route for a 1-D array of nonzero k, and D(k)
-        at its real k (0 elsewhere), from one Sigma(k) per k for k-dependent
-        conditions. The k in the band, and the k below the real axis whose S
-        is not finite, are solved in bond space. Raises
+    def _solve_stack(self, ks):
+        """S(k) for a 1-D array of nonzero k, and D(k) at its real k (NaN
+        elsewhere), with one Sigma(k) per k for k-dependent conditions: the
+        one stacked solver. On the reduced route (:attr:`_reduced_s`) M(k)
+        solves the k off the band; the k in the band, every k on the bond
+        route, and the k below the real axis whose S from M is not finite
+        are solved in bond space. D(k) comes from the system each k is solved with. Raises
         :class:`SingularInterior` at the first real k where |D(k)| is below
         ``_SINGULAR_TOL``."""
         kern, nl = self._reduced_s, self.table.n_leads
-        sigmas = self._sigmas(ks)
-
-        def sigma(at):
-            return sigmas if self.k_independent or len(at) == len(ks) else sigmas[at]
-
-        terms, d = kern.terms(ks)
-        real, band = ks.imag == 0, kern.band(terms).any(axis=1)
-        fine, banded = np.flatnonzero(~band), np.flatnonzero(band)
-        dets = np.zeros(len(ks), dtype=complex)
+        sigma = self._sigmas(ks)
+        real = ks.imag == 0
+        if kern is None:
+            fine, banded = np.zeros(0, dtype=np.intp), np.arange(len(ks))
+        else:
+            terms, d = kern.terms(ks)
+            band = kern.band(terms).any(axis=1)
+            fine, banded = np.flatnonzero(~band), np.flatnonzero(band)
+        dets = np.full(len(ks), np.nan, dtype=complex)
         if fine.size:
-            m = kern.matrix(terms[fine], sigma(fine))
+            m = kern.matrix(terms[fine], _at(sigma, fine))
             at = real[fine]
             if at.any():
                 dets[fine[at]] = d[fine[at]] * np.linalg.det(m if at.all() else m[at])
         if banded.size:
-            bond_m, tk = self._interior_system(ks[banded], sigma(banded))
+            bond_m, tk = self._interior_system(ks[banded], _at(sigma, banded))
             at = real[banded]
             if at.any():
                 dets[banded[at]] = np.linalg.det(bond_m if at.all() else bond_m[at])
-        singular = np.flatnonzero(real & (np.abs(dets) < _SINGULAR_TOL))
-        if singular.size:
-            raise _singular(ks[singular[0]], dets[singular[0]])
+        _raise_singular(ks, dets)
         out = np.empty((len(ks), nl, nl), dtype=complex)
-        if fine.size:
-            out[fine] = kern.scattering(sigma(fine), nl, terms[fine], m)
         if banded.size:
-            out[banded] = self._schur(ks[banded], sigma(banded), bond_m, tk)
-        if (ks.imag < 0).any():
-            # S overflows, and M is singular at a zero of D, only below the
-            # real axis
-            redo = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+            out[banded] = self._schur(ks[banded], _at(sigma, banded), bond_m, tk)
+        if fine.size:
+            out[fine] = kern.scattering(_at(sigma, fine), nl, terms[fine], m)
+        if fine.size and (ks.imag < 0).any():
+            # S from M overflows, and M is singular at a zero of D, only
+            # below the real axis
+            redo = fine[~np.isfinite(out[fine]).all(axis=(1, 2))]
             if redo.size:
-                m, tk = self._interior_system(ks[redo], sigma(redo))
-                out[redo] = self._schur(ks[redo], sigma(redo), m, tk)
+                s = _at(sigma, redo)
+                out[redo] = self._schur(ks[redo], s, *self._interior_system(ks[redo], s))
         return out, dets
 
     def scattering_det_many(self, ks) -> np.ndarray:
@@ -876,9 +872,7 @@ class Assembly:
         if (ks == 0).any():
             raise ZeroK("k must be nonzero")
         d = self.interior_det_many(ks)
-        singular = np.flatnonzero(np.abs(d) < _SINGULAR_TOL)
-        if singular.size:
-            raise _singular(ks[singular[0]], d[singular[0]])
+        _raise_singular(ks, d)
         return np.linalg.det(self._sigma) * np.exp(1j * self.total_bond_length * ks) * d.conj() / d
 
     def _schur(self, ks, sigma, m, tk) -> np.ndarray:

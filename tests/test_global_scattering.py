@@ -147,8 +147,7 @@ def _textbook_det(asm, k):
 
 
 def _reduced_kernel_serves(og):
-    return bool(og.graph.edges) and not any(isinstance(v.condition, LinearAB)
-                                            for v in og.graph.vertices)
+    return bool(og.graph.edges)
 
 
 def _band(og, ks):
@@ -166,9 +165,19 @@ def test_interior_det_many_matches_scalar_bit_for_bit():
     mm1 = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
     # k at and beside the points k L_e = m pi of mm1's edges, in its band
     near = np.array([m * np.pi / e.length for e in mm1.graph.edges for m in (1, 3)])
-    ks = np.concatenate([ks, near, near * (1 + 1e-5), near - 1e-5j])
-    # lead_edge_dirichlet: a 1 x 1 reduced matrix of one term
-    graphs = [mm1, _dft_unitary_graph(), lead_edge_dirichlet(0.8)]
+    # a unit interval is off by an ulp at five of these ten k when the
+    # terms of one edge are written through strided views
+    ks = np.concatenate([ks, near, near * (1 + 1e-5), near - 1e-5j, np.linspace(0.5, 9.5, 10)])
+    # lead_edge_dirichlet: a 1 x 1 reduced matrix of one term; then graphs
+    # of one edge: an interval, a loop, a DFT vertex with a lead
+    n = Neumann()
+    graphs = [mm1, _dft_unitary_graph(), lead_edge_dirichlet(0.8),
+              OpenGraph(build_graph([Vertex("a", n), Vertex("b", n)],
+                                    [Edge("e", "a", "b", 1.0)]), ()),
+              OpenGraph(build_graph([Vertex("a", n)], [Edge("l", "a", "a", 1.3)]), ()),
+              attach_leads(build_graph([Vertex("a", DFT()), Vertex("b", n)],
+                                       [Edge("e", "a", "b", 0.9)], pending_leads={"a": 1}),
+                           ["a"])]
     graphs += [random_open_graph(np.random.default_rng(s)) for s in range(4)]
     assert _band(mm1, ks).sum() >= 3 * len(near)
     for og in graphs:
@@ -334,11 +343,27 @@ def test_one_dft_vertex_takes_the_reduced_kernel():
     assert np.all(np.abs(many - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
 
 
-def test_linear_ab_graph_keeps_the_bond_kernel():
-    asm = Assembly(_robin_lead_graph())
-    assert asm._reduced is None
-    ks = _identity_ks()
-    assert np.array_equal(asm.interior_det_many(ks), [_textbook_det(asm, k) for k in ks])
+def test_linear_ab_graph_takes_the_reduced_kernel(monkeypatch):
+    # D(k) from M(k), whose rows of A/B vertices are read from Sigma(k): to
+    # rounding off the band, and in it the bond matrix's value bit for bit,
+    # with one A/B solve per vertex degree (1 and 3 here) per k
+    from qgscatter import vertex_scattering
+
+    og = _robin_lead_graph()
+    asm = Assembly(og)
+    assert asm._reduced is not None
+    ks = np.concatenate([_identity_ks(), _band_ks(og)])
+    calls = []
+    ab_solve = vertex_scattering._ab_solve
+    monkeypatch.setattr(vertex_scattering, "_ab_solve",
+                        lambda a, b, k: calls.append(k) or ab_solve(a, b, k))
+    many = asm.interior_det_many(ks)
+    assert calls == list(np.repeat(ks, 2))
+    loop = np.array([_textbook_det(asm, k) for k in ks])
+    band = _band(og, ks)
+    assert band.sum() == 3 and np.array_equal(many[band], loop[band])
+    assert np.all(np.abs(many - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
+    assert not np.array_equal(many[~band], loop[~band])  # the reduced kernel did the work
 
 
 def _textbook_sigma(og, k):
@@ -1297,7 +1322,7 @@ def test_reduced_route_matches_the_bond_solve(monkeypatch):
         assert np.linalg.norm(ev.s - want.s) <= 1e-12 * scale
         assert np.array_equal(ev.s, want.s) == in_band
         if not k.imag:
-            d = asm._reduced_scattering(np.array([k]))[1][0]
+            d = asm._solve_stack(np.array([k]))[1][0]
             assert abs(d - want.interior_det) <= 1e-12 * abs(want.interior_det)
             assert (d == want.interior_det) == in_band
     assert asm.evaluations == 0
@@ -1364,19 +1389,31 @@ def test_reduced_route_reports_a_trapped_state_as_the_bond_route_does(monkeypatc
 
 
 def _reference_kernel_arrays(table, vertices):
-    """(entries, widths, cols, coefs, r, scale) of the reduced kernel, built
-    one vertex and one bond at a time, all padded to the largest rank."""
-    nl, nb = table.n_leads, table.n_bonds
+    """(entries, widths, cols, coefs, r, scale, gather) of the reduced
+    kernel, built one vertex and one bond at a time, all padded to the
+    largest rank; gather is None without A/B vertices."""
+    nl, nb, n = table.n_leads, table.n_bonds, table.n_channels
     n_e = nb // 2
-    top, w_of, u_of = [0] * nb, [[]] * nb, [[]] * nb
+    top, w_of, u_of, src_of, add_of = [0] * nb, [[]] * nb, [[]] * nb, [[]] * nb, [[]] * nb
     blocks, r, scale = [], 0, 1.0
     for condition, io, sigma in vertices:
         ends = [i for i, (c_out, _) in enumerate(io) if c_out >= nl]
         if not ends or isinstance(condition, Dirichlet):
             continue
+        src = None
         if isinstance(condition, Neumann):
             c, k0 = len(io), [[len(io) - 2 * len(ends)]]
             w, u = [[1.0]] * len(ends), [[2.0]] * len(ends)
+        elif sigma is None:
+            # an A/B vertex: W_v = I, and the entry (j, q) of U_v(k) =
+            # sigma_v^BB(k) + I and of K0 = -sigma_v^BB(k) is the entry of
+            # Sigma(k) from the in-channel of end q to the out-channel of end
+            # j (plus 1 on the diagonal of U_v), times 1 and -1
+            d_b = len(ends)
+            c, k0 = 1, [[-1.0] * d_b for _ in ends]
+            w, u = np.eye(d_b).tolist(), [[1.0] * d_b for _ in ends]
+            src = [[io[j][0] * n + io[q][1] for q in ends] for j in ends]
+            add = np.eye(d_b).tolist()
         else:
             a, s, bh = np.linalg.svd(sigma[np.ix_(ends, ends)] + np.eye(len(ends)))
             keep = s > 1e-13 * s[0]
@@ -1385,29 +1422,40 @@ def _reference_kernel_arrays(table, vertices):
             u_v, w_v = a[:, keep] * s[keep], bh[keep]
             c, k0 = 1, (np.eye(len(w_v)) - w_v @ u_v).tolist()
             w, u = w_v.T.tolist(), u_v.tolist()
+        if src is None:
+            src, add = [[-1] * len(k0) for _ in ends], [[0.0] * len(k0) for _ in ends]
         for j, i in enumerate(ends):
             b = io[i][0] - nl
-            top[b], w_of[b], u_of[b] = r, w[j], u[j]
-        blocks.append((r, k0))
+            top[b], w_of[b], u_of[b], src_of[b], add_of[b] = r, w[j], u[j], src[j], add[j]
+        blocks.append((r, k0, src if sigma is None else None))
         r += len(k0)
         scale /= c ** len(k0)
     pad = max(map(len, w_of))
-    w_b, u_b = (np.array([row + [0.0] * (pad - len(row)) for row in rows], dtype=complex)
-                for rows in (w_of, u_of))
+    w_b, u_b, add_b = (np.array([row + [0.0] * (pad - len(row)) for row in rows], dtype=complex)
+                       for rows in (w_of, u_of, add_of))
+    src_b = np.array([row + [-1] * (pad - len(row)) for row in src_of], dtype=np.intp)
     at = np.array(top)[:, None] + np.arange(pad)
     swap, edge = np.arange(nb) ^ 1, np.arange(nb) // 2
-    k0_at = [(r0 + p) * r + r0 + q for r0, k0 in blocks
+    k0_at = [(r0 + p) * r + r0 + q for r0, k0, _ in blocks
              for p in range(len(k0)) for q in range(len(k0))]
     flat = np.concatenate([np.array(k0_at, dtype=np.intp),
                            (at[:, :, None] * r + at[:, None, :]).ravel(),
                            (at[:, :, None] * r + at[swap][:, None, :]).ravel()])
     cols = np.concatenate([np.full(len(k0_at), nb),
                            np.repeat(edge, pad * pad), np.repeat(n_e + edge, pad * pad)])
-    coefs = np.concatenate([np.array([x for _, k0 in blocks for row in k0 for x in row]),
+    coefs = np.concatenate([np.array([x for _, k0, _ in blocks for row in k0 for x in row]),
                             (w_b[:, :, None] * u_b[:, None, :]).ravel(),
                             (-w_b[:, :, None] * u_b[swap][:, None, :]).ravel()])
+    shape = (nb, pad, pad)
+    src = np.concatenate([
+        np.array([x for _, k0, k0_src in blocks for row in (k0_src or [[-1] * len(k0)] * len(k0))
+                  for x in row], dtype=np.intp),
+        np.broadcast_to(src_b[:, None, :], shape).ravel(),
+        np.broadcast_to(src_b[swap][:, None, :], shape).ravel()])
+    add = np.concatenate([np.zeros(len(k0_at)), np.broadcast_to(add_b[:, None, :], shape).ravel(),
+                          np.broadcast_to(add_b[swap][:, None, :], shape).ravel()]).real
     keep = coefs != 0
-    flat, cols, coefs = flat[keep], cols[keep], coefs[keep]
+    flat, cols, coefs, src, add = flat[keep], cols[keep], coefs[keep], src[keep], add[keep]
     by_entry = np.lexsort((cols, flat))
     flat = flat[by_entry]
     first = np.flatnonzero(np.diff(flat, prepend=-1))
@@ -1416,13 +1464,16 @@ def _reference_kernel_arrays(table, vertices):
     widths = (len(counts) - np.cumsum(np.bincount(counts))[:-1]).tolist()
     picks = by_entry[np.concatenate([np.zeros(0, dtype=np.intp)] + [
         first[order[:width]] + j for j, width in enumerate(widths)])]
-    return entries[order], widths, cols[picks], coefs[picks], r, scale
+    dyn = np.flatnonzero(src[picks] >= 0)
+    gather = (dyn, src[picks][dyn], add[picks][dyn]) if dyn.size else None
+    return entries[order], widths, cols[picks], coefs[picks], r, scale, gather
 
 
 def test_reduced_kernel_arrays_match_the_one_vertex_at_a_time_reference():
     # every D(k) keeps its bits when the kernel's arrays do: loops, parallel
     # edges, DFT vertices of full and of deficient rank, a fixed-unitary
-    # vertex of rank 0 (-I), Dirichlet vertices of every degree
+    # vertex of rank 0 (-I), Dirichlet vertices of every degree, A/B
+    # vertices (Robin, delta, not self-adjoint, with loops and leads)
     graphs = dict(_vertex_identity_graphs())
     g = build_graph([Vertex("a", Neumann()), Vertex("m", FixedUnitary(-np.eye(3))),
                      Vertex("d", DFT()), Vertex("w", Dirichlet())],
@@ -1432,19 +1483,25 @@ def test_reduced_kernel_arrays_match_the_one_vertex_at_a_time_reference():
                     pending_leads={"a": 1})
     graphs["rank-0-unitary"] = attach_leads(g, ["a"])
     graphs["large"] = _large_graph(trapped=True)
+    graphs["large-ab"] = _large_graph(ab=True)
+    graphs["robin-lead"] = _robin_lead_graph()
     graphs.update({f"random-{s}": random_open_graph(np.random.default_rng(s)) for s in range(40)})
-    checked = 0
+    checked = with_ab = 0
     for og in graphs.values():
         asm = Assembly(og)
         if asm._reduced is None:
             continue
         kernel = asm._reduced
-        entries, widths, cols, coefs, r, scale = _reference_kernel_arrays(asm.table, asm._vertices)
+        *arrays, gather = _reference_kernel_arrays(asm.table, asm._vertices)
+        entries, widths, cols, coefs, r, scale = arrays
         assert (kernel.r, kernel.scale, kernel.widths) == (r, scale, widths)
-        for got, want in ((kernel.entries, entries), (kernel.cols, cols), (kernel.coefs, coefs)):
+        assert (kernel.gather is None) == (gather is None)
+        pairs = [(kernel.entries, entries), (kernel.cols, cols), (kernel.coefs, coefs)]
+        for got, want in pairs + list(zip(kernel.gather or (), gather or ())):
             assert got.shape == want.shape and got.tobytes() == want.astype(got.dtype).tobytes()
         checked += 1
-    assert checked >= 30
+        with_ab += gather is not None
+    assert checked >= 40 and with_ab >= 15
 
 
 def test_reduced_kernel_factors_each_distinct_r_v_once(monkeypatch):
@@ -1480,7 +1537,7 @@ def test_large_graphs_with_ab_vertices_take_the_reduced_route(monkeypatch):
     og = _large_graph(ab=True)
     asm = Assembly(og)
     assert asm.table.n_bonds >= 128 and not asm.k_independent
-    assert asm._reduced_s is not None and asm._reduced is None  # D stays in bond space
+    assert asm._reduced_s is asm._reduced is not None  # S and D read one kernel
     conditions = [v.condition for v in og.graph.vertices]
     ranks = [np.linalg.matrix_rank(c.b) for c in conditions if isinstance(c, LinearAB)]
     assert any(isinstance(c, Dirichlet) for c in conditions)
@@ -1507,8 +1564,9 @@ def test_large_graphs_with_ab_vertices_take_the_reduced_route(monkeypatch):
 
 def test_ab_reduced_route_matches_the_bond_solve(monkeypatch):
     # off the band from M, to rounding, above and below the axis; in the
-    # band from the bond solve, bit for bit. At real k D(k) comes from det M
-    # (the bond matrix in the band), at complex k from the bond kernel
+    # band from the bond solve, bit for bit. D(k) is interior_determinant's
+    # at every k: at real k from det M (the bond matrix in the band), taken
+    # with S, at complex k when read
     og = _large_graph(ab=True)
     ks = _route_ks(og)
     asm, bond = Assembly(og), _bond_route_assembly(monkeypatch, og)
@@ -1519,8 +1577,9 @@ def test_ab_reduced_route_matches_the_bond_solve(monkeypatch):
         assert np.abs(ev.s - want.s).max() <= 1e-12 * scale
         assert np.array_equal(ev.s, want.s) == in_band
         d = interior_determinant(og, k)
-        assert abs(ev.interior_det - d) <= 1e-11 * abs(d)
-        assert (ev.interior_det == d) == (in_band or k.imag != 0)
+        assert ev.interior_det == d
+        assert abs(d - want.interior_det) <= 1e-11 * abs(want.interior_det)
+        assert (d == want.interior_det) == in_band
     assert asm.evaluations == 0
 
 
@@ -1535,7 +1594,7 @@ def test_ab_reduced_route_sweeps_match_per_k_bit_for_bit():
     # a chunk holds one Sigma(k) per k, so here one k; all k in one call,
     # those in the band and off it, give the same bits
     assert asm._reduced_s.per_chunk == 1
-    assert np.array_equal(asm._reduced_scattering(ks)[0], many)
+    assert np.array_equal(asm._solve_stack(ks)[0], many)
 
 
 def test_ab_reduced_route_takes_no_bond_determinant_off_the_band(monkeypatch):
@@ -1582,3 +1641,88 @@ def test_ab_reduced_route_raises_as_the_bond_route_does(monkeypatch):
         errors.append(trapped.value)
     assert all(e.k == TRAPPED_K for e in errors) and str(errors[0]) == str(errors[2])
     assert abs(errors[0].determinant) < 1e-11 and abs(errors[1].determinant) < 1e-11
+
+
+def test_one_reduced_kernel_serves_s_and_d(monkeypatch):
+    # a large graph with A/B vertices builds one kernel, read by S(k) one k
+    # and many, by D(k) and by Newton's central difference
+    from qgscatter import global_scattering
+
+    built = []
+    kernel = global_scattering._ReducedKernel
+    monkeypatch.setattr(global_scattering, "_ReducedKernel",
+                        lambda *args: built.append(1) or kernel(*args))
+    og = _large_graph(ab=True)
+    ks = _route_ks(og)
+    asm = Assembly(og)
+    assert asm.table.n_bonds >= 128 and not asm.k_independent
+    asm.scattering_many(ks)
+    evs = [asm.scattering(k) for k in ks]
+    d = asm.interior_det_many(ks)
+    asm.interior_log_derivative(ks[0])
+    assert len(built) == 1 and asm._reduced_s is asm._reduced
+    assert np.array_equal(d, [ev.interior_det for ev in evs])
+
+
+def test_reduced_kernel_chunks_count_sigma_of_lead_only_ab_vertices():
+    # an A/B vertex with leads only owns no row of M, but D(k) and S(k)
+    # still build one Sigma(k) per k, and a chunk holds about
+    # _DET_CHUNK_ENTRIES entries of them
+    from qgscatter.global_scattering import _DET_CHUNK_ENTRIES
+
+    og = _large_graph()
+    vertices = [*og.graph.vertices, Vertex("x", LinearAB(np.eye(8), np.eye(8)))]
+    leads = [lead.at for lead in og.leads] + ["x"] * 8
+    g = build_graph(vertices, list(og.graph.edges),
+                    pending_leads={at: leads.count(at) for at in leads})
+    asm = Assembly(attach_leads(g, leads))
+    n = asm.table.n_channels
+    assert not asm.k_independent and asm._reduced.gather is None
+    assert asm._reduced.per_chunk * n * n <= _DET_CHUNK_ENTRIES
+    ks = _route_ks(og)
+    assert np.array_equal(asm.interior_det_many(ks), [asm.interior_det(k) for k in ks])
+
+
+def test_interior_det_raises_where_a_plus_ikb_is_singular():
+    # D(k) does not exist where the A + ikB of a vertex is singular: on the
+    # large graph at AB_SINGULAR_K, on the small one at -i
+    for og, k in ((_large_graph(ab=True), AB_SINGULAR_K), (_ab_degrees_graph(), -1j)):
+        asm = Assembly(og)
+        for call in (asm.interior_det, lambda k: asm.interior_det_many([1.0, k, 2.0])):
+            with pytest.raises(SingularAtK) as singular:
+                call(k)
+            assert singular.value.k == k
+
+
+@pytest.mark.parametrize("n, alpha", [(3, 2.5), (4, -1.3), (5, 0.7)])
+def test_delta_star_spectrum(n, alpha):
+    # n unit edges from a delta vertex (f continuous, sum of f' = alpha f) to
+    # Dirichlet leaves: k = m pi with multiplicity n - 1, where f vanishes
+    # at the centre and every sin(k L_e) in the band, and the simple roots
+    # of n k cos k + alpha sin k = 0
+    a = np.eye(n) - np.eye(n, k=1)
+    a[-1] = np.eye(n)[0] * alpha
+    b = np.zeros((n, n))
+    b[-1] = -1.0
+    leaves = [Vertex(f"w{i}", Dirichlet()) for i in range(n)]
+    g = build_graph([Vertex("c", LinearAB(a, b))] + leaves,
+                    [Edge(f"e{i}", "c", f"w{i}", 1.0) for i in range(n)])
+    k_min, k_max = 0.5, 12.0
+    grid = np.linspace(k_min, k_max, 20001)
+    f = n * grid * np.cos(grid) + alpha * np.sin(grid)
+    simple = []
+    for i in np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:])):
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if np.sign(n * mid * np.cos(mid) + alpha * np.sin(mid)) == np.sign(f[i]):
+                lo = mid
+            else:
+                hi = mid
+        simple.append(0.5 * (lo + hi))
+    want = sorted([(k, 1) for k in simple] + [(m * np.pi, n - 1) for m in (1, 2, 3)])
+    window = eigenvalues_compact(g, (k_min, k_max))
+    assert len(want) == 7 and not window.warnings
+    assert [ev.multiplicity for ev in window.eigenvalues] == [m for _, m in want]
+    for ev, (k, m) in zip(window.eigenvalues, want):
+        assert abs(ev.k - k) <= (1e-9 if m == 1 else 1e-6)
