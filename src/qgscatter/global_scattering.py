@@ -557,6 +557,9 @@ class Assembly:
                     for flat, a, b in by_degree.values()]
         self.k_independent = not self._ab
         self._sigma = self._assemble(1.0) if self.k_independent else None
+        # S(k) at conjugator samples and det S at phase samples, or the
+        # error raised at each, that transplantability_verdict keeps
+        self._verdict_inputs = {}
 
     @functools.cached_property
     def _reduced(self):
@@ -892,22 +895,29 @@ class Assembly:
         return sigma[..., :nl, :nl] + (sigma[..., :nl, nl:] * tk[..., None, :]) @ x
 
 
-# The graph passed last to scattering_matrix, secular_value,
-# interior_determinant, eigenvalues_compact, find_poles, refine_pole or, as
-# its graph 1, transplantability_verdict, and its Assembly. One entry, so it
-# holds at most one graph alive.
-_last_assembly = None
+# The last _MEMO_SIZE graphs passed to scattering_matrix, secular_value,
+# interior_determinant, eigenvalues_compact, find_poles, refine_pole or
+# transplantability_verdict (either graph), with their Assemblies, the most
+# recently used first: two verdicts' worth, so that it holds at most four
+# graphs alive. A verdict's window-free results are kept on the Assembly
+# (``_verdict_inputs``) and leave the memo with it.
+_MEMO_SIZE = 4
+_assemblies: list = []
 
 
 def _assembly(graph) -> Assembly:
     """The Assembly of ``graph``, an OpenGraph or a MetricGraph (taken
-    without leads): the previous call's when ``graph`` is the same object
-    (compared with ``is``), else a new one that replaces it."""
-    global _last_assembly
-    if _last_assembly is None or _last_assembly[0] is not graph:
-        og = graph if isinstance(graph, OpenGraph) else OpenGraph(graph, ())
-        _last_assembly = (graph, Assembly(og))
-    return _last_assembly[1]
+    without leads): that of a memo entry when ``graph`` is the same object
+    (compared with ``is``, most recent entry first), else a new one that
+    drops the least recently used entry of a full memo."""
+    for i, (held, asm) in enumerate(_assemblies):
+        if held is graph:
+            _assemblies.insert(0, _assemblies.pop(i))
+            return asm
+    asm = Assembly(graph if isinstance(graph, OpenGraph) else OpenGraph(graph, ()))
+    _assemblies.insert(0, (graph, asm))
+    del _assemblies[_MEMO_SIZE:]
+    return asm
 
 
 def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
@@ -919,11 +929,11 @@ def scattering_matrix(og: OpenGraph, k) -> ScatteringEvaluation:
 
     A sweep over k of one graph object builds its :class:`Assembly` (bond
     table, vertex rules, Sigma when constant, and on large graphs the
-    reduced kernel) once: the Assembly of the
-    graph of the last call is kept and reused while the same object is
-    passed again. Only that one graph is held. Every call builds T(k) and,
-    for k-dependent conditions, Sigma(k), with one stacked A/B solve per
-    vertex degree; then it solves for S, a new array each time, on the
+    reduced kernel) once: the Assemblies of the last four graphs passed
+    here and to the other entry points that share the memo are kept, and
+    reused while the same object is passed again. Every call builds T(k)
+    and, for k-dependent conditions, Sigma(k), with one stacked A/B solve
+    per vertex degree; then it solves for S, a new array each time, on the
     route of :meth:`Assembly.scattering`: the 2|E| x 2|E| bond system, or
     the r x r system of the reduced kernel. A real k also takes D(k) of
     that system for the singularity test; a complex k takes it only when
@@ -944,7 +954,7 @@ def interior_determinant(og: OpenGraph, k) -> complex:
     """D(k) = det(I - Sigma_BB T(k)); holomorphic in k for k-independent
     conditions, with resonance poles of S(k) at its zeros.
 
-    Shares the one-graph Assembly memo of :func:`scattering_matrix`; the
+    Shares the Assembly memo of :func:`scattering_matrix`; the
     determinant and its overflow check run on every call.
     """
     k = complex(k)
@@ -1063,9 +1073,9 @@ def eigenvalues_compact(graph: MetricGraph, window) -> SpectrumWindow:
     closer than a scan step with no sign change between them can yield one
     candidate, and the other is then missed.
 
-    The graph's :class:`Assembly` comes from the one-graph memo of
-    :func:`scattering_matrix`, keyed on ``graph``, so windows of one graph
-    object in a row set it up once.
+    The graph's :class:`Assembly` comes from the memo of the last four
+    graphs of :func:`scattering_matrix`, keyed on ``graph``, so windows of
+    one graph object in a row set it up once.
     """
     k_min, k_max = window
     if not (0 < k_min < k_max):

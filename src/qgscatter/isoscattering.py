@@ -14,6 +14,7 @@ accordingly.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -113,6 +114,30 @@ def _collect_samples(many1, many2, count: int):
             ks.remove(exc.k)
             ks += default_samples(1, skip)
             skip += 1
+
+
+def _kept(asm: Assembly, name: str):
+    """The method ``name`` of ``asm`` (``scattering_many`` or
+    ``scattering_det_many``) on lists of k, computing each k once per
+    Assembly: its value, or the :class:`SingularInterior` raised there, is
+    kept in ``asm._verdict_inputs``. The first kept error among ``ks`` is
+    raised as a new exception, and kept values are handed out in a new
+    array."""
+    solve, kept = getattr(asm, name), asm._verdict_inputs.setdefault(name, {})
+
+    def many(ks):
+        ks = np.asarray(ks).tolist()  # keys hash fast as Python floats
+        missing = [k for k in ks if k not in kept]
+        if missing:
+            try:
+                kept.update(zip(missing, solve(np.array(missing))))
+            except SingularInterior as exc:
+                kept[exc.k] = copy.copy(exc)
+        failed = [kept[k] for k in ks if isinstance(kept.get(k), SingularInterior)]
+        if failed:
+            raise copy.copy(failed[0])
+        return np.array([kept[k] for k in ks])
+    return many
 
 
 def find_conjugator(s1: Callable[[float], np.ndarray], s2: Callable[[float], np.ndarray],
@@ -233,25 +258,25 @@ def isopolar_check(p1: PoleSet, p2: PoleSet) -> Tuple[bool, PolePairing]:
 
     ks1 = [p.k for p in p1.poles for _ in range(p.multiplicity)]
     ks2 = [p.k for p in p2.poles for _ in range(p.multiplicity)]
+    # each step pairs the nearest free pair within _MATCH_TOL, the first in
+    # row-major order on a tie: the pairs within it, in stable order of
+    # distance, whose row and column are both still free. np.hypot gives
+    # the bits of Python's abs(a - b); numpy's complex abs does not.
+    diff = np.array(ks1, dtype=complex)[:, None] - np.array(ks2, dtype=complex)
+    dist = np.hypot(diff.real, diff.imag)
+    near = np.flatnonzero(dist <= _MATCH_TOL)
+    free1, free2 = [True] * len(ks1), [True] * len(ks2)
     matched = []
-    max_d = 0.0
-    remaining1, remaining2 = list(ks1), list(ks2)
-    while remaining1 and remaining2:
-        best = None
-        for i, a in enumerate(remaining1):
-            for j, b in enumerate(remaining2):
-                d = abs(a - b)
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
-        if d > _MATCH_TOL:
-            break
-        matched.append((remaining1[i], remaining2[j], d))
-        max_d = max(max_d, d)
-        remaining1.pop(i)
-        remaining2.pop(j)
+    for flat in near[np.argsort(dist.flat[near], kind="stable")].tolist():
+        i, j = divmod(flat, len(ks2))
+        if free1[i] and free2[j]:
+            free1[i] = free2[j] = False
+            matched.append((ks1[i], ks2[j], float(dist[i, j])))
+    remaining1 = tuple(k for k, free in zip(ks1, free1) if free)
+    remaining2 = tuple(k for k, free in zip(ks2, free2) if free)
     ok = not remaining1 and not remaining2 and len(ks1) == len(ks2)
-    return ok, PolePairing(tuple(matched), tuple(remaining1), tuple(remaining2), max_d)
+    max_d = max((d for _, _, d in matched), default=0.0)
+    return ok, PolePairing(tuple(matched), remaining1, remaining2, max_d)
 
 
 @dataclass(frozen=True)
@@ -282,18 +307,22 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     search and the phase identity need: a ``linear_ab`` vertex raises
     :class:`~qgscatter.errors.NonHolomorphic` before anything is solved.
 
-    Each graph gets one :class:`Assembly`, graph 1 from the one-graph memo
-    that :func:`~qgscatter.resonances.find_poles` and
-    :func:`~qgscatter.global_scattering.scattering_matrix` share, so that
-    verdicts of one graph against others in a row set it up once. The
-    conjugator samples are one stacked S(k) solve per graph (again after a
-    singular sample, which is skipped); det S at the phase samples comes
-    from D(k) alone. Graph 1's poles are searched for; when a conjugator is
-    found and that search gave no warning but those of edge zeros, graph
-    2's are confirmed from them (conjugate S have the same poles), and
-    searched for afresh when the confirmation fails. The report's warnings
-    are those of both pole searches, prefixed "graph 1: " and "graph 2: ",
-    then the verdict's own.
+    Both graphs take their :class:`Assembly` from the memo of the last four
+    graphs that :func:`~qgscatter.resonances.find_poles` and
+    :func:`~qgscatter.global_scattering.scattering_matrix` share (one
+    Assembly when ``og1 is og2``), so that verdicts of one graph against
+    others in a row set it up once. The window-free half is computed once
+    per graph and kept with its Assembly, per k: S(k) at the conjugator
+    samples, from one stacked solve per graph (again after a singular
+    sample, which is skipped and kept as singular), and det S at the phase
+    samples, from D(k) alone, or the sample where it is singular. A later
+    verdict solves only the samples it lacks, with the same bits. Only the
+    pole searches depend on the window. Graph 1's poles are searched for;
+    when a conjugator is found and that search gave no warning but those of
+    edge zeros, graph 2's are confirmed from them (conjugate S have the
+    same poles), and searched for afresh when the confirmation fails. The
+    report's warnings are those of both pole searches, prefixed "graph 1: "
+    and "graph 2: ", then the verdict's own.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -302,9 +331,11 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
         )
     _require_holomorphic(og1)
     _require_holomorphic(og2)
-    asm1, asm2 = _assembly(og1), Assembly(og2)
-    conj = _find_conjugator(asm1.scattering_many, asm2.scattering_many, n_training)
-    phases_ok, dev = _isophasal(asm1.scattering_det_many, asm2.scattering_det_many)
+    asm1, asm2 = _assembly(og1), _assembly(og2)
+    conj = _find_conjugator(_kept(asm1, "scattering_many"), _kept(asm2, "scattering_many"),
+                            n_training)
+    phases_ok, dev = _isophasal(_kept(asm1, "scattering_det_many"),
+                                _kept(asm2, "scattering_det_many"))
     # conjugate S share their poles: confirm graph 2's from graph 1's, and
     # search afresh when that fails; of graph 1's warnings only those of its
     # edge zeros allow the confirmation, which reuses D1 on the window's

@@ -275,9 +275,9 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     zeros (see the module docstring), whatever its size and w; a run may go
     10 cell diameters from its start.
 
-    The graph's :class:`Assembly` comes from the one-graph memo of
-    :func:`~qgscatter.global_scattering.scattering_matrix`, so windows of
-    one graph object in a row set it up once.
+    The graph's :class:`Assembly` comes from the memo of the last four
+    graphs of :func:`~qgscatter.global_scattering.scattering_matrix`, so
+    windows of one graph object in a row set it up once.
 
     Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
     finite on a contour (windows reaching far below the real axis).

@@ -701,11 +701,11 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
     stacked in one array and the encoding of each (rho, v) are kept for the
     last (og, act) pair (compared with ``is``), keyed by the values of rho's
     matrices and v (up to ``_MAX_ENCODINGS`` of them). S(k) comes from :func:`scattering_matrix`,
-    whose memo keeps the Assembly of its last graph, so at most two graphs
-    are held. Nothing that raised is kept, and the commutator and leak
-    checks run on every call: one stacked P(g) S - S P(g) for all elements,
-    and the leak |S Upsilon - Upsilon B| of the block B returned, with no
-    identity or projector built.
+    whose memo keeps the Assemblies of the last four graphs, so at most
+    five graphs are held. Nothing that raised is kept, and the commutator
+    and leak checks run on every call: one stacked P(g) S - S P(g) for all
+    elements, and the leak |S Upsilon - Upsilon B| of the block B returned,
+    with no identity or projector built.
     """
     return _quotient_blocks(og, act, [(rho, v)], k)[0]
 

@@ -883,7 +883,7 @@ def test_edgeless_graph_has_empty_spectrum():
 
 
 # ---------------------------------------------------------------------------
-# the one-graph Assembly memo of the per-k entry points
+# the Assembly memo of the per-k entry points
 # ---------------------------------------------------------------------------
 
 def counted_assembly(monkeypatch):
@@ -942,7 +942,9 @@ def test_alternating_graphs_each_get_their_own_s():
         np.testing.assert_allclose(s_other, p @ s @ p.T, atol=1e-12)
 
 
-def test_memo_holds_only_the_last_graph():
+def test_memo_holds_only_the_last_four_graphs():
+    # the first graph stays while three newer graphs pass through the memo,
+    # and is released by the fourth
     import gc
     import weakref
 
@@ -950,10 +952,26 @@ def test_memo_holds_only_the_last_graph():
     first = random_open_graph(rng, max_edges=5, max_leads=2)
     scattering_matrix(first, 1.3)
     ref = weakref.ref(first)
-    scattering_matrix(random_open_graph(rng, max_edges=5, max_leads=2), 1.3)
     del first
+    for _ in range(3):
+        scattering_matrix(random_open_graph(rng, max_edges=5, max_leads=2), 1.3)
+        gc.collect()
+        assert ref() is not None
+    scattering_matrix(random_open_graph(rng, max_edges=5, max_leads=2), 1.3)
     gc.collect()
     assert ref() is None
+
+
+def test_memo_keeps_the_most_recently_used_graphs(monkeypatch):
+    # a graph passed again moves to the front, so the least recently used
+    # one leaves first
+    rng = np.random.default_rng(6)
+    graphs = [random_open_graph(rng, max_edges=4, max_leads=2) for _ in range(5)]
+    built = counted_assembly(monkeypatch)
+    for i in (0, 1, 2, 3, 0, 4, 0, 2, 3, 4, 1):
+        scattering_matrix(graphs[i], 1.3)
+    assert [next(i for i, g in enumerate(graphs) if g is og) for og in built] == [
+        0, 1, 2, 3, 4, 1]
 
 
 def test_failed_assembly_is_not_kept(monkeypatch):

@@ -120,6 +120,69 @@ def test_isopolar_vacuous_and_self():
     assert ok and len(pairing.matched) == 3
 
 
+def _greedy_pairing_reference(p1, p2):
+    """isopolar_check's pairing as a Python scan over every remaining pair
+    on each step, which keeps the first minimum in row-major order."""
+    ks1 = [p.k for p in p1.poles for _ in range(p.multiplicity)]
+    ks2 = [p.k for p in p2.poles for _ in range(p.multiplicity)]
+    matched = []
+    max_d = 0.0
+    remaining1, remaining2 = list(ks1), list(ks2)
+    while remaining1 and remaining2:
+        best = None
+        for i, a in enumerate(remaining1):
+            for j, b in enumerate(remaining2):
+                d = abs(a - b)
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        d, i, j = best
+        if d > isoscattering._MATCH_TOL:
+            break
+        matched.append((remaining1[i], remaining2[j], d))
+        max_d = max(max_d, d)
+        remaining1.pop(i)
+        remaining2.pop(j)
+    ok = not remaining1 and not remaining2 and len(ks1) == len(ks2)
+    return ok, (tuple(matched), tuple(remaining1), tuple(remaining2), max_d)
+
+
+def _random_pole_set(rng, n, window, clustered):
+    """n poles with multiplicities 1-3: on a dyadic grid of step 2^-22
+    around 2 - 0.5i when ``clustered`` (exact ties, several within
+    ``_MATCH_TOL`` of each other), else spread over the window."""
+    if clustered:
+        ks = 2.0 - 0.5j + (rng.integers(-6, 7, n) + 1j * rng.integers(-6, 7, n)) * 2.0 ** -22
+    else:
+        ks = rng.uniform(0.0, 10.0, n) - 1j * rng.uniform(0.0, 2.0, n)
+    return resonances.PoleSet(
+        poles=tuple(resonances.Pole(k=complex(k), multiplicity=int(m), residual=0.0,
+                                    iterations=1)
+                    for k, m in zip(ks, rng.integers(1, 4, n))),
+        window=window)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_isopolar_pairing_is_the_greedy_scan(seed):
+    # the pairing of the nearest free pair at each step, ties to the first
+    # in row-major order, on clustered sets with exact ties and on spread
+    # ones, some of them sharing poles
+    rng = np.random.default_rng(seed)
+    window = Rect(0.0, 10.0, -2.0, 0.0)
+    clustered = seed % 2 == 0
+    p1 = _random_pole_set(rng, int(rng.integers(0, 12)), window, clustered)
+    p2 = _random_pole_set(rng, int(rng.integers(0, 12)), window, clustered)
+    if seed % 3 == 0:
+        p2 = replace(p2, poles=p2.poles + p1.poles[: len(p1.poles) // 2])
+    for a, b in ((p1, p2), (p2, p1), (p1, p1)):
+        ok, pairing = isopolar_check(a, b)
+        want_ok, (matched, unmatched_1, unmatched_2, max_d) = _greedy_pairing_reference(a, b)
+        assert ok == want_ok
+        assert [(x, y, np.float64(d).tobytes()) for x, y, d in pairing.matched] == [
+            (x, y, np.float64(d).tobytes()) for x, y, d in matched]
+        assert (pairing.unmatched_1, pairing.unmatched_2) == (unmatched_1, unmatched_2)
+        assert np.float64(pairing.max_distance).tobytes() == np.float64(max_d).tobytes()
+
+
 def test_isopolar_window_mismatch():
     og = two_pendant_resonator()
     p1 = find_poles(og, Rect(0.0, 10.0, -2.0, 0.0))
@@ -619,9 +682,28 @@ def test_verdict_evaluations_count_every_determinant(name, monkeypatch):
                             + 2 * len(_PHASE_KS))
 
 
+def _count_window_free_work(monkeypatch):
+    """The k of every S(k) sample and phase determinant solved from now on."""
+    solved = []
+    scattering_many, det_many = Assembly.scattering_many, Assembly.scattering_det_many
+
+    def counting_scattering(self, ks):
+        solved.extend(("S", complex(k)) for k in ks)
+        return scattering_many(self, ks)
+
+    def counting_dets(self, ks):
+        solved.extend(("det S", complex(k)) for k in ks)
+        return det_many(self, ks)
+
+    monkeypatch.setattr(Assembly, "scattering_many", counting_scattering)
+    monkeypatch.setattr(Assembly, "scattering_det_many", counting_dets)
+    return solved
+
+
 def test_verdicts_against_one_graph_set_it_up_once(monkeypatch):
-    # graph 1 takes its Assembly from the one-graph memo, graph 2 gets its
-    # own; the counts are those of a verdict on fresh Assemblies
+    # both graphs take their Assembly from the memo, which keeps S(k) at the
+    # conjugator samples and det S at the phase samples: a repeated verdict
+    # builds nothing and solves neither, and its pole sets are the first's
     og1, og2, window = CONFIRMED_CASES["relabelled-4-2"]()
     first = transplantability_verdict(og1, og2, window)
     built = []
@@ -632,14 +714,15 @@ def test_verdicts_against_one_graph_set_it_up_once(monkeypatch):
             super().__init__(og)
 
     monkeypatch.setattr(global_scattering, "Assembly", Counting)
-    monkeypatch.setattr(isoscattering, "Assembly", Counting)
+    solved = _count_window_free_work(monkeypatch)
     again = [transplantability_verdict(og1, og2, window) for _ in range(2)]
-    assert built == [og2, og2]
+    assert built == [] and solved == []
     for report in again:
         assert (report.verdict, report.poles_1, report.poles_2) == (
             first.verdict, first.poles_1, first.poles_2)
         assert (report.poles_1.evaluations, report.poles_2.evaluations) == (
             first.poles_1.evaluations, first.poles_2.evaluations)
+        assert report.conjugacy.pi.tobytes() == first.conjugacy.pi.tobytes()
 
 
 def test_confirmation_winds_circles_around_double_zeros():
@@ -702,3 +785,116 @@ def test_an_extra_trapped_state_falls_back_to_a_full_search(name):
     assert report.poles_2 == full != report.poles_1
     assert report.poles_2.evaluations == full.evaluations
     assert _confirm_poles(Assembly(og2), window, Assembly(og1), report.poles_1) is None
+
+
+# ---------------------------------------------------------------------------
+# the window-free inputs a verdict keeps with each graph's Assembly
+# ---------------------------------------------------------------------------
+
+def _perturbed_copy(og):
+    """A copy of a graph of ``_commensurate_graph`` with its first edge a
+    quarter longer: not conjugate to it."""
+    edges = list(og.graph.edges)
+    e = edges[0]
+    edges[0] = Edge(e.id, e.from_vertex, e.to_vertex, e.length + 0.25)
+    g = build_graph(og.graph.vertices, edges, pending_leads={lead.at: 1 for lead in og.leads})
+    return attach_leads(g, [lead.at for lead in og.leads], lead_ids=[lead.id for lead in og.leads])
+
+
+def _report_bits(report):
+    conj = report.conjugacy
+    return (report.verdict, conj.status, None if conj.pi is None else conj.pi.tobytes(),
+            conj.residual, conj.solution_dim, conj.training_ks, conj.holdout_ks,
+            np.float64(report.isophasal_deviation).tobytes(), report.poles_1, report.poles_2,
+            report.poles_1.evaluations, report.poles_2.evaluations)
+
+
+def test_a_verdict_does_not_depend_on_the_verdicts_before_it():
+    # the bench's order: a graph against its relabelled and its perturbed
+    # copy in turn, over windows W1, W2, W1; each report is that of a
+    # verdict on fresh copies of the graphs
+    w1, w2 = CONFIRMED_CASES["relabelled-4-2"]()[2], Rect(1.0, 3.0, -0.8, 0.0)
+    og, relabelled, _ = CONFIRMED_CASES["relabelled-4-2"]()
+    perturbed = _perturbed_copy(og)
+    runs = [(partner, window) for window in (w1, w2, w1) for partner in ("relabelled", "perturbed")]
+    got = [transplantability_verdict(og, {"relabelled": relabelled, "perturbed": perturbed}[p], w)
+           for p, w in runs]
+    assert [r.verdict for r in got[:2]] == ["transplantable (numerical evidence)",
+                                            "no transplantation on these lead sets"]
+    for (partner, window), report in zip(runs, got):
+        fresh1, fresh2, _ = CONFIRMED_CASES["relabelled-4-2"]()
+        if partner == "perturbed":
+            fresh2 = _perturbed_copy(fresh1)
+        assert _report_bits(report) == _report_bits(
+            transplantability_verdict(fresh1, fresh2, window))
+
+
+def test_a_kept_singular_sample_is_skipped_without_solving_it_again(monkeypatch):
+    # graph 1 has a bound state at the third conjugator sample; graph 2 is
+    # the resonator alone, with the same S elsewhere
+    bound = default_samples(1, 2)[0]
+    og1, og2 = _resonator_beside_intervals(bound), two_pendant_resonator()
+    window = Rect(0.5, 1.0, -1.0, 0.0)
+    solved = _count_window_free_work(monkeypatch)
+    first = transplantability_verdict(og1, og2, window)
+    assert ("S", bound) in solved
+    conj = first.conjugacy
+    assert conj.found and conj.training_ks + conj.holdout_ks == tuple(
+        k for k in default_samples(12) if k != bound)
+    del solved[:]
+    again = transplantability_verdict(og1, og2, window)
+    assert solved == []
+    assert _report_bits(again) == _report_bits(first)
+
+
+def test_a_kept_singular_phase_sample_raises_anew():
+    og = _resonator_beside_intervals(_PHASE_KS[3])
+    first = f"sample k = {_PHASE_KS[3]} hits a singular point"
+    raised = []
+    for _ in range(2):
+        with pytest.raises(SampleAtSingularity, match=first) as exc:
+            transplantability_verdict(og, two_pendant_resonator(), Rect(0.5, 1.0, -1.0, 0.0))
+        raised.append(exc.value.__cause__)
+    assert raised[0] is not raised[1]
+    assert raised[0].k == raised[1].k == _PHASE_KS[3]
+
+
+def test_kept_inputs_are_new_on_every_call():
+    # a kept error is raised as a new exception, and a kept array is never
+    # handed out, so that a caller cannot change what the next verdict reads
+    bound = default_samples(1, 2)[0]
+    asm = Assembly(_resonator_beside_intervals(bound))
+    many = isoscattering._kept(asm, "scattering_many")
+    dets = isoscattering._kept(asm, "scattering_det_many")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SingularInterior) as exc:
+            many([default_samples(1)[0], bound])
+        errors.append(exc.value)
+    kept = asm._verdict_inputs["scattering_many"][bound]
+    assert errors[0] is not errors[1] and kept not in errors
+    assert errors[0].k == errors[1].k == bound
+    assert str(errors[0]) == str(errors[1]) == str(kept)
+    ks = default_samples(3)[:2]
+    want = asm.scattering_many(ks)
+    many(ks)[:] = 0.0
+    assert np.array_equal(many(ks), want)
+    phase_ks = np.array(_PHASE_KS)
+    want = asm.scattering_det_many(phase_ks)
+    dets(phase_ks)[:] = 0.0
+    assert np.array_equal(dets(phase_ks), want)
+
+
+def test_a_graph_against_itself_is_one_assembly(monkeypatch):
+    # both graphs are one Assembly: the confirmation counts its
+    # determinants as on two, and the conjugator's and phase samples are
+    # solved once
+    og, _, window = CONFIRMED_CASES["two-pendant-self"]()
+    solved = _count_window_free_work(monkeypatch)
+    report = transplantability_verdict(og, og, window)
+    assert report.conjugacy.found and report.isopolar and report.isophasal
+    assert report.isophasal_deviation == 0.0
+    assert report.poles_2.evaluations == CONFIRMATION_EVALUATIONS["two-pendant-self"]
+    assert len(solved) == len(set(solved)) == 11 + len(_PHASE_KS)
+    other, _, _ = CONFIRMED_CASES["two-pendant-self"]()
+    assert _report_bits(report) == _report_bits(transplantability_verdict(other, og, window))

@@ -766,5 +766,8 @@ def test_quotient_memo_holds_only_the_last_pair():
     other, other_act, other_rho = s3_star_action()
     quotient_scattering(other, other_act, other_rho, None, k=1.0)
     del og, act
+    # the Assembly memo of scattering_matrix holds the last four graphs
+    for n in range(2, 6):
+        scattering_matrix(star_open_graph(n), 1.0)
     gc.collect()
     assert ref() is None
