@@ -103,6 +103,11 @@ _BRACKET_STEPS = 12  # most regula falsi steps of one bracket
 # Newton step that ends a run from a dip of |g| or an unsolved bracket: a
 # zero of multiplicity m <= 11 then lies inside the first circle (1e-4)
 _START_STEP = 5e-6
+# Commensurate graphs: D(k) is a polynomial p(z), z = exp(ik l0), whose roots
+# serve the pole search up to this degree (see Assembly._root_set)
+_MAX_DEGREE = 128
+_ALIAS_TOL = 1e-12  # largest |p(0) - 1| and alias coefficient, relative to the largest
+_CLUSTER_RADIUS = 1e-3  # roots of p closer than this in k are one zero
 
 
 @dataclass(frozen=True)
@@ -568,6 +573,65 @@ class Assembly:
         (:attr:`_reduced_s`), so that S(k) sweeps on the bond route do not
         pay for it."""
         return _ReducedKernel(self.table, self._vertices) if self.table.n_bonds else None
+
+    @functools.cached_property
+    def _root_set(self):
+        """The zeros of D(k) on one period of Re k, read from the roots of a
+        polynomial, as (period, coefficients, centres, sizes); None unless
+        the graph has edges and k-independent conditions, and ``_MAX_DEGREE``
+        bounds the degree.
+
+        l0 is the largest power of two that divides every length, read from
+        the float bits. D(k) is then a polynomial p(z) in z = exp(ik l0) of
+        degree N = sum_b L_b / l0 with p(0) = 1 (D -> 1 as k -> +i oo). One
+        :meth:`interior_det_many` call, counted in ``evaluations``, takes D at
+        M points k_j = 2 pi j / (M l0) + i / sum_b L_b, M the least power of
+        two >= N + 2, so that |z| = r with r^N = 1/e, and one FFT gives the
+        coefficients a_0 .. a_N of p, real where Sigma is. The set is None
+        unless a_0 = 1 and the M - N - 1 alias coefficients vanish, both to
+        ``_ALIAS_TOL`` relative to the largest. The roots z map to k =
+        -i log(z) / l0, which repeat with period 2 pi / l0 in Re k; those
+        within ``_CLUSTER_RADIUS`` of each other there, linked in chains, form
+        one cluster: a multiple zero that the companion matrix split. Each
+        cluster is given by its centroid (``centres``) and its number of
+        roots (``sizes``). The arrays are read-only.
+        """
+        lengths = self.table.bond_lengths
+        if not (self.k_independent and lengths.size):
+            return None
+        mantissa, exponent = np.frexp(lengths)
+        bits = (mantissa * 2.0 ** 53).astype(np.int64)
+        l0 = float(np.min(np.ldexp((bits & -bits).astype(float), exponent - 53)))
+        if self.total_bond_length / l0 > _MAX_DEGREE:
+            return None
+        n = int(self.total_bond_length / l0)
+        m = 1 << (n + 1).bit_length()
+        ks = 2 * np.pi / (m * l0) * np.arange(m) + 1j / self.total_bond_length
+        c = np.fft.fft(self.interior_det_many(ks)) / m
+        tol = _ALIAS_TOL * np.abs(c).max()
+        if abs(c[0] - 1) > tol or np.abs(c[n + 1:]).max() > tol:
+            return None
+        a = c[:n + 1] * np.exp(l0 / self.total_bond_length * np.arange(n + 1))
+        if not self._sigma.imag.any():
+            a = a.real.copy()  # a real companion matrix
+        period = 2 * np.pi / l0
+        ks = -1j * np.log(np.roots(a[::-1]).astype(complex)) / l0
+
+        def wrapped(d):
+            return d - period * np.round(d.real / period)
+
+        # each root takes the least index of its chain of near roots
+        near = np.abs(wrapped(ks[:, None] - ks)) <= _CLUSTER_RADIUS
+        first, least = None, np.arange(len(ks))
+        while not np.array_equal(first, least):
+            first, least = least, np.where(near, least, len(ks)).min(axis=1)
+        leads, members, sizes = np.unique(first, return_inverse=True, return_counts=True)
+        offsets = wrapped(ks - ks[first])
+        centres = ks[leads] + (np.bincount(members, offsets.real)
+                               + 1j * np.bincount(members, offsets.imag)) / sizes
+        for array in (a, centres, sizes):
+            array.flags.writeable = False
+        return period, a, centres, sizes
 
     def _assemble(self, k) -> np.ndarray:
         """Sigma(k) from the vertex matrices sigma_v(k): the constant blocks,

@@ -33,7 +33,7 @@ from .contours import Rect
 from .global_scattering import Assembly, _assembly
 from .graph_core import OpenGraph
 from .linalg import null_space
-from .resonances import PoleSet, _confirm_poles, _find_poles, _require_holomorphic
+from .resonances import PoleSet, _find_poles, _require_holomorphic
 
 EVIDENCE_LABEL = "numerical evidence"
 
@@ -317,12 +317,13 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     sample, which is skipped and kept as singular), and det S at the phase
     samples, from D(k) alone, or the sample where it is singular. A later
     verdict solves only the samples it lacks, with the same bits. Only the
-    pole searches depend on the window. Graph 1's poles are searched for;
-    when a conjugator is found and that search gave no warning but those of
-    edge zeros, graph 2's are confirmed from them (conjugate S have the
-    same poles), and searched for afresh when the confirmation fails. The
-    report's warnings are those of both pole searches, prefixed "graph 1: "
-    and "graph 2: ", then the verdict's own.
+    pole searches depend on the window: each graph's poles come from
+    :func:`~qgscatter.resonances.find_poles` on its own Assembly, so that
+    the isopolar check compares two independent searches. For graphs with
+    a root set (see ``find_poles``) both read their zeros from the roots,
+    which the first search of each Assembly builds and later verdicts
+    reuse. The report's warnings are those of both pole searches, prefixed
+    "graph 1: " and "graph 2: ", then the verdict's own.
     """
     if og1.n_leads != og2.n_leads:
         raise DimensionMismatch(
@@ -336,17 +337,7 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
                             n_training)
     phases_ok, dev = _isophasal(_kept(asm1, "scattering_det_many"),
                                 _kept(asm2, "scattering_det_many"))
-    # conjugate S share their poles: confirm graph 2's from graph 1's, and
-    # search afresh when that fails; of graph 1's warnings only those of its
-    # edge zeros allow the confirmation, which reuses D1 on the window's
-    # contour from graph 1's search
-    seen = {} if conj.found else None
-    poles1 = _find_poles(asm1, window, seen)
-    poles2 = None
-    if conj.found and poles1.only_edge_warnings:
-        poles2 = _confirm_poles(asm2, window, asm1, poles1, seen)
-    if poles2 is None:
-        poles2 = _find_poles(asm2, window)
+    poles1, poles2 = _find_poles(asm1, window), _find_poles(asm2, window)
     polar_ok, pairing = isopolar_check(poles1, poles2)
 
     warnings = ([f"graph 1: {w}" for w in poles1.warnings]

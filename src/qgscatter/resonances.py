@@ -1,10 +1,24 @@
 """Resonance poles: zeros of the interior determinant in a complex window.
 
-The search subdivides the window into quadrants, level by level, counting
-zeros per cell with the argument principle. The samples that resolve the
-contour of a cell of winding w >= 1 also give, at no further determinant,
-the power sums s_p of the zeros inside, p = 1 .. w (Delves and Lyness,
-Math. Comp. 21 (1967) 543; :meth:`~qgscatter.contours.QuadLevel.power_sums`),
+Two routes find them, chosen by the graph, not by an option. When every
+length is a multiple of one power of two l0, the conditions do not depend
+on k and the degree sum_b L_b / l0 is at most
+``global_scattering._MAX_DEGREE``, D(k) is a polynomial in exp(ik l0),
+and the Assembly keeps the roots of its certified coefficients, clustered
+by multiplicity, for every window (:attr:`Assembly._root_set`). A window
+then takes the clusters whose periodic copies it holds and polishes each
+with one Newton run for a zero of the cluster's size
+(:func:`_root_zeros`); a cluster of two or more roots must also wind its
+size on a circle that holds no other root. A window where a check fails,
+and every other graph, goes to the contour search below
+(:func:`_contour_poles`).
+
+The contour search subdivides the window into quadrants, level by level,
+counting zeros per cell with the argument principle. The samples that
+resolve the contour of a cell of winding w >= 1 also give, at no further
+determinant, the power sums s_p of the zeros inside, p = 1 .. w (Delves
+and Lyness, Math. Comp. 21 (1967) 543;
+:meth:`~qgscatter.contours.QuadLevel.power_sums`),
 and Newton's identities turn them into a polynomial whose w roots start w
 Newton runs, at any cell size. The cell's zeros are taken when every run
 ends inside the contour that was wound, farther than ``_REAL_AXIS_TOL``
@@ -50,13 +64,7 @@ states decoupled from the leads and are reported separately. Any other
 zero within ``_REAL_AXIS_TOL`` of a side of the window is an edge zero,
 dropped with a warning, so that rounding decides nothing.
 
-A graph whose S(k) is conjugate to that of a graph already searched has
-the same poles; :func:`_confirm_poles` checks them on its determinant (one
-winding around the window, which reuses the values of the first graph's
-determinant that its search computed there, and one Newton run per zero)
-instead of searching again.
-
-Both paths, and :func:`refine_pole`, polish their starts with one Newton
+Both routes, and :func:`refine_pole`, polish their starts with one Newton
 pass (:func:`_polish`), and both build their :class:`PoleSet` with
 :func:`_pole_set`.
 """
@@ -70,10 +78,10 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .contours import (_CONTOURS_TRIED, ZERO_TOL, QuadLevel, Rect, first_circle_windings,
-                       rect_winding)
+from .contours import _CONTOURS_TRIED, QuadLevel, Rect, first_circle_windings, rect_winding
 from .errors import BoundaryZero, Diverged, NonHolomorphic
-from .global_scattering import _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly, _assembly
+from .global_scattering import (_CLUSTER_RADIUS, _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly,
+                                _assembly)
 from .graph_core import LinearAB, OpenGraph
 
 _MIN_CELL = 1e-6  # cells this small are not split further
@@ -109,17 +117,13 @@ class PoleSet:
     bound states), which are excluded from ``poles``. ``edge_zeros`` lists the
     zeros off the real axis within ``_REAL_AXIS_TOL`` of a side of the
     window, which are dropped, each with one warning. ``evaluations`` counts
-    the determinants D(k) the search computed: contour samples, multiplicity
-    circles and residuals (Newton's steps solve with the matrix instead),
-    as the increase of :attr:`Assembly.evaluations` over the search. A zero
-    found in a cell that winds once costs one residual and its circle. For a
-    set confirmed from a conjugate graph's, it counts the determinants of
-    the confirmation on both graphs' Assemblies, not those of the conjugate
-    graph that its search computed on the window's contour and the
-    confirmation reuses, and every zero, edge zeros
-    included, is this graph's own: the point, ``residual`` and
-    ``iterations`` of a Newton run on its determinant started at the
-    conjugate graph's zero.
+    the determinants D(k) the search computed: the samples of the root set
+    when this search built it, contour samples, multiplicity circles and
+    residuals (Newton's steps solve with the matrix instead), as the
+    increase of :attr:`Assembly.evaluations` over the search. A zero read
+    from the root set costs one residual, and a circle when its cluster
+    holds two or more roots; a zero found in a cell that winds once costs
+    one residual and its circle.
     """
 
     poles: Tuple[Pole, ...]
@@ -131,12 +135,6 @@ class PoleSet:
 
     def ks(self) -> np.ndarray:
         return np.array([p.k for p in self.poles])
-
-    @property
-    def only_edge_warnings(self) -> bool:
-        """True when every warning is the one :func:`_pole_set` gives each
-        edge zero."""
-        return len(self.warnings) == len(self.edge_zeros)
 
 
 def winding_number(f: Callable[[complex], complex], rect: Rect, samples: int = 64) -> int:
@@ -177,10 +175,10 @@ def _require_holomorphic(og: OpenGraph):
             )
 
 
-def _rate(*asms: Assembly) -> float:
-    """Bulk rotation rate of the determinants of ``asms`` along a contour:
-    the largest total directed-bond length, plus 1."""
-    return max(a.total_bond_length for a in asms) + 1.0
+def _rate(asm: Assembly) -> float:
+    """Bulk rotation rate of D along a contour: the total directed-bond
+    length, plus 1."""
+    return asm.total_bond_length + 1.0
 
 
 def _circle_windings(asm: Assembly, circles) -> List[Optional[int]]:
@@ -189,16 +187,19 @@ def _circle_windings(asm: Assembly, circles) -> List[Optional[int]]:
     return first_circle_windings(asm.interior_det_many, circles, rate_hint=_rate(asm))
 
 
-def _polish(asm: Assembly, starts, trusts) -> List[Tuple[complex, float, int]]:
-    """Newton on D from each start, within its own trust radius (at most
+def _polish(asm: Assembly, starts, trusts,
+            multiplicities=None) -> List[Tuple[complex, float, int]]:
+    """Newton on D from each start, within its own trust radius and for a
+    zero of its own multiplicity (1 for every start by default; at most
     ``_NEWTON_MAX_ITER`` steps, step tolerance ``_NEWTON_STEP_TOL``), then
     |D| at every run that stayed inside, in one batched call.
 
     Returns (k, residual, iterations) per start; a run that left its trust
     radius has residual inf and k the iterate that left.
     """
-    runs = [asm.newton(k0, max_iter=_NEWTON_MAX_ITER, tol=_NEWTON_STEP_TOL, trust=trust)
-            for k0, trust in zip(starts, trusts)]
+    runs = [asm.newton(k0, max_iter=_NEWTON_MAX_ITER, tol=_NEWTON_STEP_TOL, trust=trust,
+                       multiplicity=m)
+            for k0, trust, m in zip(starts, trusts, multiplicities or itertools.repeat(1))]
     inside = [k for k, _, ok in runs if ok]
     residuals = iter(asm.interior_det_many(inside) if inside else ())
     return [(k, abs(complex(next(residuals))) if ok else np.inf, iterations)
@@ -266,40 +267,103 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     (k = 0-0.203258178195j on the left side of [0, 8] x [-3, 0]), whichever
     side of the line rounding put it on.
 
-    The search is fixed by the module constants ``_MIN_CELL``,
+    A graph whose lengths are multiples of one power of two l0, with
+    k-independent conditions and degree sum_b L_b / l0 at most
+    ``global_scattering._MAX_DEGREE``, has a root set: the first search of
+    its Assembly takes D at the least power of two >= degree + 2 points,
+    counted in ``evaluations``, and every window reads its zeros from the
+    roots (see the module docstring), at any depth. A window where a check
+    of that route fails, and every other graph, takes the contour search,
+    counted on top of what the root route spent.
+
+    The contour search is fixed by the module constants ``_MIN_CELL``,
     ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``, ``_BOUNDARY_SAMPLES``,
     ``_REAL_AXIS_TOL``, ``_NEWTON_MAX_ITER`` and ``_NEWTON_STEP_TOL``, and
     by ``contours._CONTOURS_TRIED`` and ``contours._JITTER``, which set the
     retries of cells and circles that meet a zero. Every cell that winds w
     >= 1 times starts w Newton runs from the roots of the power sums of its
     zeros (see the module docstring), whatever its size and w; a run may go
-    10 cell diameters from its start.
+    10 cell diameters from its start. The root route adds
+    ``global_scattering._ALIAS_TOL`` and ``_CLUSTER_RADIUS``.
 
     The graph's :class:`Assembly` comes from the memo of the last four
     graphs of :func:`~qgscatter.global_scattering.scattering_matrix`, so
-    windows of one graph object in a row set it up once.
+    windows of one graph object in a row set it up once, root set included.
 
-    Raises :class:`~qgscatter.errors.DeterminantOverflow` when D(k) is not
-    finite on a contour (windows reaching far below the real axis).
+    Raises :class:`~qgscatter.errors.DeterminantOverflow` when the contour
+    search finds D(k) not finite on a contour (windows reaching far below
+    the real axis).
     """
     return _find_poles(_assembly(og), window)
 
 
-def _find_poles(asm: Assembly, window: Rect, seen: Optional[dict] = None) -> PoleSet:
-    """:func:`find_poles` on a graph's Assembly. With ``seen``, a dict, D at
-    every sample of the window's contour and of its inflated retries is
-    recorded there (k: D(k)) for :func:`_confirm_poles`."""
+def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
+    """:func:`find_poles` on a graph's Assembly: the zeros of its root set
+    (:func:`_root_zeros`), or, where there is none or a check fails, the
+    contour search (:func:`_contour_poles`)."""
     _require_holomorphic(asm.og)
+    start = asm.evaluations
+    zeros = _root_zeros(asm, window)
+    if zeros is None:
+        return replace(_contour_poles(asm, window), evaluations=asm.evaluations - start)
+    return _pole_set(window, zeros, [], asm.evaluations - start)
+
+
+def _root_zeros(asm: Assembly, window: Rect) -> Optional[List[Pole]]:
+    """The zeros of D in the window, and within ``_REAL_AXIS_TOL`` of it,
+    from :attr:`Assembly._root_set`; None when the Assembly has no root set
+    or a check fails.
+
+    Every cluster of roots is shifted by whole periods to cover the window
+    inflated by ``_CLUSTER_RADIUS``, and each copy inside starts one Newton
+    run (:func:`_polish`) from its centroid, for a zero of the cluster's
+    size, with the cluster radius as trust radius. The checks: every run
+    stays inside with a residual of at most ``_RESIDUAL_TOL``, no two end
+    within ``_DEDUPE_RADIUS`` of each other, and a circle around each zero
+    of a cluster of two or more roots, of half the distance from its start
+    to the nearest other copy or 1 / sum_b L_b if that is less, winds its
+    size.
+    """
+    roots = asm._root_set
+    if roots is None:
+        return None
+    period, _, centres, sizes = roots
+    near = window.inflated(_CLUSTER_RADIUS)
+    shifts = period * np.arange(np.floor(near.re_min / period) - 1,
+                                np.ceil(near.re_max / period) + 2)
+    ks = (centres[:, None] + shifts).ravel()
+    inside = ((near.re_min < ks.real) & (ks.real < near.re_max)
+              & (near.im_min < ks.imag) & (ks.imag < near.im_max))
+    starts, sizes = ks[inside], np.repeat(sizes, len(shifts))[inside]
+    runs = _polish(asm, starts, [_CLUSTER_RADIUS] * len(starts), sizes.tolist())
+    found = np.array([k for k, _, _ in runs], dtype=complex)
+    a, b = np.triu_indices(len(found), 1)
+    multiple = np.flatnonzero(sizes > 1)
+    # half the distance from each multiple start to the nearest other copy,
+    # at most 1 / sum_b L_b, over which |D| changes by a factor of about e
+    apart, cap = np.abs(starts[multiple, None] - ks) / 2, 1 / asm.total_bond_length
+    radii = np.where(apart > 0, apart, cap).min(axis=1, initial=cap)
+    if (any(residual > _RESIDUAL_TOL for _, residual, _ in runs)
+            or (np.abs(found[a] - found[b]) <= _DEDUPE_RADIUS).any()
+            or _circle_windings(asm, [(found[i], (r,)) for i, r in zip(multiple, radii)])
+            != sizes[multiple].tolist()):
+        return None
+    near = window.inflated(_REAL_AXIS_TOL)
+    return [Pole(k=k, multiplicity=m, residual=residual, iterations=iterations)
+            for (k, residual, iterations), m in zip(runs, sizes.tolist()) if near.contains(k)]
+
+
+def _contour_poles(asm: Assembly, window: Rect) -> PoleSet:
+    """The contour search of :func:`find_poles` on a graph's Assembly (see
+    the module docstring), whatever the graph's lengths."""
     warnings: list = []
     start = asm.evaluations
     rate = _rate(asm)
     polished = []
-    det = asm.interior_det_many if seen is None else _recording(asm.interior_det_many, seen)
     level = QuadLevel(window)
     while level.cells:
         # a cell whose contour met a zero is wound inflated (level.contour)
-        windings = level.wind(det, _BOUNDARY_SAMPLES, rate_hint=rate)
-        det = asm.interior_det_many  # the window's contour is wound at the first level
+        windings = level.wind(asm.interior_det_many, _BOUNDARY_SAMPLES, rate_hint=rate)
         # cells to run Newton in as (index, winding, cell, contour, starts),
         # and cells refused as (index, winding, cell, residual); the level's
         # warnings by cell, given in cell order
@@ -400,27 +464,6 @@ def _find_poles(asm: Assembly, window: Rect, seen: Optional[dict] = None) -> Pol
     return _pole_set(window, zeros, warnings, asm.evaluations - start)
 
 
-def _recording(f, seen):
-    """f, recording every value it computes in the dict ``seen``."""
-    def recorded(ks):
-        v = f(ks)
-        seen.update(zip(np.asarray(ks).tolist(), v.tolist()))
-        return v
-    return recorded
-
-
-def _recalling(f, seen):
-    """f, taking its value from the dict ``seen`` where k is there."""
-    def recalled(ks):
-        ks = np.asarray(ks, dtype=complex)
-        v = np.array([seen.get(k, np.nan) for k in ks.tolist()], dtype=complex)
-        new = np.isnan(v)
-        if new.any():
-            v[new] = f(ks[new])
-        return v
-    return recalled
-
-
 def _moment_starts(cell: Rect, sums) -> Optional[np.ndarray]:
     """The zeros whose power sums, in the units of
     :meth:`~qgscatter.contours.QuadLevel.power_sums` on ``cell``, are
@@ -455,83 +498,3 @@ def _merge(zeros):
         else:
             merged.append(record)
     return merged
-
-
-def _confirm_poles(asm: Assembly, window: Rect, reference_asm: Assembly,
-                   reference: PoleSet, seen: Optional[dict] = None) -> Optional[PoleSet]:
-    """The zeros of D in the window, confirmed from ``reference``, the
-    :class:`PoleSet` that :func:`find_poles` gave for the graph of
-    ``reference_asm``, whose S(k) is conjugate to this one's; None when a
-    check fails, and the caller must search afresh. The caller checks that
-    the conditions of ``asm`` do not depend on k.
-
-    Conjugate scattering matrices have the same poles, so D should vanish
-    at every zero of ``reference`` with the same multiplicity, and nowhere
-    else in the window. The ratio D / D_ref is wound once around the window,
-    from the initial samples of the first level of :func:`find_poles` (with
-    its inflated retries), taking D_ref from ``seen`` where the search of
-    the reference recorded it there (see :func:`_find_poles`); Newton runs on D
-    once from each pole, real-axis zero and edge zero of ``reference``, and
-    the residuals |D| come from one batched call; circles are wound only
-    around zeros of multiplicity above 1. The set is returned when the ratio
-    winds 0 times, every Newton run ends within ``_DEDUPE_RADIUS`` of its
-    start with a residual of at most ``_RESIDUAL_TOL``, the refined points
-    stay distinct and each is filed by :func:`_place` with the zeros of
-    ``reference`` it started from (so an edge zero is dropped again, with
-    its own warning), and every circle winds the multiplicity of
-    ``reference``. Together these leave D no zero beyond those of
-    ``reference``: each is there, at least simple, exactly as multiple
-    where a circle was wound, and the totals are equal.
-
-    Real-axis zeros of D are trapped states, not poles of S, so conjugacy
-    does not make them equal; the winding is what sees an extra one. It is
-    the ratio that is wound, not D: the zeros the two determinants share
-    cancel in it, and a shared zero of even multiplicity next to the
-    contour, such as a double trapped state on a window edge at Im k = 0,
-    can otherwise lose a whole turn between two samples of D and hide an
-    extra zero elsewhere.
-
-    Once the Newton runs and circles have passed, every zero of D_ref in
-    the window is one of D at least as multiple, so the ratio has no pole
-    there and winds at least once for each extra zero of D, also one on
-    the contour: at an extra zero of odd multiplicity the phase of the
-    ratio jumps by an odd multiple of pi, the contour is bisected down to
-    it and retried inflated, which encloses it; along an edge through an
-    extra zero of even multiplicity m, where a trapped state on the top
-    edge lies, the phase is the same on both sides, and the rest of the
-    contour turns it by m pi, so the ratio winds m / 2 times.
-    """
-    both = {asm, reference_asm}  # one Assembly when the graphs are the same
-    start = sum(a.evaluations for a in both)
-
-    def ratio(ks):
-        # a point where |D_ref| is at most ZERO_TOL counts as a zero on the
-        # contour, which is then retried inflated
-        d, d_ref = asm.interior_det_many(ks), det_ref(ks)
-        clear = np.abs(d_ref) > ZERO_TOL
-        return np.where(clear, d / np.where(clear, d_ref, 1.0), 0.0)
-
-    det_ref = (reference_asm.interior_det_many if seen is None
-               else _recalling(reference_asm.interior_det_many, seen))
-    starts = reference.poles + reference.real_axis_zeros + reference.edge_zeros
-    places = (["pole"] * len(reference.poles) + ["real"] * len(reference.real_axis_zeros)
-              + ["edge"] * len(reference.edge_zeros))
-    rate = _rate(asm, reference_asm)
-    (wound,) = QuadLevel(window).wind(ratio, _BOUNDARY_SAMPLES, rate_hint=rate)
-    if isinstance(wound, str) or wound != 0:
-        return None
-    refined = _polish(asm, [p.k for p in starts], [_DEDUPE_RADIUS] * len(starts))
-    ks = np.array([k for k, _, _ in refined], dtype=complex)
-    a, b = np.triu_indices(len(ks), 1)
-    if (any(residual > _RESIDUAL_TOL for _, residual, _ in refined)
-            or (np.abs(ks[a] - ks[b]) <= _DEDUPE_RADIUS).any()
-            or [_place(window, k) for k in ks] != places):
-        return None
-    multiple = [i for i, p in enumerate(starts) if p.multiplicity > 1]
-    if (_circle_windings(asm, [(k, _CIRCLE_RADII) for k in ks[multiple]])
-            != [starts[i].multiplicity for i in multiple]):
-        return None
-    zeros = [Pole(k=k_star, multiplicity=p.multiplicity, residual=residual,
-                  iterations=iterations)
-             for p, (k_star, residual, iterations) in zip(starts, refined)]
-    return _pole_set(window, zeros, [], sum(a.evaluations for a in both) - start)

@@ -40,6 +40,14 @@ from conftest import (DATA_DIR, bench_reference, random_open_graph, random_unita
 RESONATOR_POLES = [(2 * m + 1) * np.pi / 2 - 0.5j * np.log(3.0) for m in range(3)]
 
 
+def contour_poles(og, window):
+    """The contour search alone on a fresh Assembly. find_poles reads the
+    zeros of graphs whose lengths are multiples of one power of two from
+    their root set, so the tests of the search's inner workings on such
+    graphs call it directly."""
+    return resonances._contour_poles(Assembly(og), window)
+
+
 def test_winding_simple_zero():
     c = 1.0 + 0.5j
     assert winding_number(lambda z: z - c, Rect(0, 2, 0, 1)) == 1
@@ -329,7 +337,7 @@ def test_zero_counted_by_its_cell_gets_no_second_circle(monkeypatch):
         return wind(asm, circles)
 
     monkeypatch.setattr(resonances, "_circle_windings", recording)
-    ps = find_poles(twin_resonators(), Rect(0.5, 6.0, -1.5, -1e-3))
+    ps = contour_poles(twin_resonators(), Rect(0.5, 6.0, -1.5, -1e-3))
     assert [p.multiplicity for p in ps.poles] == [2, 2]
     assert len(centres) == 2
 
@@ -352,7 +360,7 @@ def test_deep_window_reports_determinant_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DeterminantOverflow, match="determinant overflow"):
-            find_poles(og, Rect(0.0, 4.0, -40.0, 0.0))
+            contour_poles(og, Rect(0.0, 4.0, -40.0, 0.0))
 
 
 def test_close_pair_in_one_small_cell_is_separated():
@@ -443,7 +451,7 @@ def test_inherited_cell_windings_match_fresh_windings(monkeypatch):
     wound = retried = 0
     for og, window in cases:
         seen.clear()
-        find_poles(og, window)
+        contour_poles(og, window)
         asm = Assembly(og)
         rate = float(np.sum(asm.table.bond_lengths)) + 1.0
         for level, windings in seen:
@@ -621,7 +629,7 @@ def test_pole_search_evaluation_count():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Assembly, "interior_det_many", counting)
         mp.setattr(Assembly, "interior_log_derivative", stepping)
-        ps = find_poles(og, Rect(0.0, 8.0, -3.0, 0.0))
+        ps = contour_poles(og, Rect(0.0, 8.0, -3.0, 0.0))
     # the pole on the imaginary axis lies on the window's left side
     assert (len(ps.poles), len(ps.real_axis_zeros)) == (18, 9)
     assert ps.warnings == ("zero 0-0.203258178195j lies on the left side of the window; "
@@ -633,8 +641,8 @@ def test_pole_search_evaluation_count():
     counted.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Assembly, "interior_det_many", counting)
-        ps = find_poles(parse_graph_file(DATA_DIR / "mcdonald_meyers_2.json"),
-                        Rect(0.0, 8.0, -3.0, 0.0))
+        ps = contour_poles(parse_graph_file(DATA_DIR / "mcdonald_meyers_2.json"),
+                           Rect(0.0, 8.0, -3.0, 0.0))
     assert ps.evaluations == sum(counted) == 13_792
     # DFT and fixed-unitary vertices: the same count from the reduced
     # kernel as from the bond kernel
@@ -708,7 +716,7 @@ def test_window_centred_on_a_pole(monkeypatch):
         return ring(rects)
 
     monkeypatch.setattr(QuadLevel, "_ring", classmethod(recording))
-    ps = find_poles(og, window)
+    ps = contour_poles(og, window)
     assert seen[0][1] == [14]
     level = seen[1][0]
     quadrants = window.quadrants()
@@ -732,7 +740,7 @@ def test_cell_whose_every_inflation_meets_a_zero_raises(monkeypatch):
     monkeypatch.setattr(contours, "_CONTOURS_TRIED", 3)
     with pytest.raises(BoundaryZero, match=re.escape(
             f"all 3 contours tried for {window.quadrants()[0]} hit zeros: ")):
-        find_poles(twin_resonators(), window)
+        contour_poles(twin_resonators(), window)
 
 
 def test_cell_that_winds_once_goes_to_newton_unsplit(monkeypatch):
@@ -748,7 +756,7 @@ def test_cell_that_winds_once_goes_to_newton_unsplit(monkeypatch):
         return wind_circles(f, centers, radii, rate_hint, upper_half)
 
     monkeypatch.setattr(contours, "_circle_windings", recording)
-    ps = find_poles(two_pendant_resonator(), window)
+    ps = contour_poles(two_pendant_resonator(), window)
     assert [w for _, w in seen] == [[1]]
     assert len(circles) == 1 and np.allclose(circles[0], [RESONATOR_POLES[0]])
     assert [p.multiplicity for p in ps.poles] == [1]
@@ -778,7 +786,7 @@ def test_cell_whose_newton_run_leaves_it_is_split(monkeypatch):
     seen = _record_level_windings(monkeypatch)
     monkeypatch.setattr(resonances, "_polish", recording)
     monkeypatch.setattr(resonances, "_moment_starts", centre_of_window)
-    ps = find_poles(og, window)
+    ps = contour_poles(og, window)
     ((start, (k, residual, _)),) = runs[0]
     assert seen[0][1] == [1] and start == window.center
     assert residual <= resonances._RESIDUAL_TOL and not window.contains(k)
@@ -799,7 +807,7 @@ def test_double_pole_on_a_cut_line_is_double(monkeypatch):
     window = Rect(np.pi / 2 - 2.5, np.pi / 2 + 2.5, -0.9, 0.01)
     assert window.quadrants()[0].re_max == pole.real
     seen = _record_level_windings(monkeypatch)
-    ps = find_poles(twin_resonators(), window)
+    ps = contour_poles(twin_resonators(), window)
     assert seen[0][1] == [6]
     assert seen[1][1][:2] == [1, 1]
     assert [p.multiplicity for p in ps.poles] == [2]
@@ -818,7 +826,7 @@ def test_cell_with_half_a_double_zero_on_its_side_is_split(monkeypatch):
     window = Rect(np.pi / 2 - 2.5, np.pi / 2 + 2.5, -0.9, 0.0)
     assert window.quadrants()[0].re_max == pole.real
     seen = _record_level_windings(monkeypatch)
-    ps = find_poles(twin_resonators(), window)
+    ps = contour_poles(twin_resonators(), window)
     assert seen[0][1] == [4] and seen[1][1] == [1, 1, 1, 1] and len(seen) > 2
     assert [p.multiplicity for p in ps.poles] == [2]
     assert abs(ps.poles[0].k - pole) <= resonances._DEDUPE_RADIUS
@@ -844,7 +852,7 @@ def test_reported_multiplicities_add_up_to_the_window_winding():
                              rate_hint=asm.total_bond_length + 1.0)
         reported = ps.poles + ps.real_axis_zeros + ps.edge_zeros
         assert sum(p.multiplicity for p in reported) == total
-        assert ps.only_edge_warnings
+        assert len(ps.warnings) == len(ps.edge_zeros)
         counted += total
     assert counted >= 30
 
@@ -876,3 +884,164 @@ def test_zero_on_a_window_side_is_dropped_whichever_side_rounding_puts_it():
     ps = resonances._pole_set(Rect(0.0, 1.0, -2.0, 0.0), [zero], [], 0)
     assert ps.real_axis_zeros == (replace(zero, k=complex(1e-30, 0.0)),)
     assert ps.poles == ps.edge_zeros == ps.warnings == ()
+
+
+# ---------------------------------------------------------------------------
+# the root set of graphs whose lengths are multiples of one power of two
+# ---------------------------------------------------------------------------
+
+MM_WINDOW = Rect(0.0, 8.0, -3.0, 0.0)
+
+
+def _in_quarters(rng, og):
+    """``og`` with every edge length a whole number of quarters, 1 to 6."""
+    edges = [Edge(e.id, e.from_vertex, e.to_vertex, 0.25 * int(rng.integers(1, 7)))
+             for e in og.graph.edges]
+    g = build_graph(og.graph.vertices, edges,
+                    pending_leads={lead.at: og.lead_count_at(lead.at) for lead in og.leads})
+    return attach_leads(g, [lead.at for lead in og.leads], lead_ids=[lead.id for lead in og.leads])
+
+
+def _quarter_graphs(seed, count):
+    """Seeded open graphs with edges, k-independent conditions and lengths in
+    whole quarters."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        og = random_open_graph(rng, max_edges=6, max_leads=3)
+        if Assembly(og).k_independent and og.graph.edges:
+            out.append(_in_quarters(rng, og))
+    return out
+
+
+def _assert_same_zero_sets(got, want):
+    """Equal zeros, filed alike: each zero of ``got`` has the multiplicity
+    of the nearest zero of ``want`` and equals it to 1e-12 relative; the
+    contour search's Newton runs take no multiplicity, so a multiple zero
+    of it agrees to its merge radius. (Two zeros at one Re k may be sorted
+    either way, as rounding puts their Re k.)"""
+    for a, b in ((got.poles, want.poles), (got.real_axis_zeros, want.real_axis_zeros),
+                 (got.edge_zeros, want.edge_zeros)):
+        assert len(a) == len(b)
+        for p in a:
+            q = min(b, key=lambda q: abs(q.k - p.k))
+            tol = 1e-12 if p.multiplicity == 1 else resonances._DEDUPE_RADIUS
+            assert q.multiplicity == p.multiplicity, (p, q)
+            assert abs(p.k - q.k) <= tol * max(1.0, abs(q.k)), (p, q)
+    assert got.warnings == want.warnings
+
+
+def test_root_zeros_match_the_contour_search():
+    # mm1 and mm2 (l0 = 1/2, degree 42 each) and seeded graphs with lengths
+    # in quarters and Neumann, Dirichlet, DFT and fixed-unitary vertices:
+    # the zeros read from the root set are those of the contour search.
+    # Where a zero of multiplicity 3 or more lies on the top side, the
+    # contour search raises BoundaryZero (CHANGES.md), and the benchmark's
+    # oracle counts the zeros instead, on the window raised to Im k = 0.05:
+    # D has no zero above the axis, and a top side 0.01 above a triple zero
+    # loses a turn between the oracle's samples
+    cases = [(parse_graph_file(DATA_DIR / f"{name}.json"), MM_WINDOW)
+             for name in ("mcdonald_meyers_1", "mcdonald_meyers_2")]
+    cases += [(og, Rect(0.3, 6.0, -1.0, 0.0)) for seed in (12, 13)
+              for og in _quarter_graphs(seed, 12)]
+    ref = bench_reference()
+    zeros = counted = 0
+    for og, window in cases:
+        asm = Assembly(og)
+        assert resonances._root_zeros(asm, window) is not None
+        got = resonances._find_poles(asm, window)
+        try:
+            want = contour_poles(og, window)
+        except BoundaryZero:
+            system = ref.BondSystem.of(og)
+            assert sum(p.multiplicity for p in got.poles + got.real_axis_zeros) == (
+                ref.zero_count(system, window.re_min, window.re_max, window.im_min, 0.05))
+            assert max(p.multiplicity for p in got.real_axis_zeros) >= 3
+            counted += 1
+        else:
+            _assert_same_zero_sets(got, want)
+        zeros += len(got.poles + got.real_axis_zeros)
+    assert zeros >= 150 and counted == 2
+
+
+def test_root_set_finds_the_triple_zero_that_the_contour_search_misses():
+    # lengths 0.75, 1, 1, 1, 1.25 and two leads (the benchmark's isoscatter
+    # graph relabelled5.0.0 at seed 1): D has a triple zero at 8 pi on the
+    # window's top side, |D| ~ 8 r^3 at distance r, below ZERO_TOL on every
+    # inflated contour. The companion matrix splits it into three roots,
+    # one above the axis; clustered before the window filters them, they
+    # are one zero of multiplicity 3, at the count of the benchmark's oracle
+    g = build_graph([Vertex(f"v{i}", Neumann()) for i in range(3)],
+                    [Edge("e000", "v1", "v0", 1.0), Edge("e001", "v2", "v0", 1.0),
+                     Edge("e002", "v2", "v0", 0.75), Edge("e003", "v1", "v2", 1.25),
+                     Edge("e004", "v1", "v0", 1.0)],
+                    pending_leads={"v1": 1, "v0": 1})
+    og = attach_leads(g, ["v1", "v0"])
+    window = Rect(25.0, 25.5, -1.0, 0.0)
+    with pytest.raises(BoundaryZero):
+        contour_poles(og, window)
+    ps = find_poles(og, window)
+    (triple,) = ps.real_axis_zeros
+    assert triple.multiplicity == 3 and abs(triple.k - 8 * np.pi) <= 1e-12 * 8 * np.pi
+    (pole,) = ps.poles
+    assert pole.multiplicity == 1 and ps.warnings == ()
+    ref = bench_reference()
+    assert ref.zero_count(ref.BondSystem.of(og), 25.0, 25.5, -1.0, 0.01) == 4
+
+
+def test_deep_window_returns_the_poles_of_the_shallow_one():
+    # every zero of mm1 lies above Im k = -0.21, so the window that overflows
+    # D in the contour search holds the poles of its top part
+    og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    deep = find_poles(og, Rect(0.0, 4.0, -40.0, 0.0))
+    shallow = find_poles(og, Rect(0.0, 4.0, -3.0, 0.0))
+    assert len(deep.poles) == 9
+    assert (deep.poles, deep.real_axis_zeros, deep.edge_zeros, deep.warnings) == (
+        shallow.poles, shallow.real_axis_zeros, shallow.edge_zeros, shallow.warnings)
+
+
+def test_failed_certificate_sends_the_window_to_the_contour_search(monkeypatch):
+    # no alias coefficient is exactly 0: with no tolerance the certificate
+    # fails, the graph has no root set, and the search winds contours after
+    # the root set's 64 samples
+    monkeypatch.setattr(global_scattering, "_ALIAS_TOL", 0.0)
+    og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    ps = find_poles(og, MM_WINDOW)
+    assert resonances._assembly(og)._root_set is None
+    contour = contour_poles(og, MM_WINDOW)
+    assert ps == contour and ps.evaluations == contour.evaluations + 64 == 17_874 + 64
+
+
+def test_root_route_gives_the_same_bits_in_repeated_windows():
+    # the first window builds the root set and counts its 64 samples; a
+    # repeated window, and one on a fresh copy of the graph, give the same
+    # zeros bit for bit, and the root set hands out no writable array
+    windows = [MM_WINDOW, Rect(1.0, 2.0, -0.5, 0.0), MM_WINDOW]
+    og = parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json")
+    got = [find_poles(og, w) for w in windows]
+    fresh = [find_poles(parse_graph_file(DATA_DIR / "mcdonald_meyers_1.json"), w)
+             for w in windows]
+    assert got == fresh and got[0] == got[2]
+    assert got[0].evaluations == got[2].evaluations + 64
+    _, coefficients, centres, sizes = resonances._assembly(og)._root_set
+    for array in (coefficients, centres, sizes):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_only_short_dyadic_graphs_with_constant_conditions_have_a_root_set():
+    # the route is a property of the graph: edges, k-independent conditions,
+    # lengths that one power of two divides exactly (here 1/4) and a degree
+    # sum_b L_b / l0 of at most global_scattering._MAX_DEGREE (128)
+    def resonator(length, condition=Neumann()):
+        g = build_graph([Vertex("c", condition), Vertex("w", Dirichlet())],
+                        [Edge("e", "c", "w", length)], pending_leads={"c": 1})
+        return attach_leads(g, ["c"])
+
+    robin = LinearAB(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert Assembly(resonator(0.75))._root_set[0] == 8 * np.pi  # l0 = 1/4
+    assert Assembly(resonator(32.0))._root_set is not None  # degree 64
+    for og in (resonator(32.25),  # degree 258
+               resonator(0.7),  # no power of two divides 0.7
+               resonator(0.75, robin), _unitary_open_graph(), star_open_graph(3)):
+        assert Assembly(og)._root_set is None
