@@ -563,7 +563,8 @@ class Assembly:
         self.k_independent = not self._ab
         self._sigma = self._assemble(1.0) if self.k_independent else None
         # S(k) at conjugator samples and det S at phase samples, or the
-        # error raised at each, that transplantability_verdict keeps
+        # error raised at each, and the conjugator and phase results per
+        # partner Assembly, that transplantability_verdict keeps
         self._verdict_inputs = {}
 
     @functools.cached_property
@@ -964,7 +965,8 @@ class Assembly:
 # transplantability_verdict (either graph), with their Assemblies, the most
 # recently used first: two verdicts' worth, so that it holds at most four
 # graphs alive. A verdict's window-free results are kept on the Assembly
-# (``_verdict_inputs``) and leave the memo with it.
+# (``_verdict_inputs``; a pair's on graph 1's, keyed weakly by graph 2's)
+# and leave the memo with it.
 _MEMO_SIZE = 4
 _assemblies: list = []
 

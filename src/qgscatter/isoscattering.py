@@ -7,16 +7,19 @@ two systems "the same seen from outside". The solver samples each S at
 several real k in one stacked call, solves the joint Sylvester-type system
 Pi S1(k_j) = S2(k_j) Pi for its null space, and validates any invertible
 null vector on held-out samples. The verdict takes total phases from the
-interior determinants (``Assembly.scattering_det_many``). Sampling can only
-ever provide numerical evidence, never proof, and results are labeled
-accordingly.
+interior determinants (``Assembly.scattering_det_many``). Neither the
+conjugator nor the phases depend on the pole window, so a verdict judges
+them once per ordered pair of graphs and keeps them with graph 1's
+Assembly. Sampling can only ever provide numerical evidence, never proof,
+and results are labeled accordingly.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -215,8 +218,9 @@ def isophasal_check(s1, s2) -> Tuple[bool, float]:
     Both determinants lie on the unit circle for unitary S, so comparing the
     values directly is equivalent to comparing total phases modulo 2 pi and
     avoids branch tracking. A sample where ``s1`` or ``s2`` raises
-    :class:`SingularInterior` raises :class:`SampleAtSingularity` naming
-    the first such k.
+    :class:`SingularInterior` (a bound state) or :class:`SingularAtK` (a
+    singular A + ikB) raises :class:`SampleAtSingularity` naming the first
+    such k.
     """
     many1, many2 = _stacked(s1), _stacked(s2)
     return _isophasal(lambda ks: np.linalg.det(many1(ks)), lambda ks: np.linalg.det(many2(ks)))
@@ -225,15 +229,16 @@ def isophasal_check(s1, s2) -> Tuple[bool, float]:
 def _isophasal(dets1, dets2) -> Tuple[bool, float]:
     """:func:`isophasal_check` of two functions that map an array of k to
     det S(k), such as ``Assembly.scattering_det_many``, and raise
-    :class:`SingularInterior` at the first singular k. A sample where
-    either is singular raises :class:`SampleAtSingularity` naming the
-    first such k, graph 1's on a tie."""
+    :class:`SingularInterior` or :class:`SingularAtK` at the first singular
+    k. A sample where either is singular raises
+    :class:`SampleAtSingularity` naming the first such k, graph 1's on a
+    tie."""
     ks = np.array(_PHASE_KS)
     dets, singular = [], []
     for det_many in (dets1, dets2):
         try:
             dets.append(det_many(ks))
-        except SingularInterior as exc:
+        except (SingularInterior, SingularAtK) as exc:
             singular.append(exc)
     if singular:
         exc = min(singular, key=lambda e: complex(e.k).real)
@@ -312,11 +317,17 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     :func:`~qgscatter.global_scattering.scattering_matrix` share (one
     Assembly when ``og1 is og2``), so that verdicts of one graph against
     others in a row set it up once. The window-free half is computed once
-    per graph and kept with its Assembly, per k: S(k) at the conjugator
-    samples, from one stacked solve per graph (again after a singular
-    sample, which is skipped and kept as singular), and det S at the phase
-    samples, from D(k) alone, or the sample where it is singular. A later
-    verdict solves only the samples it lacks, with the same bits. Only the
+    per ordered pair and ``n_training``: the conjugator result and the
+    phase comparison are kept with graph 1's Assembly, keyed weakly by
+    graph 2's, so that they go when either graph leaves the memo. Each
+    report gets its own copy of Pi. A search or comparison that raises
+    keeps nothing. Their inputs are kept once per graph, with its Assembly
+    and per k: S(k) at the conjugator samples, from one stacked solve per
+    graph (again after a singular sample, which is skipped and kept as
+    singular), and det S at the phase samples, from D(k) alone, or the
+    sample where it is singular, which a later verdict raises anew. A
+    verdict of a new pair solves only the samples its graphs lack, with the
+    same bits, and a later verdict of the same pair solves none. Only the
     pole searches depend on the window: each graph's poles come from
     :func:`~qgscatter.resonances.find_poles` on its own Assembly, so that
     the isopolar check compares two independent searches. For graphs with
@@ -333,10 +344,17 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     _require_holomorphic(og1)
     _require_holomorphic(og2)
     asm1, asm2 = _assembly(og1), _assembly(og2)
-    conj = _find_conjugator(_kept(asm1, "scattering_many"), _kept(asm2, "scattering_many"),
-                            n_training)
-    phases_ok, dev = _isophasal(_kept(asm1, "scattering_det_many"),
-                                _kept(asm2, "scattering_det_many"))
+    pairs = asm1._verdict_inputs.setdefault("pairs", weakref.WeakKeyDictionary())
+    judged = pairs.get(asm2, {}).get(n_training)
+    if judged is None:
+        conj = _find_conjugator(_kept(asm1, "scattering_many"), _kept(asm2, "scattering_many"),
+                                n_training)
+        judged = conj, _isophasal(_kept(asm1, "scattering_det_many"),
+                                  _kept(asm2, "scattering_det_many"))
+        pairs.setdefault(asm2, {})[n_training] = judged
+    conj, (phases_ok, dev) = judged
+    if conj.pi is not None:  # each report gets its own copy
+        conj = replace(conj, pi=conj.pi.copy())
     poles1, poles2 = _find_poles(asm1, window), _find_poles(asm2, window)
     polar_ok, pairing = isopolar_check(poles1, poles2)
 

@@ -1,9 +1,11 @@
 """Conjugacy search, phase and pole comparisons, transplantability verdicts."""
 
+import gc
 import importlib
 import inspect
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -533,6 +535,21 @@ def test_conjugator_skips_a_sample_where_a_plus_ikb_is_singular():
     assert result.training_ks + result.holdout_ks == tuple(default_samples(12)[1:])
 
 
+def test_phase_sample_where_a_plus_ikb_is_singular_raises():
+    # A + ikB vanishes at the third phase sample k0: the conjugator search
+    # skips no sample of its own there, and the phase check names k0 as it
+    # names a bound state
+    k0 = _PHASE_KS[2]
+    g = build_graph([Vertex("c", Neumann()), Vertex("w", LinearAB([[-1j * k0]], [[1.0]]))],
+                    [Edge("e", "c", "w", 1.3)], pending_leads={"c": 2})
+    og = attach_leads(g, ["c", "c"])
+    s = lambda k: global_scattering.scattering_matrix(og, k).s
+    assert find_conjugator(s, s).found
+    with pytest.raises(SampleAtSingularity, match=f"sample k = {k0} hits a singular point") as exc:
+        isophasal_check(s, s)
+    assert isinstance(exc.value.__cause__, SingularAtK) and exc.value.__cause__.k == k0
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_conjugator_system_is_the_kron_form(n, monkeypatch):
     # the stacked system Pi A - B Pi = 0 of the training samples, row by row
@@ -787,27 +804,96 @@ def _report_bits(report):
     conj = report.conjugacy
     return (report.verdict, conj.status, None if conj.pi is None else conj.pi.tobytes(),
             conj.residual, conj.solution_dim, conj.training_ks, conj.holdout_ks,
-            np.float64(report.isophasal_deviation).tobytes(), report.poles_1, report.poles_2)
+            report.isophasal, np.float64(report.isophasal_deviation).tobytes(),
+            report.isopolar, report.pairing, report.poles_1, report.poles_2, report.warnings)
+
+
+def _bench_order_graphs():
+    """A graph, its relabelled and its perturbed copy, and two windows."""
+    og, relabelled, w1 = CONFIRMED_CASES["relabelled-4-2"]()
+    graphs = {"og": og, "relabelled": relabelled, "perturbed": _perturbed_copy(og)}
+    return graphs, w1, Rect(1.0, 3.0, -0.8, 0.0)
 
 
 def test_a_verdict_does_not_depend_on_the_verdicts_before_it():
     # the bench's order: a graph against its relabelled and its perturbed
-    # copy in turn, over windows W1, W2, W1; each report is that of a
-    # verdict on fresh copies of the graphs
-    w1, w2 = CONFIRMED_CASES["relabelled-4-2"]()[2], Rect(1.0, 3.0, -0.8, 0.0)
-    og, relabelled, _ = CONFIRMED_CASES["relabelled-4-2"]()
-    perturbed = _perturbed_copy(og)
-    runs = [(partner, window) for window in (w1, w2, w1) for partner in ("relabelled", "perturbed")]
-    got = [transplantability_verdict(og, {"relabelled": relabelled, "perturbed": perturbed}[p], w)
-           for p, w in runs]
+    # copy in turn, over windows W1, W2, W1; then a pair the other way
+    # round, and other sample counts. Each report is that of a verdict on
+    # fresh copies of the graphs
+    graphs, w1, w2 = _bench_order_graphs()
+    runs = [("og", partner, window, 6) for window in (w1, w2, w1)
+            for partner in ("relabelled", "perturbed")]
+    runs += [("relabelled", "og", w1, 6), ("perturbed", "og", w2, 6),
+             ("og", "relabelled", w1, 8), ("og", "relabelled", w2, 8), ("og", "perturbed", w1, 3)]
+    got = [transplantability_verdict(graphs[a], graphs[b], w, n) for a, b, w, n in runs]
     assert [r.verdict for r in got[:2]] == ["transplantable (numerical evidence)",
                                             "no transplantation on these lead sets"]
-    for (partner, window), report in zip(runs, got):
-        fresh1, fresh2, _ = CONFIRMED_CASES["relabelled-4-2"]()
-        if partner == "perturbed":
-            fresh2 = _perturbed_copy(fresh1)
+    assert got[6].conjugacy.found and got[8].conjugacy.training_ks == tuple(default_samples(8))
+    for (a, b, window, n), report in zip(runs, got):
+        fresh, _, _ = _bench_order_graphs()
         assert _report_bits(report) == _report_bits(
-            transplantability_verdict(fresh1, fresh2, window))
+            transplantability_verdict(fresh[a], fresh[b], window, n))
+
+
+def test_each_ordered_pair_is_judged_once(monkeypatch):
+    # the conjugator search and the phase comparison depend on the pair and
+    # the sample count alone: over the bench's order each runs once per
+    # ordered pair, and the pair the other way round, another sample count
+    # and a graph against itself are judged anew
+    calls = []
+    for name in ("_find_conjugator", "_isophasal"):
+        def counting(*args, _name=name, _run=getattr(isoscattering, name)):
+            calls.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(isoscattering, name, counting)
+    graphs, w1, w2 = _bench_order_graphs()
+    og = graphs["og"]
+    for window in (w1, w2, w1):
+        for partner in ("relabelled", "perturbed"):
+            transplantability_verdict(og, graphs[partner], window)
+    assert sorted(calls) == ["_find_conjugator"] * 2 + ["_isophasal"] * 2
+    for a, b, n in [("relabelled", "og", 6), ("og", "relabelled", 8), ("og", "og", 6)]:
+        for window in (w1, w2):
+            del calls[:]
+            transplantability_verdict(graphs[a], graphs[b], window, n)
+            assert sorted(calls) == ([] if window is w2 else ["_find_conjugator", "_isophasal"])
+
+
+def test_a_report_owns_its_conjugator():
+    # each report's Pi is a new array: writing into one changes no other
+    og1, og2, window = CONFIRMED_CASES["relabelled-4-2"]()
+    first = transplantability_verdict(og1, og2, window)
+    want = first.conjugacy.pi.copy()
+    for _ in range(2):
+        first.conjugacy.pi[:] = 0.0
+        report = transplantability_verdict(og1, og2, window)
+        assert report.conjugacy.pi is not first.conjugacy.pi
+        assert report.conjugacy.pi.tobytes() == want.tobytes()
+        first = report
+
+
+def test_the_pair_memo_keeps_no_assembly_alive():
+    # a pair's results are kept with graph 1's Assembly, keyed weakly by
+    # graph 2's: once graph 2 leaves the memo of four, its Assembly dies
+    # and graph 1 keeps nothing of the pair; nor does a graph judged
+    # against itself outlive the memo
+    og1, og2, window = CONFIRMED_CASES["relabelled-4-2"]()
+    same, _, same_window = CONFIRMED_CASES["two-pendant-self"]()
+    transplantability_verdict(og1, og2, window)
+    transplantability_verdict(same, same, same_window)
+    asm1 = global_scattering._assembly(og1)
+    dead2 = weakref.ref(global_scattering._assembly(og2))
+    dead_same = weakref.ref(global_scattering._assembly(same))
+    assert len(asm1._verdict_inputs["pairs"]) == 1
+    for n in range(2, 6):
+        global_scattering.scattering_matrix(star_open_graph(n), 1.0)
+    gc.collect()
+    assert dead2() is None and dead_same() is None
+    assert len(asm1._verdict_inputs["pairs"]) == 0
+    dead1 = weakref.ref(asm1)
+    del asm1
+    gc.collect()
+    assert dead1() is None
 
 
 def test_a_kept_singular_sample_is_skipped_without_solving_it_again(monkeypatch):
