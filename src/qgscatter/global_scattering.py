@@ -120,8 +120,12 @@ class ScatteringEvaluation:
     :func:`interior_determinant`, bit for bit. At real k the singularity
     test takes it from the system S(k) was solved with, and it is stored.
     At complex k nothing reads it there, so the evaluation keeps a way to
-    take it (``_interior``) and takes it on the first read, with the same
-    bits; reading it again costs nothing more.
+    take it (``_interior``): k and the :class:`Assembly` that solved S(k),
+    and no matrix of its own. An unread complex-k evaluation therefore
+    keeps that Assembly, and so the graph, alive after the graph leaves the
+    memo of :func:`scattering_matrix`. The first read takes D(k) again on
+    the graph's route (:meth:`Assembly._route_det`), with the same bits;
+    reading it again costs nothing more.
     """
 
     k: complex
@@ -562,10 +566,12 @@ class Assembly:
                     for flat, a, b in by_degree.values()]
         self.k_independent = not self._ab
         self._sigma = self._assemble(1.0) if self.k_independent else None
-        # S(k) at conjugator samples and det S at phase samples, or the
-        # error raised at each, and the conjugator and phase results per
-        # partner Assembly, that transplantability_verdict keeps
-        self._verdict_inputs = {}
+        # the k-independent set-up that callers keep with the graph: S(k) at
+        # conjugator samples and det S at phase samples, or the error raised
+        # at each, and the conjugator and phase results per partner Assembly,
+        # of transplantability_verdict; the quotient set-up per GraphAction
+        # (keyed weakly) of symmetry_rep
+        self._kept = {}
 
     @functools.cached_property
     def _reduced(self):
@@ -822,24 +828,31 @@ class Assembly:
         return ev
 
     def _scattering(self, k) -> ScatteringEvaluation:
+        # at complex k D(k) is taken when interior_det is first read
+        interior = functools.partial(self._route_det, k)
         if self._reduced_s is not None:
             s, dets = self._solve_stack(np.array([k]))
-            interior = complex(dets[0]) if not k.imag else (
-                lambda: complex(self._dets(np.array([k]))[0]))
-            return ScatteringEvaluation(k=k, s=s[0], _interior=interior)
+            return ScatteringEvaluation(k=k, s=s[0],
+                                        _interior=interior if k.imag else complex(dets[0]))
         sigma = self.sigma(k)
         if self.table.n_bonds == 0:
             nl = self.table.n_leads
             return ScatteringEvaluation(k=k, s=sigma[:nl, :nl].copy(), _interior=1.0 + 0.0j)
         m, tk = self._interior_system(np.array([k]), sigma)
-        if k.imag:
-            interior = functools.partial(lu_det, m[0])
-        else:
+        if not k.imag:
             interior = lu_det(m[0])
             if abs(interior) < _SINGULAR_TOL:
                 raise _singular(k, interior)
         return ScatteringEvaluation(k=k, s=self._schur([k], sigma, m[0], tk[0]),
                                     _interior=interior)
+
+    def _route_det(self, k) -> complex:
+        """D(k) as S(k) takes it on this graph's route, not counted in
+        ``evaluations``: that of :meth:`interior_det` on the reduced route,
+        the LU determinant of the bond matrix on the bond route."""
+        if self._reduced_s is not None:
+            return complex(self._dets(np.array([k]))[0])
+        return lu_det(self._interior_system(np.array([k]))[0][0])
 
     def scattering_many(self, ks) -> np.ndarray:
         """S(k) stacked over a 1-D array of k, each bit-identical to
@@ -962,11 +975,13 @@ class Assembly:
 
 # The last _MEMO_SIZE graphs passed to scattering_matrix, secular_value,
 # interior_determinant, eigenvalues_compact, find_poles, refine_pole or
-# transplantability_verdict (either graph), with their Assemblies, the most
-# recently used first: two verdicts' worth, so that it holds at most four
-# graphs alive. A verdict's window-free results are kept on the Assembly
-# (``_verdict_inputs``; a pair's on graph 1's, keyed weakly by graph 2's)
-# and leave the memo with it.
+# transplantability_verdict (either graph), quotient_scattering or
+# quotient_scattering_sum, with their Assemblies, the most recently used
+# first: two verdicts' worth, so that it holds at most four graphs alive.
+# What a caller keeps per graph lives in its Assembly's ``_kept`` and leaves
+# the memo with it: a verdict's window-free results (a pair's on graph 1's
+# Assembly, keyed weakly by graph 2's) and the set-up of every action a
+# quotient used on the graph (keyed weakly by the GraphAction).
 _MEMO_SIZE = 4
 _assemblies: list = []
 

@@ -10,8 +10,12 @@ null vector on held-out samples. The verdict takes total phases from the
 interior determinants (``Assembly.scattering_det_many``). Neither the
 conjugator nor the phases depend on the pole window, so a verdict judges
 them once per ordered pair of graphs and keeps them with graph 1's
-Assembly. Sampling can only ever provide numerical evidence, never proof,
-and results are labeled accordingly.
+Assembly, beside each graph's samples, in the one per-graph store
+(``Assembly._kept``) that also holds the quotient set-ups of
+:mod:`~qgscatter.symmetry_rep`; all of it leaves with the Assembly when
+the graph leaves the memo of the last four graphs. Sampling can only ever
+provide numerical evidence, never proof, and results are labeled
+accordingly.
 """
 
 from __future__ import annotations
@@ -123,10 +127,10 @@ def _kept(asm: Assembly, name: str):
     """The method ``name`` of ``asm`` (``scattering_many`` or
     ``scattering_det_many``) on lists of k, computing each k once per
     Assembly: its value, or the :class:`SingularInterior` raised there, is
-    kept in ``asm._verdict_inputs``. The first kept error among ``ks`` is
+    kept in ``asm._kept``. The first kept error among ``ks`` is
     raised as a new exception, and kept values are handed out in a new
     array."""
-    solve, kept = getattr(asm, name), asm._verdict_inputs.setdefault(name, {})
+    solve, kept = getattr(asm, name), asm._kept.setdefault(name, {})
 
     def many(ks):
         ks = np.asarray(ks).tolist()  # keys hash fast as Python floats
@@ -344,7 +348,7 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     _require_holomorphic(og1)
     _require_holomorphic(og2)
     asm1, asm2 = _assembly(og1), _assembly(og2)
-    pairs = asm1._verdict_inputs.setdefault("pairs", weakref.WeakKeyDictionary())
+    pairs = asm1._kept.setdefault("pairs", weakref.WeakKeyDictionary())
     judged = pairs.get(asm2, {}).get(n_training)
     if judged is None:
         conj = _find_conjugator(_kept(asm1, "scattering_many"), _kept(asm2, "scattering_many"),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -40,7 +41,7 @@ from .errors import (
     NotSubgroup,
     ValidationError,
 )
-from .global_scattering import scattering_matrix
+from .global_scattering import _assembly
 from .graph_core import BondTable, DFT, OpenGraph, bond_table
 from .linalg import block_diag, null_space, orthonormalize_rows, rref
 from .vertex_scattering import dft_sigma
@@ -607,26 +608,9 @@ def encoding_map(phis: Sequence[np.ndarray], v) -> EncodingMap:
 _EQUIVARIANCE_TOL = 1e-10  # largest commutator defect or leak of S/max(1, max|S_ij|)
 
 
-# The set-up of the (graph, action) pair passed last to a quotient:
-# (og, act, P(g) stacked in element order, {(rho bytes, carrier bytes):
-# EncodingMap or None}).
-# One entry, replaced whole, so it holds one graph alive. The encodings are
-# keyed by value, so an equal rho built afresh hits and no rho is kept; the
-# dict is emptied when it reaches _MAX_ENCODINGS (a sweep over carriers v).
-_last_quotient = (None, None, (), {})
+# Most encodings one action's set-up keeps: its dict is emptied when it
+# reaches this many (a sweep over carriers v).
 _MAX_ENCODINGS = 32
-
-
-def _quotient_setup(og: OpenGraph, act: GraphAction):
-    """P(g) stacked (order x leads x leads) and the encodings cache of the
-    pair, validated once per pair."""
-    global _last_quotient
-    last_og, last_act, perm_mats, encodings = _last_quotient
-    if last_og is not og or last_act is not act:
-        validate_action(og, act)
-        perm_mats, encodings = _lead_permutation_stack(act), {}
-        _last_quotient = (og, act, perm_mats, encodings)
-    return perm_mats, encodings
 
 
 def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
@@ -641,8 +625,19 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
     divided by max(1, max|S_ij|), since off the real axis |S_ij| grows like
     exp(2|Im k| L) and so do its rounding errors. An S(k) that is not
     finite raises :class:`~qgscatter.errors.DeterminantOverflow` from
-    :meth:`~qgscatter.global_scattering.Assembly.scattering`."""
-    perm_mats, encodings = _quotient_setup(og, act)
+    :meth:`~qgscatter.global_scattering.Assembly.scattering`.
+
+    The set-up of ``act``, (P(g) stacked in element order, {(rho bytes,
+    carrier bytes): EncodingMap or None}), is kept in the graph's
+    ``Assembly._kept`` once :func:`validate_action` has passed (see
+    :func:`quotient_scattering`). The encodings are keyed by value, so an
+    equal rho built afresh hits and no rho is kept."""
+    asm = _assembly(og)
+    setups = asm._kept.setdefault("quotients", weakref.WeakKeyDictionary())
+    if act not in setups:
+        validate_action(og, act)
+        setups[act] = (_lead_permutation_stack(act), {})
+    perm_mats, encodings = setups[act]
     keyed = []
     for rho, v in terms:
         carrier = (np.eye(rho.dim, dtype=complex)[0] if v is None
@@ -657,7 +652,7 @@ def _quotient_blocks(og: OpenGraph, act: GraphAction, terms, k):
                 "decompose and use quotient_scattering_sum"
             )
         keyed.append((rho, carrier, key))
-    s = scattering_matrix(og, k).s
+    s = asm.scattering(k).s
     scale = max(1.0, float(np.abs(s).max()))
     s_n = s / scale
     defects = np.linalg.norm(perm_mats @ s_n - s_n @ perm_mats, axis=(1, 2))
@@ -698,14 +693,17 @@ def quotient_scattering(og: OpenGraph, act: GraphAction, rho: MatrixRep, v=None,
     dim rho. This is the one-term :func:`quotient_scattering_sum`.
 
     A sweep over k builds its set-up once: the validated action, its P(g)
-    stacked in one array and the encoding of each (rho, v) are kept for the
-    last (og, act) pair (compared with ``is``), keyed by the values of rho's
-    matrices and v (up to ``_MAX_ENCODINGS`` of them). S(k) comes from :func:`scattering_matrix`,
-    whose memo keeps the Assemblies of the last four graphs, so at most
-    five graphs are held. Nothing that raised is kept, and the commutator
-    and leak checks run on every call: one stacked P(g) S - S P(g) for all
-    elements, and the leak |S Upsilon - Upsilon B| of the block B returned,
-    with no identity or projector built.
+    stacked in one array and the encoding of each (rho, v) are kept on the
+    graph's Assembly, per action (compared with ``is``), the encodings keyed
+    by the values of rho's matrices and v (up to ``_MAX_ENCODINGS`` of them
+    per action). S(k) comes from the same Assembly, as in
+    :func:`~qgscatter.global_scattering.scattering_matrix`, whose memo keeps
+    the Assemblies of the last four graphs, so at most four graphs are
+    held, each with the set-up of every action used on it: two quotients of
+    one graph can alternate in a sweep. Nothing that raised is kept, and
+    the commutator and leak checks run on every call: one stacked
+    P(g) S - S P(g) for all elements, and the leak |S Upsilon - Upsilon B|
+    of the block B returned, with no identity or projector built.
     """
     return _quotient_blocks(og, act, [(rho, v)], k)[0]
 

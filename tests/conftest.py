@@ -23,14 +23,23 @@ from qgscatter.symmetry_rep import FiniteGroup, GraphAction, MatrixRep, symmetri
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
-def bench_reference():
-    """The benchmark's oracle, ``bench/reference.py``, which shares no code
-    with the library."""
-    spec = importlib.util.spec_from_file_location(
-        "reference", DATA_DIR.parent / "bench" / "reference.py")
+def _bench_module(name):
+    """``bench/<name>.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, DATA_DIR.parent / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_reference():
+    """The benchmark's oracle, ``bench/reference.py``, which shares no code
+    with the library."""
+    return _bench_module("reference")
+
+
+def bench_inputs():
+    """The benchmark's graph generators, ``bench/inputs.py``."""
+    return _bench_module("inputs")
 
 R2D_MATRICES = {
     "e": [[1, 0], [0, 1]],

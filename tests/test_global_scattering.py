@@ -40,6 +40,7 @@ from qgscatter.vertex_scattering import ab_to_sigma, condition_sigma
 
 from conftest import (
     DATA_DIR,
+    bench_inputs,
     bench_reference,
     random_open_graph,
     random_unitary,
@@ -1067,6 +1068,36 @@ def test_sweep_takes_bond_determinants_at_real_k_only(monkeypatch, build):
     assert det == _textbook_det(Assembly(og), ev.k)
     assert evs[0].interior_det == _textbook_det(Assembly(og), ks[0])
     assert len(taken) == n_real + 1
+
+
+def test_unread_complex_k_evaluations_hold_no_matrix():
+    # 120 bonds take the bond route, whose interior matrix is 120 x 120
+    # (230 kB): an evaluation that kept it would hold 46 MB over this sweep
+    import gc
+    import tracemalloc
+
+    from qgscatter import global_scattering
+
+    og = bench_inputs().unitary_open_graph(np.random.default_rng(5), 60, 4, 60.0)
+    ks = [complex(1 + 0.01 * j, -0.1) for j in range(200)]
+    asm = global_scattering._assembly(og)
+    assert asm.table.n_bonds == 120 and asm._reduced_s is None
+    scattering_matrix(og, ks[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evs = [scattering_matrix(og, k) for k in ks]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2e6
+    for n in range(2, 6):
+        scattering_matrix(star_open_graph(n), 1.0)
+    assert all(held is not og for held, _ in global_scattering._assemblies)
+    # read after the graph left the memo: the LU determinant of the bond
+    # matrix that S(k) was solved with, bit for bit
+    assert [ev.interior_det for ev in evs] == [_textbook_det(asm, k) for k in ks]
 
 
 def _ab_degrees_graph():

@@ -884,12 +884,12 @@ def test_the_pair_memo_keeps_no_assembly_alive():
     asm1 = global_scattering._assembly(og1)
     dead2 = weakref.ref(global_scattering._assembly(og2))
     dead_same = weakref.ref(global_scattering._assembly(same))
-    assert len(asm1._verdict_inputs["pairs"]) == 1
+    assert len(asm1._kept["pairs"]) == 1
     for n in range(2, 6):
         global_scattering.scattering_matrix(star_open_graph(n), 1.0)
     gc.collect()
     assert dead2() is None and dead_same() is None
-    assert len(asm1._verdict_inputs["pairs"]) == 0
+    assert len(asm1._kept["pairs"]) == 0
     dead1 = weakref.ref(asm1)
     del asm1
     gc.collect()
@@ -938,7 +938,7 @@ def test_kept_inputs_are_new_on_every_call():
         with pytest.raises(SingularInterior) as exc:
             many([default_samples(1)[0], bound])
         errors.append(exc.value)
-    kept = asm._verdict_inputs["scattering_many"][bound]
+    kept = asm._kept["scattering_many"][bound]
     assert errors[0] is not errors[1] and kept not in errors
     assert errors[0].k == errors[1].k == bound
     assert str(errors[0]) == str(errors[1]) == str(kept)

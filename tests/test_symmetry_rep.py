@@ -15,6 +15,7 @@ from qgscatter.errors import (
     NotSubgroup,
     ValidationError,
 )
+from qgscatter import global_scattering
 from qgscatter.global_scattering import scattering_matrix
 from qgscatter.graph_core import DFT, Dirichlet, Edge, Neumann, Vertex, attach_leads, build_graph
 from qgscatter.symmetry_rep import (
@@ -36,8 +37,8 @@ from qgscatter.symmetry_rep import (
     validate_action,
 )
 
-from conftest import (R2D_MATRICES, cyclic_group, pinwheel, s3_star_action, star_open_graph,
-                      subspace_distance)
+from conftest import (DATA_DIR, R2D_MATRICES, cyclic_group, pinwheel, s3_star_action,
+                      star_open_graph, subspace_distance)
 
 GOLDEN_STAR3 = np.array([[-1, 2, 2], [2, -1, 2], [2, 2, -1]]) / 3.0
 
@@ -546,7 +547,7 @@ def test_quotient_reports_a_subspace_that_s_leaks_out_of(monkeypatch):
 
     og, act, _ = s3_star_action()
     e0 = np.eye(6, 1, dtype=complex)
-    monkeypatch.setattr(symmetry_rep, "_last_quotient", (None, None, (), {}))
+    # the fresh graph has a fresh Assembly, so no encoding is kept for it
     monkeypatch.setattr(symmetry_rep, "encoding_map",
                         lambda phis, v: EncodingMap(upsilon=e0, pseudo_inverse=e0.T))
     with pytest.raises(NotEquivariant, match="leaks out of the encoded subspace"):
@@ -646,7 +647,7 @@ def test_secular_consistency_of_isospectral_quotients():
 
 
 # ---------------------------------------------------------------------------
-# the one-pair set-up memo of quotient_scattering
+# the set-up of quotient_scattering, kept on the graph's Assembly per action
 # ---------------------------------------------------------------------------
 
 def test_quotient_sum_sweep_validates_once_and_matches_fresh_blocks(monkeypatch):
@@ -721,11 +722,14 @@ def test_quotient_memo_follows_the_graph():
     assert np.array_equal(quotient_scattering(og, act, rho, None, k=1.0), expected)
 
 
+def _kept_encodings(og, act):
+    """The encodings that quotients keep for ``act`` on the Assembly of ``og``."""
+    return global_scattering._assembly(og)._kept["quotients"][act][1]
+
+
 def test_equal_reps_built_afresh_share_one_encoding():
     import gc
     import weakref
-
-    from qgscatter import symmetry_rep
 
     og, act, rho = s3_star_action()
     expected = [quotient_scattering(og, act, trivial_rep(act.group), None, k=k)
@@ -737,7 +741,7 @@ def test_equal_reps_built_afresh_share_one_encoding():
     del fresh
     gc.collect()
     assert ref() is None
-    assert len(symmetry_rep._last_quotient[3]) == 1
+    assert len(_kept_encodings(og, act)) == 1
     for k, q in zip((0.7, 1.9), expected):
         assert np.array_equal(quotient_scattering(og, act, trivial_rep(act.group), None, k=k), q)
 
@@ -753,7 +757,7 @@ def test_carrier_sweep_keeps_a_bounded_encodings_dict():
         enc = encoding_map(intertwiner_basis(lead_permutation_matrices(act), rho), v)
         fresh = enc.pseudo_inverse @ scattering_matrix(og, 1.3).s @ enc.upsilon
         assert np.array_equal(q, fresh)
-        assert len(symmetry_rep._last_quotient[3]) <= limit
+        assert len(_kept_encodings(og, act)) <= limit
 
 
 def test_quotient_memo_holds_only_the_last_pair():
@@ -771,3 +775,57 @@ def test_quotient_memo_holds_only_the_last_pair():
         scattering_matrix(star_open_graph(n), 1.0)
     gc.collect()
     assert ref() is None
+
+
+def test_two_quotients_of_one_graph_alternate_in_a_sweep(monkeypatch):
+    # the paper's pair: quotients of the S3 star by H and by H2, swept side
+    # by side, validate each action once and give the bits of one-action
+    # sweeps on a fresh copy of the graph
+    from qgscatter import symmetry_rep
+    from qgscatter.cli import parse_graph_file, parse_symmetry_file
+
+    spec = parse_symmetry_file(DATA_DIR / "s3_sym.json")
+    pairs = [spec.resolve("1_H"), spec.resolve("1_H2")]
+    ks = np.linspace(0.5, 12.0, 200)
+    fresh = parse_graph_file(DATA_DIR / "s3_star.json")
+    expected = [[quotient_scattering(fresh, act, rho, None, k=k) for k in ks]
+                for act, rho in pairs]
+    validated = []
+    validate = symmetry_rep.validate_action
+
+    def counting(og, act):
+        validated.append(act)
+        return validate(og, act)
+
+    monkeypatch.setattr(symmetry_rep, "validate_action", counting)
+    og = parse_graph_file(DATA_DIR / "s3_star.json")
+    for j, k in enumerate(ks):
+        for (act, rho), sweep in zip(pairs, expected):
+            assert np.array_equal(quotient_scattering(og, act, rho, None, k=k), sweep[j])
+    assert validated == [act for act, _ in pairs]
+
+
+def test_quotient_set_ups_leave_the_memo_with_their_graph():
+    # the set-up is keyed weakly by the action and refers to neither the
+    # action nor the graph: a dropped action leaves its set-up at once, and
+    # the graph and its Assembly leave with the memo of the last four graphs
+    import gc
+    import weakref
+
+    og, act, rho = s3_star_action()
+    sub_act = act.restricted(subgroup(act.group, ["e", "(1,2)"]))
+    quotient_scattering(og, act, rho, None, k=1.0)
+    quotient_scattering(og, sub_act, trivial_rep(sub_act.group), None, k=1.0)
+    asm = global_scattering._assembly(og)
+    setups = asm._kept["quotients"]
+    dead_og, dead_asm = weakref.ref(og), weakref.ref(asm)
+    dead_act, dead_sub = weakref.ref(act), weakref.ref(sub_act)
+    assert len(setups) == 2
+    del sub_act
+    gc.collect()
+    assert dead_sub() is None and list(setups.keys()) == [act]
+    del og, act, rho, asm, setups
+    for n in range(2, 6):
+        scattering_matrix(star_open_graph(n), 1.0)
+    gc.collect()
+    assert dead_og() is None and dead_asm() is None and dead_act() is None
