@@ -10,6 +10,7 @@ only included under --timing to keep the default output reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -246,13 +247,19 @@ class SymmetrySpec:
 
     def resolve(self, name: str) -> Tuple[GraphAction, MatrixRep]:
         """Find a representation by name; subgroup reps come with the
-        action restricted to that subgroup."""
+        action restricted to that subgroup, the same object on every call,
+        so that a quotient's set-up kept with the graph serves them all."""
         if name in self.representations:
             return self.action, self.representations[name]
-        for emb, reps in self.subgroups.values():
+        for sname, (_, reps) in self.subgroups.items():
             if name in reps:
-                return self.action.restricted(emb), reps[name]
+                return self._restricted[sname], reps[name]
         raise ParseError(f"no representation named {name!r} in symmetry file")
+
+    @functools.cached_property
+    def _restricted(self) -> Mapping[str, GraphAction]:
+        """The action restricted to each subgroup, by subgroup name."""
+        return {sname: self.action.restricted(emb) for sname, (emb, _) in self.subgroups.items()}
 
 
 def _per_element(group: FiniteGroup, d, where: str) -> list:

@@ -597,11 +597,9 @@ class Assembly:
         coefficients a_0 .. a_N of p, real where Sigma is. The set is None
         unless a_0 = 1 and the M - N - 1 alias coefficients vanish, both to
         ``_ALIAS_TOL`` relative to the largest. The roots z map to k =
-        -i log(z) / l0, which repeat with period 2 pi / l0 in Re k; those
-        within ``_CLUSTER_RADIUS`` of each other there, linked in chains, form
-        one cluster: a multiple zero that the companion matrix split. Each
-        cluster is given by its centroid (``centres``) and its number of
-        roots (``sizes``). The arrays are read-only.
+        -i log(z) / l0, which repeat with period 2 pi / l0 in Re k, and
+        are clustered modulo it (:func:`_clusters`). The arrays are
+        read-only.
         """
         lengths = self.table.bond_lengths
         if not (self.k_independent and lengths.size):
@@ -622,20 +620,7 @@ class Assembly:
         if not self._sigma.imag.any():
             a = a.real.copy()  # a real companion matrix
         period = 2 * np.pi / l0
-        ks = -1j * np.log(np.roots(a[::-1]).astype(complex)) / l0
-
-        def wrapped(d):
-            return d - period * np.round(d.real / period)
-
-        # each root takes the least index of its chain of near roots
-        near = np.abs(wrapped(ks[:, None] - ks)) <= _CLUSTER_RADIUS
-        first, least = None, np.arange(len(ks))
-        while not np.array_equal(first, least):
-            first, least = least, np.where(near, least, len(ks)).min(axis=1)
-        leads, members, sizes = np.unique(first, return_inverse=True, return_counts=True)
-        offsets = wrapped(ks - ks[first])
-        centres = ks[leads] + (np.bincount(members, offsets.real)
-                               + 1j * np.bincount(members, offsets.imag)) / sizes
+        centres, sizes = _clusters(-1j * np.log(np.roots(a[::-1]).astype(complex)) / l0, period)
         for array in (a, centres, sizes):
             array.flags.writeable = False
         return period, a, centres, sizes
@@ -971,6 +956,28 @@ class Assembly:
             raise SingularInterior(f"interior system exactly singular at k = {k}",
                                    k=k, determinant=det) from exc
         return sigma[..., :nl, :nl] + (sigma[..., :nl, nl:] * tk[..., None, :]) @ x
+
+
+def _clusters(ks, period=None):
+    """The roots ``ks`` of a polynomial, clustered: those within
+    ``_CLUSTER_RADIUS`` of each other, linked in chains, form one cluster, a
+    multiple zero that the companion matrix split. Returns each cluster's
+    centroid and its number of roots, as (centres, sizes). With a
+    ``period``, the roots repeat with that period in Re k, and distances
+    and offsets are taken modulo it."""
+    def wrapped(d):
+        return d if period is None else d - period * np.round(d.real / period)
+
+    # each root takes the least index of its chain of near roots
+    near = np.abs(wrapped(ks[:, None] - ks)) <= _CLUSTER_RADIUS
+    first, least = None, np.arange(len(ks))
+    while not np.array_equal(first, least):
+        first, least = least, np.where(near, least, len(ks)).min(axis=1, initial=len(ks))
+    leads, members, sizes = np.unique(first, return_inverse=True, return_counts=True)
+    offsets = wrapped(ks - ks[first])
+    centres = ks[leads] + (np.bincount(members, offsets.real)
+                           + 1j * np.bincount(members, offsets.imag)) / sizes
+    return centres, sizes
 
 
 # The last _MEMO_SIZE graphs passed to scattering_matrix, secular_value,

@@ -1,16 +1,38 @@
 """Resonance poles: zeros of the interior determinant in a complex window.
 
-Two routes find them, chosen by the graph, not by an option. When every
-length is a multiple of one power of two l0, the conditions do not depend
-on k and the degree sum_b L_b / l0 is at most
-``global_scattering._MAX_DEGREE``, D(k) is a polynomial in exp(ik l0),
-and the Assembly keeps the roots of its certified coefficients, clustered
-by multiplicity, for every window (:attr:`Assembly._root_set`). A window
-then takes the clusters whose periodic copies it holds and polishes each
-with one Newton run for a zero of the cluster's size
-(:func:`_root_zeros`); a cluster of two or more roots must also wind its
-size on a circle that holds no other root. A window where a check fails,
-and every other graph, goes to the contour search below
+One polynomial route finds them, with the contour search below as its
+fallback, chosen by the input, not by an option. The route reads the zeros
+from the roots of a polynomial that interpolates D, clustered by
+multiplicity (:func:`~qgscatter.global_scattering._clusters`), and polishes
+each cluster near the window with one Newton run for a zero of the
+cluster's size (:func:`_root_zeros`); a cluster of two or more roots must
+also wind its size on a circle that holds no other root. The polynomial is
+window-free or local:
+
+- When every length is a multiple of one power of two l0, the conditions
+  do not depend on k and the degree sum_b L_b / l0 is at most
+  ``global_scattering._MAX_DEGREE``, D(k) is a polynomial in exp(ik l0),
+  and the Assembly keeps the clusters of its certified roots for every
+  window, at any depth (:attr:`Assembly._root_set`); a window takes the
+  clusters whose periodic copies it holds.
+- Every other graph with edges takes, per window, the Taylor polynomial of
+  f(k) = D(k) exp(-i tau (k - c) / 2) about the window's centre c, tau =
+  sum_b L_b (:func:`_disc_roots`). D is entire, and f has exponential
+  type tau / 2 in every direction, so its Taylor coefficients in
+  (k - c) / R fall off fast beyond e R tau / 2. One batch of D at M points
+  of the circle |k - c| = R, R being ``_DISC_RATIO`` (1.5) times the
+  window's half-diagonal and M the least power of two >= 2 (e R tau / 2 +
+  ``_DISC_MARGIN``), twice the Cauchy estimate of the degree with a margin
+  of 16 terms, and one FFT give the coefficients. They serve when the top
+  half of them lie below ``_ALIAS_TOL`` relative to the largest, the root
+  set's certificate. A circle that would take more than
+  ``_DISC_MAX_SAMPLES`` (128) points is not sampled. The FFT interpolates
+  D itself, which has no singularity, so a zero near the circle does it no
+  harm, where a quadrature of D'/D or of a resolvent on the circle
+  (Beyn's method) fails.
+
+A window where the route does not serve or a check fails (D overflowing on
+the circle among them), and a graph without edges, go to the contour search
 (:func:`_contour_poles`).
 
 The contour search subdivides the window into quadrants, level by level,
@@ -64,14 +86,15 @@ states decoupled from the leads and are reported separately. Any other
 zero within ``_REAL_AXIS_TOL`` of a side of the window is an edge zero,
 dropped with a warning, so that rounding decides nothing.
 
-Both routes, and :func:`refine_pole`, polish their starts with one Newton
-pass (:func:`_polish`), and both build their :class:`PoleSet` with
-:func:`_pole_set`.
+The polynomial route, the contour search and :func:`refine_pole` polish
+their starts with one Newton pass (:func:`_polish`), and both searches
+build their :class:`PoleSet` with :func:`_pole_set`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
@@ -79,9 +102,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .contours import _CONTOURS_TRIED, QuadLevel, Rect, first_circle_windings, rect_winding
-from .errors import BoundaryZero, Diverged, NonHolomorphic
-from .global_scattering import (_CLUSTER_RADIUS, _DEDUPE_RADIUS, _REAL_AXIS_TOL, Assembly,
-                                _assembly)
+from .errors import BoundaryZero, DeterminantOverflow, Diverged, NonHolomorphic
+from .global_scattering import (_ALIAS_TOL, _CLUSTER_RADIUS, _DEDUPE_RADIUS, _REAL_AXIS_TOL,
+                                Assembly, _assembly, _clusters)
 from .graph_core import LinearAB, OpenGraph
 
 _MIN_CELL = 1e-6  # cells this small are not split further
@@ -89,6 +112,9 @@ _RESIDUAL_TOL = 1e-8  # largest |D| at an accepted Newton point
 _BOUNDARY_SAMPLES = 64  # initial samples of a cell side
 _NEWTON_MAX_ITER = 80  # Newton steps from a moment start or a conjugate graph's zero
 _NEWTON_STEP_TOL = 1e-12  # Newton stops once a step is this small
+_DISC_RATIO = 1.5  # radius of a window's circle, in half-diagonals of the window
+_DISC_MARGIN = 16  # terms added to the Cauchy estimate of the degree on a circle
+_DISC_MAX_SAMPLES = 128  # most samples of a window's circle
 
 
 def _grown(radius):
@@ -118,12 +144,12 @@ class PoleSet:
     zeros off the real axis within ``_REAL_AXIS_TOL`` of a side of the
     window, which are dropped, each with one warning. ``evaluations`` counts
     the determinants D(k) the search computed: the samples of the root set
-    when this search built it, contour samples, multiplicity circles and
-    residuals (Newton's steps solve with the matrix instead), as the
-    increase of :attr:`Assembly.evaluations` over the search. A zero read
-    from the root set costs one residual, and a circle when its cluster
-    holds two or more roots; a zero found in a cell that winds once costs
-    one residual and its circle.
+    when this search built it or of the window's circle, contour samples,
+    multiplicity circles and residuals (Newton's steps solve with the
+    matrix instead), as the increase of :attr:`Assembly.evaluations` over
+    the search. A zero read from a polynomial costs one residual, and a
+    circle when its cluster holds two or more roots; a zero found in a cell
+    that winds once costs one residual and its circle.
     """
 
     poles: Tuple[Pole, ...]
@@ -267,14 +293,20 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     (k = 0-0.203258178195j on the left side of [0, 8] x [-3, 0]), whichever
     side of the line rounding put it on.
 
-    A graph whose lengths are multiples of one power of two l0, with
-    k-independent conditions and degree sum_b L_b / l0 at most
+    The zeros are read from the roots of a polynomial (see the module
+    docstring). A graph whose lengths are multiples of one power of two l0,
+    with k-independent conditions and degree sum_b L_b / l0 at most
     ``global_scattering._MAX_DEGREE``, has a root set: the first search of
     its Assembly takes D at the least power of two >= degree + 2 points,
-    counted in ``evaluations``, and every window reads its zeros from the
-    roots (see the module docstring), at any depth. A window where a check
-    of that route fails, and every other graph, takes the contour search,
-    counted on top of what the root route spent.
+    and every window reads its zeros from the roots, at any depth. Every
+    other graph with edges takes D at M points of a circle around each
+    window, M being a power of two of at most ``_DISC_MAX_SAMPLES``, and
+    reads the window's zeros from the roots of their interpolant (64
+    samples and one residual for a window of one zero, 0.7 x 0.6, on a
+    graph of total length 5). Either set of samples is counted in
+    ``evaluations``. A window whose circle would
+    take more samples, or where a check of the route fails, takes the
+    contour search, counted on top of what the polynomial route spent.
 
     The contour search is fixed by the module constants ``_MIN_CELL``,
     ``_DEDUPE_RADIUS``, ``_RESIDUAL_TOL``, ``_BOUNDARY_SAMPLES``,
@@ -283,8 +315,9 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
     retries of cells and circles that meet a zero. Every cell that winds w
     >= 1 times starts w Newton runs from the roots of the power sums of its
     zeros (see the module docstring), whatever its size and w; a run may go
-    10 cell diameters from its start. The root route adds
-    ``global_scattering._ALIAS_TOL`` and ``_CLUSTER_RADIUS``.
+    10 cell diameters from its start. The polynomial route adds
+    ``global_scattering._ALIAS_TOL`` and ``_CLUSTER_RADIUS``, and the
+    circle's ``_DISC_RATIO``, ``_DISC_MARGIN`` and ``_DISC_MAX_SAMPLES``.
 
     The graph's :class:`Assembly` comes from the memo of the last four
     graphs of :func:`~qgscatter.global_scattering.scattering_matrix`, so
@@ -299,8 +332,8 @@ def find_poles(og: OpenGraph, window: Rect) -> PoleSet:
 
 def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
     """:func:`find_poles` on a graph's Assembly: the zeros of its root set
-    (:func:`_root_zeros`), or, where there is none or a check fails, the
-    contour search (:func:`_contour_poles`)."""
+    or of the window's circle (:func:`_root_zeros`), or, where neither
+    serves or a check fails, the contour search (:func:`_contour_poles`)."""
     _require_holomorphic(asm.og)
     start = asm.evaluations
     zeros = _root_zeros(asm, window)
@@ -309,13 +342,48 @@ def _find_poles(asm: Assembly, window: Rect) -> PoleSet:
     return _pole_set(window, zeros, [], asm.evaluations - start)
 
 
+def _disc_roots(asm: Assembly, window: Rect):
+    """The roots of the Taylor polynomial of D(k) exp(-i tau (k - c) / 2)
+    about the window's centre c, tau = sum_b L_b, in the form of
+    :attr:`Assembly._root_set` with no period: (None, coefficients,
+    centres, sizes), the roots clustered by
+    :func:`~qgscatter.global_scattering._clusters`. None for a graph
+    without edges, a circle of more than ``_DISC_MAX_SAMPLES`` points, a D
+    that overflows on it or a failed certificate (see the module
+    docstring).
+
+    One :meth:`Assembly.interior_det_many` call takes D at the M points c +
+    R u_j, u_j = exp(2 pi i j / M), and one FFT gives the coefficients of
+    the polynomial in (k - c) / R. Those of the top half must lie below
+    ``_ALIAS_TOL`` relative to the largest; the polynomial keeps the
+    coefficients up to the last above that.
+    """
+    tau, radius = asm.total_bond_length, _DISC_RATIO * math.hypot(window.width, window.height) / 2
+    m = 1 << (math.ceil(2 * (math.e * radius * tau / 2 + _DISC_MARGIN)) - 1).bit_length()
+    if not asm.table.n_bonds or m > _DISC_MAX_SAMPLES:
+        return None
+    u = np.exp(2j * np.pi / m * np.arange(m))
+    try:
+        dets = asm.interior_det_many(window.center + radius * u)
+    except DeterminantOverflow:
+        return None
+    c = np.fft.fft(dets * np.exp(-0.5j * tau * radius * u)) / m
+    kept = np.abs(c) > _ALIAS_TOL * np.abs(c).max()
+    if kept[m // 2:].any():
+        return None
+    c = c[:np.flatnonzero(kept).max() + 1]
+    return (None, c, *_clusters(window.center + radius * np.roots(c[::-1])))
+
+
 def _root_zeros(asm: Assembly, window: Rect) -> Optional[List[Pole]]:
     """The zeros of D in the window, and within ``_REAL_AXIS_TOL`` of it,
-    from :attr:`Assembly._root_set`; None when the Assembly has no root set
-    or a check fails.
+    from the clusters of the roots of a polynomial: those of
+    :attr:`Assembly._root_set`, which repeat with its period in Re k, or,
+    for a graph without one, of the window's circle (:func:`_disc_roots`);
+    None when neither serves or a check fails.
 
-    Every cluster of roots is shifted by whole periods to cover the window
-    inflated by ``_CLUSTER_RADIUS``, and each copy inside starts one Newton
+    Every cluster, shifted by whole periods when there is a period, that
+    lies in the window inflated by ``_CLUSTER_RADIUS`` starts one Newton
     run (:func:`_polish`) from its centroid, for a zero of the cluster's
     size, with the cluster radius as trust radius. The checks: every run
     stays inside with a residual of at most ``_RESIDUAL_TOL``, no two end
@@ -324,13 +392,13 @@ def _root_zeros(asm: Assembly, window: Rect) -> Optional[List[Pole]]:
     to the nearest other copy or 1 / sum_b L_b if that is less, winds its
     size.
     """
-    roots = asm._root_set
+    roots = asm._root_set or _disc_roots(asm, window)
     if roots is None:
         return None
     period, _, centres, sizes = roots
     near = window.inflated(_CLUSTER_RADIUS)
-    shifts = period * np.arange(np.floor(near.re_min / period) - 1,
-                                np.ceil(near.re_max / period) + 2)
+    shifts = np.zeros(1) if period is None else period * np.arange(
+        np.floor(near.re_min / period) - 1, np.ceil(near.re_max / period) + 2)
     ks = (centres[:, None] + shifts).ravel()
     inside = ((near.re_min < ks.real) & (ks.real < near.re_max)
               & (near.im_min < ks.imag) & (ks.imag < near.im_max))

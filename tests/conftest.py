@@ -11,11 +11,13 @@ from qgscatter.graph_core import (
     Dirichlet,
     Edge,
     FixedUnitary,
+    Lead,
     LinearAB,
     Neumann,
     Vertex,
     attach_leads,
     build_graph,
+    open_graph,
 )
 from qgscatter.global_scattering import Assembly
 from qgscatter.symmetry_rep import FiniteGroup, GraphAction, MatrixRep, symmetric_group
@@ -298,3 +300,16 @@ def exterior_blind_zeros(asm: Assembly, og, k_min, k_max):
                 if not any(abs(k_star.real - z) < 1e-7 for z in out):
                     out.append(k_star.real)
     return sorted(out)
+
+
+def near_union(og, eps):
+    """``og`` beside a copy of it with every length x (1 + eps), the two
+    sharing nothing and each with the leads of ``og``. D is the product of
+    the two graphs' D, so every zero k of ``og`` has a partner at
+    k / (1 + eps): a close pair for small eps, a double zero at eps = 0."""
+    copies = (("", 1.0), ("_near", 1.0 + eps))
+    return open_graph(
+        [Vertex(v.id + tag, v.condition) for tag, _ in copies for v in og.graph.vertices],
+        [Edge(e.id + tag, e.from_vertex + tag, e.to_vertex + tag, e.length * factor)
+         for tag, factor in copies for e in og.graph.edges],
+        [Lead(lead.id + tag, lead.at + tag) for tag, _ in copies for lead in og.leads])

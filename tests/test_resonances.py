@@ -1,6 +1,7 @@
 """Winding numbers and resonance pole location."""
 
 import cmath
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -34,8 +35,8 @@ from qgscatter.graph_core import (
 )
 from qgscatter.resonances import find_poles, refine_pole, winding_number
 
-from conftest import (DATA_DIR, bench_reference, random_open_graph, random_unitary,
-                      star_open_graph, twin_resonators, two_pendant_resonator)
+from conftest import (DATA_DIR, bench_inputs, bench_reference, near_union, random_open_graph,
+                      random_unitary, star_open_graph, twin_resonators, two_pendant_resonator)
 
 RESONATOR_POLES = [(2 * m + 1) * np.pi / 2 - 0.5j * np.log(3.0) for m in range(3)]
 
@@ -547,16 +548,20 @@ def test_failed_cells_of_a_level_are_wound_together_inflated(monkeypatch):
 
 def test_two_zero_window_is_resolved_from_its_moments(monkeypatch):
     # a seeded window that holds two simple zeros: the roots of its power
-    # sums start one Newton run at each, so one level of windings finds
-    # both, and the benchmark's oracle, which shares no code with the
-    # library, counts the same zeros in the window and one in a small box
-    # around each
+    # sums start one Newton run at each, so one level of windings of the
+    # contour search finds both, and the benchmark's oracle, which shares
+    # no code with the library, counts the same zeros in the window and one
+    # in a small box around each. find_poles reads them from the window's
+    # circle, with no winding, and finds the same zeros
     rng = np.random.default_rng(3)
     og = [random_open_graph(rng, max_edges=6, max_leads=3) for _ in range(3)][-1]
     window = Rect(1.0, 2.0, -0.6, -0.05)
     seen = _record_level_windings(monkeypatch)
-    ps = find_poles(og, window)
+    ps = contour_poles(og, window)
     assert [w for _, w in seen] == [[2]]
+    seen.clear()
+    _assert_same_zero_sets(find_poles(og, window), ps, 1e-10)
+    assert seen == []
     assert [p.multiplicity for p in ps.poles] == [1, 1]
     assert ps.real_axis_zeros == ps.edge_zeros == ps.warnings == ()
     ref = bench_reference()
@@ -914,9 +919,9 @@ def _quarter_graphs(seed, count):
     return out
 
 
-def _assert_same_zero_sets(got, want):
+def _assert_same_zero_sets(got, want, tol=1e-12):
     """Equal zeros, filed alike: each zero of ``got`` has the multiplicity
-    of the nearest zero of ``want`` and equals it to 1e-12 relative; the
+    of the nearest zero of ``want`` and equals it to ``tol`` relative; the
     contour search's Newton runs take no multiplicity, so a multiple zero
     of it agrees to its merge radius. (Two zeros at one Re k may be sorted
     either way, as rounding puts their Re k.)"""
@@ -925,9 +930,9 @@ def _assert_same_zero_sets(got, want):
         assert len(a) == len(b)
         for p in a:
             q = min(b, key=lambda q: abs(q.k - p.k))
-            tol = 1e-12 if p.multiplicity == 1 else resonances._DEDUPE_RADIUS
+            limit = tol if p.multiplicity == 1 else resonances._DEDUPE_RADIUS
             assert q.multiplicity == p.multiplicity, (p, q)
-            assert abs(p.k - q.k) <= tol * max(1.0, abs(q.k)), (p, q)
+            assert abs(p.k - q.k) <= limit * max(1.0, abs(q.k)), (p, q)
     assert got.warnings == want.warnings
 
 
@@ -1045,3 +1050,122 @@ def test_only_short_dyadic_graphs_with_constant_conditions_have_a_root_set():
                resonator(0.7),  # no power of two divides 0.7
                resonator(0.75, robin), _unitary_open_graph(), star_open_graph(3)):
         assert Assembly(og)._root_set is None
+
+
+# the window's circle: graphs with edges and no root set
+# ---------------------------------------------------------------------------
+
+def _circle_samples(og, window):
+    """M, the samples of a window's circle: the least power of two >= 2 (e R
+    tau / 2 + 16), R being 1.5 half-diagonals of the window and tau =
+    sum_b L_b."""
+    radius = 1.5 * abs(complex(window.width, window.height)) / 2
+    degree = math.e * radius * Assembly(og).total_bond_length / 2
+    return 1 << (math.ceil(2 * (degree + 16)) - 1).bit_length()
+
+
+def _counted_batches(monkeypatch):
+    """The length of every batch of determinants, as they are taken."""
+    counted = []
+    det_many = Assembly.interior_det_many
+
+    def counting(self, ks):
+        counted.append(len(ks))
+        return det_many(self, ks)
+
+    monkeypatch.setattr(Assembly, "interior_det_many", counting)
+    return counted
+
+
+def _near_pairs(eps):
+    """The benchmark's six-edge unitary graph of total length 4 beside a copy
+    1 + eps times longer, and a window holding two zeros of each, both
+    pairs about 4.2 eps apart and within 0.005 below the real axis."""
+    og = bench_inputs().unitary_open_graph(np.random.default_rng(2), 6, 1, 4.0)
+    return near_union(og, eps), Rect(3.8, 4.5, -0.6, 0.0)
+
+
+def test_window_zeros_from_the_circle_match_the_contour_search(monkeypatch):
+    # seeded graphs with k-independent conditions and incommensurate
+    # lengths, windows 0.3 to 2 wide and 0.3 to 1.5 deep below the real
+    # axis: every window takes one batch of M samples on its circle and
+    # one of residuals, and no contour. Its zeros are the contour search's,
+    # to 1e-10 relative and with equal multiplicities, but where the
+    # contour search loses a real-axis zero on the top side next to a pole
+    # just below it (CHANGES.md): there the benchmark's oracle counts the
+    # zeros that find_poles gives
+    rng = np.random.default_rng(0)
+    counted = _counted_batches(monkeypatch)
+    ref = bench_reference()
+    windows = 0
+    while windows < 200:
+        og = random_open_graph(rng, max_edges=6, max_leads=3)
+        if not (Assembly(og).k_independent and og.graph.edges):
+            continue
+        for _ in range(4):
+            re_min, width, depth = rng.uniform([0.5, 0.3, 0.3], [8.0, 2.0, 1.5])
+            window = Rect(re_min, re_min + width, -depth, 0.0)
+            samples = _circle_samples(og, window)
+            if samples > 128:
+                continue
+            windows += 1
+            counted.clear()
+            ps = find_poles(og, window)
+            assert counted[0] == samples and len(counted) <= 2
+            assert ps.evaluations == sum(counted)
+            want = contour_poles(og, window)
+            try:
+                _assert_same_zero_sets(ps, want, 1e-10)
+            except AssertionError:
+                zeros = ps.poles + ps.real_axis_zeros
+                assert len(zeros) > len(want.poles + want.real_axis_zeros)
+                assert ref.count_between(ref.BondSystem.of(og), window.re_min, window.re_max,
+                                         window.im_min, 0.2, 1e-3) == (len(zeros), len(zeros))
+
+
+def test_circle_finds_the_close_pair_that_the_contour_search_misses():
+    # pairs 4.2e-3 apart: the contour search finds three of the four zeros,
+    # with no warning (CHANGES.md), where the circle's 64 samples and four
+    # residuals find all four, at the count of the benchmark's oracle
+    og, window = _near_pairs(1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        missed = contour_poles(og, window)
+    assert (len(missed.poles), missed.evaluations, missed.warnings) == (3, 562, ())
+    ps = find_poles(og, window)
+    assert [p.multiplicity for p in ps.poles] == [1, 1, 1, 1]
+    assert ps.evaluations == 64 + 4
+    assert ps.real_axis_zeros == ps.edge_zeros == ps.warnings == ()
+    ref = bench_reference()
+    system = ref.BondSystem.of(og)
+    assert ref.count_between(system, window.re_min, window.re_max, window.im_min, 0.2,
+                             1e-3) == (4, 4)
+    for p in ps.poles:
+        assert ref.relative_residual(system, p.k) <= 1e-6
+
+
+def test_circle_finds_double_zeros():
+    # the graph beside an exact copy: each zero doubles, a cluster of two
+    # roots confirmed by its circle, at the zeros of the contour search
+    og, window = _near_pairs(0.0)
+    ps = find_poles(og, window)
+    assert [p.multiplicity for p in ps.poles] == [2, 2]
+    _assert_same_zero_sets(ps, contour_poles(og, window))
+
+
+def test_window_the_circle_does_not_serve_takes_the_contour_search(monkeypatch):
+    # a window that needs 256 samples takes no sample on its circle; pairs
+    # 4.2e-5 apart are clusters of two roots, where Newton for a double zero
+    # leaves the cluster radius, and the window takes the contour search
+    # after its 64 samples. Both give the contour search's PoleSet
+    og, window = _unitary_open_graph(), Rect(0.5, 8.0, -2.0, 0.0)
+    assert _circle_samples(og, window) == 256
+    counted = _counted_batches(monkeypatch)
+    ps, want = find_poles(og, window), contour_poles(og, window)
+    assert ps == want and ps.evaluations == want.evaluations == sum(counted) / 2
+    og, window = _near_pairs(1e-5)
+    counted.clear()
+    ps = find_poles(og, window)
+    want = contour_poles(og, window)
+    assert counted[0] == 64
+    assert ps == want and ps.evaluations == want.evaluations + 64

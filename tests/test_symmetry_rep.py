@@ -805,6 +805,30 @@ def test_two_quotients_of_one_graph_alternate_in_a_sweep(monkeypatch):
     assert validated == [act for act, _ in pairs]
 
 
+def test_a_sweep_that_resolves_a_subgroup_representation_per_k_validates_once(monkeypatch):
+    # the symmetry file's subgroup representation comes with one restricted
+    # action, whatever the number of calls: a sweep that resolves it at
+    # every k finds the set-up kept for that action, and validates it once
+    # (a new action per call validated and set up each of the 200 quotients)
+    from qgscatter import symmetry_rep
+    from qgscatter.cli import parse_graph_file, parse_symmetry_file
+
+    spec = parse_symmetry_file(DATA_DIR / "s3_sym.json")
+    assert spec.resolve("1_H")[0] is spec.resolve("1_H")[0]
+    validated = []
+    validate = symmetry_rep.validate_action
+
+    def counting(og, act):
+        validated.append(act)
+        return validate(og, act)
+
+    monkeypatch.setattr(symmetry_rep, "validate_action", counting)
+    og = parse_graph_file(DATA_DIR / "s3_star.json")
+    for k in np.linspace(0.5, 12.0, 200):
+        quotient_scattering(og, *spec.resolve("1_H"), None, k=k)
+    assert validated == [spec.resolve("1_H")[0]]
+
+
 def test_quotient_set_ups_leave_the_memo_with_their_graph():
     # the set-up is keyed weakly by the action and refers to neither the
     # action nor the graph: a dropped action leaves its set-up at once, and
