@@ -337,7 +337,8 @@ def transplantability_verdict(og1: OpenGraph, og2: OpenGraph, window: Rect,
     the isopolar check compares two independent searches. For graphs with
     a root set (see ``find_poles``) both read their zeros from the roots,
     which the first search of each Assembly builds and later verdicts
-    reuse. The report's warnings are those of both pole searches, prefixed
+    reuse; other graphs with edges read them from a circle around the
+    window, in every verdict. The report's warnings are those of both pole searches, prefixed
     "graph 1: " and "graph 2: ", then the verdict's own.
     """
     if og1.n_leads != og2.n_leads:

@@ -1154,18 +1154,22 @@ def test_circle_finds_double_zeros():
 
 
 def test_window_the_circle_does_not_serve_takes_the_contour_search(monkeypatch):
-    # a window that needs 256 samples takes no sample on its circle; pairs
+    # a window that needs 256 samples takes no sample on its circle. Pairs
     # 4.2e-5 apart are clusters of two roots, where Newton for a double zero
-    # leaves the cluster radius, and the window takes the contour search
-    # after its 64 samples. Both give the contour search's PoleSet
+    # leaves the cluster radius; and D overflows below Im k = -63.8 on the
+    # circle of a window just above that depth. Both windows take the
+    # contour search after their 64 samples. All give the contour search's
+    # PoleSet
     og, window = _unitary_open_graph(), Rect(0.5, 8.0, -2.0, 0.0)
     assert _circle_samples(og, window) == 256
     counted = _counted_batches(monkeypatch)
     ps, want = find_poles(og, window), contour_poles(og, window)
     assert ps == want and ps.evaluations == want.evaluations == sum(counted) / 2
-    og, window = _near_pairs(1e-5)
-    counted.clear()
-    ps = find_poles(og, window)
-    want = contour_poles(og, window)
-    assert counted[0] == 64
-    assert ps == want and ps.evaluations == want.evaluations + 64
+    for og, window in (_near_pairs(1e-5), (og, Rect(1.0, 1.4, -63.7, -63.3))):
+        counted.clear()
+        ps = find_poles(og, window)
+        want = contour_poles(og, window)
+        assert counted[0] == 64
+        assert ps == want and ps.evaluations == want.evaluations + 64
+    with pytest.raises(DeterminantOverflow):  # the circle's lowest point
+        Assembly(og).interior_det(window.center - 0.75j * abs(complex(0.4, 0.4)))
