@@ -45,9 +45,8 @@ parent side is resolved afresh: a phase is never interpolated. Of a parent
 side that met a zero, the half holding that zero fails at once and the
 other half is resolved afresh.
 
-The resolved samples of a contour also give the power sums of the zeros
-inside it (:meth:`QuadLevel.power_sums`) by the midpoint rule, with no
-further value of f.
+A cell gets its winding number only. The pole search reads the zeros it
+counts from an interpolant of f on a circle around the cell.
 
 A function value close to zero on the contour makes the winding number
 ill-defined. It fails the contour (in :class:`QuadLevel`, only the cells
@@ -271,16 +270,6 @@ def _winding(total):
     return int(n)
 
 
-def _log_moments(z, v, rect, count):
-    """Sum over consecutive samples of u^p log(v[j+1] / v[j]), p = 1 ..
-    count, u being the midpoint of z[j] and z[j+1] in units centred on the
-    centre of ``rect`` and scaled by half its diameter. The principal log is
-    the step of log f between the samples, since the phase steps of
-    resolved samples are below pi/2."""
-    u = ((z[1:] + z[:-1]) / 2 - rect.center) / (rect.diameter / 2)
-    return np.cumprod(np.broadcast_to(u, (count, len(u))), axis=0) @ np.log(v[1:] / v[:-1])
-
-
 def _one(result):
     """The result for a single contour; a failure raises :class:`BoundaryZero`."""
     if isinstance(result, str):
@@ -470,26 +459,6 @@ class QuadLevel:
             ring, j = self._retried[i]
             return ring.cells[j]
         return self.cells[i]
-
-    def power_sums(self, i, count):
-        """s_p = (1/2 pi i) times the integral of u^p d log f around
-        :meth:`contour` i, counterclockwise, for p = 1 .. count, with u = (z
-        - c) / (d / 2) for the contour's centre c and diameter d: the sum of
-        u^p over the zeros of f inside, with multiplicity, when no pole is
-        inside (Delves and Lyness, Math. Comp. 21 (1967) 543).
-
-        Computed from the samples :meth:`wind` resolved on the contour's
-        sides, which must not have failed, by the midpoint rule: u^p at the
-        midpoint of two consecutive samples times the log of their ratio.
-        No value of f is computed.
-        """
-        if i in self._retried:
-            ring, j = self._retried[i]
-            return ring.power_sums(j, count)
-        cell = self.cells[i]
-        sides = (self._sides[j] for j in self._refs[i])
-        return sum(sign * _log_moments(s.a + (s.b - s.a) * s.t, s.v, cell, count)
-                   for sign, s in zip((1, 1, -1, -1), sides)) / (2j * np.pi)
 
     def split(self, indices) -> "QuadLevel":
         """The next level: the quadrants (as :meth:`Rect.quadrants` orders

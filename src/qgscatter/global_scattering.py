@@ -958,18 +958,18 @@ class Assembly:
         return sigma[..., :nl, :nl] + (sigma[..., :nl, nl:] * tk[..., None, :]) @ x
 
 
-def _clusters(ks, period=None):
-    """The roots ``ks`` of a polynomial, clustered: those within
-    ``_CLUSTER_RADIUS`` of each other, linked in chains, form one cluster, a
-    multiple zero that the companion matrix split. Returns each cluster's
-    centroid and its number of roots, as (centres, sizes). With a
-    ``period``, the roots repeat with that period in Re k, and distances
-    and offsets are taken modulo it."""
+def _clusters(ks, period=None, radius=_CLUSTER_RADIUS):
+    """The roots ``ks`` of a polynomial, clustered: those within ``radius``
+    of each other, linked in chains, form one cluster, a multiple zero that
+    the companion matrix split. Returns each cluster's centroid and its
+    number of roots, as (centres, sizes). With a ``period``, the roots
+    repeat with that period in Re k, and distances and offsets are taken
+    modulo it."""
     def wrapped(d):
         return d if period is None else d - period * np.round(d.real / period)
 
     # each root takes the least index of its chain of near roots
-    near = np.abs(wrapped(ks[:, None] - ks)) <= _CLUSTER_RADIUS
+    near = np.abs(wrapped(ks[:, None] - ks)) <= radius
     first, least = None, np.arange(len(ks))
     while not np.array_equal(first, least):
         first, least = least, np.where(near, least, len(ks)).min(axis=1, initial=len(ks))

@@ -715,15 +715,15 @@ def test_verdicts_against_one_graph_set_it_up_once(monkeypatch):
 def test_confirmation_winds_circles_around_double_zeros():
     # the twin resonators' double poles are clusters of two roots of their
     # root set, each confirmed by a multiplicity circle; the contour search
-    # finds the same zeros. Newton converges only linearly to a double zero
-    # from the contour search's starts: the two agree to its merge radius
+    # reads the same zeros from the circles of its cells, each polished by
+    # Newton for a double zero, so the two agree to rounding
     og = twin_resonators()
     window = Rect(0.5, 6.0, -2.0, -0.1)
     report = transplantability_verdict(og, og.with_lead_order([1, 0]), window)
     assert [p.multiplicity for p in report.poles_1.poles] == [2, 2]
     assert report.poles_1 == report.poles_2
     contour = resonances._contour_poles(Assembly(og), window)
-    _assert_same_zeros(report.poles_2, contour, resonances._DEDUPE_RADIUS)
+    _assert_same_zeros(report.poles_2, contour, 1e-12)
     # a root set that counts each double zero as triple passes every Newton
     # run and is refused by the circles: the window goes to the contour search
     asm = Assembly(og)
@@ -749,12 +749,13 @@ FALLBACK_CASES = {
 }
 
 
-@pytest.mark.parametrize("states", sorted({s for case in FALLBACK_CASES.values() for s in case}))
+@pytest.mark.parametrize("states", sorted({s for case in FALLBACK_CASES.values() for s in case})
+                         + [(3.3,) * 4])
 def test_trapped_states_on_the_top_edge_have_their_multiplicity(states):
     # along the top edge a trapped state of even multiplicity shows no
     # phase jump, so the cell below it winds half its multiplicity; the
     # search reports the resonator's trapped state at pi and each interval's
-    # with its multiplicity
+    # with its multiplicity, also the quadruple one of four intervals
     ps = find_poles(_resonator_beside_intervals(*states), Rect(0.5, 6.0, -2.0, 0.0))
     want = {math.pi: 1}
     for b in states:
